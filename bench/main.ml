@@ -64,7 +64,7 @@ let run_tables () =
    cbl-lint gates every CI run before the tests, so it must stay cheap
    even now that it builds a whole-repo call graph.  Three phases are
    timed separately — parse (compiler-libs over every file), summaries
-   (phase-1 effect extraction, uncached), and the full run (parse +
+   (phase-1 effect extraction), and the full run (parse +
    summaries + call graph + fixpoint + all rules) — each against its
    own wall budget.  BENCH_LINT.json carries a header/rows table whose
    "headroom x" column (budget / elapsed) check_regression gates at
@@ -88,7 +88,6 @@ let bench_lint () =
     let (_, sources, _), parse_s =
       time (fun () -> Repro_lint.Lint.parse_tree ~root:"." ~paths)
     in
-    (* no cache file: measure true extraction cost, not a cache hit *)
     let summaries, summaries_s = time (fun () -> Repro_lint.Summary.of_sources sources) in
     let result, full_s =
       time (fun () ->

@@ -90,8 +90,7 @@ let () =
   in
   if !dump_summaries || !dump_callgraph then begin
     let _, sources, _ = Lint.parse_tree ~root:!root ~paths in
-    let cache_file = Summary.default_cache_file ~root:!root in
-    let files = Summary.of_sources ?cache_file sources in
+    let files = Summary.of_sources sources in
     if !dump_summaries then print_endline (Json.to_string_pretty (Summary.to_json files));
     if !dump_callgraph then
       print_endline (Json.to_string_pretty (Callgraph.to_json (Callgraph.build files)));

@@ -70,8 +70,8 @@ let workload_events ~crash_at ~recover_at =
   | Some (node, round), None -> [ (round + 20, Driver.Recover [ node ]) ]
   | None, _ -> []
 
-let demo nodes owners pages txns remote theta seed crash_at recover_at trace json =
-  let cluster = Cluster.create ~trace ~seed ~nodes Config.default in
+let demo nodes owners pages txns remote theta seed crash_at recover_at json =
+  let cluster = Cluster.create ~seed ~nodes Config.default in
   let owners = if owners = [] then [ 0 ] else owners in
   let pages_by_owner =
     List.map (fun o -> (o, Cluster.allocate_pages cluster ~owner:o ~count:pages)) owners
@@ -140,11 +140,7 @@ let demo nodes owners pages txns remote theta seed crash_at recover_at trace jso
      with
     | Some h ->
       Format.printf "@.-- commit latency (cluster) --@.%a@." Repro_obs.Log_hist.pp h
-    | None -> ());
-    if trace then begin
-      Format.printf "@.-- trace --@.";
-      Repro_sim.Trace.dump Format.std_formatter (Repro_sim.Env.trace (Cluster.env cluster))
-    end
+    | None -> ())
   end
 
 let demo_cmd =
@@ -168,7 +164,6 @@ let demo_cmd =
   let recover =
     Arg.(value & opt (some int) None & info [ "recover" ] ~docv:"ROUND" ~doc:"Recovery round.")
   in
-  let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Dump the protocol event trace.") in
   let json =
     Arg.(
       value & flag
@@ -180,8 +175,7 @@ let demo_cmd =
   Cmd.v
     (Cmd.info "demo" ~doc:"Run a workload on a CBL cluster and print its metrics")
     Term.(
-      const demo $ nodes $ owners $ pages $ txns $ remote $ theta $ seed $ crash $ recover
-      $ trace $ json)
+      const demo $ nodes $ owners $ pages $ txns $ remote $ theta $ seed $ crash $ recover $ json)
 
 (* ---- trace ---- *)
 

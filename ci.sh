@@ -20,6 +20,14 @@ SCALE_SMOKE="${SCALE_SMOKE:-0}"
 echo "== dune build =="
 dune build
 
+# The per-change size trend: lines of lib/ sources, in the log and, on
+# GitHub Actions, in the job summary.
+LIB_LOC=$(cat lib/*/*.ml lib/*/*.mli | wc -l | tr -d ' ')
+echo "lib/ LOC: $LIB_LOC"
+if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
+  echo "lib/ LOC: $LIB_LOC" >> "$GITHUB_STEP_SUMMARY"
+fi
+
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune fmt (check) =="
   dune build @fmt || {

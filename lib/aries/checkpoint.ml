@@ -33,6 +33,4 @@ let take ?(on_before_master = fun () -> ()) ?gc log env metrics ~dpt ~active ~ma
     Repro_sim.Env.emit env ~node
       Repro_obs.Event.Ckpt_end
       [ ("lsn", Repro_obs.Event.Int begin_lsn) ];
-  Repro_sim.Env.tracef env "checkpoint taken at %a (dpt=%d active=%d)" Lsn.pp begin_lsn
-    (List.length dpt) (List.length active);
   begin_lsn

@@ -12,8 +12,3 @@ let apply page ~psn_before ~op =
   end
   else if psn > psn_before then Already_applied
   else Not_yet
-
-let pp_verdict ppf = function
-  | Applied -> Format.pp_print_string ppf "applied"
-  | Already_applied -> Format.pp_print_string ppf "already-applied"
-  | Not_yet -> Format.pp_print_string ppf "not-yet"

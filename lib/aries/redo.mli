@@ -16,5 +16,3 @@ type verdict =
 val apply :
   Repro_storage.Page.t -> psn_before:int -> op:Repro_wal.Record.update_op -> verdict
 (** Applies the operation and bumps the PSN when the guard matches. *)
-
-val pp_verdict : Format.formatter -> verdict -> unit

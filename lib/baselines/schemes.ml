@@ -11,9 +11,6 @@ type built = {
 let build ?(seed = 42) ?(pool_capacity = 64) ~nodes ~owners ~pages_per_owner ~scheme ~name
     config =
   let cluster = Cluster.create ~seed ~pool_capacity ~scheme ~nodes config in
-  Repro_obs.Recorder.set_label
-    (Repro_sim.Env.obs (Cluster.env cluster))
-    (Node_state.scheme_name scheme);
   let pages_by_owner =
     List.map (fun o -> (o, Cluster.allocate_pages cluster ~owner:o ~count:pages_per_owner)) owners
   in

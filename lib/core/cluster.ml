@@ -216,9 +216,6 @@ let abort t ~txn =
 let savepoint t ~txn name = Node.savepoint (home t txn) ~txn name
 let rollback_to t ~txn name = Node.rollback_to (home t txn) ~txn name
 
-let active_txns t ~node:node_id =
-  List.map (fun (txn : Txn.t) -> txn.Txn.id) (Txn_table.active (node t node_id).Node_state.txns)
-
 let checkpoint t ~node:node_id = Node.checkpoint (node t node_id)
 
 let crash t ~node:node_id =
@@ -226,11 +223,6 @@ let crash t ~node:node_id =
   let in_flight = Txn_table.active n.Node_state.txns in
   Node.crash n;
   List.iter (fun (txn : Txn.t) -> Deadlock.remove_txn t.deadlock txn.Txn.id) in_flight
-
-let operational_nodes t =
-  List.filter_map
-    (fun n -> if Node.is_up n then Some (Node.id n) else None)
-    (nodes t)
 
 let recover_timed ?strategy ?(defer = []) t ~nodes:ids =
   let crashed = List.map (node t) ids in

@@ -102,8 +102,6 @@ val rollback_to : t -> txn:int -> string -> unit
 val txn_node : t -> int -> int
 (** The node a transaction runs on. *)
 
-val active_txns : t -> node:int -> int list
-
 (** {1 Maintenance, failures, recovery} *)
 
 val checkpoint : t -> node:int -> unit
@@ -128,8 +126,6 @@ val recover_timed :
   ?strategy:Recovery.strategy -> ?defer:int list -> t -> nodes:int list -> Recovery.summary
 (** Like {!recover}, additionally returning the per-phase timing
     breakdown (E4/E5/E8 reporting). *)
-
-val operational_nodes : t -> int list
 
 (** {1 Deadlock handling} *)
 

@@ -117,8 +117,7 @@ let crash t =
   t.up <- false;
   wipe_volatile t;
   Log_manager.crash ?faults:(Env.faults t.env) t.log;
-  if Env.tracing t.env then Env.emit t.env ~node:t.id Event.Crash [];
-  tracef t "node %d crashed" t.id
+  if Env.tracing t.env then Env.emit t.env ~node:t.id Event.Crash []
 
 (* Discard whatever volatile state a previous, aborted recovery attempt
    left behind (partially recovered pages, reconstructed lock tables,
@@ -127,8 +126,7 @@ let crash t =
    from, and re-tearing the tail would manufacture a second crash. *)
 let reset_volatile t =
   assert (not t.up);
-  wipe_volatile t;
-  tracef t "node %d volatile state reset for recovery restart" t.id
+  wipe_volatile t
 
 (* A named protocol crash point: with a fault injector installed, the
    node may crash *here* — mid-commit-force, mid-checkpoint, mid-ship,
@@ -177,7 +175,6 @@ let owner_after_flush t pid ~flushed_psn =
            entry forever; a later flush (or §2.5 request) re-sends. *)
         register_flush_waiter t pid ~waiter
       else begin
-        tracef t "ACK node%d -> node%d %a flushed=%d" t.id waiter Page_id.pp pid flushed_psn;
         let dup = send_dup t ~dst:waiter ~bytes:Wire.control () in
         if n.up then begin
           let deliver () =
@@ -223,7 +220,6 @@ let rec evict_frame t (frame : Buffer_pool.frame) =
   if frame.dirty then begin
     wal_force t frame.last_lsn;
     if Page_id.owner pid = t.id then begin
-      tracef t "FLUSH(evict) node%d %a psn=%d" t.id Page_id.pp pid (Page.psn frame.page);
       Disk.write t.disk frame.page;
       owner_after_flush t pid ~flushed_psn:(Page.psn frame.page)
     end
@@ -263,7 +259,6 @@ and ship_to_owner t ~owner ?(commit_path = false) ~lsn page =
    it) and remembers the sender as a flush waiter. *)
 and owner_receive_replaced t page ~from =
   let pid = Page.id page in
-  tracef t "RECV node%d <- node%d %a psn=%d" t.id from Page_id.pp pid (Page.psn page);
   register_flush_waiter t pid ~waiter:from;
   match install_or_merge t page with
   | (frame : Buffer_pool.frame) -> (
@@ -285,8 +280,6 @@ and owner_receive_replaced t page ~from =
        part-way — the sender has already dropped its copy — so force
        the received copy straight to disk instead of caching it.  The
        WAL rule holds: the sender forced its log before shipping. *)
-    tracef t "RECV node%d <- node%d %a psn=%d: pool stuck, forcing to disk" t.id from Page_id.pp
-      pid (Page.psn page);
     (match Disk.psn_on_disk t.disk pid with
     | Some d when d >= Page.psn page -> ()
     | Some _ | None -> Disk.write t.disk page);
@@ -642,7 +635,6 @@ let owner_flush_page t pid =
   | Some frame ->
     if frame.dirty then begin
       wal_force t frame.last_lsn;
-      tracef t "FLUSH(req) node%d %a psn=%d" t.id Page_id.pp pid (Page.psn frame.page);
       Disk.write t.disk frame.page;
       frame.dirty <- false;
       frame.rec_lsn <- Lsn.nil
@@ -854,8 +846,6 @@ let log_update t (txn : Txn.t) pid (frame : Buffer_pool.frame) op =
   txn.Txn.logged_bytes <- txn.Txn.logged_bytes + String.length (Record.encode record);
   if Page_id.owner pid <> t.id then
     txn.Txn.remote_updated <- Page_id.Set.add pid txn.Txn.remote_updated;
-  tracef t "UPD node%d T%d %a psn%d->%d lsn=%d %a" t.id txn.Txn.id Page_id.pp pid psn_before
-    (psn_before + 1) lsn Record.pp_op op;
   Txn.record_logged txn lsn;
   Record.apply_op frame.page op;
   Page.bump_psn frame.page;
@@ -1074,8 +1064,7 @@ let complete_commit t (txn : Txn.t) ~commit_from =
     Env.emit t.env ~node:t.id Event.Txn_commit
       [ ("txn", Event.Int txn.Txn.id); ("dur", Event.Float (durable_at -. txn.Txn.began)) ];
     Recorder.span_end (Env.obs t.env) ~time:durable_at txn.Txn.span
-  end;
-  tracef t "T%d committed at node %d" txn.Txn.id t.id
+  end
 
 (* Group-commit completion: the batch force (or a piggybacking force)
    just made [txn]'s commit record durable.  Idempotent — a transaction
@@ -1166,8 +1155,6 @@ let undo_ops t (txn : Txn.t) =
           }
         in
         let lsn = append_txn_record t record in
-        tracef t "CLR node%d T%d %a psn%d->%d lsn=%d %a" t.id txn_id Page_id.pp pid psn_before
-          (psn_before + 1) lsn Record.pp_op op;
         Dpt.add_if_absent t.dpt pid ~page_psn:psn_before ~end_of_log:lsn;
         txn.Txn.logged_records <- txn.Txn.logged_records + 1;
         txn.Txn.logged_bytes <- txn.Txn.logged_bytes + String.length (Record.encode record);
@@ -1196,8 +1183,7 @@ let abort t ~txn =
   if Env.tracing t.env then begin
     Env.emit t.env ~node:t.id Event.Txn_abort [ ("txn", Event.Int txn.Txn.id) ];
     Recorder.span_end (Env.obs t.env) ~time:(Env.now t.env) txn.Txn.span
-  end;
-  tracef t "T%d aborted at node %d" txn.Txn.id t.id
+  end
 
 let savepoint t ~txn name =
   check_up t;
@@ -1217,8 +1203,7 @@ let rollback_to t ~txn name =
   | Some sp ->
     Env.with_txn t.env ~txn:txn.Txn.id ~span:txn.Txn.span @@ fun () ->
     let _last = Undo.rollback (undo_ops t txn) ~txn:txn.Txn.id ~from:txn.Txn.last_lsn ~upto:sp in
-    Txn.release_savepoints_after txn sp;
-    tracef t "T%d rolled back to %S" txn.Txn.id name
+    Txn.release_savepoints_after txn sp
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance                                                         *)

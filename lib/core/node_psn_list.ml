@@ -5,8 +5,6 @@ module Log_manager = Repro_wal.Log_manager
 
 type run = { node : int; psn : int; lsn : Lsn.t }
 
-let pp_run ppf r = Format.fprintf ppf "{node=%d psn=%d %a}" r.node r.psn Lsn.pp r.lsn
-
 type listing = { runs : run list; records : (Lsn.t * int) list }
 
 let build log ~node ~pages ~start =

@@ -16,8 +16,6 @@ type run = {
   lsn : Repro_wal.Lsn.t;  (** where this run's redo scan starts in [node]'s log *)
 }
 
-val pp_run : Format.formatter -> run -> unit
-
 type listing = {
   runs : run list;  (** the NodePSNList proper, in log order *)
   records : (Repro_wal.Lsn.t * int) list;

@@ -104,12 +104,6 @@ type t = {
          to their owners at end of transaction. *)
 }
 
-let scheme_name = function
-  | Local_logging -> "local_logging"
-  | Server_logging _ -> "server_logging"
-  | Pca_double_logging -> "pca_double_logging"
-  | Global_log _ -> "global_log"
-
 (* Route the substrate's observability hooks (lock tables, buffer pool)
    into the typed recorder.  The hooks themselves are unconditional
    function calls; the closures bail on one branch when tracing is
@@ -181,7 +175,6 @@ let create env ~id ~pool_capacity ~pool_policy ~log_capacity ~scheme ~retain_cac
   node
 
 let peer t id = t.resolve id
-let tracef t fmt = Env.tracef t.env fmt
 
 (* Bump a hand-maintained counter on both the node and the global
    aggregate (the charged counters do this inside Env). *)

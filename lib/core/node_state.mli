@@ -95,8 +95,6 @@ type t = {
           disabled only by the E9 ablation *)
 }
 
-val scheme_name : scheme -> string
-
 val create :
   Repro_sim.Env.t ->
   id:int ->
@@ -112,8 +110,6 @@ val create :
 
 val peer : t -> int -> t
 (** Resolve a node id through the cluster wiring. *)
-
-val tracef : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
 
 val bump : t -> (Repro_sim.Metrics.t -> unit) -> unit
 (** Bump a hand-maintained counter on both the node and the global

@@ -109,8 +109,7 @@ let park_deferred ~owner ~pid ~blocker =
       ("action", Repro_obs.Event.Str "parked");
       ("page", Repro_obs.Event.Str (Format.asprintf "%a" Page_id.pp pid));
       ("blocker", Repro_obs.Event.Int blocker);
-    ];
-  tracef owner "recovery: page %a parked, deferred on down node %d" Page_id.pp pid blocker
+    ]
 
 let unpark_deferred ~owner ~pid =
   Page_id.Tbl.remove owner.deferred_pages pid;
@@ -120,8 +119,7 @@ let unpark_deferred ~owner ~pid =
     [
       ("action", Repro_obs.Event.Str "completed");
       ("page", Repro_obs.Event.Str (Format.asprintf "%a" Page_id.pp pid));
-    ];
-  tracef owner "recovery: deferred page %a completed" Page_id.pp pid
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Phase 1: analysis                                                   *)
@@ -133,13 +131,9 @@ let analysis_phase crashed =
       (* A torn crash can leave garbage bytes beyond the last whole
          record; seal trims the log back to a true record boundary so
          the scans below — and every later append — see a clean tail. *)
-      let discarded = Log_manager.seal n.log in
-      if discarded > 0 then tracef n "recovery(%d): sealed torn tail, %d bytes gone" n.id discarded;
+      let (_discarded : int) = Log_manager.seal n.log in
       let result = Analysis.run n.log ~master:n.master in
       Dpt.load_snapshot n.dpt result.Analysis.dpt;
-      tracef n "recovery(%d): analysis found %d dirty pages, %d losers" n.id
-        (List.length result.Analysis.dpt)
-        (List.length result.Analysis.losers);
       (n, result.Analysis.losers))
     crashed
 
@@ -196,8 +190,9 @@ let reconstruct_locks crashed operational =
           recovery_exchange m ~dst:n.id @@ fun () ->
           (* Operational owners release the crashed node's shared locks
              and retain its exclusive ones. *)
-          let released = Global_locks.release_all_shared_of_node m.glocks ~node:n.id in
-          List.iter (fun pid -> tracef m "recovery: released S lock of %d on %a" n.id Page_id.pp pid) released;
+          let (_released : Page_id.t list) =
+            Global_locks.release_all_shared_of_node m.glocks ~node:n.id
+          in
           let x_pages = Global_locks.x_pages_of_node m.glocks ~node:n.id in
           send m ~dst:n.id ~recovery:true ~bytes:(Wire.listing ~entries:(List.length x_pages)) ();
           List.iter (fun pid -> Local_locks.set_cached_mode n.locks pid Mode.X) x_pages;
@@ -390,15 +385,6 @@ let recover_page job ~psn_lists ~probe ~deferred =
     Node_psn_list.merge
       (List.map (fun c -> (psn_lists c.claimant.id job.pid).Node_psn_list.runs) job.involved)
   in
-  tracef coordinator "recovery: page %a base_psn=%d involved=[%s] runs=[%s]" Page_id.pp job.pid
-    (Page.psn job.base)
-    (String.concat ";"
-       (List.map
-          (fun c ->
-            Format.asprintf "n%d(first=%d curr=%d redo=%a)" c.claimant.id c.entry.Dpt.psn_first
-              c.entry.Dpt.curr_psn Lsn.pp c.entry.Dpt.redo_lsn)
-          job.involved))
-    (String.concat ";" (List.map (Format.asprintf "%a" Node_psn_list.pp_run) runs));
   (* The lists travel to the coordinator. *)
   List.iter
     (fun c ->
@@ -427,8 +413,6 @@ let recover_page job ~psn_lists ~probe ~deferred =
   match rounds runs with
   | () ->
     bump_redone coordinator;
-    tracef coordinator "recovery: page %a recovered at psn=%d by node %d (%d rounds)" Page_id.pp
-      job.pid (Page.psn page) coordinator.id (List.length runs);
     settle_claims job page
   | exception Redo_gap { node = gap_node; psn; page_psn } ->
     (* the partially rebuilt copy is discarded; no claim settles, so a
@@ -511,8 +495,7 @@ let rollback_loser n txn =
     Txn.record_logged txn lsn;
     txn.Txn.state <- Txn.Aborted;
     Txn_table.remove n.txns txn.Txn.id;
-    bump n (fun m -> m.Metrics.txn_aborted <- m.Metrics.txn_aborted + 1);
-    tracef n "recovery(%d): loser T%d rolled back" n.id txn.Txn.id
+    bump n (fun m -> m.Metrics.txn_aborted <- m.Metrics.txn_aborted + 1)
   with
   | () -> ()
   | exception (Block.Would_block reason as e) ->
@@ -530,8 +513,7 @@ let rollback_loser n txn =
           ("action", Repro_obs.Event.Str "loser-parked");
           ("txn", Repro_obs.Event.Int txn.Txn.id);
           ("blocker", Repro_obs.Event.Int b);
-        ];
-      tracef n "recovery(%d): loser T%d parked on down node %d" n.id txn.Txn.id b
+        ]
     | None -> raise e)
 
 let undo_losers n losers =
@@ -555,9 +537,7 @@ let resume_deferred_losers n ~recovered_ids =
     (fun (txn_id, _) ->
       match Txn_table.find n.txns txn_id with
       | None -> () (* this node crashed since; its own analysis re-found the loser *)
-      | Some txn ->
-        tracef n "recovery(%d): resuming parked loser T%d" n.id txn_id;
-        rollback_loser n txn)
+      | Some txn -> rollback_loser n txn)
     resumable
 
 (* ------------------------------------------------------------------ *)
@@ -788,7 +768,7 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
                the retained lock) survive untouched; the owner's own
                recovery will collect them as ordinary category-(a)
                work.  Access meanwhile blocks on [Node_down]. *)
-            tracef n "recovery: page %a left to deferred owner %d" Page_id.pp pid owner_id
+            ()
           else if owner_id <> n.id && not (List.mem owner_id crashed_ids) then begin
             (* The base is the owner's most recent surviving copy; the
                crashed node repeats history from its own log on top of
@@ -912,7 +892,6 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
             Repro_wal.Group_commit.on_force n.gc;
             Node.checkpoint n)
           crashed);
-  List.iter (fun n -> tracef n "recovery(%d): complete" n.id) crashed;
   let total_seconds =
     match env with Some env -> Env.now env -. recovery_from | None -> 0.
   in

@@ -11,7 +11,7 @@ type finding = {
 
 type ast = Impl of Parsetree.structure | Intf of Parsetree.signature
 
-type source = { rel : string; digest : string; ast : ast }
+type source = { rel : string; ast : ast }
 
 type ctx = {
   root : string;
@@ -80,7 +80,6 @@ let read_file path =
    parse should fail the lint gate loudly, not vanish from coverage. *)
 let parse_source ~root rel =
   let text = read_file (Filename.concat root rel) in
-  let digest = Digest.to_hex (Digest.string text) in
   let lexbuf = Lexing.from_string text in
   Lexing.set_filename lexbuf rel;
   Location.input_name := rel;
@@ -88,7 +87,7 @@ let parse_source ~root rel =
     if Filename.check_suffix rel ".mli" then Intf (Parse.interface lexbuf)
     else Impl (Parse.implementation lexbuf)
   with
-  | ast -> Ok { rel; digest; ast }
+  | ast -> Ok { rel; ast }
   | exception Syntaxerr.Error _ ->
     let p = lexbuf.Lexing.lex_curr_p in
     Error

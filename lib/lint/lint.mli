@@ -28,10 +28,9 @@ type finding = {
 
 type ast = Impl of Parsetree.structure | Intf of Parsetree.signature
 
-type source = { rel : string; digest : string; ast : ast }
+type source = { rel : string; ast : ast }
 (** One successfully parsed file.  [rel] is the root-relative path;
-    rules key their scoping decisions off it.  [digest] is the MD5 hex
-    of the file text, the key of the summary cache. *)
+    rules key their scoping decisions off it. *)
 
 type ctx = {
   root : string;  (** the repo root [run] was pointed at *)

@@ -126,8 +126,7 @@ let analysis (ctx : Lint.ctx) =
   match !memo with
   | Some (c, a) when c == ctx -> a
   | _ ->
-    let cache_file = Summary.default_cache_file ~root:ctx.Lint.root in
-    let files = Summary.of_sources ?cache_file ctx.Lint.sources in
+    let files = Summary.of_sources ctx.Lint.sources in
     let graph = Callgraph.build files in
     let prop = Propagate.run analysis_config graph in
     let a = { files; prop } in

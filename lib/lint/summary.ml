@@ -6,8 +6,7 @@ open Parsetree
    the retryable control exceptions, log forces, group-commit sweeps,
    early lock releases and their recording, RNG seeding and draws,
    crash points) plus the intra-repo calls phase 2 resolves into graph
-   edges.  Summaries are plain serializable data so a digest-keyed
-   cache can skip re-extraction of unchanged files. *)
+   edges. *)
 
 (* ------------------------------------------------------------------ *)
 (* Longident helpers (shared with the per-file rules)                  *)
@@ -97,7 +96,6 @@ type fn = {
 type file = {
   rel : string;
   module_name : string;
-  digest : string;
   aliases : (string * string) list;  (** [module X = A.B] → [(X, B)] *)
   opens : string list;  (** [open M] / [M.(...)]: unqualified-resolution fallback *)
   fns : fn list;
@@ -441,7 +439,7 @@ let module_opens structure =
 
 let module_name_of_rel rel = String.capitalize_ascii Filename.(remove_extension (basename rel))
 
-let of_structure ~rel ~digest structure =
+let of_structure ~rel structure =
   let fns =
     List.map
       (fun (fn_name, loc, body) ->
@@ -452,27 +450,18 @@ let of_structure ~rel ~digest structure =
   {
     rel;
     module_name = module_name_of_rel rel;
-    digest;
     aliases = module_aliases structure;
     opens = module_opens structure;
     fns;
   }
 
 (* ------------------------------------------------------------------ *)
-(* JSON codec (cache + --dump-summaries)                               *)
+(* JSON encoder (--dump-summaries)                                     *)
 (* ------------------------------------------------------------------ *)
 
 module J = Repro_obs.Json
 
 let loc_to_json l = J.Obj [ ("line", J.Int l.line); ("col", J.Int l.col) ]
-
-let loc_of_json j =
-  match (J.member "line" j, J.member "col" j) with
-  | Some l, Some c -> (
-    match (J.to_int_opt l, J.to_int_opt c) with
-    | Some line, Some col -> Some { line; col }
-    | _ -> None)
-  | _ -> None
 
 let kind_to_json = function
   | Call { path; applied } ->
@@ -492,46 +481,12 @@ let kind_to_json = function
   | Rng_seed { name } -> J.Obj [ ("k", J.Str "rng_seed"); ("name", J.Str name) ]
   | Crashpoint { name } -> J.Obj [ ("k", J.Str "crashpoint"); ("name", J.Str name) ]
 
-let str_list_of_json j =
-  match j with
-  | J.List l -> Some (List.filter_map J.to_string_opt l)
-  | _ -> None
-
-let kind_of_json j =
-  let str k = Option.bind (J.member k j) J.to_string_opt in
-  match str "k" with
-  | Some "call" -> (
-    match (Option.bind (J.member "path" j) str_list_of_json, J.member "applied" j) with
-    | Some path, Some (J.Bool applied) -> Some (Call { path; applied })
-    | _ -> None)
-  | Some "field_call" -> Option.map (fun field -> Field_call { field }) (str "field")
-  | Some "raise" ->
-    Option.bind (str "label") (fun n ->
-        Option.map (fun label -> Raise { label }) (label_of_name n))
-  | Some "force" -> Option.map (fun name -> Force { name }) (str "name")
-  | Some "sweep" -> Some Sweep
-  | Some "elr_release" -> Some Elr_release
-  | Some "elr_record" -> Some Elr_record
-  | Some "rng_draw" -> Option.map (fun name -> Rng_draw { name }) (str "name")
-  | Some "rng_seed" -> Option.map (fun name -> Rng_seed { name }) (str "name")
-  | Some "crashpoint" -> Option.map (fun name -> Crashpoint { name }) (str "name")
-  | _ -> None
-
 let site_to_json s =
   J.Obj
     ([ ("kind", kind_to_json s.kind); ("loc", loc_to_json s.s_loc) ]
     @ match s.wired with None -> [] | Some w -> [ ("wired", J.Str w) ])
 
-let site_of_json j =
-  match (Option.bind (J.member "kind" j) kind_of_json, Option.bind (J.member "loc" j) loc_of_json) with
-  | Some kind, Some s_loc ->
-    Some { kind; s_loc; wired = Option.bind (J.member "wired" j) J.to_string_opt }
-  | _ -> None
-
 let labels_to_json ls = J.List (List.map (fun l -> J.Str (label_name l)) ls)
-
-let labels_of_json j =
-  Option.map (List.filter_map label_of_name) (str_list_of_json j)
 
 let handler_to_json h =
   J.Obj
@@ -544,23 +499,6 @@ let handler_to_json h =
       ("raises", labels_to_json h.h_raises);
     ]
 
-let handler_of_json j =
-  let ( let* ) = Option.bind in
-  let* h_labels = Option.bind (J.member "labels" j) labels_of_json in
-  let* h_loc = Option.bind (J.member "loc" j) loc_of_json in
-  let* h_calls =
-    match J.member "calls" j with
-    | Some (J.List l) ->
-      let paths = List.filter_map str_list_of_json l in
-      if List.length paths = List.length l then Some paths else None
-    | _ -> None
-  in
-  let* h_fields = Option.bind (J.member "fields" j) str_list_of_json in
-  let* h_raises = Option.bind (J.member "raises" j) labels_of_json in
-  match J.member "unknown" j with
-  | Some (J.Bool h_unknown) -> Some { h_labels; h_loc; h_calls; h_fields; h_unknown; h_raises }
-  | _ -> None
-
 let fn_to_json f =
   J.Obj
     [
@@ -571,115 +509,23 @@ let fn_to_json f =
       ("handlers", J.List (List.map handler_to_json f.handlers));
     ]
 
-let fn_of_json j =
-  let ( let* ) = Option.bind in
-  let* fn_name = Option.bind (J.member "name" j) J.to_string_opt in
-  let* fn_loc = Option.bind (J.member "loc" j) loc_of_json in
-  let* handled = Option.bind (J.member "handled" j) labels_of_json in
-  let all l f = if List.length l = List.length f then Some f else None in
-  let* sites =
-    match J.member "sites" j with
-    | Some (J.List l) -> all l (List.filter_map site_of_json l)
-    | _ -> None
-  in
-  let* handlers =
-    match J.member "handlers" j with
-    | Some (J.List l) -> all l (List.filter_map handler_of_json l)
-    | _ -> None
-  in
-  Some { fn_name; fn_loc; handled; sites; handlers }
-
 let file_to_json f =
   J.Obj
     [
       ("rel", J.Str f.rel);
       ("module", J.Str f.module_name);
-      ("digest", J.Str f.digest);
       ( "aliases",
         J.Obj (List.map (fun (a, m) -> (a, J.Str m)) f.aliases) );
       ("opens", J.List (List.map (fun m -> J.Str m) f.opens));
       ("fns", J.List (List.map fn_to_json f.fns));
     ]
 
-let file_of_json j =
-  let ( let* ) = Option.bind in
-  let* rel = Option.bind (J.member "rel" j) J.to_string_opt in
-  let* module_name = Option.bind (J.member "module" j) J.to_string_opt in
-  let* digest = Option.bind (J.member "digest" j) J.to_string_opt in
-  let* aliases =
-    match J.member "aliases" j with
-    | Some (J.Obj kvs) ->
-      let al = List.filter_map (fun (k, v) -> Option.map (fun m -> (k, m)) (J.to_string_opt v)) kvs in
-      if List.length al = List.length kvs then Some al else None
-    | _ -> None
-  in
-  let* opens = Option.bind (J.member "opens" j) str_list_of_json in
-  let* fns =
-    match J.member "fns" j with
-    | Some (J.List l) ->
-      let fs = List.filter_map fn_of_json l in
-      if List.length fs = List.length l then Some fs else None
-    | _ -> None
-  in
-  Some { rel; module_name; digest; aliases; opens; fns }
+let to_json files = J.Obj [ ("files", J.List (List.map file_to_json files)) ]
 
-let cache_version = 2
-
-let to_json files =
-  J.Obj [ ("version", J.Int cache_version); ("files", J.List (List.map file_to_json files)) ]
-
-(* ------------------------------------------------------------------ *)
-(* Digest-keyed cache                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let load_cache path =
-  if not (Sys.file_exists path) then []
-  else
-    try
-      let ic = open_in_bin path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let j = J.of_string text in
-      match (J.member "version" j, J.member "files" j) with
-      | Some v, Some (J.List files) when J.to_int_opt v = Some cache_version ->
-        List.filter_map file_of_json files
-      | _ -> []
-    with Sys_error _ | End_of_file | J.Parse_error _ -> []
-
-let save_cache path files =
-  try
-    let oc = open_out_bin path in
-    output_string oc (J.to_string (to_json files));
-    close_out oc
-  with Sys_error _ -> ()
-
-let default_cache_file ~root =
-  let build = Filename.concat root "_build" in
-  if Sys.file_exists build && Sys.is_directory build then
-    Some (Filename.concat build "cbl_lint_summaries.json")
-  else None
-
-let of_sources ?cache_file (sources : Lint.source list) =
-  let cached =
-    match cache_file with
-    | None -> []
-    | Some p -> List.map (fun f -> ((f.rel, f.digest), f)) (load_cache p)
-  in
-  let misses = ref false in
-  let files =
-    List.filter_map
-      (fun (s : Lint.source) ->
-        match s.Lint.ast with
-        | Lint.Intf _ -> None
-        | Lint.Impl structure -> (
-          match List.assoc_opt (s.Lint.rel, s.Lint.digest) cached with
-          | Some f -> Some f
-          | None ->
-            misses := true;
-            Some (of_structure ~rel:s.Lint.rel ~digest:s.Lint.digest structure)))
-      sources
-  in
-  (match cache_file with
-  | Some p when !misses || cached = [] -> save_cache p files
-  | _ -> ());
-  files
+let of_sources (sources : Lint.source list) =
+  List.filter_map
+    (fun (s : Lint.source) ->
+      match s.Lint.ast with
+      | Lint.Intf _ -> None
+      | Lint.Impl structure -> Some (of_structure ~rel:s.Lint.rel structure))
+    sources

@@ -6,9 +6,7 @@
     handlers of the retryable control exceptions, log forces and
     group-commit sweeps, early lock releases and their recording, RNG
     seeding and draws, crash points, and the intra-repo calls that
-    {!Callgraph} resolves into edges.  Summaries are plain serializable
-    data so a digest-keyed cache can skip re-extraction of files whose
-    text has not changed. *)
+    {!Callgraph} resolves into edges. *)
 
 (** {1 Longident helpers (shared with the per-file rules)} *)
 
@@ -78,7 +76,6 @@ type fn = {
 type file = {
   rel : string;
   module_name : string;  (** capitalized basename, the resolution key *)
-  digest : string;
   aliases : (string * string) list;  (** [module X = A.B] → [(X, B)] *)
   opens : string list;  (** opened modules: unqualified-resolution fallback *)
   fns : fn list;
@@ -86,19 +83,9 @@ type file = {
 
 (** {1 Extraction} *)
 
-val of_structure : rel:string -> digest:string -> Parsetree.structure -> file
+val of_sources : Lint.source list -> file list
+(** Summaries for every implementation source. *)
 
-val of_sources : ?cache_file:string -> Lint.source list -> file list
-(** Summaries for every implementation source, reusing [cache_file]
-    entries whose digest still matches and rewriting the cache on any
-    miss.  Cache I/O is best-effort: a missing or corrupt cache only
-    costs re-extraction. *)
-
-val default_cache_file : root:string -> string option
-(** [_build/cbl_lint_summaries.json] under [root], when [_build]
-    exists (it does not in test fixture trees). *)
-
-(** {1 JSON (cache format and [--dump-summaries])} *)
+(** {1 JSON ([--dump-summaries])} *)
 
 val to_json : file list -> Repro_obs.Json.t
-val file_of_json : Repro_obs.Json.t -> file option

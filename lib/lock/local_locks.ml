@@ -110,12 +110,6 @@ let acquire t ~txn ~pid ~mode =
 let txn_mode t ~txn ~pid =
   match entry_opt t pid with None -> None | Some e -> Hashtbl.find_opt e.txns txn
 
-let txn_locks t ~txn =
-  Page_id.Tbl.fold
-    (fun pid e acc ->
-      match Hashtbl.find_opt e.txns txn with None -> acc | Some mode -> (pid, mode) :: acc)
-    t.table []
-
 let any_txn_holds t pid =
   match entry_opt t pid with None -> false | Some e -> Hashtbl.length e.txns > 0
 

@@ -65,7 +65,6 @@ val acquire : t -> txn:int -> pid:Page_id.t -> mode:Mode.t -> (unit, conflict) r
     when no other holder exists. *)
 
 val txn_mode : t -> txn:int -> pid:Page_id.t -> Mode.t option
-val txn_locks : t -> txn:int -> (Page_id.t * Mode.t) list
 val holders_of : t -> Page_id.t -> (int * Mode.t) list
 val any_txn_holds : t -> Page_id.t -> bool
 (** True iff some local transaction holds the page — an owner callback

@@ -371,7 +371,6 @@ let dispatch st (e : Event.t) =
   | Event.Fault_torn -> ()
   | Event.Fault_crash -> ()
   | Event.Trace_dropped -> ()
-  | Event.Note -> ()
 
 let run events =
   let truncated =

@@ -90,7 +90,6 @@ let classify_kind : Event.kind -> event_class = function
   | Event.Fault_torn -> Unattributed
   | Event.Fault_crash -> Unattributed
   | Event.Trace_dropped -> Marker M_dropped
-  | Event.Note -> Unattributed
 
 type components = {
   mutable lock_wait : float;
@@ -261,7 +260,7 @@ let analyze events =
       | Event.Recovery_restart | Event.Recovery_deferred | Event.Recovery_retry
       | Event.Span_begin | Event.Span_end | Event.Fault_drop | Event.Fault_dup
       | Event.Fault_delay | Event.Fault_partition | Event.Fault_torn | Event.Fault_crash
-      | Event.Trace_dropped | Event.Note -> ())
+      | Event.Trace_dropped -> ())
     events;
   { txns = List.rev !timelines; truncated = !truncated }
 

@@ -42,7 +42,6 @@ type kind =
   | Fault_torn
   | Fault_crash
   | Trace_dropped
-  | Note
 
 type t = {
   time : float;  (** simulated seconds *)
@@ -95,7 +94,6 @@ let kind_name = function
   | Fault_torn -> "fault.torn"
   | Fault_crash -> "fault.crash"
   | Trace_dropped -> "trace.dropped"
-  | Note -> "note"
 
 let all_kinds =
   [
@@ -105,7 +103,7 @@ let all_kinds =
     Commit_submit; Commit_batch; Commit_dep; Commit_dep_wait; Lock_early_release; Crash;
     Recovery_begin; Recovery_end; Recovery_phase; Recovery_restart; Recovery_deferred;
     Recovery_retry; Span_begin; Span_end; Fault_drop;
-    Fault_dup; Fault_delay; Fault_partition; Fault_torn; Fault_crash; Trace_dropped; Note;
+    Fault_dup; Fault_delay; Fault_partition; Fault_torn; Fault_crash; Trace_dropped;
   ]
 
 let kind_of_name s = List.find_opt (fun k -> kind_name k = s) all_kinds
@@ -119,15 +117,11 @@ let pp_value ppf = function
   | Bool b -> Format.pp_print_bool ppf b
 
 let render e =
-  match (e.kind, e.attrs) with
-  | Note, [ ("msg", Str m) ] -> m
-  | _ ->
-    Format.asprintf "t=%.6f n=%d%s %s%a" e.time e.node
-      (if e.txn >= 0 then Printf.sprintf " T%d" e.txn else "")
-      (kind_name e.kind)
-      (fun ppf attrs ->
-        List.iter (fun (k, v) -> Format.fprintf ppf " %s=%a" k pp_value v) attrs)
-      e.attrs
+  Format.asprintf "t=%.6f n=%d%s %s%a" e.time e.node
+    (if e.txn >= 0 then Printf.sprintf " T%d" e.txn else "")
+    (kind_name e.kind)
+    (fun ppf attrs -> List.iter (fun (k, v) -> Format.fprintf ppf " %s=%a" k pp_value v) attrs)
+    e.attrs
 
 let json_value = function
   | Int i -> Json.Int i
@@ -192,27 +186,3 @@ let attr_float e key =
   match attr e key with Some (Float f) -> Some f | Some (Int i) -> Some (float_of_int i) | _ -> None
 
 let attr_str e key = match attr e key with Some (Str s) -> Some s | _ -> None
-let attr_bool e key = match attr e key with Some (Bool b) -> Some b | _ -> None
-
-(* Allocation-free substring scan (replaces the String.sub-per-position
-   search that Trace.contains used to do). *)
-let substring ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  if n = 0 then true
-  else if n > h then false
-  else begin
-    let found = ref false in
-    let i = ref 0 in
-    let limit = h - n in
-    while (not !found) && !i <= limit do
-      if String.unsafe_get hay !i = String.unsafe_get needle 0 then begin
-        let j = ref 1 in
-        while !j < n && String.unsafe_get hay (!i + !j) = String.unsafe_get needle !j do
-          incr j
-        done;
-        if !j = n then found := true
-      end;
-      incr i
-    done;
-    !found
-  end

@@ -51,7 +51,6 @@ type kind =
   | Fault_torn
   | Fault_crash
   | Trace_dropped
-  | Note
 
 type t = {
   time : float;
@@ -71,8 +70,7 @@ val kind_of_name : string -> kind option
 val all_kinds : kind list
 
 val render : t -> string
-(** One-line human rendering.  A [Note] event with a single [msg]
-    attribute renders as the bare message (legacy [Trace] contract). *)
+(** One-line human rendering: time, node, trace context, kind, attrs. *)
 
 val to_json : t -> Json.t
 (** The trace context is exported under the key ["ctx"] (several kinds
@@ -91,7 +89,3 @@ val attr_float : t -> string -> float option
 (** Also accepts an [Int] attr (JSON round-trips may widen). *)
 
 val attr_str : t -> string -> string option
-val attr_bool : t -> string -> bool option
-
-val substring : needle:string -> string -> bool
-(** Allocation-free substring test: does [needle] occur in the hay? *)

@@ -9,7 +9,6 @@ type span = {
 
 type t = {
   mutable enabled : bool;
-  mutable label : string;
   capacity : int;
   ring : Event.t option array;
   mutable head : int;  (** next write slot *)
@@ -29,7 +28,6 @@ let create ?(enabled = false) ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Recorder.create: capacity must be positive";
   {
     enabled;
-    label = "";
     capacity;
     ring = Array.make capacity None;
     head = 0;
@@ -45,8 +43,6 @@ let create ?(enabled = false) ?(capacity = default_capacity) () =
 
 let enabled t = t.enabled
 let set_enabled t on = t.enabled <- on
-let label t = t.label
-let set_label t s = t.label <- s
 let dropped t = t.dropped
 
 let push t e =
@@ -72,17 +68,11 @@ let set_context t ~txn ~span =
   t.ctx_txn <- txn;
   t.ctx_span <- span
 
-let clear_context t = set_context t ~txn:(-1) ~span:(-1)
-
 let emit t ~time ~node kind attrs =
   if t.enabled then begin
     let span = if t.ctx_span >= 0 then t.ctx_span else current_span t in
     push t (Event.make ~time ~node ~span ~txn:t.ctx_txn kind attrs)
   end
-
-let note ?(time = 0.) ?(node = -1) t msg =
-  if t.enabled then
-    push t (Event.make ~time ~node ~span:(current_span t) Event.Note [ ("msg", Event.Str msg) ])
 
 let events t =
   (* oldest first: the ring wraps at [head] *)
@@ -158,8 +148,6 @@ let histograms t =
   Hashtbl.fold (fun (name, node) h acc -> (name, node, h) :: acc) t.hists []
   |> List.sort (fun (n1, d1, _) (n2, d2, _) ->
          match String.compare n1 n2 with 0 -> Int.compare d1 d2 | c -> c)
-
-let clear_histograms t = Hashtbl.reset t.hists
 
 (* ---- export ---- *)
 

@@ -26,10 +26,6 @@ val create : ?enabled:bool -> ?capacity:int -> unit -> t
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
-val label : t -> string
-val set_label : t -> string -> unit
-(** Free-form run label (e.g. the logging scheme) carried into exports. *)
-
 val emit : t -> time:float -> node:int -> Event.kind -> (string * Event.value) list -> unit
 (** No-op when disabled.  The event is stamped with the causal context
     (txn and span) when one is set; otherwise it inherits the innermost
@@ -40,7 +36,7 @@ val emit : t -> time:float -> node:int -> Event.kind -> (string * Event.value) l
     A (txn, span) pair dynamically scoped around every operation a
     transaction performs, stamped onto each emitted event.  Callers
     save [context], [set_context], run, and restore the saved pair —
-    never [clear_context] blindly — so nested attribution (one
+    never reset it blindly — so nested attribution (one
     transaction's completion running inside another's batch flush)
     stays exact. *)
 
@@ -48,10 +44,6 @@ val context : t -> int * int
 (** Current (txn, span); [(-1, -1)] when unset. *)
 
 val set_context : t -> txn:int -> span:int -> unit
-val clear_context : t -> unit
-
-val note : ?time:float -> ?node:int -> t -> string -> unit
-(** Legacy free-text event ([Trace.event] compatibility). *)
 
 val events : t -> Event.t list
 (** Oldest first.  At most [capacity] events; see [dropped]. *)
@@ -63,8 +55,7 @@ val drain : t -> Event.t list
 
 val dropped : t -> int
 val clear : t -> unit
-(** Drops events and spans.  Histograms survive; see
-    [clear_histograms]. *)
+(** Drops events and spans.  Histograms survive. *)
 
 (** {2 Spans} *)
 
@@ -94,8 +85,6 @@ val find_hist : t -> name:string -> node:int -> Log_hist.t option
 
 val histograms : t -> (string * int * Log_hist.t) list
 (** Sorted by name then node; node [-1] is the cluster aggregate. *)
-
-val clear_histograms : t -> unit
 
 (** {2 Export} *)
 

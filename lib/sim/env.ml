@@ -24,12 +24,10 @@ let config t = t.config
 let clock t = t.clock
 let now t = Clock.now t.clock
 let obs t = t.obs
-let trace t = t.obs
 let rng t = t.rng
 let global_metrics t = t.global
 let faults t = t.faults
 let tracing t = Recorder.enabled t.obs
-let tracef t fmt = Trace.event t.obs fmt
 
 let emit t ~node kind attrs =
   if Recorder.enabled t.obs then begin

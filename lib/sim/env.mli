@@ -24,10 +24,8 @@ val create :
 val config : t -> Config.t
 val clock : t -> Clock.t
 val now : t -> float
-val trace : t -> Trace.t
 val obs : t -> Repro_obs.Recorder.t
-(** Same value as [trace] ([Trace.t] is an alias); named for call sites
-    that use the typed API. *)
+(** The typed event recorder: the only trace channel. *)
 
 val rng : t -> Repro_util.Rng.t
 val global_metrics : t -> Metrics.t
@@ -38,9 +36,6 @@ val faults : t -> Repro_fault.Injector.t option
 val tracing : t -> bool
 (** Whether event recording is on.  Hot paths must check this before
     building attribute lists. *)
-
-val tracef : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Shorthand for [Trace.event (trace t)]. *)
 
 val emit : t -> node:int -> Repro_obs.Event.kind -> (string * Repro_obs.Event.value) list -> unit
 (** Emit a typed event at the current simulated time (no-op when

@@ -14,14 +14,9 @@ let write t page =
   Repro_sim.Env.charge_page_write t.env t.metrics ();
   Page_id.Tbl.replace t.pages (Page.id page) (Page.copy page)
 
-let write_at_commit t page =
-  Repro_sim.Env.charge_page_write t.env t.metrics ~commit_path:true ();
-  Page_id.Tbl.replace t.pages (Page.id page) (Page.copy page)
-
 let psn_on_disk t pid =
   Repro_sim.Env.charge_page_read t.env t.metrics;
   Option.map Page.psn (Page_id.Tbl.find_opt t.pages pid)
 
 let mem t pid = Page_id.Tbl.mem t.pages pid
-let page_ids t = Page_id.Tbl.fold (fun pid _ acc -> pid :: acc) t.pages []
 let peek t pid = Page_id.Tbl.find_opt t.pages pid

@@ -17,10 +17,6 @@ val read : t -> Page_id.t -> Page.t option
 val write : t -> Page.t -> unit
 (** Charged in-place durable write. *)
 
-val write_at_commit : t -> Page.t -> unit
-(** Same as {!write} but counted in the commit-path column — used by the
-    forced-write baselines (Rdb/VMS-style), never by CBL. *)
-
 val psn_on_disk : t -> Page_id.t -> int option
 (** PSN of the durable version.  Charged as a read: recovery really does
     fetch the page header from disk (§2.3.2 compares DPT PSNs against
@@ -28,9 +24,6 @@ val psn_on_disk : t -> Page_id.t -> int option
 
 val mem : t -> Page_id.t -> bool
 (** Uncharged existence check (metadata, not a page read). *)
-
-val page_ids : t -> Page_id.t list
-(** All pages ever written, unordered; used by invariant checks. *)
 
 val peek : t -> Page_id.t -> Page.t option
 (** Uncharged, copy-free view for test assertions only.  Never used by

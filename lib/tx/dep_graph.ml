@@ -110,15 +110,6 @@ let settle_lost t seeds =
   List.iter scrub !closure;
   List.rev !closure
 
-(* A transaction left the system without ever being depended on in a
-   way that still matters (e.g. it aborted before anyone read its
-   pages, or the driver reset it): drop it from both sides. *)
-let forget t txn =
-  List.iter (fun d -> multi_remove t.antecedents d txn) (dependents_of t txn);
-  Hashtbl.remove t.dependents txn;
-  List.iter (fun a -> multi_remove t.dependents a txn) (antecedents_of t txn);
-  Hashtbl.remove t.antecedents txn
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   Hashtbl.iter

@@ -46,10 +46,6 @@ val settle_lost : t -> int list -> int list
     must now abort, excluding the seeds themselves — in deterministic
     breadth-first order, and removes all affected edges. *)
 
-val forget : t -> int -> unit
-(** Remove a transaction and its edges without propagating (driver
-    reset of a transaction that never entered the commit pipeline). *)
-
 val edge_count : t -> int
 (** Live edge count (for tests and invariant checks). *)
 

@@ -63,13 +63,3 @@ let record h x =
 let bucket_counts h = Array.copy h.counts
 let total h = h.n
 
-let pp_histogram ppf h =
-  let b = Array.length h.counts in
-  let peak = Array.fold_left max 1 h.counts in
-  let width = (h.hi -. h.lo) /. float_of_int b in
-  for i = 0 to b - 1 do
-    let bar = 40 * h.counts.(i) / peak in
-    Format.fprintf ppf "[%8.2f,%8.2f) %6d %s@." (h.lo +. (width *. float_of_int i))
-      (h.lo +. (width *. float_of_int (i + 1)))
-      h.counts.(i) (String.make bar '#')
-  done

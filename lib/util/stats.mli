@@ -33,5 +33,3 @@ val record : histogram -> float -> unit
 
 val bucket_counts : histogram -> int array
 val total : histogram -> int
-val pp_histogram : Format.formatter -> histogram -> unit
-(** Renders a compact ASCII bar chart. *)

@@ -39,7 +39,6 @@ let set_hooks t ?(on_lost = fun _ -> ()) ~before_force ~on_durable () =
 
 let batching t = t.max_batch > 1
 let pending_count t = List.length t.pending
-let pending_txns t = List.rev_map (fun p -> p.txn) t.pending
 let is_pending t ~txn = List.exists (fun p -> p.txn = txn) t.pending
 let deadline t = match t.pending with [] -> None | _ -> Some t.deadline
 

@@ -71,9 +71,6 @@ val on_force : t -> unit
     (piggyback completion).  Call after every force site. *)
 
 val pending_count : t -> int
-val pending_txns : t -> int list
-(** Pending transaction ids, oldest first. *)
-
 val is_pending : t -> txn:int -> bool
 
 val crash : t -> unit

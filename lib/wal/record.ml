@@ -21,10 +21,6 @@ let pp_op ppf = function
 type dpt_entry = { pid : Page_id.t; psn_first : int; curr_psn : int; redo_lsn : Lsn.t }
 type active_txn = { txn : int; last_lsn : Lsn.t }
 
-let pp_dpt_entry ppf e =
-  Format.fprintf ppf "{%a psn=%d curr=%d redo=%a}" Page_id.pp e.pid e.psn_first e.curr_psn Lsn.pp
-    e.redo_lsn
-
 type body =
   | Update of { pid : Page_id.t; psn_before : int; op : update_op }
   | Clr of { pid : Page_id.t; psn_before : int; op : update_op; undo_next : Lsn.t }

@@ -43,8 +43,6 @@ type dpt_entry = {
 
 type active_txn = { txn : int; last_lsn : Lsn.t }
 
-val pp_dpt_entry : Format.formatter -> dpt_entry -> unit
-
 (** {1 Records} *)
 
 type body =

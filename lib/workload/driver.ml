@@ -41,7 +41,6 @@ type prog = {
       (* next round this program acts.  The authoritative copy: the run
          queue may hold stale entries for earlier reschedules, dropped
          on pop when they disagree with this field. *)
-  mutable last_block : string;
   mutable aborting : bool;
       (* a wound/victim abort blocked part-way (its undo needs a down
          node): the transaction is half rolled back and must not run
@@ -79,7 +78,6 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
           retries = 0;
           began_at = 0.;
           wake = 0;
-          last_block = "";
           aborting = false;
           committing = false;
         })
@@ -353,7 +351,6 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
            round would melt the network, so a blocked script sits
            out a few rounds before retrying. *)
         set_cooldown p 4;
-        p.last_block <- Format.asprintf "%a" Block.pp_reason reason;
         if p.txn <> None && not (engine.Engine.is_up ~node:p.script.Op.node) then
           (* The home node itself crashed mid-operation (an injected
              crash point): the in-flight transaction died with it.
@@ -487,15 +484,6 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
     incr round
   done;
   let stuck = Array.fold_left (fun acc p -> if p.status = Running then acc + 1 else acc) 0 progs in
-  if stuck > 0 then
-    Array.iteri
-      (fun i p ->
-        if p.status = Running then
-          Env.tracef engine.Engine.env "stuck script %d (txn=%s) at node %d step %d retries %d: %s"
-            i
-            (match p.txn with Some t -> string_of_int t | None -> "-")
-            p.script.Op.node p.step p.retries p.last_block)
-      progs;
   {
     engine;
     committed = !committed;

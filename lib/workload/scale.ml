@@ -85,11 +85,6 @@ let presets =
 let names () = List.map (fun p -> p.name) presets
 let find name = List.find_opt (fun p -> p.name = name) presets
 
-let pp_txn_size ppf = function
-  | Fixed n -> Format.fprintf ppf "fixed %d" n
-  | Uniform (lo, hi) -> Format.fprintf ppf "uniform %d-%d" lo hi
-  | Geometric { mean; cap } -> Format.fprintf ppf "geometric mean %d cap %d" mean cap
-
 let ops_per_txn rng = function
   | Fixed n -> max 1 n
   | Uniform (lo, hi) ->

@@ -34,8 +34,6 @@ val presets : profile list
 val names : unit -> string list
 val find : string -> profile option
 
-val pp_txn_size : Format.formatter -> txn_size -> unit
-
 val ops_per_txn : Repro_util.Rng.t -> txn_size -> int
 (** Draw one transaction's op count (always at least 1). *)
 

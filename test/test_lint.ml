@@ -682,7 +682,7 @@ let test_json_report_shape () =
       (Option.bind (List.assoc_opt "rule" fields) Json.to_string_opt)
   | _ -> Alcotest.fail "findings member missing"
 
-(* ---- analysis phases directly: fixpoint and summary cache ---- *)
+(* ---- analysis phases directly: the fixpoint ---- *)
 
 module Summary = Repro_lint.Summary
 module Callgraph = Repro_lint.Callgraph
@@ -781,43 +781,6 @@ let prop_fixpoint_order_independent =
       done;
       projection (Propagate.run ~order:perm analysis_cfg g)
       = projection (Propagate.run analysis_cfg g))
-
-let test_summary_cache_roundtrip () =
-  let root = fresh_root () in
-  List.iter (write_file root) order_fixture;
-  let cache = Filename.concat root "summaries.json" in
-  let _, sources, _ = Lint.parse_tree ~root ~paths:[ "lib" ] in
-  let cold = Summary.of_sources ~cache_file:cache sources in
-  Alcotest.(check bool) "cache written on miss" true (Sys.file_exists cache);
-  let _, sources2, _ = Lint.parse_tree ~root ~paths:[ "lib" ] in
-  let warm = Summary.of_sources ~cache_file:cache sources2 in
-  Alcotest.(check string) "cached summaries bit-identical"
-    (Json.to_string_pretty (Summary.to_json cold))
-    (Json.to_string_pretty (Summary.to_json warm))
-
-let test_summary_cache_stale_entry () =
-  let root = fresh_root () in
-  write_file root ("lib/core/a.ml", "let f () = 1\n");
-  let cache = Filename.concat root "summaries.json" in
-  let _, sources, _ = Lint.parse_tree ~root ~paths:[ "lib" ] in
-  let _ = Summary.of_sources ~cache_file:cache sources in
-  (* The file changes: its digest misses, the summary must follow. *)
-  write_file root ("lib/core/a.ml", "let g () = 2\nlet h () = 3\n");
-  let _, sources2, _ = Lint.parse_tree ~root ~paths:[ "lib" ] in
-  let files = Summary.of_sources ~cache_file:cache sources2 in
-  let a = List.find (fun f -> f.Summary.rel = "lib/core/a.ml") files in
-  Alcotest.(check (list string))
-    "stale entry re-extracted" [ "g"; "h" ]
-    (List.map (fun (fn : Summary.fn) -> fn.Summary.fn_name) a.Summary.fns)
-
-let test_summary_cache_corrupt_ignored () =
-  let root = fresh_root () in
-  List.iter (write_file root) order_fixture;
-  let cache = Filename.concat root "summaries.json" in
-  write_file root ("summaries.json", "{ not json !!\n");
-  let _, sources, _ = Lint.parse_tree ~root ~paths:[ "lib" ] in
-  let files = Summary.of_sources ~cache_file:cache sources in
-  Alcotest.(check int) "corrupt cache only costs re-extraction" 3 (List.length files)
 
 let test_rule_registry () =
   List.iter
@@ -918,10 +881,4 @@ let suite =
     Alcotest.test_case "engine: rule registry lookup" `Quick test_rule_registry;
     Alcotest.test_case "propagate: order fixture findings" `Quick test_order_fixture_findings;
     QCheck_alcotest.to_alcotest prop_fixpoint_order_independent;
-    Alcotest.test_case "summary cache: warm run bit-identical" `Quick
-      test_summary_cache_roundtrip;
-    Alcotest.test_case "summary cache: stale entry re-extracted" `Quick
-      test_summary_cache_stale_entry;
-    Alcotest.test_case "summary cache: corrupt cache ignored" `Quick
-      test_summary_cache_corrupt_ignored;
   ]

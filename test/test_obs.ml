@@ -52,7 +52,7 @@ let test_span_nesting_and_ordering () =
 let test_ring_buffer_keeps_newest () =
   let r = Recorder.create ~enabled:true ~capacity:4 () in
   for i = 1 to 10 do
-    Recorder.emit r ~time:(float_of_int i) ~node:0 Event.Note [ ("msg", Event.Int i) ]
+    Recorder.emit r ~time:(float_of_int i) ~node:0 Event.Log_append [ ("bytes", Event.Int i) ]
   done;
   Alcotest.(check int) "dropped oldest" 6 (Recorder.dropped r);
   let times = List.map (fun e -> int_of_float e.Event.time) (Recorder.events r) in
@@ -211,6 +211,28 @@ let test_traced_equals_untraced () =
   Alcotest.(check bool)
     "untraced recorded nothing" true
     (Recorder.events (Repro_sim.Env.obs (Cluster.env untraced)) = [])
+
+(* Only recovery's cluster-wide markers (its begin/end/phase events and
+   the phase spans) stand outside any node; every other event of a
+   traced run is located, so [cblsim trace --node] can select it. *)
+let test_events_carry_a_node () =
+  let cluster, _ = run_workload ~trace:true () in
+  let cluster_wide (e : Event.t) =
+    match e.Event.kind with
+    | Event.Recovery_begin | Event.Recovery_end | Event.Recovery_phase -> true
+    | Event.Span_begin | Event.Span_end -> (
+      match Event.attr_str e "name" with
+      | Some name -> String.starts_with ~prefix:"recovery." name
+      | None -> false)
+    | _ -> false
+  in
+  let events = Recorder.events (Repro_sim.Env.obs (Cluster.env cluster)) in
+  Alcotest.(check bool) "recovery ran" true (List.exists cluster_wide events);
+  List.iter
+    (fun (e : Event.t) ->
+      if e.Event.node < 0 && not (cluster_wide e) then
+        Alcotest.failf "event without a node: %s" (Event.render e))
+    events
 
 let test_commit_latency_histograms_always_on () =
   let cluster, _ = run_workload ~trace:false () in
@@ -490,6 +512,8 @@ let suite =
     Alcotest.test_case "metrics json round trip" `Quick test_metrics_json_round_trip;
     Alcotest.test_case "event json and kind names" `Quick test_event_json_and_kind_names;
     Alcotest.test_case "traced run equals untraced run" `Quick test_traced_equals_untraced;
+    Alcotest.test_case "every non-recovery event carries a node" `Quick
+      test_events_carry_a_node;
     Alcotest.test_case "latency histograms always on" `Quick
       test_commit_latency_histograms_always_on;
     Alcotest.test_case "recovery summary phases" `Quick test_recovery_summary_phases;

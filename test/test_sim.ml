@@ -1,10 +1,9 @@
-(* Tests for the simulation substrate: clock, config, metrics, trace,
-   and the charging discipline of Env. *)
+(* Tests for the simulation substrate: clock, config, metrics, and the
+   charging discipline of Env. *)
 
 module Clock = Repro_sim.Clock
 module Config = Repro_sim.Config
 module Metrics = Repro_sim.Metrics
-module Trace = Repro_sim.Trace
 module Env = Repro_sim.Env
 
 let feq = Alcotest.(check (float 1e-12))
@@ -49,19 +48,6 @@ let test_metrics_alist_is_stable () =
   Alcotest.(check bool) "commit_messages present" true (List.mem "commit_messages" names);
   Alcotest.(check bool) "no duplicates" true
     (List.length names = List.length (List.sort_uniq compare names))
-
-let test_trace_enabled_and_disabled () =
-  let t = Trace.create ~enabled:true () in
-  Trace.event t "hello %d" 42;
-  Trace.event t "world";
-  Alcotest.(check (list string)) "ordered" [ "hello 42"; "world" ] (Trace.events t);
-  Alcotest.(check bool) "substring search" true (Trace.contains t "llo 4");
-  Alcotest.(check bool) "absent" false (Trace.contains t "nope");
-  Trace.clear t;
-  Alcotest.(check (list string)) "cleared" [] (Trace.events t);
-  let off = Trace.create () in
-  Trace.event off "invisible %s" "x";
-  Alcotest.(check (list string)) "disabled records nothing" [] (Trace.events off)
 
 let test_env_charges_advance_clock_and_busy () =
   let env = Env.create Config.default in
@@ -118,7 +104,6 @@ let suite =
     ("config builders", `Quick, test_config_builders);
     ("metrics snapshot/diff/merge", `Quick, test_metrics_snapshot_diff_merge);
     ("metrics alist stable", `Quick, test_metrics_alist_is_stable);
-    ("trace on/off", `Quick, test_trace_enabled_and_disabled);
     ("env charges clock+busy", `Quick, test_env_charges_advance_clock_and_busy);
     ("env path flags", `Quick, test_env_commit_path_flag);
     ("env disk/log charges", `Quick, test_env_disk_and_log_charges);
