@@ -177,19 +177,13 @@ let bench_tracing_overhead () =
     let t0 = Sys.time () in
     let committed = ref 0 in
     let busy = ref 0. in
-    let metrics = ref [] in
+    let metrics = ref Repro_obs.Json.Null in
     for _ = 1 to reps do
       let cluster, outcome = Experiments.group_commit_run ~trace ~quick:false setting in
       committed := !committed + outcome.Repro_workload.Driver.committed;
       let m = Cluster.node_metrics cluster 0 in
       busy := !busy +. m.Repro_sim.Metrics.busy_seconds;
-      (* the dropped-events counter may legitimately differ (it only
-         counts when tracing is on); everything else must match *)
-      metrics :=
-        (match Repro_sim.Metrics.to_json (Cluster.global_metrics cluster) with
-        | Repro_obs.Json.Obj kvs ->
-          List.filter (fun (name, _) -> name <> "trace_events_dropped") kvs
-        | j -> [ ("metrics", j) ])
+      metrics := Repro_sim.Metrics.to_json (Cluster.global_metrics cluster)
     done;
     (Sys.time () -. t0, !committed, !busy, !metrics)
   in

@@ -607,7 +607,7 @@ let scale_run nodes_list clients_per_node profile txns seed mpl pages_per_node o
     List.map
       (fun (nodes, clients) ->
         let t0 = Unix.gettimeofday () in
-        let o =
+        let _cluster, o =
           Experiments.scale_point ~seed ~mpl ~pages_per_node ~txns_per_client:txns ~nodes
             ~clients ~profile ()
         in

@@ -53,6 +53,17 @@ fi
 echo "== dune runtest =="
 dune runtest
 
+# Simulated results are deterministic: a change that is not meant to
+# change the protocol leaves every experiment's JSON bit-identical.
+echo "== experiment fingerprint (bench/experiments.sha256) =="
+EXP_SHA=$(dune exec bin/cblsim.exe -- experiment --json | sha256sum | cut -d' ' -f1)
+EXP_WANT=$(cat bench/experiments.sha256)
+if [ "$EXP_SHA" != "$EXP_WANT" ]; then
+  echo "cblsim experiment --json changed: sha256 $EXP_SHA, expected $EXP_WANT." >&2
+  echo "Update bench/experiments.sha256 only for an intended protocol change." >&2
+  exit 1
+fi
+
 if [ "$STRESS_RUNS" -gt 0 ]; then
   echo "== stress: $STRESS_RUNS clean runs =="
   dune exec bin/cblsim.exe -- stress --runs "$STRESS_RUNS"

@@ -27,8 +27,6 @@ let take ?(on_before_master = fun () -> ()) ?gc log env metrics ~dpt ~active ~ma
   on_before_master ();
   Master.set master begin_lsn;
   metrics.Repro_sim.Metrics.checkpoints_taken <- metrics.Repro_sim.Metrics.checkpoints_taken + 1;
-  let g = Repro_sim.Env.global_metrics env in
-  g.Repro_sim.Metrics.checkpoints_taken <- g.Repro_sim.Metrics.checkpoints_taken + 1;
   if Repro_sim.Env.tracing env then
     Repro_sim.Env.emit env ~node
       Repro_obs.Event.Ckpt_end

@@ -279,7 +279,10 @@ let deadlock t = t.deadlock
 let commit_antecedents t ~txn = Dep_graph.antecedents_of t.deps txn
 let dep_edge_count t = Dep_graph.edge_count t.deps
 let dep_edges_registered t = Dep_graph.registered_count t.deps
-let global_metrics t = Env.global_metrics t.env
+let global_metrics t =
+  let sum = Repro_sim.Metrics.create () in
+  Array.iter (fun n -> Repro_sim.Metrics.merge_into ~dst:sum n.Node_state.metrics) t.members;
+  sum
 let node_metrics t id = (node t id).Node_state.metrics
 
 let check_invariants t =

@@ -135,7 +135,13 @@ val deadlock : t -> Repro_lock.Deadlock.t
 (** {1 Introspection} *)
 
 val global_metrics : t -> Repro_sim.Metrics.t
+(** The cluster-wide counters: a fresh field-wise sum of every node's
+    metrics, in id order.  Nodes hold the only copy, so this is a
+    point-in-time value — read it again after more work. *)
+
 val node_metrics : t -> int -> Repro_sim.Metrics.t
+(** Node [id]'s live counters. *)
+
 val check_invariants : t -> unit
 (** Per-node invariants plus cross-node lock-table consistency: every
     node-level lock cached at a client is present in the owner's table

@@ -136,7 +136,7 @@ let reset_volatile t =
 let maybe_crashpoint t point =
   match Env.faults t.env with
   | Some inj when Repro_fault.Injector.crashpoint inj point ->
-    bump t (fun m -> m.Metrics.injected_crashes <- m.Metrics.injected_crashes + 1);
+    t.metrics.Metrics.injected_crashes <- t.metrics.injected_crashes + 1;
     Env.emit t.env ~node:t.id Event.Fault_crash
       [ ("point", Event.Str (Repro_fault.Injector.point_name point)) ];
     crash t;
@@ -236,7 +236,7 @@ let rec evict_frame t (frame : Buffer_pool.frame) =
 and ship_to_owner t ~owner ?(commit_path = false) ~lsn page =
   maybe_crashpoint t Repro_fault.Injector.Page_ship;
   let dup = send_dup t ~dst:owner.id ~commit_path ~bytes:(Wire.page (Env.config t.env)) () in
-  bump t (fun m -> m.Metrics.pages_shipped <- m.Metrics.pages_shipped + 1);
+  t.metrics.Metrics.pages_shipped <- t.metrics.pages_shipped + 1;
   if Env.tracing t.env then
     (* [lsn] is the page's last update record: the WAL obligation this
        ship is subject to.  The trace auditor checks it against the
@@ -372,10 +372,10 @@ let ensure_cached_page t pid =
   check_up t;
   match Buffer_pool.find t.pool pid with
   | Some frame ->
-    bump t (fun m -> m.Metrics.cache_hits <- m.Metrics.cache_hits + 1);
+    t.metrics.Metrics.cache_hits <- t.metrics.cache_hits + 1;
     frame
   | None ->
-    bump t (fun m -> m.Metrics.cache_misses <- m.Metrics.cache_misses + 1);
+    t.metrics.Metrics.cache_misses <- t.metrics.cache_misses + 1;
     fetch_page_from_owner t pid
 
 (* ------------------------------------------------------------------ *)
@@ -483,7 +483,7 @@ let owner_grant_lock t ~requester ~txn ~pid ~mode ~need_page =
           let holder = peer t holder_id in
           if not holder.up then Block.block (Block.Node_down { node = holder_id });
           ensure_link t ~dst:holder_id;
-          bump t (fun m -> m.Metrics.callbacks_sent <- m.Metrics.callbacks_sent + 1);
+          t.metrics.Metrics.callbacks_sent <- t.metrics.callbacks_sent + 1;
           if Env.tracing t.env then
             Env.emit t.env ~node:t.id Event.Lock_callback
               [
@@ -548,7 +548,7 @@ let acquire t ~txn ~pid ~mode =
     end
   | Some _ | None -> ());
   if Local_locks.cache_covers t.locks pid mode then
-    bump t (fun m -> m.Metrics.lock_requests_local <- m.Metrics.lock_requests_local + 1)
+    t.metrics.Metrics.lock_requests_local <- t.metrics.lock_requests_local + 1
   else begin
     let owner_id = Page_id.owner pid in
     let need_page = not (Buffer_pool.contains t.pool pid) in
@@ -563,14 +563,14 @@ let acquire t ~txn ~pid ~mode =
         ];
     let page =
       if owner_id = t.id then begin
-        bump t (fun m -> m.Metrics.lock_requests_local <- m.Metrics.lock_requests_local + 1);
+        t.metrics.Metrics.lock_requests_local <- t.metrics.lock_requests_local + 1;
         owner_grant_lock t ~requester:t.id ~txn ~pid ~mode ~need_page:false
       end
       else begin
         let owner = peer t owner_id in
         if not owner.up then Block.block (Block.Node_down { node = owner_id });
         ensure_link t ~dst:owner_id;
-        bump t (fun m -> m.Metrics.lock_requests_remote <- m.Metrics.lock_requests_remote + 1);
+        t.metrics.Metrics.lock_requests_remote <- t.metrics.lock_requests_remote + 1;
         send t ~dst:owner_id ~bytes:Wire.control ();
         let page = owner_grant_lock owner ~requester:t.id ~txn ~pid ~mode ~need_page in
         let reply_bytes =
@@ -582,7 +582,7 @@ let acquire t ~txn ~pid ~mode =
     in
     (match page with
     | Some p ->
-      bump t (fun m -> m.Metrics.cache_misses <- m.Metrics.cache_misses + 1);
+      t.metrics.Metrics.cache_misses <- t.metrics.cache_misses + 1;
       ignore (install_page t p)
     | None -> ());
     Local_locks.set_cached_mode t.locks pid mode;
@@ -647,7 +647,7 @@ let owner_flush_page t pid =
     owner_after_flush t pid ~flushed_psn
 
 let free_log_space t =
-  bump t (fun m -> m.Metrics.log_space_stalls <- m.Metrics.log_space_stalls + 1);
+  t.metrics.Metrics.log_space_stalls <- t.metrics.log_space_stalls + 1;
   (match Dpt.entry_with_min_redo_lsn t.dpt with
   | None -> ()
   | Some entry ->
@@ -680,7 +680,7 @@ let free_log_space t =
       let owner = peer t owner_id in
       if (not owner.up) || not (link_up t ~dst:owner_id) then
         Block.block (Block.Log_space { node = t.id });
-      bump t (fun m -> m.Metrics.flush_requests <- m.Metrics.flush_requests + 1);
+      t.metrics.Metrics.flush_requests <- t.metrics.flush_requests + 1;
       send t ~dst:owner_id ~bytes:Wire.control ();
       (* the request itself (re-)registers us: an earlier flush may have
          consumed the waiter list without covering this entry *)
@@ -774,7 +774,7 @@ let append_txn_record t record =
     ensure_link t ~dst:log_node;
     let encoded = String.length (Record.encode record) in
     send t ~dst:log_node ~bytes:(Wire.log_record encoded) ();
-    bump t (fun m -> m.Metrics.log_records_shipped <- m.Metrics.log_records_shipped + 1);
+    t.metrics.Metrics.log_records_shipped <- t.metrics.log_records_shipped + 1;
     Env.charge_lock_op t.env target.metrics (* the global log-tail latch *);
     Log_manager.append target.log record
   | Global_log _ | Local_logging | Server_logging _ | Pca_double_logging ->
@@ -888,14 +888,14 @@ let commit_scheme_work t (txn : Txn.t) lsn =
     if not srv.up then Block.block (Block.Node_down { node = server });
     ensure_link t ~dst:server;
     send t ~dst:server ~commit_path:true ~bytes:(Wire.log_record txn.Txn.logged_bytes) ();
-    bump t (fun m ->
-        m.Metrics.log_records_shipped <- m.Metrics.log_records_shipped + txn.Txn.logged_records);
+    t.metrics.Metrics.log_records_shipped <-
+      t.metrics.log_records_shipped + txn.Txn.logged_records;
     if server <> t.id then begin
       Env.charge_cpu_for t.env srv.metrics
         (float_of_int txn.Txn.logged_records
         *. (Env.config t.env).Repro_sim.Config.cpu_per_log_record);
-      bump srv (fun m -> m.Metrics.log_appends <- m.Metrics.log_appends + txn.Txn.logged_records);
-      bump srv (fun m -> m.Metrics.log_bytes <- m.Metrics.log_bytes + txn.Txn.logged_bytes);
+      srv.metrics.Metrics.log_appends <- srv.metrics.log_appends + txn.Txn.logged_records;
+      srv.metrics.Metrics.log_bytes <- srv.metrics.log_bytes + txn.Txn.logged_bytes;
       Env.charge_log_force t.env srv.metrics ~bytes:txn.Txn.logged_bytes ();
       send srv ~dst:t.id ~commit_path:true ~bytes:Wire.control ()
     end
@@ -917,9 +917,9 @@ let commit_scheme_work t (txn : Txn.t) lsn =
         | Some frame -> ship_to_owner t ~owner ~commit_path:true ~lsn:frame.last_lsn frame.page
         | None -> () (* already replaced to the owner earlier *));
         send t ~dst:owner.id ~commit_path:true ~bytes:(Wire.log_record bytes_per_page) ();
-        bump t (fun m -> m.Metrics.log_records_shipped <- m.Metrics.log_records_shipped + 1);
-        bump owner (fun m -> m.Metrics.log_appends <- m.Metrics.log_appends + 1);
-        bump owner (fun m -> m.Metrics.log_bytes <- m.Metrics.log_bytes + bytes_per_page);
+        t.metrics.Metrics.log_records_shipped <- t.metrics.log_records_shipped + 1;
+        owner.metrics.Metrics.log_appends <- owner.metrics.log_appends + 1;
+        owner.metrics.Metrics.log_bytes <- owner.metrics.log_bytes + bytes_per_page;
         Env.charge_log_force t.env owner.metrics ~bytes:bytes_per_page ())
       remote
   | Global_log { log_node } ->
@@ -1059,7 +1059,7 @@ let complete_commit t (txn : Txn.t) ~commit_from =
   end_of_txn_lock_release t txn.Txn.id;
   elr_settle t txn.Txn.id;
   Txn_table.remove t.txns txn.Txn.id;
-  bump t (fun m -> m.Metrics.txn_committed <- m.Metrics.txn_committed + 1);
+  t.metrics.Metrics.txn_committed <- t.metrics.txn_committed + 1;
   if Env.tracing t.env then begin
     Env.emit t.env ~node:t.id Event.Txn_commit
       [ ("txn", Event.Int txn.Txn.id); ("dur", Event.Float (durable_at -. txn.Txn.began)) ];
@@ -1179,7 +1179,7 @@ let abort t ~txn =
   observe_lock_hold t txn;
   end_of_txn_lock_release t txn.Txn.id;
   Txn_table.remove t.txns txn.Txn.id;
-  bump t (fun m -> m.Metrics.txn_aborted <- m.Metrics.txn_aborted + 1);
+  t.metrics.Metrics.txn_aborted <- t.metrics.txn_aborted + 1;
   if Env.tracing t.env then begin
     Env.emit t.env ~node:t.id Event.Txn_abort [ ("txn", Event.Int txn.Txn.id) ];
     Recorder.span_end (Env.obs t.env) ~time:(Env.now t.env) txn.Txn.span

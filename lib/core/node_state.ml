@@ -176,12 +176,6 @@ let create env ~id ~pool_capacity ~pool_policy ~log_capacity ~scheme ~retain_cac
 
 let peer t id = t.resolve id
 
-(* Bump a hand-maintained counter on both the node and the global
-   aggregate (the charged counters do this inside Env). *)
-let bump t f =
-  f t.metrics;
-  f (Env.global_metrics t.env)
-
 (* Charge a message from [t] to [dst]; local "messages" (owner = self)
    cost nothing, matching the paper's message counting.  This is the
    single network choke point: with a fault injector installed, lost
@@ -196,12 +190,12 @@ let send t ~dst ?(commit_path = false) ?(recovery = false) ~bytes () =
       for _ = 1 to v.Repro_fault.Injector.drops do
         Env.charge_message t.env t.metrics ~commit_path ~recovery ~bytes ();
         Env.charge_cpu t.env (Repro_fault.Injector.rto inj);
-        bump t (fun m -> m.Metrics.net_msgs_dropped <- m.Metrics.net_msgs_dropped + 1);
+        t.metrics.Metrics.net_msgs_dropped <- t.metrics.net_msgs_dropped + 1;
         Env.emit t.env ~node:t.id Event.Fault_drop [ ("dst", Event.Int dst) ]
       done;
       if v.Repro_fault.Injector.delay > 0. then begin
         Env.charge_cpu t.env v.Repro_fault.Injector.delay;
-        bump t (fun m -> m.Metrics.net_msgs_delayed <- m.Metrics.net_msgs_delayed + 1);
+        t.metrics.Metrics.net_msgs_delayed <- t.metrics.net_msgs_delayed + 1;
         Env.emit t.env ~node:t.id Event.Fault_delay [ ("dst", Event.Int dst) ]
       end
     | None -> ());
@@ -232,7 +226,7 @@ let send_dup t ~dst ?(commit_path = false) ?(recovery = false) ~bytes () =
     match Env.faults t.env with
     | Some inj when Repro_fault.Injector.duplicate inj ->
       Env.charge_message t.env t.metrics ~commit_path ~recovery ~bytes ();
-      bump t (fun m -> m.Metrics.net_msgs_duplicated <- m.Metrics.net_msgs_duplicated + 1);
+      t.metrics.Metrics.net_msgs_duplicated <- t.metrics.net_msgs_duplicated + 1;
       Env.emit t.env ~node:t.id Event.Fault_dup [ ("dst", Event.Int dst) ];
       true
     | Some _ | None -> false
@@ -251,7 +245,7 @@ let link_up t ~dst =
       if Repro_fault.Injector.link_up inj ~a:t.id ~b:dst then true
       else begin
         Env.charge_cpu t.env (Repro_fault.Injector.rto inj);
-        bump t (fun m -> m.Metrics.net_link_blocks <- m.Metrics.net_link_blocks + 1);
+        t.metrics.Metrics.net_link_blocks <- t.metrics.net_link_blocks + 1;
         Env.emit t.env ~node:t.id Event.Fault_partition [ ("dst", Event.Int dst) ];
         false
       end

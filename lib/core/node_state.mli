@@ -39,6 +39,8 @@ type t = {
   id : int;
   env : Repro_sim.Env.t;
   metrics : Repro_sim.Metrics.t;
+      (** this node's counters — the only copy; the cluster-wide
+          figure is summed from the nodes on read *)
   (* durable state *)
   disk : Repro_storage.Disk.t;
   alloc : Repro_storage.Alloc_map.t;
@@ -110,10 +112,6 @@ val create :
 
 val peer : t -> int -> t
 (** Resolve a node id through the cluster wiring. *)
-
-val bump : t -> (Repro_sim.Metrics.t -> unit) -> unit
-(** Bump a hand-maintained counter on both the node and the global
-    aggregate. *)
 
 val send : t -> dst:int -> ?commit_path:bool -> ?recovery:bool -> bytes:int -> unit -> unit
 (** Charge a message from [t] to [dst]; local sends (dst = self) cost

@@ -20,10 +20,10 @@ module Injector = Repro_fault.Injector
 open Node_state
 
 let bump_transfers n =
-  bump n (fun m -> m.Metrics.recovery_page_transfers <- m.Metrics.recovery_page_transfers + 1)
+  n.metrics.Metrics.recovery_page_transfers <- n.metrics.recovery_page_transfers + 1
 
 let bump_redone n =
-  bump n (fun m -> m.Metrics.recovery_pages_redone <- m.Metrics.recovery_pages_redone + 1)
+  n.metrics.Metrics.recovery_pages_redone <- n.metrics.recovery_pages_redone + 1
 
 (* ------------------------------------------------------------------ *)
 (* Restartability and peer-fault machinery                             *)
@@ -73,7 +73,7 @@ let recovery_exchange src ~dst f =
         (match Env.faults src.env with
         | Some inj -> Env.charge_cpu src.env (Injector.rto inj *. float_of_int ((1 lsl attempt) - 1))
         | None -> ());
-        bump src (fun m -> m.Metrics.recovery_retries <- m.Metrics.recovery_retries + 1);
+        src.metrics.Metrics.recovery_retries <- src.metrics.recovery_retries + 1;
         Env.emit src.env ~node:src.id Repro_obs.Event.Recovery_retry
           [ ("dst", Repro_obs.Event.Int dst); ("attempt", Repro_obs.Event.Int (attempt + 1)) ];
         go (attempt + 1)
@@ -102,8 +102,7 @@ let pick_blocker ~deferred ~owner ~pid =
 
 let park_deferred ~owner ~pid ~blocker =
   Page_id.Tbl.replace owner.deferred_pages pid blocker;
-  bump owner (fun m ->
-      m.Metrics.recovery_deferred_pages <- m.Metrics.recovery_deferred_pages + 1);
+  owner.metrics.Metrics.recovery_deferred_pages <- owner.metrics.recovery_deferred_pages + 1;
   Env.emit owner.env ~node:owner.id Repro_obs.Event.Recovery_deferred
     [
       ("action", Repro_obs.Event.Str "parked");
@@ -113,8 +112,8 @@ let park_deferred ~owner ~pid ~blocker =
 
 let unpark_deferred ~owner ~pid =
   Page_id.Tbl.remove owner.deferred_pages pid;
-  bump owner (fun m ->
-      m.Metrics.recovery_deferred_completed <- m.Metrics.recovery_deferred_completed + 1);
+  owner.metrics.Metrics.recovery_deferred_completed <-
+    owner.metrics.recovery_deferred_completed + 1;
   Env.emit owner.env ~node:owner.id Repro_obs.Event.Recovery_deferred
     [
       ("action", Repro_obs.Event.Str "completed");
@@ -325,8 +324,8 @@ let redo_round m job page (run : Node_psn_list.run) ~bound ~records ~probe =
       in
       if in_round then begin
         let record = Log_manager.read m.log lsn in
-        bump m (fun c ->
-            c.Metrics.recovery_log_records_scanned <- c.Metrics.recovery_log_records_scanned + 1);
+        m.metrics.Metrics.recovery_log_records_scanned <-
+          m.metrics.recovery_log_records_scanned + 1;
         match record.Record.body with
         | Update { pid; psn_before = p; op } | Clr { pid; psn_before = p; op; _ } ->
           assert (Page_id.equal pid job.pid && p = psn_before);
@@ -441,8 +440,7 @@ let pull_merged_records coordinator sources =
             if m.id <> coordinator.id then begin
               let encoded = String.length (Record.encode record) in
               send m ~dst:coordinator.id ~recovery:true ~bytes:(Wire.log_record encoded) ();
-              bump m (fun c ->
-                  c.Metrics.log_records_shipped <- c.Metrics.log_records_shipped + 1)
+              m.metrics.Metrics.log_records_shipped <- m.metrics.log_records_shipped + 1
             end;
             let cur = Option.value (Page_id.Tbl.find_opt per_page pid) ~default:[] in
             Page_id.Tbl.replace per_page pid ((psn_before, op) :: cur)
@@ -495,7 +493,7 @@ let rollback_loser n txn =
     Txn.record_logged txn lsn;
     txn.Txn.state <- Txn.Aborted;
     Txn_table.remove n.txns txn.Txn.id;
-    bump n (fun m -> m.Metrics.txn_aborted <- m.Metrics.txn_aborted + 1)
+    n.metrics.Metrics.txn_aborted <- n.metrics.txn_aborted + 1
   with
   | () -> ()
   | exception (Block.Would_block reason as e) ->
@@ -934,7 +932,7 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
       | Some env ->
         (match List.find_opt (fun n -> n.id = node) (crashed @ operational) with
         | Some n ->
-          bump n (fun m -> m.Metrics.recovery_restarts <- m.Metrics.recovery_restarts + 1)
+          n.metrics.Metrics.recovery_restarts <- n.metrics.recovery_restarts + 1
         | None -> ());
         Env.emit env ~node Repro_obs.Event.Recovery_restart
           [ ("aborted", Repro_obs.Event.Bool true) ]

@@ -29,7 +29,9 @@ let run_checked engine ?events ?mpl scripts =
          (String.concat "; " errs)));
   outcome
 
-let snapshot_global (built : Schemes.built) = Metrics.snapshot (Cluster.global_metrics built.cluster)
+(* [Cluster.global_metrics] is a fresh sum on every call: a snapshot
+   without a copy *)
+let snapshot_global (built : Schemes.built) = Cluster.global_metrics built.cluster
 
 let diff_global (built : Schemes.built) before =
   Metrics.diff ~after:(Cluster.global_metrics built.cluster) ~before
@@ -848,7 +850,7 @@ let e12 ?(quick = false) () =
             List.iter (fun pid -> engine.Engine.update_delta ~txn ~pid ~off:0 1L) pages;
             engine.Engine.commit ~txn)
           [ 1; 2; 3; 0 ];
-        let before = Metrics.snapshot (Cluster.global_metrics cluster) in
+        let before = Cluster.global_metrics cluster in
         let t0 = Cluster.now cluster in
         Cluster.crash cluster ~node:0;
         Cluster.crash cluster ~node:2;
@@ -1043,7 +1045,7 @@ let scale_point ?(seed = 2026) ?(mpl = 8) ?(pages_per_node = 16) ?(txns_per_clie
     Scale.scripts (Rng.split rng) p ~pages_by_owner:built.Schemes.pages_by_owner ~clients
       ~txns_per_client
   in
-  run_checked built.Schemes.engine ~mpl scripts
+  (built.Schemes.cluster, run_checked built.Schemes.engine ~mpl scripts)
 
 let scale_abort_rate (o : Driver.outcome) =
   let aborts = o.Driver.deadlock_aborts + o.Driver.voluntary_aborts in
@@ -1084,17 +1086,19 @@ let e14 ?(quick = false) () =
       points
   in
   let rows =
-    List.map (fun ((profile, nodes, clients), o) -> scale_row ~nodes ~clients ~profile o) runs
+    List.map
+      (fun ((profile, nodes, clients), (_, o)) -> scale_row ~nodes ~clients ~profile o)
+      runs
   in
   let commit_msgs =
     List.fold_left
-      (fun acc (_, (o : Driver.outcome)) ->
-        acc + (Env.global_metrics o.Driver.engine.Engine.env).Metrics.commit_messages)
+      (fun acc (_, (cluster, _)) ->
+        acc + (Cluster.global_metrics cluster).Metrics.commit_messages)
       0 runs
   in
   let uniform_rates =
     List.filter_map
-      (fun ((profile, _, _), (o : Driver.outcome)) ->
+      (fun ((profile, _, _), (_, (o : Driver.outcome))) ->
         if profile = "uniform" then
           Some (float_of_int o.Driver.committed /. o.Driver.sim_seconds)
         else None)

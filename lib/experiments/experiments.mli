@@ -86,11 +86,11 @@ val scale_point :
   clients:int ->
   profile:string ->
   unit ->
-  Repro_workload.Driver.outcome
+  Repro_cbl.Cluster.t * Repro_workload.Driver.outcome
 (** One deterministic big-cluster run on a named {!Repro_workload.Scale}
     profile: [nodes] owner nodes, [clients] scripted clients homing
-    round-robin, durability oracle checked.  Raises on an unknown
-    profile name. *)
+    round-robin, durability oracle checked.  Returns the cluster for its
+    counters.  Raises on an unknown profile name. *)
 
 val scale_header : string list
 (** Column names shared by E14 and the [cblsim scale] report. *)

@@ -3,8 +3,8 @@
     The toolchain has no JSON library baked in, so this hand-rolled
     module covers exactly what the observability layer needs: object /
     array construction, compact and pretty printing with correct string
-    escaping, and a strict parser good enough to round-trip our own
-    output (used by [Metrics.of_json] and the tests). *)
+    escaping, and a strict parser good enough to read back our own
+    output (event streams, fault plans and the tests). *)
 
 type t =
   | Null

@@ -1,10 +1,11 @@
 (** The shared simulation environment: one per cluster.
 
-    Bundles the cost model, the simulated clock, the trace and the global
-    metrics aggregate, and exposes the charging primitives that all
+    Bundles the cost model, the simulated clock, the trace and the
+    random source, and exposes the charging primitives that all
     substrates use.  Each charge advances the clock by the configured
-    cost and bumps the relevant counters both in the caller's (per-node)
-    metrics and in the global aggregate. *)
+    cost and bumps the relevant counters in the caller's (per-node)
+    metrics — the only copy; the cluster sums its nodes' records on
+    read. *)
 
 type t
 
@@ -28,7 +29,6 @@ val obs : t -> Repro_obs.Recorder.t
 (** The typed event recorder: the only trace channel. *)
 
 val rng : t -> Repro_util.Rng.t
-val global_metrics : t -> Metrics.t
 
 val faults : t -> Repro_fault.Injector.t option
 (** The cluster's fault injector, if one is installed. *)

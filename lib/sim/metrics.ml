@@ -38,9 +38,6 @@ type t = {
   mutable torn_crashes : int;
   mutable torn_bytes_discarded : int;
   mutable injected_crashes : int;
-  mutable trace_events_dropped : int;
-      (* ring-buffer overwrites in the event recorder; always 0 when
-         tracing is off, so untraced metrics stay bit-identical *)
   mutable busy_seconds : float;
 }
 
@@ -85,7 +82,6 @@ let create ?(node = -1) () =
     torn_crashes = 0;
     torn_bytes_discarded = 0;
     injected_crashes = 0;
-    trace_events_dropped = 0;
     busy_seconds = 0.;
   }
 
@@ -149,20 +145,9 @@ let fields =
       (fun t -> t.torn_bytes_discarded),
       fun t v -> t.torn_bytes_discarded <- v );
     ("injected_crashes", (fun t -> t.injected_crashes), fun t v -> t.injected_crashes <- v);
-    ( "trace_events_dropped",
-      (fun t -> t.trace_events_dropped),
-      fun t v -> t.trace_events_dropped <- v );
   ]
 
-let reset t =
-  List.iter (fun (_, _, set) -> set t 0) fields;
-  t.busy_seconds <- 0.
-
-let snapshot t =
-  let s = create ~node:t.node () in
-  List.iter (fun (_, get, set) -> set s (get t)) fields;
-  s.busy_seconds <- t.busy_seconds;
-  s
+let snapshot t = { t with node = t.node }
 
 let diff ~after ~before =
   let d = create ~node:after.node () in
@@ -182,7 +167,6 @@ let pp_with ~show_zeros ppf t =
   if show_zeros || t.busy_seconds <> 0. then
     Format.fprintf ppf "%-30s %.6f@." "busy_seconds" t.busy_seconds
 
-let pp ppf t = pp_with ~show_zeros:false ppf t
 let to_alist t = List.map (fun (name, get, _) -> (name, get t)) fields
 
 module Json = Repro_obs.Json
@@ -192,19 +176,3 @@ let to_json t =
     (("node", Json.Int t.node)
     :: List.map (fun (name, get, _) -> (name, Json.Int (get t))) fields
     @ [ ("busy_seconds", Json.Float t.busy_seconds) ])
-
-let of_json j =
-  let t = create () in
-  (match Json.member "node" j with
-  | Some v -> ( match Json.to_int_opt v with Some n -> t.node <- n | None -> ())
-  | None -> ());
-  List.iter
-    (fun (name, _, set) ->
-      match Option.bind (Json.member name j) Json.to_int_opt with
-      | Some v -> set t v
-      | None -> ())
-    fields;
-  (match Option.bind (Json.member "busy_seconds" j) Json.to_float_opt with
-  | Some v -> t.busy_seconds <- v
-  | None -> ());
-  t

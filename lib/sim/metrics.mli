@@ -1,16 +1,19 @@
 (** Counters that back every experiment.
 
-    Each node carries a [t]; the cluster also aggregates one.  Counters
-    are plain mutable ints bumped on the hot paths; a snapshot is a
-    copy, and [diff] subtracts snapshots so a bench can measure exactly
-    the interval it cares about. *)
+    Each node carries the one [t] its work is charged to; nothing else
+    holds a copy.  A cluster-wide figure is computed on read by
+    [merge_into] over the nodes.  Counters are plain mutable ints bumped
+    on the hot paths; a snapshot is a copy, and [diff] subtracts
+    snapshots so a bench can measure exactly the interval it cares
+    about. *)
 
 type t = {
   mutable node : int;
-      (** which node these counters belong to; [-1] = global / unattributed.
-          Excluded from arithmetic ([reset]/[diff]/[merge_into] leave it
-          alone) — it exists so charge primitives can attribute typed
-          trace events without widening their signatures. *)
+      (** which node these counters belong to; [-1] = a cluster sum or
+          a standalone record.  Excluded from arithmetic ([diff] and
+          [merge_into] leave it alone) — it exists so charge primitives
+          can attribute typed trace events without widening their
+          signatures. *)
   mutable messages_sent : int;  (** inter-node protocol messages *)
   mutable message_bytes : int;
   mutable commit_messages : int;  (** messages on the commit path only — the paper's headline count *)
@@ -49,8 +52,6 @@ type t = {
   mutable torn_crashes : int;  (** injected: crashes that tore the unforced log tail *)
   mutable torn_bytes_discarded : int;  (** torn-tail bytes trimmed by the recovery seal *)
   mutable injected_crashes : int;  (** crashes fired at protocol crash points *)
-  mutable trace_events_dropped : int;
-      (** recorder ring overwrites (always 0 when tracing is off) *)
   mutable busy_seconds : float;
       (** simulated seconds of work performed {e by this node} — the
           makespan of a run is bounded below by the busiest node's
@@ -59,26 +60,23 @@ type t = {
 }
 
 val create : ?node:int -> unit -> t
-val reset : t -> unit
+
 val snapshot : t -> t
+(** A copy, unaffected by later bumps to [t]. *)
+
 val diff : after:t -> before:t -> t
 (** Field-wise subtraction. *)
 
 val merge_into : dst:t -> t -> unit
-(** Field-wise addition, for cluster aggregates. *)
-
-val pp : Format.formatter -> t -> unit
-(** One counter per line, zero-valued counters omitted. *)
+(** Field-wise addition into [dst], for cluster aggregates. *)
 
 val pp_with : show_zeros:bool -> Format.formatter -> t -> unit
-(** Like [pp], but [~show_zeros:true] prints every counter — use where
-    a zero {e is} the claim (e.g. E1's [log_records_shipped = 0]). *)
+(** One counter per line.  [~show_zeros:false] omits zero counters;
+    [~show_zeros:true] prints every one — use where a zero {e is} the
+    claim (e.g. E1's [log_records_shipped = 0]). *)
 
 val to_alist : t -> (string * int) list
 (** Stable field order; used by the bench harness to print table rows. *)
 
 val to_json : t -> Repro_obs.Json.t
 (** All counters (zeros included) plus [node] and [busy_seconds]. *)
-
-val of_json : Repro_obs.Json.t -> t
-(** Inverse of [to_json]; missing fields default to zero. *)

@@ -93,10 +93,6 @@ let used_bytes t = Log_device.used t.device
 let available_bytes t = Log_device.available t.device
 let truncate_to t lsn = if not (Lsn.is_nil lsn) then Log_device.truncate_to t.device lsn
 
-let bump t f =
-  f t.metrics;
-  f (Env.global_metrics t.env)
-
 let crash ?faults t =
   let dur = Log_device.durable_offset t.device in
   let tail = Log_device.end_offset t.device - dur in
@@ -123,7 +119,7 @@ let crash ?faults t =
     (match flip with
     | Some off -> Log_device.scribble t.device ~pos:(dur + off)
     | None -> ());
-    bump t (fun m -> m.Repro_sim.Metrics.torn_crashes <- m.Repro_sim.Metrics.torn_crashes + 1);
+    t.metrics.Repro_sim.Metrics.torn_crashes <- t.metrics.torn_crashes + 1;
     Env.emit t.env ~node:t.metrics.Repro_sim.Metrics.node Repro_obs.Event.Fault_torn
       [ ("kept", Repro_obs.Event.Int keep) ]
 
@@ -146,9 +142,8 @@ let seal t =
     let discarded = stop - good in
     if discarded > 0 then begin
       Log_device.trim_end t.device good;
-      bump t (fun m ->
-          m.Repro_sim.Metrics.torn_bytes_discarded <-
-            m.Repro_sim.Metrics.torn_bytes_discarded + discarded);
+      t.metrics.Repro_sim.Metrics.torn_bytes_discarded <-
+        t.metrics.torn_bytes_discarded + discarded;
       Env.emit t.env ~node:t.metrics.Repro_sim.Metrics.node Repro_obs.Event.Fault_torn
         [ ("discarded", Repro_obs.Event.Int discarded) ]
     end;
