@@ -4,7 +4,7 @@
 
    1. The experiment tables (DESIGN.md §3, EXPERIMENTS.md): the paper has
       no result tables of its own, so each claim-derived experiment
-      F1/E1..E10 prints the table recorded in EXPERIMENTS.md.  This is
+      F1/E1..E15 prints the table recorded in EXPERIMENTS.md.  This is
       the "regenerate every table and figure" entry point.
 
    2. Bechamel wall-clock benchmarks: one Test.make per experiment
@@ -27,6 +27,7 @@
 
 module Experiments = Repro_experiments.Experiments
 module Report = Repro_experiments.Report
+module Spec = Repro_experiments.Spec
 module Cluster = Repro_cbl.Cluster
 module Record = Repro_wal.Record
 module Log_manager = Repro_wal.Log_manager
@@ -55,7 +56,7 @@ let write_json_reports reports =
 
 let run_tables () =
   Format.printf "#### Experiment tables (see EXPERIMENTS.md for the recorded copies) ####@.";
-  let reports = Experiments.all () in
+  let reports = List.map (fun spec -> fst (Spec.run spec)) Experiments.all in
   List.iter (Format.printf "%a" Report.render) reports;
   write_json_reports reports
 
@@ -442,10 +443,10 @@ let measure_codec_alloc () =
 (* One Bechamel test per experiment table (quick configuration). *)
 let experiment_tests =
   List.map
-    (fun id ->
-      let f = Option.get (Experiments.by_id id) in
-      Test.make ~name:("experiment-" ^ id) (Staged.stage (fun () -> ignore (f ~quick:true ()))))
-    Experiments.ids
+    (fun spec ->
+      Test.make ~name:("experiment-" ^ Spec.id spec)
+        (Staged.stage (fun () -> ignore (Spec.run ~quick:true spec))))
+    Experiments.all
 
 let run_bechamel ~quota tests =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
@@ -485,7 +486,7 @@ let () =
   | "tables" -> run_tables ()
   | "micro" -> run_micro ()
   | "json" ->
-    write_json_reports (Experiments.all ~quick:true ());
+    write_json_reports (List.map (fun spec -> fst (Spec.run ~quick:true spec)) Experiments.all);
     bench_lint ();
     bench_tracing_overhead ();
     bench_elr ()

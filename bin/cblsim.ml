@@ -16,6 +16,7 @@ module Driver = Repro_workload.Driver
 module Generators = Repro_workload.Generators
 module Experiments = Repro_experiments.Experiments
 module Report = Repro_experiments.Report
+module Spec = Repro_experiments.Spec
 module Metrics = Repro_sim.Metrics
 module Config = Repro_sim.Config
 module Rng = Repro_util.Rng
@@ -27,8 +28,20 @@ open Cmdliner
 (* ---- experiment ---- *)
 
 let experiment_cmd =
-  let ids =
-    Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (default: all).")
+  let experiment =
+    let parse id =
+      match Experiments.by_id id with
+      | Some spec -> Ok spec
+      | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "unknown experiment %S (have: %s)" id
+               (String.concat ", " Experiments.ids)))
+    in
+    Arg.conv (parse, fun ppf spec -> Format.pp_print_string ppf (Spec.id spec))
+  in
+  let specs =
+    Arg.(value & pos_all experiment [] & info [] ~docv:"ID" ~doc:"Experiment ids (default: all).")
   in
   let quick =
     Arg.(value & flag & info [ "q"; "quick" ] ~doc:"Shrunken workloads for a fast pass.")
@@ -36,27 +49,26 @@ let experiment_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the reports as a JSON array on stdout.")
   in
-  let run quick json ids =
-    let reports =
-      match ids with
-      | [] -> Experiments.all ~quick ()
-      | ids ->
-        List.map
-          (fun id ->
-            match Experiments.by_id id with
-            | Some f -> f ~quick ()
-            | None ->
-              Fmt.failwith "unknown experiment %S (have: %s)" id
-                (String.concat ", " Experiments.ids))
-          ids
-    in
+  let run quick json specs =
+    let specs = match specs with [] -> Experiments.all | specs -> specs in
+    let results = List.map (Spec.run ~quick) specs in
+    let reports = List.map fst results in
     if json then
       print_endline (Json.to_string_pretty (Json.List (List.map Report.to_json reports)))
-    else List.iter (Format.printf "%a" Report.render) reports
+    else List.iter (Format.printf "%a" Report.render) reports;
+    match Spec.failed (List.concat_map snd results) with
+    | [] -> ()
+    | failed ->
+      List.iter
+        (fun (v : Spec.verdict) ->
+          Format.eprintf "%s: claim does not hold: %s@." v.experiment v.claim)
+        failed;
+      exit 1
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Regenerate the claim-derived experiment tables (see DESIGN.md)")
-    Term.(const run $ quick $ json $ ids)
+    (Cmd.info "experiment" ~doc:"Regenerate the claim-derived experiment tables (see DESIGN.md)"
+       ~exits:(Cmd.Exit.info 1 ~doc:"if a judged paper claim does not hold." :: Cmd.Exit.defaults))
+    Term.(const run $ quick $ json $ specs)
 
 (* ---- demo ---- *)
 

@@ -53,16 +53,35 @@ fi
 echo "== dune runtest =="
 dune runtest
 
-# Simulated results are deterministic: a change that is not meant to
-# change the protocol leaves every experiment's JSON bit-identical.
-echo "== experiment fingerprint (bench/experiments.sha256) =="
-EXP_SHA=$(dune exec bin/cblsim.exe -- experiment --json | sha256sum | cut -d' ' -f1)
+# Every judged paper claim must hold: cblsim experiment exits 1 when one
+# does not.  Simulated results are deterministic: a change that is not
+# meant to change the protocol leaves every experiment's JSON
+# bit-identical, and EXPERIMENTS.md records the text tables verbatim.
+echo "== experiment claims + fingerprint (bench/experiments.sha256) =="
+dune exec bin/cblsim.exe -- experiment --json > EXPERIMENT_RUN.json || {
+  echo "cblsim experiment failed: a judged paper claim does not hold (see above)" >&2
+  exit 1
+}
+EXP_SHA=$(sha256sum EXPERIMENT_RUN.json | cut -d' ' -f1)
 EXP_WANT=$(cat bench/experiments.sha256)
 if [ "$EXP_SHA" != "$EXP_WANT" ]; then
   echo "cblsim experiment --json changed: sha256 $EXP_SHA, expected $EXP_WANT." >&2
   echo "Update bench/experiments.sha256 only for an intended protocol change." >&2
   exit 1
 fi
+echo "== EXPERIMENTS.md recorded tables vs cblsim experiment =="
+dune exec bin/cblsim.exe -- experiment > EXPERIMENT_RUN.txt || {
+  echo "cblsim experiment failed: a judged paper claim does not hold (see above)" >&2
+  exit 1
+}
+# the fenced block under "## Recorded tables", fences excluded
+sed -n '/^## Recorded tables$/,$p' EXPERIMENTS.md | sed '1,/^```$/d' | sed '/^```$/,$d' \
+  > EXPERIMENT_RECORDED.txt
+diff -u EXPERIMENT_RECORDED.txt EXPERIMENT_RUN.txt || {
+  echo "EXPERIMENTS.md's recorded tables differ from 'cblsim experiment' (diff above):" >&2
+  echo "replace the block under '## Recorded tables' with its output." >&2
+  exit 1
+}
 
 if [ "$STRESS_RUNS" -gt 0 ]; then
   echo "== stress: $STRESS_RUNS clean runs =="

@@ -1,84 +1,79 @@
 (* The experiment suite doubles as an integration test: each experiment
-   verifies its own durability oracle; here we additionally assert the
-   headline shapes the paper claims. *)
+   verifies its own durability oracle, and its spec judges the headline
+   shapes the paper claims.  Every quick run's judged claims must hold,
+   and each named test pins the claims its experiment must carry. *)
 
 module E = Repro_experiments.Experiments
-module Report = Repro_experiments.Report
+module Spec = Repro_experiments.Spec
 
-let cell report ~row ~col = List.nth (List.nth report.Report.rows row) col
-
-let test_f1_zero_commit_messages () =
-  let r = E.f1 ~quick:true () in
-  Alcotest.(check bool) "pass note" true
-    (List.exists (fun n -> String.length n >= 4 && String.sub n 0 4 = "PASS") r.Report.notes)
-
-let test_e1_cbl_commit_path_is_free () =
-  let r = E.e1 ~quick:true () in
-  (* every cbl row: commit msgs/txn = 0, records shipped = 0 *)
+let expect id claims () =
+  let _, verdicts = Spec.run ~quick:true (Option.get (E.by_id id)) in
   List.iter
-    (fun row ->
-      if List.hd row = "cbl" then begin
-        Alcotest.(check string) "commit msgs" "0.00" (List.nth row 2);
-        Alcotest.(check string) "records shipped" "0.00" (List.nth row 5)
-      end)
-    r.Report.rows
+    (fun claim ->
+      match List.find_opt (fun (v : Spec.verdict) -> v.claim = claim) verdicts with
+      | Some v -> Alcotest.(check (pair bool bool)) claim (true, true) (v.judged, v.pass)
+      | None -> Alcotest.failf "%s has no claim %S" id claim)
+    claims
 
-let test_e4_psn_ships_nothing_merged_ships_plenty () =
-  let r = E.e4 ~quick:true () in
-  let shipped row = int_of_string (cell r ~row ~col:3) in
-  Alcotest.(check int) "paper ships nothing" 0 (shipped 0);
-  Alcotest.(check bool) "baseline ships records" true (shipped 1 > 0)
-
-let test_e5_rounds_grow_with_involvement () =
-  let r = E.e5 ~quick:true () in
-  let transfers row = int_of_string (cell r ~row ~col:2) in
-  Alcotest.(check bool) "more involved nodes, more rounds" true (transfers 1 > transfers 0)
-
-let test_e6_log_pressure_never_loses_commits () =
-  let r = E.e6 ~quick:true () in
-  let committed row = int_of_string (cell r ~row ~col:1) in
-  Alcotest.(check int) "bounded = unbounded" (committed 1) (committed 0)
-
-let test_e7_checkpoints_send_no_messages () =
-  let r = E.e7 ~quick:true () in
-  let messages row = int_of_string (cell r ~row ~col:2) in
-  Alcotest.(check int) "same messages with and without checkpoints" (messages 0) (messages 1)
-
-let test_e8_multi_crash_oracle () =
-  let r = E.e8 ~quick:true () in
+let test_all_quick_claims_hold () =
   List.iter
-    (fun row -> Alcotest.(check string) "oracle" "PASS" (List.nth row 6))
-    r.Report.rows
+    (fun spec ->
+      List.iter
+        (fun (v : Spec.verdict) ->
+          if v.judged then Alcotest.(check bool) (v.experiment ^ ": " ^ v.claim) true v.pass)
+        (snd (Spec.run ~quick:true spec)))
+    E.all
 
-let test_e10_cbl_ships_without_forcing () =
-  let r = E.e10 ~quick:true () in
-  let cbl = List.find (fun row -> List.hd row = "cbl") r.Report.rows in
-  let glog = List.find (fun row -> List.hd row = "global-log") r.Report.rows in
-  Alcotest.(check string) "cbl never writes at handover" "0.00" (List.nth cbl 2);
-  Alcotest.(check bool) "global log forces at handover" true
-    (float_of_string (List.nth glog 2) > 0.5)
-
-let test_e11_batching_raises_throughput () =
-  let r = E.e11 ~quick:true () in
-  (* quick mode runs two rows: unbatched, then batch=8/window=20ms *)
-  let committed row = int_of_string (cell r ~row ~col:2) in
-  Alcotest.(check int) "batching loses no commits" (committed 0) (committed 1);
-  Alcotest.(check bool) "batches actually form" true
-    (float_of_string (cell r ~row:1 ~col:6) >= 2.);
-  Alcotest.(check bool) "fewer forces per txn" true
-    (float_of_string (cell r ~row:1 ~col:7) < float_of_string (cell r ~row:0 ~col:7));
-  Alcotest.(check bool) "throughput rises" true
-    (float_of_string (cell r ~row:1 ~col:4) > float_of_string (cell r ~row:0 ~col:4))
+(* No real experiment fails a claim, so the failure path runs on a
+   synthetic spec: a false judged claim prints FAIL and is reported as
+   failed; a false full-sweep target in a quick run prints its smoke
+   text and is not judged. *)
+let test_false_claim_fails () =
+  let spec =
+    Spec.make ~id:"X1" ~title:"synthetic" ~claim:"rows are zero" ~quick:[ 1 ] ~full:[ 1 ]
+      ~run:(fun ~quick:_ n -> [ n; n ])
+      ~columns:[ ("n", string_of_int) ]
+      ~claims:
+        [
+          Spec.shown "every row is zero" (List.for_all (( = ) 0));
+          Spec.shown "rows sum to zero" (fun rows -> List.fold_left ( + ) 0 rows = 0)
+            ~smoke:(fun _ -> "sum smoke");
+        ]
+      ()
+  in
+  let report, verdicts = Spec.run ~quick:true spec in
+  Alcotest.(check (list string)) "notes" [ "FAIL: every row is zero"; "sum smoke" ] report.notes;
+  Alcotest.(check (list (list string))) "rows" [ [ "1" ]; [ "1" ] ] report.rows;
+  Alcotest.(check (list string))
+    "failed" [ "every row is zero" ]
+    (List.map (fun (v : Spec.verdict) -> v.claim) (Spec.failed verdicts))
 
 let suite =
-  [
-    ("F1: zero commit messages", `Slow, test_f1_zero_commit_messages);
-    ("E1: cbl commit path is free", `Slow, test_e1_cbl_commit_path_is_free);
-    ("E4: no log merging", `Slow, test_e4_psn_ships_nothing_merged_ships_plenty);
-    ("E5: rounds grow with involvement", `Slow, test_e5_rounds_grow_with_involvement);
-    ("E6: log pressure loses nothing", `Slow, test_e6_log_pressure_never_loses_commits);
-    ("E7: checkpoints are message-free", `Slow, test_e7_checkpoints_send_no_messages);
-    ("E8: multi-crash oracle", `Slow, test_e8_multi_crash_oracle);
-    ("E10: transfers without forces", `Slow, test_e10_cbl_ships_without_forcing);
-    ("E11: group commit raises throughput", `Slow, test_e11_batching_raises_throughput);
-  ]
+  List.map
+    (fun (name, id, claims) -> (name, `Slow, expect id claims))
+    [
+      ("F1: zero commit messages", "F1", [ "zero commit-path messages at every node" ]);
+      ("E1: cbl commit path is free", "E1", [ "cbl sends no commit messages and ships no records" ]);
+      ( "E4: no log merging",
+        "E4",
+        [ "the paper's protocol ships no records"; "the merge baseline ships records" ] );
+      ("E5: rounds grow with involvement", "E5", [ "page transfers rise with involved nodes" ]);
+      ("E6: log pressure loses nothing", "E6", [ "every log capacity commits the same count" ]);
+      ("E7: checkpoints are message-free", "E7", [ "checkpoints add no messages" ]);
+      ("E8: multi-crash oracle", "E8", [ "the oracle holds after every crash set" ]);
+      ( "E10: transfers without forces",
+        "E10",
+        [ "cbl writes no page at hand-over"; "the global log writes pages at hand-over" ] );
+      ( "E11: group commit raises throughput",
+        "E11",
+        [
+          "batching loses no commits";
+          "batches form at the largest cap";
+          "batching cuts forces/txn";
+          "batching raises txn/s";
+        ] );
+    ]
+  @ [
+      ("all: every judged quick claim holds", `Slow, test_all_quick_claims_hold);
+      ("runner: a false claim fails", `Quick, test_false_claim_fails);
+    ]
