@@ -1,11 +1,17 @@
 #!/bin/sh
 # Local CI: build, formatting check (when ocamlformat is installed),
-# tests, and an optional randomized stress sweep.
+# tests, the recovery sweeps, and an optional wider stress sweep.
+#
+# Every run sweeps max(200, STRESS_RUNS) randomized seeds through
+# `cblsim stress` and the traced `cblsim audit --stress`, each with
+# --faults all and with --faults recovery (about 10 s in all on a
+# 2-vCPU machine).
 #
 #   STRESS_RUNS=N ./ci.sh    additionally runs N randomized crash/verify
-#                            stress iterations, once clean and once with
-#                            every fault class injected (--faults all).
-#                            0 (the default) skips the sweep.
+#                            stress iterations clean, with group commit
+#                            and with early lock release, plus the
+#                            early-lock-release audit.  0 (the default)
+#                            skips these legs.
 #   SCALE_SMOKE=1 ./ci.sh    additionally runs the big-cluster scale
 #                            smoke (32 nodes x 256 clients ->
 #                            BENCH_SCALE.json) and gates its throughput
@@ -83,36 +89,36 @@ diff -u EXPERIMENT_RECORDED.txt EXPERIMENT_RUN.txt || {
   exit 1
 }
 
+# Recovery sweeps, on every run: crashes at the recovery crash points,
+# network faults during recovery exchanges, and every fault class at
+# once -- at least 200 seeds regardless of the requested sweep size, so
+# the restart/deferral paths always get real coverage.  The protocol
+# auditor replays the same schedules traced and checks each run's event
+# stream against the protocol invariants (WAL ordering, batch-loss
+# closure, PSN lineage, deferred fence, 2PL release discipline).
+SWEEP_RUNS="$STRESS_RUNS"
+[ "$SWEEP_RUNS" -lt 200 ] && SWEEP_RUNS=200
+echo "== stress: $SWEEP_RUNS fault-injected runs (--faults all) =="
+dune exec bin/cblsim.exe -- stress --runs "$SWEEP_RUNS" --faults all
+echo "== stress: $SWEEP_RUNS recovery-fault runs (--faults recovery) =="
+dune exec bin/cblsim.exe -- stress --runs "$SWEEP_RUNS" --faults recovery
+echo "== audit: $SWEEP_RUNS traced fault-injected runs (--faults all) =="
+dune exec bin/cblsim.exe -- audit --stress --runs "$SWEEP_RUNS" --faults all \
+  --out AUDIT_REPORT.json
+echo "== audit: $SWEEP_RUNS traced recovery-fault runs (--faults recovery) =="
+dune exec bin/cblsim.exe -- audit --stress --runs "$SWEEP_RUNS" --faults recovery \
+  --out AUDIT_REPORT_RECOVERY.json
+
 if [ "$STRESS_RUNS" -gt 0 ]; then
   echo "== stress: $STRESS_RUNS clean runs =="
   dune exec bin/cblsim.exe -- stress --runs "$STRESS_RUNS"
-  echo "== stress: $STRESS_RUNS fault-injected runs (--faults all) =="
-  dune exec bin/cblsim.exe -- stress --runs "$STRESS_RUNS" --faults all
   echo "== stress: $STRESS_RUNS fault-injected runs with group commit (--faults all --group-commit) =="
   dune exec bin/cblsim.exe -- stress --runs "$STRESS_RUNS" --faults all --group-commit
   echo "== stress: $STRESS_RUNS fault-injected runs with early lock release (--faults all --group-commit --elr) =="
   dune exec bin/cblsim.exe -- stress --runs "$STRESS_RUNS" --faults all --group-commit --elr
-  # recovery-fault leg: crashes at the recovery crash points, network
-  # faults during recovery exchanges — at least 200 seeds regardless of
-  # the requested sweep size, so the restart/deferral paths always get
-  # real coverage.
-  RECOVERY_RUNS="$STRESS_RUNS"
-  [ "$RECOVERY_RUNS" -lt 200 ] && RECOVERY_RUNS=200
-  echo "== stress: $RECOVERY_RUNS recovery-fault runs (--faults recovery) =="
-  dune exec bin/cblsim.exe -- stress --runs "$RECOVERY_RUNS" --faults recovery
-  # protocol auditor over the same schedules, traced: every stress seed
-  # is replayed with causal tracing on and its event stream checked
-  # against the PR 1-5 invariants (WAL ordering, batch-loss closure,
-  # PSN lineage, deferred fence, 2PL release discipline).
-  echo "== audit: $STRESS_RUNS traced fault-injected runs (--faults all) =="
-  dune exec bin/cblsim.exe -- audit --stress --runs "$STRESS_RUNS" --faults all \
-    --out AUDIT_REPORT.json
   echo "== audit: $STRESS_RUNS traced early-lock-release runs (--faults all --group-commit --elr) =="
   dune exec bin/cblsim.exe -- audit --stress --runs "$STRESS_RUNS" --faults all \
     --group-commit --elr --out AUDIT_REPORT_ELR.json
-  echo "== audit: $RECOVERY_RUNS traced recovery-fault runs (--faults recovery) =="
-  dune exec bin/cblsim.exe -- audit --stress --runs "$RECOVERY_RUNS" --faults recovery \
-    --out AUDIT_REPORT_RECOVERY.json
 fi
 
 echo "== bench smoke: quick JSON reports + throughput regression gate =="

@@ -225,6 +225,10 @@ let crash t ~node:node_id =
   List.iter (fun (txn : Txn.t) -> Deadlock.remove_txn t.deadlock txn.Txn.id) in_flight
 
 let recover_timed ?strategy ?(defer = []) t ~nodes:ids =
+  (match List.find_opt (fun id -> List.length (List.filter (( = ) id) ids) > 1) ids with
+  | Some id ->
+    invalid_arg (Printf.sprintf "Cluster.recover: node %d listed more than once to recover" id)
+  | None -> ());
   let crashed = List.map (node t) ids in
   let crashed_ids = List.map Node.id crashed in
   (match List.filter (fun id -> List.mem id crashed_ids) defer with

@@ -119,8 +119,9 @@ val recover : ?strategy:Recovery.strategy -> ?defer:int list -> t -> nodes:int l
     skipped, and any redo that needs its log records parks on it —
     deferred recovery — instead of erroring).  A down node in neither
     list is a caller mistake and raises [Invalid_argument] naming the
-    offending node(s); so does listing a node in both, or deferring a
-    node that is up. *)
+    offending node(s); so does listing a node in both, listing it twice
+    in [nodes] (it would be analysed, and its losers rolled back,
+    twice), or deferring a node that is up. *)
 
 val recover_timed :
   ?strategy:Recovery.strategy -> ?defer:int list -> t -> nodes:int list -> Recovery.summary

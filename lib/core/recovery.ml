@@ -25,6 +25,15 @@ let bump_transfers n =
 let bump_redone n =
   n.metrics.Metrics.recovery_pages_redone <- n.metrics.recovery_pages_redone + 1
 
+(* Prepend [v] to [pid]'s list in [tbl]. *)
+let push tbl pid v =
+  Page_id.Tbl.replace tbl pid (v :: Option.value (Page_id.Tbl.find_opt tbl pid) ~default:[])
+
+(* [n] holds [pid] in X mode: in the owner's table and in its own cache. *)
+let grant_x n ~owner pid =
+  Global_locks.grant owner.glocks ~node:n.id ~pid ~mode:Mode.X;
+  Local_locks.set_cached_mode n.locks pid Mode.X
+
 (* ------------------------------------------------------------------ *)
 (* Restartability and peer-fault machinery                             *)
 (* ------------------------------------------------------------------ *)
@@ -42,12 +51,6 @@ let recovery_faults_on (plan : Fault_plan.t) =
   || c.Fault_plan.recovery_pre_undo > 0.
   || c.Fault_plan.recovery_undo > 0.
   || c.Fault_plan.recovery_checkpoint > 0.
-
-(* Probe the Recovery_redo crash point once every [redo_crash_interval]
-   applied redo records, not on every record: the interesting schedules
-   are "partway through a page's redo", and probing each record would
-   burn the crash budget before the later phases see any faults. *)
-let redo_crash_interval = 4
 
 (* Bounded retry with exponential backoff around a recovery exchange
    with [dst].  A dropped message is already retransmitted inside
@@ -100,44 +103,94 @@ let pick_blocker ~deferred ~owner ~pid =
   | Some (holder, _) -> Some holder
   | None -> ( match deferred with d :: _ -> Some d.id | [] -> None)
 
+let emit_deferred owner ~pid action attrs =
+  Env.emit owner.env ~node:owner.id Repro_obs.Event.Recovery_deferred
+    (("action", Repro_obs.Event.Str action)
+    :: ("page", Repro_obs.Event.Str (Format.asprintf "%a" Page_id.pp pid))
+    :: attrs)
+
 let park_deferred ~owner ~pid ~blocker =
   Page_id.Tbl.replace owner.deferred_pages pid blocker;
   owner.metrics.Metrics.recovery_deferred_pages <- owner.metrics.recovery_deferred_pages + 1;
-  Env.emit owner.env ~node:owner.id Repro_obs.Event.Recovery_deferred
-    [
-      ("action", Repro_obs.Event.Str "parked");
-      ("page", Repro_obs.Event.Str (Format.asprintf "%a" Page_id.pp pid));
-      ("blocker", Repro_obs.Event.Int blocker);
-    ]
+  emit_deferred owner ~pid "parked" [ ("blocker", Repro_obs.Event.Int blocker) ]
 
 let unpark_deferred ~owner ~pid =
   Page_id.Tbl.remove owner.deferred_pages pid;
   owner.metrics.Metrics.recovery_deferred_completed <-
     owner.metrics.recovery_deferred_completed + 1;
-  Env.emit owner.env ~node:owner.id Repro_obs.Event.Recovery_deferred
-    [
-      ("action", Repro_obs.Event.Str "completed");
-      ("page", Repro_obs.Event.Str (Format.asprintf "%a" Page_id.pp pid));
-    ]
+  emit_deferred owner ~pid "completed" []
 
 (* ------------------------------------------------------------------ *)
-(* Phase 1: analysis                                                   *)
+(* The recovery context                                                *)
 (* ------------------------------------------------------------------ *)
 
-let analysis_phase crashed =
-  List.map
-    (fun n ->
-      (* A torn crash can leave garbage bytes beyond the last whole
-         record; seal trims the log back to a true record boundary so
-         the scans below — and every later append — see a clean tail. *)
-      let (_discarded : int) = Log_manager.seal n.log in
-      let result = Analysis.run n.log ~master:n.master in
-      Dpt.load_snapshot n.dpt result.Analysis.dpt;
-      (n, result.Analysis.losers))
-    crashed
+type strategy = Psn_coordinated | Merged_logs
+
+(* Every node's view of a page under recovery: its DPT entry. *)
+type claim = { claimant : Node_state.t; entry : Dpt.entry }
+
+(* One page to recover: its coordinator, base version and claimants. *)
+type job = { pid : Page_id.t; coordinator : Node_state.t; base : Page.t; involved : claim list }
+
+let job_owner job = peer job.coordinator (Page_id.owner job.pid)
+
+(* One recovery attempt, built once by [run]: the batch, and what the
+   steps below fill in, in step order. *)
+type ctx = {
+  env : Env.t;
+  crashed : Node_state.t list;
+  operational : Node_state.t list;
+  deferred : Node_state.t list;
+  crashed_ids : int list;
+  live : bool;  (** recovery-class faults armed: see [recovery_faults_on] *)
+  mutable losers_by_node : (Node_state.t * Record.active_txn list) list;  (** analysis *)
+  mutable jobs : job list;  (** gather: one per page, in insertion order once it returns *)
+  mutable job_pages : Page_id.Set.t;  (** gather: the pages of [jobs] *)
+  mutable completions : (Node_state.t * Page_id.t) list;  (** gather: parked pages to complete *)
+  mutable replay : job -> Page.t -> unit;  (** psn_lists / merge_pull: apply a job's records *)
+  mutable redo_applied : int;  (** redo: applied records, for [probe] *)
+}
+
+(* Probe the Recovery_redo crash point once every [redo_crash_interval]
+   applied redo records, not on every record: the interesting schedules
+   are "partway through a page's redo", and probing each record would
+   burn the crash budget before the later phases see any faults.  The
+   count runs across all jobs, so long recoveries accumulate chances
+   even when each page replays only a few records. *)
+let redo_crash_interval = 4
+
+let probe ctx m =
+  ctx.redo_applied <- ctx.redo_applied + 1;
+  if ctx.redo_applied mod redo_crash_interval = 0 then
+    Node.maybe_crashpoint m Injector.Recovery_redo
+
+(* Apply one of [m]'s records to [page], PSN-guarded: a record ahead of
+   the page is a gap in the participant set. *)
+let apply_record ctx m page ~psn_before ~op =
+  match Redo.apply page ~psn_before ~op with
+  | Redo.Applied | Redo.Already_applied -> probe ctx m
+  | Redo.Not_yet -> raise (Redo_gap { node = m.id; psn = psn_before; page_psn = Page.psn page })
 
 (* ------------------------------------------------------------------ *)
-(* Phase 2: lock reconstruction (§2.3.3)                               *)
+(* Step: analysis (§2.3.1/§2.4)                                        *)
+(* ------------------------------------------------------------------ *)
+
+let analysis ctx =
+  ctx.losers_by_node <-
+    List.map
+      (fun n ->
+        (* A torn crash can leave garbage bytes beyond the last whole
+           record; seal trims the log back to a true record boundary so
+           the scans below — and every later append — see a clean tail. *)
+        let (_discarded : int) = Log_manager.seal n.log in
+        let result = Analysis.run n.log ~master:n.master in
+        Dpt.load_snapshot n.dpt result.Analysis.dpt;
+        (n, result.Analysis.losers))
+      ctx.crashed;
+  List.iter (fun (n, _) -> Node.maybe_crashpoint n Injector.Recovery_analysis) ctx.losers_by_node
+
+(* ------------------------------------------------------------------ *)
+(* Step: lock reconstruction (§2.3.3)                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* The pages the undo phase will actually write: each loser's
@@ -165,23 +218,7 @@ let loser_pages n (losers : Record.active_txn list) =
       go acc l.last_lsn)
     Page_id.Set.empty losers
 
-(* Re-establish the X locks the crashed node's losers held: when the
-   owner survived they are already retained there (§2.3.3), but when the
-   owner crashed too, both lock tables are gone and the locks must be
-   re-granted before undo — otherwise another node could be handed a
-   stale copy while the undo works on its own. *)
-let regrant_loser_locks losers_by_node =
-  List.iter
-    (fun (n, losers) ->
-      Page_id.Set.iter
-        (fun pid ->
-          let owner = peer n (Page_id.owner pid) in
-          Global_locks.grant owner.glocks ~node:n.id ~pid ~mode:Mode.X;
-          Local_locks.set_cached_mode n.locks pid Mode.X)
-        (loser_pages n losers))
-    losers_by_node
-
-let reconstruct_locks crashed operational =
+let lock_reconstruction ctx =
   List.iter
     (fun n ->
       List.iter
@@ -200,73 +237,72 @@ let reconstruct_locks crashed operational =
           let held = Local_locks.cached_pages_owned_by m.locks n.id in
           send m ~dst:n.id ~recovery:true ~bytes:(Wire.listing ~entries:(List.length held)) ();
           List.iter (fun (pid, mode) -> Global_locks.grant n.glocks ~node:m.id ~pid ~mode) held)
-        operational)
-    crashed
-
-(* ------------------------------------------------------------------ *)
-(* Phase 3: determining the pages that may require recovery            *)
-(* ------------------------------------------------------------------ *)
-
-(* Every node's view of a page under recovery: its DPT entry. *)
-type claim = { claimant : Node_state.t; entry : Dpt.entry }
-
-(* For one crashed owner [n]: gather peer cache listings and DPT
-   entries for pages owned by [n] (§2.3.1), and [n]'s own entries for
-   its own pages.  Returns (claims per page, operational cachers per
-   page). *)
-let gather_for_owner n ~others ~operational =
-  let claims : claim list Page_id.Tbl.t = Page_id.Tbl.create 16 in
-  let cachers : Node_state.t list Page_id.Tbl.t = Page_id.Tbl.create 16 in
-  let add_claim c =
-    let pid = c.entry.Dpt.pid in
-    let cur = Option.value (Page_id.Tbl.find_opt claims pid) ~default:[] in
-    Page_id.Tbl.replace claims pid (c :: cur)
-  in
-  List.iter (fun e -> add_claim { claimant = n; entry = e }) (Dpt.entries_owned_by n.dpt n.id);
+        ctx.operational)
+    ctx.crashed;
+  (* Re-establish the X locks the crashed node's losers held: when the
+     owner survived they are already retained there (§2.3.3), but when
+     the owner crashed too, both lock tables are gone and the locks must
+     be re-granted before undo — otherwise another node could be handed
+     a stale copy while the undo works on its own. *)
   List.iter
-    (fun m ->
-      recovery_exchange m ~dst:n.id @@ fun () ->
-      let entries = Dpt.entries_owned_by m.dpt n.id in
-      send m ~dst:n.id ~recovery:true ~bytes:(Wire.listing ~entries:(List.length entries)) ();
-      List.iter
-        (fun e ->
-          add_claim { claimant = m; entry = e };
-          (* Reconstruct the owner's flush-waiter list: each claimant
-             expects an acknowledgement when the page is next forced. *)
-          Node.register_flush_waiter n e.Dpt.pid ~waiter:m.id)
-        entries)
-    others;
-  List.iter
-    (fun m ->
-      recovery_exchange m ~dst:n.id @@ fun () ->
-      let cached =
-        List.filter (fun pid -> Page_id.owner pid = n.id) (Buffer_pool.cached_ids m.pool)
-      in
-      send m ~dst:n.id ~recovery:true ~bytes:(Wire.listing ~entries:(List.length cached)) ();
-      List.iter
-        (fun pid ->
-          let cur = Option.value (Page_id.Tbl.find_opt cachers pid) ~default:[] in
-          Page_id.Tbl.replace cachers pid (m :: cur))
-        cached)
-    operational;
-  (claims, cachers)
+    (fun (n, losers) ->
+      Page_id.Set.iter
+        (fun pid -> grant_x n ~owner:(peer n (Page_id.owner pid)) pid)
+        (loser_pages n losers))
+    ctx.losers_by_node
 
 (* ------------------------------------------------------------------ *)
-(* Phase 4+5: involved nodes (§2.3.2) and coordinated redo (§2.3.4)    *)
+(* Step: gather — pages to recover (§2.3.1), involved nodes (§2.3.2)   *)
 (* ------------------------------------------------------------------ *)
 
-type strategy = Psn_coordinated | Merged_logs
+(* Queue [job] and mark its page recovering at the owner.  The first job
+   for a page wins: a page can be claimed through several categories
+   when several nodes crashed. *)
+let add_job ctx job =
+  if not (Page_id.Set.mem job.pid ctx.job_pages) then begin
+    let owner = job_owner job in
+    owner.recovering_pages <- Page_id.Set.add job.pid owner.recovering_pages;
+    ctx.job_pages <- Page_id.Set.add job.pid ctx.job_pages;
+    ctx.jobs <- job :: ctx.jobs
+  end
 
-(* One page to recover: its coordinator, base version and claimants. *)
-type job = { pid : Page_id.t; coordinator : Node_state.t; base : Page.t; involved : claim list }
+(* The claims of [nodes] on [pid] whose CurrPSN is ahead of [base]: the
+   nodes involved in rebuilding the page (§2.3.2). *)
+let claims_above ~base nodes pid =
+  List.filter_map
+    (fun m ->
+      match Dpt.find m.dpt pid with
+      | Some entry when entry.Dpt.curr_psn > Page.psn base -> Some { claimant = m; entry }
+      | Some _ | None -> None)
+    nodes
+
+(* A live cache at [m] holds the page: fetch it, no redo needed (§2.3.1:
+   pages in the cache of some node contain all the updates performed
+   before the owner's crash).  The ship follows the WAL rule like any
+   other: the cacher's log is forced up to the copy's last update first,
+   and the cacher records the replacement so the eventual flush ack
+   settles its DPT entry. *)
+let fetch_cached_copy ctx n ~cacher:m pid =
+  recovery_exchange n ~dst:m.id (fun () ->
+      send n ~dst:m.id ~recovery:true ~bytes:Wire.control ();
+      let frame = match Buffer_pool.peek m.pool pid with Some f -> f | None -> assert false in
+      if frame.Buffer_pool.dirty && not (Lsn.is_nil frame.Buffer_pool.last_lsn) then begin
+        Log_manager.force m.log ~upto:frame.Buffer_pool.last_lsn;
+        (* the survivor's force may have made its own pending
+           group-commit batch durable *)
+        Repro_wal.Group_commit.on_force m.gc
+      end;
+      send m ~dst:n.id ~recovery:true ~bytes:(Wire.page (Env.config ctx.env)) ();
+      bump_transfers n;
+      (* The cacher keeps its (possibly dirty) copy and therefore also its
+         DPT entry — §2.2 forbids dropping an entry for an updated page
+         still present in the local cache. *)
+      Node.install_recovered_page n (Page.copy frame.Buffer_pool.page) ~waiters:[])
 
 (* §2.3.2: nodes whose CurrPSN does not exceed the base version's PSN
    are not involved; they drop their entry, unless they hold a lock on
    the page, in which case the entry survives with a refreshed
    RedoLSN (§2.3.4 last paragraph). *)
-let split_involved claims ~base_psn =
-  List.partition (fun c -> c.entry.Dpt.curr_psn > base_psn) claims
-
 let dismiss_uninvolved ~owner uninvolved =
   List.iter
     (fun c ->
@@ -278,44 +314,190 @@ let dismiss_uninvolved ~owner uninvolved =
       else Dpt.drop m.dpt pid)
     uninvolved
 
+(* Category (a): pages owned by a crashed node [n].  [n] gathers peer
+   cache listings and DPT entries for its pages, and its own entries for
+   them.  A page alive in an operational cache is fetched; any other
+   claimed page is rebuilt from [n]'s latest copy by the claimants ahead
+   of it. *)
+let gather_owned ctx =
+  List.iter
+    (fun n ->
+      let claims : claim list Page_id.Tbl.t = Page_id.Tbl.create 16 in
+      let cachers : Node_state.t list Page_id.Tbl.t = Page_id.Tbl.create 16 in
+      let add_claim c = push claims c.entry.Dpt.pid c in
+      List.iter (fun e -> add_claim { claimant = n; entry = e }) (Dpt.entries_owned_by n.dpt n.id);
+      List.iter
+        (fun m ->
+          recovery_exchange m ~dst:n.id @@ fun () ->
+          let entries = Dpt.entries_owned_by m.dpt n.id in
+          send m ~dst:n.id ~recovery:true ~bytes:(Wire.listing ~entries:(List.length entries)) ();
+          List.iter
+            (fun e ->
+              add_claim { claimant = m; entry = e };
+              (* Reconstruct the owner's flush-waiter list: each claimant
+                 expects an acknowledgement when the page is next forced. *)
+              Node.register_flush_waiter n e.Dpt.pid ~waiter:m.id)
+            entries)
+        (List.filter (fun m -> m.id <> n.id) (ctx.crashed @ ctx.operational));
+      List.iter
+        (fun m ->
+          recovery_exchange m ~dst:n.id @@ fun () ->
+          let cached =
+            List.filter (fun pid -> Page_id.owner pid = n.id) (Buffer_pool.cached_ids m.pool)
+          in
+          send m ~dst:n.id ~recovery:true ~bytes:(Wire.listing ~entries:(List.length cached)) ();
+          List.iter (fun pid -> push cachers pid m) cached)
+        ctx.operational;
+      Page_id.Tbl.iter
+        (fun pid claims_for_page ->
+          match Page_id.Tbl.find_opt cachers pid with
+          | Some (m :: _) -> fetch_cached_copy ctx n ~cacher:m pid
+          | Some [] | None ->
+            let base = Node.owner_latest_copy n pid in
+            let involved, uninvolved =
+              List.partition (fun c -> c.entry.Dpt.curr_psn > Page.psn base) claims_for_page
+            in
+            dismiss_uninvolved ~owner:n uninvolved;
+            if involved <> [] then add_job ctx { pid; coordinator = n; base; involved })
+        claims)
+    ctx.crashed
+
+(* Category (c): pages an earlier recovery parked on a peer that is in
+   THIS batch — the blocker's log is finally readable, so the full redo
+   can run.  Unlike category (b), the claims span every participating
+   node: operational claimants kept their DPT entries precisely because
+   the parked page never advanced past their updates.  Gathered before
+   category (b) so the first-job-wins rule keeps the completion job (the
+   (b) job would only replay the crashed nodes' share). *)
+let gather_parked ctx =
+  List.iter
+    (fun owner ->
+      let parked =
+        Page_id.Tbl.fold (fun pid blocker acc -> (pid, blocker) :: acc) owner.deferred_pages []
+      in
+      List.iter
+        (fun (pid, blocker) ->
+          if List.mem blocker ctx.crashed_ids then begin
+            let base = Node.owner_latest_copy owner pid in
+            let claims = claims_above ~base (ctx.crashed @ ctx.operational) pid in
+            (* An operational claimant's records become part of a page
+               copy that will outlive it at another node: WAL discipline
+               demands they are durable first, like any pre-ship force. *)
+            List.iter
+              (fun { claimant = m; _ } ->
+                if m.up then begin
+                  Log_manager.force_all m.log;
+                  Repro_wal.Group_commit.on_force m.gc
+                end)
+              claims;
+            match claims with
+            | [] ->
+              (* every claim died with the blocker's torn tail: the base
+                 already is the latest surviving state *)
+              unpark_deferred ~owner ~pid
+            | _ :: _ ->
+              (* The owner coordinates and hosts the rebuilt copy: it
+                 kept the X grant from the attempt that parked the page,
+                 and every record feeding the copy is durable (a crashed
+                 node's log is all-durable after its tear; operational
+                 claimants were just forced), so the confinement rule
+                 for unforced effects is not in play. *)
+              ctx.completions <- (owner, pid) :: ctx.completions;
+              add_job ctx { pid; coordinator = owner; base; involved = claims }
+          end)
+        parked)
+    ctx.operational
+
+(* Category (b): pages of an *operational* owner that a crashed node had
+   exclusively locked at crash time (§2.3.1 case b). *)
+let gather_locked ctx =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (e : Dpt.entry) ->
+          let pid = e.Dpt.pid in
+          let owner_id = Page_id.owner pid in
+          if List.exists (fun (d : Node_state.t) -> d.id = owner_id) ctx.deferred then
+            (* the owner itself is down and not in this batch: its pages
+               cannot be rebuilt without its base copy.  The claim (and
+               the retained lock) survive untouched; the owner's own
+               recovery will collect them as ordinary category-(a)
+               work.  Access meanwhile blocks on [Node_down]. *)
+            ()
+          else if owner_id <> n.id && not (List.mem owner_id ctx.crashed_ids) then begin
+            (* The base is the owner's most recent surviving copy; the
+               crashed node repeats history from its own log on top of
+               it whenever its CurrPSN is ahead (this includes the
+               uncommitted updates of its losers, rolled back in the
+               undo phase — ARIES repeating-history discipline). *)
+            let owner = peer n owner_id in
+            recovery_exchange n ~dst:owner_id (fun () ->
+                send n ~dst:owner_id ~recovery:true ~bytes:Wire.control ();
+                let base = Node.owner_latest_copy owner pid in
+                send owner ~dst:n.id ~recovery:true ~bytes:(Wire.page (Env.config ctx.env)) ();
+                bump_transfers n;
+                if e.Dpt.curr_psn > Page.psn base then
+                  (* Other crashed nodes may also have claims on this page. *)
+                  add_job ctx
+                    { pid; coordinator = n; base; involved = claims_above ~base ctx.crashed pid })
+          end)
+        (Dpt.entries n.dpt))
+    ctx.crashed
+
+let gather ctx =
+  gather_owned ctx;
+  gather_parked ctx;
+  gather_locked ctx;
+  ctx.jobs <- List.rev ctx.jobs
+
+(* Glue after gather — §2.3.3: the crashed node acquires exclusive locks
+   for the pages in its DPT that have no lock entry, before processing
+   resumes.  Untimed: its lock events fall outside the gather span. *)
+let lock_jobs ctx =
+  List.iter
+    (fun { pid; coordinator = n; _ } ->
+      let owner = peer n (Page_id.owner pid) in
+      if Global_locks.holders owner.glocks ~pid = [] then grant_x n ~owner pid)
+    ctx.jobs
+
+(* ------------------------------------------------------------------ *)
+(* Steps: psn_lists + redo — coordinated redo (§2.3.4)                 *)
+(* ------------------------------------------------------------------ *)
+
 (* Build each involved node's NodePSNLists with a single scan of its
    own log (§2.3.4), batched over all pages that node participates in. *)
 let build_psn_lists jobs =
+  (* per involved node: its pages and the lowest RedoLSN among them *)
   let per_node : (int, Node_state.t * Page_id.Set.t * Lsn.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun job ->
       List.iter
-        (fun c ->
-          let m = c.claimant in
-          let pages, start =
-            match Hashtbl.find_opt per_node m.id with
-            | Some (_, pages, start) -> (pages, start)
-            | None -> (Page_id.Set.empty, Lsn.nil)
-          in
-          let start =
-            if Lsn.is_nil start then c.entry.Dpt.redo_lsn else Lsn.min start c.entry.Dpt.redo_lsn
-          in
-          Hashtbl.replace per_node m.id (m, Page_id.Set.add job.pid pages, start))
+        (fun { claimant = m; entry } ->
+          let redo_lsn = entry.Dpt.redo_lsn in
+          Hashtbl.replace per_node m.id
+            (match Hashtbl.find_opt per_node m.id with
+            | None -> (m, Page_id.Set.singleton job.pid, redo_lsn)
+            | Some (_, pages, start) ->
+              ( m,
+                Page_id.Set.add job.pid pages,
+                if Lsn.is_nil start then redo_lsn else Lsn.min start redo_lsn )))
         job.involved)
     jobs;
-  let lists : (int, Node_psn_list.listing Page_id.Map.t) Hashtbl.t = Hashtbl.create 8 in
+  let lists = Hashtbl.create 8 in
   Hashtbl.iter
     (fun node_id (m, pages, start) ->
-      let map = Node_psn_list.build m.log ~node:node_id ~pages ~start in
-      Hashtbl.replace lists node_id map)
+      Hashtbl.replace lists node_id (Node_psn_list.build m.log ~node:node_id ~pages ~start))
     per_node;
-  let empty = { Node_psn_list.runs = []; records = [] } in
   fun node_id pid ->
-    match Hashtbl.find_opt lists node_id with
-    | None -> empty
-    | Some map -> (
-      match Page_id.Map.find_opt pid map with None -> empty | Some listing -> listing)
+    match Option.bind (Hashtbl.find_opt lists node_id) (Page_id.Map.find_opt pid) with
+    | Some listing -> listing
+    | None -> { Node_psn_list.runs = []; records = [] }
 
 (* One redo round at node [m]: apply [m]'s records for [job.pid] with
    PSNs in [run.psn, bound), reading exactly the locations remembered by
    the NodePSNList scan (§2.3.4: "the location of this log record is
    remembered and it will be used during the recovery"). *)
-let redo_round m job page (run : Node_psn_list.run) ~bound ~records ~probe =
+let redo_round ctx m job page (run : Node_psn_list.run) ~bound ~records =
   List.iter
     (fun (lsn, psn_before) ->
       let in_round =
@@ -329,97 +511,46 @@ let redo_round m job page (run : Node_psn_list.run) ~bound ~records ~probe =
         match record.Record.body with
         | Update { pid; psn_before = p; op } | Clr { pid; psn_before = p; op; _ } ->
           assert (Page_id.equal pid job.pid && p = psn_before);
-          (match Redo.apply page ~psn_before ~op with
-          | Redo.Applied | Redo.Already_applied -> probe m
-          | Redo.Not_yet ->
-            raise (Redo_gap { node = m.id; psn = psn_before; page_psn = Page.psn page }))
+          apply_record ctx m page ~psn_before ~op
         | Commit | Abort | Savepoint _ | Checkpoint_begin _ | Checkpoint_end ->
           invalid_arg "recovery: remembered location does not hold an update record"
       end)
     records
 
-(* Settle the claims of a successfully recovered page: hand the copy to
-   the coordinator's cache; every other involved node's updates now live
-   in that copy, so they are treated as having replaced the page (their
-   flush ack will retire the entry). *)
-let settle_claims job page =
-  let owner_id = Page_id.owner job.pid in
+(* The involved nodes' lists travel to the coordinator, which then ships
+   the page from node to node in PSN order, each applying its own
+   records.  No log is ever merged. *)
+let replay_coordinated ctx psn_lists job page =
   let coordinator = job.coordinator in
-  let waiters =
-    List.filter_map
-      (fun c -> if c.claimant.id = coordinator.id then None else Some c.claimant.id)
-      job.involved
-  in
-  Node.install_recovered_page coordinator page
-    ~waiters:(if coordinator.id = owner_id then waiters else []);
-  List.iter
-    (fun c ->
-      let m = c.claimant in
-      if m.id <> coordinator.id then begin
-        Dpt.on_replaced m.dpt job.pid ~end_of_log:(Log_manager.end_lsn m.log);
-        if coordinator.id <> owner_id then
-          (* owner survives; register the waiter there *)
-          Node.register_flush_waiter (peer coordinator owner_id) job.pid ~waiter:m.id
-      end)
-    job.involved;
-  if coordinator.id <> owner_id then
-    Node.register_flush_waiter (peer coordinator owner_id) job.pid ~waiter:coordinator.id
-
-(* A redo gap at [gap] while recovering [job]: park the page on a down
-   peer when one exists to attribute the missing PSNs to, otherwise the
-   participant set was wrong and recovery must not limp on. *)
-let gap_or_defer job ~deferred ~gap_node ~psn ~page_psn =
-  let owner = peer job.coordinator (Page_id.owner job.pid) in
-  match pick_blocker ~deferred ~owner ~pid:job.pid with
-  | Some blocker -> park_deferred ~owner ~pid:job.pid ~blocker
-  | None ->
-    invalid_arg
-      (Format.asprintf "recovery: node %d met record psn=%d ahead of page %a psn=%d" gap_node
-         psn Page_id.pp job.pid page_psn)
-
-let recover_page job ~psn_lists ~probe ~deferred =
-  let coordinator = job.coordinator in
-  let page = Page.copy job.base in
-  let runs =
-    Node_psn_list.merge
-      (List.map (fun c -> (psn_lists c.claimant.id job.pid).Node_psn_list.runs) job.involved)
-  in
-  (* The lists travel to the coordinator. *)
+  let runs_of c = (psn_lists c.claimant.id job.pid).Node_psn_list.runs in
+  let runs = Node_psn_list.merge (List.map runs_of job.involved) in
   List.iter
     (fun c ->
       recovery_exchange c.claimant ~dst:coordinator.id (fun () ->
           send c.claimant ~dst:coordinator.id ~recovery:true
-            ~bytes:
-              (Wire.listing
-                 ~entries:
-                   (List.length (psn_lists c.claimant.id job.pid).Node_psn_list.runs))
+            ~bytes:(Wire.listing ~entries:(List.length (runs_of c)))
             ()))
     job.involved;
+  let page_bytes = Wire.page (Env.config ctx.env) in
   let rec rounds = function
     | [] -> ()
     | (run : Node_psn_list.run) :: rest ->
       let bound = match rest with [] -> None | next :: _ -> Some next.Node_psn_list.psn in
       let m = peer coordinator run.node in
-      let page_bytes = Wire.page (Env.config coordinator.env) in
       recovery_exchange coordinator ~dst:m.id (fun () ->
           send coordinator ~dst:m.id ~recovery:true ~bytes:page_bytes ();
           if m.id <> coordinator.id then bump_transfers coordinator;
-          redo_round m job page run ~bound
-            ~records:(psn_lists m.id job.pid).Node_psn_list.records ~probe;
+          let records = (psn_lists m.id job.pid).Node_psn_list.records in
+          redo_round ctx m job page run ~bound ~records;
           send m ~dst:coordinator.id ~recovery:true ~bytes:page_bytes ());
       rounds rest
   in
-  match rounds runs with
-  | () ->
-    bump_redone coordinator;
-    settle_claims job page
-  | exception Redo_gap { node = gap_node; psn; page_psn } ->
-    (* the partially rebuilt copy is discarded; no claim settles, so a
-       later completion run re-derives the full participant set *)
-    gap_or_defer job ~deferred ~gap_node ~psn ~page_psn
+  rounds runs
+
+let psn_lists ctx = ctx.replay <- replay_coordinated ctx (build_psn_lists ctx.jobs)
 
 (* ------------------------------------------------------------------ *)
-(* Merged-log redo (baseline, §3.2)                                    *)
+(* Steps: merge_pull + redo — merged-log redo (baseline, §3.2)         *)
 (* ------------------------------------------------------------------ *)
 
 (* Every participating node scans its whole retained log and ships
@@ -427,7 +558,8 @@ let recover_page job ~psn_lists ~probe ~deferred =
    by PSN.  The scans cannot start at the checkpoints: redo points
    routinely precede them.  This is exactly what the paper's design
    avoids — reading and moving entire logs instead of NodePSNLists and
-   page-sized rounds. *)
+   page-sized rounds.  Unlike the coordinated exchanges this pull is
+   not wrapped in [recovery_exchange]: it never probes the link. *)
 let pull_merged_records coordinator sources =
   let per_page : (int * Record.update_op) list Page_id.Tbl.t = Page_id.Tbl.create 32 in
   List.iter
@@ -442,36 +574,104 @@ let pull_merged_records coordinator sources =
               send m ~dst:coordinator.id ~recovery:true ~bytes:(Wire.log_record encoded) ();
               m.metrics.Metrics.log_records_shipped <- m.metrics.log_records_shipped + 1
             end;
-            let cur = Option.value (Page_id.Tbl.find_opt per_page pid) ~default:[] in
-            Page_id.Tbl.replace per_page pid ((psn_before, op) :: cur)
+            push per_page pid (psn_before, op)
           | Commit | Abort | Savepoint _ | Checkpoint_begin _ | Checkpoint_end -> ()))
     sources;
   per_page
 
-let recover_page_merged job ~records ~probe ~deferred =
-  let page = Page.copy job.base in
-  let applicable =
-    List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      (Option.value (Page_id.Tbl.find_opt records job.pid) ~default:[])
+(* The coordinator replays its merged records for the page in PSN order. *)
+let replay_merged ctx pulls job page =
+  let records = List.assoc job.coordinator.id pulls in
+  List.iter
+    (fun (psn_before, op) -> apply_record ctx job.coordinator page ~psn_before ~op)
+    (List.sort
+       (fun (a, _) (b, _) -> Int.compare a b)
+       (Option.value (Page_id.Tbl.find_opt records job.pid) ~default:[]))
+
+(* One merged pull per coordinator, then local per-page replay. *)
+let merge_pull ctx =
+  let coordinators =
+    List.sort_uniq
+      (fun a b -> Int.compare a.id b.id)
+      (List.map (fun job -> job.coordinator) ctx.jobs)
   in
-  match
-    List.iter
-      (fun (psn_before, op) ->
-        match Redo.apply page ~psn_before ~op with
-        | Redo.Applied | Redo.Already_applied -> probe job.coordinator
-        | Redo.Not_yet ->
-          raise
-            (Redo_gap { node = job.coordinator.id; psn = psn_before; page_psn = Page.psn page }))
-      applicable
-  with
-  | () ->
-    bump_redone job.coordinator;
-    settle_claims job page
-  | exception Redo_gap { node = gap_node; psn; page_psn } ->
-    gap_or_defer job ~deferred ~gap_node ~psn ~page_psn
+  let pull c = (c.id, pull_merged_records c (ctx.crashed @ ctx.operational)) in
+  ctx.replay <- replay_merged ctx (List.map pull coordinators)
 
 (* ------------------------------------------------------------------ *)
-(* Phase 6: undo of loser transactions                                 *)
+(* Step: redo — the per-page tail shared by both strategies            *)
+(* ------------------------------------------------------------------ *)
+
+(* Settle the claims of a successfully recovered page: hand the copy to
+   the coordinator's cache; every other involved node's updates now live
+   in that copy, so they are treated as having replaced the page (their
+   flush ack will retire the entry). *)
+let settle_claims job page =
+  let coordinator = job.coordinator and owner = job_owner job in
+  let at_owner = coordinator.id = owner.id in
+  let others =
+    List.filter_map
+      (fun c -> if c.claimant.id = coordinator.id then None else Some c.claimant)
+      job.involved
+  in
+  Node.install_recovered_page coordinator page
+    ~waiters:(if at_owner then List.map (fun m -> m.id) others else []);
+  List.iter
+    (fun m ->
+      Dpt.on_replaced m.dpt job.pid ~end_of_log:(Log_manager.end_lsn m.log);
+      (* the owner survives; register the waiter there *)
+      if not at_owner then Node.register_flush_waiter owner job.pid ~waiter:m.id)
+    others;
+  if not at_owner then Node.register_flush_waiter owner job.pid ~waiter:coordinator.id
+
+(* A redo gap at [gap_node] while recovering [job]: park the page on a
+   down peer when one exists to attribute the missing PSNs to, otherwise
+   the participant set was wrong and recovery must not limp on. *)
+let gap_or_defer job ~deferred ~gap_node ~psn ~page_psn =
+  let owner = job_owner job in
+  match pick_blocker ~deferred ~owner ~pid:job.pid with
+  | Some blocker -> park_deferred ~owner ~pid:job.pid ~blocker
+  | None ->
+    invalid_arg
+      (Format.asprintf "recovery: node %d met record psn=%d ahead of page %a psn=%d" gap_node
+         psn Page_id.pp job.pid page_psn)
+
+let redo ctx =
+  List.iter
+    (fun job ->
+      let page = Page.copy job.base in
+      match ctx.replay job page with
+      | () ->
+        bump_redone job.coordinator;
+        settle_claims job page
+      | exception Redo_gap { node = gap_node; psn; page_psn } ->
+        (* the partially rebuilt copy is discarded; no claim settles, so a
+           later completion run re-derives the full participant set *)
+        gap_or_defer job ~deferred:ctx.deferred ~gap_node ~psn ~page_psn)
+    ctx.jobs
+
+(* Glue after redo: the recovered pages open up, completion jobs that
+   made it through redo retire their parked entries (a job that hit a
+   fresh gap already re-parked the page with a new — still-down,
+   not-in-this-batch — blocker and must stay), and normal processing can
+   resume. *)
+let end_redo ctx =
+  List.iter
+    (fun job ->
+      let owner = job_owner job in
+      owner.recovering_pages <- Page_id.Set.remove job.pid owner.recovering_pages)
+    ctx.jobs;
+  List.iter
+    (fun (owner, pid) ->
+      match Page_id.Tbl.find_opt owner.deferred_pages pid with
+      | Some b when List.mem b ctx.crashed_ids -> unpark_deferred ~owner ~pid
+      | Some _ | None -> ())
+    ctx.completions;
+  List.iter (fun n -> Node.maybe_crashpoint n Injector.Recovery_pre_undo) ctx.crashed;
+  List.iter (fun n -> n.up <- true) ctx.crashed
+
+(* ------------------------------------------------------------------ *)
+(* Step: undo of loser transactions                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* Roll one (registered) loser back to completion, starting from its
@@ -496,15 +696,9 @@ let rollback_loser n txn =
     n.metrics.Metrics.txn_aborted <- n.metrics.txn_aborted + 1
   with
   | () -> ()
-  | exception (Block.Would_block reason as e) ->
-    let blocker =
-      match reason with
-      | Block.Page_unavailable { blocker; _ } when blocker <> n.id -> Some blocker
-      | Block.Node_down { node } when node <> n.id -> Some node
-      | _ -> None
-    in
-    (match blocker with
-    | Some b ->
+  | exception (Block.Would_block reason as e) -> (
+    match reason with
+    | (Block.Page_unavailable { blocker = b; _ } | Block.Node_down { node = b }) when b <> n.id ->
       n.deferred_losers <- (txn.Txn.id, b) :: n.deferred_losers;
       Env.emit n.env ~node:n.id Repro_obs.Event.Recovery_deferred
         [
@@ -512,35 +706,123 @@ let rollback_loser n txn =
           ("txn", Repro_obs.Event.Int txn.Txn.id);
           ("blocker", Repro_obs.Event.Int b);
         ]
-    | None -> raise e)
+    | _ -> raise e)
 
-let undo_losers n losers =
+let undo ctx =
   List.iter
-    (fun (l : Record.active_txn) ->
-      Node.maybe_crashpoint n Injector.Recovery_undo;
-      let txn = Txn.make ~id:l.txn ~node:n.id in
-      txn.Txn.last_lsn <- l.last_lsn;
-      Txn_table.register n.txns txn;
-      rollback_loser n txn)
-    losers
-
-(* Parked loser rollbacks whose blocker is in this recovery batch can
-   finally finish. *)
-let resume_deferred_losers n ~recovered_ids =
-  let resumable, still_parked =
-    List.partition (fun (_, b) -> List.mem b recovered_ids) n.deferred_losers
-  in
-  n.deferred_losers <- still_parked;
+    (fun (n, losers) ->
+      List.iter
+        (fun (l : Record.active_txn) ->
+          Node.maybe_crashpoint n Injector.Recovery_undo;
+          let txn = Txn.make ~id:l.txn ~node:n.id in
+          txn.Txn.last_lsn <- l.last_lsn;
+          Txn_table.register n.txns txn;
+          rollback_loser n txn)
+        losers)
+    ctx.losers_by_node;
+  (* survivors whose loser rollback parked on one of the nodes we just
+     recovered can finish it now *)
   List.iter
-    (fun (txn_id, _) ->
-      match Txn_table.find n.txns txn_id with
-      | None -> () (* this node crashed since; its own analysis re-found the loser *)
-      | Some txn -> rollback_loser n txn)
-    resumable
+    (fun n ->
+      let resumable, still_parked =
+        List.partition (fun (_, b) -> List.mem b ctx.crashed_ids) n.deferred_losers
+      in
+      n.deferred_losers <- still_parked;
+      List.iter
+        (fun (txn_id, _) ->
+          match Txn_table.find n.txns txn_id with
+          | None -> () (* this node crashed since; its own analysis re-found the loser *)
+          | Some txn -> rollback_loser n txn)
+        resumable)
+    ctx.operational
 
 (* ------------------------------------------------------------------ *)
-(* Driver                                                              *)
+(* Step: end-of-restart checkpoint (live-fault mode only)              *)
 (* ------------------------------------------------------------------ *)
+
+(* Force the undo phase's CLRs and abort records — closing the window
+   where a second crash tears a CLR but keeps the earlier record it
+   compensates — and bound the next analysis so re-recovery does not
+   rescan the pre-crash log.  Only in live mode, because it perturbs the
+   recovery-time measurements of the historical experiments. *)
+let checkpoint ctx =
+  List.iter
+    (fun n ->
+      Node.maybe_crashpoint n Injector.Recovery_checkpoint;
+      Log_manager.force_all n.log;
+      Repro_wal.Group_commit.on_force n.gc;
+      Node.checkpoint n)
+    ctx.crashed
+
+(* ------------------------------------------------------------------ *)
+(* The step runner and driver                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A phase is timed: it records a span, a [recovery.<name>] histogram
+   sample, a Recovery_phase event and a summary entry (E4/E5/E8 report
+   where recovery time goes, not just totals).  Glue between phases is
+   not. *)
+type step = Phase of string * (ctx -> unit) | Glue of (ctx -> unit)
+
+let steps ctx strategy =
+  [
+    Phase ("analysis", analysis);
+    Phase ("lock_reconstruction", lock_reconstruction);
+    Phase ("gather", gather);
+    Glue lock_jobs;
+    (match strategy with
+    | Psn_coordinated -> Phase ("psn_lists", psn_lists)
+    | Merged_logs -> Phase ("merge_pull", merge_pull));
+    Phase ("redo", redo);
+    Glue end_redo;
+    Phase ("undo", undo);
+  ]
+  @ if ctx.live then [ Phase ("checkpoint", checkpoint) ] else []
+
+let run_step ctx = function
+  | Glue f ->
+    f ctx;
+    None
+  | Phase (name, f) ->
+    let env = ctx.env in
+    let obs = Env.obs env in
+    let t0 = Env.now env in
+    let span = Repro_obs.Recorder.span_begin obs ~time:t0 ~node:(-1) ("recovery." ^ name) in
+    f ctx;
+    let t1 = Env.now env in
+    let dt = t1 -. t0 in
+    Repro_obs.Recorder.span_end obs ~time:t1 span;
+    Env.observe env ~name:("recovery." ^ name) ~node:(-1) dt;
+    if Env.tracing env then
+      Env.emit env ~node:(-1) Repro_obs.Event.Recovery_phase
+        [ ("phase", Repro_obs.Event.Str name); ("dur", Repro_obs.Event.Float dt) ];
+    Some (name, dt)
+
+(* A crash point firing mid-recovery surfaces as [Node_down]: the attempt
+   is abandoned wholesale (no partial claim ever settled — see [redo])
+   and the driver re-enters with the newly-crashed node added to the
+   batch.  Re-entry resets volatile state and reruns every step from
+   durable state, so it converges to the same durable outcome.
+
+   The batch's nodes go up before the undo step (undo fetches pages
+   across nodes), so an abort landing between that publication and the
+   end of the attempt leaves them up but only PARTIALLY recovered —
+   losers not yet rolled back would linger as live updates at an
+   "operational" node, and the re-entered recovery (which covers only
+   the currently-down set) would never touch them.  Withdraw the
+   premature publication: their logs are intact (this is not a crash —
+   no tear, no lost durable state), and the re-entered attempt takes
+   them through the full batch again, repeating history idempotently. *)
+let abandon ctx (reason : Block.reason) =
+  List.iter (fun n -> if n.up then n.up <- false) ctx.crashed;
+  match reason with
+  | Block.Node_down { node } ->
+    (match List.find_opt (fun n -> n.id = node) (ctx.crashed @ ctx.operational) with
+    | Some n -> n.metrics.Metrics.recovery_restarts <- n.metrics.recovery_restarts + 1
+    | None -> ());
+    Env.emit ctx.env ~node Repro_obs.Event.Recovery_restart
+      [ ("aborted", Repro_obs.Event.Bool true) ]
+  | _ -> ()
 
 type summary = { phases : (string * float) list; total_seconds : float }
 
@@ -580,362 +862,64 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
      for unfinished pages, and owner-side grants are idempotent. *)
   List.iter Node.reset_volatile crashed;
   List.iter (fun n -> n.recovering_pages <- Page_id.Set.empty) operational;
-  let inj =
-    match crashed @ operational with n :: _ -> Env.faults n.env | [] -> None
-  in
-  (* Without recovery-class faults in the plan, fault injection pauses
-     for the whole of recovery — the legacy model: the protocol runs
-     over a reliable transport, and historical seeds stay bit-identical.
-     With them, the injector stays live and recovery itself is under
-     fire: its named crash points abort the attempt (the driver
-     re-enters), and [recovery_exchange] retries through drops and
-     partitions.  Pre-existing partitions are healed either way — they
-     were aimed at normal processing, and a partition that outlived the
-     crash would starve the first attempt for no extra coverage. *)
-  let live = match inj with Some i -> recovery_faults_on (Injector.plan i) | None -> false in
-  (match inj with
-  | Some i ->
-    if not live then Injector.suspend i;
-    Injector.heal_partitions i
-  | None -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      match inj with Some i when not live -> Injector.resume i | Some _ | None -> ())
-  @@ fun () ->
-  (* Phase timing: every phase runs inside [timed], which records a
-     span, a Recovery_phase event and a per-phase histogram sample, and
-     accumulates the summary returned to the caller (E4/E5/E8 report
-     where recovery time goes, not just totals). *)
-  let env = match crashed @ operational with n :: _ -> Some n.env | [] -> None in
-  let phase_times = ref [] in
-  let timed name f =
-    match env with
-    | None -> f ()
-    | Some env ->
-      let t0 = Env.now env in
-      let obs = Env.obs env in
-      let span = Repro_obs.Recorder.span_begin obs ~time:t0 ~node:(-1) ("recovery." ^ name) in
-      let result = f () in
-      let t1 = Env.now env in
-      let dt = t1 -. t0 in
-      Repro_obs.Recorder.span_end obs ~time:t1 span;
-      Env.observe env ~name:("recovery." ^ name) ~node:(-1) dt;
-      if Env.tracing env then
-        Env.emit env ~node:(-1) Repro_obs.Event.Recovery_phase
-          [ ("phase", Repro_obs.Event.Str name); ("dur", Repro_obs.Event.Float dt) ];
-      phase_times := (name, dt) :: !phase_times;
-      result
-  in
-  let recovery_from = match env with Some env -> Env.now env | None -> 0. in
-  let attempt () =
-  (match env with
-  | Some env when Env.tracing env ->
-    Env.emit env ~node:(-1) Repro_obs.Event.Recovery_begin
-      [ ("crashed", Repro_obs.Event.Int (List.length crashed)) ]
-  | Some _ | None -> ());
-  let losers_by_node =
-    timed "analysis" (fun () ->
-        let result = analysis_phase crashed in
-        List.iter (fun (n, _) -> Node.maybe_crashpoint n Injector.Recovery_analysis) result;
-        result)
-  in
-  timed "lock_reconstruction" (fun () ->
-      reconstruct_locks crashed operational;
-      regrant_loser_locks losers_by_node);
-  (* Collect the recovery jobs for pages owned by each crashed node. *)
-  let crashed_ids = List.map (fun n -> n.id) crashed in
-  let deferred_ids = List.map (fun (n : Node_state.t) -> n.id) deferred in
-  let jobs = ref [] in
-  (* (owner, pid) of parked pages whose completion job runs in this
-     batch; unparked after redo unless the job re-deferred. *)
-  let completions = ref [] in
-  timed "gather" (fun () ->
-  List.iter
-    (fun n ->
-      let others = List.filter (fun m -> m.id <> n.id) (crashed @ operational) in
-      let claims, cachers = gather_for_owner n ~others ~operational in
-      Page_id.Tbl.iter
-        (fun pid claims_for_page ->
-          match Page_id.Tbl.find_opt cachers pid with
-          | Some (m :: _) ->
-            (* A live cache holds the page: fetch it, no redo needed
-               (§2.3.1: pages in the cache of some node contain all the
-               updates performed before the owner's crash).  The ship
-               follows the WAL rule like any other: the cacher's log is
-               forced up to the copy's last update first, and the cacher
-               records the replacement so the eventual flush ack settles
-               its DPT entry. *)
-            recovery_exchange n ~dst:m.id (fun () ->
-                send n ~dst:m.id ~recovery:true ~bytes:Wire.control ();
-                let frame =
-                  match Buffer_pool.peek m.pool pid with
-                  | Some f -> f
-                  | None -> assert false
-                in
-                if frame.Buffer_pool.dirty && not (Lsn.is_nil frame.Buffer_pool.last_lsn)
-                then begin
-                  Log_manager.force m.log ~upto:frame.Buffer_pool.last_lsn;
-                  (* the survivor's force may have made its own pending
-                     group-commit batch durable *)
-                  Repro_wal.Group_commit.on_force m.gc
-                end;
-                send m ~dst:n.id ~recovery:true ~bytes:(Wire.page (Env.config n.env)) ();
-                bump_transfers n;
-                (* The cacher keeps its (possibly dirty) copy and therefore
-                   also its DPT entry — §2.2 forbids dropping an entry for
-                   an updated page still present in the local cache. *)
-                Node.install_recovered_page n (Page.copy frame.Buffer_pool.page) ~waiters:[])
-          | Some [] | None ->
-            let base = Node.owner_latest_copy n pid in
-            let involved, uninvolved = split_involved claims_for_page ~base_psn:(Page.psn base) in
-            dismiss_uninvolved ~owner:n uninvolved;
-            if involved <> [] then begin
-              n.recovering_pages <- Page_id.Set.add pid n.recovering_pages;
-              jobs := { pid; coordinator = n; base; involved } :: !jobs
-            end)
-        claims;
-      ())
-    crashed;
-  (* Category (c): pages an earlier recovery parked on a peer that is in
-     THIS batch — the blocker's log is finally readable, so the full
-     redo can run.  Unlike category (b), the claims span every
-     participating node: operational claimants kept their DPT entries
-     precisely because the parked page never advanced past their
-     updates.  Pushed before category (b) so the per-page dedup keeps
-     the completion job (the (b) job would only replay the crashed
-     nodes' share). *)
-  List.iter
-    (fun owner ->
-      let parked =
-        Page_id.Tbl.fold (fun pid blocker acc -> (pid, blocker) :: acc) owner.deferred_pages []
-      in
-      List.iter
-        (fun (pid, blocker) ->
-          if List.mem blocker crashed_ids then begin
-            let base = Node.owner_latest_copy owner pid in
-            let claims =
-              List.filter_map
-                (fun m ->
-                  match Dpt.find m.dpt pid with
-                  | Some entry when entry.Dpt.curr_psn > Page.psn base ->
-                    Some { claimant = m; entry }
-                  | Some _ | None -> None)
-                (crashed @ operational)
-            in
-            (* An operational claimant's records become part of a page
-               copy that will outlive it at another node: WAL discipline
-               demands they are durable first, like any pre-ship
-               force. *)
-            List.iter
-              (fun c ->
-                let m = c.claimant in
-                if m.up then begin
-                  Log_manager.force_all m.log;
-                  Repro_wal.Group_commit.on_force m.gc
-                end)
-              claims;
-            match claims with
-            | [] ->
-              (* every claim died with the blocker's torn tail: the base
-                 already is the latest surviving state *)
-              unpark_deferred ~owner ~pid
-            | _ :: _ ->
-              (* The owner coordinates and hosts the rebuilt copy: it
-                 kept the X grant from the attempt that parked the page,
-                 and every record feeding the copy is durable (a crashed
-                 node's log is all-durable after its tear; operational
-                 claimants were just forced), so the confinement rule
-                 for unforced effects is not in play. *)
-              owner.recovering_pages <- Page_id.Set.add pid owner.recovering_pages;
-              completions := (owner, pid) :: !completions;
-              jobs := { pid; coordinator = owner; base; involved = claims } :: !jobs
-          end)
-        parked)
-    operational;
-  (* Category (b): pages of an *operational* owner that a crashed node
-     had exclusively locked at crash time (§2.3.1 case b). *)
-  List.iter
-    (fun n ->
-      List.iter
-        (fun (e : Dpt.entry) ->
-          let pid = e.Dpt.pid in
-          let owner_id = Page_id.owner pid in
-          if List.mem owner_id deferred_ids then
-            (* the owner itself is down and not in this batch: its pages
-               cannot be rebuilt without its base copy.  The claim (and
-               the retained lock) survive untouched; the owner's own
-               recovery will collect them as ordinary category-(a)
-               work.  Access meanwhile blocks on [Node_down]. *)
-            ()
-          else if owner_id <> n.id && not (List.mem owner_id crashed_ids) then begin
-            (* The base is the owner's most recent surviving copy; the
-               crashed node repeats history from its own log on top of
-               it whenever its CurrPSN is ahead (this includes the
-               uncommitted updates of its losers, rolled back in the
-               undo phase — ARIES repeating-history discipline). *)
-            let owner = peer n owner_id in
-            recovery_exchange n ~dst:owner_id (fun () ->
-                send n ~dst:owner_id ~recovery:true ~bytes:Wire.control ();
-                let base = Node.owner_latest_copy owner pid in
-                send owner ~dst:n.id ~recovery:true ~bytes:(Wire.page (Env.config n.env)) ();
-                bump_transfers n;
-                if e.Dpt.curr_psn > Page.psn base then begin
-                  (* Other crashed nodes may also have claims on this page. *)
-                  let claims =
-                    List.filter_map
-                      (fun m ->
-                        match Dpt.find m.dpt pid with
-                        | Some entry when entry.Dpt.curr_psn > Page.psn base ->
-                          Some { claimant = m; entry }
-                        | Some _ | None -> None)
-                      crashed
-                  in
-                  owner.recovering_pages <- Page_id.Set.add pid owner.recovering_pages;
-                  jobs := { pid; coordinator = n; base; involved = claims } :: !jobs
-                end)
-          end)
-        (Dpt.entries n.dpt))
-    crashed);
-  (* Deduplicate: one job per page (a page can be claimed through both
-     paths when several nodes crashed). *)
-  let seen = ref Page_id.Set.empty in
-  let jobs =
-    List.filter
-      (fun job ->
-        if Page_id.Set.mem job.pid !seen then false
-        else begin
-          seen := Page_id.Set.add job.pid !seen;
-          true
-        end)
-      (List.rev !jobs)
-  in
-  (* §2.3.3: the crashed node acquires exclusive locks for the pages in
-     its DPT that have no lock entry, before processing resumes. *)
-  List.iter
-    (fun job ->
-      let n = job.coordinator in
-      let pid = job.pid in
-      let owner = peer n (Page_id.owner pid) in
-      if Global_locks.holders owner.glocks ~pid = [] then begin
-        Global_locks.grant owner.glocks ~node:n.id ~pid ~mode:Mode.X;
-        Local_locks.set_cached_mode n.locks pid Mode.X
-      end)
-    jobs;
-  (* One Recovery_redo probe every [redo_crash_interval] applied
-     records, shared across all jobs so long recoveries accumulate
-     chances even when each page replays only a few records. *)
-  let probe =
-    let applied = ref 0 in
-    fun (m : Node_state.t) ->
-      incr applied;
-      if !applied mod redo_crash_interval = 0 then Node.maybe_crashpoint m Injector.Recovery_redo
-  in
-  (match strategy with
-  | Psn_coordinated ->
-    (* Coordinated, PSN-ordered redo; no log merging anywhere. *)
-    let psn_lists = timed "psn_lists" (fun () -> build_psn_lists jobs) in
-    timed "redo" (fun () -> List.iter (fun job -> recover_page job ~psn_lists ~probe ~deferred) jobs)
-  | Merged_logs ->
-    (* One merged pull per coordinator, then local per-page replay. *)
-    let pulls =
-      timed "merge_pull" (fun () ->
-          let coordinators =
-            List.sort_uniq Int.compare (List.map (fun job -> job.coordinator.id) jobs)
-          in
-          List.map
-            (fun cid ->
-              let coordinator = List.find (fun j -> j.coordinator.id = cid) jobs in
-              (cid, pull_merged_records coordinator.coordinator (crashed @ operational)))
-            coordinators)
-    in
-    timed "redo" (fun () ->
-        List.iter
-          (fun job ->
-            recover_page_merged job ~records:(List.assoc job.coordinator.id pulls) ~probe ~deferred)
-          jobs));
-  List.iter
-    (fun job ->
-      let owner = peer job.coordinator (Page_id.owner job.pid) in
-      owner.recovering_pages <- Page_id.Set.remove job.pid owner.recovering_pages)
-    jobs;
-  (* Completion jobs that made it through redo retire their parked
-     entries; a job that hit a fresh gap already re-parked the page with
-     a new (still-down, not-in-this-batch) blocker and must stay. *)
-  List.iter
-    (fun (owner, pid) ->
-      match Page_id.Tbl.find_opt owner.deferred_pages pid with
-      | Some b when List.mem b crashed_ids -> unpark_deferred ~owner ~pid
-      | Some _ | None -> ())
-    !completions;
-  List.iter (fun n -> Node.maybe_crashpoint n Injector.Recovery_pre_undo) crashed;
-  (* Normal processing can resume; roll back the losers. *)
-  List.iter (fun n -> n.up <- true) crashed;
-  timed "undo" (fun () ->
-      List.iter (fun (n, losers) -> undo_losers n losers) losers_by_node;
-      (* survivors whose loser rollback parked on one of the nodes we
-         just recovered can finish it now *)
-      List.iter (fun n -> resume_deferred_losers n ~recovered_ids:crashed_ids) operational);
-  (* End-of-restart fuzzy checkpoint (live-fault mode only): force the
-     undo phase's CLRs and abort records — closing the window where a
-     second crash tears a CLR but keeps the earlier record it
-     compensates — and bound the next analysis so re-recovery does not
-     rescan the pre-crash log.  Gated on [live] because it perturbs the
-     recovery-time measurements of the historical experiments. *)
-  if live then
-    timed "checkpoint" (fun () ->
-        List.iter
-          (fun n ->
-            Node.maybe_crashpoint n Injector.Recovery_checkpoint;
-            Log_manager.force_all n.log;
-            Repro_wal.Group_commit.on_force n.gc;
-            Node.checkpoint n)
-          crashed);
-  let total_seconds =
-    match env with Some env -> Env.now env -. recovery_from | None -> 0.
-  in
-  (match env with
-  | Some env ->
-    (* per-node samples also land in the (-1) cluster aggregate *)
-    if crashed = [] then Env.observe env ~name:"recovery_duration" ~node:(-1) total_seconds
-    else
-      List.iter
-        (fun n -> Env.observe env ~name:"recovery_duration" ~node:n.id total_seconds)
+  match crashed @ operational with
+  | [] -> { phases = []; total_seconds = 0. }
+  | first :: _ ->
+    let env = first.env in
+    let inj = Env.faults env in
+    (* Without recovery-class faults in the plan, fault injection pauses
+       for the whole of recovery — the legacy model: the protocol runs
+       over a reliable transport, and historical seeds stay
+       bit-identical.  With them, the injector stays live and recovery
+       itself is under fire: its named crash points abort the attempt
+       (the driver re-enters), and [recovery_exchange] retries through
+       drops and partitions.  Pre-existing partitions are healed either
+       way — they were aimed at normal processing, and a partition that
+       outlived the crash would starve the first attempt for no extra
+       coverage. *)
+    let live = match inj with Some i -> recovery_faults_on (Injector.plan i) | None -> false in
+    (match inj with
+    | Some i ->
+      if not live then Injector.suspend i;
+      Injector.heal_partitions i
+    | None -> ());
+    Fun.protect
+      ~finally:(fun () ->
+        match inj with Some i when not live -> Injector.resume i | Some _ | None -> ())
+    @@ fun () ->
+    let ctx =
+      {
+        env;
         crashed;
+        operational;
+        deferred;
+        crashed_ids = List.map (fun n -> n.id) crashed;
+        live;
+        losers_by_node = [];
+        jobs = [];
+        job_pages = Page_id.Set.empty;
+        completions = [];
+        replay = (fun _ _ -> invalid_arg "Recovery.run: redo before psn_lists or merge_pull");
+        redo_applied = 0;
+      }
+    in
+    let recovery_from = Env.now env in
     if Env.tracing env then
-      Env.emit env ~node:(-1) Repro_obs.Event.Recovery_end
-        [ ("total", Repro_obs.Event.Float total_seconds) ]
-  | None -> ());
-  { phases = List.rev !phase_times; total_seconds }
-  in
-  (* A crash point firing mid-recovery surfaces as [Node_down]: the
-     attempt is abandoned wholesale (no partial claim ever settled — see
-     the per-job commit points above) and the driver re-enters with the
-     newly-crashed node added to the batch.  Re-entry resets volatile
-     state and re-derives everything from durable state, so the nested
-     attempt converges to the same durable outcome. *)
-  try attempt ()
-  with Block.Would_block reason as e ->
-    (* The batch's nodes go up before the undo phase (undo fetches pages
-       across nodes), so an abort landing between that publication and
-       the end of the attempt leaves them up but only PARTIALLY
-       recovered — losers not yet rolled back would linger as live
-       updates at an "operational" node, and the re-entered recovery
-       (which covers only the currently-down set) would never touch
-       them.  Withdraw the premature publication: their logs are intact
-       (this is not a crash — no tear, no lost durable state), and the
-       re-entered attempt takes them through the full batch again,
-       repeating history idempotently. *)
-    List.iter (fun n -> if n.up then n.up <- false) crashed;
-    (match reason with
-    | Block.Node_down { node } -> (
-      match env with
-      | Some env ->
-        (match List.find_opt (fun n -> n.id = node) (crashed @ operational) with
-        | Some n ->
-          n.metrics.Metrics.recovery_restarts <- n.metrics.recovery_restarts + 1
-        | None -> ());
-        Env.emit env ~node Repro_obs.Event.Recovery_restart
-          [ ("aborted", Repro_obs.Event.Bool true) ]
-      | None -> ())
-    | _ -> ());
-    raise e
+      Env.emit env ~node:(-1) Repro_obs.Event.Recovery_begin
+        [ ("crashed", Repro_obs.Event.Int (List.length crashed)) ];
+    match List.filter_map (run_step ctx) (steps ctx strategy) with
+    | exception (Block.Would_block reason as e) ->
+      abandon ctx reason;
+      raise e
+    | phases ->
+      let total_seconds = Env.now env -. recovery_from in
+      (* per-node samples also land in the (-1) cluster aggregate *)
+      if crashed = [] then Env.observe env ~name:"recovery_duration" ~node:(-1) total_seconds
+      else
+        List.iter
+          (fun n -> Env.observe env ~name:"recovery_duration" ~node:n.id total_seconds)
+          crashed;
+      if Env.tracing env then
+        Env.emit env ~node:(-1) Repro_obs.Event.Recovery_end
+          [ ("total", Repro_obs.Event.Float total_seconds) ];
+      { phases; total_seconds }

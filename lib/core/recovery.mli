@@ -1,30 +1,32 @@
 (** Node crash recovery — §2.3 (single crash) and §2.4 (multiple).
 
-    [run ~crashed ~operational] restarts the crashed nodes:
+    [run ~crashed ~operational] restarts the crashed nodes by running
+    these steps, in this order, each timed under its own name:
 
-    + {b Analysis} (per crashed node, §2.3.1/§2.4): scan the local log
+    + [analysis] (per crashed node, §2.3.1/§2.4): scan the local log
       from the last complete checkpoint, rebuilding a superset of the
       DPT and the loser transactions.
-    + {b Lock reconstruction} (§2.3.3): operational owners release the
+    + [lock_reconstruction] (§2.3.3): operational owners release the
       crashed nodes' shared locks and report retained exclusive ones;
       each crashed node rebuilds its owner-side table from the locks
-      peers cached on its pages.
-    + {b Determining pages that may require recovery} (§2.3.1/§2.4):
-      each crashed owner gathers, from every other node, the owned pages
-      present in peer caches and the peers' DPT entries for its pages;
-      pages alive in an operational cache are fetched rather than
-      recovered; pages of a crashed node's DPT owned by an operational
-      node are recovered by that crashed node (it held the X lock).
-    + {b Identifying involved nodes} (§2.3.2): a node participates in a
-      page's recovery iff its DPT entry's CurrPSN exceeds the PSN of the
-      base (most recent surviving) version; others drop or refresh their
-      entries.
-    + {b Coordinated redo} (§2.3.4): involved nodes build NodePSNLists
-      with one log scan each; the coordinator ships the page from node
-      to node in PSN order, each applying its own log records,
-      PSN-guarded.  {e No log is ever merged.}
-    + {b Undo}: each crashed node rolls back its own losers with CLRs
-      from its own log, then resumes normal processing.
+      peers cached on its pages, and re-acquires its losers' X locks.
+    + [gather] (§2.3.1/§2.4, §2.3.2): one job per page that may need
+      recovery: (a) a crashed owner's pages, from every node's cache
+      listing and DPT entries (a page alive in an operational cache is
+      fetched instead); (c) pages an earlier recovery parked on a node
+      of this batch; (b) operational owners' pages a crashed node held
+      X-locked.  A node is involved iff its DPT entry's CurrPSN exceeds
+      the base (most recent surviving) version's PSN; others drop or
+      refresh their entries.  Job pages are then X-locked.
+    + [psn_lists] then [redo] (§2.3.4, {!Psn_coordinated}): involved
+      nodes build NodePSNLists with one log scan each; the coordinator
+      ships the page from node to node in PSN order, each applying its
+      own log records, PSN-guarded.  {e No log is ever merged.}  Or
+      [merge_pull] then [redo] ({!Merged_logs}).
+    + [undo]: each crashed node rolls back its own losers with CLRs from
+      its own log, then resumes normal processing.
+    + [checkpoint] (live-fault mode only): force the undo records and
+      checkpoint, bounding the next analysis.
 
     The paper's requirements hold by construction: logs are only read by
     their owning node, checkpoints and clocks of other nodes are never
@@ -39,8 +41,8 @@
     The attempt is abandoned wholesale — no page's claims settle until
     that page's redo completed, so nothing partial is durable — and
     re-entering {!run} with the newly-crashed node added to [crashed]
-    resets all volatile recovery state and converges to the same
-    durable outcome.  Peer exchanges retry through injected drops and
+    resets all volatile recovery state, reruns every step from durable
+    state and converges to the same durable outcome.  Peer exchanges retry through injected drops and
     partitions with bounded exponential backoff.
 
     {b Deferred recovery.}  When a page's redo needs log records of a
@@ -68,7 +70,8 @@ type summary = {
   phases : (string * float) list;
       (** simulated seconds per phase, in execution order: analysis,
           lock_reconstruction, gather, then psn_lists + redo
-          (coordinated) or merge_pull + redo (merged), then undo *)
+          (coordinated) or merge_pull + redo (merged), then undo, then
+          checkpoint when the fault plan arms recovery crash points *)
   total_seconds : float;
 }
 

@@ -179,8 +179,8 @@ let test_event_json_and_kind_names () =
 
 (* ---- the invariant: tracing must not change the simulation ---- *)
 
-let run_workload ~trace () =
-  let cluster = Cluster.create ~trace ~seed:5 ~nodes:3 Config.default in
+let run_workload ?faults ~trace () =
+  let cluster = Cluster.create ~trace ?faults ~seed:5 ~nodes:3 Config.default in
   let p0 = Cluster.allocate_pages cluster ~owner:0 ~count:12 in
   let p2 = Cluster.allocate_pages cluster ~owner:2 ~count:12 in
   let engine = Engine.of_cluster cluster in
@@ -539,19 +539,57 @@ let test_audit_release_after_terminal () =
       ev ~t:3. ~node:1 ~txn:3 Event.Lock_request [ ("page", Event.Str "P0.2") ];
     ]
 
+(* The summary lists exactly the steps that ran, in order, and each has
+   its [recovery.<name>] histogram (perfbench and E4/E12 read them by
+   name). *)
 let test_recovery_summary_phases () =
-  let cluster, _ = run_workload ~trace:false () in
-  Cluster.crash cluster ~node:2;
-  let s = Cluster.recover_timed cluster ~nodes:[ 2 ] in
-  let names = List.map fst s.Repro_cbl.Recovery.phases in
-  List.iter
-    (fun phase ->
-      Alcotest.(check bool) (phase ^ " timed") true (List.mem phase names))
-    [ "analysis"; "lock_reconstruction"; "gather"; "redo"; "undo" ];
-  let sum = List.fold_left (fun acc (_, dt) -> acc +. dt) 0. s.Repro_cbl.Recovery.phases in
-  Alcotest.(check bool)
-    "phases within total" true
-    (sum <= s.Repro_cbl.Recovery.total_seconds +. 1e-9)
+  let check_phases label ?faults ?strategy expected =
+    let cluster, _ = run_workload ?faults ~trace:false () in
+    Cluster.crash cluster ~node:2;
+    let s = Cluster.recover_timed ?strategy cluster ~nodes:[ 2 ] in
+    Alcotest.(check (list string)) label expected (List.map fst s.Repro_cbl.Recovery.phases);
+    let obs = Repro_sim.Env.obs (Cluster.env cluster) in
+    List.iter
+      (fun phase ->
+        Alcotest.(check bool)
+          (label ^ ": recovery." ^ phase ^ " histogram")
+          true
+          (Recorder.find_hist obs ~name:("recovery." ^ phase) ~node:(-1) <> None))
+      expected;
+    let sum = List.fold_left (fun acc (_, dt) -> acc +. dt) 0. s.Repro_cbl.Recovery.phases in
+    Alcotest.(check bool)
+      (label ^ ": phases within total")
+      true
+      (sum <= s.Repro_cbl.Recovery.total_seconds +. 1e-9);
+    Alcotest.(check int)
+      (label ^ ": no crash point fired")
+      0 (Cluster.global_metrics cluster).Metrics.injected_crashes
+  in
+  let head = [ "analysis"; "lock_reconstruction"; "gather" ] in
+  check_phases "psn-coordinated" (head @ [ "psn_lists"; "redo"; "undo" ]);
+  check_phases "merged-logs" ~strategy:Repro_cbl.Recovery.Merged_logs
+    (head @ [ "merge_pull"; "redo"; "undo" ]);
+  (* Armed recovery crash points put recovery in live mode, which adds
+     the end-of-restart checkpoint; a zero crash budget keeps any of
+     them from firing, so the attempt runs to the end. *)
+  let module Fault_plan = Repro_fault.Fault_plan in
+  let plan =
+    {
+      Fault_plan.none with
+      Fault_plan.crashpoints =
+        {
+          Fault_plan.none.Fault_plan.crashpoints with
+          Fault_plan.recovery_analysis = 0.5;
+          recovery_redo = 0.5;
+          recovery_pre_undo = 0.5;
+          recovery_undo = 0.5;
+          recovery_checkpoint = 0.5;
+          budget = 0;
+        };
+    }
+  in
+  check_phases "live" ~faults:(Repro_fault.Injector.create plan)
+    (head @ [ "psn_lists"; "redo"; "undo"; "checkpoint" ])
 
 let suite =
   [

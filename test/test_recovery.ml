@@ -209,6 +209,25 @@ let test_lock_reconstruction_shared_released_exclusive_kept () =
     (Repro_lock.Global_locks.holder_mode owner.Node_state.glocks ~node:1 ~pid:q = None);
   Cluster.check_invariants c
 
+let test_recover_rejects_repeated_node () =
+  let c, pages = mk () in
+  let p = List.hd pages and q = List.nth pages 1 in
+  let loser = Cluster.begin_txn c ~node:1 in
+  Cluster.update_delta c ~txn:loser ~pid:p ~off:0 100L;
+  (* a later commit on node 1 forces the loser's update to its log *)
+  let t = Cluster.begin_txn c ~node:1 in
+  Cluster.update_delta c ~txn:t ~pid:q ~off:0 1L;
+  Cluster.commit c ~txn:t;
+  Cluster.crash c ~node:1;
+  (* recovering node 1 twice in one batch would roll its loser back twice *)
+  Alcotest.check_raises "repeated node rejected"
+    (Invalid_argument "Cluster.recover: node 1 listed more than once to recover") (fun () ->
+      Cluster.recover c ~nodes:[ 1; 1 ]);
+  Cluster.recover c ~nodes:[ 1 ];
+  Alcotest.(check (list int64)) "loser rolled back once" [ 0L ] (read_all c ~node:2 [ p ]);
+  Alcotest.(check int) "one abort" 1 (Cluster.node_metrics c 1).Metrics.txn_aborted;
+  Cluster.check_invariants c
+
 (* ---- NodePSNList unit behaviour ---- *)
 
 let test_node_psn_list_merge_orders_and_collapses () =
@@ -266,6 +285,7 @@ let suite =
     ("psn strategy ships none", `Quick, test_psn_strategy_ships_no_records);
     ("checkpoint bounds analysis", `Quick, test_checkpoint_bounds_analysis);
     ("lock reconstruction 2.3.3", `Quick, test_lock_reconstruction_shared_released_exclusive_kept);
+    ("recover rejects a repeated node", `Quick, test_recover_rejects_repeated_node);
     ("NodePSNList merge", `Quick, test_node_psn_list_merge_orders_and_collapses);
     ("NodePSNList runs per txn", `Quick, test_node_psn_list_build_runs_per_transaction);
   ]
