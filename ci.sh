@@ -1,6 +1,7 @@
 #!/bin/sh
 # Local CI: build, formatting check (when ocamlformat is installed),
-# tests, the recovery sweeps, and an optional wider stress sweep.
+# tests, the recovery sweeps, the big-cluster scale smoke, and an
+# optional wider stress sweep.
 #
 # Every run sweeps max(200, STRESS_RUNS) randomized seeds through
 # `cblsim stress` and the traced `cblsim audit --stress`, each with
@@ -12,16 +13,10 @@
 #                            and with early lock release, plus the
 #                            early-lock-release audit.  0 (the default)
 #                            skips these legs.
-#   SCALE_SMOKE=1 ./ci.sh    additionally runs the big-cluster scale
-#                            smoke (32 nodes x 256 clients ->
-#                            BENCH_SCALE.json) and gates its throughput
-#                            and simulator-speed columns against
-#                            bench/bench_scale_baseline.json.
 set -eu
 cd "$(dirname "$0")"
 
 STRESS_RUNS="${STRESS_RUNS:-0}"
-SCALE_SMOKE="${SCALE_SMOKE:-0}"
 
 echo "== dune build =="
 dune build
@@ -125,13 +120,11 @@ echo "== bench smoke: quick JSON reports + throughput regression gate =="
 dune exec bench/main.exe -- json
 dune exec bench/check_regression.exe -- bench/bench_baseline.json
 
-if [ "$SCALE_SMOKE" = "1" ]; then
-  # The deterministic txn/s column is held to 5%; the wall-clock
-  # events/s column only guards against an order-of-magnitude slowdown
-  # of the simulator itself (machines differ, so its budget is 85%).
-  echo "== scale smoke: 32 nodes x 256 clients -> BENCH_SCALE.json + gate =="
-  dune exec bin/cblsim.exe -- scale --nodes 32 --out BENCH_SCALE.json
-  dune exec bench/check_regression.exe -- bench/bench_scale_baseline.json BENCH_SCALE_DIFF.txt
-fi
+# The deterministic txn/s column is held to 5%; the wall-clock
+# events/s column only guards against an order-of-magnitude slowdown
+# of the simulator itself (machines differ, so its budget is 85%).
+echo "== scale smoke: 32 nodes x 256 clients -> BENCH_SCALE.json + gate =="
+dune exec bin/cblsim.exe -- scale --nodes 32 --out BENCH_SCALE.json
+dune exec bench/check_regression.exe -- bench/bench_scale_baseline.json BENCH_SCALE_DIFF.txt
 
 echo "CI OK"

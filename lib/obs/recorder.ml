@@ -10,7 +10,7 @@ type span = {
 type t = {
   mutable enabled : bool;
   capacity : int;
-  ring : Event.t option array;
+  mutable ring : Event.t option array;  (** [[||]] until the first push *)
   mutable head : int;  (** next write slot *)
   mutable stored : int;  (** events currently in the ring *)
   mutable dropped : int;  (** overwritten by ring wrap-around *)
@@ -29,7 +29,7 @@ let create ?(enabled = false) ?(capacity = default_capacity) () =
   {
     enabled;
     capacity;
-    ring = Array.make capacity None;
+    ring = [||];
     head = 0;
     stored = 0;
     dropped = 0;
@@ -46,6 +46,7 @@ let set_enabled t on = t.enabled <- on
 let dropped t = t.dropped
 
 let push t e =
+  if Array.length t.ring = 0 then t.ring <- Array.make t.capacity None;
   if t.ring.(t.head) <> None then t.dropped <- t.dropped + 1
   else t.stored <- t.stored + 1;
   t.ring.(t.head) <- Some e;
@@ -77,14 +78,15 @@ let emit t ~time ~node kind attrs =
 let events t =
   (* oldest first: the ring wraps at [head] *)
   let out = ref [] in
-  for i = t.capacity - 1 downto 0 do
-    let slot = (t.head + i) mod t.capacity in
+  let n = Array.length t.ring in
+  for i = n - 1 downto 0 do
+    let slot = (t.head + i) mod n in
     match t.ring.(slot) with None -> () | Some e -> out := e :: !out
   done;
   !out
 
 let clear t =
-  Array.fill t.ring 0 t.capacity None;
+  Array.fill t.ring 0 (Array.length t.ring) None;
   t.head <- 0;
   t.stored <- 0;
   t.dropped <- 0;

@@ -21,7 +21,8 @@ type t
 
 val create : ?enabled:bool -> ?capacity:int -> unit -> t
 (** [capacity] (default 65536) bounds the event ring; older events are
-    overwritten and counted in [dropped]. *)
+    overwritten and counted in [dropped].  The ring is allocated on the
+    first recorded event, so a recorder that never records costs none. *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit

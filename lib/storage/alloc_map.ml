@@ -1,12 +1,16 @@
+module Heap = Repro_util.Heap
+
 type slot_state = Free of { seed : int } | Allocated
 
 type t = {
   owner : int;
   mutable next_slot : int;
   slots : (int, slot_state) Hashtbl.t; (* slot -> state; absent = never used, seed 0 *)
+  free : Heap.t; (* the [Free] slots, all below [next_slot] *)
 }
 
-let create ~owner = { owner; next_slot = 0; slots = Hashtbl.create 64 }
+let create ~owner =
+  { owner; next_slot = 0; slots = Hashtbl.create 64; free = Heap.create () }
 
 let seed_of t slot =
   match Hashtbl.find_opt t.slots slot with
@@ -16,18 +20,13 @@ let seed_of t slot =
 
 let allocate t ~page_size =
   (* Reuse the lowest free slot, else extend the database. *)
-  let rec find_free slot = if slot >= t.next_slot then None else
-      match Hashtbl.find_opt t.slots slot with
-      | Some (Free _) -> Some slot
-      | Some Allocated | None -> find_free (slot + 1)
-  in
   let slot =
-    match find_free 0 with
-    | Some s -> s
-    | None ->
+    if Heap.is_empty t.free then begin
       let s = t.next_slot in
       t.next_slot <- s + 1;
       s
+    end
+    else Heap.pop_min t.free
   in
   let seed = seed_of t slot in
   Hashtbl.replace t.slots slot Allocated;
@@ -39,7 +38,8 @@ let deallocate t page =
   (match Hashtbl.find_opt t.slots pid.Page_id.slot with
   | Some Allocated -> ()
   | Some (Free _) | None -> invalid_arg "Alloc_map: page not allocated");
-  Hashtbl.replace t.slots pid.Page_id.slot (Free { seed = Page.psn page + 1 })
+  Hashtbl.replace t.slots pid.Page_id.slot (Free { seed = Page.psn page + 1 });
+  Heap.push t.free pid.Page_id.slot
 
 let allocated t =
   Hashtbl.fold

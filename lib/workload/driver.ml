@@ -112,6 +112,13 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
   let by_txn : (int, prog) Hashtbl.t = Hashtbl.create 256 in
   let runq = Heap.create ~capacity:(max 16 (Array.length progs)) () in
   Array.iter (fun p -> Heap.push runq p.idx (* wake 0 ⇒ key = idx *)) progs;
+  (* Admission queue: per node, the indices of scripts waiting to begin
+     while their node is at its MPL cap.  A parked script is off the run
+     queue ([wake = max_int]) until the cap has room for it; [n_parked]
+     counts them all, so the visits the legacy scan would have wasted on
+     them are still counted in [sched_events]. *)
+  let parked = Array.init (max_node + 1) (fun _ -> Heap.create ()) in
+  let n_parked = ref 0 in
   (* [scan_idx] is the index currently being processed (-1 outside the
      scan).  A cooldown set at or before the program's own turn this
      round starts counting next round — the legacy per-visit decrement
@@ -403,6 +410,7 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
   in
   let stalled = ref 0 in
   let events = ref events in
+  let is_due (r, _) = r <= !round in
   let known_down = Hashtbl.create 8 in
   while !running > 0 && !round < max_rounds && !stalled < 1000 do
     scan_idx := -1;
@@ -429,8 +437,6 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
           end
           else if up then Hashtbl.remove known_down node)
         engine.Engine.nodes);
-    let due, later = List.partition (fun (r, _) -> r <= !round) !events in
-    events := later;
     (* A fired event can itself hit an injected crash point (a
        checkpoint crashing mid-way): the crash is the point, the event
        just stops.  A Recover event is special: recovery itself can die
@@ -439,16 +445,40 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
        so the re-entry picks up the grown down set and restarts from
        durable state.  The crash budget is bounded, so the retry chain
        terminates. *)
-    List.iter
-      (fun (_, e) ->
-        try fire e
-        with Block.Would_block _ -> (
-          match e with
-          | Recover _ -> events := (!round + 2, e) :: !events
-          | Crash _ | Checkpoint _ -> ()))
-      due;
+    if List.exists is_due !events then begin
+      let due, later = List.partition is_due !events in
+      events := later;
+      List.iter
+        (fun (_, e) ->
+          try fire e
+          with Block.Would_block _ -> (
+            match e with
+            | Recover _ -> events := (!round + 2, e) :: !events
+            | Crash _ | Checkpoint _ -> ()))
+        due
+    end;
     progressed := false;
     Array.blit active 0 admit 0 (Array.length active);
+    (* Unpark.  A node's [admit] only rises within a round, and every
+       no-transaction visit below the cap takes a slot (even one whose
+       begin blocks), so at most [mpl - active] waiting scripts can
+       begin this round: the lowest-index parked ones.  Any parked
+       script behind them would find the cap full, as would an unparked
+       one that loses its slot to a lower-index script — it re-parks on
+       its visit.  The rest stay parked; their would-be visits are
+       counted, not made. *)
+    if !n_parked > 0 then begin
+      for node = 0 to max_node do
+        let q = parked.(node) in
+        for _ = 1 to min (mpl - active.(node)) (Heap.length q) do
+          let idx = Heap.pop_min q in
+          progs.(idx).wake <- !round;
+          Heap.push runq ((!round lsl idx_bits) lor idx);
+          decr n_parked
+        done
+      done;
+      sched_events := !sched_events + !n_parked
+    end;
     (* Drain this round's runnable programs.  Keys pop in (round, idx)
        order, so same-round programs run in exactly the legacy scan
        order; stale entries (a reschedule moved the program's wake) are
@@ -466,10 +496,21 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
           incr sched_events;
           process p;
           (* Still running with no cooldown scheduled: acts again next
-             round, like every Running program under the legacy scan. *)
+             round, like every Running program under the legacy scan —
+             unless it is waiting to begin on a full node, where every
+             visit would be a no-op until a slot frees: park it. *)
           if p.status = Running && p.wake <= !round then begin
-            p.wake <- !round + 1;
-            Heap.push runq (((!round + 1) lsl idx_bits) lor idx)
+            let node = p.script.Op.node in
+            if p.txn = None && (not p.aborting) && (not p.committing) && admit.(node) >= mpl
+            then begin
+              p.wake <- max_int;
+              Heap.push parked.(node) idx;
+              incr n_parked
+            end
+            else begin
+              p.wake <- !round + 1;
+              Heap.push runq (((!round + 1) lsl idx_bits) lor idx)
+            end
           end
         end
       end

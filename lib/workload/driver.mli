@@ -13,7 +13,10 @@
     of the legacy O(clients) scan per round.  The pop order within a
     round is ascending program index, so schedules (and therefore every
     RNG draw and simulated-clock advance) are bit-identical to the old
-    linear scan.
+    linear scan.  A script waiting to begin on a node at its [mpl] cap
+    is parked on a per-node admission queue instead of being re-polled
+    every round, and rejoins the run queue, lowest index first, on a
+    round when its node has a free slot.
 
     The driver maintains a {b shadow} of every delta-updated cell,
     applied only at commit.  {!verify} re-reads all shadow cells through
@@ -44,8 +47,11 @@ type outcome = {
   stuck : int;  (** scripts that could not finish — 0 on a healthy run *)
   rounds : int;
   sched_events : int;
-      (** programs dispatched by the run queue — the deterministic unit
-          of scheduler work (basis for sim-events/sec in scale runs) *)
+      (** programs due each round, dispatched or parked: a script
+          parked on the admission queue counts once per round it waits,
+          as if it were still polled, so the count equals the legacy
+          per-round scan's visits.  The deterministic unit of scheduler
+          work (basis for sim-events/sec in scale runs). *)
   sim_seconds : float;  (** simulated time consumed by the run *)
   latencies : Repro_util.Stats.summary;  (** commit latency, simulated seconds *)
   shadow : ((Repro_storage.Page_id.t * int) * int64) list;  (** expected committed cell values *)

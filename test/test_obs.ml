@@ -58,6 +58,18 @@ let test_ring_buffer_keeps_newest () =
   let times = List.map (fun e -> int_of_float e.Event.time) (Recorder.events r) in
   Alcotest.(check (list int)) "newest survive, oldest-first" [ 7; 8; 9; 10 ] times
 
+let test_recorder_enabled_late_records () =
+  let r = Recorder.create ~capacity:4 () in
+  Recorder.emit r ~time:0. ~node:0 Event.Crash [];
+  Alcotest.(check int) "nothing while disabled" 0 (List.length (Recorder.events r));
+  Recorder.set_enabled r true;
+  for i = 1 to 6 do
+    Recorder.emit r ~time:(float_of_int i) ~node:0 Event.Log_append [ ("bytes", Event.Int i) ]
+  done;
+  let times = List.map (fun e -> int_of_float e.Event.time) (Recorder.events r) in
+  Alcotest.(check (list int)) "records once enabled, oldest first" [ 3; 4; 5; 6 ] times;
+  Alcotest.(check int) "dropped" 2 (Recorder.dropped r)
+
 let test_disabled_recorder_is_inert () =
   let r = Recorder.create () in
   Recorder.emit r ~time:1.0 ~node:0 Event.Crash [];
@@ -596,6 +608,7 @@ let suite =
     Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting_and_ordering;
     Alcotest.test_case "ring buffer keeps newest" `Quick test_ring_buffer_keeps_newest;
     Alcotest.test_case "disabled recorder is inert" `Quick test_disabled_recorder_is_inert;
+    Alcotest.test_case "recorder enabled late records" `Quick test_recorder_enabled_late_records;
     Alcotest.test_case "histogram percentiles vs Stats" `Quick
       test_histogram_percentiles_match_stats;
     Alcotest.test_case "histogram edge cases" `Quick test_histogram_edge_cases;

@@ -102,6 +102,21 @@ let test_alloc_psn_seed_never_regresses () =
   Alcotest.(check bool) "slot reused" true (Page_id.equal (Page.id p) (Page.id p'));
   Alcotest.(check int) "psn continues" 42 (Page.psn p')
 
+let test_alloc_reuses_lowest_free_slot () =
+  let m = Alloc_map.create ~owner:1 in
+  let pages = Array.init 5 (fun _ -> Alloc_map.allocate m ~page_size:64) in
+  Page.set_psn pages.(3) 30;
+  Page.set_psn pages.(1) 10;
+  Alloc_map.deallocate m pages.(3);
+  Alloc_map.deallocate m pages.(1);
+  let a = Alloc_map.allocate m ~page_size:64 in
+  let b = Alloc_map.allocate m ~page_size:64 in
+  let c = Alloc_map.allocate m ~page_size:64 in
+  Alcotest.(check (list int)) "lowest freed first, then extend" [ 1; 3; 5 ]
+    (List.map (fun p -> (Page.id p).Page_id.slot) [ a; b; c ]);
+  Alcotest.(check (list int)) "each with its remembered seed" [ 11; 31; 0 ]
+    (List.map Page.psn [ a; b; c ])
+
 let test_alloc_double_free_rejected () =
   let m = Alloc_map.create ~owner:0 in
   let p = Alloc_map.allocate m ~page_size:64 in
@@ -209,6 +224,7 @@ let suite =
     qcheck prop_page_codec_roundtrip;
     ("alloc sequential slots", `Quick, test_alloc_sequential_slots);
     ("alloc PSN seed never regresses", `Quick, test_alloc_psn_seed_never_regresses);
+    ("alloc reuses lowest free slot", `Quick, test_alloc_reuses_lowest_free_slot);
     ("alloc double free rejected", `Quick, test_alloc_double_free_rejected);
     ("disk read/write isolation", `Quick, test_disk_read_write);
     ("disk missing page", `Quick, test_disk_missing);

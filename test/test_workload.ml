@@ -184,7 +184,10 @@ let test_driver_deadlock_policy_detect () =
    round-robin scan order bit for bit: these fingerprints were captured
    on the pre-refactor driver, and any drift here means historical seeds
    changed observable behaviour — commit counts, abort mix, round
-   counts, simulated latencies, or the final shadow state. *)
+   counts, simulated latencies, or the final shadow state.  The
+   [sched_events] counts were captured on the polling driver, before
+   scripts waiting on the MPL cap were parked off the run queue: the
+   count of parked visits must come out the same. *)
 
 let float_exact = Alcotest.float 0.
 
@@ -206,6 +209,7 @@ let test_golden_hotspot_instant () =
   Alcotest.(check int) "deadlock aborts" 110 o.Driver.deadlock_aborts;
   Alcotest.(check int) "stuck" 0 o.Driver.stuck;
   Alcotest.(check int) "rounds" 449 o.Driver.rounds;
+  Alcotest.(check int) "sched events" 1304 o.Driver.sched_events;
   Alcotest.(check (pair int int)) "shadow" (58, 672153263) (shadow_fingerprint o)
 
 let test_golden_partitioned_crash () =
@@ -223,6 +227,7 @@ let test_golden_partitioned_crash () =
   Alcotest.(check int) "committed" 100 o.Driver.committed;
   Alcotest.(check int) "deadlock aborts" 838 o.Driver.deadlock_aborts;
   Alcotest.(check int) "rounds" 977 o.Driver.rounds;
+  Alcotest.(check int) "sched events" 11813 o.Driver.sched_events;
   Alcotest.check float_exact "sim seconds" 23.253263399998655 o.Driver.sim_seconds;
   Alcotest.check float_exact "latency mean" 2.7336152114999011 o.Driver.latencies.Stats.mean;
   Alcotest.check float_exact "latency p95" 7.1481672500001903 o.Driver.latencies.Stats.p95;
@@ -250,7 +255,33 @@ let test_golden_detect_mpl_savepoints () =
   Alcotest.(check int) "voluntary aborts" 3 o.Driver.voluntary_aborts;
   Alcotest.(check int) "deadlock aborts" 59 o.Driver.deadlock_aborts;
   Alcotest.(check int) "rounds" 521 o.Driver.rounds;
+  Alcotest.(check int) "sched events" 6665 o.Driver.sched_events;
   Alcotest.(check (pair int int)) "shadow" (88, 573119324) (shadow_fingerprint o)
+
+(* The admission queue under its hardest mix: an MPL cap that keeps
+   most scripts waiting, deadlock detection aborting holders (whose
+   scripts then wait to begin again), and a crash that resets every
+   in-flight transaction on its node, recovered by [auto_recover]
+   before the scheduled [Recover] arrives. *)
+let test_golden_mpl_crash_auto_recover () =
+  let c = Cluster.create ~seed:23 ~nodes:4 Config.default in
+  let pages_by_owner =
+    List.map (fun o -> (o, Cluster.allocate_pages c ~owner:o ~count:16)) [ 0; 3 ]
+  in
+  let rng = Rng.create 23 in
+  let scripts =
+    Generators.partitioned rng ~pages_by_owner ~clients:[ 0; 1; 2; 3 ] ~txns_per_client:12
+      ~mix:{ Generators.default_mix with remote_fraction = 0.5 }
+  in
+  let events = [ (8, Driver.Crash 2); (40, Driver.Recover [ 2 ]) ] in
+  let o =
+    Driver.run (Engine.of_cluster c) ~events ~policy:Driver.Detect ~mpl:2 ~auto_recover:5 scripts
+  in
+  Alcotest.(check int) "committed" 48 o.Driver.committed;
+  Alcotest.(check int) "rounds" 421 o.Driver.rounds;
+  Alcotest.(check int) "sched events" 9116 o.Driver.sched_events;
+  Alcotest.check float_exact "sim seconds" 4.2763077999999046 o.Driver.sim_seconds;
+  Alcotest.(check (pair int int)) "shadow" (160, 217476610) (shadow_fingerprint o)
 
 let interleave lists =
   let rec go acc lists =
@@ -281,6 +312,7 @@ let test_golden_group_commit () =
   let o = Driver.run (Engine.of_cluster c) ~mpl:8 scripts in
   Alcotest.(check int) "committed" 80 o.Driver.committed;
   Alcotest.(check int) "rounds" 70 o.Driver.rounds;
+  Alcotest.(check int) "sched events" 3070 o.Driver.sched_events;
   Alcotest.check float_exact "sim seconds" 0.36367120000001774 o.Driver.sim_seconds;
   Alcotest.check float_exact "latency mean" 0.035436592500001737 o.Driver.latencies.Stats.mean;
   Alcotest.check float_exact "latency p95" 0.22165800000000091 o.Driver.latencies.Stats.p95;
@@ -303,4 +335,5 @@ let suite =
     ("golden: partitioned with crash/recover", `Quick, test_golden_partitioned_crash);
     ("golden: detect policy, mpl cap, savepoints", `Quick, test_golden_detect_mpl_savepoints);
     ("golden: group commit", `Quick, test_golden_group_commit);
+    ("golden: mpl cap, crash, auto-recover", `Quick, test_golden_mpl_crash_auto_recover);
   ]
