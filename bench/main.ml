@@ -387,23 +387,10 @@ let micro_tests =
               last := Log_manager.append log sample_update
             done;
             Log_manager.force_shared log ~upto:!last ~sharers:8));
-    (* eviction policies at a large pool: the clock hand is amortised
-       O(1) per victim, the LRU scan is O(n) *)
-    Test.make ~name:"evict-clock (4096 frames)"
-      (Staged.stage
-         (let pool = Buffer_pool.create ~policy:Buffer_pool.Clock ~capacity:4096 () in
-          for i = 0 to 4095 do
-            ignore
-              (Buffer_pool.install pool
-                 (Page.create ~id:(Page_id.make ~owner:0 ~slot:i) ~psn:0 ~size:64))
-          done;
-          fun () ->
-            match Buffer_pool.choose_victim pool with
-            | Some f -> f.Buffer_pool.referenced <- true (* keep the sweep honest *)
-            | None -> assert false));
+    (* the LRU victim scan at a large pool: O(n) per eviction *)
     Test.make ~name:"evict-lru (4096 frames)"
       (Staged.stage
-         (let pool = Buffer_pool.create ~policy:Buffer_pool.Lru ~capacity:4096 () in
+         (let pool = Buffer_pool.create ~capacity:4096 () in
           for i = 0 to 4095 do
             ignore
               (Buffer_pool.install pool

@@ -9,8 +9,6 @@
      cblsim audit [FILE | --stress ...]              check protocol invariants on traces *)
 
 module Cluster = Repro_cbl.Cluster
-module Node = Repro_cbl.Node
-module Recovery = Repro_cbl.Recovery
 module Engine = Repro_workload.Engine
 module Driver = Repro_workload.Driver
 module Generators = Repro_workload.Generators
@@ -70,34 +68,62 @@ let experiment_cmd =
        ~exits:(Cmd.Exit.info 1 ~doc:"if a judged paper claim does not hold." :: Cmd.Exit.defaults))
     Term.(const run $ quick $ json $ specs)
 
-(* ---- demo ---- *)
+(* ---- demo and trace: one partitioned workload ---- *)
 
-let workload_events ~crash_at ~recover_at =
-  (match crash_at with
-  | Some (node, round) -> [ (round, Driver.Crash node) ]
-  | None -> [])
-  @
-  match (crash_at, recover_at) with
-  | Some (node, _), Some round -> [ (round, Driver.Recover [ node ]) ]
-  | Some (node, round), None -> [ (round + 20, Driver.Recover [ node ]) ]
-  | None, _ -> []
+let workload_term ~txns =
+  let nodes = Arg.(value & opt int 4 & info [ "nodes" ] ~doc:"Cluster size.") in
+  let owners =
+    Arg.(value & opt (list int) [ 0; 2 ] & info [ "owners" ] ~doc:"Nodes that own databases.")
+  in
+  let pages = Arg.(value & opt int 24 & info [ "pages" ] ~doc:"Pages per owner.") in
+  let txns =
+    Arg.(value & opt int txns & info [ "txns" ] ~doc:"Transactions per client node.")
+  in
+  let remote =
+    Arg.(value & opt float 0.3 & info [ "remote" ] ~doc:"Remote-access fraction (0..1).")
+  in
+  let theta = Arg.(value & opt float 0.0 & info [ "theta" ] ~doc:"Zipf skew (0 = uniform).") in
+  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic seed.") in
+  let crash_at =
+    Arg.(
+      value
+      & opt (some (pair ~sep:'@' int int)) None
+      & info [ "crash" ] ~docv:"NODE@ROUND" ~doc:"Crash NODE at ROUND.")
+  in
+  let recover_at =
+    Arg.(value & opt (some int) None & info [ "recover" ] ~docv:"ROUND" ~doc:"Recovery round.")
+  in
+  (* A fresh CBL cluster runs a partitioned workload over the owners'
+     pages, one client per node, with the optional crash (recovered at
+     [recover_at], else 20 rounds later). *)
+  let run nodes owners pages txns remote theta seed crash_at recover_at ~trace =
+    let cluster = Cluster.create ~trace ~seed ~nodes Config.default in
+    let owners = if owners = [] then [ 0 ] else owners in
+    let pages_by_owner =
+      List.map (fun o -> (o, Cluster.allocate_pages cluster ~owner:o ~count:pages)) owners
+    in
+    let engine = Engine.of_cluster cluster in
+    let rng = Rng.create seed in
+    let scripts =
+      Generators.partitioned rng ~pages_by_owner
+        ~clients:(List.init nodes (fun i -> i))
+        ~txns_per_client:txns
+        ~mix:{ Generators.default_mix with remote_fraction = remote; theta }
+    in
+    let events =
+      match (crash_at, recover_at) with
+      | Some (node, round), Some at ->
+        [ (round, Driver.Crash node); (at, Driver.Recover [ node ]) ]
+      | Some (node, round), None ->
+        [ (round, Driver.Crash node); (round + 20, Driver.Recover [ node ]) ]
+      | None, _ -> []
+    in
+    (cluster, Driver.run engine ~events scripts)
+  in
+  Term.(const run $ nodes $ owners $ pages $ txns $ remote $ theta $ seed $ crash_at $ recover_at)
 
-let demo nodes owners pages txns remote theta seed crash_at recover_at json =
-  let cluster = Cluster.create ~seed ~nodes Config.default in
-  let owners = if owners = [] then [ 0 ] else owners in
-  let pages_by_owner =
-    List.map (fun o -> (o, Cluster.allocate_pages cluster ~owner:o ~count:pages)) owners
-  in
-  let engine = Engine.of_cluster cluster in
-  let rng = Rng.create seed in
-  let scripts =
-    Generators.partitioned rng ~pages_by_owner
-      ~clients:(List.init nodes (fun i -> i))
-      ~txns_per_client:txns
-      ~mix:{ Generators.default_mix with remote_fraction = remote; theta }
-  in
-  let events = workload_events ~crash_at ~recover_at in
-  let outcome = Driver.run engine ~events scripts in
+let demo run_workload json =
+  let cluster, outcome = run_workload ~trace:false in
   let oracle = Driver.verify outcome in
   if json then begin
     let obs = Repro_sim.Env.obs (Cluster.env cluster) in
@@ -122,8 +148,8 @@ let demo nodes owners pages txns remote theta seed crash_at recover_at json =
                 ("cluster", Metrics.to_json (Cluster.global_metrics cluster));
                 ( "nodes",
                   Json.List
-                    (List.init nodes (fun i -> Metrics.to_json (Cluster.node_metrics cluster i)))
-                );
+                    (List.init (Cluster.node_count cluster) (fun i ->
+                         Metrics.to_json (Cluster.node_metrics cluster i))) );
               ] );
           (* latency histograms: commit_latency / txn_duration / lock_wait /
              recovery_duration, per node and cluster-wide, with p50/p95/p99 *)
@@ -156,26 +182,6 @@ let demo nodes owners pages txns remote theta seed crash_at recover_at json =
   end
 
 let demo_cmd =
-  let nodes = Arg.(value & opt int 4 & info [ "nodes" ] ~doc:"Cluster size.") in
-  let owners =
-    Arg.(value & opt (list int) [ 0; 2 ] & info [ "owners" ] ~doc:"Nodes that own databases.")
-  in
-  let pages = Arg.(value & opt int 24 & info [ "pages" ] ~doc:"Pages per owner.") in
-  let txns = Arg.(value & opt int 25 & info [ "txns" ] ~doc:"Transactions per client node.") in
-  let remote =
-    Arg.(value & opt float 0.3 & info [ "remote" ] ~doc:"Remote-access fraction (0..1).")
-  in
-  let theta = Arg.(value & opt float 0.0 & info [ "theta" ] ~doc:"Zipf skew (0 = uniform).") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic seed.") in
-  let crash =
-    Arg.(
-      value
-      & opt (some (pair ~sep:'@' int int)) None
-      & info [ "crash" ] ~docv:"NODE@ROUND" ~doc:"Crash NODE at ROUND.")
-  in
-  let recover =
-    Arg.(value & opt (some int) None & info [ "recover" ] ~docv:"ROUND" ~doc:"Recovery round.")
-  in
   let json =
     Arg.(
       value & flag
@@ -186,8 +192,7 @@ let demo_cmd =
   in
   Cmd.v
     (Cmd.info "demo" ~doc:"Run a workload on a CBL cluster and print its metrics")
-    Term.(
-      const demo $ nodes $ owners $ pages $ txns $ remote $ theta $ seed $ crash $ recover $ json)
+    Term.(const demo $ workload_term ~txns:25 $ json)
 
 (* ---- trace ---- *)
 
@@ -198,28 +203,13 @@ let event_txn (e : Event.t) =
   if e.Event.txn >= 0 then e.Event.txn
   else match Event.attr_int e "txn" with Some id -> id | None -> -1
 
-let trace_run nodes owners pages txns remote theta seed crash_at recover_at kinds node_filter
-    txn_filter since until limit render flame =
+let trace_run run_workload kinds node_filter txn_filter since until limit render flame =
   (match List.filter (fun k -> Event.kind_of_name k = None) kinds with
   | [] -> ()
   | bad ->
     Fmt.failwith "unknown event kind(s) %s; have: %s" (String.concat ", " bad)
       (String.concat ", " (List.map Event.kind_name Event.all_kinds)));
-  let cluster = Cluster.create ~trace:true ~seed ~nodes Config.default in
-  let owners = if owners = [] then [ 0 ] else owners in
-  let pages_by_owner =
-    List.map (fun o -> (o, Cluster.allocate_pages cluster ~owner:o ~count:pages)) owners
-  in
-  let engine = Engine.of_cluster cluster in
-  let rng = Rng.create seed in
-  let scripts =
-    Generators.partitioned rng ~pages_by_owner
-      ~clients:(List.init nodes (fun i -> i))
-      ~txns_per_client:txns
-      ~mix:{ Generators.default_mix with remote_fraction = remote; theta }
-  in
-  let events = workload_events ~crash_at ~recover_at in
-  let _outcome = Driver.run engine ~events scripts in
+  let cluster, _outcome = run_workload ~trace:true in
   let obs = Repro_sim.Env.obs (Cluster.env cluster) in
   if flame then
     (* Fold the whole trace into per-txn critical-path components and
@@ -254,26 +244,6 @@ let trace_run nodes owners pages txns remote theta seed crash_at recover_at kind
   end
 
 let trace_cmd =
-  let nodes = Arg.(value & opt int 4 & info [ "nodes" ] ~doc:"Cluster size.") in
-  let owners =
-    Arg.(value & opt (list int) [ 0; 2 ] & info [ "owners" ] ~doc:"Nodes that own databases.")
-  in
-  let pages = Arg.(value & opt int 24 & info [ "pages" ] ~doc:"Pages per owner.") in
-  let txns = Arg.(value & opt int 10 & info [ "txns" ] ~doc:"Transactions per client node.") in
-  let remote =
-    Arg.(value & opt float 0.3 & info [ "remote" ] ~doc:"Remote-access fraction (0..1).")
-  in
-  let theta = Arg.(value & opt float 0.0 & info [ "theta" ] ~doc:"Zipf skew (0 = uniform).") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic seed.") in
-  let crash =
-    Arg.(
-      value
-      & opt (some (pair ~sep:'@' int int)) None
-      & info [ "crash" ] ~docv:"NODE@ROUND" ~doc:"Crash NODE at ROUND.")
-  in
-  let recover =
-    Arg.(value & opt (some int) None & info [ "recover" ] ~docv:"ROUND" ~doc:"Recovery round.")
-  in
   let kinds =
     Arg.(
       value & opt (list string) []
@@ -327,13 +297,13 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Run a traced workload and dump the typed event stream as JSON lines")
     Term.(
-      const trace_run $ nodes $ owners $ pages $ txns $ remote $ theta $ seed $ crash
-      $ recover $ kinds $ node_filter $ txn_filter $ since $ until $ limit $ render $ flame)
+      const trace_run $ workload_term ~txns:10 $ kinds $ node_filter $ txn_filter $ since
+      $ until $ limit $ render $ flame)
 
 (* ---- stress ---- *)
 
 module Fault_plan = Repro_fault.Fault_plan
-module Injector = Repro_fault.Injector
+module Stress = Repro_workload.Stress
 
 let read_plan file =
   let ic = open_in file in
@@ -348,205 +318,28 @@ let write_plan file plan =
   output_char oc '\n';
   close_out oc
 
-(* One randomized stress run, shared between [cblsim stress] (verify
-   outcomes) and [cblsim audit --stress] (replay the trace through the
-   protocol auditor).  All randomness is drawn from [seed], so the same
-   seed reproduces the identical schedule in both; tracing changes no
-   metric or clock reading (the test suite asserts it). *)
-let stress_one ?(trace = false) ?trace_capacity ~classes ~faults_on ~loaded_plan ~group_commit
-    ~elr seed =
-  let rng = Rng.create seed in
-  (* The plan draws from a split substream so that the legacy draws
-     below are untouched; without fault flags nothing here runs and
-     historical seeds reproduce bit-identically. *)
-  let plan =
-    match loaded_plan with
-    | Some _ as p -> p
-    | None -> if faults_on then Some (Fault_plan.generate (Rng.split rng) ~classes) else None
-  in
-  let faults = Option.map Injector.create plan in
-  let config =
-    (* like the plan, group-commit parameters come from their own
-       substream; with the flag off no draw happens and historical
-       seeds reproduce bit-identically *)
-    if group_commit then begin
-      let gr = Rng.split rng in
-      if Rng.chance gr 0.75 then
-        Config.with_group_commit Config.instant
-          ~window_ms:(0.5 +. Rng.float gr 20.)
-          ~max_batch:(2 + Rng.int gr 7)
-      else Config.instant
-    end
-    else Config.instant
-  in
-  let config =
-    (* early release draws from its own substream too, and only with the
-       flag on — historical seeds replay bit-identically without it.
-       The bit is inert unless the group-commit draw above produced a
-       batching window (elr gates on group commit), so pair [--elr]
-       with [--group-commit]. *)
-    if elr then begin
-      let er = Rng.split rng in
-      Config.with_early_release config (Rng.chance er 0.75)
-    end
-    else config
-  in
-  let nodes = 2 + Rng.int rng 4 in
-  let cluster =
-    Cluster.create ~trace ?trace_capacity ~seed ?faults ~nodes
-      ~pool_capacity:(8 + Rng.int rng 24) config
-  in
-  let owners = List.init (1 + Rng.int rng (min 3 nodes)) (fun i -> i) in
-  let pages_by_owner =
-    List.map
-      (fun o -> (o, Cluster.allocate_pages cluster ~owner:o ~count:(8 + Rng.int rng 16)))
-      owners
-  in
-  let engine0 = Engine.of_cluster cluster in
-  let engine =
-    if seed mod 2 = 1 then
-      {
-        engine0 with
-        Engine.recover =
-          (fun ~nodes -> Cluster.recover ~strategy:Recovery.Merged_logs cluster ~nodes);
-      }
-    else engine0
-  in
-  let scripts =
-    Generators.partitioned rng ~pages_by_owner
-      ~clients:(List.init nodes (fun i -> i))
-      ~txns_per_client:(4 + Rng.int rng 10)
-      ~mix:
-        {
-          Generators.ops_per_txn = 2 + Rng.int rng 8;
-          update_fraction = 0.3 +. Rng.float rng 0.6;
-          remote_fraction = Rng.float rng 0.8;
-          theta = Rng.float rng 1.0;
-          savepoint_fraction = Rng.float rng 0.3;
-          abort_fraction = Rng.float rng 0.2;
-        }
-  in
-  let events = ref [] in
-  let t = ref 10 in
-  let crashed = ref [] in
-  for _ = 1 to Rng.int rng 4 do
-    let victim = Rng.int rng nodes in
-    if not (List.mem victim !crashed) then begin
-      events := (!t, Driver.Crash victim) :: !events;
-      crashed := victim :: !crashed;
-      t := !t + 5 + Rng.int rng 20;
-      if Rng.chance rng 0.6 || List.length !crashed >= 2 then begin
-        events := (!t, Driver.Recover !crashed) :: !events;
-        crashed := [];
-        t := !t + 5 + Rng.int rng 15
-      end
-    end
-  done;
-  if !crashed <> [] then events := (!t + 5, Driver.Recover !crashed) :: !events;
-  (* Fault-injected runs also take checkpoints mid-workload: the
-     mid-checkpoint crash point can only fire inside one. *)
-  if faults_on then
-    for _ = 1 to 2 + Rng.int rng 3 do
-      events := (5 + Rng.int rng 60, Driver.Checkpoint (Rng.int rng nodes)) :: !events
-    done;
-  let outcome =
-    Driver.run engine
-      ~events:(List.sort compare !events)
-      ~max_rounds:30_000
-      ?auto_recover:(if faults_on then Some 6 else None)
-      scripts
-  in
-  (* The end-of-run cleanup recovery can itself die at a recovery
-     crash point (that is the point of the recovery fault class);
-     re-enter with the grown down set.  Both the crash and the
-     partition budgets are bounded, so the loop terminates — the cap
-     is a backstop turning a livelock bug into a visible failure. *)
-  let rec recover_all attempts =
-    let down =
-      List.filter
-        (fun n -> not (Cluster.node cluster n |> Node.is_up))
-        (List.init nodes (fun i -> i))
-    in
-    if down <> [] then
-      if attempts > 100 then Fmt.failwith "seed %d: recovery did not converge" seed
-      else begin
-        (try Cluster.recover cluster ~nodes:down with Repro_cbl.Block.Would_block _ -> ());
-        recover_all (attempts + 1)
-      end
-  in
-  recover_all 0;
-  Cluster.check_invariants cluster;
-  (cluster, outcome, plan)
+(* The scenario knobs shared by [stress] and [audit --stress]: the same
+   flags give the same schedule for the same seed in both. *)
+type scenario = { classes : Fault_plan.classes; group_commit : bool; elr : bool }
 
-let stress runs start faults_spec plan_file dump_plan group_commit elr =
+let scenario_term =
+  let fault_classes =
+    let parse s = Result.map_error (fun msg -> `Msg msg) (Fault_plan.classes_of_string s) in
+    let print ppf (c : Fault_plan.classes) =
+      let on =
+        List.filter_map
+          (fun (name, set) -> if set then Some name else None)
+          [ ("net", c.net); ("disk", c.disk); ("crashpoints", c.crashpoints);
+            ("recovery", c.recovery) ]
+      in
+      Format.pp_print_string ppf (if on = [] then "none" else String.concat "," on)
+    in
+    Arg.conv (parse, print)
+  in
   let classes =
-    match Fault_plan.classes_of_string faults_spec with
-    | Ok c -> c
-    | Error msg -> Fmt.failwith "--faults: %s" msg
-  in
-  let faults_on =
-    classes.Fault_plan.net || classes.Fault_plan.disk || classes.Fault_plan.crashpoints
-    || classes.Fault_plan.recovery || plan_file <> None
-  in
-  let loaded_plan = Option.map read_plan plan_file in
-  let last_plan = ref None in
-  let fault_totals = Metrics.create () in
-  (* the same randomized schedule the property test uses, sequentially *)
-  let failures = ref 0 in
-  for seed = start to start + runs - 1 do
-    let cluster, outcome, plan =
-      stress_one ~classes ~faults_on ~loaded_plan ~group_commit ~elr seed
-    in
-    if plan <> None then last_plan := plan;
-    (match (outcome.Driver.stuck, Driver.verify outcome) with
-    | 0, Ok () -> ()
-    | stuck, result ->
-      incr failures;
-      Format.printf "seed %d: FAILED (stuck=%d%s)@." seed stuck
-        (match result with Ok () -> "" | Error e -> "; " ^ List.hd e));
-    if faults_on then begin
-      let g = Cluster.global_metrics cluster in
-      fault_totals.Metrics.net_msgs_dropped <-
-        fault_totals.Metrics.net_msgs_dropped + g.Metrics.net_msgs_dropped;
-      fault_totals.Metrics.net_msgs_duplicated <-
-        fault_totals.Metrics.net_msgs_duplicated + g.Metrics.net_msgs_duplicated;
-      fault_totals.Metrics.net_msgs_delayed <-
-        fault_totals.Metrics.net_msgs_delayed + g.Metrics.net_msgs_delayed;
-      fault_totals.Metrics.net_link_blocks <-
-        fault_totals.Metrics.net_link_blocks + g.Metrics.net_link_blocks;
-      fault_totals.Metrics.torn_crashes <-
-        fault_totals.Metrics.torn_crashes + g.Metrics.torn_crashes;
-      fault_totals.Metrics.torn_bytes_discarded <-
-        fault_totals.Metrics.torn_bytes_discarded + g.Metrics.torn_bytes_discarded;
-      fault_totals.Metrics.injected_crashes <-
-        fault_totals.Metrics.injected_crashes + g.Metrics.injected_crashes
-    end;
-    if (seed - start) mod 50 = 49 then Format.printf "...%d runs ok@." (seed - start + 1)
-  done;
-  (match (dump_plan, !last_plan) with
-  | Some file, Some plan -> write_plan file plan
-  | Some file, None -> Fmt.failwith "--dump-plan %s: no fault plan was generated" file
-  | None, _ -> ());
-  if faults_on then
-    Format.printf
-      "faults injected: dropped=%d duplicated=%d delayed=%d link_blocks=%d torn=%d \
-       torn_bytes=%d crashes=%d@."
-      fault_totals.Metrics.net_msgs_dropped fault_totals.Metrics.net_msgs_duplicated
-      fault_totals.Metrics.net_msgs_delayed fault_totals.Metrics.net_link_blocks
-      fault_totals.Metrics.torn_crashes fault_totals.Metrics.torn_bytes_discarded
-      fault_totals.Metrics.injected_crashes;
-  if !failures = 0 then Format.printf "stress: %d randomized runs verified@." runs
-  else begin
-    Format.printf "stress: %d FAILURES@." !failures;
-    exit 1
-  end
-
-let stress_cmd =
-  let runs = Arg.(value & opt int 100 & info [ "runs" ] ~doc:"Number of randomized runs.") in
-  let start = Arg.(value & opt int 0 & info [ "start" ] ~doc:"First seed.") in
-  let faults =
     Arg.(
-      value & opt string ""
+      value
+      & opt fault_classes Fault_plan.no_classes
       & info [ "faults" ] ~docv:"CLASSES"
           ~doc:
             "Enable deterministic fault injection.  Comma-separated classes from $(b,net) \
@@ -556,23 +349,6 @@ let stress_cmd =
              crash points after analysis, mid-redo, before undo, mid-undo and at the \
              end-of-restart checkpoint — recovery must restart or defer its way through); \
              $(b,all) enables everything.")
-  in
-  let plan_json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "plan-json" ] ~docv:"FILE"
-          ~doc:
-            "Replay the fault plan stored in $(docv) (as written by $(b,--dump-plan)) instead \
-             of generating one per seed.  The same plan and workload reproduce the identical \
-             run, bit for bit.")
-  in
-  let dump_plan =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dump-plan" ] ~docv:"FILE"
-          ~doc:"Write the last run's fault plan to $(docv) as JSON.")
   in
   let group_commit =
     Arg.(
@@ -590,14 +366,79 @@ let stress_cmd =
           ~doc:
             "Randomize early lock release per seed (~3/4 of the runs set the bit, drawn from \
              a dedicated substream).  Only effective on runs where $(b,--group-commit) drew a \
-             batching window — early release gates on group commit — so pair the two flags.")
+             batching window — early release gates on group commit — so pair the two flags.  \
+             $(b,cblsim audit) then also polices the weakened discipline \
+             (release-after-submit, closure-loss).")
+  in
+  Term.(
+    const (fun classes group_commit elr -> { classes; group_commit; elr })
+    $ classes $ group_commit $ elr)
+
+let stress runs start sc plan_file dump_plan =
+  let plan = Option.map read_plan plan_file in
+  let last_plan = ref None in
+  let fault_totals = Metrics.create () in
+  let failures = ref 0 in
+  for seed = start to start + runs - 1 do
+    let cluster, outcome, plan =
+      Stress.run ?plan ~classes:sc.classes ~group_commit:sc.group_commit ~elr:sc.elr seed
+    in
+    (match (outcome.Driver.stuck, Driver.verify outcome) with
+    | 0, Ok () -> ()
+    | stuck, result ->
+      incr failures;
+      Format.printf "seed %d: FAILED (stuck=%d%s)@." seed stuck
+        (match result with Ok () -> "" | Error e -> "; " ^ List.hd e));
+    if plan <> None then begin
+      last_plan := plan;
+      Metrics.merge_into ~dst:fault_totals (Cluster.global_metrics cluster)
+    end;
+    if (seed - start) mod 50 = 49 then Format.printf "...%d runs ok@." (seed - start + 1)
+  done;
+  (match (dump_plan, !last_plan) with
+  | Some file, Some plan -> write_plan file plan
+  | Some file, None -> Fmt.failwith "--dump-plan %s: no fault plan was generated" file
+  | None, _ -> ());
+  if !last_plan <> None then
+    Format.printf
+      "faults injected: dropped=%d duplicated=%d delayed=%d link_blocks=%d torn=%d \
+       torn_bytes=%d crashes=%d@."
+      fault_totals.Metrics.net_msgs_dropped fault_totals.Metrics.net_msgs_duplicated
+      fault_totals.Metrics.net_msgs_delayed fault_totals.Metrics.net_link_blocks
+      fault_totals.Metrics.torn_crashes fault_totals.Metrics.torn_bytes_discarded
+      fault_totals.Metrics.injected_crashes;
+  if !failures = 0 then Format.printf "stress: %d randomized runs verified@." runs
+  else begin
+    Format.printf "stress: %d FAILURES@." !failures;
+    exit 1
+  end
+
+let stress_cmd =
+  let runs = Arg.(value & opt int 100 & info [ "runs" ] ~doc:"Number of randomized runs.") in
+  let start = Arg.(value & opt int 0 & info [ "start" ] ~doc:"First seed.") in
+  let plan_json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "plan-json" ] ~docv:"FILE"
+          ~doc:
+            "Replay the fault plan stored in $(docv) (as written by $(b,--dump-plan)) instead \
+             of generating one per seed.  The same plan and workload reproduce the identical \
+             run, bit for bit.")
+  in
+  let dump_plan =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "dump-plan" ] ~docv:"FILE"
+          ~doc:"Write the last run's fault plan to $(docv) as JSON.")
   in
   Cmd.v
     (Cmd.info "stress"
        ~doc:
          "Randomized crash-schedule runs with the durability oracle, optionally under \
           deterministic fault injection")
-    Term.(const stress $ runs $ start $ faults $ plan_json $ dump_plan $ group_commit $ elr)
+    Term.(const stress $ runs $ start $ scenario_term $ plan_json $ dump_plan)
 
 (* ---- scale ---- *)
 
@@ -743,29 +584,20 @@ let read_jsonl_events file =
   if !bad > 0 then Format.eprintf "note: %s: %d unparsable line(s) skipped@." file !bad;
   events
 
-let audit_run file stress_mode runs start faults_spec group_commit elr out =
+let audit_run file stress_mode runs start sc out =
   let reports =
     match (file, stress_mode) with
     | Some f, _ ->
       (* offline: audit a recorded JSONL trace (cblsim trace > t.jsonl) *)
       [ (Json.Str f, Audit.run (read_jsonl_events f)) ]
     | None, true ->
-      (* replay: re-run stress schedules traced (a large ring keeps the
-         prefix-dependent checks armed) and audit each run's stream *)
-      let classes =
-        match Repro_fault.Fault_plan.classes_of_string faults_spec with
-        | Ok c -> c
-        | Error msg -> Fmt.failwith "--faults: %s" msg
-      in
-      let faults_on =
-        classes.Fault_plan.net || classes.Fault_plan.disk || classes.Fault_plan.crashpoints
-        || classes.Fault_plan.recovery
-      in
+      (* replay: re-run stress schedules traced and audit each run's
+         stream *)
       List.init runs (fun i ->
           let seed = start + i in
           let cluster, _outcome, _plan =
-            stress_one ~trace:true ~trace_capacity:(1 lsl 20) ~classes ~faults_on
-              ~loaded_plan:None ~group_commit ~elr seed
+            Stress.run ~trace:true ~classes:sc.classes ~group_commit:sc.group_commit
+              ~elr:sc.elr seed
           in
           let obs = Repro_sim.Env.obs (Cluster.env cluster) in
           if (i + 1) mod 50 = 0 then Format.eprintf "...%d runs audited@." (i + 1);
@@ -827,26 +659,6 @@ let audit_cmd =
   in
   let runs = Arg.(value & opt int 100 & info [ "runs" ] ~doc:"Stress runs to audit.") in
   let start = Arg.(value & opt int 0 & info [ "start" ] ~doc:"First stress seed.") in
-  let faults =
-    Arg.(
-      value & opt string ""
-      & info [ "faults" ] ~docv:"CLASSES"
-          ~doc:"Fault classes for $(b,--stress) runs; same syntax as $(b,cblsim stress).")
-  in
-  let group_commit =
-    Arg.(
-      value & flag
-      & info [ "group-commit" ]
-          ~doc:"Randomize group-commit batching per seed, as in $(b,cblsim stress).")
-  in
-  let elr =
-    Arg.(
-      value & flag
-      & info [ "elr" ]
-          ~doc:
-            "Randomize early lock release per seed, as in $(b,cblsim stress) — the audit then \
-             also polices the weakened discipline (release-after-submit, closure-loss).")
-  in
   let out =
     Arg.(
       value
@@ -861,7 +673,7 @@ let audit_cmd =
           2PL release discipline — weakened to release-after-submit plus closure-loss when \
           early lock release is on); non-zero exit on any violation")
     Term.(
-      const audit_run $ file $ stress_mode $ runs $ start $ faults $ group_commit $ elr $ out)
+      const audit_run $ file $ stress_mode $ runs $ start $ scenario_term $ out)
 
 let () =
   let doc = "client-based logging for high performance distributed architectures (ICDE'96)" in

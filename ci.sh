@@ -1,18 +1,15 @@
 #!/bin/sh
 # Local CI: build, formatting check (when ocamlformat is installed),
-# tests, the recovery sweeps, the big-cluster scale smoke, and an
-# optional wider stress sweep.
+# tests, the stress sweeps, the bench smoke and the big-cluster scale
+# smoke.
 #
 # Every run sweeps max(200, STRESS_RUNS) randomized seeds through
-# `cblsim stress` and the traced `cblsim audit --stress`, each with
-# --faults all and with --faults recovery (about 10 s in all on a
-# 2-vCPU machine).
+# `cblsim stress` (clean, --faults all, --faults recovery, and
+# --faults all with group commit and with early lock release) and the
+# traced `cblsim audit --stress` (--faults all, --faults recovery and
+# early lock release): about 15 s in all on a 2-vCPU machine.
 #
-#   STRESS_RUNS=N ./ci.sh    additionally runs N randomized crash/verify
-#                            stress iterations clean, with group commit
-#                            and with early lock release, plus the
-#                            early-lock-release audit.  0 (the default)
-#                            skips these legs.
+#   STRESS_RUNS=N ./ci.sh    sweeps N seeds instead, when N > 200.
 set -eu
 cd "$(dirname "$0")"
 
@@ -84,37 +81,37 @@ diff -u EXPERIMENT_RECORDED.txt EXPERIMENT_RUN.txt || {
   exit 1
 }
 
-# Recovery sweeps, on every run: crashes at the recovery crash points,
-# network faults during recovery exchanges, and every fault class at
-# once -- at least 200 seeds regardless of the requested sweep size, so
-# the restart/deferral paths always get real coverage.  The protocol
-# auditor replays the same schedules traced and checks each run's event
-# stream against the protocol invariants (WAL ordering, batch-loss
-# closure, PSN lineage, deferred fence, 2PL release discipline).
+# Stress sweeps, on every run and at least 200 seeds regardless of the
+# requested sweep size: the clean schedule, every fault class at once
+# (alone, with group commit, with early lock release), and crashes at
+# the recovery crash points with network faults during the recovery
+# exchanges, so the restart/deferral paths always get real coverage.
+# The protocol auditor replays the same schedules traced and checks
+# each run's event stream against the protocol invariants (WAL
+# ordering, batch-loss closure, PSN lineage, deferred fence, 2PL
+# release discipline, weakened to release-after-submit under early
+# lock release).
 SWEEP_RUNS="$STRESS_RUNS"
 [ "$SWEEP_RUNS" -lt 200 ] && SWEEP_RUNS=200
+echo "== stress: $SWEEP_RUNS clean runs =="
+dune exec bin/cblsim.exe -- stress --runs "$SWEEP_RUNS"
 echo "== stress: $SWEEP_RUNS fault-injected runs (--faults all) =="
 dune exec bin/cblsim.exe -- stress --runs "$SWEEP_RUNS" --faults all
+echo "== stress: $SWEEP_RUNS fault-injected runs with group commit (--faults all --group-commit) =="
+dune exec bin/cblsim.exe -- stress --runs "$SWEEP_RUNS" --faults all --group-commit
+echo "== stress: $SWEEP_RUNS fault-injected runs with early lock release (--faults all --group-commit --elr) =="
+dune exec bin/cblsim.exe -- stress --runs "$SWEEP_RUNS" --faults all --group-commit --elr
 echo "== stress: $SWEEP_RUNS recovery-fault runs (--faults recovery) =="
 dune exec bin/cblsim.exe -- stress --runs "$SWEEP_RUNS" --faults recovery
 echo "== audit: $SWEEP_RUNS traced fault-injected runs (--faults all) =="
 dune exec bin/cblsim.exe -- audit --stress --runs "$SWEEP_RUNS" --faults all \
   --out AUDIT_REPORT.json
+echo "== audit: $SWEEP_RUNS traced early-lock-release runs (--faults all --group-commit --elr) =="
+dune exec bin/cblsim.exe -- audit --stress --runs "$SWEEP_RUNS" --faults all \
+  --group-commit --elr --out AUDIT_REPORT_ELR.json
 echo "== audit: $SWEEP_RUNS traced recovery-fault runs (--faults recovery) =="
 dune exec bin/cblsim.exe -- audit --stress --runs "$SWEEP_RUNS" --faults recovery \
   --out AUDIT_REPORT_RECOVERY.json
-
-if [ "$STRESS_RUNS" -gt 0 ]; then
-  echo "== stress: $STRESS_RUNS clean runs =="
-  dune exec bin/cblsim.exe -- stress --runs "$STRESS_RUNS"
-  echo "== stress: $STRESS_RUNS fault-injected runs with group commit (--faults all --group-commit) =="
-  dune exec bin/cblsim.exe -- stress --runs "$STRESS_RUNS" --faults all --group-commit
-  echo "== stress: $STRESS_RUNS fault-injected runs with early lock release (--faults all --group-commit --elr) =="
-  dune exec bin/cblsim.exe -- stress --runs "$STRESS_RUNS" --faults all --group-commit --elr
-  echo "== audit: $STRESS_RUNS traced early-lock-release runs (--faults all --group-commit --elr) =="
-  dune exec bin/cblsim.exe -- audit --stress --runs "$STRESS_RUNS" --faults all \
-    --group-commit --elr --out AUDIT_REPORT_ELR.json
-fi
 
 echo "== bench smoke: quick JSON reports + throughput regression gate =="
 dune exec bench/main.exe -- json

@@ -1,8 +1,6 @@
 open Repro_storage
 module Lsn = Repro_wal.Lsn
 
-type policy = Lru | Clock
-
 type frame = {
   page : Page.t;
   mutable dirty : bool;
@@ -10,34 +8,22 @@ type frame = {
   mutable rec_lsn : Lsn.t;
   mutable last_lsn : Lsn.t;
   mutable last_use : int;
-  mutable referenced : bool;
-  mutable slot : int;
 }
 
 type t = {
-  policy : policy;
   capacity : int;
   frames : frame Page_id.Tbl.t;
-  ring : frame option array;
-      (* fixed residence slots; the clock hand sweeps this in place of
-         sorting the candidate list on every eviction *)
-  mutable hand : int;
-  mutable free : int list; (* vacant ring slots *)
   mutable tick : int;
   mutable tracer : string -> Page_id.t -> unit;
 }
 
 let no_trace _ _ = ()
 
-let create ?(policy = Lru) ~capacity () =
+let create ~capacity () =
   if capacity <= 0 then invalid_arg "Buffer_pool.create: capacity must be positive";
   {
-    policy;
     capacity;
     frames = Page_id.Tbl.create capacity;
-    ring = Array.make capacity None;
-    hand = 0;
-    free = List.init capacity Fun.id;
     tick = 0;
     tracer = no_trace;
   }
@@ -50,8 +36,7 @@ let is_full t = size t >= t.capacity
 
 let touch t frame =
   t.tick <- t.tick + 1;
-  frame.last_use <- t.tick;
-  frame.referenced <- true
+  frame.last_use <- t.tick
 
 let find t pid =
   match Page_id.Tbl.find_opt t.frames pid with
@@ -68,27 +53,10 @@ let install t page =
   if contains t pid then
     invalid_arg (Format.asprintf "Buffer_pool.install: %a already cached" Page_id.pp pid);
   if is_full t then invalid_arg "Buffer_pool.install: pool full, evict first";
-  let slot =
-    match t.free with
-    | s :: rest ->
-      t.free <- rest;
-      s
-    | [] -> assert false (* size < capacity was just checked *)
-  in
   let frame =
-    {
-      page;
-      dirty = false;
-      pin_count = 0;
-      rec_lsn = Lsn.nil;
-      last_lsn = Lsn.nil;
-      last_use = 0;
-      referenced = true;
-      slot;
-    }
+    { page; dirty = false; pin_count = 0; rec_lsn = Lsn.nil; last_lsn = Lsn.nil; last_use = 0 }
   in
   touch t frame;
-  t.ring.(slot) <- Some frame;
   Page_id.Tbl.replace t.frames pid frame;
   t.tracer "install" pid;
   frame
@@ -109,57 +77,20 @@ let unpin frame =
 let victims t = Page_id.Tbl.fold (fun _ f acc -> if f.pin_count = 0 then f :: acc else acc) t.frames []
 
 let choose_victim t =
-  match t.policy with
-  | Lru -> (
-    match victims t with
-    | [] -> None
-    | hd :: _ as candidates ->
-      Some
-        (List.fold_left
-           (fun best f -> if f.last_use < best.last_use then f else best)
-           hd candidates))
-  | Clock ->
-    (* Second-chance hand sweep over the residence ring: skip pinned
-       frames, clear reference bits as the hand passes, stop at the
-       first unpinned unreferenced frame.  Two laps suffice — the first
-       clears every unpinned reference bit, so the second stops at the
-       first unpinned frame; if 2n steps find nothing, every resident
-       frame is pinned and there is no victim.  Amortised O(1) per
-       eviction, versus scanning the whole candidate list. *)
-    let n = t.capacity in
-    let rec sweep steps =
-      if steps >= 2 * n then None
-      else begin
-        let i = t.hand in
-        t.hand <- (t.hand + 1) mod n;
-        match t.ring.(i) with
-        | None -> sweep (steps + 1)
-        | Some f ->
-          if f.pin_count > 0 then sweep (steps + 1)
-          else if f.referenced then begin
-            f.referenced <- false;
-            sweep (steps + 1)
-          end
-          else Some f
-      end
-    in
-    sweep 0
+  match victims t with
+  | [] -> None
+  | hd :: _ as candidates ->
+    Some
+      (List.fold_left (fun best f -> if f.last_use < best.last_use then f else best) hd candidates)
 
 let remove t pid =
-  match Page_id.Tbl.find_opt t.frames pid with
-  | None -> ()
-  | Some f ->
+  if contains t pid then begin
     t.tracer "evict" pid;
-    t.ring.(f.slot) <- None;
-    t.free <- f.slot :: t.free;
-    f.slot <- -1;
     Page_id.Tbl.remove t.frames pid
+  end
+
 let cached_ids t = Page_id.Tbl.fold (fun pid _ acc -> pid :: acc) t.frames []
 let dirty_frames t = Page_id.Tbl.fold (fun _ f acc -> if f.dirty then f :: acc else acc) t.frames []
 let iter t f = Page_id.Tbl.iter (fun _ frame -> f frame) t.frames
 
-let clear t =
-  Page_id.Tbl.reset t.frames;
-  Array.fill t.ring 0 t.capacity None;
-  t.free <- List.init t.capacity Fun.id;
-  t.hand <- 0
+let clear t = Page_id.Tbl.reset t.frames

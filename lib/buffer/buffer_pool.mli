@@ -6,13 +6,9 @@
     The WAL rule is enforced by the node: it must force the log up to a
     dirty frame's [last_lsn] before the frame leaves the pool.
 
-    Two replacement policies are provided.  LRU matches what BeSS used;
-    Clock is the ablation alternative exercised by experiment E9's cache
-    sweeps. *)
+    Replacement is LRU, which matches what BeSS used. *)
 
 open Repro_storage
-
-type policy = Lru | Clock
 
 type frame = {
   page : Page.t;
@@ -21,13 +17,11 @@ type frame = {
   mutable rec_lsn : Repro_wal.Lsn.t;  (** first LSN that dirtied this caching period *)
   mutable last_lsn : Repro_wal.Lsn.t;  (** latest update record; WAL force bound *)
   mutable last_use : int;
-  mutable referenced : bool;  (** Clock's reference bit *)
-  mutable slot : int;  (** residence slot in the clock ring; [-1] once removed *)
 }
 
 type t
 
-val create : ?policy:policy -> capacity:int -> unit -> t
+val create : capacity:int -> unit -> t
 (** [capacity] in pages; must be positive. *)
 
 val set_tracer : t -> (string -> Page_id.t -> unit) -> unit
@@ -39,10 +33,10 @@ val size : t -> int
 val is_full : t -> bool
 
 val find : t -> Page_id.t -> frame option
-(** Touches the frame for the replacement policy. *)
+(** Touches the frame for LRU. *)
 
 val peek : t -> Page_id.t -> frame option
-(** No policy side effects. *)
+(** Does not touch the frame. *)
 
 val contains : t -> Page_id.t -> bool
 
@@ -59,10 +53,8 @@ val pin : frame -> unit
 val unpin : frame -> unit
 
 val choose_victim : t -> frame option
-(** An unpinned frame per the policy, or [None] if all are pinned.
-    Clock is an amortised-O(1) second-chance hand sweep over the
-    residence ring (install order, not [last_use] order); LRU scans for
-    the minimal [last_use]. *)
+(** The least recently used unpinned frame (minimal [last_use]), or
+    [None] if all are pinned. *)
 
 val remove : t -> Page_id.t -> unit
 val cached_ids : t -> Page_id.t list

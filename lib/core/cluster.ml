@@ -42,13 +42,12 @@ type t = {
 }
 
 let create ?(trace = false) ?trace_capacity ?(seed = 42) ?faults ?(pool_capacity = 64)
-    ?pool_policy ?log_capacity ?scheme ?retain_cached_locks ~nodes config =
+    ?log_capacity ?scheme ?retain_cached_locks ~nodes config =
   if nodes <= 0 then invalid_arg "Cluster.create: need at least one node";
   let env = Env.create ~trace ?trace_capacity ~seed ?faults config in
   let members =
     Array.init nodes (fun id ->
-        Node.create env ~id ~pool_capacity ?pool_policy ?log_capacity ?scheme
-          ?retain_cached_locks ())
+        Node.create env ~id ~pool_capacity ?log_capacity ?scheme ?retain_cached_locks ())
   in
   let resolve id =
     if id < 0 || id >= nodes then invalid_arg (Printf.sprintf "Cluster: no node %d" id);
@@ -278,6 +277,21 @@ let recover_timed ?strategy ?(defer = []) t ~nodes:ids =
   Recovery.run ?strategy ~deferred ~crashed ~operational ()
 
 let recover ?strategy ?defer t ~nodes = ignore (recover_timed ?strategy ?defer t ~nodes)
+
+let recover_until_up ?(defer = []) t =
+  let rec go attempts =
+    match
+      List.filter (fun n -> (not (Node.is_up n)) && not (List.mem (Node.id n) defer)) (nodes t)
+    with
+    | [] -> ()
+    | down ->
+      if attempts >= 100 then
+        Fmt.failwith "Cluster.recover_until_up: node(s) %s still down after 100 attempts"
+          (String.concat ", " (List.map (fun n -> string_of_int (Node.id n)) down));
+      (try recover t ~defer ~nodes:(List.map Node.id down) with Block.Would_block _ -> ());
+      go (attempts + 1)
+  in
+  go 0
 
 let deadlock t = t.deadlock
 let commit_antecedents t ~txn = Dep_graph.antecedents_of t.deps txn

@@ -24,7 +24,6 @@ val create :
   ?seed:int ->
   ?faults:Repro_fault.Injector.t ->
   ?pool_capacity:int ->
-  ?pool_policy:Repro_buffer.Buffer_pool.policy ->
   ?log_capacity:int ->
   ?scheme:Node_state.scheme ->
   ?retain_cached_locks:bool ->
@@ -122,6 +121,16 @@ val recover : ?strategy:Recovery.strategy -> ?defer:int list -> t -> nodes:int l
     offending node(s); so does listing a node in both, listing it twice
     in [nodes] (it would be analysed, and its losers rolled back,
     twice), or deferring a node that is up. *)
+
+val recover_until_up : ?defer:int list -> t -> unit
+(** Recovers every down node not in [defer] (default none), together,
+    and re-enters until none is left.  An attempt aborted by a crash at
+    a recovery crash point leaves its nodes down — and can fell an
+    operational node mid-completion — so each attempt covers the whole
+    current down set; the aborting [Block.Would_block] is swallowed.
+    The injector's crash and partition budgets bound the retries.
+    @raise Failure naming the nodes still down after 100 attempts, so a
+    livelock fails loudly. *)
 
 val recover_timed :
   ?strategy:Recovery.strategy -> ?defer:int list -> t -> nodes:int list -> Recovery.summary

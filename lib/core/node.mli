@@ -22,7 +22,6 @@ val create :
   Repro_sim.Env.t ->
   id:int ->
   pool_capacity:int ->
-  ?pool_policy:Repro_buffer.Buffer_pool.policy ->
   ?log_capacity:int ->
   ?scheme:Node_state.scheme ->
   ?retain_cached_locks:bool ->

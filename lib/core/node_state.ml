@@ -95,7 +95,6 @@ type t = {
          [Dep_graph]; returns whether the edge is new (the node emits
          the trace event only for fresh edges).  Default for standalone
          nodes: no graph, nothing fresh. *)
-  pool_policy : Repro_buffer.Buffer_pool.policy;
   pool_capacity : int;
   scheme : scheme;
   retain_cached_locks : bool;
@@ -137,7 +136,7 @@ let wire_tracers node =
   Repro_buffer.Buffer_pool.set_tracer node.pool (fun action pid ->
       emit_page (if action = "install" then Event.Cache_install else Event.Cache_evict) action pid)
 
-let create env ~id ~pool_capacity ~pool_policy ~log_capacity ~scheme ~retain_cached_locks =
+let create env ~id ~pool_capacity ~log_capacity ~scheme ~retain_cached_locks =
   let metrics = Metrics.create ~node:id () in
   let log = Repro_wal.Log_manager.create env metrics ?capacity:log_capacity () in
   let rec node =
@@ -151,7 +150,7 @@ let create env ~id ~pool_capacity ~pool_policy ~log_capacity ~scheme ~retain_cac
       master = Repro_aries.Master.create ();
       gc = Repro_wal.Group_commit.create env ~node:id log;
       up = true;
-      pool = Repro_buffer.Buffer_pool.create ~policy:pool_policy ~capacity:pool_capacity ();
+      pool = Repro_buffer.Buffer_pool.create ~capacity:pool_capacity ();
       locks = Repro_lock.Local_locks.create ();
       glocks = Repro_lock.Global_locks.create ();
       dpt = Repro_buffer.Dpt.create ();
@@ -165,7 +164,6 @@ let create env ~id ~pool_capacity ~pool_policy ~log_capacity ~scheme ~retain_cac
       elr_by_txn = Hashtbl.create 16;
       resolve = (fun _ -> node);
       on_dep = (fun ~dependent:_ ~antecedent:_ -> false);
-      pool_policy;
       pool_capacity;
       scheme;
       retain_cached_locks;

@@ -853,33 +853,13 @@ let e12 =
       (* updaters last-to-first-crash order: node 0 updates last, so
          its crash leaves no current copy in any live cache *)
       increment_all engine ~updaters:[ 1; 2; 3; 0 ] pages;
-      (* Re-enter recovery until every non-deferred node is up: an
-         attempt aborted by a recovery crash point leaves its nodes
-         down (and can fell an operational claimant during a
-         completion job), so each round recovers the whole current
-         down set.  The crash budget bounds the retries; the cap turns
-         a livelock bug into a loud failure. *)
-      let rec recover_until_done ~defer attempts =
-        if attempts > 50 then invalid_arg "E12: recovery did not converge";
-        match
-          List.filter
-            (fun n ->
-              (not (Cluster.node cluster n |> Repro_cbl.Node.is_up)) && not (List.mem n defer))
-            [ 0; 1; 2; 3 ]
-        with
-        | [] -> ()
-        | down ->
-          (try Cluster.recover cluster ~defer ~nodes:down
-           with Repro_cbl.Block.Would_block _ -> ());
-          recover_until_done ~defer (attempts + 1)
-      in
       let deferred () = (Cluster.global_metrics cluster).recovery_deferred_pages in
       let parked, d, dt =
         crash_recover cluster [ 0; 2 ] (fun ~nodes:_ ->
             let before = deferred () in
-            recover_until_done ~defer:[ 2 ] 0;
+            Cluster.recover_until_up ~defer:[ 2 ] cluster;
             let parked = deferred () - before in
-            recover_until_done ~defer:[] 0;
+            Cluster.recover_until_up cluster;
             parked)
       in
       expect_increments ~id:"E12" engine ~node:3 pages 4L;

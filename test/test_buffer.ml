@@ -78,15 +78,6 @@ let test_pool_mark_dirty_lsns () =
   Alcotest.(check int) "rec_lsn is first" 100 f.Buffer_pool.rec_lsn;
   Alcotest.(check int) "last_lsn is latest" 200 f.Buffer_pool.last_lsn
 
-let test_pool_clock_policy_sweeps () =
-  let pool = Buffer_pool.create ~policy:Buffer_pool.Clock ~capacity:2 () in
-  ignore (Buffer_pool.install pool (page 1));
-  ignore (Buffer_pool.install pool (page 2));
-  (* first sweep clears reference bits, second lap evicts the oldest *)
-  match Buffer_pool.choose_victim pool with
-  | Some _ -> ()
-  | None -> Alcotest.fail "clock found no victim"
-
 let test_pool_clear () =
   let pool = Buffer_pool.create ~capacity:2 () in
   ignore (Buffer_pool.install pool (page 1));
@@ -183,7 +174,6 @@ let suite =
     ("pool LRU victim", `Quick, test_pool_lru_victim);
     ("pool pin protects", `Quick, test_pool_pin_protects);
     ("pool dirty LSNs", `Quick, test_pool_mark_dirty_lsns);
-    ("pool clock sweeps", `Quick, test_pool_clock_policy_sweeps);
     ("pool clear", `Quick, test_pool_clear);
     ("dpt entry lifecycle", `Quick, test_dpt_entry_lifecycle);
     ("dpt flush ack drops covered", `Quick, test_dpt_flush_ack_drop);

@@ -20,10 +20,10 @@ module Record = Repro_wal.Record
 module Log_manager = Repro_wal.Log_manager
 module Cluster = Repro_cbl.Cluster
 module Node = Repro_cbl.Node
-module Recovery = Repro_cbl.Recovery
 module Engine = Repro_workload.Engine
 module Driver = Repro_workload.Driver
 module Generators = Repro_workload.Generators
+module Stress = Repro_workload.Stress
 
 (* ---- Fault plans ---- *)
 
@@ -306,8 +306,8 @@ let test_crashpoint_schedule () =
 
 (* ---- Regression seeds ---- *)
 
-(* Full randomized stress iterations, mirroring [cblsim stress]'s
-   construction, for seeds that exposed real bugs:
+(* Full randomized stress runs, exactly as [cblsim stress --faults all]
+   draws them, for seeds that exposed real bugs:
 
    - seed 2:   injected crash between two steps of a script — the next
                step must see a retryable [Node_down], not an unknown-
@@ -328,89 +328,78 @@ let test_crashpoint_schedule () =
                loser survives as a live update (seen as a doubled
                cell). *)
 let stress_iteration seed =
-  let rng = Rng.create seed in
-  let plan = Fault_plan.generate (Rng.split rng) ~classes:Fault_plan.all_classes in
-  let faults = Injector.create plan in
-  let nodes = 2 + Rng.int rng 4 in
-  let cluster =
-    Cluster.create ~seed ~faults ~nodes ~pool_capacity:(8 + Rng.int rng 24) Config.instant
+  let _, outcome, _ =
+    Stress.run ~classes:Fault_plan.all_classes ~group_commit:false ~elr:false seed
   in
-  let owners = List.init (1 + Rng.int rng (min 3 nodes)) (fun i -> i) in
-  let pages_by_owner =
-    List.map
-      (fun o -> (o, Cluster.allocate_pages cluster ~owner:o ~count:(8 + Rng.int rng 16)))
-      owners
-  in
-  let engine0 = Engine.of_cluster cluster in
-  let engine =
-    if seed mod 2 = 1 then
-      {
-        engine0 with
-        Engine.recover =
-          (fun ~nodes -> Cluster.recover ~strategy:Recovery.Merged_logs cluster ~nodes);
-      }
-    else engine0
-  in
-  let scripts =
-    Generators.partitioned rng ~pages_by_owner
-      ~clients:(List.init nodes (fun i -> i))
-      ~txns_per_client:(4 + Rng.int rng 10)
-      ~mix:
-        {
-          Generators.ops_per_txn = 2 + Rng.int rng 8;
-          update_fraction = 0.3 +. Rng.float rng 0.6;
-          remote_fraction = Rng.float rng 0.8;
-          theta = Rng.float rng 1.0;
-          savepoint_fraction = Rng.float rng 0.3;
-          abort_fraction = Rng.float rng 0.2;
-        }
-  in
-  let events = ref [] in
-  let t = ref 10 in
-  let crashed = ref [] in
-  for _ = 1 to Rng.int rng 4 do
-    let victim = Rng.int rng nodes in
-    if not (List.mem victim !crashed) then begin
-      events := (!t, Driver.Crash victim) :: !events;
-      crashed := victim :: !crashed;
-      t := !t + 5 + Rng.int rng 20;
-      if Rng.chance rng 0.6 || List.length !crashed >= 2 then begin
-        events := (!t, Driver.Recover !crashed) :: !events;
-        crashed := [];
-        t := !t + 5 + Rng.int rng 15
-      end
-    end
-  done;
-  if !crashed <> [] then events := (!t + 5, Driver.Recover !crashed) :: !events;
-  for _ = 1 to 2 + Rng.int rng 3 do
-    events := (5 + Rng.int rng 60, Driver.Checkpoint (Rng.int rng nodes)) :: !events
-  done;
-  let outcome =
-    Driver.run engine
-      ~events:(List.sort compare !events)
-      ~max_rounds:30_000 ~auto_recover:6 scripts
-  in
-  (* like cblsim: the cleanup recovery can itself die at a recovery
-     crash point; re-enter over the grown down set until converged *)
-  let rec recover_all attempts =
-    if attempts > 100 then Alcotest.fail (Printf.sprintf "seed %d: recovery did not converge" seed);
-    match
-      List.filter (fun n -> not (Node.is_up (Cluster.node cluster n))) (List.init nodes Fun.id)
-    with
-    | [] -> ()
-    | down ->
-      (try Cluster.recover cluster ~nodes:down
-       with Repro_cbl.Block.Would_block _ -> ());
-      recover_all (attempts + 1)
-  in
-  recover_all 0;
-  Cluster.check_invariants cluster;
   Alcotest.(check int) (Printf.sprintf "seed %d: no stuck scripts" seed) 0 outcome.Driver.stuck;
   match Driver.verify outcome with
   | Ok () -> ()
   | Error es -> Alcotest.fail (Printf.sprintf "seed %d: %s" seed (String.concat "; " es))
 
 let test_regression_seeds () = List.iter stress_iteration [ 2; 70; 147; 175 ]
+
+(* ---- The stress scenario's golden runs ---- *)
+
+(* Three seeds of [Stress.run] pinned by committed count, simulated time
+   and every non-zero counter.  Reordering any RNG draw re-maps every
+   historical seed; these catch it first. *)
+let check_stress_golden ~classes ~group_commit ~elr seed ~committed ~now counters =
+  let cluster, outcome, _ = Stress.run ~classes ~group_commit ~elr seed in
+  let label what = Printf.sprintf "seed %d: %s" seed what in
+  Alcotest.(check int) (label "committed") committed outcome.Driver.committed;
+  Alcotest.(check (float 0.)) (label "simulated time") now (Cluster.now cluster);
+  Alcotest.(check (list (pair string int)))
+    (label "counters") counters
+    (List.filter (fun (_, v) -> v <> 0) (Metrics.to_alist (Cluster.global_metrics cluster)))
+
+let test_stress_golden_all () =
+  check_stress_golden ~classes:Fault_plan.all_classes ~group_commit:false ~elr:false 70
+    ~committed:31 ~now:0x1.f8825eb4a99a6p+1
+    [
+      ("messages_sent", 2660); ("message_bytes", 310400); ("log_appends", 642);
+      ("log_bytes", 30609); ("log_forces", 98); ("page_disk_reads", 41);
+      ("page_disk_writes", 21); ("pages_shipped", 136); ("callbacks_sent", 758);
+      ("lock_requests_remote", 1015); ("lock_requests_local", 529); ("cache_hits", 723);
+      ("cache_misses", 200); ("txn_committed", 31); ("txn_aborted", 178);
+      ("recovery_log_records_scanned", 119); ("recovery_pages_redone", 14);
+      ("recovery_messages", 78); ("recovery_page_transfers", 16); ("recovery_restarts", 2);
+      ("checkpoints_taken", 4); ("net_msgs_dropped", 384); ("net_msgs_duplicated", 7);
+      ("net_msgs_delayed", 207); ("net_link_blocks", 43); ("torn_crashes", 1);
+      ("torn_bytes_discarded", 38); ("injected_crashes", 3);
+    ]
+
+let test_stress_golden_recovery () =
+  check_stress_golden
+    ~classes:{ Fault_plan.no_classes with Fault_plan.recovery = true }
+    ~group_commit:false ~elr:false 13 ~committed:15 ~now:0.
+    [
+      ("messages_sent", 103); ("message_bytes", 18268); ("log_appends", 43);
+      ("log_bytes", 1798); ("log_forces", 18); ("log_records_shipped", 14);
+      ("page_disk_reads", 23); ("page_disk_writes", 48); ("pages_shipped", 2);
+      ("callbacks_sent", 18); ("lock_requests_remote", 21); ("lock_requests_local", 29);
+      ("cache_hits", 26); ("cache_misses", 26); ("txn_committed", 15); ("txn_aborted", 3);
+      ("recovery_log_records_scanned", 78); ("recovery_pages_redone", 2);
+      ("recovery_messages", 50); ("recovery_page_transfers", 8); ("recovery_restarts", 3);
+      ("checkpoints_taken", 2); ("injected_crashes", 3);
+    ]
+
+(* seed 2 draws a batching window (cap 5) and the early-release bit *)
+let test_stress_golden_elr () =
+  check_stress_golden ~classes:Fault_plan.all_classes ~group_commit:true ~elr:true 2
+    ~committed:17 ~now:0x1.b891f07bab1b7p-2
+    [
+      ("messages_sent", 376); ("message_bytes", 64304); ("log_appends", 305);
+      ("log_bytes", 16057); ("log_forces", 37); ("page_disk_reads", 61);
+      ("page_disk_writes", 41); ("pages_shipped", 24); ("callbacks_sent", 114);
+      ("lock_requests_remote", 80); ("lock_requests_local", 166); ("cache_hits", 231);
+      ("cache_misses", 81); ("txn_committed", 17); ("txn_aborted", 32);
+      ("commit_batches", 15); ("batched_commits", 16); ("recovery_log_records_scanned", 98);
+      ("recovery_pages_redone", 12); ("recovery_messages", 103);
+      ("recovery_page_transfers", 13); ("recovery_restarts", 1); ("recovery_retries", 4);
+      ("checkpoints_taken", 6); ("net_msgs_dropped", 34); ("net_msgs_duplicated", 1);
+      ("net_msgs_delayed", 19); ("net_link_blocks", 9); ("torn_crashes", 2);
+      ("torn_bytes_discarded", 55); ("injected_crashes", 2);
+    ]
 
 (* ---- Group commit under faults ---- *)
 
@@ -441,6 +430,9 @@ let suite =
     ("duplicate + delayed ships are idempotent", `Quick, test_duplicate_ship_idempotent);
     ("partitions heal and runs converge", `Quick, test_partition_heals_and_converges);
     ("crash-point schedules stay within budget", `Quick, test_crashpoint_schedule);
-    ("regression seeds (2, 147, 175)", `Slow, test_regression_seeds);
+    ("regression seeds (2, 70, 147, 175)", `Slow, test_regression_seeds);
+    ("golden: stress --faults all seed 70", `Quick, test_stress_golden_all);
+    ("golden: stress --faults recovery seed 13", `Quick, test_stress_golden_recovery);
+    ("golden: stress --faults all --group-commit --elr seed 2", `Quick, test_stress_golden_elr);
     ("faulted sweep with group commit on", `Slow, test_faulted_sweep_with_batching);
   ]

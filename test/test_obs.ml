@@ -263,92 +263,8 @@ let test_commit_latency_histograms_always_on () =
 (* ---- the invariant under faults, and the trace auditor ---- *)
 
 module Fault_plan = Repro_fault.Fault_plan
-module Injector = Repro_fault.Injector
 module Audit = Repro_obs.Audit
-module Node = Repro_cbl.Node
-
-(* A compact mirror of `cblsim stress`'s randomized run: fault plan,
-   group-commit substream, crash/recover/checkpoint schedule, end-of-run
-   recovery convergence.  All randomness derives from [seed], so the
-   traced and untraced executions see the identical schedule. *)
-let faulted_stress_run ~classes ~trace seed =
-  let rng = Rng.create seed in
-  let plan = Fault_plan.generate (Rng.split rng) ~classes in
-  let faults = Injector.create plan in
-  let config =
-    let gr = Rng.split rng in
-    if Rng.chance gr 0.5 then
-      Config.with_group_commit Config.instant
-        ~window_ms:(0.5 +. Rng.float gr 20.)
-        ~max_batch:(2 + Rng.int gr 7)
-    else Config.instant
-  in
-  let nodes = 2 + Rng.int rng 4 in
-  let cluster =
-    Cluster.create ~trace ~trace_capacity:(1 lsl 18) ~seed ~faults ~nodes
-      ~pool_capacity:(8 + Rng.int rng 24) config
-  in
-  let owners = List.init (1 + Rng.int rng (min 3 nodes)) (fun i -> i) in
-  let pages_by_owner =
-    List.map
-      (fun o -> (o, Cluster.allocate_pages cluster ~owner:o ~count:(8 + Rng.int rng 16)))
-      owners
-  in
-  let engine = Engine.of_cluster cluster in
-  let scripts =
-    Generators.partitioned rng ~pages_by_owner
-      ~clients:(List.init nodes (fun i -> i))
-      ~txns_per_client:(3 + Rng.int rng 6)
-      ~mix:
-        {
-          Generators.ops_per_txn = 2 + Rng.int rng 6;
-          update_fraction = 0.3 +. Rng.float rng 0.6;
-          remote_fraction = Rng.float rng 0.8;
-          theta = Rng.float rng 1.0;
-          savepoint_fraction = Rng.float rng 0.3;
-          abort_fraction = Rng.float rng 0.2;
-        }
-  in
-  let events = ref [] in
-  let t = ref 10 in
-  let crashed = ref [] in
-  for _ = 1 to Rng.int rng 3 do
-    let victim = Rng.int rng nodes in
-    if not (List.mem victim !crashed) then begin
-      events := (!t, Driver.Crash victim) :: !events;
-      crashed := victim :: !crashed;
-      t := !t + 5 + Rng.int rng 20;
-      if Rng.chance rng 0.6 || List.length !crashed >= 2 then begin
-        events := (!t, Driver.Recover !crashed) :: !events;
-        crashed := [];
-        t := !t + 5 + Rng.int rng 15
-      end
-    end
-  done;
-  if !crashed <> [] then events := (!t + 5, Driver.Recover !crashed) :: !events;
-  for _ = 1 to 1 + Rng.int rng 3 do
-    events := (5 + Rng.int rng 60, Driver.Checkpoint (Rng.int rng nodes)) :: !events
-  done;
-  let outcome =
-    Driver.run engine ~events:(List.sort compare !events) ~max_rounds:30_000 ~auto_recover:6
-      scripts
-  in
-  let rec recover_all attempts =
-    let down =
-      List.filter
-        (fun n -> not (Cluster.node cluster n |> Node.is_up))
-        (List.init nodes (fun i -> i))
-    in
-    if down <> [] then
-      if attempts > 100 then Alcotest.failf "seed %d: recovery did not converge" seed
-      else begin
-        (try Cluster.recover cluster ~nodes:down with Repro_cbl.Block.Would_block _ -> ());
-        recover_all (attempts + 1)
-      end
-  in
-  recover_all 0;
-  Cluster.check_invariants cluster;
-  (cluster, outcome)
+module Stress = Repro_workload.Stress
 
 let seeds = 50
 
@@ -362,8 +278,9 @@ let check_faulted_invariance spec =
     | Error msg -> Alcotest.failf "--faults %s: %s" spec msg
   in
   for seed = 0 to seeds - 1 do
-    let traced, ot = faulted_stress_run ~classes ~trace:true seed in
-    let untraced, ou = faulted_stress_run ~classes ~trace:false seed in
+    let run ~trace = Stress.run ~trace ~classes ~group_commit:true ~elr:false seed in
+    let traced, ot, _ = run ~trace:true in
+    let untraced, ou, _ = run ~trace:false in
     Alcotest.(check (list (pair string int)))
       (Printf.sprintf "seed %d (%s): identical counters" seed spec)
       (Metrics.to_alist (Cluster.global_metrics untraced))
@@ -432,7 +349,7 @@ let test_aggregate_is_node_sum () =
   (* every fault class, crash/recover schedule: seed 93 tears a log tail
      that the recovery seal trims and retries recovery exchanges *)
   let classes = Result.get_ok (Fault_plan.classes_of_string "all") in
-  let faulted, _ = faulted_stress_run ~classes ~trace:false 93 in
+  let faulted, _, _ = Stress.run ~classes ~group_commit:true ~elr:false 93 in
   let g = Cluster.global_metrics faulted in
   Alcotest.(check bool) "torn tail trimmed" true (g.Metrics.torn_bytes_discarded > 0);
   Alcotest.(check bool) "recovery retried" true (g.Metrics.recovery_retries > 0);

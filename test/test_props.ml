@@ -2,11 +2,11 @@
    workloads and random crash schedules, plus structural invariants. *)
 
 module Cluster = Repro_cbl.Cluster
-module Node = Repro_cbl.Node
 module Recovery = Repro_cbl.Recovery
 module Engine = Repro_workload.Engine
 module Driver = Repro_workload.Driver
 module Generators = Repro_workload.Generators
+module Stress = Repro_workload.Stress
 module Config = Repro_sim.Config
 module Page = Repro_storage.Page
 module Page_id = Repro_storage.Page_id
@@ -15,81 +15,16 @@ module Rng = Repro_util.Rng
 
 let qcheck = QCheck_alcotest.to_alcotest
 
-(* One randomized cluster run: random topology, random workload, random
-   crash/checkpoint schedule, alternating recovery strategies.  The
-   property: the run finishes, invariants hold, and the durability
-   oracle verifies. *)
+(* One randomized cluster run, the fault-free stress scenario: random
+   topology, random workload, random crash schedule, alternating
+   recovery strategies.  The property: the run finishes, invariants hold
+   (checked inside [Stress.run]), and the durability oracle verifies. *)
 let run_one seed =
-  let rng = Rng.create seed in
-  let nodes = 2 + Rng.int rng 4 in
-  let pool = 8 + Rng.int rng 24 in
-  let cluster = Cluster.create ~seed ~nodes ~pool_capacity:pool Config.instant in
-  let owners = List.init (1 + Rng.int rng (min 3 nodes)) (fun i -> i) in
-  let pages_by_owner =
-    List.map
-      (fun o -> (o, Cluster.allocate_pages cluster ~owner:o ~count:(8 + Rng.int rng 16)))
-      owners
+  let _, outcome, _ =
+    Stress.run ~classes:Repro_fault.Fault_plan.no_classes ~group_commit:false ~elr:false seed
   in
-  let engine0 = Engine.of_cluster cluster in
-  let engine =
-    if seed mod 2 = 1 then
-      {
-        engine0 with
-        Engine.recover =
-          (fun ~nodes -> Cluster.recover ~strategy:Recovery.Merged_logs cluster ~nodes);
-      }
-    else engine0
-  in
-  let clients = List.init nodes (fun i -> i) in
-  let scripts =
-    Generators.partitioned rng ~pages_by_owner ~clients
-      ~txns_per_client:(3 + Rng.int rng 6)
-      ~mix:
-        {
-          Generators.ops_per_txn = 2 + Rng.int rng 6;
-          update_fraction = 0.3 +. Rng.float rng 0.6;
-          remote_fraction = Rng.float rng 0.8;
-          theta = Rng.float rng 1.0;
-          savepoint_fraction = Rng.float rng 0.3;
-          abort_fraction = Rng.float rng 0.2;
-        }
-  in
-  let events = ref [] in
-  let n_crashes = Rng.int rng 4 in
-  let t = ref 10 in
-  let crashed = ref [] in
-  for _ = 1 to n_crashes do
-    let victim = Rng.int rng nodes in
-    if not (List.mem victim !crashed) then begin
-      events := (!t, Driver.Crash victim) :: !events;
-      crashed := victim :: !crashed;
-      t := !t + 5 + Rng.int rng 20;
-      if Rng.chance rng 0.6 || List.length !crashed >= 2 then begin
-        events := (!t, Driver.Recover !crashed) :: !events;
-        crashed := [];
-        t := !t + 5 + Rng.int rng 15
-      end
-    end
-  done;
-  if !crashed <> [] then events := (!t + 5, Driver.Recover !crashed) :: !events;
-  for i = 0 to 2 do
-    events := ((7 * i) + Rng.int rng 40, Driver.Checkpoint (Rng.int rng nodes)) :: !events
-  done;
-  let outcome = Driver.run engine ~events:(List.sort compare !events) ~max_rounds:30_000 scripts in
-  (* events scheduled after the last commit never fired *)
-  let down =
-    List.filter_map
-      (fun n -> if Cluster.node cluster n |> Node.is_up then None else Some n)
-      (List.init nodes (fun i -> i))
-  in
-  if down <> [] then Cluster.recover cluster ~nodes:down;
   if outcome.Driver.stuck > 0 then Error (Printf.sprintf "%d stuck" outcome.Driver.stuck)
-  else begin
-    Cluster.check_invariants cluster;
-    match Driver.verify outcome with
-    | Ok () -> Ok ()
-    | Error errs -> Error (String.concat "; " errs)
-  end
+  else match Driver.verify outcome with Ok () -> Ok () | Error errs -> Error (String.concat "; " errs)
 
 let prop_durability_under_crashes =
   QCheck.Test.make ~name:"durability oracle under random crash schedules" ~count:60
