@@ -29,6 +29,8 @@ module Experiments = Repro_experiments.Experiments
 module Report = Repro_experiments.Report
 module Spec = Repro_experiments.Spec
 module Cluster = Repro_cbl.Cluster
+module Codec = Repro_util.Codec
+module Crc32 = Repro_util.Crc32
 module Record = Repro_wal.Record
 module Log_manager = Repro_wal.Log_manager
 module Lsn = Repro_wal.Lsn
@@ -306,12 +308,14 @@ let sample_update =
         };
   }
 
-let encoded_update = Record.encode sample_update
+let encode_update () = Codec.with_scratch (fun e -> Record.encode e sample_update)
+let encoded_update = Bytes.to_string (encode_update ())
 
 let micro_tests =
   [
-    Test.make ~name:"record-encode" (Staged.stage (fun () -> Record.encode sample_update));
-    Test.make ~name:"record-decode" (Staged.stage (fun () -> Record.decode encoded_update));
+    Test.make ~name:"record-encode" (Staged.stage encode_update);
+    Test.make ~name:"record-decode"
+      (Staged.stage (fun () -> Record.decode (Codec.decoder encoded_update)));
     Test.make ~name:"log-append+force"
       (Staged.stage
          (let env = Repro_sim.Env.create Config.instant in
@@ -319,6 +323,19 @@ let micro_tests =
           fun () ->
             let lsn = Log_manager.append log sample_update in
             Log_manager.force log ~upto:lsn));
+    Test.make ~name:"crc32 (64 B)"
+      (Staged.stage
+         (let b = Bytes.init 64 (fun i -> Char.chr (i * 37 land 0xFF)) in
+          fun () -> Crc32.bytes b ~pos:0 ~len:64));
+    (* the recovery scan: frame check, CRC and decode of every record *)
+    Test.make ~name:"log-fold (1k records)"
+      (Staged.stage
+         (let env = Repro_sim.Env.create Config.instant in
+          let log = Log_manager.create env (Repro_sim.Metrics.create ()) () in
+          for _ = 1 to 1000 do
+            ignore (Log_manager.append log sample_update)
+          done;
+          fun () -> Log_manager.fold log ~from:Lsn.nil ~init:0 (fun n _ _ -> n + 1)));
     Test.make ~name:"redo-apply"
       (Staged.stage
          (let page = Page.create ~id:(Page_id.make ~owner:0 ~slot:0) ~psn:0 ~size:8192 in
@@ -405,7 +422,6 @@ let micro_tests =
    through [Codec.encoder ()] per call — the pre-scratch code path —
    so the difference is exactly what the shared scratch saves. *)
 let measure_codec_alloc () =
-  let module Codec = Repro_util.Codec in
   let n = 10_000 in
   let words_per_op f =
     f () (* warm: first call may grow the scratch *);
@@ -415,7 +431,7 @@ let measure_codec_alloc () =
     done;
     (Gc.minor_words () -. before) /. float_of_int n
   in
-  let shared = words_per_op (fun () -> ignore (Record.encode sample_update)) in
+  let shared = words_per_op (fun () -> ignore (encode_update ())) in
   let fresh =
     words_per_op (fun () ->
         let e = Codec.encoder () in

@@ -772,7 +772,7 @@ let append_txn_record t record =
     let target = peer t log_node in
     if not target.up then Block.block (Block.Node_down { node = log_node });
     ensure_link t ~dst:log_node;
-    let encoded = String.length (Record.encode record) in
+    let encoded = Record.size record in
     send t ~dst:log_node ~bytes:(Wire.log_record encoded) ();
     t.metrics.Metrics.log_records_shipped <- t.metrics.log_records_shipped + 1;
     Env.charge_lock_op t.env target.metrics (* the global log-tail latch *);
@@ -843,7 +843,7 @@ let log_update t (txn : Txn.t) pid (frame : Buffer_pool.frame) op =
      inside the append could otherwise retire it prematurely. *)
   Dpt.add_if_absent t.dpt pid ~page_psn:psn_before ~end_of_log:lsn;
   txn.Txn.logged_records <- txn.Txn.logged_records + 1;
-  txn.Txn.logged_bytes <- txn.Txn.logged_bytes + String.length (Record.encode record);
+  txn.Txn.logged_bytes <- txn.Txn.logged_bytes + Record.size record;
   if Page_id.owner pid <> t.id then
     txn.Txn.remote_updated <- Page_id.Set.add pid txn.Txn.remote_updated;
   Txn.record_logged txn lsn;
@@ -1156,7 +1156,7 @@ let undo_ops t (txn : Txn.t) =
         let lsn = append_txn_record t record in
         Dpt.add_if_absent t.dpt pid ~page_psn:psn_before ~end_of_log:lsn;
         txn.Txn.logged_records <- txn.Txn.logged_records + 1;
-        txn.Txn.logged_bytes <- txn.Txn.logged_bytes + String.length (Record.encode record);
+        txn.Txn.logged_bytes <- txn.Txn.logged_bytes + Record.size record;
         Txn.record_logged txn lsn;
         Record.apply_op frame.page op;
         Page.bump_psn frame.page;

@@ -570,7 +570,7 @@ let pull_merged_records coordinator sources =
           match record.Record.body with
           | Update { pid; psn_before; op } | Clr { pid; psn_before; op; _ } ->
             if m.id <> coordinator.id then begin
-              let encoded = String.length (Record.encode record) in
+              let encoded = Record.size record in
               send m ~dst:coordinator.id ~recovery:true ~bytes:(Wire.log_record encoded) ();
               m.metrics.Metrics.log_records_shipped <- m.metrics.log_records_shipped + 1
             end;

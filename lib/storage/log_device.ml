@@ -1,5 +1,8 @@
 type t = {
-  buf : Buffer.t; (* logical offset 0 is buffer index 0; history kept in memory *)
+  mutable buf : Bytes.t;
+      (* logical offset i is [buf.[i]], history kept in memory; bytes at
+         and past [len] are stale and never readable *)
+  mutable len : int;
   mutable durable : int;
   mutable low_water : int;
   mutable suspect : int option;
@@ -9,9 +12,9 @@ type t = {
 exception Log_full
 
 let create ?capacity () =
-  { buf = Buffer.create 4096; durable = 0; low_water = 0; suspect = None; capacity }
+  { buf = Bytes.create 4096; len = 0; durable = 0; low_water = 0; suspect = None; capacity }
 
-let end_offset t = Buffer.length t.buf
+let end_offset t = t.len
 let durable_offset t = t.durable
 let low_water t = t.low_water
 let used t = end_offset t - t.low_water
@@ -20,11 +23,18 @@ let available t =
   match t.capacity with None -> None | Some cap -> Some (max 0 (cap - used t))
 
 let append ?(overdraft = false) t s =
+  let n = String.length s in
   (match t.capacity with
-  | Some cap when (not overdraft) && used t + String.length s > cap -> raise Log_full
+  | Some cap when (not overdraft) && used t + n > cap -> raise Log_full
   | Some _ | None -> ());
-  let off = Buffer.length t.buf in
-  Buffer.add_string t.buf s;
+  let off = t.len in
+  if off + n > Bytes.length t.buf then begin
+    let grown = Bytes.create (max (off + n) (2 * Bytes.length t.buf)) in
+    Bytes.blit t.buf 0 grown 0 off;
+    t.buf <- grown
+  end;
+  Bytes.blit_string s 0 t.buf off n;
+  t.len <- off + n;
   off
 
 let force t ~upto =
@@ -36,12 +46,14 @@ let force t ~upto =
     moved
   end
 
-let read t ~pos ~len =
+let view t ~pos ~len =
   if pos < t.low_water then
     invalid_arg (Printf.sprintf "Log_device.read: offset %d below low water %d" pos t.low_water);
   if pos < 0 || len < 0 || pos + len > end_offset t then
     invalid_arg (Printf.sprintf "Log_device.read: [%d,%d) beyond end %d" pos (pos + len) (end_offset t));
-  Buffer.sub t.buf pos len
+  t.buf
+
+let read t ~pos ~len = Bytes.sub_string (view t ~pos ~len) pos len
 
 let truncate_to t off =
   if off > t.low_water then t.low_water <- min off t.durable
@@ -49,9 +61,7 @@ let truncate_to t off =
 let crash ?(keep_tail = 0) t =
   let tail = end_offset t - t.durable in
   let kept_tail = min (max 0 keep_tail) tail in
-  let keep = Buffer.sub t.buf 0 (t.durable + kept_tail) in
-  Buffer.clear t.buf;
-  Buffer.add_string t.buf keep;
+  t.len <- t.durable + kept_tail;
   if kept_tail > 0 then begin
     (* The surviving torn bytes start at the old durable boundary; keep
        the earliest suspect point across repeated crashes. *)
@@ -64,19 +74,14 @@ let crash ?(keep_tail = 0) t =
 let scribble t ~pos =
   if pos < 0 || pos >= end_offset t then
     invalid_arg (Printf.sprintf "Log_device.scribble: offset %d beyond end %d" pos (end_offset t));
-  let b = Buffer.to_bytes t.buf in
-  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xFF));
-  Buffer.clear t.buf;
-  Buffer.add_bytes t.buf b
+  Bytes.set t.buf pos (Char.chr (Char.code (Bytes.get t.buf pos) lxor 0xFF))
 
 let trim_end t off =
   if off < t.low_water || off > end_offset t then
     invalid_arg
       (Printf.sprintf "Log_device.trim_end: offset %d outside [%d,%d]" off t.low_water
          (end_offset t));
-  let keep = Buffer.sub t.buf 0 off in
-  Buffer.clear t.buf;
-  Buffer.add_string t.buf keep;
+  t.len <- off;
   t.durable <- min t.durable off
 
 let suspect t = t.suspect

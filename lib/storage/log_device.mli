@@ -12,8 +12,10 @@
       log-space-management protocol advances [low_water]
       ({!truncate_to}) to free space.
 
-    The device stores raw bytes; record framing and checksums are the
-    {!Repro_wal.Log_manager}'s business. *)
+    The device stores raw bytes in one growable buffer; record framing
+    and checksums are the {!Repro_wal.Log_manager}'s business.  Crashes,
+    torn-tail trims and scribbles cut or flip bytes in place, never
+    copying the retained history. *)
 
 type t
 
@@ -39,6 +41,15 @@ val read : t -> pos:int -> len:int -> string
     tail is allowed (rollback reads records it has not forced);
     reading beyond [end_offset] or below 0 raises [Invalid_argument].
     Reading below [low_water] also raises: those bytes were reclaimed. *)
+
+val view : t -> pos:int -> len:int -> Bytes.t
+(** [view t ~pos ~len] checks the range exactly as {!read} does, then
+    returns the device's backing store without copying: the requested
+    bytes are [b[pos, pos+len)] of the result (logical offsets are
+    indexes).  The result aliases the device — it is only valid until
+    the next {!append}, {!crash}, {!scribble} or {!trim_end}, and the
+    caller must not write to it.  The log manager checksums and decodes
+    frames in place through it. *)
 
 val end_offset : t -> int
 (** Offset one past the last appended byte: the next record's LSN. *)

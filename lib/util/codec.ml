@@ -8,36 +8,34 @@ let encoder () = Buffer.create 128
 let to_string = Buffer.contents
 let length = Buffer.length
 
-(* One process-wide scratch encoder, reused by the record/framing hot
-   paths instead of allocating a fresh [Buffer.t] per record.  Safe
-   because the simulator is single-threaded and callers never nest
-   [with_scratch] (each call materialises its string before returning,
+(* One process-wide scratch encoder, reused by the log-append hot path
+   instead of allocating a fresh [Buffer.t] per record.  Safe because
+   the simulator is single-threaded and callers never nest
+   [with_scratch] (each call materialises its bytes before returning,
    so the buffer is free again). *)
 let scratch = Buffer.create 512
 
-let with_scratch f =
+let fill_scratch f =
   Buffer.clear scratch;
-  f scratch;
-  Buffer.contents scratch
+  f scratch
 
-let u8 e v = Buffer.add_char e (Char.chr (v land 0xFF))
+let with_scratch f =
+  fill_scratch f;
+  Buffer.to_bytes scratch
 
-let u16 e v =
-  u8 e v;
-  u8 e (v lsr 8)
+let measure f =
+  fill_scratch f;
+  Buffer.length scratch
+
+let u8 e v = Buffer.add_uint8 e (v land 0xFF)
+let u16 e v = Buffer.add_uint16_le e (v land 0xFFFF)
 
 let u32 e v =
   assert (v >= 0);
-  u16 e v;
-  u16 e (v lsr 16)
+  Buffer.add_int32_le e (Int32.of_int v)
 
-let i64 e v =
-  for shift = 0 to 7 do
-    u8 e (Int64.to_int (Int64.shift_right_logical v (8 * shift)))
-  done
-
-let int_as_i64 e v = i64 e (Int64.of_int v)
-
+let i64 e v = Buffer.add_int64_le e v
+let int_as_i64 e v = Buffer.add_int64_le e (Int64.of_int v)
 let bool e b = u8 e (if b then 1 else 0)
 
 let bytes e s =
@@ -54,40 +52,54 @@ let list f e xs =
   u32 e (List.length xs);
   List.iter (f e) xs
 
-type decoder = { src : string; mutable cur : int }
+(* [stop] bounds the cursor: a decoder over one frame of a larger
+   buffer cannot read into the next frame. *)
+type decoder = { src : string; mutable cur : int; stop : int }
 
-let decoder ?(pos = 0) src = { src; cur = pos }
+let decoder ?(pos = 0) ?len src =
+  let stop = match len with None -> String.length src | Some len -> pos + len in
+  if pos < 0 || stop < pos || stop > String.length src then
+    invalid_arg
+      (Printf.sprintf "Codec.decoder: [%d,%d) outside a %d-byte source" pos stop
+         (String.length src));
+  { src; cur = pos; stop }
+
 let pos d = d.cur
-let remaining d = String.length d.src - d.cur
+let remaining d = d.stop - d.cur
 
 let need d n = if remaining d < n then corrupt "truncated input: need %d bytes, have %d" n (remaining d)
 
 let read_u8 d =
   need d 1;
-  let v = Char.code d.src.[d.cur] in
+  let v = String.get_uint8 d.src d.cur in
   d.cur <- d.cur + 1;
   v
 
 let read_u16 d =
-  let lo = read_u8 d in
-  let hi = read_u8 d in
-  lo lor (hi lsl 8)
+  need d 2;
+  let v = String.get_uint16_le d.src d.cur in
+  d.cur <- d.cur + 2;
+  v
 
 let read_u32 d =
-  let lo = read_u16 d in
-  let hi = read_u16 d in
-  lo lor (hi lsl 16)
+  need d 4;
+  let v = Int32.to_int (String.get_int32_le d.src d.cur) land 0xFFFF_FFFF in
+  d.cur <- d.cur + 4;
+  v
 
 let read_i64 d =
   need d 8;
-  let v = ref 0L in
-  for shift = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code d.src.[d.cur + shift]))
-  done;
+  let v = String.get_int64_le d.src d.cur in
   d.cur <- d.cur + 8;
-  !v
+  v
 
-let read_int_as_i64 d = Int64.to_int (read_i64 d)
+(* Not [Int64.to_int (read_i64 d)]: the call would box the int64 on
+   every LSN, PSN and txn id the log decodes. *)
+let read_int_as_i64 d =
+  need d 8;
+  let v = Int64.to_int (String.get_int64_le d.src d.cur) in
+  d.cur <- d.cur + 8;
+  v
 
 let read_bool d =
   match read_u8 d with

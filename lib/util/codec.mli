@@ -18,12 +18,19 @@ val encoder : unit -> encoder
 val to_string : encoder -> string
 val length : encoder -> int
 
-val with_scratch : (encoder -> unit) -> string
+val with_scratch : (encoder -> unit) -> Bytes.t
 (** Runs the function against a shared, cleared scratch encoder and
-    returns the accumulated bytes.  Avoids a buffer allocation per
-    encode on the log hot path.  Calls must not nest (the simulator is
-    single-threaded, and every caller materialises its result string
-    before returning, so the scratch is free again on exit). *)
+    returns a fresh copy of the accumulated bytes, which the caller
+    owns (the log manager patches its frame header into them).  Avoids
+    a buffer allocation per encode on the log hot path.  Calls must
+    not nest (the simulator is single-threaded, and every caller
+    materialises its result before returning, so the scratch is free
+    again on exit). *)
+
+val measure : (encoder -> unit) -> int
+(** The number of bytes the function writes, counted in the same
+    scratch encoder without copying them out.  Same nesting rule as
+    {!with_scratch}. *)
 
 val u8 : encoder -> int -> unit
 (** Writes the low 8 bits. *)
@@ -44,9 +51,15 @@ val list : (encoder -> 'a -> unit) -> encoder -> 'a list -> unit
 (** {1 Decoding} *)
 
 type decoder
-(** A cursor over an immutable byte string. *)
+(** A cursor over a slice of an immutable byte string. *)
 
-val decoder : ?pos:int -> string -> decoder
+val decoder : ?pos:int -> ?len:int -> string -> decoder
+(** [decoder ~pos ~len s] reads [s[pos, pos+len)] (default: from [pos]
+    to the end).  Every read is bounds-checked against the slice, so a
+    decode that would run past it raises {!Corrupt} instead of reading
+    the bytes that follow.  Raises [Invalid_argument] when the slice is
+    not inside [s]. *)
+
 val pos : decoder -> int
 val remaining : decoder -> int
 

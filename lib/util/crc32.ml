@@ -1,27 +1,51 @@
+(* Slicing-by-8 (Kounavis & Berry): row [k] of [table] holds the CRC of
+   a byte followed by [k] zero bytes, so one pass of the main loop folds
+   eight input bytes with eight independent lookups.  Row 0 is the
+   classic byte-at-a-time table, which also finishes the last [len mod 8]
+   bytes.  The CRC lives in a native [int], masked to 32 bits. *)
 let table =
-  lazy
-    (let t = Array.make 256 0l in
-     for n = 0 to 255 do
-       let c = ref (Int32.of_int n) in
-       for _ = 0 to 7 do
-         if Int32.logand !c 1l <> 0l then
-           c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-         else c := Int32.shift_right_logical !c 1
-       done;
-       t.(n) <- !c
-     done;
-     t)
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for n = 0 to 255 do
+    for k = 1 to 7 do
+      let c = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- t.(c land 0xFF) lxor (c lsr 8)
+    done
+  done;
+  t
+
+let u32 b i = Int32.to_int (Bytes.get_int32_le b i) land 0xFFFF_FFFF
 
 let update crc b ~pos ~len =
-  let t = Lazy.force table in
-  let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
-  for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get b i)))) 0xFFl)
-    in
-    c := Int32.logxor t.(idx) (Int32.shift_right_logical !c 8)
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Crc32.update";
+  let c = ref (Int32.to_int crc land 0xFFFF_FFFF lxor 0xFFFF_FFFF) in
+  let i = ref pos in
+  let stop = pos + len in
+  while !i + 8 <= stop do
+    let lo = u32 b !i lxor !c in
+    let hi = u32 b (!i + 4) in
+    c :=
+      table.(0x700 + (lo land 0xFF))
+      lxor table.(0x600 + ((lo lsr 8) land 0xFF))
+      lxor table.(0x500 + ((lo lsr 16) land 0xFF))
+      lxor table.(0x400 + (lo lsr 24))
+      lxor table.(0x300 + (hi land 0xFF))
+      lxor table.(0x200 + ((hi lsr 8) land 0xFF))
+      lxor table.(0x100 + ((hi lsr 16) land 0xFF))
+      lxor table.(hi lsr 24);
+    i := !i + 8
   done;
-  Int32.logxor !c 0xFFFFFFFFl
+  while !i < stop do
+    c := table.((!c lxor Char.code (Bytes.get b !i)) land 0xFF) lxor (!c lsr 8);
+    incr i
+  done;
+  Int32.of_int (!c lxor 0xFFFF_FFFF)
 
 let bytes b ~pos ~len = update 0l b ~pos ~len
 let string s = bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

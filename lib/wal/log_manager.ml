@@ -10,23 +10,26 @@ exception Log_full
 let header_size = 8
 
 let create env metrics ?capacity () = { env; metrics; device = Log_device.create ?capacity () }
+let device t = t.device
 
-let frame payload =
-  let header =
-    Codec.with_scratch (fun e ->
-        Codec.u32 e (String.length payload);
-        Codec.u32 e (Int32.to_int (Int32.logand (Crc32.string payload) 0x7FFFFFFFl)))
-  in
-  header ^ payload
-
+(* One scratch pass builds the whole frame: a placeholder header, then
+   the payload; the header is patched in place once the payload's length
+   and CRC are known. *)
 let append ?overdraft t record =
-  let payload = Record.encode record in
-  let framed = frame payload in
+  let framed =
+    Codec.with_scratch (fun e ->
+        Codec.u32 e 0;
+        Codec.u32 e 0;
+        Record.encode e record)
+  in
+  let len = Bytes.length framed - header_size in
+  Bytes.set_int32_le framed 0 (Int32.of_int len);
+  Bytes.set_int32_le framed 4 (Int32.logand (Crc32.bytes framed ~pos:header_size ~len) 0x7FFFFFFFl);
   let lsn =
-    try Log_device.append ?overdraft t.device framed
+    try Log_device.append ?overdraft t.device (Bytes.unsafe_to_string framed)
     with Log_device.Log_full -> raise Log_full
   in
-  Env.charge_log_append t.env t.metrics ~bytes:(String.length framed);
+  Env.charge_log_append t.env t.metrics ~bytes:(Bytes.length framed);
   lsn
 
 let end_lsn t = Log_device.end_offset t.device
@@ -51,19 +54,26 @@ let force_shared t ~upto ~sharers =
       Env.charge_log_force_shared t.env t.metrics ~durable:(durable_lsn t) ~bytes:moved ~sharers ()
   end
 
+(* Checks, checksums and decodes one frame in place in the device's
+   bytes: no copy of the header or the payload. *)
 let read_frame t lsn =
   if lsn < 0 || lsn + header_size > end_lsn t then
     raise (Codec.Corrupt (Printf.sprintf "frame header out of range at %d" lsn));
-  let header = Log_device.read t.device ~pos:lsn ~len:header_size in
-  let d = Codec.decoder header in
+  let src = Bytes.unsafe_to_string (Log_device.view t.device ~pos:lsn ~len:header_size) in
+  let d = Codec.decoder ~pos:lsn ~len:header_size src in
   let len = Codec.read_u32 d in
   let crc = Codec.read_u32 d in
-  if lsn + header_size + len > end_lsn t then
-    raise (Codec.Corrupt (Printf.sprintf "truncated frame at %d" lsn));
-  let payload = Log_device.read t.device ~pos:(lsn + header_size) ~len in
-  if Int32.to_int (Int32.logand (Crc32.string payload) 0x7FFFFFFFl) <> crc then
+  let pos = lsn + header_size in
+  if pos + len > end_lsn t then raise (Codec.Corrupt (Printf.sprintf "truncated frame at %d" lsn));
+  let src = Log_device.view t.device ~pos ~len in
+  if Int32.to_int (Int32.logand (Crc32.bytes src ~pos ~len) 0x7FFFFFFFl) <> crc then
     raise (Codec.Corrupt (Printf.sprintf "CRC mismatch at %d" lsn));
-  (Record.decode payload, header_size + len)
+  let d = Codec.decoder ~pos ~len (Bytes.unsafe_to_string src) in
+  let record = Record.decode d in
+  if Codec.remaining d > 0 then
+    raise
+      (Codec.Corrupt (Printf.sprintf "%d trailing bytes in frame at %d" (Codec.remaining d) lsn));
+  (record, header_size + len)
 
 let read t lsn =
   let record, size = read_frame t lsn in
@@ -101,8 +111,8 @@ let crash ?faults t =
     | Some inj when tail > 0 ->
       let first_framed =
         if tail >= header_size then begin
-          let hdr = Log_device.read t.device ~pos:dur ~len:header_size in
-          let d = Codec.decoder hdr in
+          let src = Log_device.view t.device ~pos:dur ~len:header_size in
+          let d = Codec.decoder ~pos:dur ~len:header_size (Bytes.unsafe_to_string src) in
           let len = Codec.read_u32 d in
           let framed = header_size + len in
           if framed <= tail then Some framed else None

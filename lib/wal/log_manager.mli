@@ -4,13 +4,19 @@
     Framing is [u32 payload-length | u32 CRC-32 | payload].  A record's
     LSN is the device offset of its length field, so LSNs order records
     and [lsn + framed_size] is the next record — which gives cheap
-    forward scans.  A CRC mismatch or truncated frame during a scan is
-    treated as end-of-log (torn tail). *)
+    forward scans.  Frames are checksummed and decoded in place in the
+    device's bytes.  A truncated frame, a CRC mismatch or a payload the
+    record does not fill exactly raises [Codec.Corrupt], which a scan
+    treats as end-of-log (torn tail). *)
 
 type t
 
 val create : Repro_sim.Env.t -> Repro_sim.Metrics.t -> ?capacity:int -> unit -> t
 (** [capacity] bounds the live log region in bytes (experiment E6). *)
+
+val device : t -> Repro_storage.Log_device.t
+(** The device under the frames, for tests that pin or damage raw log
+    bytes. *)
 
 (** {1 Writing} *)
 

@@ -108,37 +108,35 @@ let decode_active d =
   let last_lsn = Lsn.decode d in
   { txn; last_lsn }
 
-let encode t =
-  (* Shared scratch buffer: one record encode = zero buffer allocations
-     (the log-append hot path runs once per update). *)
-  Codec.with_scratch (fun e ->
-      Codec.int_as_i64 e t.txn;
-      Lsn.encode e t.prev;
-      match t.body with
-      | Update { pid; psn_before; op } ->
-        Codec.u8 e 1;
-        Page_id.encode e pid;
-        Codec.int_as_i64 e psn_before;
-        encode_op e op
-      | Clr { pid; psn_before; op; undo_next } ->
-        Codec.u8 e 2;
-        Page_id.encode e pid;
-        Codec.int_as_i64 e psn_before;
-        encode_op e op;
-        Lsn.encode e undo_next
-      | Commit -> Codec.u8 e 3
-      | Abort -> Codec.u8 e 4
-      | Savepoint name ->
-        Codec.u8 e 5;
-        Codec.bytes e name
-      | Checkpoint_begin { dpt; active } ->
-        Codec.u8 e 6;
-        Codec.list encode_dpt_entry e dpt;
-        Codec.list encode_active e active
-      | Checkpoint_end -> Codec.u8 e 7)
+let encode e t =
+  Codec.int_as_i64 e t.txn;
+  Lsn.encode e t.prev;
+  match t.body with
+  | Update { pid; psn_before; op } ->
+    Codec.u8 e 1;
+    Page_id.encode e pid;
+    Codec.int_as_i64 e psn_before;
+    encode_op e op
+  | Clr { pid; psn_before; op; undo_next } ->
+    Codec.u8 e 2;
+    Page_id.encode e pid;
+    Codec.int_as_i64 e psn_before;
+    encode_op e op;
+    Lsn.encode e undo_next
+  | Commit -> Codec.u8 e 3
+  | Abort -> Codec.u8 e 4
+  | Savepoint name ->
+    Codec.u8 e 5;
+    Codec.bytes e name
+  | Checkpoint_begin { dpt; active } ->
+    Codec.u8 e 6;
+    Codec.list encode_dpt_entry e dpt;
+    Codec.list encode_active e active
+  | Checkpoint_end -> Codec.u8 e 7
 
-let decode s =
-  let d = Codec.decoder s in
+let size t = Codec.measure (fun e -> encode e t)
+
+let decode d =
   let txn = Codec.read_int_as_i64 d in
   let prev = Lsn.decode d in
   let body =

@@ -70,6 +70,12 @@ val psn_before_of : t -> int option
 
 val pp : Format.formatter -> t -> unit
 
-val encode : t -> string
-val decode : string -> t
-(** @raise Repro_util.Codec.Corrupt on malformed input. *)
+val encode : Repro_util.Codec.encoder -> t -> unit
+
+val size : t -> int
+(** Encoded size in bytes, without the log manager's frame header. *)
+
+val decode : Repro_util.Codec.decoder -> t
+(** Reads one record at the decoder's cursor, leaving it just past the
+    record.
+    @raise Repro_util.Codec.Corrupt on malformed input. *)

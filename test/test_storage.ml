@@ -213,6 +213,69 @@ let test_log_device_truncate_clamped_to_durable () =
   Log_device.truncate_to d 6;
   Alcotest.(check int) "clamped" 0 (Log_device.low_water d)
 
+let test_log_device_scribble_flips_one_byte () =
+  let d = Log_device.create () in
+  ignore (Log_device.append d "abcdef");
+  Log_device.scribble d ~pos:2;
+  Alcotest.(check string) "only byte 2 flipped" "ab\x9cdef" (Log_device.read d ~pos:0 ~len:6);
+  Log_device.scribble d ~pos:2;
+  Alcotest.(check string) "flipping twice restores" "abcdef" (Log_device.read d ~pos:0 ~len:6);
+  Alcotest.(check bool) "past the end rejected" true
+    (try
+       Log_device.scribble d ~pos:6;
+       false
+     with Invalid_argument _ -> true)
+
+let test_log_device_trim_end_then_append () =
+  let d = Log_device.create () in
+  ignore (Log_device.append d "aaaa");
+  ignore (Log_device.append d "bbbb");
+  ignore (Log_device.force d ~upto:8);
+  Log_device.trim_end d 6;
+  Alcotest.(check int) "end" 6 (Log_device.end_offset d);
+  Alcotest.(check int) "durable clamped" 6 (Log_device.durable_offset d);
+  Alcotest.(check int) "next append at the trim point" 6 (Log_device.append d "cc");
+  Alcotest.(check string) "bytes" "aaaabbcc" (Log_device.read d ~pos:0 ~len:8)
+
+let test_log_device_crash_keep_tail () =
+  let d = Log_device.create () in
+  ignore (Log_device.append d "aaaa");
+  ignore (Log_device.force d ~upto:4);
+  ignore (Log_device.append d "bbbbbb");
+  Log_device.crash ~keep_tail:3 d;
+  Alcotest.(check int) "durable + k bytes remain" 7 (Log_device.end_offset d);
+  Alcotest.(check int) "torn bytes count as written" 7 (Log_device.durable_offset d);
+  Alcotest.(check (option int)) "suspect at the old boundary" (Some 4) (Log_device.suspect d);
+  Alcotest.(check string) "kept prefix of the tail" "aaaabbb" (Log_device.read d ~pos:0 ~len:7);
+  ignore (Log_device.append d "cccc");
+  Log_device.crash ~keep_tail:100 d;
+  Alcotest.(check int) "keep_tail clamped to the tail" 11 (Log_device.end_offset d)
+
+(* Crash and trim cut the log in place: the old bytes are still in the
+   backing store, so every read must be bounded by [end_offset]. *)
+let test_log_device_stale_bytes_unreadable () =
+  let d = Log_device.create () in
+  ignore (Log_device.append d "aaaa");
+  ignore (Log_device.force d ~upto:4);
+  ignore (Log_device.append d "bbbbbbbb");
+  Log_device.crash d;
+  ignore (Log_device.append d "cc");
+  Alcotest.(check int) "end" 6 (Log_device.end_offset d);
+  Alcotest.(check string) "re-appended bytes" "aaaacc" (Log_device.read d ~pos:0 ~len:6);
+  let unreadable ~pos ~len =
+    try
+      ignore (Log_device.read d ~pos ~len);
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "stale byte past end" true (unreadable ~pos:6 ~len:1);
+  Alcotest.(check bool) "straddling the end" true (unreadable ~pos:4 ~len:4);
+  Alcotest.(check bool) "view is checked too" true
+    (try
+       ignore (Log_device.view d ~pos:6 ~len:2);
+       false
+     with Invalid_argument _ -> true)
+
 let suite =
   [
     ("page_id order/equality", `Quick, test_page_id_order_and_equality);
@@ -233,4 +296,8 @@ let suite =
     ("log device capacity/overdraft", `Quick, test_log_device_capacity);
     ("log device reclaimed reads", `Quick, test_log_device_read_below_low_water);
     ("log device truncate clamps", `Quick, test_log_device_truncate_clamped_to_durable);
+    ("log device scribble flips one byte", `Quick, test_log_device_scribble_flips_one_byte);
+    ("log device trim_end then append", `Quick, test_log_device_trim_end_then_append);
+    ("log device crash keeps k tail bytes", `Quick, test_log_device_crash_keep_tail);
+    ("log device stale bytes unreadable", `Quick, test_log_device_stale_bytes_unreadable);
   ]

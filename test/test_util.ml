@@ -162,6 +162,49 @@ let test_crc32_slice () =
   let b = Bytes.of_string "xx123456789yy" in
   check Alcotest.int32 "slice" 0xCBF43926l (Crc32.bytes b ~pos:2 ~len:9)
 
+(* The textbook bitwise CRC-32: eight shift/xor steps per byte, no
+   table.  The slicing-by-8 implementation must agree with it on every
+   slice. *)
+let crc32_reference s ~pos ~len =
+  let c = ref 0xFFFF_FFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFF_FFFF)
+
+let test_crc32_short_unaligned_slices () =
+  let s = String.init 40 (fun i -> Char.chr (((i * 151) + 7) land 0xFF)) in
+  for pos = 0 to 7 do
+    for len = 0 to 17 do
+      check Alcotest.int32
+        (Printf.sprintf "pos %d len %d" pos len)
+        (crc32_reference s ~pos ~len)
+        (Crc32.bytes (Bytes.of_string s) ~pos ~len)
+    done
+  done
+
+let gen_slice =
+  QCheck.Gen.(
+    string_size (int_bound 64) >>= fun s ->
+    int_bound (String.length s) >>= fun pos ->
+    int_bound (String.length s - pos) >|= fun len -> (s, pos, len))
+
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~name:"crc32: slicing-by-8 matches the bitwise reference" ~count:1000
+    (QCheck.make ~print:(fun (s, pos, len) -> Printf.sprintf "%S pos=%d len=%d" s pos len)
+       gen_slice)
+    (fun (s, pos, len) -> Crc32.bytes (Bytes.of_string s) ~pos ~len = crc32_reference s ~pos ~len)
+
+let prop_crc32_chains =
+  QCheck.Test.make ~name:"crc32: update chains across a split" ~count:500
+    QCheck.(pair string string)
+    (fun (a, b) ->
+      Crc32.update (Crc32.string a) (Bytes.of_string b) ~pos:0 ~len:(String.length b)
+      = Crc32.string (a ^ b))
+
 (* ---- Codec ---- *)
 
 let roundtrip encode decode v =
@@ -177,6 +220,43 @@ let test_codec_ints () =
     (roundtrip Codec.i64 Codec.read_i64 (-123456789L));
   Alcotest.(check int) "int_as_i64" min_int
     (roundtrip Codec.int_as_i64 Codec.read_int_as_i64 min_int)
+
+let test_codec_int_boundaries () =
+  Alcotest.(check int) "u16 max" 0xFFFF (roundtrip Codec.u16 Codec.read_u16 0xFFFF);
+  Alcotest.(check int) "u32 max" 0xFFFF_FFFF (roundtrip Codec.u32 Codec.read_u32 0xFFFF_FFFF);
+  check Alcotest.int64 "i64 min" Int64.min_int (roundtrip Codec.i64 Codec.read_i64 Int64.min_int);
+  check Alcotest.int64 "i64 max" Int64.max_int (roundtrip Codec.i64 Codec.read_i64 Int64.max_int);
+  Alcotest.(check int) "int_as_i64 -1 (Lsn.nil)" (-1)
+    (roundtrip Codec.int_as_i64 Codec.read_int_as_i64 (-1));
+  let e = Codec.encoder () in
+  Codec.int_as_i64 e (-1);
+  Codec.u16 e 0x1234;
+  Codec.u32 e 0x89AB_CDEF;
+  Alcotest.(check string) "little-endian bytes"
+    "\xff\xff\xff\xff\xff\xff\xff\xff\x34\x12\xef\xcd\xab\x89" (Codec.to_string e)
+
+(* A decoder bounded to one frame must not read the next frame's bytes,
+   even when the source has them. *)
+let test_codec_bounded_decoder () =
+  let e = Codec.encoder () in
+  Codec.u32 e 7;
+  Codec.bytes e "abcdefgh";
+  let s = Codec.to_string e in
+  let d = Codec.decoder ~pos:0 ~len:4 s in
+  Alcotest.(check int) "inside the bound" 7 (Codec.read_u32 d);
+  Alcotest.check_raises "past the bound" (Codec.Corrupt "truncated input: need 4 bytes, have 0")
+    (fun () -> ignore (Codec.read_u32 d));
+  let d = Codec.decoder ~pos:4 ~len:10 s in
+  Alcotest.check_raises "length prefix past the bound"
+    (Codec.Corrupt "truncated input: need 8 bytes, have 6") (fun () ->
+      ignore (Codec.read_bytes d));
+  Alcotest.(check string) "same slice, unbounded" "abcdefgh"
+    (Codec.read_bytes (Codec.decoder ~pos:4 s));
+  Alcotest.(check bool) "slice outside the source" true
+    (try
+       ignore (Codec.decoder ~pos:4 ~len:13 s);
+       false
+     with Invalid_argument _ -> true)
 
 let test_codec_bytes_and_collections () =
   Alcotest.(check string) "bytes" "hello\x00world"
@@ -259,7 +339,12 @@ let suite =
     ("crc32 empty", `Quick, test_crc32_empty);
     ("crc32 sensitivity", `Quick, test_crc32_sensitivity);
     ("crc32 slice", `Quick, test_crc32_slice);
+    ("crc32 short unaligned slices", `Quick, test_crc32_short_unaligned_slices);
+    qcheck prop_crc32_matches_reference;
+    qcheck prop_crc32_chains;
     ("codec ints", `Quick, test_codec_ints);
+    ("codec int boundaries", `Quick, test_codec_int_boundaries);
+    ("codec bounded decoder", `Quick, test_codec_bounded_decoder);
     ("codec bytes/collections", `Quick, test_codec_bytes_and_collections);
     ("codec truncation detected", `Quick, test_codec_truncation_detected);
     ("codec bad bool", `Quick, test_codec_bad_bool);

@@ -3,6 +3,7 @@
 module Lsn = Repro_wal.Lsn
 module Record = Repro_wal.Record
 module Log_manager = Repro_wal.Log_manager
+module Log_device = Repro_storage.Log_device
 module Page = Repro_storage.Page
 module Page_id = Repro_storage.Page_id
 module Codec = Repro_util.Codec
@@ -66,10 +67,13 @@ let sample_records =
     { Record.txn = Record.system_txn; prev = 60; body = Checkpoint_end };
   ]
 
+let roundtrip r =
+  Record.decode (Codec.decoder (Bytes.to_string (Codec.with_scratch (fun e -> Record.encode e r))))
+
 let test_record_roundtrips () =
   List.iter
     (fun r ->
-      let r' = Record.decode (Record.encode r) in
+      let r' = roundtrip r in
       Alcotest.(check string) "roundtrip"
         (Format.asprintf "%a" Record.pp r)
         (Format.asprintf "%a" Record.pp r'))
@@ -98,7 +102,7 @@ let test_op_apply_and_invert () =
 let test_record_decode_garbage () =
   Alcotest.(check bool) "garbage rejected" true
     (try
-       ignore (Record.decode "\xff\xff\xff");
+       ignore (Record.decode (Codec.decoder "\xff\xff\xff"));
        false
      with Codec.Corrupt _ -> true)
 
@@ -122,7 +126,7 @@ let gen_record =
 let prop_record_roundtrip =
   QCheck.Test.make ~name:"record: random update roundtrip" ~count:300
     (QCheck.make gen_record) (fun r ->
-      Format.asprintf "%a" Record.pp (Record.decode (Record.encode r))
+      Format.asprintf "%a" Record.pp (roundtrip r)
       = Format.asprintf "%a" Record.pp r)
 
 (* ---- Log_manager ---- *)
@@ -200,6 +204,119 @@ let test_log_manager_scan_counts () =
   ignore (Log_manager.fold log ~from:Lsn.nil ~init:() (fun () _ _ -> ()));
   Alcotest.(check int) "scan charged per record" 5 m.Metrics.recovery_log_records_scanned
 
+(* ---- On-log format golden ---- *)
+
+(* One record of every body kind, with field values at the codec's
+   edges: nil LSNs (all-ones i64), a negative delta, i64 extremes and
+   multi-entry checkpoint lists. *)
+let every_body_kind =
+  let phys = Record.Physical { off = 0xFFFF; before = "\x00\xffab"; after = "xy\x80\x7f" } in
+  [
+    { Record.txn = 1; prev = Lsn.nil; body = Update { pid = pid 3; psn_before = 0; op = phys } };
+    {
+      Record.txn = 1;
+      prev = 0;
+      body =
+        Update
+          { pid = pid 4; psn_before = 1 lsl 40; op = Delta { off = 8; delta = Int64.min_int } };
+    };
+    {
+      Record.txn = 2;
+      prev = 77;
+      body =
+        Clr
+          {
+            pid = pid 5;
+            psn_before = 9;
+            op = Delta { off = 16; delta = Int64.max_int };
+            undo_next = Lsn.nil;
+          };
+    };
+    {
+      Record.txn = 2;
+      prev = 120;
+      body = Clr { pid = pid 3; psn_before = 1; op = Record.invert phys; undo_next = 0 };
+    };
+    { Record.txn = 1; prev = 41; body = Commit };
+    { Record.txn = 2; prev = 150; body = Abort };
+    { Record.txn = max_int; prev = 0x7FFF_FFFF; body = Savepoint "sp\x00-é" };
+    {
+      Record.txn = Record.system_txn;
+      prev = Lsn.nil;
+      body =
+        Checkpoint_begin
+          {
+            dpt =
+              [
+                { Record.pid = pid 3; psn_first = 0; curr_psn = 2; redo_lsn = 0 };
+                {
+                  Record.pid = Page_id.make ~owner:7 ~slot:1023;
+                  psn_first = 5;
+                  curr_psn = 6;
+                  redo_lsn = Lsn.nil;
+                };
+              ];
+            active =
+              [ { Record.txn = 1; last_lsn = 41 }; { Record.txn = min_int; last_lsn = Lsn.nil } ];
+          };
+    };
+    { Record.txn = Record.system_txn; prev = 200; body = Checkpoint_end };
+  ]
+
+(* The frames ([u32 len | u32 crc | payload]) and the record encoding
+   are the on-log format: a codec change must leave every LSN and every
+   byte where it is. *)
+let test_log_bytes_golden () =
+  let log = mk () in
+  let lsns = List.map (Log_manager.append log) every_body_kind in
+  Alcotest.(check (list int)) "lsns" [ 0; 62; 116; 178; 248; 273; 298; 333; 462 ] lsns;
+  let bytes = Log_device.read (Log_manager.device log) ~pos:0 ~len:(Log_manager.end_lsn log) in
+  Alcotest.(check int) "length" 487 (String.length bytes);
+  Alcotest.(check string) "md5" "a7d26935914aa0eb54165f73aa2f58fe"
+    (Digest.to_hex (Digest.string bytes));
+  let back = Log_manager.fold log ~from:Lsn.nil ~init:[] (fun acc _ r -> r :: acc) in
+  Alcotest.(check (list string)) "scan decodes every kind"
+    (List.map (Format.asprintf "%a" Record.pp) every_body_kind)
+    (List.rev_map (Format.asprintf "%a" Record.pp) back)
+
+(* The frame header is [u32 len | u32 crc]. *)
+let header_size = 8
+
+(* A well-formed frame (correct length and CRC) whose payload holds one
+   byte after the record: the decode must consume the frame exactly. *)
+let test_log_frame_trailing_bytes () =
+  let log = mk () in
+  let l1 = Log_manager.append log (commit_record 1 Lsn.nil) in
+  let payload =
+    Bytes.to_string (Codec.with_scratch (fun e -> Record.encode e (commit_record 2 l1))) ^ "\x00"
+  in
+  let e = Codec.encoder () in
+  Codec.u32 e (String.length payload);
+  Codec.u32 e (Int32.to_int (Int32.logand (Repro_util.Crc32.string payload) 0x7FFFFFFFl));
+  let l2 = Log_device.append (Log_manager.device log) (Codec.to_string e ^ payload) in
+  Alcotest.(check bool) "read raises Corrupt" true
+    (try
+       ignore (Log_manager.read log l2);
+       false
+     with Codec.Corrupt _ -> true);
+  let seen = Log_manager.fold log ~from:Lsn.nil ~init:[] (fun acc lsn _ -> lsn :: acc) in
+  Alcotest.(check (list int)) "scan stops at the bad frame" [ l1 ] seen
+
+let test_log_scribbled_payload () =
+  let log = mk () in
+  let lsns = List.map (fun i -> Log_manager.append log (commit_record i Lsn.nil)) [ 1; 2; 3 ] in
+  let mid = List.nth lsns 1 in
+  Log_device.scribble (Log_manager.device log) ~pos:(mid + header_size + 3);
+  Alcotest.(check bool) "read at the scribbled record raises Corrupt" true
+    (try
+       ignore (Log_manager.read log mid);
+       false
+     with Codec.Corrupt _ -> true);
+  Alcotest.(check int) "the record before it still reads" 1
+    (Log_manager.read log (List.hd lsns)).Record.txn;
+  let seen = Log_manager.fold log ~from:Lsn.nil ~init:[] (fun acc lsn _ -> lsn :: acc) in
+  Alcotest.(check (list int)) "fold stops exactly there" [ List.hd lsns ] seen
+
 let suite =
   [
     ("lsn nil semantics", `Quick, test_lsn_nil);
@@ -214,4 +331,7 @@ let suite =
     ("log force idempotent charge", `Quick, test_log_manager_force_counts_once);
     ("log capacity and overdraft", `Quick, test_log_manager_capacity);
     ("log scan charging", `Quick, test_log_manager_scan_counts);
+    ("golden: log bytes of every record kind", `Quick, test_log_bytes_golden);
+    ("log frame must decode exactly", `Quick, test_log_frame_trailing_bytes);
+    ("log scribbled payload stops the scan", `Quick, test_log_scribbled_payload);
   ]
