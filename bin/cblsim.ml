@@ -374,15 +374,34 @@ let scenario_term =
     const (fun classes group_commit elr -> { classes; group_commit; elr })
     $ classes $ group_commit $ elr)
 
+(* One run's schedule-visible result: the outcome counters, the clock,
+   the shadow and the cluster's global metrics.  A change meant to keep
+   the simulation bit-identical leaves the sweep's chained digest alone. *)
+let run_digest cluster (o : Driver.outcome) =
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "%d %d %d %d %d %d %h\n" o.Driver.committed o.Driver.voluntary_aborts
+    o.Driver.deadlock_aborts o.Driver.stuck o.Driver.rounds o.Driver.sched_events
+    o.Driver.sim_seconds;
+  List.iter
+    (fun ((pid, off), v) ->
+      Buffer.add_string b (Format.asprintf "%a@%d=%Ld\n" Repro_storage.Page_id.pp pid off v))
+    (List.sort compare o.Driver.shadow);
+  List.iter
+    (fun (k, v) -> Printf.bprintf b "%s=%d\n" k v)
+    (Metrics.to_alist (Cluster.global_metrics cluster));
+  Buffer.contents b
+
 let stress runs start sc plan_file dump_plan =
   let plan = Option.map read_plan plan_file in
   let last_plan = ref None in
   let fault_totals = Metrics.create () in
   let failures = ref 0 in
+  let fingerprint = ref (Digest.string "") in
   for seed = start to start + runs - 1 do
     let cluster, outcome, plan =
       Stress.run ?plan ~classes:sc.classes ~group_commit:sc.group_commit ~elr:sc.elr seed
     in
+    fingerprint := Digest.string (!fingerprint ^ run_digest cluster outcome);
     (match (outcome.Driver.stuck, Driver.verify outcome) with
     | 0, Ok () -> ()
     | stuck, result ->
@@ -407,6 +426,7 @@ let stress runs start sc plan_file dump_plan =
       fault_totals.Metrics.net_msgs_delayed fault_totals.Metrics.net_link_blocks
       fault_totals.Metrics.torn_crashes fault_totals.Metrics.torn_bytes_discarded
       fault_totals.Metrics.injected_crashes;
+  Format.printf "stress fingerprint: %s@." (Digest.to_hex !fingerprint);
   if !failures = 0 then Format.printf "stress: %d randomized runs verified@." runs
   else begin
     Format.printf "stress: %d FAILURES@." !failures;

@@ -93,16 +93,33 @@ diff -u EXPERIMENT_RECORDED.txt EXPERIMENT_RUN.txt || {
 # lock release).
 SWEEP_RUNS="$STRESS_RUNS"
 [ "$SWEEP_RUNS" -lt 200 ] && SWEEP_RUNS=200
-echo "== stress: $SWEEP_RUNS clean runs =="
-dune exec bin/cblsim.exe -- stress --runs "$SWEEP_RUNS"
-echo "== stress: $SWEEP_RUNS fault-injected runs (--faults all) =="
-dune exec bin/cblsim.exe -- stress --runs "$SWEEP_RUNS" --faults all
-echo "== stress: $SWEEP_RUNS fault-injected runs with group commit (--faults all --group-commit) =="
-dune exec bin/cblsim.exe -- stress --runs "$SWEEP_RUNS" --faults all --group-commit
-echo "== stress: $SWEEP_RUNS fault-injected runs with early lock release (--faults all --group-commit --elr) =="
-dune exec bin/cblsim.exe -- stress --runs "$SWEEP_RUNS" --faults all --group-commit --elr
-echo "== stress: $SWEEP_RUNS recovery-fault runs (--faults recovery) =="
-dune exec bin/cblsim.exe -- stress --runs "$SWEEP_RUNS" --faults recovery
+# stress_leg LEG FLAGS...: one sweep.  At the default 200 runs its
+# fingerprint must equal LEG's line in bench/stress.fingerprints: a
+# change that still verifies but moves the schedule fails here.
+stress_leg() {
+  leg=$1
+  shift
+  echo "== stress: $SWEEP_RUNS runs ($leg) =="
+  dune exec bin/cblsim.exe -- stress --runs "$SWEEP_RUNS" "$@" > STRESS_RUN.txt || {
+    cat STRESS_RUN.txt
+    exit 1
+  }
+  cat STRESS_RUN.txt
+  if [ "$SWEEP_RUNS" -eq 200 ]; then
+    got=$(sed -n 's/^stress fingerprint: //p' STRESS_RUN.txt)
+    want=$(awk -v leg="$leg" '$1 == leg { print $2 }' bench/stress.fingerprints)
+    if [ "$got" != "$want" ]; then
+      echo "stress ($leg) fingerprint $got, expected $want (bench/stress.fingerprints)." >&2
+      echo "Update it only for an intended change to the simulated schedule." >&2
+      exit 1
+    fi
+  fi
+}
+stress_leg clean
+stress_leg all --faults all
+stress_leg all+group-commit --faults all --group-commit
+stress_leg all+group-commit+elr --faults all --group-commit --elr
+stress_leg recovery --faults recovery
 echo "== audit: $SWEEP_RUNS traced fault-injected runs (--faults all) =="
 dune exec bin/cblsim.exe -- audit --stress --runs "$SWEEP_RUNS" --faults all \
   --out AUDIT_REPORT.json
