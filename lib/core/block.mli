@@ -4,7 +4,8 @@
     in a real system raises {!Would_block} with a typed reason, and the
     workload driver re-queues the transaction's step and retries later.
     Lock conflicts carry the blocking transaction ids so the driver can
-    maintain the waits-for graph for deadlock detection. *)
+    resolve them by wound-wait (older transactions abort younger
+    blockers). *)
 
 type reason =
   | Lock_conflict of { blockers : int list }

@@ -3,9 +3,6 @@ module Page_id = Repro_storage.Page_id
 module Mode = Repro_lock.Mode
 module Local_locks = Repro_lock.Local_locks
 module Global_locks = Repro_lock.Global_locks
-module Deadlock = Repro_lock.Deadlock
-module Txn = Repro_tx.Txn
-module Txn_table = Repro_tx.Txn_table
 module Dep_graph = Repro_tx.Dep_graph
 module Group_commit = Repro_wal.Group_commit
 module Event = Repro_obs.Event
@@ -19,7 +16,6 @@ type t = {
          out sequentially from 1); -1 = unknown.  A flat array: txn→node
          resolution fronts every engine operation, and at scale the
          hashing dominated the lookup. *)
-  deadlock : Deadlock.t;
   durable_commits : (int, unit) Hashtbl.t;
       (* group-commit outcomes: transactions whose commit record became
          durable, not yet reported to the caller.  Written from the
@@ -83,8 +79,8 @@ let create ?(trace = false) ?trace_capacity ?(seed = 42) ?faults ?(pool_capacity
           Dep_graph.settle_durable deps txn)
         ())
     members;
-  { env; members; next_txn = 0; txn_home = Array.make 64 (-1); deadlock = Deadlock.create ();
-    durable_commits; deps; lost_commits; dep_blocked_since }
+  { env; members; next_txn = 0; txn_home = Array.make 64 (-1); durable_commits; deps;
+    lost_commits; dep_blocked_since }
 
 let env t = t.env
 let node_count t = Array.length t.members
@@ -127,9 +123,6 @@ let update_delta t ~txn ~pid ~off d = Node.update_delta (home t txn) ~txn ~pid ~
 let commit t ~txn =
   let n = home t txn in
   Node.commit n ~txn;
-  (* A committing transaction runs no further operations and holds no
-     waits, so it leaves the deadlock graph at submission. *)
-  Deadlock.remove_txn t.deadlock txn;
   (* Synchronous completion (no batching, or the batch filled and
      flushed inside [Node.commit]): the hook path already registered
      batched completions; register the classic path here so
@@ -208,20 +201,14 @@ let pump_group_commit t ~idle =
   end;
   !progressed
 
-let abort t ~txn =
-  Node.abort (home t txn) ~txn;
-  Deadlock.remove_txn t.deadlock txn
+let abort t ~txn = Node.abort (home t txn) ~txn
 
 let savepoint t ~txn name = Node.savepoint (home t txn) ~txn name
 let rollback_to t ~txn name = Node.rollback_to (home t txn) ~txn name
 
 let checkpoint t ~node:node_id = Node.checkpoint (node t node_id)
 
-let crash t ~node:node_id =
-  let n = node t node_id in
-  let in_flight = Txn_table.active n.Node_state.txns in
-  Node.crash n;
-  List.iter (fun (txn : Txn.t) -> Deadlock.remove_txn t.deadlock txn.Txn.id) in_flight
+let crash t ~node:node_id = Node.crash (node t node_id)
 
 let recover_timed ?strategy ?(defer = []) t ~nodes:ids =
   (match List.find_opt (fun id -> List.length (List.filter (( = ) id) ids) > 1) ids with
@@ -293,7 +280,6 @@ let recover_until_up ?(defer = []) t =
   in
   go 0
 
-let deadlock t = t.deadlock
 let commit_antecedents t ~txn = Dep_graph.antecedents_of t.deps txn
 let dep_edge_count t = Dep_graph.edge_count t.deps
 let dep_edges_registered t = Dep_graph.registered_count t.deps

@@ -4,7 +4,7 @@
     local log; any subset of them owns databases (pages are allocated
     at a chosen owner).  Issues cluster-wide transaction ids, routes
     operations to the executing node, and provides crash / recovery
-    entry points and the global waits-for deadlock detector.
+    entry points.
 
     {[
       let cluster = Cluster.create ~nodes:4 (Repro_sim.Config.default) in
@@ -48,7 +48,7 @@ val allocate_pages : t -> owner:int -> count:int -> Repro_storage.Page_id.t list
 (** {1 Transactions}
 
     All operations may raise {!Block.Would_block}; callers either use
-    the workload driver (which retries and detects deadlocks) or treat
+    the workload driver (which retries and wounds younger blockers) or treat
     it as an error. *)
 
 val begin_txn : t -> node:int -> int
@@ -105,8 +105,8 @@ val txn_node : t -> int -> int
 
 val checkpoint : t -> node:int -> unit
 val crash : t -> node:int -> unit
-(** Also drops the node's in-flight transactions from the deadlock
-    graph (they are losers; restart will roll them back). *)
+(** The node's in-flight transactions are lost with its volatile state
+    (they are losers; restart will roll them back). *)
 
 val recover : ?strategy:Recovery.strategy -> ?defer:int list -> t -> nodes:int list -> unit
 (** §2.3 for a single node, §2.4 for several.  [strategy] defaults to
@@ -136,11 +136,6 @@ val recover_timed :
   ?strategy:Recovery.strategy -> ?defer:int list -> t -> nodes:int list -> Recovery.summary
 (** Like {!recover}, additionally returning the per-phase timing
     breakdown (E4/E5/E8 reporting). *)
-
-(** {1 Deadlock handling} *)
-
-val deadlock : t -> Repro_lock.Deadlock.t
-(** The global waits-for graph, maintained by the workload driver. *)
 
 (** {1 Introspection} *)
 

@@ -115,6 +115,13 @@ let wipe_volatile t =
 
 let crash t =
   t.up <- false;
+  (* The transactions the crash drops, active or committing, will never
+     commit or abort here: end their spans, or they stay open and every
+     later event without a causal context lands in one of them. *)
+  if Env.tracing t.env then
+    List.iter
+      (fun (txn : Txn.t) -> Recorder.span_end (Env.obs t.env) ~time:(Env.now t.env) txn.Txn.span)
+      (Txn_table.live t.txns);
   wipe_volatile t;
   Log_manager.crash ?faults:(Env.faults t.env) t.log;
   if Env.tracing t.env then Env.emit t.env ~node:t.id Event.Crash []

@@ -788,10 +788,12 @@ let run_step ctx = function
     let obs = Env.obs env in
     let t0 = Env.now env in
     let span = Repro_obs.Recorder.span_begin obs ~time:t0 ~node:(-1) ("recovery." ^ name) in
-    f ctx;
+    (* the span ends even when the step dies at a recovery crash point *)
+    Fun.protect
+      ~finally:(fun () -> Repro_obs.Recorder.span_end obs ~time:(Env.now env) span)
+      (fun () -> f ctx);
     let t1 = Env.now env in
     let dt = t1 -. t0 in
-    Repro_obs.Recorder.span_end obs ~time:t1 span;
     Env.observe env ~name:("recovery." ^ name) ~node:(-1) dt;
     if Env.tracing env then
       Env.emit env ~node:(-1) Repro_obs.Event.Recovery_phase

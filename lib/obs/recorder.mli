@@ -8,15 +8,6 @@
     write nothing to the simulation, so traced and untraced runs
     produce identical metrics — which the test suite asserts. *)
 
-type span = {
-  id : int;
-  name : string;
-  node : int;
-  parent : int;
-  start : float;
-  mutable stop : float;  (** nan until [span_end] *)
-}
-
 type t
 
 val create : ?enabled:bool -> ?capacity:int -> unit -> t
@@ -56,7 +47,7 @@ val drain : t -> Event.t list
 
 val dropped : t -> int
 val clear : t -> unit
-(** Drops events and spans.  Histograms survive. *)
+(** Drops events and open spans.  Histograms survive. *)
 
 (** {2 Spans} *)
 
@@ -66,10 +57,10 @@ val span_begin : t -> time:float -> node:int -> ?parent:int -> string -> int
     span. *)
 
 val span_end : t -> time:float -> int -> unit
-val spans : t -> span list
-(** In [span_begin] order. *)
+(** Closes an open span and records its [span.end] event, carrying the
+    span's [id], [name] and [dur]; a closed or unknown id is a no-op.
+    Spans are kept only while open: their record is the event stream. *)
 
-val span_duration : span -> float option
 val current_span : t -> int
 
 (** {2 Histograms} *)

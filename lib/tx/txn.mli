@@ -2,9 +2,9 @@
 
     Transactions execute entirely at the node where they start (§2.1).
     Ids are issued by a cluster-wide counter so that they are unique
-    across nodes — the waits-for graph and the recovery messages can
+    across nodes — lock-conflict blockers and the recovery messages can
     then name transactions unambiguously.  Lower id = older, which the
-    deadlock victim policy relies on. *)
+    driver's wound-wait policy relies on. *)
 
 type state = Active | Committing | Committed | Aborted
 (** [Committing]: the commit record is appended and the transaction

@@ -1,13 +1,10 @@
 module Page_id = Repro_storage.Page_id
-module Deadlock = Repro_lock.Deadlock
 module Block = Repro_cbl.Block
 module Env = Repro_sim.Env
 module Stats = Repro_util.Stats
 module Heap = Repro_util.Heap
 
 type event = Crash of int | Recover of int list | Checkpoint of int
-
-type conflict_policy = Wound_wait | Detect
 
 type outcome = {
   engine : Engine.t;
@@ -26,31 +23,42 @@ type outcome = {
    partial rollback discard exactly the suffix. *)
 type effect = Delta of (Page_id.t * int) * int64 | Mark of string
 
-type status = Running | Committed | Aborted
+(* Where a script stands.  The first four are running; a script holds a
+   transaction in [Active], [Aborting] and [Committing]. *)
+type state =
+  | Waiting  (** no transaction: waits to begin (possibly parked at the MPL cap) *)
+  | Active of int
+  | Aborting of int
+      (** a wound or forced abort blocked part-way (its undo needs a
+          down node): the transaction is half rolled back and must not
+          run forward again — only the abort is retried until it
+          completes *)
+  | Committing of int
+      (** the commit joined a group-commit batch that is not yet
+          durable: the script runs nothing further and polls
+          [commit_outcome] until the batch forces (Durable) or a crash
+          loses it (Gone) *)
+  | Committed
+  | Aborted
 
 type prog = {
   idx : int;  (* position in the script list; the round-robin tiebreak *)
-  script : Op.script;
-  mutable txn : int option;
+  node : int;  (* the script's home node *)
+  actions : Op.action array;
+  mutable state : state;  (* written only by [set_state] *)
   mutable step : int;
   mutable effects : effect list; (* newest first *)
-  mutable status : status;
   mutable retries : int;
   mutable began_at : float;
   mutable wake : int;
       (* next round this program acts.  The authoritative copy: the run
          queue may hold stale entries for earlier reschedules, dropped
          on pop when they disagree with this field. *)
-  mutable aborting : bool;
-      (* a wound/victim abort blocked part-way (its undo needs a down
-         node): the transaction is half rolled back and must not run
-         forward again — only the abort is retried until it completes *)
-  mutable committing : bool;
-      (* the commit was submitted to a group-commit batch and is not yet
-         durable: the script runs nothing further and polls
-         [commit_outcome] until the batch forces (Durable) or a crash
-         loses it (Gone) *)
 }
+
+let is_running = function
+  | Waiting | Active _ | Aborting _ | Committing _ -> true
+  | Committed | Aborted -> false
 
 let rec drop_to_mark name = function
   | [] -> []
@@ -63,29 +71,25 @@ let rec drop_to_mark name = function
 let idx_bits = 22
 let idx_mask = (1 lsl idx_bits) - 1
 
-let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wound_wait)
-    ?(mpl = max_int) ?auto_recover scripts =
+let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(mpl = max_int) ?auto_recover
+    scripts =
   let progs =
-    List.mapi
-      (fun idx script ->
-        {
-          idx;
-          script;
-          txn = None;
-          step = 0;
-          effects = [];
-          status = Running;
-          retries = 0;
-          began_at = 0.;
-          wake = 0;
-          aborting = false;
-          committing = false;
-        })
-      scripts
+    Array.of_list
+      (List.mapi
+         (fun idx (s : Op.script) ->
+           {
+             idx;
+             node = s.Op.node;
+             actions = Array.of_list s.Op.actions;
+             state = Waiting;
+             step = 0;
+             effects = [];
+             retries = 0;
+             began_at = 0.;
+             wake = 0;
+           })
+         scripts)
   in
-  let actions = List.map (fun (s : Op.script) -> Array.of_list s.Op.actions) scripts in
-  let progs = Array.of_list progs in
-  let actions = Array.of_list actions in
   if Array.length progs > idx_mask then
     invalid_arg (Printf.sprintf "Driver.run: more than %d scripts" idx_mask);
   let shadow : (Page_id.t * int, int64) Hashtbl.t = Hashtbl.create 64 in
@@ -96,20 +100,34 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
   let t0 = Env.now engine.Engine.env in
   let round = ref 0 in
   let sched_events = ref 0 in
-  (* Scheduling state.  [running] counts Running programs (the loop
-     condition); [active] counts Running programs holding a transaction,
-     per node — the persistent form of the per-round snapshot the legacy
+  (* Scheduling state.  [running] counts running programs (the loop
+     condition); [active] counts programs holding a transaction, per
+     node — the persistent form of the per-round snapshot the legacy
      scan rebuilt; [admit] is this round's working copy (begins bump it
      so later programs in the same round see the slot taken; finishes
-     only surface next round, exactly as the snapshot behaved). *)
+     only surface next round, exactly as the snapshot behaved).
+     [running], [active] and [by_txn] follow each program's [state]
+     and are written only by [set_state]. *)
   let running = ref (Array.length progs) in
   let max_node = List.fold_left max 0 engine.Engine.nodes in
-  let max_node =
-    Array.fold_left (fun acc p -> max acc p.script.Op.node) max_node progs
-  in
+  let max_node = Array.fold_left (fun acc p -> max acc p.node) max_node progs in
   let active = Array.make (max_node + 1) 0 in
   let admit = Array.make (max_node + 1) 0 in
   let by_txn : (int, prog) Hashtbl.t = Hashtbl.create 256 in
+  let set_state p s =
+    (match p.state with
+    | Active txn | Aborting txn | Committing txn ->
+      active.(p.node) <- active.(p.node) - 1;
+      Hashtbl.remove by_txn txn
+    | Waiting | Committed | Aborted -> ());
+    (match s with
+    | Active txn | Aborting txn | Committing txn ->
+      active.(p.node) <- active.(p.node) + 1;
+      Hashtbl.replace by_txn txn p
+    | Committed | Aborted -> decr running
+    | Waiting -> ());
+    p.state <- s
+  in
   let runq = Heap.create ~capacity:(max 16 (Array.length progs)) () in
   Array.iter (fun p -> Heap.push runq p.idx (* wake 0 ⇒ key = idx *)) progs;
   (* Admission queue: per node, the indices of scripts waiting to begin
@@ -130,23 +148,14 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
     Heap.push runq ((wake lsl idx_bits) lor p.idx)
   in
   let reset_prog p =
-    (match p.txn with
-    | Some txn ->
-      Hashtbl.remove by_txn txn;
-      if p.status = Running then
-        active.(p.script.Op.node) <- active.(p.script.Op.node) - 1
-    | None -> ());
-    p.txn <- None;
+    set_state p Waiting;
     p.step <- 0;
     p.effects <- [];
-    p.aborting <- false;
-    p.committing <- false;
     p.retries <- p.retries + 1;
     (* Backoff breaks the symmetry that would otherwise re-create the
-       same deadlock cycle on the very next round. *)
+       same conflict on the very next round. *)
     set_cooldown p (min 32 (3 * p.retries))
   in
-  let find_prog_by_txn txn = Hashtbl.find_opt by_txn txn in
   let apply_effects p =
     List.iter
       (function
@@ -158,23 +167,19 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
   in
   (* The commit is durable: credit the script's effects. *)
   let finalize_commit p =
-    p.committing <- false;
     apply_effects p;
-    if p.txn <> None then active.(p.script.Op.node) <- active.(p.script.Op.node) - 1;
-    p.status <- Committed;
-    running := !running - 1;
+    set_state p Committed;
     incr committed;
     latencies := (Env.now engine.Engine.env -. p.began_at) :: !latencies
   in
   let finish_commit p txn =
     engine.Engine.commit ~txn;
-    Deadlock.clear_waits engine.Engine.deadlock txn;
     match engine.Engine.commit_outcome ~txn with
     | `Durable -> finalize_commit p
     | `Pending | `Gone ->
       (* Group commit: the transaction joined its node's batch and is
          not durable yet — the script stops here and polls. *)
-      p.committing <- true
+      set_state p (Committing txn)
   in
   (* The script's home node crashed (or is about to): decide what the
      in-flight transaction's fate is.  A submitted commit whose batch
@@ -182,70 +187,64 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
      be re-run (double apply); anything else died with the node's
      volatile state and restarts from scratch. *)
   let crash_reset p =
-    match p.txn with
-    | None -> ()
-    | Some txn ->
-      if p.committing && engine.Engine.commit_outcome ~txn = `Durable then finalize_commit p
-      else begin
-        Deadlock.remove_txn engine.Engine.deadlock txn;
-        reset_prog p
-      end
+    match p.state with
+    | Committing txn when engine.Engine.commit_outcome ~txn = `Durable -> finalize_commit p
+    | Active _ | Aborting _ | Committing _ -> reset_prog p
+    | Waiting | Committed | Aborted -> ()
   in
-  (* Abort [txn] on behalf of prog [p] (wound, deadlock victim, or a
+  (* Every script homed at one of [nodes] (down, or about to go down)
+     loses its in-flight transaction, except a durable one. *)
+  let crash_reset_homed nodes =
+    Array.iter (fun p -> if List.mem p.node nodes then crash_reset p) progs
+  in
+  (* Abort [txn] on behalf of prog [p] (wound, forced self-abort, or a
      retried half-abort).  The rollback itself can block — a CLR may
      need a page whose owner is down — leaving the transaction half
      rolled back.  It must then be quarantined: letting the script run
      forward again would commit a transaction whose early updates were
      already compensated away, i.e. silently lose committed effects.
-     The prog sits out with [aborting] set and only the abort is
-     retried until the rollback completes. *)
+     The prog sits out in [Aborting] and only the abort is retried
+     until the rollback completes. *)
   let abort_prog p txn =
-    Deadlock.remove_txn engine.Engine.deadlock txn;
     match engine.Engine.abort ~txn with
     | () ->
       incr deadlock_aborts;
       reset_prog p
     | exception Block.Would_block _ ->
-      p.aborting <- true;
+      set_state p (Aborting txn);
       set_cooldown p 4
   in
-  let resolve_deadlocks () =
-    let rec loop () =
-      match Deadlock.find_cycle engine.Engine.deadlock with
-      | None -> ()
-      | Some cycle ->
-        let victim = Deadlock.victim cycle in
-        (match find_prog_by_txn victim with
-        | Some p when p.committing ->
-          (* cannot be wound once committing; it also holds no waits, so
-             dropping it from the graph breaks any stale cycle *)
-          Deadlock.remove_txn engine.Engine.deadlock victim
-        | Some p -> abort_prog p victim
-        | None -> Deadlock.remove_txn engine.Engine.deadlock victim);
-        loop ()
-    in
-    loop ()
+  (* Older transactions wound younger blockers; younger waiters simply
+     wait.  Starvation-free, no cycles. *)
+  let wound txn blockers =
+    List.iter
+      (fun blocker ->
+        if blocker > txn then
+          match Hashtbl.find_opt by_txn blocker with
+          | Some ({ state = Active _ | Aborting _; _ } as q) -> abort_prog q blocker
+          | Some { state = Committing _ | Waiting | Committed | Aborted; _ } | None ->
+            (* A committing blocker is not abortable (its fate is the
+               batch force), and its locks release the moment the batch
+               flushes — waiting is both necessary and short.  With
+               early lock release on, a committing transaction has
+               already surrendered its locks at submit and never shows
+               up as a blocker here; acquirers proceed under a commit
+               dependency instead. *)
+            ())
+      blockers
   in
   let progressed = ref false in
-  (* One attempt to advance a script by one action.  Returns true if
-     the step made progress. *)
-  let advance p idx =
-    let acts = actions.(idx) in
-    match p.txn with
-    | None ->
-      let txn = engine.Engine.begin_txn ~node:p.script.Op.node in
-      p.txn <- Some txn;
-      Hashtbl.replace by_txn txn p;
-      active.(p.script.Op.node) <- active.(p.script.Op.node) + 1;
-      p.began_at <- Env.now engine.Engine.env;
-      true
-    | Some txn ->
-      if p.step >= Array.length acts then begin
-        finish_commit p txn;
-        true
-      end
+  (* One attempt to advance a script by one action. *)
+  let advance p =
+    match p.state with
+    | Waiting ->
+      let txn = engine.Engine.begin_txn ~node:p.node in
+      set_state p (Active txn);
+      p.began_at <- Env.now engine.Engine.env
+    | Active txn ->
+      if p.step >= Array.length p.actions then finish_commit p txn
       else begin
-        (match acts.(p.step) with
+        (match p.actions.(p.step) with
         | Op.Read { pid; off } -> ignore (engine.Engine.read_cell ~txn ~pid ~off)
         | Op.Update { pid; off; delta } ->
           engine.Engine.update_delta ~txn ~pid ~off delta;
@@ -259,27 +258,18 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
           p.effects <- drop_to_mark name p.effects
         | Op.Abort_self ->
           engine.Engine.abort ~txn;
-          Deadlock.clear_waits engine.Engine.deadlock txn;
-          active.(p.script.Op.node) <- active.(p.script.Op.node) - 1;
-          p.status <- Aborted;
-          running := !running - 1;
+          set_state p Aborted;
           incr voluntary);
-        if p.status = Running then begin
-          p.step <- p.step + 1;
-          Deadlock.clear_waits engine.Engine.deadlock txn
-        end;
-        true
+        p.step <- p.step + 1
       end
+    | Aborting _ | Committing _ | Committed | Aborted -> ()
   in
   let fire = function
     | Crash node ->
       (* Scripts homed at the node lose their in-flight transaction —
          except a submitted commit whose batch already forced, which is
          durable and survives. *)
-      Array.iter
-        (fun p ->
-          if p.status = Running && p.script.Op.node = node && p.txn <> None then crash_reset p)
-        progs;
+      crash_reset_homed [ node ];
       engine.Engine.crash ~node
     | Recover nodes -> (
       (* An injected crash may already have been recovered (or never
@@ -300,113 +290,78 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
            (a checkpoint event crashing mid-way just before this Recover
            fires): scripts homed there still hold transactions that died
            in the crash and must restart. *)
-        Array.iter
-          (fun p ->
-            if p.status = Running && List.mem p.script.Op.node down && p.txn <> None then
-              crash_reset p)
-          progs;
+        crash_reset_homed down;
         engine.Engine.recover ~nodes:down)
     | Checkpoint node -> if engine.Engine.is_up ~node then engine.Engine.checkpoint ~node
+  in
+  (* A step of a Waiting or Active script.  A real system would queue a
+     blocked request; polling every round would melt the network, so a
+     blocked script sits out a few rounds before retrying. *)
+  let step p =
+    match advance p with
+    | () -> progressed := true
+    | exception Block.Would_block reason -> (
+      set_cooldown p 4;
+      match (p.state, reason) with
+      | Active _, _ when not (engine.Engine.is_up ~node:p.node) ->
+        (* The home node itself crashed mid-operation (an injected
+           crash point): the in-flight transaction died with it.
+           Restart it once the node is back. *)
+        crash_reset p
+      | Active txn, Block.Lock_conflict { blockers } when blockers = [ txn ] ->
+        (* self-blocking (e.g. the transaction's own undo chain pins a
+           full log): forced abort and restart *)
+        abort_prog p txn
+      | Active txn, Block.Lock_conflict { blockers } -> wound txn blockers
+      | ( (Waiting | Active _ | Aborting _ | Committing _ | Committed | Aborted),
+          ( Block.Lock_conflict _ | Block.Node_down _ | Block.Log_space _
+          | Block.Page_recovering _ | Block.Net_unreachable _ | Block.Page_unavailable _ ) ) ->
+        (* Net_unreachable heals by retrying: every probe drains the
+           partition's budget, so sitting out the cooldown and retrying
+           is the bounded-retry loop.  Page_unavailable (deferred
+           recovery parked the page on a down peer) heals the same way:
+           the blocker's own recovery completes the parked redo. *)
+        ())
   in
   (* Process one runnable program: the same branch ladder the legacy
      per-round scan evaluated at every visit, minus the cooldown branch
      (a cooling program simply is not scheduled). *)
   let process p =
-    let idx = p.idx in
-    if p.aborting then (
-      match p.txn with
-      | Some txn ->
-        if not (engine.Engine.is_up ~node:p.script.Op.node) then begin
-          (* The home node crashed under the half-aborted
-             transaction: its volatile state is gone and recovery
-             finishes the rollback — retrying the abort after
-             recovery would ask for a transaction that no longer
-             exists.  Restart from scratch. *)
-          Deadlock.remove_txn engine.Engine.deadlock txn;
-          reset_prog p
-        end
-        else begin
-          abort_prog p txn;
-          if not p.aborting then progressed := true
-        end
-      | None -> p.aborting <- false)
-    else if p.committing then (
-      (* Poll a submitted group commit.  This branch sits BEFORE the
-         advance branch: a committing transaction is no longer
-         Active and must not re-enter [commit]. *)
-      match p.txn with
-      | Some txn -> (
-        match engine.Engine.commit_outcome ~txn with
-        | `Durable ->
-          finalize_commit p;
-          progressed := true
-        | `Pending -> () (* the pump below drives the window timer *)
-        | `Gone ->
-          (* the batch was lost to a crash before its force: the
-             commit never happened — restart the script *)
-          Deadlock.remove_txn engine.Engine.deadlock txn;
-          reset_prog p)
-      | None -> p.committing <- false)
-    else if p.txn <> None || admit.(p.script.Op.node) < mpl then begin
+    match p.state with
+    | Aborting txn ->
+      if not (engine.Engine.is_up ~node:p.node) then
+        (* The home node crashed under the half-aborted transaction:
+           its volatile state is gone and recovery finishes the
+           rollback — retrying the abort after recovery would ask for a
+           transaction that no longer exists.  Restart from scratch. *)
+        reset_prog p
+      else begin
+        abort_prog p txn;
+        match p.state with
+        | Aborting _ -> ()
+        | Waiting | Active _ | Committing _ | Committed | Aborted -> progressed := true
+      end
+    | Committing txn -> (
+      (* Poll a submitted group commit: a committing transaction is no
+         longer Active and must not re-enter [commit]. *)
+      match engine.Engine.commit_outcome ~txn with
+      | `Durable ->
+        finalize_commit p;
+        progressed := true
+      | `Pending -> () (* the pump below drives the window timer *)
+      | `Gone ->
+        (* the batch was lost to a crash before its force: the commit
+           never happened — restart the script *)
+        reset_prog p)
+    | Waiting ->
       (* multiprogramming limit: at most [mpl] in-flight transactions
          per node; surplus scripts wait to begin *)
-      if p.txn = None then admit.(p.script.Op.node) <- admit.(p.script.Op.node) + 1;
-      match advance p idx with
-      | made -> if made then progressed := true
-      | exception Block.Would_block reason ->
-        (* A real system would queue the request; polling every
-           round would melt the network, so a blocked script sits
-           out a few rounds before retrying. *)
-        set_cooldown p 4;
-        if p.txn <> None && not (engine.Engine.is_up ~node:p.script.Op.node) then
-          (* The home node itself crashed mid-operation (an injected
-             crash point): the in-flight transaction died with it.
-             Restart it once the node is back. *)
-          crash_reset p
-        else
-          (match (reason, p.txn) with
-          | Block.Lock_conflict { blockers }, Some txn when blockers = [ txn ] ->
-            (* self-blocking (e.g. the transaction's own undo chain
-               pins a full log): forced abort and restart *)
-            abort_prog p txn
-          | Block.Lock_conflict { blockers }, Some txn -> begin
-            match policy with
-            | Wound_wait ->
-              (* Older transactions wound younger blockers; younger
-                 waiters simply wait.  Starvation-free, no cycles. *)
-              List.iter
-                (fun blocker ->
-                  if blocker > txn then
-                    match find_prog_by_txn blocker with
-                    | Some q when q.committing ->
-                      (* Already committing: not abortable (its fate
-                         is the batch force), and its locks release
-                         the moment the batch flushes — waiting is
-                         both necessary and short.  With early lock
-                         release on, a committing transaction has
-                         already surrendered its locks at submit and
-                         never shows up as a blocker here; acquirers
-                         proceed under a commit dependency instead. *)
-                      ()
-                    | Some q -> abort_prog q blocker
-                    | None -> ())
-                blockers
-            | Detect ->
-              Deadlock.set_waits engine.Engine.deadlock ~waiter:txn ~blockers;
-              resolve_deadlocks ()
-          end
-          | ( ( Block.Lock_conflict _ | Block.Node_down _ | Block.Log_space _
-              | Block.Page_recovering _ | Block.Net_unreachable _
-              | Block.Page_unavailable _ ),
-              _ ) ->
-            (* Net_unreachable heals by retrying: every probe drains
-               the partition's budget, so sitting out the cooldown
-               and retrying is the bounded-retry loop.
-               Page_unavailable (deferred recovery parked the page on
-               a down peer) heals the same way: the blocker's own
-               recovery completes the parked redo. *)
-            ())
-    end
+      if admit.(p.node) < mpl then begin
+        admit.(p.node) <- admit.(p.node) + 1;
+        step p
+      end
+    | Active _ -> step p
+    | Committed | Aborted -> ()
   in
   let stalled = ref 0 in
   let events = ref events in
@@ -415,7 +370,7 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
   while !running > 0 && !round < max_rounds && !stalled < 1000 do
     scan_idx := -1;
     (* With fault injection, nodes crash at protocol crash points — no
-       Recover event exists for those.  Detect newly-down nodes, strand
+       Recover event exists for those.  Find newly-down nodes, strand
        no scripts on them, and schedule their recovery.  This scan runs
        BEFORE the due events: a pre-scheduled Recover could otherwise
        bring the node back first, leaving scripts holding transactions
@@ -428,11 +383,7 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
           let up = engine.Engine.is_up ~node in
           if (not up) && not (Hashtbl.mem known_down node) then begin
             Hashtbl.replace known_down node ();
-            Array.iter
-              (fun p ->
-                if p.status = Running && p.script.Op.node = node && p.txn <> None then
-                  crash_reset p)
-              progs;
+            crash_reset_homed [ node ];
             events := (!round + delay, Recover [ node ]) :: !events
           end
           else if up then Hashtbl.remove known_down node)
@@ -460,13 +411,12 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
     progressed := false;
     Array.blit active 0 admit 0 (Array.length active);
     (* Unpark.  A node's [admit] only rises within a round, and every
-       no-transaction visit below the cap takes a slot (even one whose
-       begin blocks), so at most [mpl - active] waiting scripts can
-       begin this round: the lowest-index parked ones.  Any parked
-       script behind them would find the cap full, as would an unparked
-       one that loses its slot to a lower-index script — it re-parks on
-       its visit.  The rest stay parked; their would-be visits are
-       counted, not made. *)
+       waiting visit below the cap takes a slot (even one whose begin
+       blocks), so at most [mpl - active] waiting scripts can begin this
+       round: the lowest-index parked ones.  Any parked script behind
+       them would find the cap full, as would an unparked one that loses
+       its slot to a lower-index script — it re-parks on its visit.  The
+       rest stay parked; their would-be visits are counted, not made. *)
     if !n_parked > 0 then begin
       for node = 0 to max_node do
         let q = parked.(node) in
@@ -491,26 +441,23 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
         let idx = key land idx_mask in
         let w = key asr idx_bits in
         let p = progs.(idx) in
-        if p.status = Running && p.wake = w then begin
+        if is_running p.state && p.wake = w then begin
           scan_idx := idx;
           incr sched_events;
           process p;
           (* Still running with no cooldown scheduled: acts again next
-             round, like every Running program under the legacy scan —
+             round, like every running program under the legacy scan —
              unless it is waiting to begin on a full node, where every
              visit would be a no-op until a slot frees: park it. *)
-          if p.status = Running && p.wake <= !round then begin
-            let node = p.script.Op.node in
-            if p.txn = None && (not p.aborting) && (not p.committing) && admit.(node) >= mpl
-            then begin
+          if is_running p.state && p.wake <= !round then begin
+            match p.state with
+            | Waiting when admit.(p.node) >= mpl ->
               p.wake <- max_int;
-              Heap.push parked.(node) idx;
+              Heap.push parked.(p.node) idx;
               incr n_parked
-            end
-            else begin
+            | Waiting | Active _ | Aborting _ | Committing _ | Committed | Aborted ->
               p.wake <- !round + 1;
               Heap.push runq (((!round + 1) lsl idx_bits) lor idx)
-            end
           end
         end
       end
@@ -524,13 +471,12 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(policy = Wo
     if !progressed then stalled := 0 else incr stalled;
     incr round
   done;
-  let stuck = Array.fold_left (fun acc p -> if p.status = Running then acc + 1 else acc) 0 progs in
   {
     engine;
     committed = !committed;
     voluntary_aborts = !voluntary;
     deadlock_aborts = !deadlock_aborts;
-    stuck;
+    stuck = !running;
     rounds = !round;
     sched_events = !sched_events;
     sim_seconds = Env.now engine.Engine.env -. t0;

@@ -1,11 +1,13 @@
 (** The workload driver: runs scripts against an engine, with retry,
-    deadlock resolution and a durability oracle.
+    wound-wait conflict resolution and a durability oracle.
 
     Scripts are interleaved round-robin, one action per round, which
     manufactures realistic lock contention.  A step that raises
-    [Would_block] is retried on a later round; lock conflicts feed the
-    waits-for graph and cycles abort the youngest member (whose script
-    restarts from the top with a fresh transaction).
+    [Would_block] is retried on a later round.  On a lock conflict the
+    older transaction wounds (aborts) every {e younger} blocker that is
+    not already committing, and a younger waiter simply waits: no
+    waits-for cycle can form and no script starves.  A wounded script
+    restarts from the top with a fresh transaction.
 
     Scheduling is a wake-time run queue: each program carries the round
     it next acts in, and rounds drain a binary min-heap keyed on
@@ -29,21 +31,13 @@ type event =
   | Recover of int list
   | Checkpoint of int
 
-type conflict_policy =
-  | Wound_wait
-      (** On a conflict, a transaction wounds (aborts) every {e younger}
-          blocker and retries; younger waiters wait.  Starvation-free
-          and deadlock-free — the default.  Wounded scripts restart. *)
-  | Detect
-      (** Maintain the waits-for graph and abort the youngest member of
-          any cycle.  Subject to starvation under heavy S-lock churn;
-          kept for the concurrency-control ablation. *)
-
 type outcome = {
   engine : Engine.t;
   committed : int;
   voluntary_aborts : int;
-  deadlock_aborts : int;  (** victim restarts (the scripts still finish) *)
+  deadlock_aborts : int;
+      (** wounds plus forced self-aborts (a transaction blocked only by
+          itself): each restarts its script, which still finishes *)
   stuck : int;  (** scripts that could not finish — 0 on a healthy run *)
   rounds : int;
   sched_events : int;
@@ -61,7 +55,6 @@ val run :
   Engine.t ->
   ?events:(int * event) list ->
   ?max_rounds:int ->
-  ?policy:conflict_policy ->
   ?mpl:int ->
   ?auto_recover:int ->
   Op.script list ->

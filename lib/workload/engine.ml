@@ -24,7 +24,6 @@ type t = {
   recover : nodes:int list -> unit;
   is_up : node:int -> bool;
   nodes : int list;
-  deadlock : Repro_lock.Deadlock.t;
   env : Repro_sim.Env.t;
 }
 
@@ -46,6 +45,5 @@ let of_cluster cluster =
     crash = (fun ~node -> Cluster.crash cluster ~node);
     recover = (fun ~nodes -> Cluster.recover cluster ~nodes);
     is_up = (fun ~node -> Repro_cbl.Node.is_up (Cluster.node cluster node));
-    deadlock = Cluster.deadlock cluster;
     env = Cluster.env cluster;
   }

@@ -31,7 +31,6 @@ type t = {
   recover : nodes:int list -> unit;
   is_up : node:int -> bool;
   nodes : int list;  (** all node ids, for health scans (fault injection) *)
-  deadlock : Repro_lock.Deadlock.t;
   env : Repro_sim.Env.t;
 }
 

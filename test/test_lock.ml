@@ -1,10 +1,10 @@
-(* Tests for lock modes, owner/global and client/local lock tables, and
-   deadlock detection. *)
+(* Tests for lock modes and the owner/global and client/local lock
+   tables.  Conflicts are resolved by the driver's wound-wait (see
+   test_workload.ml). *)
 
 module Mode = Repro_lock.Mode
 module Global_locks = Repro_lock.Global_locks
 module Local_locks = Repro_lock.Local_locks
-module Deadlock = Repro_lock.Deadlock
 module Page_id = Repro_storage.Page_id
 
 let pid slot = Page_id.make ~owner:0 ~slot
@@ -148,44 +148,6 @@ let test_local_cached_pages_owned_by () =
   Local_locks.set_cached_mode l (Page_id.make ~owner:2 ~slot:0) Mode.X;
   Alcotest.(check int) "owned-by filter" 1 (List.length (Local_locks.cached_pages_owned_by l 2))
 
-(* ---- Deadlock ---- *)
-
-let test_deadlock_simple_cycle () =
-  let d = Deadlock.create () in
-  Deadlock.set_waits d ~waiter:1 ~blockers:[ 2 ];
-  Alcotest.(check bool) "no cycle yet" true (Deadlock.find_cycle d = None);
-  Deadlock.set_waits d ~waiter:2 ~blockers:[ 1 ];
-  (match Deadlock.find_cycle d with
-  | Some cycle ->
-    Alcotest.(check (list int)) "members" [ 1; 2 ] (List.sort compare cycle);
-    Alcotest.(check int) "youngest victim" 2 (Deadlock.victim cycle)
-  | None -> Alcotest.fail "cycle expected")
-
-let test_deadlock_long_cycle_and_removal () =
-  let d = Deadlock.create () in
-  Deadlock.set_waits d ~waiter:1 ~blockers:[ 2 ];
-  Deadlock.set_waits d ~waiter:2 ~blockers:[ 3 ];
-  Deadlock.set_waits d ~waiter:3 ~blockers:[ 1 ];
-  (match Deadlock.find_cycle d with
-  | Some cycle -> Alcotest.(check int) "victim" 3 (Deadlock.victim cycle)
-  | None -> Alcotest.fail "cycle expected");
-  Deadlock.remove_txn d 3;
-  Alcotest.(check bool) "broken" true (Deadlock.find_cycle d = None)
-
-let test_deadlock_self_loop () =
-  let d = Deadlock.create () in
-  Deadlock.set_waits d ~waiter:7 ~blockers:[ 7 ];
-  match Deadlock.find_cycle d with
-  | Some cycle -> Alcotest.(check int) "self" 7 (Deadlock.victim cycle)
-  | None -> Alcotest.fail "self-loop is a cycle"
-
-let test_deadlock_clear_waits () =
-  let d = Deadlock.create () in
-  Deadlock.set_waits d ~waiter:1 ~blockers:[ 2 ];
-  Deadlock.set_waits d ~waiter:2 ~blockers:[ 1 ];
-  Deadlock.clear_waits d 1;
-  Alcotest.(check bool) "no cycle" true (Deadlock.find_cycle d = None)
-
 let suite =
   [
     ("mode tables", `Quick, test_mode_tables);
@@ -201,8 +163,4 @@ let suite =
     ("local acquire requires cover", `Quick, test_local_acquire_requires_cover);
     ("local revoke pending", `Quick, test_local_revoke_pending);
     ("local owned-by filter", `Quick, test_local_cached_pages_owned_by);
-    ("deadlock simple cycle", `Quick, test_deadlock_simple_cycle);
-    ("deadlock long cycle + removal", `Quick, test_deadlock_long_cycle_and_removal);
-    ("deadlock self loop", `Quick, test_deadlock_self_loop);
-    ("deadlock clear waits", `Quick, test_deadlock_clear_waits);
   ]
