@@ -311,6 +311,15 @@ let sample_update =
 let encode_update () = Codec.with_scratch (fun e -> Record.encode e sample_update)
 let encoded_update = Bytes.to_string (encode_update ())
 
+(* A pool of [n] clean frames, pages [0 .. n-1] of node 0. *)
+let full_pool n =
+  let pool = Buffer_pool.create ~capacity:n () in
+  for i = 0 to n - 1 do
+    ignore
+      (Buffer_pool.install pool (Page.create ~id:(Page_id.make ~owner:0 ~slot:i) ~psn:0 ~size:64))
+  done;
+  pool
+
 let micro_tests =
   [
     Test.make ~name:"record-encode" (Staged.stage encode_update);
@@ -404,16 +413,26 @@ let micro_tests =
               last := Log_manager.append log sample_update
             done;
             Log_manager.force_shared log ~upto:!last ~sharers:8));
-    (* the LRU victim scan at a large pool: O(n) per eviction *)
+    (* LRU victim choice at a large pool, then a touch of the victim so
+       the next call picks the next-oldest frame: O(1) per eviction
+       (the recency list is walked from its LRU end) *)
     Test.make ~name:"evict-lru (4096 frames)"
       (Staged.stage
-         (let pool = Buffer_pool.create ~capacity:4096 () in
-          for i = 0 to 4095 do
-            ignore
-              (Buffer_pool.install pool
-                 (Page.create ~id:(Page_id.make ~owner:0 ~slot:i) ~psn:0 ~size:64))
-          done;
-          fun () -> ignore (Buffer_pool.choose_victim pool)));
+         (let pool = full_pool 4096 in
+          fun () ->
+            match Buffer_pool.choose_victim pool with
+            | Some victim -> ignore (Buffer_pool.find pool (Page.id victim.Buffer_pool.page))
+            | None -> ()));
+    (* a cache hit: lookup plus the move to the MRU end; every operation
+       of a cache-resident workload pays it *)
+    Test.make ~name:"pool hit (64 frames)"
+      (Staged.stage
+         (let pool = full_pool 64 in
+          let pids = Array.init 64 (fun i -> Page_id.make ~owner:0 ~slot:i) in
+          let i = ref 0 in
+          fun () ->
+            i := (!i + 37) land 63;
+            ignore (Buffer_pool.find pool pids.(!i))));
   ]
 
 (* Allocation of the record codec: the shared scratch buffer means a

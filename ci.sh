@@ -1,7 +1,7 @@
 #!/bin/sh
 # Local CI: build, formatting check (when ocamlformat is installed),
-# tests, the stress sweeps, the bench smoke and the big-cluster scale
-# smoke.
+# tests, the stress sweeps, the bench smoke, the allocation gate and
+# the big-cluster scale smoke.
 #
 # Every run sweeps max(200, STRESS_RUNS) randomized seeds through
 # `cblsim stress` (clean, --faults all, --faults recovery, and
@@ -133,6 +133,11 @@ dune exec bin/cblsim.exe -- audit --stress --runs "$SWEEP_RUNS" --faults recover
 echo "== bench smoke: quick JSON reports + throughput regression gate =="
 dune exec bench/main.exe -- json
 dune exec bench/check_regression.exe -- bench/bench_baseline.json
+
+# Allocation per transaction is deterministic at a fixed seed, so it is
+# gated exactly (1%), unlike wall-clock time.
+echo "== allocation gate: perfbench minor_words_per_txn (bench/alloc_baseline.json) =="
+python3 bench/check_alloc.py bench/alloc_baseline.json
 
 # The deterministic txn/s column is held to 5%; the wall-clock
 # events/s column only guards against an order-of-magnitude slowdown

@@ -6,7 +6,11 @@
     The WAL rule is enforced by the node: it must force the log up to a
     dirty frame's [last_lsn] before the frame leaves the pool.
 
-    Replacement is LRU, which matches what BeSS used. *)
+    Replacement is LRU, which matches what BeSS used.  The pool keeps
+    its frames on a recency list (a doubly linked list over frame slots,
+    held in [int] arrays): {!find} and {!install} move a frame to the
+    most recently used end in O(1), and {!choose_victim} walks from the
+    least recently used end. *)
 
 open Repro_storage
 
@@ -16,7 +20,7 @@ type frame = {
   mutable pin_count : int;
   mutable rec_lsn : Repro_wal.Lsn.t;  (** first LSN that dirtied this caching period *)
   mutable last_lsn : Repro_wal.Lsn.t;  (** latest update record; WAL force bound *)
-  mutable last_use : int;
+  slot : int;  (** the frame's place on the pool's recency list *)
 }
 
 type t
@@ -53,8 +57,10 @@ val pin : frame -> unit
 val unpin : frame -> unit
 
 val choose_victim : t -> frame option
-(** The least recently used unpinned frame (minimal [last_use]), or
-    [None] if all are pinned. *)
+(** The least recently used unpinned frame, or [None] if all are
+    pinned.  Walks the recency list from its LRU end, skipping pinned
+    frames: O(1 + pinned frames older than the victim), never a scan of
+    the whole pool. *)
 
 val remove : t -> Page_id.t -> unit
 val cached_ids : t -> Page_id.t list

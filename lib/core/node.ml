@@ -297,30 +297,33 @@ and make_room t =
      Such victims are parked — pinned so the policy skips them — and
      the next candidate is tried; the block surfaces only when nothing
      in the pool is evictable.  Parked frames are always unpinned on
-     the way out. *)
-  let parked = ref [] in
-  let blocked = ref None in
-  Fun.protect
-    ~finally:(fun () -> List.iter Buffer_pool.unpin !parked)
-    (fun () ->
-      while Buffer_pool.is_full t.pool do
-        match Buffer_pool.choose_victim t.pool with
-        | Some victim -> (
-          try evict_frame t victim
-          with Block.Would_block _ as e ->
-            (* Parking is for victims whose OWNER is unreachable.  If the
-               eviction instead crashed this very node (injected crash
-               point mid-ship), the wiped state must not keep running:
-               surface the crash to the caller. *)
-            if not t.up then raise e;
-            if !blocked = None then blocked := Some e;
-            Buffer_pool.pin victim;
-            parked := victim :: !parked)
-        | None -> (
-          match !blocked with
-          | Some e -> raise e
-          | None -> invalid_arg "Node.make_room: every frame is pinned")
-      done)
+     the way out.  Most calls find room and return before allocating
+     any of that. *)
+  if Buffer_pool.is_full t.pool then begin
+    let parked = ref [] in
+    let blocked = ref None in
+    Fun.protect
+      ~finally:(fun () -> List.iter Buffer_pool.unpin !parked)
+      (fun () ->
+        while Buffer_pool.is_full t.pool do
+          match Buffer_pool.choose_victim t.pool with
+          | Some victim -> (
+            try evict_frame t victim
+            with Block.Would_block _ as e ->
+              (* Parking is for victims whose OWNER is unreachable.  If the
+                 eviction instead crashed this very node (injected crash
+                 point mid-ship), the wiped state must not keep running:
+                 surface the crash to the caller. *)
+              if not t.up then raise e;
+              if !blocked = None then blocked := Some e;
+              Buffer_pool.pin victim;
+              parked := victim :: !parked)
+          | None -> (
+            match !blocked with
+            | Some e -> raise e
+            | None -> invalid_arg "Node.make_room: every frame is pinned")
+        done)
+  end
 
 (* Put [page] in the pool, keeping the newer version if a copy is
    already (or — via an eviction chain triggered by make_room —
@@ -329,7 +332,7 @@ and install_or_merge t page =
   let pid = Page.id page in
   let merge frame =
     if Page.psn page > Page.psn frame.Buffer_pool.page then begin
-      Page.write frame.Buffer_pool.page ~off:0 (Page.read page ~off:0 ~len:(Page.size page));
+      Page.assign frame.Buffer_pool.page ~from:page;
       Page.set_psn frame.Buffer_pool.page (Page.psn page)
     end;
     frame
@@ -416,14 +419,7 @@ let handle_callback t ~pid ~requested ~for_txn ~for_node =
      pending batch, making the early releaser durable before the page
      leaves.  Free when elr is off (the table is empty). *)
   if Page_id.Tbl.mem t.elr_pages pid then Group_commit.flush t.gc;
-  let conflicting =
-    List.filter_map
-      (fun (txn, held) ->
-        match requested with
-        | Mode.X -> Some txn
-        | Mode.S -> if Mode.equal held Mode.X then Some txn else None)
-      (Local_locks.holders_of t.locks pid)
-  in
+  let conflicting = Local_locks.conflicts t.locks pid ~except:for_txn ~mode:requested in
   if conflicting <> [] then begin
     Local_locks.set_revoke_pending t.locks pid ~mode:requested ~txn:for_txn ~node:for_node;
     Error conflicting
@@ -528,12 +524,7 @@ let acquire t ~txn ~pid ~mode =
   check_up t;
   Env.charge_lock_op t.env t.metrics;
   (* Local strict-2PL conflict first: no message can help with that. *)
-  let local_conflicts =
-    List.filter_map
-      (fun (other, held) ->
-        if other <> txn && not (Mode.compatible held mode) then Some other else None)
-      (Local_locks.holders_of t.locks pid)
-  in
+  let local_conflicts = Local_locks.conflicts t.locks pid ~except:txn ~mode in
   if local_conflicts <> [] then Block.block (Block.Lock_conflict { blockers = local_conflicts });
   (* Fairness: a pending revocation of the cached lock stops new local
      acquisitions that would prolong it (existing holders may finish). *)

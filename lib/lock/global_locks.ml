@@ -34,9 +34,13 @@ let request t ~node ~pid ~mode =
   | Some held when Mode.covers held mode -> Granted
   | _ ->
     let conflicting =
-      List.filter
-        (fun (n, held) -> n <> node && not (Mode.compatible held mode))
-        (holders t ~pid)
+      match Page_id.Tbl.find_opt t.table pid with
+      | None -> []
+      | Some h ->
+        Hashtbl.fold
+          (fun n held acc ->
+            if n <> node && not (Mode.compatible held mode) then (n, held) :: acc else acc)
+          h []
     in
     if conflicting = [] then Granted else Needs_callback { holders = conflicting }
 

@@ -77,21 +77,20 @@ let cached_pages_owned_by t owner =
 
 type conflict = { holders : int list }
 
-let holders_of t pid =
-  match entry_opt t pid with
-  | None -> []
-  | Some e -> Hashtbl.fold (fun txn mode acc -> (txn, mode) :: acc) e.txns []
+let conflicting_txns e ~except ~mode =
+  Hashtbl.fold
+    (fun txn held acc ->
+      if txn <> except && not (Mode.compatible held mode) then txn :: acc else acc)
+    e.txns []
+
+let conflicts t pid ~except ~mode =
+  match entry_opt t pid with None -> [] | Some e -> conflicting_txns e ~except ~mode
 
 let acquire t ~txn ~pid ~mode =
   if not (cache_covers t pid mode) then
     invalid_arg "Local_locks.acquire: node-level lock does not cover the request";
   let e = entry t pid in
-  let conflicting =
-    Hashtbl.fold
-      (fun other held acc ->
-        if other <> txn && not (Mode.compatible held mode) then other :: acc else acc)
-      e.txns []
-  in
+  let conflicting = conflicting_txns e ~except:txn ~mode in
   if conflicting <> [] then Error { holders = conflicting }
   else begin
     let new_mode =

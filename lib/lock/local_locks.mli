@@ -65,7 +65,10 @@ val acquire : t -> txn:int -> pid:Page_id.t -> mode:Mode.t -> (unit, conflict) r
     when no other holder exists. *)
 
 val txn_mode : t -> txn:int -> pid:Page_id.t -> Mode.t option
-val holders_of : t -> Page_id.t -> (int * Mode.t) list
+val conflicts : t -> Page_id.t -> except:int -> mode:Mode.t -> int list
+(** The local transactions other than [except] whose lock on the page
+    is incompatible with [mode]; allocates only for those. *)
+
 val any_txn_holds : t -> Page_id.t -> bool
 (** True iff some local transaction holds the page — an owner callback
     must wait (be refused for now) in that case (§2.2). *)

@@ -2,8 +2,10 @@
 
     Holds the durable versions of the pages the node owns.  Contents
     survive {!Node.crash} — losing a disk is outside the paper's fault
-    model.  Reads and writes charge the cost model and always deep-copy,
-    so a cached page can never alias its durable version. *)
+    model.  Reads and writes charge the cost model and hand over
+    {!Page.copy} images: copy-on-write, so a read or write moves no
+    bytes, and a later write to the cached page (or to the image a read
+    returned) never reaches the durable version. *)
 
 type t
 
@@ -26,5 +28,7 @@ val mem : t -> Page_id.t -> bool
 (** Uncharged existence check (metadata, not a page read). *)
 
 val peek : t -> Page_id.t -> Page.t option
-(** Uncharged, copy-free view for test assertions only.  Never used by
-    protocol code. *)
+(** Uncharged view of the durable version for test assertions only;
+    never used by protocol code.  The image shares the durable bytes
+    ({!Page.copy}, O(1)) and is meant to be read: a write to it
+    un-shares it and leaves the durable version as it was. *)

@@ -26,13 +26,25 @@ val set_psn : t -> int -> unit
 (** Used only by redo/undo when installing a logged state. *)
 
 val copy : t -> t
-(** Deep copy; shipping a page between nodes or to disk always copies so
-    that cached and durable versions cannot alias. *)
+(** An independent image of the page, in O(1): copy-on-write.  The copy
+    shares the original's byte buffer and both are marked shared; the
+    first byte write to either ({!write}, {!set_cell}, {!add_cell})
+    gives the writer its own buffer first.  A write to one image is
+    never seen through the other, so shipping a page between nodes or
+    to disk still copies and cached and durable versions cannot alias;
+    but a page that moves without being written never has its bytes
+    copied.  The PSN is per image and never shared. *)
 
 (** {1 Data access} *)
 
 val read : t -> off:int -> len:int -> string
 val write : t -> off:int -> string -> unit
+
+val assign : t -> from:t -> unit
+(** [assign dst ~from] makes [dst]'s bytes those of [from], shared
+    copy-on-write as by {!copy}: a later write to either image does not
+    show in the other.  The PSN is left alone (set it with {!set_psn}).
+    @raise Invalid_argument unless both have the same id and size. *)
 
 val get_cell : t -> off:int -> int64
 (** Reads the 8-byte little-endian integer cell at [off]. *)

@@ -84,6 +84,116 @@ let test_pool_clear () =
   Buffer_pool.clear pool;
   Alcotest.(check int) "empty" 0 (Buffer_pool.size pool)
 
+(* LRU equivalence: over random operation sequences, [choose_victim]
+   names the unpinned frame a tick-keeping reference last touched
+   longest ago ([find] and [install] touch; [peek] does not). *)
+type pool_op =
+  | Install of int
+  | Find of int
+  | Peek of int
+  | Pin of int
+  | Unpin of int
+  | Remove of int
+  | Clear
+
+let pp_pool_op = function
+  | Install p -> Printf.sprintf "install %d" p
+  | Find p -> Printf.sprintf "find %d" p
+  | Peek p -> Printf.sprintf "peek %d" p
+  | Pin p -> Printf.sprintf "pin %d" p
+  | Unpin p -> Printf.sprintf "unpin %d" p
+  | Remove p -> Printf.sprintf "remove %d" p
+  | Clear -> "clear"
+
+let gen_pool_op =
+  let open QCheck.Gen in
+  let slot = int_bound 6 in
+  frequency
+    [
+      (4, map (fun p -> Install p) slot);
+      (4, map (fun p -> Find p) slot);
+      (2, map (fun p -> Peek p) slot);
+      (2, map (fun p -> Pin p) slot);
+      (2, map (fun p -> Unpin p) slot);
+      (2, map (fun p -> Remove p) slot);
+      (1, return Clear);
+    ]
+
+let prop_pool_lru_equivalence =
+  QCheck.Test.make ~name:"pool: choose_victim is the min-tick unpinned frame" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_pool_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_pool_op))
+    (fun ops ->
+      let capacity = 4 in
+      let pool = Buffer_pool.create ~capacity () in
+      (* reference: slot -> (last touch tick, pin count) *)
+      let model = Hashtbl.create 8 in
+      let tick = ref 0 in
+      let touch p =
+        incr tick;
+        let _, pins = Hashtbl.find model p in
+        Hashtbl.replace model p (!tick, pins)
+      in
+      let apply = function
+        | Install p ->
+          let refused = Hashtbl.mem model p || Hashtbl.length model >= capacity in
+          let raised =
+            try
+              ignore (Buffer_pool.install pool (page p));
+              false
+            with Invalid_argument _ -> true
+          in
+          if raised <> refused then QCheck.Test.fail_reportf "install %d: raised %b" p raised;
+          if not refused then begin
+            Hashtbl.replace model p (0, 0);
+            touch p
+          end
+        | Find p ->
+          let hit = Buffer_pool.find pool (pid p) <> None in
+          if hit <> Hashtbl.mem model p then QCheck.Test.fail_reportf "find %d: hit %b" p hit;
+          if hit then touch p
+        | Peek p -> ignore (Buffer_pool.peek pool (pid p))
+        | Pin p -> (
+          match (Buffer_pool.peek pool (pid p), Hashtbl.find_opt model p) with
+          | Some f, Some (last, pins) ->
+            Buffer_pool.pin f;
+            Hashtbl.replace model p (last, pins + 1)
+          | _ -> ())
+        | Unpin p -> (
+          match (Buffer_pool.peek pool (pid p), Hashtbl.find_opt model p) with
+          | Some f, Some (last, pins) when pins > 0 ->
+            Buffer_pool.unpin f;
+            Hashtbl.replace model p (last, pins - 1)
+          | _ -> ())
+        | Remove p ->
+          Buffer_pool.remove pool (pid p);
+          Hashtbl.remove model p
+        | Clear ->
+          Buffer_pool.clear pool;
+          Hashtbl.reset model
+      in
+      let expected () =
+        Hashtbl.fold
+          (fun p (last, pins) best ->
+            match best with
+            | _ when pins > 0 -> best
+            | Some (_, b) when b < last -> best
+            | Some _ | None -> Some (p, last))
+          model None
+        |> Option.map fst
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          let got =
+            Option.map
+              (fun f -> (Page.id f.Buffer_pool.page).Page_id.slot)
+              (Buffer_pool.choose_victim pool)
+          in
+          got = expected () && Buffer_pool.size pool = Hashtbl.length model)
+        ops)
+
 (* ---- Dpt ---- *)
 
 let test_dpt_entry_lifecycle () =
@@ -175,6 +285,7 @@ let suite =
     ("pool pin protects", `Quick, test_pool_pin_protects);
     ("pool dirty LSNs", `Quick, test_pool_mark_dirty_lsns);
     ("pool clear", `Quick, test_pool_clear);
+    QCheck_alcotest.to_alcotest prop_pool_lru_equivalence;
     ("dpt entry lifecycle", `Quick, test_dpt_entry_lifecycle);
     ("dpt flush ack drops covered", `Quick, test_dpt_flush_ack_drop);
     ("dpt flush ack advances redo", `Quick, test_dpt_flush_ack_advances_when_updated_again);

@@ -69,6 +69,99 @@ let test_page_copy_is_deep () =
   Page.write p ~off:0 "x";
   Alcotest.(check string) "copy unaffected" "\x00" (Page.read q ~off:0 ~len:1)
 
+(* Copy-on-write isolation: random copy / write / set_cell / add_cell /
+   assign / bump_psn sequences over a family of images of one page must
+   leave every image as a deep-copy reference model says. *)
+type cow_op =
+  | Copy of int * int (* image [dst] := copy of image [src] *)
+  | Write of int * int * string
+  | Set_cell of int * int * int64
+  | Add_cell of int * int * int64
+  | Assign of int * int (* image [dst] adopts the bytes of image [src] *)
+  | Bump of int
+
+let cow_images = 4
+let cow_size = 32
+
+let pp_cow_op = function
+  | Copy (d, s) -> Printf.sprintf "copy %d<-%d" d s
+  | Write (i, off, str) -> Printf.sprintf "write %d @%d %S" i off str
+  | Set_cell (i, off, v) -> Printf.sprintf "set_cell %d @%d %Ld" i off v
+  | Add_cell (i, off, v) -> Printf.sprintf "add_cell %d @%d %Ld" i off v
+  | Assign (d, s) -> Printf.sprintf "assign %d<-%d" d s
+  | Bump i -> Printf.sprintf "bump %d" i
+
+let gen_cow_op =
+  let open QCheck.Gen in
+  let img = int_bound (cow_images - 1) in
+  let cell_off = int_bound (cow_size - 8) in
+  frequency
+    [
+      (3, map2 (fun d s -> Copy (d, s)) img img);
+      ( 2,
+        img >>= fun i ->
+        int_bound (cow_size - 1) >>= fun off ->
+        map (fun str -> Write (i, off, str)) (string_size ~gen:printable (int_bound (cow_size - off))) );
+      (2, map3 (fun i off v -> Set_cell (i, off, Int64.of_int v)) img cell_off int);
+      (2, map3 (fun i off v -> Add_cell (i, off, Int64.of_int v)) img cell_off small_signed_int);
+      (2, map2 (fun d s -> Assign (d, s)) img img);
+      (1, map (fun i -> Bump i) img);
+    ]
+
+let prop_page_cow_isolation =
+  QCheck.Test.make ~name:"page: copy-on-write images match a deep-copy model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_cow_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_cow_op))
+    (fun ops ->
+      let id = pid ~owner:0 ~slot:0 in
+      let first = Page.create ~id ~psn:0 ~size:cow_size in
+      let images = Array.init cow_images (fun _ -> Page.copy first) in
+      let model = Array.init cow_images (fun _ -> (Bytes.make cow_size '\000', ref 0)) in
+      let apply = function
+        | Copy (d, s) ->
+          images.(d) <- Page.copy images.(s);
+          let bytes, psn = model.(s) in
+          model.(d) <- (Bytes.copy bytes, ref !psn)
+        | Write (i, off, str) ->
+          Page.write images.(i) ~off str;
+          Bytes.blit_string str 0 (fst model.(i)) off (String.length str)
+        | Set_cell (i, off, v) ->
+          Page.set_cell images.(i) ~off v;
+          Bytes.set_int64_le (fst model.(i)) off v
+        | Add_cell (i, off, d) ->
+          Page.add_cell images.(i) ~off d;
+          let bytes = fst model.(i) in
+          Bytes.set_int64_le bytes off (Int64.add (Bytes.get_int64_le bytes off) d)
+        | Assign (d, s) ->
+          Page.assign images.(d) ~from:images.(s);
+          Bytes.blit (fst model.(s)) 0 (fst model.(d)) 0 cow_size
+        | Bump i ->
+          Page.bump_psn images.(i);
+          incr (snd model.(i))
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          Array.for_all2
+            (fun image (bytes, psn) ->
+              Page.read image ~off:0 ~len:cow_size = Bytes.to_string bytes && Page.psn image = !psn)
+            images model)
+        ops)
+
+let test_page_assign_rejects_other_page () =
+  let p = Page.create ~id:(pid ~owner:0 ~slot:0) ~psn:0 ~size:16 in
+  let other_id = Page.create ~id:(pid ~owner:0 ~slot:1) ~psn:0 ~size:16 in
+  let other_size = Page.create ~id:(pid ~owner:0 ~slot:0) ~psn:0 ~size:32 in
+  List.iter
+    (fun from ->
+      Alcotest.(check bool) "raises" true
+        (try
+           Page.assign p ~from;
+           false
+         with Invalid_argument _ -> true))
+    [ other_id; other_size ]
+
 let prop_page_codec_roundtrip =
   QCheck.Test.make ~name:"page: encode/decode roundtrip" ~count:100
     QCheck.(triple small_nat small_nat (string_of_size (QCheck.Gen.return 64)))
@@ -284,6 +377,8 @@ let suite =
     ("page psn ops", `Quick, test_page_psn_ops);
     ("page bounds", `Quick, test_page_bounds);
     ("page copy is deep", `Quick, test_page_copy_is_deep);
+    qcheck prop_page_cow_isolation;
+    ("page assign rejects another page", `Quick, test_page_assign_rejects_other_page);
     qcheck prop_page_codec_roundtrip;
     ("alloc sequential slots", `Quick, test_alloc_sequential_slots);
     ("alloc PSN seed never regresses", `Quick, test_alloc_psn_seed_never_regresses);
