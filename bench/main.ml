@@ -1,33 +1,26 @@
-(* The benchmark harness.
+(* Wall-clock benchmarks of the simulator itself, and the guards that
+   nothing else runs.  Every simulated number (the experiment tables,
+   E1..E15) comes from `cblsim experiment [ID] [--quick] [--json]`,
+   whose output ci.sh pins by hash.
 
-   Two layers:
+   - Bechamel micro-benchmarks of the hot paths (record codec, log
+     append+force, PSN-guarded redo, NodePSNList merge, the commit
+     path, LRU victim choice) and the record codec's allocation probe.
+   - The lint timing guard: exits 1 when a cbl-lint phase is over its
+     wall budget; writes BENCH_LINT.json.
+   - The tracing overhead: wall cost of an enabled trace.
+   - The early-lock-release guard: lock-hold duration, elr off vs on;
+     writes BENCH_ELR.json.
 
-   1. The experiment tables (DESIGN.md §3, EXPERIMENTS.md): the paper has
-      no result tables of its own, so each claim-derived experiment
-      F1/E1..E15 prints the table recorded in EXPERIMENTS.md.  This is
-      the "regenerate every table and figure" entry point.
-
-   2. Bechamel wall-clock benchmarks: one Test.make per experiment
-      (quick configuration) plus micro-benchmarks of the hot paths
-      (record codec, log append+force, PSN-guarded redo, NodePSNList
-      merge, the full commit path).
-
-   Every table run also writes one machine-readable BENCH_<id>.json per
-   experiment (the Report.to_json object, including E4's per-phase
-   recovery timings) into the current directory.
-
-   Run with:  dune exec bench/main.exe             (tables + bechamel)
-              dune exec bench/main.exe -- tables   (tables only)
+   Run with:  dune exec bench/main.exe             (micro + tracing)
               dune exec bench/main.exe -- micro    (bechamel only)
-              dune exec bench/main.exe -- json     (quick tables, JSON files,
-                                                    lint + tracing + elr guards)
+              dune exec bench/main.exe -- json     (lint + tracing + elr)
               dune exec bench/main.exe -- lint     (lint timing guard only)
-              dune exec bench/main.exe -- tracing  (tracing-overhead guard)
+              dune exec bench/main.exe -- tracing  (tracing overhead)
               dune exec bench/main.exe -- elr      (lock-hold duration, elr off/on) *)
 
 module Experiments = Repro_experiments.Experiments
 module Report = Repro_experiments.Report
-module Spec = Repro_experiments.Spec
 module Cluster = Repro_cbl.Cluster
 module Codec = Repro_util.Codec
 module Crc32 = Repro_util.Crc32
@@ -43,36 +36,22 @@ module Buffer_pool = Repro_buffer.Buffer_pool
 open Bechamel
 open Toolkit
 
-(* ---- layer 1: the experiment tables ---- *)
+let write_json file json =
+  let oc = open_out file in
+  output_string oc (Repro_obs.Json.to_string_pretty json);
+  output_char oc '\n';
+  close_out oc
 
-let write_json_reports reports =
-  List.iter
-    (fun (r : Report.t) ->
-      let file = Printf.sprintf "BENCH_%s.json" r.Report.id in
-      let oc = open_out file in
-      output_string oc (Repro_obs.Json.to_string_pretty (Report.to_json r));
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "wrote %s@." file)
-    reports
-
-let run_tables () =
-  Format.printf "#### Experiment tables (see EXPERIMENTS.md for the recorded copies) ####@.";
-  let reports = List.map (fun spec -> fst (Spec.run spec)) Experiments.all in
-  List.iter (Format.printf "%a" Report.render) reports;
-  write_json_reports reports
-
-(* ---- layer 1b: lint timing guard ----
+(* ---- lint timing guard ----
 
    cbl-lint gates every CI run before the tests, so it must stay cheap
    even now that it builds a whole-repo call graph.  Three phases are
    timed separately — parse (compiler-libs over every file), summaries
    (phase-1 effect extraction), and the full run (parse +
    summaries + call graph + fixpoint + all rules) — each against its
-   own wall budget.  BENCH_LINT.json carries a header/rows table whose
-   "headroom x" column (budget / elapsed) check_regression gates at
-   1.0 with zero tolerance: any phase over budget fails CI.  Run from
-   the repo root; skipped elsewhere (no tree to lint). *)
+   own wall budget; any phase over budget exits 1.  The timings go to
+   BENCH_LINT.json.  Run from the repo root; skipped elsewhere (no
+   tree to lint). *)
 
 let lint_budget_seconds = 2.0
 let lint_parse_budget_seconds = 1.0
@@ -116,28 +95,13 @@ let bench_lint () =
           ("seconds", J.Float full_s);
           ("budget_seconds", J.Float lint_budget_seconds);
           ("ok", J.Bool ok);
+          ("phase_seconds", J.Obj (List.map (fun (phase, s, _) -> (phase, J.Float s)) phases));
           ( "rule_seconds",
             J.Obj
               (List.map (fun (id, s) -> (id, J.Float s)) result.Repro_lint.Lint.rule_seconds) );
-          ("header", J.List (List.map (fun h -> J.Str h) [ "phase"; "seconds"; "budget s"; "headroom x" ]));
-          ( "rows",
-            J.List
-              (List.map
-                 (fun (phase, s, budget) ->
-                   J.List
-                     [
-                       J.Str phase;
-                       J.Str (Printf.sprintf "%.4f" s);
-                       J.Str (Printf.sprintf "%.1f" budget);
-                       J.Str (Printf.sprintf "%.2f" (budget /. s));
-                     ])
-                 phases) );
         ]
     in
-    let oc = open_out "BENCH_LINT.json" in
-    output_string oc (J.to_string_pretty json);
-    output_char oc '\n';
-    close_out oc;
+    write_json "BENCH_LINT.json" json;
     List.iter
       (fun (phase, s, budget) ->
         Format.printf "lint timing: %-9s %.3fs (budget %.1fs, headroom %.1fx)@." phase s budget
@@ -151,97 +115,41 @@ let bench_lint () =
     end
   end
 
-(* ---- layer 1c: tracing overhead ----
+(* ---- tracing overhead ----
 
    The causal-tracing instrumentation sits on the hottest paths (every
    charge, message, lock and commit goes through the [Env.tracing]
    check; [Env.with_txn] swaps the recorder context around every
-   transaction action), so it must be invisible to the simulation.
-   Two gates:
-
-   - simulated metrics must be bit-identical traced and untraced —
-     tracing never advances the clock or touches a counter.  Checked
-     here directly (exit 1 on divergence); the test suite re-checks it
-     across fault schedules.
-   - the traced run's simulated E11 throughput (committed / busy s,
-     the same column E11 reports) is written to BENCH_TRACING.json and
-     gated by check_regression against the committed baseline with a
-     tight 5% tolerance — a drift means the instrumentation leaked
-     charges into the simulation, not measurement noise.
-
-   Wall-clock cost of an *enabled* trace is also measured and reported
-   in the notes; it is informational (recording ~20 events per commit
-   has a real price, paid only when tracing is requested). *)
+   transaction action).  That it is invisible to the simulation —
+   traced and untraced runs bit-identical — is a test (test_obs, on
+   this same E11 point among others).  What is left to measure is the
+   wall-clock cost of an *enabled* trace: informational, since
+   recording ~20 events per commit has a real price, paid only when
+   tracing is requested. *)
 
 let bench_tracing_overhead () =
-  let setting = (8, 20.) in
   let reps = 5 in
   let run ~trace =
     let t0 = Sys.time () in
-    let committed = ref 0 in
-    let busy = ref 0. in
-    let metrics = ref Repro_obs.Json.Null in
     for _ = 1 to reps do
-      let cluster, outcome = Experiments.group_commit_run ~trace ~quick:false setting in
-      committed := !committed + outcome.Repro_workload.Driver.committed;
-      let m = Cluster.node_metrics cluster 0 in
-      busy := !busy +. m.Repro_sim.Metrics.busy_seconds;
-      metrics := Repro_sim.Metrics.to_json (Cluster.global_metrics cluster)
+      ignore (Experiments.group_commit_run ~trace ~quick:false (8, 20.))
     done;
-    (Sys.time () -. t0, !committed, !busy, !metrics)
+    Sys.time () -. t0
   in
   ignore (run ~trace:false) (* warm-up: page allocation, minor heap *);
-  let wall_off, committed_off, busy_off, m_off = run ~trace:false in
-  let wall_on, committed_on, busy_on, m_on = run ~trace:true in
-  if m_off <> m_on then begin
-    Format.printf "tracing overhead: traced metrics diverge from untraced — tracing is not free@.";
-    exit 1
-  end;
-  let sim_tp committed busy = float_of_int committed /. busy in
-  let tp_off = sim_tp committed_off busy_off and tp_on = sim_tp committed_on busy_on in
-  let wall_overhead = (wall_on -. wall_off) /. wall_off in
-  let report =
-    {
-      Report.id = "TRACING";
-      title = "Tracing overhead: the E11 workload untraced vs traced";
-      claim =
-        "causal tracing is observation, not behaviour: the traced run's simulated metrics \
-         are bit-identical to the untraced run's, so its txn/s column cannot drift from \
-         E11's except through a real instrumentation leak";
-      header = [ "mode"; "committed"; "busy s"; "txn/s"; "wall s" ];
-      rows =
-        [
-          [ "untraced"; string_of_int (committed_off / reps); Report.f2 (busy_off /. float_of_int reps);
-            Report.f2 tp_off; Report.f (wall_off /. float_of_int reps) ];
-          [ "traced"; string_of_int (committed_on / reps); Report.f2 (busy_on /. float_of_int reps);
-            Report.f2 tp_on; Report.f (wall_on /. float_of_int reps) ];
-        ];
-      data = [];
-      notes =
-        [
-          "simulated metrics bit-identical traced vs untraced (checked, hard failure on \
-           divergence)";
-          Printf.sprintf
-            "enabled-trace wall-clock cost: %+.0f%% per run — paid only when tracing is \
-             requested; the disabled path is a dead branch"
-            (wall_overhead *. 100.);
-        ];
-    }
-  in
-  write_json_reports [ report ];
-  Format.printf
-    "tracing overhead: sim %.2f txn/s untraced vs %.2f traced (identical metrics); wall %+.0f%% \
-     when enabled@."
-    tp_off tp_on (wall_overhead *. 100.)
+  let wall_off = run ~trace:false in
+  let wall_on = run ~trace:true in
+  Format.printf "tracing overhead: wall %+.0f%% when enabled (E11, max batch 8, 20 ms window)@."
+    ((wall_on -. wall_off) /. wall_off *. 100.)
 
-(* ---- layer 1d: early-lock-release lock-hold duration ----
+(* ---- early-lock-release lock-hold duration ----
 
    The whole point of elr is to stop a committing transaction from
    pinning its pages across the group-commit window: the lock-hold
    histogram (begin-of-first-lock to release, simulated seconds) must
    collapse when the release moves from post-force to batch-submit.
    Both runs come off the simulated clock, so the comparison is
-   bit-deterministic; the txn/s gate lives in the E15 baseline entry. *)
+   bit-deterministic.  E15's mpl-16 rows are the same two runs. *)
 
 let bench_elr () =
   let clients = 16 in
@@ -289,11 +197,11 @@ let bench_elr () =
         ];
     }
   in
-  write_json_reports [ report ];
-  Format.printf "elr lock-hold: mean %s off vs %s on (%.0f%% cut)@."
+  write_json "BENCH_ELR.json" (Report.to_json report);
+  Format.printf "elr lock-hold: mean %s off vs %s on (%.0f%% cut) — wrote BENCH_ELR.json@."
     (Report.ms (H.mean h_off)) (Report.ms (H.mean h_on)) (100. *. cut)
 
-(* ---- layer 2: bechamel ---- *)
+(* ---- bechamel: hot paths ---- *)
 
 let sample_update =
   {
@@ -462,18 +370,10 @@ let measure_codec_alloc () =
     fresh
     ((fresh -. shared) /. shared *. 100.)
 
-(* One Bechamel test per experiment table (quick configuration). *)
-let experiment_tests =
-  List.map
-    (fun spec ->
-      Test.make ~name:("experiment-" ^ Spec.id spec)
-        (Staged.stage (fun () -> ignore (Spec.run ~quick:true spec))))
-    Experiments.all
-
-let run_bechamel ~quota tests =
+let run_bechamel tests =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:(Some 1000) () in
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
   let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"" ~fmt:"%s%s" tests) in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let rows = ref [] in
@@ -496,19 +396,15 @@ let run_bechamel ~quota tests =
 
 let run_micro () =
   Format.printf "@.#### Bechamel: hot paths (wall clock) ####@.";
-  run_bechamel ~quota:0.5 micro_tests;
+  run_bechamel micro_tests;
   Format.printf "@.#### Allocation: record codec ####@.";
-  measure_codec_alloc ();
-  Format.printf "@.#### Bechamel: one Test.make per experiment table (quick config) ####@.";
-  run_bechamel ~quota:1.0 experiment_tests
+  measure_codec_alloc ()
 
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   match what with
-  | "tables" -> run_tables ()
   | "micro" -> run_micro ()
   | "json" ->
-    write_json_reports (List.map (fun spec -> fst (Spec.run ~quick:true spec)) Experiments.all);
     bench_lint ();
     bench_tracing_overhead ();
     bench_elr ()
@@ -516,6 +412,5 @@ let () =
   | "tracing" -> bench_tracing_overhead ()
   | "elr" -> bench_elr ()
   | _ ->
-    run_tables ();
     run_micro ();
     bench_tracing_overhead ()

@@ -51,27 +51,39 @@ fi
 echo "== dune runtest =="
 dune runtest
 
-# Every judged paper claim must hold: cblsim experiment exits 1 when one
-# does not.  Simulated results are deterministic: a change that is not
-# meant to change the protocol leaves every experiment's JSON
-# bit-identical, and EXPERIMENTS.md records the text tables verbatim.
-echo "== experiment claims + fingerprint (bench/experiments.sha256) =="
-dune exec bin/cblsim.exe -- experiment --json > EXPERIMENT_RUN.json || {
-  echo "cblsim experiment failed: a judged paper claim does not hold (see above)" >&2
-  exit 1
+# check_pin FILE NAME GOT: fail unless GOT is NAME's line in FILE.  The
+# pin files hold one "NAME VALUE" line per gated output ('#' comments):
+# simulated results are deterministic, so each is gated exactly.
+check_pin() {
+  want=$(awk -v name="$2" '$1 == name { print $2 }' "$1")
+  if [ -z "$want" ] || [ "$3" != "$want" ]; then
+    echo "$2: got $3, expected $want ($1)." >&2
+    echo "Update $1 only for an intended change to simulated output, and say why." >&2
+    exit 1
+  fi
 }
-EXP_SHA=$(sha256sum EXPERIMENT_RUN.json | cut -d' ' -f1)
-EXP_WANT=$(cat bench/experiments.sha256)
-if [ "$EXP_SHA" != "$EXP_WANT" ]; then
-  echo "cblsim experiment --json changed: sha256 $EXP_SHA, expected $EXP_WANT." >&2
-  echo "Update bench/experiments.sha256 only for an intended protocol change." >&2
-  exit 1
-fi
+
+# experiments OUT FLAGS...: cblsim experiment FLAGS > OUT.  Every judged
+# paper claim must hold: cblsim experiment exits 1 when one does not.
+experiments() {
+  out=$1
+  shift
+  dune exec bin/cblsim.exe -- experiment "$@" > "$out" || {
+    echo "cblsim experiment $*: a judged paper claim does not hold (see above)" >&2
+    exit 1
+  }
+}
+
+# A change that is not meant to change the protocol leaves the JSON of
+# the full and the quick sweep bit-identical, and EXPERIMENTS.md
+# records the full sweep's text tables verbatim.
+echo "== experiment claims + fingerprints (bench/experiments.sha256) =="
+experiments EXPERIMENT_RUN.json --json
+check_pin bench/experiments.sha256 full "$(sha256sum EXPERIMENT_RUN.json | cut -d' ' -f1)"
+experiments EXPERIMENT_QUICK.json --quick --json
+check_pin bench/experiments.sha256 quick "$(sha256sum EXPERIMENT_QUICK.json | cut -d' ' -f1)"
 echo "== EXPERIMENTS.md recorded tables vs cblsim experiment =="
-dune exec bin/cblsim.exe -- experiment > EXPERIMENT_RUN.txt || {
-  echo "cblsim experiment failed: a judged paper claim does not hold (see above)" >&2
-  exit 1
-}
+experiments EXPERIMENT_RUN.txt
 # the fenced block under "## Recorded tables", fences excluded
 sed -n '/^## Recorded tables$/,$p' EXPERIMENTS.md | sed '1,/^```$/d' | sed '/^```$/,$d' \
   > EXPERIMENT_RECORDED.txt
@@ -106,13 +118,7 @@ stress_leg() {
   }
   cat STRESS_RUN.txt
   if [ "$SWEEP_RUNS" -eq 200 ]; then
-    got=$(sed -n 's/^stress fingerprint: //p' STRESS_RUN.txt)
-    want=$(awk -v leg="$leg" '$1 == leg { print $2 }' bench/stress.fingerprints)
-    if [ "$got" != "$want" ]; then
-      echo "stress ($leg) fingerprint $got, expected $want (bench/stress.fingerprints)." >&2
-      echo "Update it only for an intended change to the simulated schedule." >&2
-      exit 1
-    fi
+    check_pin bench/stress.fingerprints "$leg" "$(sed -n 's/^stress fingerprint: //p' STRESS_RUN.txt)"
   fi
 }
 stress_leg clean
@@ -130,20 +136,27 @@ echo "== audit: $SWEEP_RUNS traced recovery-fault runs (--faults recovery) =="
 dune exec bin/cblsim.exe -- audit --stress --runs "$SWEEP_RUNS" --faults recovery \
   --out AUDIT_REPORT_RECOVERY.json
 
-echo "== bench smoke: quick JSON reports + throughput regression gate =="
+echo "== bench smoke: lint timing, tracing overhead, elr lock-hold =="
 dune exec bench/main.exe -- json
-dune exec bench/check_regression.exe -- bench/bench_baseline.json
 
 # Allocation per transaction is deterministic at a fixed seed, so it is
 # gated exactly (1%), unlike wall-clock time.
 echo "== allocation gate: perfbench minor_words_per_txn (bench/alloc_baseline.json) =="
 python3 bench/check_alloc.py bench/alloc_baseline.json
 
-# The deterministic txn/s column is held to 5%; the wall-clock
-# events/s column only guards against an order-of-magnitude slowdown
-# of the simulator itself (machines differ, so its budget is 85%).
-echo "== scale smoke: 32 nodes x 256 clients -> BENCH_SCALE.json + gate =="
+# The smoke's simulated columns are E14's hot-owner row, pinned by the
+# full experiments hash.  Its wall-clock events/s varies per machine, so
+# the floor only catches an order-of-magnitude slowdown of the simulator
+# itself (about 10M events/s on a 2-vCPU host).
+echo "== scale smoke: 32 nodes x 256 clients -> BENCH_SCALE.json, >= 150000 events/s =="
 dune exec bin/cblsim.exe -- scale --nodes 32 --out BENCH_SCALE.json
-dune exec bench/check_regression.exe -- bench/bench_scale_baseline.json BENCH_SCALE_DIFF.txt
+python3 - BENCH_SCALE.json <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+col = report["header"].index("events/s (wall)")
+slow = [row for row in report["rows"] if float(row[col]) < 150000]
+if slow:
+    sys.exit(f"scale smoke: events/s (wall) below 150000: {slow}")
+EOF
 
 echo "CI OK"

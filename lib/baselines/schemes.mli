@@ -37,30 +37,6 @@ val server_logging :
     page and the only durable log; clients ship their records at
     commit. *)
 
-val pca :
-  ?seed:int ->
-  ?pool_capacity:int ->
-  nodes:int ->
-  owners:int list ->
-  pages_per_owner:int ->
-  Repro_sim.Config.t ->
-  built
-(** Primary-copy-authority (Rahm '91): the lock space is partitioned by
-    page ownership; commits ship updated remote pages and their records
-    to the PCA nodes (double logging). *)
-
-val global_log :
-  ?seed:int ->
-  ?pool_capacity:int ->
-  nodes:int ->
-  owners:int list ->
-  pages_per_owner:int ->
-  Repro_sim.Config.t ->
-  built
-(** Rdb/VMS-flavoured: one shared log at node 0 appended to over the
-    network; pages are forced to disk whenever they move between
-    nodes. *)
-
 val all :
   ?seed:int ->
   ?pool_capacity:int ->

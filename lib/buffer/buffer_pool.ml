@@ -69,7 +69,6 @@ let create ~capacity () =
 
 let set_tracer t f = t.tracer <- f
 
-let capacity t = t.capacity
 let size t = Page_id.Tbl.length t.frames
 let is_full t = size t >= t.capacity
 
@@ -155,8 +154,6 @@ let remove t pid =
 
 let cached_ids t = Page_id.Tbl.fold (fun pid _ acc -> pid :: acc) t.frames []
 let dirty_frames t = Page_id.Tbl.fold (fun _ f acc -> if f.dirty then f :: acc else acc) t.frames []
-let iter t f = Page_id.Tbl.iter (fun _ frame -> f frame) t.frames
-
 let clear t =
   Page_id.Tbl.reset t.frames;
   reset_slots t

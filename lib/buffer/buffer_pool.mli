@@ -32,7 +32,6 @@ val set_tracer : t -> (string -> Page_id.t -> unit) -> unit
 (** Observability hook, fired with ["install"] / ["evict"] and the page
     as frames enter and leave the pool.  Default: no-op. *)
 
-val capacity : t -> int
 val size : t -> int
 val is_full : t -> bool
 
@@ -65,6 +64,5 @@ val choose_victim : t -> frame option
 val remove : t -> Page_id.t -> unit
 val cached_ids : t -> Page_id.t list
 val dirty_frames : t -> frame list
-val iter : t -> (frame -> unit) -> unit
 val clear : t -> unit
 (** Crash: every frame is lost. *)

@@ -103,10 +103,3 @@ let load_snapshot t entries =
           updated_since_replacement = false;
         })
     entries
-
-let pp ppf t =
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "%a psn=%d curr=%d redo=%a@." Page_id.pp e.pid e.psn_first e.curr_psn
-        Lsn.pp e.redo_lsn)
-    (entries t)

@@ -83,5 +83,3 @@ val snapshot : t -> Repro_wal.Record.dpt_entry list
 
 val load_snapshot : t -> Repro_wal.Record.dpt_entry list -> unit
 (** Restart analysis: repopulate from a checkpoint image. *)
-
-val pp : Format.formatter -> t -> unit

@@ -37,7 +37,6 @@ val create :
 val env : t -> Repro_sim.Env.t
 val node_count : t -> int
 val node : t -> int -> Node.t
-val nodes : t -> Node.t list
 val now : t -> float
 (** Simulated seconds elapsed. *)
 
@@ -97,9 +96,6 @@ val pump_group_commit : t -> idle:bool -> bool
 val abort : t -> txn:int -> unit
 val savepoint : t -> txn:int -> string -> unit
 val rollback_to : t -> txn:int -> string -> unit
-
-val txn_node : t -> int -> int
-(** The node a transaction runs on. *)
 
 (** {1 Maintenance, failures, recovery} *)
 

@@ -77,11 +77,6 @@ val commit : t -> txn:int -> unit
     or a piggybacking force).  Callers must then poll
     {!Cluster.commit_outcome}. *)
 
-val finish_commit : t -> txn:int -> submitted_at:float -> unit
-(** Group-commit completion hook: finish a [Committing] transaction
-    whose commit record became durable.  Idempotent; no-op if the
-    transaction is unknown (crash wiped the table) or not committing. *)
-
 val wire_group_commit :
   t ->
   ?on_lost:(int list -> unit) ->
@@ -143,10 +138,6 @@ val register_flush_waiter : t -> Repro_storage.Page_id.t -> waiter:int -> unit
 
 (** {1 Internals exposed for recovery and tests} *)
 
-val ensure_cached_page : t -> Repro_storage.Page_id.t -> Repro_buffer.Buffer_pool.frame
-(** Page must be reachable (locally or at its owner); installs it in
-    the pool, evicting as needed. *)
-
 val install_recovered_page : t -> Repro_storage.Page.t -> waiters:int list -> unit
 (** Recovery hand-off: place a just-recovered page in the cache as
     dirty and register its flush waiters. *)
@@ -157,10 +148,5 @@ val append_record : t -> Repro_wal.Record.t -> Repro_wal.Lsn.t
 val undo_ops : t -> Repro_tx.Txn.t -> Repro_aries.Undo.ops
 (** The node's CLR-writing undo callbacks, shared between normal
     rollback and restart loser undo. *)
-
-val free_log_space : t -> unit
-(** §2.5: flush the min-RedoLSN page (asking its owner if remote) and
-    truncate the log.  Raises [Would_block (Log_space _)] if the owner
-    of the best victim is down. *)
 
 val check_invariants : t -> unit

@@ -30,9 +30,6 @@ val scale_row :
   nodes:int -> clients:int -> profile:string -> Repro_workload.Driver.outcome -> string list
 (** Render one {!scale_point} outcome as a {!scale_header} row. *)
 
-val scale_abort_rate : Repro_workload.Driver.outcome -> float
-(** Aborts over (commits + aborts), both kinds of abort counted. *)
-
 val group_commit_run :
   ?trace:bool ->
   quick:bool ->

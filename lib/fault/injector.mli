@@ -15,7 +15,6 @@ val plan : t -> Fault_plan.t
 
 (** {1 Arming} *)
 
-val active : t -> bool
 val set_armed : t -> bool -> unit
 
 val suspend : t -> unit

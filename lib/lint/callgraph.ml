@@ -183,16 +183,6 @@ let build (files : Summary.file list) =
   let unknown = Hashtbl.fold (fun k v acc -> (k, v) :: acc) unknown [] |> List.sort compare in
   { nodes; in_deg; unknown }
 
-let find t ~rel ~fn_name =
-  let found = ref None in
-  Array.iter
-    (fun n ->
-      match (n.file, n.fn) with
-      | Some f, Some fn when f = rel && fn.Summary.fn_name = fn_name -> found := Some n.id
-      | _ -> ())
-    t.nodes;
-  !found
-
 let find_field t fname =
   let found = ref None in
   Array.iter (fun n -> if n.name = "field:" ^ fname then found := Some n.id) t.nodes;

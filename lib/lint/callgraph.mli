@@ -40,7 +40,6 @@ val indexes : Summary.file list -> (string, Summary.file) Hashtbl.t * (string * 
 
 val build : Summary.file list -> t
 
-val find : t -> rel:string -> fn_name:string -> int option
 val find_field : t -> string -> int option
 val node_id : t -> string * string -> int option
 

@@ -318,39 +318,3 @@ let handler_live t (files : Summary.file list) ~rel (h : Summary.handler) =
                false (* a module path alone (e.g. a functor arg): no call *)
              | _ -> true))
          h.Summary.h_calls
-
-let to_json t =
-  let module J = Repro_obs.Json in
-  let n = Array.length t.graph.Callgraph.nodes in
-  let bools name arr =
-    ( name,
-      J.List
-        (List.filter_map
-           (fun i -> if arr.(i) then Some (J.Int i) else None)
-           (List.init n (fun i -> i))) )
-  in
-  J.Obj
-    [
-      ("passes", J.Int t.passes);
-      ("roots", J.List (List.map (fun i -> J.Int i) t.roots));
-      bools "may_sweep" t.may_sweep;
-      bools "may_elr_record" t.may_elr_record;
-      bools "may_seed" t.may_seed;
-      ( "escaping",
-        J.Obj
-          (List.filter_map
-             (fun i ->
-               let s = t.escaping.(i) in
-               if RS.is_empty s then None
-               else
-                 Some
-                   ( t.graph.Callgraph.nodes.(i).Callgraph.name,
-                     J.List
-                       (List.map
-                          (fun r ->
-                            J.Str
-                              (Printf.sprintf "%s@%s:%d" (Summary.label_name r.r_label)
-                                 r.r_file r.r_loc.Summary.line))
-                          (RS.elements s)) ))
-             (List.init n (fun i -> i))) );
-    ]

@@ -43,7 +43,6 @@ type t = {
 
 val run : ?order:int array -> config -> Callgraph.t -> t
 
-val is_handled : t -> raise_site -> bool
 val unhandled_raises : t -> raise_site list
 
 val violations_force : t -> cov_site list
@@ -54,6 +53,3 @@ val handler_live : t -> Summary.file list -> rel:string -> Summary.handler -> bo
 (** Can anything the handler's guarded body reaches feed it a matching
     exception?  Conservatively [true] on anything unresolved that could
     be repo code. *)
-
-val to_json : t -> Repro_obs.Json.t
-(** Debug dump: passes, roots, reachability bits, escaping sets. *)

@@ -6,14 +6,8 @@ open Parsetree
 
 let in_lib rel = String.length rel >= 4 && String.sub rel 0 4 = "lib/"
 
-(* Longident components, left to right (own flatten: the stdlib's
-   raises on [Lapply]). *)
-let rec components = function
-  | Longident.Lident s -> [ s ]
-  | Longident.Ldot (p, s) -> components p @ [ s ]
-  | Longident.Lapply (a, b) -> components a @ components b
-
-let last_component lid = match List.rev (components lid) with s :: _ -> s | [] -> ""
+let components = Summary.components
+let last_component = Summary.last_component
 
 (* Visit every expression of a structure, including nested modules. *)
 let iter_exprs_in_structure f structure =

@@ -11,9 +11,9 @@
 (** {1 Longident helpers (shared with the per-file rules)} *)
 
 val components : Longident.t -> string list
+(** Left to right; unlike [Longident.flatten], never raises on [Lapply]. *)
+
 val last_component : Longident.t -> string
-val parent_module : Longident.t -> string option
-val is_force_ident : Longident.t -> bool
 
 (** {1 The summary lattice} *)
 
@@ -21,7 +21,6 @@ val is_force_ident : Longident.t -> bool
     variable reason); the others refine it. *)
 type exn_label = Would_block | Node_down | Page_unavailable | Net_unreachable
 
-val all_labels : exn_label list
 val label_name : exn_label -> string
 
 val covers : handled:exn_label list -> exn_label -> bool

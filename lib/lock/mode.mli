@@ -16,4 +16,3 @@ val max : t -> t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

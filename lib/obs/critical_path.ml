@@ -274,31 +274,6 @@ let component_hists t =
     t.txns;
   hists @ [ ("total", total) ]
 
-let components_json parts =
-  Json.Obj (List.map (fun name -> (name, Json.Float (component_value parts name))) component_names)
-
-let to_json t =
-  Json.Obj
-    [
-      ("truncated", Json.Bool t.truncated);
-      ( "components",
-        Json.Obj (List.map (fun (name, h) -> (name, Log_hist.to_json h)) (component_hists t)) );
-      ( "txns",
-        Json.List
-          (List.map
-             (fun tl ->
-               Json.Obj
-                 [
-                   ("txn", Json.Int tl.txn);
-                   ("node", Json.Int tl.node);
-                   ("began", Json.Float tl.began);
-                   ("committed", Json.Float tl.committed);
-                   ("total", Json.Float tl.total);
-                   ("parts", components_json tl.parts);
-                 ])
-             t.txns) );
-    ]
-
 (* Folded-stack output (one line per sample, semicolon-separated frames,
    integer weight) — the input format of every flamegraph renderer.
    Weights are microseconds of simulated time. *)

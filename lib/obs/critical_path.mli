@@ -12,24 +12,6 @@
 
 type component = Lock_wait | Batch_wait | Log_force_time | Network | Owner_service
 
-type marker =
-  | M_begin
-  | M_lock_request
-  | M_lock_acquired
-  | M_submit
-  | M_commit
-  | M_dep_wait
-  | M_dropped
-
-type event_class =
-  | Charge of component  (** the event's [dur] attr feeds this component *)
-  | Marker of marker  (** structural: drives the fold's state machine *)
-  | Unattributed  (** contributes to [other] implicitly *)
-
-val classify_kind : Event.kind -> event_class
-(** Total over {!Event.kind} with no wildcard, so adding an event kind
-    forces a conscious attribution decision (enforced by cbl-lint). *)
-
 type components = {
   mutable lock_wait : float;  (** lock acquisition net of attributed work done while waiting *)
   mutable batch_wait : float;  (** group commit: submit → start of the covering force *)
@@ -74,7 +56,6 @@ val component_hists : t -> (string * Log_hist.t) list
 (** One histogram per component across all timelines, plus a ["total"]
     histogram of end-to-end latencies. *)
 
-val to_json : t -> Json.t
 val folded_stacks : t -> string list
 (** Flamegraph folded-stack lines ([node;txn;component weight]),
     weights in integer microseconds of simulated time. *)

@@ -100,8 +100,6 @@ let to_string_pretty t =
   write_pretty buf 0 t;
   Buffer.contents buf
 
-let pp ppf t = Format.pp_print_string ppf (to_string_pretty t)
-
 (* ---- parsing ---- *)
 
 exception Parse_error of string

@@ -22,8 +22,6 @@ val to_string : t -> string
 val to_string_pretty : t -> string
 (** Two-space-indented rendering for human-facing dumps. *)
 
-val pp : Format.formatter -> t -> unit
-
 exception Parse_error of string
 
 val of_string : string -> t

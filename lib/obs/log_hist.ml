@@ -19,13 +19,6 @@ type t = {
 
 let create () = { counts = Array.make buckets 0; n = 0; sum = 0.; min = infinity; max = neg_infinity }
 
-let clear t =
-  Array.fill t.counts 0 buckets 0;
-  t.n <- 0;
-  t.sum <- 0.;
-  t.min <- infinity;
-  t.max <- neg_infinity
-
 let index_of v =
   if not (v > 0.) then 0 (* zero, negatives, NaN: underflow bucket *)
   else begin
@@ -87,13 +80,6 @@ let quantile t q =
 let p50 t = quantile t 0.5
 let p95 t = quantile t 0.95
 let p99 t = quantile t 0.99
-
-let merge_into ~into t =
-  Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) t.counts;
-  into.n <- into.n + t.n;
-  into.sum <- into.sum +. t.sum;
-  if t.min < into.min then into.min <- t.min;
-  if t.max > into.max then into.max <- t.max
 
 let to_json t =
   Json.Obj

@@ -9,7 +9,6 @@
 type t
 
 val create : unit -> t
-val clear : t -> unit
 val record : t -> float -> unit
 
 val count : t -> int
@@ -26,6 +25,5 @@ val p50 : t -> float
 val p95 : t -> float
 val p99 : t -> float
 
-val merge_into : into:t -> t -> unit
 val to_json : t -> Json.t
 val pp : Format.formatter -> t -> unit

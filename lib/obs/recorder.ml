@@ -83,16 +83,6 @@ let events t =
   done;
   !out
 
-let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) None;
-  t.head <- 0;
-  t.stored <- 0;
-  t.dropped <- 0;
-  t.next_span <- 0;
-  t.open_spans <- [];
-  t.ctx_txn <- -1;
-  t.ctx_span <- -1
-
 (* ---- spans ---- *)
 
 let span_begin t ~time ~node ?parent name =

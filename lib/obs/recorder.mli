@@ -46,8 +46,6 @@ val drain : t -> Event.t list
     run. *)
 
 val dropped : t -> int
-val clear : t -> unit
-(** Drops events and open spans.  Histograms survive. *)
 
 (** {2 Spans} *)
 
@@ -69,9 +67,6 @@ val observe : t -> name:string -> node:int -> float -> unit
 (** Records [v] seconds into the [(name, node)] histogram and, when
     [node >= 0], also into the cluster-wide [(name, -1)] aggregate.
     Always on, independent of [enabled]. *)
-
-val hist : t -> name:string -> node:int -> Log_hist.t
-(** Find-or-create. *)
 
 val find_hist : t -> name:string -> node:int -> Log_hist.t option
 

@@ -52,11 +52,6 @@ let group_commit_enabled t = t.group_commit_max_batch > 1
 let with_early_release t v = { t with early_release = v }
 let early_release_enabled t = t.early_release && group_commit_enabled t
 
-let pp ppf t =
-  Format.fprintf ppf
-    "net=%.2gs+%.2gs/B disk_seek=%.2gs log_force=%.2gs cpu/rec=%.2gs page=%dB" t.net_latency
-    t.net_per_byte t.disk_seek t.log_force_seek t.cpu_per_log_record t.page_size
-
 let to_json t =
   Repro_obs.Json.(
     Obj

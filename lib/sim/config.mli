@@ -65,5 +65,4 @@ val early_release_enabled : t -> bool
     batch window there is no lock-hold interval to shorten, and the
     single-force pipeline must stay bit-identical. *)
 
-val pp : Format.formatter -> t -> unit
 val to_json : t -> Repro_obs.Json.t

@@ -19,7 +19,6 @@ let create ?(trace = false) ?trace_capacity ?(seed = 42) ?faults config =
   }
 
 let config t = t.config
-let clock t = t.clock
 let now t = Clock.now t.clock
 let obs t = t.obs
 let rng t = t.rng
@@ -44,8 +43,6 @@ let with_txn t ~txn ~span f =
   end
 
 let observe t ~name ~node v = Recorder.observe t.obs ~name ~node v
-let hist t ~name ~node = Recorder.hist t.obs ~name ~node
-
 (* Cost formulas, exposed so emit sites outside this module (the
    network choke point) can attach the charged duration to their events
    without re-deriving the model. *)

@@ -23,7 +23,6 @@ val create :
     truncated. *)
 
 val config : t -> Config.t
-val clock : t -> Clock.t
 val now : t -> float
 val obs : t -> Repro_obs.Recorder.t
 (** The typed event recorder: the only trace channel. *)
@@ -50,14 +49,9 @@ val with_txn : t -> txn:int -> span:int -> (unit -> 'a) -> 'a
 val message_cost : t -> bytes:int -> float
 (** The clock advance [charge_message] would make for [bytes]. *)
 
-val log_force_cost : t -> bytes:int -> float
-(** The clock advance [charge_log_force] would make for [bytes]. *)
-
 val observe : t -> name:string -> node:int -> float -> unit
 (** Record a latency sample (seconds) into the named histogram, per
     node and cluster-wide.  Always on; never touches clock/metrics. *)
-
-val hist : t -> name:string -> node:int -> Repro_obs.Log_hist.t
 
 (** {1 Charging primitives}
 

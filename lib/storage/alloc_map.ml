@@ -41,14 +41,6 @@ let deallocate t page =
   Hashtbl.replace t.slots pid.Page_id.slot (Free { seed = Page.psn page + 1 });
   Heap.push t.free pid.Page_id.slot
 
-let allocated t =
-  Hashtbl.fold
-    (fun slot state acc ->
-      match state with
-      | Allocated -> Page_id.make ~owner:t.owner ~slot :: acc
-      | Free _ -> acc)
-    t.slots []
-
 let is_allocated t pid =
   Page_id.owner pid = t.owner
   && match Hashtbl.find_opt t.slots pid.Page_id.slot with Some Allocated -> true | _ -> false

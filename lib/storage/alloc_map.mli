@@ -22,9 +22,6 @@ val deallocate : t -> Page.t -> unit
 (** Frees the page's slot, remembering [Page.psn p + 1] as the PSN seed
     a future reallocation must start from. *)
 
-val allocated : t -> Page_id.t list
-(** Currently-allocated slots. *)
-
 val is_allocated : t -> Page_id.t -> bool
 
 val psn_seed : t -> Page_id.t -> int

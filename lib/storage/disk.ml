@@ -19,4 +19,3 @@ let psn_on_disk t pid =
   Option.map Page.psn (Page_id.Tbl.find_opt t.pages pid)
 
 let mem t pid = Page_id.Tbl.mem t.pages pid
-let peek t pid = Option.map Page.copy (Page_id.Tbl.find_opt t.pages pid)

@@ -26,9 +26,3 @@ val psn_on_disk : t -> Page_id.t -> int option
 
 val mem : t -> Page_id.t -> bool
 (** Uncharged existence check (metadata, not a page read). *)
-
-val peek : t -> Page_id.t -> Page.t option
-(** Uncharged view of the durable version for test assertions only;
-    never used by protocol code.  The image shares the durable bytes
-    ({!Page.copy}, O(1)) and is meant to be read: a write to it
-    un-shares it and leaves the durable version as it was. *)

@@ -59,8 +59,6 @@ let add_cell t ~off d = set_cell t ~off (Int64.add (get_cell t ~off) d)
 
 let equal_contents a b = Page_id.equal a.id b.id && a.psn = b.psn && Bytes.equal a.data b.data
 
-let pp ppf t = Format.fprintf ppf "%a@@psn=%d" Page_id.pp t.id t.psn
-
 let encode e t =
   Page_id.encode e t.id;
   Repro_util.Codec.int_as_i64 e t.psn;

@@ -59,7 +59,5 @@ val add_cell : t -> off:int -> int64 -> unit
 val equal_contents : t -> t -> bool
 (** Same id, PSN and bytes; the test oracle's comparison. *)
 
-val pp : Format.formatter -> t -> unit
-
 val encode : Repro_util.Codec.encoder -> t -> unit
 val decode : Repro_util.Codec.decoder -> t

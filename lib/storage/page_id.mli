@@ -12,7 +12,6 @@ val make : owner:int -> slot:int -> t
 val owner : t -> int
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

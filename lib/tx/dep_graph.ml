@@ -25,11 +25,6 @@ type t = {
 
 let create () = { antecedents = Hashtbl.create 64; dependents = Hashtbl.create 64; registered = 0 }
 
-let clear t =
-  Hashtbl.reset t.antecedents;
-  Hashtbl.reset t.dependents;
-  t.registered <- 0
-
 let edge_count t = Hashtbl.fold (fun _ l acc -> acc + List.length !l) t.antecedents 0
 let registered_count t = t.registered
 
@@ -109,11 +104,3 @@ let settle_lost t seeds =
   List.iter scrub seeds;
   List.iter scrub !closure;
   List.rev !closure
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Hashtbl.iter
-    (fun d l -> Format.fprintf ppf "T%d depends on %s@,"
-        d (String.concat "," (List.map (Printf.sprintf "T%d") !l)))
-    t.antecedents;
-  Format.fprintf ppf "@]"

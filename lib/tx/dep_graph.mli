@@ -19,18 +19,12 @@ type t
 
 val create : unit -> t
 
-val clear : t -> unit
-(** Drop every edge (full-cluster reset). *)
-
 val add : t -> dependent:int -> antecedent:int -> bool
 (** Record that [dependent] observed pre-durable state of [antecedent].
     Self-edges are ignored.  Returns [true] iff the edge is new. *)
 
 val antecedents_of : t -> int -> int list
 (** Pending antecedents of a transaction (empty when unconstrained). *)
-
-val dependents_of : t -> int -> int list
-(** Transactions that recorded a dependency on this one. *)
 
 val durable_blocked : t -> int -> int list
 (** The antecedents a transaction must wait on before reporting
@@ -53,5 +47,3 @@ val registered_count : t -> int
 (** Lifetime count of fresh edges ever added — settling does not
     decrement it (reporting: "how often did early release actually
     expose pre-durable state"). *)
-
-val pp : Format.formatter -> t -> unit

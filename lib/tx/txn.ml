@@ -41,12 +41,3 @@ let savepoint_lsn t name = List.assoc_opt name t.savepoints
 
 let release_savepoints_after t lsn =
   t.savepoints <- List.filter (fun (_, sp) -> Lsn.compare sp lsn <= 0) t.savepoints
-
-let pp_state ppf = function
-  | Active -> Format.pp_print_string ppf "active"
-  | Committing -> Format.pp_print_string ppf "committing"
-  | Committed -> Format.pp_print_string ppf "committed"
-  | Aborted -> Format.pp_print_string ppf "aborted"
-
-let pp ppf t =
-  Format.fprintf ppf "T%d@@node%d %a last=%a" t.id t.node pp_state t.state Lsn.pp t.last_lsn

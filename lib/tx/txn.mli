@@ -50,6 +50,3 @@ val savepoint_lsn : t -> string -> Repro_wal.Lsn.t option
 
 val release_savepoints_after : t -> Repro_wal.Lsn.t -> unit
 (** Partial rollback to [lsn] invalidates savepoints set after it. *)
-
-val pp : Format.formatter -> t -> unit
-val pp_state : Format.formatter -> state -> unit

@@ -27,4 +27,3 @@ let snapshot_active t =
     (active t)
 
 let clear t = Hashtbl.reset t.table
-let size t = Hashtbl.length t.table

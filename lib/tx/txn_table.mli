@@ -24,5 +24,3 @@ val snapshot_active : t -> Repro_wal.Record.active_txn list
 
 val clear : t -> unit
 (** Node crash. *)
-
-val size : t -> int

@@ -6,8 +6,6 @@ type encoder = Buffer.t
 
 let encoder () = Buffer.create 128
 let to_string = Buffer.contents
-let length = Buffer.length
-
 (* One process-wide scratch encoder, reused by the log-append hot path
    instead of allocating a fresh [Buffer.t] per record.  Safe because
    the simulator is single-threaded and callers never nest
@@ -64,7 +62,6 @@ let decoder ?(pos = 0) ?len src =
          (String.length src));
   { src; cur = pos; stop }
 
-let pos d = d.cur
 let remaining d = d.stop - d.cur
 
 let need d n = if remaining d < n then corrupt "truncated input: need %d bytes, have %d" n (remaining d)

@@ -16,7 +16,6 @@ type encoder
 
 val encoder : unit -> encoder
 val to_string : encoder -> string
-val length : encoder -> int
 
 val with_scratch : (encoder -> unit) -> Bytes.t
 (** Runs the function against a shared, cleared scratch encoder and
@@ -41,7 +40,6 @@ val u32 : encoder -> int -> unit
 
 val i64 : encoder -> int64 -> unit
 val int_as_i64 : encoder -> int -> unit
-val bool : encoder -> bool -> unit
 val bytes : encoder -> string -> unit
 (** Length-prefixed byte string. *)
 
@@ -60,7 +58,6 @@ val decoder : ?pos:int -> ?len:int -> string -> decoder
     the bytes that follow.  Raises [Invalid_argument] when the slice is
     not inside [s]. *)
 
-val pos : decoder -> int
 val remaining : decoder -> int
 
 val read_u8 : decoder -> int

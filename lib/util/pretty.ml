@@ -10,8 +10,6 @@ let seconds ppf s =
   else if s < 1.0 then Format.fprintf ppf "%.2f ms" (s *. 1e3)
   else Format.fprintf ppf "%.3f s" s
 
-let ratio ppf r = Format.fprintf ppf "%.2fx" r
-
 let table ~header ~rows ppf () =
   let all = header :: rows in
   let cols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in

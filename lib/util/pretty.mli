@@ -6,9 +6,6 @@ val bytes : Format.formatter -> int -> unit
 val seconds : Format.formatter -> float -> unit
 (** Picks µs / ms / s as appropriate. *)
 
-val ratio : Format.formatter -> float -> unit
-(** Formats a speedup / factor as "3.2x". *)
-
 val table : header:string list -> rows:string list list -> Format.formatter -> unit -> unit
 (** Renders an aligned plain-text table; used for every experiment's
     output so EXPERIMENTS.md rows can be pasted verbatim. *)

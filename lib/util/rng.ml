@@ -35,8 +35,6 @@ let float t bound =
   (* 53 significant bits, matching an IEEE double's mantissa. *)
   r /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let chance t p =
   if p <= 0. then false
   else if p >= 1. then true

@@ -33,9 +33,6 @@ val int_in_range : t -> lo:int -> hi:int -> int
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [0, bound). *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p] (clamped to [0,1]). *)
 

@@ -64,7 +64,6 @@ val end_lsn : t -> Lsn.t
 (** LSN the next append will get. *)
 
 val durable_lsn : t -> Lsn.t
-val low_water : t -> Lsn.t
 val used_bytes : t -> int
 val available_bytes : t -> int option
 val truncate_to : t -> Lsn.t -> unit

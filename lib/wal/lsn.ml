@@ -3,7 +3,6 @@ type t = int
 let nil = -1
 let is_nil t = t < 0
 let compare = Int.compare
-let equal = Int.equal
 let min = Stdlib.min
 let max = Stdlib.max
 let pp ppf t = if is_nil t then Format.pp_print_string ppf "nil" else Format.fprintf ppf "lsn:%d" t

@@ -14,7 +14,6 @@ val nil : t
 
 val is_nil : t -> bool
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val min : t -> t -> t
 val max : t -> t -> t
 val pp : Format.formatter -> t -> unit

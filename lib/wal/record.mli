@@ -30,8 +30,6 @@ val apply_op : Page.t -> update_op -> unit
 val invert : update_op -> update_op
 (** The operation whose application undoes the original. *)
 
-val pp_op : Format.formatter -> update_op -> unit
-
 (** {1 Checkpoint payloads} *)
 
 type dpt_entry = {

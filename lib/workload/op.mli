@@ -19,7 +19,6 @@ type action =
 
 type script = { node : int; actions : action list }
 
-val pp_action : Format.formatter -> action -> unit
 val pp_script : Format.formatter -> script -> unit
 
 val pages_touched : script -> Page_id.t list

@@ -27,10 +27,6 @@ type profile = {
   txn_size : txn_size;
 }
 
-val presets : profile list
-(** [uniform], [zipf-hot], [hot-owner], [read-heavy], [write-heavy],
-    [mixed-geometric]. *)
-
 val names : unit -> string list
 val find : string -> profile option
 

@@ -13,6 +13,7 @@ module Engine = Repro_workload.Engine
 module Driver = Repro_workload.Driver
 module Generators = Repro_workload.Generators
 module Rng = Repro_util.Rng
+module Experiments = Repro_experiments.Experiments
 
 let feq = Alcotest.(check (float 1e-9))
 
@@ -218,15 +219,30 @@ let run_workload ?faults ~trace () =
   let outcome = Driver.run engine ~events scripts in
   (cluster, outcome)
 
+(* Bit-identity of an untraced and a traced run: the driver outcome,
+   every node's counters and busy time, and the simulated clock. *)
+let check_same_run (untraced, (ou : Driver.outcome)) (traced, (ot : Driver.outcome)) =
+  let outcome (o : Driver.outcome) =
+    ( (o.committed, o.voluntary_aborts, o.deadlock_aborts, o.stuck, o.rounds, o.sched_events),
+      (o.sim_seconds, o.latencies, o.shadow) )
+  in
+  Alcotest.(check bool) "identical driver outcome" true (outcome ou = outcome ot);
+  for node = 0 to Cluster.node_count untraced - 1 do
+    let mu = Cluster.node_metrics untraced node and mt = Cluster.node_metrics traced node in
+    Alcotest.(check (list (pair string int)))
+      (Printf.sprintf "node %d: identical counters" node)
+      (Metrics.to_alist mu) (Metrics.to_alist mt);
+    Alcotest.(check (float 0.))
+      (Printf.sprintf "node %d: identical busy seconds" node)
+      mu.Metrics.busy_seconds mt.Metrics.busy_seconds
+  done;
+  Alcotest.(check (float 0.)) "identical simulated time" (Cluster.now untraced)
+    (Cluster.now traced)
+
 let test_traced_equals_untraced () =
   let traced, ot = run_workload ~trace:true () in
   let untraced, ou = run_workload ~trace:false () in
-  Alcotest.(check (list (pair string int)))
-    "identical counters"
-    (Metrics.to_alist (Cluster.global_metrics untraced))
-    (Metrics.to_alist (Cluster.global_metrics traced));
-  feq "identical simulated time" (Cluster.now untraced) (Cluster.now traced);
-  Alcotest.(check int) "identical commits" ou.Driver.committed ot.Driver.committed;
+  check_same_run (untraced, ou) (traced, ot);
   (* and the traced run actually recorded the story *)
   let obs = Repro_sim.Env.obs (Cluster.env traced) in
   let has k = List.exists (fun e -> e.Event.kind = k) (Recorder.events obs) in
@@ -238,6 +254,12 @@ let test_traced_equals_untraced () =
   Alcotest.(check bool)
     "untraced recorded nothing" true
     (Recorder.events (Repro_sim.Env.obs (Cluster.env untraced)) = [])
+
+(* E11's best group-commit point (max batch 8, 20 ms window, full
+   sweep): the batched commit path, which [run_workload] leaves off. *)
+let test_group_commit_traced_equals_untraced () =
+  let run ~trace = Experiments.group_commit_run ~trace ~quick:false (8, 20.) in
+  check_same_run (run ~trace:false) (run ~trace:true)
 
 (* Only recovery's cluster-wide markers (its begin/end/phase events and
    the phase spans) stand outside any node; every other event of a
@@ -581,6 +603,8 @@ let suite =
     Alcotest.test_case "metrics json round trip" `Quick test_metrics_json_round_trip;
     Alcotest.test_case "event json and kind names" `Quick test_event_json_and_kind_names;
     Alcotest.test_case "traced run equals untraced run" `Quick test_traced_equals_untraced;
+    Alcotest.test_case "group-commit run: traced equals untraced" `Quick
+      test_group_commit_traced_equals_untraced;
     Alcotest.test_case "every non-recovery event carries a node" `Quick
       test_events_carry_a_node;
     Alcotest.test_case "latency histograms always on" `Quick
