@@ -5,7 +5,8 @@
 
    - Bechamel micro-benchmarks of the hot paths (record codec, log
      append+force, PSN-guarded redo, NodePSNList merge, the commit
-     path, LRU victim choice) and the record codec's allocation probe.
+     path, LRU victim choice) and the allocation probe of the record
+     codec and of the two log scans (full decode, heads only).
    - The lint timing guard: exits 1 when a cbl-lint phase is over its
      wall budget; writes BENCH_LINT.json.
    - The tracing overhead: wall cost of an enabled trace.
@@ -219,6 +220,19 @@ let sample_update =
 let encode_update () = Codec.with_scratch (fun e -> Record.encode e sample_update)
 let encoded_update = Bytes.to_string (encode_update ())
 
+let sample_log_records = 1000
+
+(* A log of [sample_log_records] copies of [sample_update]. *)
+let sample_log () =
+  let env = Repro_sim.Env.create Config.instant in
+  let log = Log_manager.create env (Repro_sim.Metrics.create ()) () in
+  for _ = 1 to sample_log_records do
+    ignore (Log_manager.append log sample_update)
+  done;
+  log
+
+let count_head n _ ~txn:_ ~kind:_ ~owner:_ ~slot:_ ~psn_before:_ = n + 1
+
 (* A pool of [n] clean frames, pages [0 .. n-1] of node 0. *)
 let full_pool n =
   let pool = Buffer_pool.create ~capacity:n () in
@@ -247,12 +261,14 @@ let micro_tests =
     (* the recovery scan: frame check, CRC and decode of every record *)
     Test.make ~name:"log-fold (1k records)"
       (Staged.stage
-         (let env = Repro_sim.Env.create Config.instant in
-          let log = Log_manager.create env (Repro_sim.Metrics.create ()) () in
-          for _ = 1 to 1000 do
-            ignore (Log_manager.append log sample_update)
-          done;
+         (let log = sample_log () in
           fun () -> Log_manager.fold log ~from:Lsn.nil ~init:0 (fun n _ _ -> n + 1)));
+    (* the same scan reading only each record's head: analysis and
+       NodePSNList building *)
+    Test.make ~name:"log-fold-heads (1k records)"
+      (Staged.stage
+         (let log = sample_log () in
+          fun () -> Log_manager.fold_heads log ~from:Lsn.nil ~init:0 count_head));
     Test.make ~name:"redo-apply"
       (Staged.stage
          (let page = Page.create ~id:(Page_id.make ~owner:0 ~slot:0) ~psn:0 ~size:8192 in
@@ -368,7 +384,19 @@ let measure_codec_alloc () =
   Format.printf "record-encode (shared scratch): %5.1f minor words/op@." shared;
   Format.printf "same payload, fresh Buffer/op:  %5.1f minor words/op (%.0f%% more allocation)@."
     fresh
-    ((fresh -. shared) /. shared *. 100.)
+    ((fresh -. shared) /. shared *. 100.);
+  (* Per scanned record, over one log: the full decode builds every
+     record; the heads-only scan builds none. *)
+  let log = sample_log () in
+  let per_record f = words_per_op f /. float_of_int sample_log_records in
+  let full =
+    per_record (fun () -> ignore (Log_manager.fold log ~from:Lsn.nil ~init:0 (fun n _ _ -> n + 1)))
+  in
+  let heads =
+    per_record (fun () -> ignore (Log_manager.fold_heads log ~from:Lsn.nil ~init:0 count_head))
+  in
+  Format.printf "log scan, full decode:          %5.1f minor words/record@." full;
+  Format.printf "log scan, heads only:           %5.1f minor words/record@." heads
 
 let run_bechamel tests =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in

@@ -24,26 +24,25 @@ let run log ~master =
       | _ -> invalid_arg "Analysis.run: master record does not point at a Checkpoint_begin"
   in
   init_from_checkpoint ();
-  let on_update lsn (record : Record.t) pid psn_before =
+  let on_update lsn txn pid psn_before =
     (match Page_id.Tbl.find_opt dpt pid with
     | None ->
       Page_id.Tbl.replace dpt pid
         { Record.pid; psn_first = psn_before; curr_psn = psn_before + 1; redo_lsn = lsn }
     | Some e ->
       Page_id.Tbl.replace dpt pid { e with curr_psn = max e.curr_psn (psn_before + 1) });
-    let txn = record.Record.txn in
     Hashtbl.replace txns txn lsn;
     let pages = Option.value (Hashtbl.find_opt txn_pages txn) ~default:Page_id.Set.empty in
     Hashtbl.replace txn_pages txn (Page_id.Set.add pid pages)
   in
   let scan_from = if Lsn.is_nil ckpt_lsn then Lsn.nil else ckpt_lsn in
-  Log_manager.fold log ~from:scan_from ~init:() (fun () lsn record ->
-      match record.Record.body with
-      | Update { pid; psn_before; _ } | Clr { pid; psn_before; _ } ->
-        on_update lsn record pid psn_before
-      | Savepoint _ -> Hashtbl.replace txns record.txn lsn
-      | Commit | Abort -> Hashtbl.remove txns record.txn
-      | Checkpoint_begin _ | Checkpoint_end -> ());
+  Log_manager.fold_heads log ~from:scan_from ~init:()
+    (fun () lsn ~txn ~kind ~owner ~slot ~psn_before ->
+      match kind with
+      | Update | Clr -> on_update lsn txn (Page_id.make ~owner ~slot) psn_before
+      | Savepoint -> Hashtbl.replace txns txn lsn
+      | Commit | Abort -> Hashtbl.remove txns txn
+      | Checkpoint_begin | Checkpoint_end -> ());
   let losers =
     Hashtbl.fold (fun txn last_lsn acc -> { Record.txn; last_lsn } :: acc) txns []
     |> List.sort (fun (a : Record.active_txn) b -> Int.compare a.txn b.txn)

@@ -1,6 +1,5 @@
 open Repro_storage
 module Lsn = Repro_wal.Lsn
-module Record = Repro_wal.Record
 module Log_manager = Repro_wal.Log_manager
 
 type run = { node : int; psn : int; lsn : Lsn.t }
@@ -11,11 +10,24 @@ let build log ~node ~pages ~start =
   let last_txn : int Page_id.Tbl.t = Page_id.Tbl.create 8 in
   let acc : run list Page_id.Tbl.t = Page_id.Tbl.create 8 in
   let recs : (Lsn.t * int) list Page_id.Tbl.t = Page_id.Tbl.create 8 in
-  Log_manager.fold log ~from:start ~init:() (fun () lsn record ->
-      match record.Record.body with
-      | Update { pid; psn_before; _ } | Clr { pid; psn_before; _ } ->
-        if Page_id.Set.mem pid pages then begin
-          let txn = record.Record.txn in
+  (* [pages] in [Page_id.compare] order, binary-searched by the scanned
+     owner and slot, so a record of an unlisted page allocates nothing *)
+  let listed = Array.of_list (Page_id.Set.elements pages) in
+  let rec find owner slot lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let p = listed.(mid) in
+      let c = if p.owner <> owner then Int.compare p.owner owner else Int.compare p.slot slot in
+      if c = 0 then mid else if c < 0 then find owner slot (mid + 1) hi else find owner slot lo mid
+  in
+  Log_manager.fold_heads log ~from:start ~init:()
+    (fun () lsn ~txn ~kind ~owner ~slot ~psn_before ->
+      match kind with
+      | Update | Clr ->
+        let i = find owner slot 0 (Array.length listed) in
+        if i >= 0 then begin
+          let pid = listed.(i) in
           let new_run =
             match Page_id.Tbl.find_opt last_txn pid with
             | Some prev -> prev <> txn
@@ -29,7 +41,7 @@ let build log ~node ~pages ~start =
           let cur = Option.value (Page_id.Tbl.find_opt recs pid) ~default:[] in
           Page_id.Tbl.replace recs pid ((lsn, psn_before) :: cur)
         end
-      | Commit | Abort | Savepoint _ | Checkpoint_begin _ | Checkpoint_end -> ());
+      | Commit | Abort | Savepoint | Checkpoint_begin | Checkpoint_end -> ());
   Page_id.Tbl.fold
     (fun pid runs map ->
       let records =

@@ -30,7 +30,9 @@
    this transaction.  The module is deliberately offline: it consumes
    an [Event.t list] and touches nothing in the simulator. *)
 
-type component = Lock_wait | Batch_wait | Log_force_time | Network | Owner_service
+(* The components an event's own duration feeds; lock_wait and
+   batch_wait come only from markers. *)
+type component = Log_force_time | Network | Owner_service
 
 type marker =
   | M_begin
@@ -167,8 +169,6 @@ let analyze events =
   let add_charge txn comp dur =
     let p = parts_of txn in
     (match comp with
-    | Lock_wait -> p.lock_wait <- p.lock_wait +. dur
-    | Batch_wait -> p.batch_wait <- p.batch_wait +. dur
     | Log_force_time -> p.log_force <- p.log_force +. dur
     | Network -> p.network <- p.network +. dur
     | Owner_service -> p.owner_service <- p.owner_service +. dur);

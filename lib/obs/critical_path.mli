@@ -10,8 +10,6 @@
     Offline: consumes an {!Event.t} list (from a live {!Recorder} or a
     parsed JSONL trace) and touches nothing in the simulator. *)
 
-type component = Lock_wait | Batch_wait | Log_force_time | Network | Owner_service
-
 type components = {
   mutable lock_wait : float;  (** lock acquisition net of attributed work done while waiting *)
   mutable batch_wait : float;  (** group commit: submit → start of the covering force *)

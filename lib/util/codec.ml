@@ -52,19 +52,30 @@ let list f e xs =
 
 (* [stop] bounds the cursor: a decoder over one frame of a larger
    buffer cannot read into the next frame. *)
-type decoder = { src : string; mutable cur : int; stop : int }
+type decoder = { mutable src : string; mutable cur : int; mutable stop : int }
+
+let check_slice fn src pos stop =
+  if pos < 0 || stop < pos || stop > String.length src then
+    invalid_arg
+      (Printf.sprintf "Codec.%s: [%d,%d) outside a %d-byte source" fn pos stop (String.length src))
 
 let decoder ?(pos = 0) ?len src =
   let stop = match len with None -> String.length src | Some len -> pos + len in
-  if pos < 0 || stop < pos || stop > String.length src then
-    invalid_arg
-      (Printf.sprintf "Codec.decoder: [%d,%d) outside a %d-byte source" pos stop
-         (String.length src));
+  check_slice "decoder" src pos stop;
   { src; cur = pos; stop }
+
+let reframe d src ~pos ~len =
+  check_slice "reframe" src pos (pos + len);
+  d.src <- src;
+  d.cur <- pos;
+  d.stop <- pos + len
 
 let remaining d = d.stop - d.cur
 
-let need d n = if remaining d < n then corrupt "truncated input: need %d bytes, have %d" n (remaining d)
+let truncated d n = corrupt "truncated input: need %d bytes, have %d" n (remaining d)
+
+(* Inlined into every read and skip: only the failure path is a call. *)
+let[@inline] need d n = if d.stop - d.cur < n then truncated d n
 
 let read_u8 d =
   need d 1;
@@ -111,9 +122,24 @@ let read_bytes d =
   d.cur <- d.cur + len;
   s
 
+(* The skips make exactly the bounds checks of the reads they stand
+   for, so a skip raises [Corrupt] where the read would. *)
+let skip d n =
+  need d n;
+  d.cur <- d.cur + n
+
+let skip_bytes d = skip d (read_u32 d)
+
 let read_opt f d = if read_bool d then Some (f d) else None
 
 let read_list f d =
   let len = read_u32 d in
   if len > remaining d then corrupt "bad list length %d" len;
   List.init len (fun _ -> f d)
+
+let skip_list f d =
+  let len = read_u32 d in
+  if len > remaining d then corrupt "bad list length %d" len;
+  for _ = 1 to len do
+    f d
+  done

@@ -58,6 +58,12 @@ val decoder : ?pos:int -> ?len:int -> string -> decoder
     the bytes that follow.  Raises [Invalid_argument] when the slice is
     not inside [s]. *)
 
+val reframe : decoder -> string -> pos:int -> len:int -> unit
+(** [reframe d s ~pos ~len] points [d] at the slice [s[pos, pos+len)],
+    cursor at [pos], as {!decoder} would, without allocating a new
+    decoder: a scan reuses one decoder for every frame.  Raises
+    [Invalid_argument] when the slice is not inside [s]. *)
+
 val remaining : decoder -> int
 
 val read_u8 : decoder -> int
@@ -69,3 +75,19 @@ val read_bool : decoder -> bool
 val read_bytes : decoder -> string
 val read_opt : (decoder -> 'a) -> decoder -> 'a option
 val read_list : (decoder -> 'a) -> decoder -> 'a list
+
+(** {2 Skipping}
+
+    Each skip moves the cursor past a value with exactly the bounds and
+    length checks of the matching read, raising {!Corrupt} exactly when
+    it would, but allocates nothing. *)
+
+val skip : decoder -> int -> unit
+(** [skip d n] moves past [n] bytes (a fixed-width field). *)
+
+val skip_bytes : decoder -> unit
+(** Moves past a length-prefixed byte string ({!read_bytes}). *)
+
+val skip_list : (decoder -> unit) -> decoder -> unit
+(** Moves past a list ({!read_list}), skipping each element with the
+    function. *)

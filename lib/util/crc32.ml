@@ -24,7 +24,7 @@ let u32 b i = Int32.to_int (Bytes.get_int32_le b i) land 0xFFFF_FFFF
 
 let update crc b ~pos ~len =
   if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Crc32.update";
-  let c = ref (Int32.to_int crc land 0xFFFF_FFFF lxor 0xFFFF_FFFF) in
+  let c = ref (crc land 0xFFFF_FFFF lxor 0xFFFF_FFFF) in
   let i = ref pos in
   let stop = pos + len in
   while !i + 8 <= stop do
@@ -45,7 +45,7 @@ let update crc b ~pos ~len =
     c := table.((!c lxor Char.code (Bytes.get b !i)) land 0xFF) lxor (!c lsr 8);
     incr i
   done;
-  Int32.of_int (!c lxor 0xFFFF_FFFF)
+  !c lxor 0xFFFF_FFFF
 
-let bytes b ~pos ~len = update 0l b ~pos ~len
+let bytes b ~pos ~len = update 0 b ~pos ~len
 let string s = bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

@@ -12,6 +12,11 @@ let header_size = 8
 let create env metrics ?capacity () = { env; metrics; device = Log_device.create ?capacity () }
 let device t = t.device
 
+(* A frame stores the low 31 bits of its payload's CRC. *)
+let frame_crc b ~pos ~len = Crc32.bytes b ~pos ~len land 0x7FFF_FFFF
+let u32_at b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFF_FFFF
+let int_at b pos = Int64.to_int (Bytes.get_int64_le b pos)
+
 (* One scratch pass builds the whole frame: a placeholder header, then
    the payload; the header is patched in place once the payload's length
    and CRC are known. *)
@@ -24,7 +29,7 @@ let append ?overdraft t record =
   in
   let len = Bytes.length framed - header_size in
   Bytes.set_int32_le framed 0 (Int32.of_int len);
-  Bytes.set_int32_le framed 4 (Int32.logand (Crc32.bytes framed ~pos:header_size ~len) 0x7FFFFFFFl);
+  Bytes.set_int32_le framed 4 (Int32.of_int (frame_crc framed ~pos:header_size ~len));
   let lsn =
     try Log_device.append ?overdraft t.device (Bytes.unsafe_to_string framed)
     with Log_device.Log_full -> raise Log_full
@@ -54,50 +59,77 @@ let force_shared t ~upto ~sharers =
       Env.charge_log_force_shared t.env t.metrics ~durable:(durable_lsn t) ~bytes:moved ~sharers ()
   end
 
-(* Checks, checksums and decodes one frame in place in the device's
-   bytes: no copy of the header or the payload. *)
-let read_frame t lsn =
-  if lsn < 0 || lsn + header_size > end_lsn t then
+(* The frame check, in place in the device's bytes: range (and, through
+   [Log_device.view], the low-water mark), truncation, CRC, then the
+   record's structure, which must fill the payload exactly.  It
+   allocates nothing: on success [d] is reframed over the payload,
+   cursor at its start, and the result is the framed size. *)
+let check_frame t d lsn =
+  let stop = end_lsn t in
+  if lsn < 0 || lsn + header_size > stop then
     raise (Codec.Corrupt (Printf.sprintf "frame header out of range at %d" lsn));
-  let src = Bytes.unsafe_to_string (Log_device.view t.device ~pos:lsn ~len:header_size) in
-  let d = Codec.decoder ~pos:lsn ~len:header_size src in
-  let len = Codec.read_u32 d in
-  let crc = Codec.read_u32 d in
+  let header = Log_device.view t.device ~pos:lsn ~len:header_size in
+  let len = u32_at header lsn in
+  let crc = u32_at header (lsn + 4) in
   let pos = lsn + header_size in
-  if pos + len > end_lsn t then raise (Codec.Corrupt (Printf.sprintf "truncated frame at %d" lsn));
+  if pos + len > stop then raise (Codec.Corrupt (Printf.sprintf "truncated frame at %d" lsn));
   let src = Log_device.view t.device ~pos ~len in
-  if Int32.to_int (Int32.logand (Crc32.bytes src ~pos ~len) 0x7FFFFFFFl) <> crc then
+  if frame_crc src ~pos ~len <> crc then
     raise (Codec.Corrupt (Printf.sprintf "CRC mismatch at %d" lsn));
-  let d = Codec.decoder ~pos ~len (Bytes.unsafe_to_string src) in
-  let record = Record.decode d in
+  let src = Bytes.unsafe_to_string src in
+  Codec.reframe d src ~pos ~len;
+  Record.skip d;
   if Codec.remaining d > 0 then
     raise
       (Codec.Corrupt (Printf.sprintf "%d trailing bytes in frame at %d" (Codec.remaining d) lsn));
-  (record, header_size + len)
+  Codec.reframe d src ~pos ~len;
+  header_size + len
 
 let read t lsn =
-  let record, size = read_frame t lsn in
+  let d = Codec.decoder "" in
+  ignore (check_frame t d lsn);
   Env.charge_cpu t.env (Env.config t.env).Repro_sim.Config.cpu_per_log_record;
-  ignore size;
-  record
+  Record.decode d
 
-let next_lsn t lsn =
-  let _, size = read_frame t lsn in
-  lsn + size
+let next_lsn t lsn = lsn + check_frame t (Codec.decoder "") lsn
 
-let fold t ?upto ~from ~init f =
+(* The forward scan under [fold], [fold_heads] and [seal]: one decoder
+   for the whole scan; [visit acc lsn size d] sees each checked frame's
+   framed size and payload. *)
+let scan t ?upto ~from ~init visit =
   let stop = match upto with Some u -> u | None -> end_lsn t in
   let start = if Lsn.is_nil from then low_water t else from in
+  let d = Codec.decoder "" in
   let rec go acc lsn =
     if lsn >= stop then acc
     else
-      match read_frame t lsn with
-      | record, size ->
+      match check_frame t d lsn with
+      | size ->
         Env.charge_log_scan_record t.env t.metrics ~bytes:size;
-        go (f acc lsn record) (lsn + size)
+        go (visit acc lsn size d) (lsn + size)
       | exception Codec.Corrupt _ -> acc (* torn tail: treat as end of log *)
   in
   go init start
+
+let fold t ?upto ~from ~init f =
+  scan t ?upto ~from ~init (fun acc lsn _ d -> f acc lsn (Record.decode d))
+
+(* The head fields are read in place at their fixed offsets; a kind
+   other than [Update] and [Clr] gets 0 for the page fields. *)
+let fold_heads t ?upto ~from ~init f =
+  scan t ?upto ~from ~init (fun acc lsn size _ ->
+      let pos = lsn + header_size in
+      let b = Log_device.view t.device ~pos ~len:(size - header_size) in
+      let kind = Record.kind_of_tag (Bytes.get_uint8 b (pos + Record.tag_offset)) in
+      let page =
+        match kind with
+        | Update | Clr -> true
+        | Commit | Abort | Savepoint | Checkpoint_begin | Checkpoint_end -> false
+      in
+      f acc lsn ~txn:(int_at b (pos + Record.txn_offset)) ~kind
+        ~owner:(if page then u32_at b (pos + Record.owner_offset) else 0)
+        ~slot:(if page then u32_at b (pos + Record.slot_offset) else 0)
+        ~psn_before:(if page then int_at b (pos + Record.psn_before_offset) else 0))
 
 let used_bytes t = Log_device.used t.device
 let available_bytes t = Log_device.available t.device
@@ -111,10 +143,8 @@ let crash ?faults t =
     | Some inj when tail > 0 ->
       let first_framed =
         if tail >= header_size then begin
-          let src = Log_device.view t.device ~pos:dur ~len:header_size in
-          let d = Codec.decoder ~pos:dur ~len:header_size (Bytes.unsafe_to_string src) in
-          let len = Codec.read_u32 d in
-          let framed = header_size + len in
+          let header = Log_device.view t.device ~pos:dur ~len:header_size in
+          let framed = header_size + u32_at header dur in
           if framed <= tail then Some framed else None
         end
         else None
@@ -139,16 +169,7 @@ let seal t =
   | Some from ->
     let start = max from (Log_device.low_water t.device) in
     let stop = Log_device.end_offset t.device in
-    let rec scan lsn =
-      if lsn >= stop then lsn
-      else
-        match read_frame t lsn with
-        | _, size ->
-          Env.charge_log_scan_record t.env t.metrics ~bytes:size;
-          scan (lsn + size)
-        | exception Codec.Corrupt _ -> lsn
-    in
-    let good = scan start in
+    let good = scan t ~from:start ~init:start (fun _ lsn size _ -> lsn + size) in
     let discarded = stop - good in
     if discarded > 0 then begin
       Log_device.trim_end t.device good;

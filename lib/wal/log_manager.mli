@@ -4,10 +4,16 @@
     Framing is [u32 payload-length | u32 CRC-32 | payload].  A record's
     LSN is the device offset of its length field, so LSNs order records
     and [lsn + framed_size] is the next record — which gives cheap
-    forward scans.  Frames are checksummed and decoded in place in the
-    device's bytes.  A truncated frame, a CRC mismatch or a payload the
-    record does not fill exactly raises [Codec.Corrupt], which a scan
-    treats as end-of-log (torn tail). *)
+    forward scans.
+
+    Every read path runs one frame check, in place in the device's bytes
+    and without allocating: the frame must lie in the live region, be
+    whole, match its CRC, and hold a record ({!Record.skip}: tags,
+    lengths and bounds) that fills its payload exactly.  A frame that
+    fails raises [Codec.Corrupt], which a scan treats as end-of-log
+    (torn tail).  {!read} and {!fold} then decode the record;
+    {!fold_heads} reads only its head fields; {!next_lsn} and {!seal}
+    need the check alone. *)
 
 type t
 
@@ -53,10 +59,34 @@ val next_lsn : t -> Lsn.t -> Lsn.t
 (** LSN immediately after the record at the given LSN. *)
 
 val fold : t -> ?upto:Lsn.t -> from:Lsn.t -> init:'a -> ('a -> Lsn.t -> Record.t -> 'a) -> 'a
-(** Forward scan for analysis / redo passes.  [from = Lsn.nil] starts at
+(** Forward scan that decodes every record.  [from = Lsn.nil] starts at
     the low-water mark.  Each record charges a recovery-scan cost and
     bumps [recovery_log_records_scanned].  Stops before [upto]
-    (exclusive) or at the end of the log. *)
+    (exclusive) or at the end of the log.  The callback must not append
+    to the log it scans. *)
+
+val fold_heads :
+  t ->
+  ?upto:Lsn.t ->
+  from:Lsn.t ->
+  init:'a ->
+  ('a ->
+  Lsn.t ->
+  txn:int ->
+  kind:Record.Kind.t ->
+  owner:int ->
+  slot:int ->
+  psn_before:int ->
+  'a) ->
+  'a
+(** {!fold} for scans that only filter on a record's head: the
+    callback gets its transaction and kind and, for an [Update] or
+    [Clr], the page's [owner] and [slot] and the record's [psn_before]
+    (0 for other kinds), read in place at fixed payload offsets
+    ({!Record.txn_offset} and so on).  Every frame gets the full frame
+    check, and the scan charges exactly what {!fold} charges, but it
+    decodes no record and allocates nothing per frame.  The callback
+    must not append to the log it scans. *)
 
 (** {1 Positions and space} *)
 

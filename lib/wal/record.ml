@@ -32,6 +32,21 @@ type body =
 
 type t = { txn : int; prev : Lsn.t; body : body }
 
+module Kind = struct
+  type t = Update | Clr | Commit | Abort | Savepoint | Checkpoint_begin | Checkpoint_end
+end
+
+(* The tag byte [encode] writes for each kind. *)
+let kind_of_tag : int -> Kind.t = function
+  | 1 -> Update
+  | 2 -> Clr
+  | 3 -> Commit
+  | 4 -> Abort
+  | 5 -> Savepoint
+  | 6 -> Checkpoint_begin
+  | 7 -> Checkpoint_end
+  | n -> raise (Codec.Corrupt (Printf.sprintf "bad record tag %d" n))
+
 let system_txn = -1
 
 let page_of t =
@@ -84,6 +99,15 @@ let decode_op d =
     let off = Codec.read_u32 d in
     let delta = Codec.read_i64 d in
     Delta { off; delta }
+  | n -> raise (Codec.Corrupt (Printf.sprintf "bad update_op tag %d" n))
+
+let skip_op d =
+  match Codec.read_u8 d with
+  | 0 ->
+    Codec.skip d 4;
+    Codec.skip_bytes d;
+    Codec.skip_bytes d
+  | 1 -> Codec.skip d 12
   | n -> raise (Codec.Corrupt (Printf.sprintf "bad update_op tag %d" n))
 
 let encode_dpt_entry e (en : dpt_entry) =
@@ -140,26 +164,53 @@ let decode d =
   let txn = Codec.read_int_as_i64 d in
   let prev = Lsn.decode d in
   let body =
-    match Codec.read_u8 d with
-    | 1 ->
+    match kind_of_tag (Codec.read_u8 d) with
+    | Update ->
       let pid = Page_id.decode d in
       let psn_before = Codec.read_int_as_i64 d in
       let op = decode_op d in
       Update { pid; psn_before; op }
-    | 2 ->
+    | Clr ->
       let pid = Page_id.decode d in
       let psn_before = Codec.read_int_as_i64 d in
       let op = decode_op d in
       let undo_next = Lsn.decode d in
       Clr { pid; psn_before; op; undo_next }
-    | 3 -> Commit
-    | 4 -> Abort
-    | 5 -> Savepoint (Codec.read_bytes d)
-    | 6 ->
+    | Commit -> Commit
+    | Abort -> Abort
+    | Savepoint -> Savepoint (Codec.read_bytes d)
+    | Checkpoint_begin ->
       let dpt = Codec.read_list decode_dpt_entry d in
       let active = Codec.read_list decode_active d in
       Checkpoint_begin { dpt; active }
-    | 7 -> Checkpoint_end
-    | n -> raise (Codec.Corrupt (Printf.sprintf "bad record tag %d" n))
+    | Checkpoint_end -> Checkpoint_end
   in
   { txn; prev; body }
+
+(* [decode] with every read turned into a skip: page id 8 bytes, PSN,
+   txn and LSN 8 each, a delta op's offset and delta 12, a DPT entry 32,
+   an active-transaction entry 16. *)
+let skip_dpt_entry d = Codec.skip d 32
+let skip_active d = Codec.skip d 16
+
+let skip d =
+  Codec.skip d 16;
+  match kind_of_tag (Codec.read_u8 d) with
+  | Update ->
+    Codec.skip d 16;
+    skip_op d
+  | Clr ->
+    Codec.skip d 16;
+    skip_op d;
+    Codec.skip d 8
+  | Commit | Abort | Checkpoint_end -> ()
+  | Savepoint -> Codec.skip_bytes d
+  | Checkpoint_begin ->
+    Codec.skip_list skip_dpt_entry d;
+    Codec.skip_list skip_active d
+
+let txn_offset = 0
+let tag_offset = 16
+let owner_offset = 17
+let slot_offset = 21
+let psn_before_offset = 25

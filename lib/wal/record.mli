@@ -77,3 +77,33 @@ val decode : Repro_util.Codec.decoder -> t
 (** Reads one record at the decoder's cursor, leaving it just past the
     record.
     @raise Repro_util.Codec.Corrupt on malformed input. *)
+
+val skip : Repro_util.Codec.decoder -> unit
+(** Moves the cursor past one record exactly as {!decode} would, with
+    the same tag, length and bound checks, but builds nothing: it
+    raises [Corrupt] exactly when {!decode} does, and otherwise leaves
+    the cursor where {!decode} would.  The log manager's frame check. *)
+
+(** {1 Heads}
+
+    A payload starts [txn : i64 | prev : i64 | tag : u8], and an
+    [Update] or [Clr] goes on [owner : u32 | slot : u32 | psn_before :
+    i64] (the page id, then the PSN).  These head fields sit at the
+    fixed payload offsets below, so a scan that only filters on them
+    reads them in place instead of decoding the record
+    ({!Log_manager.fold_heads}). *)
+
+module Kind : sig
+  type t = Update | Clr | Commit | Abort | Savepoint | Checkpoint_begin | Checkpoint_end
+  (** The record's [body] constructor, without its fields. *)
+end
+
+val kind_of_tag : int -> Kind.t
+(** The kind of the tag byte at {!tag_offset}.
+    @raise Repro_util.Codec.Corrupt on an unknown tag. *)
+
+val txn_offset : int
+val tag_offset : int
+val owner_offset : int
+val slot_offset : int
+val psn_before_offset : int

@@ -292,7 +292,7 @@ let test_log_frame_trailing_bytes () =
   in
   let e = Codec.encoder () in
   Codec.u32 e (String.length payload);
-  Codec.u32 e (Int32.to_int (Int32.logand (Repro_util.Crc32.string payload) 0x7FFFFFFFl));
+  Codec.u32 e (Repro_util.Crc32.string payload land 0x7FFF_FFFF);
   let l2 = Log_device.append (Log_manager.device log) (Codec.to_string e ^ payload) in
   Alcotest.(check bool) "read raises Corrupt" true
     (try
@@ -317,6 +317,178 @@ let test_log_scribbled_payload () =
   let seen = Log_manager.fold log ~from:Lsn.nil ~init:[] (fun acc lsn _ -> lsn :: acc) in
   Alcotest.(check (list int)) "fold stops exactly there" [ List.hd lsns ] seen
 
+(* ---- Heads-only scan vs full decode ---- *)
+
+let gen_string = QCheck.Gen.(string_size (int_bound 12))
+
+let gen_any_op =
+  QCheck.Gen.(
+    oneof
+      [
+        map3 (fun off before after -> Record.Physical { off; before; after }) (int_bound 8192)
+          gen_string gen_string;
+        map2 (fun off d -> Record.Delta { off; delta = Int64.of_int d }) (int_bound 8192) int;
+      ])
+
+let gen_pid =
+  QCheck.Gen.(
+    map2 (fun owner slot -> Page_id.make ~owner ~slot)
+      (oneofl [ 0; 1; 7; 0xFFFF_FFFF ])
+      (oneof [ int_bound 64; return 0xFFFF_FFFF ]))
+
+let gen_lsn = QCheck.Gen.(oneof [ return Lsn.nil; int_bound 100_000 ])
+
+(* Every body kind, with the field widths varied: image and name
+   lengths, list lengths, u32 and i64 extremes. *)
+let gen_body =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map3
+            (fun pid psn_before op -> Record.Update { pid; psn_before; op })
+            gen_pid int gen_any_op );
+        ( 2,
+          map4
+            (fun pid psn_before op undo_next -> Record.Clr { pid; psn_before; op; undo_next })
+            gen_pid int gen_any_op gen_lsn );
+        (1, map (fun name -> Record.Savepoint name) gen_string);
+        (1, return Record.Commit);
+        (1, return Record.Abort);
+        ( 1,
+          map2
+            (fun dpt active -> Record.Checkpoint_begin { dpt; active })
+            (list_size (int_bound 3)
+               (map3
+                  (fun pid psn_first redo_lsn ->
+                    { Record.pid; psn_first; curr_psn = psn_first + 1; redo_lsn })
+                  gen_pid (int_bound 1000) gen_lsn))
+            (list_size (int_bound 3)
+               (map2 (fun txn last_lsn -> { Record.txn; last_lsn }) int gen_lsn)) );
+        (1, return Record.Checkpoint_end);
+      ])
+
+let gen_any_record =
+  QCheck.Gen.(
+    map3
+      (fun txn prev body -> { Record.txn; prev; body })
+      (oneof [ int_bound 50; return Record.system_txn; return max_int ])
+      gen_lsn gen_body)
+
+type damage = Intact | Scribble of int | Cut of int
+
+(* A log and the damage done to it: a scribbled byte or a cut tail, at
+   the drawn position modulo the log's length. *)
+let gen_damaged_log =
+  QCheck.Gen.(
+    pair (list_size (int_range 1 24) gen_any_record)
+      (frequency
+         [
+           (1, return Intact);
+           (2, map (fun x -> Scribble x) (int_bound 1_000_000));
+           (2, map (fun x -> Cut x) (int_bound 1_000_000));
+         ]))
+
+let kind_of_body : Record.body -> Record.Kind.t = function
+  | Update _ -> Update
+  | Clr _ -> Clr
+  | Commit -> Commit
+  | Abort -> Abort
+  | Savepoint _ -> Savepoint
+  | Checkpoint_begin _ -> Checkpoint_begin
+  | Checkpoint_end -> Checkpoint_end
+
+(* Builds the log on its own clock and metrics, damages it, scans it,
+   and returns the LSNs appended, how many frames precede the damage,
+   the scan's result, the records-scanned count and the simulated clock
+   after the scan. *)
+let scan_damaged (records, damage) scan =
+  let env = Env.create Config.default in
+  let m = Metrics.create () in
+  let log = Log_manager.create env m () in
+  let lsns = List.map (Log_manager.append log) records in
+  let dev = Log_manager.device log in
+  let size = Log_manager.end_lsn log in
+  (* the frames that end at or before the damaged byte *)
+  let before pos = List.length (List.filter (fun stop -> stop <= pos) (List.tl lsns @ [ size ])) in
+  let intact =
+    match damage with
+    | Intact -> List.length records
+    | Scribble x ->
+      Log_device.scribble dev ~pos:(x mod size);
+      before (x mod size)
+    | Cut x ->
+      Log_device.trim_end dev (x mod size);
+      before (x mod size)
+  in
+  let seen = scan log in
+  (lsns, intact, seen, m.Metrics.recovery_log_records_scanned, Env.now env)
+
+let print_damaged (records, damage) =
+  Printf.sprintf "%s damage=%s"
+    (String.concat "; " (List.map (Format.asprintf "%a" Record.pp) records))
+    (match damage with
+    | Intact -> "none"
+    | Scribble x -> Printf.sprintf "scribble %d" x
+    | Cut x -> Printf.sprintf "cut %d" x)
+
+(* Both scans see the same (lsn, txn, kind, page, psn) sequence, stop at
+   the first damaged frame (or the end of an intact log), and charge the
+   same records-scanned count and simulated time. *)
+let prop_fold_heads_matches_fold =
+  QCheck.Test.make ~name:"log: fold_heads agrees with fold on damaged logs" ~count:500
+    (QCheck.make ~print:print_damaged gen_damaged_log)
+    (fun input ->
+      let lsns, intact, full, full_scanned, full_clock =
+        scan_damaged input (fun log ->
+            Log_manager.fold log ~from:Lsn.nil ~init:[] (fun acc lsn (r : Record.t) ->
+                let owner, slot =
+                  match Record.page_of r with Some p -> (p.owner, p.slot) | None -> (0, 0)
+                in
+                let psn = Option.value (Record.psn_before_of r) ~default:0 in
+                (lsn, r.txn, kind_of_body r.body, owner, slot, psn) :: acc))
+      in
+      let _, _, heads, heads_scanned, heads_clock =
+        scan_damaged input (fun log ->
+            Log_manager.fold_heads log ~from:Lsn.nil ~init:[]
+              (fun acc lsn ~txn ~kind ~owner ~slot ~psn_before ->
+                (lsn, txn, kind, owner, slot, psn_before) :: acc))
+      in
+      full = heads
+      && List.rev_map (fun (lsn, _, _, _, _, _) -> lsn) full
+         = List.filteri (fun i _ -> i < intact) lsns
+      && full_scanned = intact
+      && heads_scanned = intact
+      && Float.equal full_clock heads_clock)
+
+(* Random damage to one encoded record: bytes overwritten with values
+   that hit tags and length fields, and the tail cut or extended. *)
+let gen_mutated_payload =
+  QCheck.Gen.(
+    gen_any_record >>= fun r ->
+    let s = Bytes.of_string (Bytes.to_string (Codec.with_scratch (fun e -> Record.encode e r))) in
+    list_size (int_range 1 3)
+      (pair (int_bound (Bytes.length s - 1))
+         (oneof [ int_bound 8; return 0xFF; return 0x80; int_bound 255 ]))
+    >>= fun writes ->
+    List.iter (fun (pos, v) -> Bytes.set_uint8 s pos v) writes;
+    oneof
+      [
+        return (Bytes.to_string s);
+        map (fun n -> Bytes.sub_string s 0 (n mod (Bytes.length s + 1))) nat;
+        map (fun extra -> Bytes.to_string s ^ extra) gen_string;
+      ])
+
+let prop_skip_matches_decode =
+  QCheck.Test.make ~name:"record: skip fails and stops exactly where decode does" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_mutated_payload)
+    (fun payload ->
+      let outcome walk =
+        let d = Codec.decoder payload in
+        match walk d with () -> Some (Codec.remaining d) | exception Codec.Corrupt _ -> None
+      in
+      outcome (fun d -> ignore (Record.decode d)) = outcome Record.skip)
+
 let suite =
   [
     ("lsn nil semantics", `Quick, test_lsn_nil);
@@ -334,4 +506,6 @@ let suite =
     ("golden: log bytes of every record kind", `Quick, test_log_bytes_golden);
     ("log frame must decode exactly", `Quick, test_log_frame_trailing_bytes);
     ("log scribbled payload stops the scan", `Quick, test_log_scribbled_payload);
+    qcheck prop_fold_heads_matches_fold;
+    qcheck prop_skip_matches_decode;
   ]
