@@ -3,15 +3,14 @@
    Usage:  dune exec bin/cbl_lint.exe -- [options] [paths...]
 
    Paths default to lib bin bench test.  Exit status is non-zero on any
-   unsuppressed finding, so ci.sh and the workflow gate on it.
+   finding not suppressed inline with [@cbl.lint.allow "rule-id"], so
+   ci.sh and the workflow gate on it.
 
      --json            print the JSON report to stdout instead of the
                        human file:line:col lines (includes per-rule
                        timing)
      --out FILE        additionally write the JSON report to FILE
                        (CI uses --out LINT_REPORT.json)
-     --allowlist FILE  grandfathered-violation list
-                       (default: lint_allowlist.txt under --root)
      --root DIR        repo root the paths are relative to (default .)
      --rules IDS       run only the comma-separated rule ids; unknown
                        ids are an error (exit 2).  "--rules list"
@@ -29,12 +28,12 @@ module Json = Repro_obs.Json
 
 let usage () =
   prerr_endline
-    "usage: cbl_lint [--json] [--out FILE] [--allowlist FILE] [--root DIR] [--rules IDS] \
+    "usage: cbl_lint [--json] [--out FILE] [--root DIR] [--rules IDS] \
      [--dump-summaries] [--dump-callgraph] [paths...]";
   exit 2
 
 let () =
-  let json = ref false and out = ref None and allowlist = ref None in
+  let json = ref false and out = ref None in
   let root = ref "." and paths = ref [] and rule_ids = ref None in
   let dump_summaries = ref false and dump_callgraph = ref false in
   let rec parse = function
@@ -44,9 +43,6 @@ let () =
       parse rest
     | "--out" :: file :: rest ->
       out := Some file;
-      parse rest
-    | "--allowlist" :: file :: rest ->
-      allowlist := Some file;
       parse rest
     | "--root" :: dir :: rest ->
       root := dir;
@@ -60,7 +56,7 @@ let () =
     | "--dump-callgraph" :: rest ->
       dump_callgraph := true;
       parse rest
-    | ("--out" | "--allowlist" | "--root" | "--rules") :: [] -> usage ()
+    | ("--out" | "--root" | "--rules") :: [] -> usage ()
     | arg :: _ when String.length arg > 2 && String.sub arg 0 2 = "--" -> usage ()
     | path :: rest ->
       paths := path :: !paths;
@@ -96,16 +92,7 @@ let () =
       print_endline (Json.to_string_pretty (Callgraph.to_json (Callgraph.build files)));
     exit 0
   end;
-  let allowlist_file =
-    match !allowlist with
-    | Some f -> Some f
-    | None ->
-      let default = Filename.concat !root "lint_allowlist.txt" in
-      if Sys.file_exists default then Some default else None
-  in
-  let result =
-    Lint.run ?allowlist_file ~clock:Unix.gettimeofday ~root:!root ~paths ~rules ()
-  in
+  let result = Lint.run ~clock:Unix.gettimeofday ~root:!root ~paths ~rules () in
   let report = Json.to_string_pretty (Lint.result_to_json ~rules result) in
   (match !out with
   | Some file ->
@@ -117,9 +104,8 @@ let () =
   if !json then print_endline report
   else begin
     List.iter (fun f -> print_endline (Lint.render_finding f)) result.Lint.findings;
-    Printf.printf "cbl-lint: %d files, %d findings (%d suppressed, %d allowlisted)\n"
-      result.Lint.files_scanned
+    Printf.printf "cbl-lint: %d files, %d findings (%d suppressed)\n" result.Lint.files_scanned
       (List.length result.Lint.findings)
-      result.Lint.suppressed result.Lint.allowlisted
+      result.Lint.suppressed
   end;
   exit (if Lint.ok result then 0 else 1)

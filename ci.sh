@@ -25,6 +25,14 @@ echo "lib/ LOC: $LIB_LOC"
 if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
   echo "lib/ LOC: $LIB_LOC" >> "$GITHUB_STEP_SUMMARY"
 fi
+# bench/trajectory.jsonl keeps that count, one {"pr": N, "lib_loc": L}
+# line per change; its last line must be this tree's count.
+TRAJECTORY_LOC=$(tail -n 1 bench/trajectory.jsonl | sed -n 's/.*"lib_loc": *\([0-9]*\).*/\1/p')
+if [ "$TRAJECTORY_LOC" != "$LIB_LOC" ]; then
+  echo "bench/trajectory.jsonl: last lib_loc is '$TRAJECTORY_LOC', lib/ has $LIB_LOC lines." >&2
+  echo "Append this change's line: {\"pr\": N, \"lib_loc\": $LIB_LOC}" >&2
+  exit 1
+fi
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune fmt (check) =="
@@ -38,15 +46,6 @@ fi
 
 echo "== cbl-lint (protocol static analysis, gating) =="
 dune exec bin/cbl_lint.exe -- --out LINT_REPORT.json
-
-# The allowlist exists as an escape hatch for incremental adoption, but
-# this repo keeps it empty: violations are fixed at the source, never
-# grandfathered.  Any real entry fails CI.
-if grep -vE '^[[:space:]]*(#|$)' lint_allowlist.txt >/dev/null 2>&1; then
-  echo "lint_allowlist.txt has live entries; fix the violations instead:" >&2
-  grep -vE '^[[:space:]]*(#|$)' lint_allowlist.txt >&2
-  exit 1
-fi
 
 echo "== dune runtest =="
 dune runtest

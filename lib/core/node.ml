@@ -145,7 +145,7 @@ let maybe_crashpoint t point =
   | Some inj when Repro_fault.Injector.crashpoint inj point ->
     t.metrics.Metrics.injected_crashes <- t.metrics.injected_crashes + 1;
     Env.emit t.env ~node:t.id Event.Fault_crash
-      [ ("point", Event.Str (Repro_fault.Injector.point_name point)) ];
+      [ ("point", Event.Str (Repro_fault.Fault_plan.point_name point)) ];
     crash t;
     Block.block (Block.Node_down { node = t.id })
   | Some _ | None -> ()
@@ -241,7 +241,7 @@ let rec evict_frame t (frame : Buffer_pool.frame) =
    owner-side install.  The single place the [pages_shipped] counter and
    the [Page_ship] event are produced. *)
 and ship_to_owner t ~owner ?(commit_path = false) ~lsn page =
-  maybe_crashpoint t Repro_fault.Injector.Page_ship;
+  maybe_crashpoint t Repro_fault.Fault_plan.Page_ship;
   let dup = send_dup t ~dst:owner.id ~commit_path ~bytes:(Wire.page (Env.config t.env)) () in
   t.metrics.Metrics.pages_shipped <- t.metrics.pages_shipped + 1;
   if Env.tracing t.env then
@@ -1083,7 +1083,7 @@ let wire_group_commit t ?on_lost ~on_durable () =
     ~before_force:(fun () ->
       (* The batch is still pending here: an injected crash loses every
          member — none of their commit records were forced. *)
-      maybe_crashpoint t Repro_fault.Injector.Commit_force)
+      maybe_crashpoint t Repro_fault.Fault_plan.Commit_force)
     ~on_durable:(fun ~txn ~submitted_at ->
       on_durable ~txn ~submitted_at;
       finish_commit t ~txn ~submitted_at)
@@ -1111,7 +1111,7 @@ let commit t ~txn =
   (* The window the tentpole cares about: the Commit record is appended
      but not yet forced — a crash here must abort the transaction at
      recovery (its commit was never acknowledged). *)
-  maybe_crashpoint t Repro_fault.Injector.Commit_force;
+  maybe_crashpoint t Repro_fault.Fault_plan.Commit_force;
   (* After the crash point: a transaction felled there never submitted,
      so the auditor's batch-loss check correctly expects no commit. *)
   if Env.tracing t.env then
@@ -1136,7 +1136,7 @@ let undo_ops t (txn : Txn.t) =
     Undo.read_record = (fun lsn -> Log_manager.read (txn_log t) lsn);
     perform_undo =
       (fun ~txn:txn_id ~pid ~op ~undo_next ->
-        maybe_crashpoint t Repro_fault.Injector.Rollback;
+        maybe_crashpoint t Repro_fault.Fault_plan.Rollback;
         (* The page may have been replaced since the update; re-fetch it
            from the owner (§2.2: "the rollback procedure may have to
            fetch some of the affected pages from the owner nodes"). *)
@@ -1222,7 +1222,7 @@ let checkpoint t =
             point can fire — their records are durable now, and
             dropping them as "pending" at the crash would let the
             driver retry a transaction that recovery will also redo. *)
-         maybe_crashpoint t Repro_fault.Injector.Checkpoint))
+         maybe_crashpoint t Repro_fault.Fault_plan.Checkpoint))
 
 let install_recovered_page t page ~waiters =
   let pid = Page.id page in

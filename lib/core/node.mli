@@ -116,7 +116,7 @@ val reset_volatile : t -> unit
     pages, reconstructed locks, re-registered losers) cannot leak into
     the new attempt. *)
 
-val maybe_crashpoint : t -> Repro_fault.Injector.point -> unit
+val maybe_crashpoint : t -> Repro_fault.Fault_plan.point -> unit
 (** Probe a named protocol crash point; with an armed injector the node
     may crash here, surfacing as [Would_block (Node_down _)].  Exposed
     so recovery can place its own restartability crash points. *)

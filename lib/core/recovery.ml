@@ -45,12 +45,9 @@ let grant_x n ~owner pid =
    of them at zero (every legacy plan) the injector suspends as before,
    keeping historical seeds bit-identical. *)
 let recovery_faults_on (plan : Fault_plan.t) =
-  let c = plan.Fault_plan.crashpoints in
-  c.Fault_plan.recovery_analysis > 0.
-  || c.Fault_plan.recovery_redo > 0.
-  || c.Fault_plan.recovery_pre_undo > 0.
-  || c.Fault_plan.recovery_undo > 0.
-  || c.Fault_plan.recovery_checkpoint > 0.
+  List.exists
+    (fun p -> Fault_plan.in_restart p && Fault_plan.prob plan.Fault_plan.crashpoints p > 0.)
+    Fault_plan.points
 
 (* Bounded retry with exponential backoff around a recovery exchange
    with [dst].  A dropped message is already retransmitted inside
@@ -162,7 +159,7 @@ let redo_crash_interval = 4
 let probe ctx m =
   ctx.redo_applied <- ctx.redo_applied + 1;
   if ctx.redo_applied mod redo_crash_interval = 0 then
-    Node.maybe_crashpoint m Injector.Recovery_redo
+    Node.maybe_crashpoint m Fault_plan.Recovery_redo
 
 (* Apply one of [m]'s records to [page], PSN-guarded: a record ahead of
    the page is a gap in the participant set. *)
@@ -187,7 +184,7 @@ let analysis ctx =
         Dpt.load_snapshot n.dpt result.Analysis.dpt;
         (n, result.Analysis.losers))
       ctx.crashed;
-  List.iter (fun (n, _) -> Node.maybe_crashpoint n Injector.Recovery_analysis) ctx.losers_by_node
+  List.iter (fun (n, _) -> Node.maybe_crashpoint n Fault_plan.Recovery_analysis) ctx.losers_by_node
 
 (* ------------------------------------------------------------------ *)
 (* Step: lock reconstruction (§2.3.3)                                  *)
@@ -667,7 +664,7 @@ let end_redo ctx =
       | Some b when List.mem b ctx.crashed_ids -> unpark_deferred ~owner ~pid
       | Some _ | None -> ())
     ctx.completions;
-  List.iter (fun n -> Node.maybe_crashpoint n Injector.Recovery_pre_undo) ctx.crashed;
+  List.iter (fun n -> Node.maybe_crashpoint n Fault_plan.Recovery_pre_undo) ctx.crashed;
   List.iter (fun n -> n.up <- true) ctx.crashed
 
 (* ------------------------------------------------------------------ *)
@@ -713,7 +710,7 @@ let undo ctx =
     (fun (n, losers) ->
       List.iter
         (fun (l : Record.active_txn) ->
-          Node.maybe_crashpoint n Injector.Recovery_undo;
+          Node.maybe_crashpoint n Fault_plan.Recovery_undo;
           let txn = Txn.make ~id:l.txn ~node:n.id in
           txn.Txn.last_lsn <- l.last_lsn;
           Txn_table.register n.txns txn;
@@ -748,7 +745,7 @@ let undo ctx =
 let checkpoint ctx =
   List.iter
     (fun n ->
-      Node.maybe_crashpoint n Injector.Recovery_checkpoint;
+      Node.maybe_crashpoint n Fault_plan.Recovery_checkpoint;
       Log_manager.force_all n.log;
       Repro_wal.Group_commit.on_force n.gc;
       Node.checkpoint n)

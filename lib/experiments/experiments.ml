@@ -834,15 +834,14 @@ let e12 =
             none with
             seed = 900 + budget;
             crashpoints =
-              {
-                none.crashpoints with
-                recovery_analysis = 0.15;
-                recovery_redo = 0.2;
-                recovery_pre_undo = 0.1;
-                recovery_undo = 0.15;
-                recovery_checkpoint = 0.1;
-                budget;
-              };
+              Repro_fault.Fault_plan.crashpoints ~budget
+                [
+                  (Recovery_analysis, 0.15);
+                  (Recovery_redo, 0.2);
+                  (Recovery_pre_undo, 0.1);
+                  (Recovery_undo, 0.15);
+                  (Recovery_checkpoint, 0.1);
+                ];
           }
       in
       let cluster =

@@ -46,18 +46,86 @@ type disk = {
   corrupt : float;  (* given torn: bit-flip a whole record vs short write *)
 }
 
+(* The protocol windows a node can crash in.  Each has a slot in the
+   plan's probability table ([point_index]) and a name ([point_name]):
+   both are exhaustive matches, so a new point does not compile until
+   it has the two. *)
+type point =
+  | Commit_force  (* commit record appended, force not yet issued *)
+  | Checkpoint  (* checkpoint forced, master record not yet updated *)
+  | Page_ship  (* dirty page copy about to leave the node *)
+  | Rollback  (* between two undo steps of an abort *)
+  | Recovery_analysis  (* restart: analysis done, redo not started *)
+  | Recovery_redo  (* restart: probed every K applied redo records *)
+  | Recovery_pre_undo  (* restart: redo complete, undo not started *)
+  | Recovery_undo  (* restart: between two loser rollbacks *)
+  | Recovery_checkpoint  (* restart: before the end-of-restart checkpoint *)
+
+let points =
+  [
+    Commit_force;
+    Checkpoint;
+    Page_ship;
+    Rollback;
+    Recovery_analysis;
+    Recovery_redo;
+    Recovery_pre_undo;
+    Recovery_undo;
+    Recovery_checkpoint;
+  ]
+
+let point_index = function
+  | Commit_force -> 0
+  | Checkpoint -> 1
+  | Page_ship -> 2
+  | Rollback -> 3
+  | Recovery_analysis -> 4
+  | Recovery_redo -> 5
+  | Recovery_pre_undo -> 6
+  | Recovery_undo -> 7
+  | Recovery_checkpoint -> 8
+
+let point_name = function
+  | Commit_force -> "commit-force"
+  | Checkpoint -> "checkpoint"
+  | Page_ship -> "page-ship"
+  | Rollback -> "rollback"
+  | Recovery_analysis -> "recovery-analysis"
+  | Recovery_redo -> "recovery-redo"
+  | Recovery_pre_undo -> "recovery-pre-undo"
+  | Recovery_undo -> "recovery-undo"
+  | Recovery_checkpoint -> "recovery-checkpoint"
+
+(* [(restart, lo, span)]: whether the point lies inside restart (the
+   recovery class) and the range [lo, lo + span) [generate] draws its
+   probability from. *)
+let draw_range = function
+  | Commit_force -> (false, 0.002, 0.008)
+  | Checkpoint -> (false, 0.05, 0.20)
+  | Page_ship -> (false, 0.001, 0.004)
+  | Rollback -> (false, 0.002, 0.010)
+  | Recovery_analysis -> (true, 0.10, 0.25)
+  | Recovery_redo -> (true, 0.01, 0.04)
+  | Recovery_pre_undo -> (true, 0.05, 0.15)
+  | Recovery_undo -> (true, 0.05, 0.15)
+  | Recovery_checkpoint -> (true, 0.05, 0.15)
+
+let in_restart p =
+  let restart, _, _ = draw_range p in
+  restart
+
 type crashpoints = {
-  commit_force : float;  (* commit record appended, force not yet issued *)
-  checkpoint : float;  (* checkpoint forced, master record not yet updated *)
-  page_ship : float;  (* dirty page copy about to leave the node *)
-  rollback : float;  (* between two undo steps of an abort *)
-  recovery_analysis : float;  (* restart: analysis done, redo not started *)
-  recovery_redo : float;  (* restart: probed every K applied redo records *)
-  recovery_pre_undo : float;  (* restart: redo complete, undo not started *)
-  recovery_undo : float;  (* restart: between two loser rollbacks *)
-  recovery_checkpoint : float;  (* restart: before the end-of-restart checkpoint *)
   budget : int;  (* total injected crashes allowed per run *)
+  probs : float array;  (* per-probe crash chance, indexed by [point_index] *)
 }
+
+let crashpoints ~budget set =
+  let probs = Array.make (List.length points) 0. in
+  List.iter (fun (p, x) -> probs.(point_index p) <- x) set;
+  { budget; probs }
+
+let budget c = c.budget
+let prob c p = c.probs.(point_index p)
 
 type t = { seed : int; net : net; disk : disk; crashpoints : crashpoints }
 
@@ -75,20 +143,7 @@ let quiet_net =
 
 let quiet_disk = { torn = 0.; corrupt = 0. }
 
-let quiet_crashpoints =
-  {
-    commit_force = 0.;
-    checkpoint = 0.;
-    page_ship = 0.;
-    rollback = 0.;
-    recovery_analysis = 0.;
-    recovery_redo = 0.;
-    recovery_pre_undo = 0.;
-    recovery_undo = 0.;
-    recovery_checkpoint = 0.;
-    budget = 0;
-  }
-
+let quiet_crashpoints = crashpoints ~budget:0 []
 let none = { seed = 0; net = quiet_net; disk = quiet_disk; crashpoints = quiet_crashpoints }
 
 (* Draw a plan's magnitudes from [rng].  The plan carries its own seed:
@@ -118,39 +173,42 @@ let generate rng ~classes =
     if not want_disk then quiet_disk
     else { torn = 0.4 +. Rng.float rng 0.5; corrupt = Rng.float rng 1.0 }
   in
-  let crashpoints =
-    if not want_crashpoints then quiet_crashpoints
-    else
-      {
-        quiet_crashpoints with
-        commit_force = 0.002 +. Rng.float rng 0.008;
-        checkpoint = 0.05 +. Rng.float rng 0.20;
-        page_ship = 0.001 +. Rng.float rng 0.004;
-        rollback = 0.002 +. Rng.float rng 0.010;
-        budget = 1 + Rng.int rng 3;
-      }
+  (* Each class draws its points' probabilities in reverse declaration
+     order, the crash class after its budget and the recovery class
+     before its own: every historical faulted seed depends on this
+     order.  The recovery class draws after every other class, so a
+     plan generated without it consumes the stream older versions
+     consumed. *)
+  let probs = Array.make (List.length points) 0. in
+  let draw ~restart =
+    List.iter
+      (fun p ->
+        let r, lo, span = draw_range p in
+        if r = restart then probs.(point_index p) <- lo +. Rng.float rng span)
+      (List.rev points)
   in
-  (* The recovery-class draws come after every legacy draw, so a plan
-     generated without the class consumes the exact stream older
-     versions consumed — replays of historical seeds stay bit-identical. *)
-  let crashpoints =
-    if not want_recovery then crashpoints
-    else
-      let c =
-        {
-          crashpoints with
-          recovery_analysis = 0.10 +. Rng.float rng 0.25;
-          recovery_redo = 0.01 +. Rng.float rng 0.04;
-          recovery_pre_undo = 0.05 +. Rng.float rng 0.15;
-          recovery_undo = 0.05 +. Rng.float rng 0.15;
-          recovery_checkpoint = 0.05 +. Rng.float rng 0.15;
-        }
-      in
-      if want_crashpoints then c else { c with budget = 1 + Rng.int rng 3 }
+  let budget =
+    if not want_crashpoints then 0
+    else begin
+      let budget = 1 + Rng.int rng 3 in
+      draw ~restart:false;
+      budget
+    end
   in
-  { seed; net; disk; crashpoints }
+  let budget =
+    if not want_recovery then budget
+    else begin
+      draw ~restart:true;
+      if want_crashpoints then budget else 1 + Rng.int rng 3
+    end
+  in
+  { seed; net; disk; crashpoints = { budget; probs } }
 
 (* ---- JSON (dump / replay) ---- *)
+
+(* "commit_force" for [Commit_force]: the keys plans have always been
+   dumped under. *)
+let json_key p = String.map (function '-' -> '_' | c -> c) (point_name p)
 
 let to_json t =
   Json.Obj
@@ -172,18 +230,8 @@ let to_json t =
         Json.Obj [ ("torn", Json.Float t.disk.torn); ("corrupt", Json.Float t.disk.corrupt) ] );
       ( "crashpoints",
         Json.Obj
-          [
-            ("commit_force", Json.Float t.crashpoints.commit_force);
-            ("checkpoint", Json.Float t.crashpoints.checkpoint);
-            ("page_ship", Json.Float t.crashpoints.page_ship);
-            ("rollback", Json.Float t.crashpoints.rollback);
-            ("recovery_analysis", Json.Float t.crashpoints.recovery_analysis);
-            ("recovery_redo", Json.Float t.crashpoints.recovery_redo);
-            ("recovery_pre_undo", Json.Float t.crashpoints.recovery_pre_undo);
-            ("recovery_undo", Json.Float t.crashpoints.recovery_undo);
-            ("recovery_checkpoint", Json.Float t.crashpoints.recovery_checkpoint);
-            ("budget", Json.Int t.crashpoints.budget);
-          ] );
+          (List.map (fun p -> (json_key p, Json.Float (prob t.crashpoints p))) points
+          @ [ ("budget", Json.Int t.crashpoints.budget) ]) );
     ]
 
 let fnum j name ~default =
@@ -223,17 +271,7 @@ let of_json j =
     match Json.member "crashpoints" j with
     | None -> quiet_crashpoints
     | Some c ->
-      {
-        commit_force = fnum c "commit_force" ~default:0.;
-        checkpoint = fnum c "checkpoint" ~default:0.;
-        page_ship = fnum c "page_ship" ~default:0.;
-        rollback = fnum c "rollback" ~default:0.;
-        recovery_analysis = fnum c "recovery_analysis" ~default:0.;
-        recovery_redo = fnum c "recovery_redo" ~default:0.;
-        recovery_pre_undo = fnum c "recovery_pre_undo" ~default:0.;
-        recovery_undo = fnum c "recovery_undo" ~default:0.;
-        recovery_checkpoint = fnum c "recovery_checkpoint" ~default:0.;
-        budget = inum c "budget" ~default:0;
-      }
+      crashpoints ~budget:(inum c "budget" ~default:0)
+        (List.map (fun p -> (p, fnum c (json_key p) ~default:0.)) points)
   in
   { seed; net; disk; crashpoints }

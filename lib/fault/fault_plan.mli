@@ -27,18 +27,41 @@ type net = {
 
 type disk = { torn : float; corrupt : float }
 
-type crashpoints = {
-  commit_force : float;
-  checkpoint : float;
-  page_ship : float;
-  rollback : float;
-  recovery_analysis : float;
-  recovery_redo : float;
-  recovery_pre_undo : float;
-  recovery_undo : float;
-  recovery_checkpoint : float;
-  budget : int;
-}
+(** {1 Crash points} *)
+
+(** The protocol windows a node can crash in. *)
+type point =
+  | Commit_force  (** commit record appended, force not yet issued *)
+  | Checkpoint  (** checkpoint forced, master record not yet updated *)
+  | Page_ship  (** dirty page copy about to leave the node *)
+  | Rollback  (** between two undo steps of an abort *)
+  | Recovery_analysis  (** restart: analysis done, redo not started *)
+  | Recovery_redo  (** restart: probed every K applied redo records *)
+  | Recovery_pre_undo  (** restart: redo complete, undo not started *)
+  | Recovery_undo  (** restart: between two loser rollbacks *)
+  | Recovery_checkpoint  (** restart: before the end-of-restart checkpoint *)
+
+val points : point list
+(** Every point, in declaration order. *)
+
+val point_name : point -> string
+(** ["commit-force"], …: the [point] attribute of [fault.crash] events.
+    With ['-'] read as ['_'] it is also the point's key in {!to_json}. *)
+
+val in_restart : point -> bool
+(** The point lies inside restart: it belongs to the [recovery] class. *)
+
+type crashpoints
+(** The crash budget (total injected crashes allowed per run) and one
+    per-probe crash probability for each point. *)
+
+val crashpoints : budget:int -> (point * float) list -> crashpoints
+(** Points left out of the list get probability zero. *)
+
+val budget : crashpoints -> int
+
+val prob : crashpoints -> point -> float
+(** The chance the point crashes the node each time it is probed. *)
 
 type t = { seed : int; net : net; disk : disk; crashpoints : crashpoints }
 

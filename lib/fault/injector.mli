@@ -57,20 +57,7 @@ val on_crash_tail : t -> tail_len:int -> header:int -> first_framed:int option -
 
 (** {1 Crash points} *)
 
-type point =
-  | Commit_force
-  | Checkpoint
-  | Page_ship
-  | Rollback
-  | Recovery_analysis
-  | Recovery_redo
-  | Recovery_pre_undo
-  | Recovery_undo
-  | Recovery_checkpoint
-
-val point_name : point -> string
-
-val crashpoint : t -> point -> bool
+val crashpoint : t -> Fault_plan.point -> bool
 (** [true]: crash the node here.  Bounded by the plan's crash budget.
     A point whose plan probability is zero never consumes randomness,
     so probing new points on old plans leaves their streams intact. *)

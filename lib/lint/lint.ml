@@ -16,7 +16,6 @@ type source = { rel : string; ast : ast }
 type ctx = {
   root : string;
   sources : source list;
-  files : string list;
   report :
     ?severity:severity -> rule:string -> file:string -> line:int -> col:int -> string -> unit;
 }
@@ -33,7 +32,6 @@ type result = {
   findings : finding list;
   files_scanned : int;
   suppressed : int;
-  allowlisted : int;
   rule_seconds : (string * float) list;
 }
 
@@ -199,48 +197,6 @@ let is_suppressed suppressions ~rule ~file ~line =
     suppressions
 
 (* ------------------------------------------------------------------ *)
-(* Allowlist file                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Grandfathered violations: one "rule-id file[:line]" per line.  The
-   repo's own allowlist must stay empty — the file exists so a future
-   emergency has an escape hatch that is visible in review. *)
-type allow_entry = { a_rule : string; a_file : string; a_line : int option }
-
-let parse_allowlist_line line =
-  let line = String.trim line in
-  if line = "" || line.[0] = '#' then None
-  else
-    match String.index_opt line ' ' with
-    | None -> None
-    | Some i ->
-      let rule = String.sub line 0 i in
-      let target = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-      (match String.rindex_opt target ':' with
-      | Some j when int_of_string_opt (String.sub target (j + 1) (String.length target - j - 1)) <> None ->
-        Some
-          {
-            a_rule = rule;
-            a_file = String.sub target 0 j;
-            a_line = int_of_string_opt (String.sub target (j + 1) (String.length target - j - 1));
-          }
-      | _ -> Some { a_rule = rule; a_file = target; a_line = None })
-
-let load_allowlist = function
-  | None -> []
-  | Some path ->
-    if not (Sys.file_exists path) then []
-    else
-      read_file path |> String.split_on_char '\n' |> List.filter_map parse_allowlist_line
-
-let is_allowlisted allow ~rule ~file ~line =
-  List.exists
-    (fun a ->
-      a.a_rule = rule && a.a_file = file
-      && match a.a_line with None -> true | Some l -> l = line)
-    allow
-
-(* ------------------------------------------------------------------ *)
 (* Driving                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -267,17 +223,15 @@ let parse_tree ~root ~paths =
     files;
   (files, List.rev !sources, List.rev !parse_findings)
 
-let run ?allowlist_file ?(clock = fun () -> 0.) ~root ~paths ~rules () =
+let run ?(clock = fun () -> 0.) ~root ~paths ~rules () =
   let files, sources, parse_findings = parse_tree ~root ~paths in
   let suppressions = collect_suppressions sources in
-  let allow = load_allowlist allowlist_file in
-  let findings = ref [] and suppressed = ref 0 and allowlisted = ref 0 in
+  let findings = ref [] and suppressed = ref 0 in
   let report ?(severity = Error) ~rule ~file ~line ~col msg =
     if is_suppressed suppressions ~rule ~file ~line then incr suppressed
-    else if is_allowlisted allow ~rule ~file ~line then incr allowlisted
     else findings := { rule; severity; file; line; col; msg } :: !findings
   in
-  let ctx = { root; sources; files; report } in
+  let ctx = { root; sources; report } in
   let rule_seconds =
     List.map
       (fun r ->
@@ -290,7 +244,6 @@ let run ?allowlist_file ?(clock = fun () -> 0.) ~root ~paths ~rules () =
     findings = List.sort compare_finding (parse_findings @ !findings);
     files_scanned = List.length files;
     suppressed = !suppressed;
-    allowlisted = !allowlisted;
     rule_seconds;
   }
 
@@ -310,7 +263,6 @@ let result_to_json ~rules r =
       ("rules", J.List (List.map (fun rule -> J.Str rule.id) rules));
       ("files_scanned", J.Int r.files_scanned);
       ("suppressed", J.Int r.suppressed);
-      ("allowlisted", J.Int r.allowlisted);
       ("ok", J.Bool (ok r));
       ( "rule_seconds",
         J.Obj (List.map (fun (id, s) -> (id, J.Float s)) r.rule_seconds) );

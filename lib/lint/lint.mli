@@ -6,14 +6,11 @@
     no build-order coupling) and runs a registry of {!rule}s.  Each rule
     reports {!finding}s with a precise [file:line:col] location.
 
-    Findings can be silenced two ways:
-    - inline, with an attribute naming the rule id —
-      [(expr [@cbl.lint.allow "rule-id"])] on an expression,
-      [[@@cbl.lint.allow "rule-id"]] on a binding, or a floating
-      [[@@@cbl.lint.allow "rule-id"]] for the whole file;
-    - via an allowlist file of grandfathered violations (one
-      [rule-id file[:line]] entry per line, [#] comments), which this
-      repo keeps empty. *)
+    A finding can be silenced only inline, with an attribute naming the
+    rule id — [(expr [@cbl.lint.allow "rule-id"])] on an expression,
+    [[@@cbl.lint.allow "rule-id"]] on a binding, or a floating
+    [[@@@cbl.lint.allow "rule-id"]] for the whole file — so every
+    exception sits, with its reason, next to the code it excuses. *)
 
 type severity = Error | Warning
 
@@ -35,7 +32,6 @@ type source = { rel : string; ast : ast }
 type ctx = {
   root : string;  (** the repo root [run] was pointed at *)
   sources : source list;  (** parsed files, in path order *)
-  files : string list;  (** every discovered file, parsed or not *)
   report :
     ?severity:severity -> rule:string -> file:string -> line:int -> col:int -> string -> unit;
 }
@@ -50,7 +46,6 @@ type result = {
   findings : finding list;  (** unsuppressed, sorted by file/line/col *)
   files_scanned : int;
   suppressed : int;  (** silenced by an inline [@cbl.lint.allow] *)
-  allowlisted : int;  (** silenced by the allowlist file *)
   rule_seconds : (string * float) list;
       (** per-rule wall time under [clock], in registry order; all zero
           when no clock is injected *)
@@ -62,7 +57,6 @@ val parse_tree :
     it to time parsing separately from summary extraction and rules. *)
 
 val run :
-  ?allowlist_file:string ->
   ?clock:(unit -> float) ->
   root:string ->
   paths:string list ->

@@ -110,7 +110,7 @@ let direct config (g : Callgraph.t) id =
         | Summary.Rng_draw { name } ->
           if checked && not (List.mem file config.rng_impl) then
             draws := cov ("Rng." ^ name) :: !draws
-        | Summary.Call _ | Summary.Field_call _ | Summary.Crashpoint _ -> ())
+        | Summary.Call _ | Summary.Field_call _ -> ())
       fn.Summary.sites;
     (!sweep, !elr, !seed, !raises, !forces, !releases, !draws)
 

@@ -36,27 +36,6 @@ let iter_exprs_in_expr f expr =
   in
   it.expr it expr
 
-(* The top-level value bindings of a structure, descending into plain
-   sub-modules and functors: the granularity at which "paired in the
-   same enclosing function" is judged. *)
-let top_level_bindings structure =
-  let acc = ref [] in
-  let rec item i =
-    match i.pstr_desc with
-    | Pstr_value (_, vbs) -> List.iter (fun vb -> acc := vb :: !acc) vbs
-    | Pstr_module mb -> module_expr mb.pmb_expr
-    | Pstr_recmodule mbs -> List.iter (fun mb -> module_expr mb.pmb_expr) mbs
-    | _ -> ()
-  and module_expr me =
-    match me.pmod_desc with
-    | Pmod_structure s -> List.iter item s
-    | Pmod_functor (_, body) -> module_expr body
-    | Pmod_constraint (inner, _) -> module_expr inner
-    | _ -> ()
-  in
-  List.iter item structure;
-  List.rev !acc
-
 (* Does [p] match every exception?  Returns the bound name for the
    re-raise exemption ([Some None] for [_], [Some (Some v)] for a
    variable or alias). *)
@@ -84,9 +63,6 @@ let reraises name body =
       | _ -> ())
     body;
   !found
-
-let binding_name vb =
-  match vb.pvb_pat.ppat_desc with Ppat_var v -> Some v.Asttypes.txt | _ -> None
 
 let ends_with suffix s = String.ends_with ~suffix s
 
@@ -253,193 +229,7 @@ let rng_discipline =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 4: crashpoint-registry                                         *)
-(* ------------------------------------------------------------------ *)
-
-let injector_files = [ "lib/fault/injector.ml"; "lib/fault/injector.mli" ]
-let fault_plan_files = [ "lib/fault/fault_plan.ml"; "lib/fault/fault_plan.mli" ]
-
-let type_decls_of ast =
-  let acc = ref [] in
-  let open Ast_iterator in
-  let it =
-    {
-      default_iterator with
-      type_declaration =
-        (fun self td ->
-          acc := td :: !acc;
-          default_iterator.type_declaration self td);
-    }
-  in
-  (match ast with
-  | Lint.Impl s -> it.structure it s
-  | Lint.Intf s -> it.signature it s);
-  !acc
-
-let crashpoint_registry =
-  {
-    Lint.id = "crashpoint-registry";
-    doc =
-      "crash points passed to maybe_crashpoint, the Injector.point constructors and the \
-       Fault_plan.crashpoints fields must agree (and every declared point must be exercised)";
-    check =
-      (fun ctx ->
-        (* Pass 1: the symbol table. *)
-        let declared = ref [] (* (ctor, loc), from Injector.point *)
-        and fields = ref [] (* (field, loc), from Fault_plan.crashpoints *)
-        and uses = ref [] (* (ctor, loc), maybe_crashpoint call sites *) in
-        List.iter
-          (fun { Lint.rel; ast } ->
-            if List.mem rel injector_files then
-              List.iter
-                (fun td ->
-                  if td.ptype_name.Asttypes.txt = "point" then
-                    match td.ptype_kind with
-                    | Ptype_variant ctors ->
-                      List.iter
-                        (fun cd ->
-                          let name = cd.pcd_name.Asttypes.txt in
-                          if not (List.mem_assoc name !declared) then
-                            declared := (name, cd.pcd_loc) :: !declared)
-                        ctors
-                    | _ -> ())
-                (type_decls_of ast);
-            if List.mem rel fault_plan_files then
-              List.iter
-                (fun td ->
-                  if td.ptype_name.Asttypes.txt = "crashpoints" then
-                    match td.ptype_kind with
-                    | Ptype_record labels ->
-                      List.iter
-                        (fun ld ->
-                          let name = ld.pld_name.Asttypes.txt in
-                          (* budget bounds the injector, it is not a point *)
-                          if name <> "budget" && not (List.mem_assoc name !fields) then
-                            fields := (name, ld.pld_loc) :: !fields)
-                        labels
-                    | _ -> ())
-                (type_decls_of ast);
-            match ast with
-            | Lint.Intf _ -> ()
-            | Lint.Impl structure ->
-              iter_exprs_in_structure
-                (fun e ->
-                  match e.pexp_desc with
-                  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
-                    when last_component txt = "maybe_crashpoint" ->
-                    List.iter
-                      (fun (_, (arg : expression)) ->
-                        match arg.pexp_desc with
-                        | Pexp_construct ({ txt = ctor; loc }, None) ->
-                          uses := (last_component ctor, loc) :: !uses
-                        | _ -> ())
-                      args
-                  | _ -> ())
-                structure)
-          ctx.Lint.sources;
-        (* Pass 2: consistency.  Skipped entirely when the registry
-           modules are outside the linted path set. *)
-        if !declared <> [] && !fields <> [] then begin
-          let field_of ctor = String.lowercase_ascii ctor in
-          List.iter
-            (fun (ctor, loc) ->
-              if not (List.mem_assoc ctor !declared) then
-                Lint.report_loc ctx ~rule:"crashpoint-registry" loc
-                  (Printf.sprintf "crash point %s is not declared in Injector.point" ctor))
-            (List.rev !uses);
-          List.iter
-            (fun (ctor, loc) ->
-              if not (List.mem_assoc (field_of ctor) !fields) then
-                Lint.report_loc ctx ~rule:"crashpoint-registry" loc
-                  (Printf.sprintf
-                     "crash point %s has no %s probability field in Fault_plan.crashpoints \
-                      — plans cannot schedule it"
-                     ctor (field_of ctor));
-              if !uses <> [] && not (List.mem_assoc ctor !uses) then
-                Lint.report_loc ctx ~rule:"crashpoint-registry" loc
-                  (Printf.sprintf
-                     "crash point %s is declared but never passed to maybe_crashpoint: the \
-                      protocol window it names is not exercised"
-                     ctor))
-            (List.rev !declared);
-          List.iter
-            (fun (field, loc) ->
-              if not (List.exists (fun (ctor, _) -> field_of ctor = field) !declared) then
-                Lint.report_loc ctx ~rule:"crashpoint-registry" loc
-                  (Printf.sprintf
-                     "Fault_plan.crashpoints field %s has no matching Injector.point \
-                      constructor"
-                     field))
-            (List.rev !fields)
-        end);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Rule 5: event-codec-exhaustive                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Functions that must stay total over Event.kind, per file: the codec
-   itself, plus the offline analyses that consume every event — a new
-   event kind must fail to compile (or lint) until each of them has
-   made a conscious decision about it, including "explicitly ignored". *)
-let codec_fn_table =
-  [
-    ( "lib/obs/event.ml",
-      [ "kind_name"; "kind_of_name"; "json_value"; "to_json"; "of_json" ],
-      "a new event kind would serialize wrong silently" );
-    ( "lib/obs/critical_path.ml",
-      [ "classify_kind"; "analyze" ],
-      "a new event kind would fall out of commit-latency attribution silently" );
-    ( "lib/obs/audit.ml",
-      [ "dispatch" ],
-      "a new event kind would bypass the protocol auditor silently" );
-  ]
-
-let event_codec_exhaustive =
-  {
-    Lint.id = "event-codec-exhaustive";
-    doc =
-      "the Event codec and its analysis consumers (Critical_path, Audit) must not use a \
-       wildcard case over events: a new event kind must fail to compile until its encoding, \
-       attribution and audit handling are written";
-    check =
-      (fun ctx ->
-        List.iter
-          (fun { Lint.rel; ast } ->
-            match ast with
-            | Lint.Intf _ -> ()
-            | Lint.Impl structure -> (
-              match
-                List.find_opt (fun (file, _, _) -> file = rel) codec_fn_table
-              with
-              | None -> ()
-              | Some (_, fns, why) ->
-                List.iter
-                  (fun vb ->
-                    match binding_name vb with
-                    | Some name when List.mem name fns ->
-                      iter_exprs_in_expr
-                        (fun e ->
-                          match e.pexp_desc with
-                          | Pexp_function cases | Pexp_match (_, cases) ->
-                            List.iter
-                              (fun c ->
-                                match catch_all c.pc_lhs with
-                                | Some _ ->
-                                  Lint.report_loc ctx ~rule:"event-codec-exhaustive"
-                                    c.pc_lhs.ppat_loc
-                                    (Printf.sprintf "wildcard case in %s: %s" name why)
-                                | None -> ())
-                              cases
-                          | _ -> ())
-                        vb.pvb_expr
-                    | Some _ | None -> ())
-                  (top_level_bindings structure)))
-          ctx.Lint.sources);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Rule 6: no-poly-compare                                             *)
+(* Rule 4: no-poly-compare                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Identifier names that, in this codebase, denote mutable protocol
@@ -496,26 +286,7 @@ let no_poly_compare =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 7: mli-coverage                                                *)
-(* ------------------------------------------------------------------ *)
-
-let mli_coverage =
-  {
-    Lint.id = "mli-coverage";
-    doc = "every lib/**/*.ml has a sibling .mli narrowing what the rest of the tree may touch";
-    check =
-      (fun ctx ->
-        List.iter
-          (fun rel ->
-            if in_lib rel && Filename.check_suffix rel ".ml"
-               && not (List.mem (rel ^ "i") ctx.Lint.files) then
-              ctx.Lint.report ~rule:"mli-coverage" ~file:rel ~line:1 ~col:0
-                "module has no .mli: its whole namespace is exposed library-wide")
-          ctx.Lint.files);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Rule 8: no-unsafe-obj                                               *)
+(* Rule 5: no-unsafe-obj                                               *)
 (* ------------------------------------------------------------------ *)
 
 let no_unsafe_obj =
@@ -542,7 +313,7 @@ let no_unsafe_obj =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 9: ipc-elr-pairing (interprocedural ELR release/record)        *)
+(* Rule 6: ipc-elr-pairing (interprocedural ELR release/record)        *)
 (* ------------------------------------------------------------------ *)
 
 let ipc_elr_pairing =
@@ -567,7 +338,7 @@ let ipc_elr_pairing =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 10: exn-flow                                                   *)
+(* Rule 7: exn-flow                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let exn_flow =
@@ -594,7 +365,7 @@ let exn_flow =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 11: dead-handler                                               *)
+(* Rule 8: dead-handler                                                *)
 (* ------------------------------------------------------------------ *)
 
 let dead_handler =
@@ -629,7 +400,7 @@ let dead_handler =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 12: rng-reachability                                           *)
+(* Rule 9: rng-reachability                                            *)
 (* ------------------------------------------------------------------ *)
 
 let rng_reachability =
@@ -658,10 +429,7 @@ let all =
     ipc_force_sweep;
     swallowed_control_exn;
     rng_discipline;
-    crashpoint_registry;
-    event_codec_exhaustive;
     no_poly_compare;
-    mli_coverage;
     no_unsafe_obj;
     ipc_elr_pairing;
     exn_flow;

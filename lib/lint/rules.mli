@@ -16,17 +16,9 @@
     - [rng-discipline] — stdlib [Random] only in the designated RNG
       module; no [Random.self_init]/[Unix.gettimeofday]/[Sys.time] in
       [lib/] (seed replay must stay bit-identical).
-    - [crashpoint-registry] — the crash points passed to
-      [Node.maybe_crashpoint], the [Injector.point] constructors and
-      the [Fault_plan.crashpoints] fields must agree (two-pass symbol
-      table).
-    - [event-codec-exhaustive] — the [Event] codec functions must not
-      use a wildcard case, so a new event kind cannot serialize wrong
-      silently.
     - [no-poly-compare] — no polymorphic [=]/[compare]/[Hashtbl.hash]
       on identifiers naming mutable protocol state (frames, pages,
       descriptors); use the module's explicit [equal].
-    - [mli-coverage] — every [lib/**/*.ml] has a sibling [.mli].
     - [no-unsafe-obj] — no [Obj.*] in [lib/].
     - [ipc-elr-pairing] — an early lock release outside [lib/lock]
       must have an [elr_record_release] reachable in its call
@@ -38,7 +30,13 @@
     - [dead-handler] — an explicit [Would_block] handler must be
       feedable by something its guarded body reaches.
     - [rng-reachability] — sim-RNG draws in [lib/] must be reachable
-      from a seeded ([Rng.create]/[Rng.split]) root. *)
+      from a seeded ([Rng.create]/[Rng.split]) root.
+
+    What the compiler can check is left to it, not to a rule: the crash
+    points are one variant matched exhaustively ([Fault_plan.point]),
+    the [Event] codec and its consumers build with warning 4 (fragile
+    match) as an error, and [lib/dune] makes warning 70 (missing
+    [.mli]) an error. *)
 
 val all : Lint.rule list
 (** In reporting order; ids are unique. *)

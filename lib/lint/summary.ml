@@ -64,7 +64,6 @@ type site_kind =
   | Elr_record
   | Rng_draw of { name : string }
   | Rng_seed of { name : string }
-  | Crashpoint of { name : string }
 
 type site = {
   kind : site_kind;
@@ -271,17 +270,7 @@ let extract_body body =
              { label = (match arg with Some a -> label_of_reason a | None -> Would_block) })
           loc
       | _ -> ())
-    else begin
-      if name = "maybe_crashpoint" && applied then
-        List.iter
-          (fun (_, (a : expression)) ->
-            match a.pexp_desc with
-            | Pexp_construct ({ txt = c; loc = cl }, None) ->
-              add (Crashpoint { name = last_component c }) cl
-            | _ -> ())
-          args;
-      add_call ()
-    end
+    else add_call ()
   in
   let record_handler ~scrutinee case =
     if case.pc_guard = None then begin
@@ -479,7 +468,6 @@ let kind_to_json = function
   | Elr_record -> J.Obj [ ("k", J.Str "elr_record") ]
   | Rng_draw { name } -> J.Obj [ ("k", J.Str "rng_draw"); ("name", J.Str name) ]
   | Rng_seed { name } -> J.Obj [ ("k", J.Str "rng_seed"); ("name", J.Str name) ]
-  | Crashpoint { name } -> J.Obj [ ("k", J.Str "crashpoint"); ("name", J.Str name) ]
 
 let site_to_json s =
   J.Obj

@@ -40,7 +40,6 @@ type site_kind =
   | Elr_record
   | Rng_draw of { name : string }
   | Rng_seed of { name : string }
-  | Crashpoint of { name : string }
 
 type site = {
   kind : site_kind;

@@ -48,6 +48,9 @@
    replaying them from a suffix would fabricate violations — and the
    report says so. *)
 
+(* Fragile matches (warning 4) are errors: see Event. *)
+[@@@warning "+4"]
+
 type violation = { invariant : string; time : float; node : int; detail : string }
 
 type report = {

@@ -30,6 +30,9 @@
    this transaction.  The module is deliberately offline: it consumes
    an [Event.t list] and touches nothing in the simulator. *)
 
+(* Fragile matches (warning 4) are errors: see Event. *)
+[@@@warning "+4"]
+
 (* The components an event's own duration feeds; lock_wait and
    batch_wait come only from markers. *)
 type component = Log_force_time | Network | Owner_service

@@ -1,3 +1,8 @@
+(* Fragile matches (warning 4) are errors in this file, as in the
+   Critical_path and Audit consumers: a new event kind or attribute
+   type must not fall into a [_] case unnoticed. *)
+[@@@warning "+4"]
+
 type value = Int of int | Float of float | Str of string | Bool of bool
 
 type kind =
@@ -180,9 +185,14 @@ let of_json j =
 (* ---- attr accessors (used by the trace analyses) ---- *)
 
 let attr e key = List.assoc_opt key e.attrs
-let attr_int e key = match attr e key with Some (Int i) -> Some i | _ -> None
+let attr_int e key =
+  match attr e key with Some (Int i) -> Some i | Some (Float _ | Str _ | Bool _) | None -> None
 
 let attr_float e key =
-  match attr e key with Some (Float f) -> Some f | Some (Int i) -> Some (float_of_int i) | _ -> None
+  match attr e key with
+  | Some (Float f) -> Some f
+  | Some (Int i) -> Some (float_of_int i)
+  | Some (Str _ | Bool _) | None -> None
 
-let attr_str e key = match attr e key with Some (Str s) -> Some s | _ -> None
+let attr_str e key =
+  match attr e key with Some (Str s) -> Some s | Some (Int _ | Float _ | Bool _) | None -> None

@@ -58,32 +58,57 @@ let test_plan_json_recovery_fields () =
       Fault_plan.none with
       Fault_plan.seed = 77;
       crashpoints =
-        {
-          Fault_plan.commit_force = 0.;
-          checkpoint = 0.;
-          page_ship = 0.;
-          rollback = 0.;
-          recovery_analysis = 0.11;
-          recovery_redo = 0.22;
-          recovery_pre_undo = 0.33;
-          recovery_undo = 0.44;
-          recovery_checkpoint = 0.55;
-          budget = 3;
-        };
+        Fault_plan.crashpoints ~budget:3
+          [
+            (Recovery_analysis, 0.11);
+            (Recovery_redo, 0.22);
+            (Recovery_pre_undo, 0.33);
+            (Recovery_undo, 0.44);
+            (Recovery_checkpoint, 0.55);
+          ];
     }
   in
   let c = (Fault_plan.of_json (Json.of_string (Json.to_string (Fault_plan.to_json plan)))).Fault_plan.crashpoints in
-  Alcotest.(check (float 0.)) "analysis" 0.11 c.Fault_plan.recovery_analysis;
-  Alcotest.(check (float 0.)) "redo" 0.22 c.Fault_plan.recovery_redo;
-  Alcotest.(check (float 0.)) "pre-undo" 0.33 c.Fault_plan.recovery_pre_undo;
-  Alcotest.(check (float 0.)) "undo" 0.44 c.Fault_plan.recovery_undo;
-  Alcotest.(check (float 0.)) "checkpoint" 0.55 c.Fault_plan.recovery_checkpoint;
-  Alcotest.(check int) "budget" 3 c.Fault_plan.budget;
+  Alcotest.(check (float 0.)) "analysis" 0.11 (Fault_plan.prob c Recovery_analysis);
+  Alcotest.(check (float 0.)) "redo" 0.22 (Fault_plan.prob c Recovery_redo);
+  Alcotest.(check (float 0.)) "pre-undo" 0.33 (Fault_plan.prob c Recovery_pre_undo);
+  Alcotest.(check (float 0.)) "undo" 0.44 (Fault_plan.prob c Recovery_undo);
+  Alcotest.(check (float 0.)) "checkpoint" 0.55 (Fault_plan.prob c Recovery_checkpoint);
+  Alcotest.(check int) "budget" 3 (Fault_plan.budget c);
   (* generating with the recovery class actually arms them *)
   let gen = Fault_plan.generate (Rng.create 7) ~classes:{ Fault_plan.no_classes with Fault_plan.recovery = true } in
   Alcotest.(check bool) "generated recovery probabilities are live" true
-    (gen.Fault_plan.crashpoints.Fault_plan.recovery_analysis > 0.
-    && gen.Fault_plan.crashpoints.Fault_plan.recovery_redo > 0.)
+    (Fault_plan.prob gen.Fault_plan.crashpoints Recovery_analysis > 0.
+    && Fault_plan.prob gen.Fault_plan.crashpoints Recovery_redo > 0.)
+
+(* Digests of [Json.to_string (to_json (generate (Rng.create seed)))]
+   for three seeds per class.  They pin the JSON keys, so plans dumped
+   by earlier versions still load, and the order [generate] draws in,
+   which every historical faulted seed depends on. *)
+let plan_json_digests =
+  [
+    ("all", 1, "d0962dfec6ed7ae0bff40787d0e10d99");
+    ("all", 2, "92755d3ee431a2b24e8c6eb0eadb5fba");
+    ("all", 42, "3700f1ba00096d10c02f9787f25f58a5");
+    ("recovery", 1, "bc39224d8375c90240a920943aa049cb");
+    ("recovery", 2, "e1af991dcb8ddf7dd4a03a781dc94be2");
+    ("recovery", 42, "5b96f6e14d8cd0fca1995ee685bd4b90");
+    ("crashpoints", 1, "c40fb3534b680bf8e1ce3e1469e6e5fa");
+    ("crashpoints", 2, "060a9c5884e30136eb862b52f7dbdfc8");
+    ("crashpoints", 42, "a1cad70711ce3e333a4675a041eb7b59");
+  ]
+
+let test_plan_json_golden () =
+  List.iter
+    (fun (cls, seed, digest) ->
+      let classes = Result.get_ok (Fault_plan.classes_of_string cls) in
+      let text = Json.to_string (Fault_plan.to_json (Fault_plan.generate (Rng.create seed) ~classes)) in
+      let label what = Printf.sprintf "%s seed %d: %s" cls seed what in
+      Alcotest.(check string) (label "digest") digest (Digest.to_hex (Digest.string text));
+      Alcotest.(check string)
+        (label "of_json round-trips") text
+        (Json.to_string (Fault_plan.to_json (Fault_plan.of_json (Json.of_string text)))))
+    plan_json_digests
 
 (* ---- Replay determinism ---- *)
 
@@ -285,24 +310,40 @@ let test_crashpoint_schedule () =
         Fault_plan.none with
         Fault_plan.seed = seed;
         crashpoints =
-          {
-            Fault_plan.commit_force = 0.05;
-            checkpoint = 0.2;
-            page_ship = 0.05;
-            rollback = 0.05;
-            recovery_analysis = 0.;
-            recovery_redo = 0.;
-            recovery_pre_undo = 0.;
-            recovery_undo = 0.;
-            recovery_checkpoint = 0.;
-            budget = 2;
-          };
+          Fault_plan.crashpoints ~budget:2
+            [ (Commit_force, 0.05); (Checkpoint, 0.2); (Page_ship, 0.05); (Rollback, 0.05) ];
       }
     in
     let cluster, _ = run_scenario ~plan seed in
     let g = Cluster.global_metrics cluster in
     Alcotest.(check bool) "crash budget respected" true (g.Metrics.injected_crashes <= 2)
   done
+
+(* Every declared point is placed somewhere in the protocol: traced
+   stress runs of the [all] and [recovery] classes fire each of them
+   (the last, page-ship, first at seed 43). *)
+let test_every_crashpoint_fires () =
+  let want = List.sort compare (List.map Fault_plan.point_name Fault_plan.points) in
+  let fired = Hashtbl.create 16 in
+  let recovery = { Fault_plan.no_classes with Fault_plan.recovery = true } in
+  let seed = ref 0 in
+  while Hashtbl.length fired < List.length want && !seed < 64 do
+    List.iter
+      (fun classes ->
+        let cluster, _, _ = Stress.run ~trace:true ~classes ~group_commit:false ~elr:false !seed in
+        List.iter
+          (fun e ->
+            match Repro_obs.Event.attr_str e "point" with
+            | Some p when e.Repro_obs.Event.kind = Repro_obs.Event.Fault_crash ->
+              Hashtbl.replace fired p ()
+            | Some _ | None -> ())
+          (Recorder.drain (Env.obs (Cluster.env cluster))))
+      [ Fault_plan.all_classes; recovery ];
+    incr seed
+  done;
+  Alcotest.(check (list string))
+    "fault.crash points" want
+    (List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) fired []))
 
 (* ---- Regression seeds ---- *)
 
@@ -422,6 +463,7 @@ let suite =
     ("fault classes parse", `Quick, test_classes_of_string);
     ("plan JSON round-trip", `Quick, test_plan_json_roundtrip);
     ("plan JSON keeps recovery crash points", `Quick, test_plan_json_recovery_fields);
+    ("golden: plan JSON of generated plans", `Quick, test_plan_json_golden);
     ("replay: same plan, identical trace", `Quick, test_replay_identical);
     ("replay: from dumped plan JSON", `Quick, test_replay_from_dumped_plan);
     ("disarmed injector consumes no randomness", `Quick, test_unfaulted_rng_untouched);
@@ -430,6 +472,7 @@ let suite =
     ("duplicate + delayed ships are idempotent", `Quick, test_duplicate_ship_idempotent);
     ("partitions heal and runs converge", `Quick, test_partition_heals_and_converges);
     ("crash-point schedules stay within budget", `Quick, test_crashpoint_schedule);
+    ("every crash point fires", `Quick, test_every_crashpoint_fires);
     ("regression seeds (2, 70, 147, 175)", `Slow, test_regression_seeds);
     ("golden: stress --faults all seed 70", `Quick, test_stress_golden_all);
     ("golden: stress --faults recovery seed 13", `Quick, test_stress_golden_recovery);

@@ -1,6 +1,6 @@
 (* Tests for cbl-lint: every rule gets a positive (violation caught) and
-   a negative (clean idiom passes) fixture, plus the suppression and
-   allowlist escape hatches and the cross-file crashpoint registry.
+   a negative (clean idiom passes) fixture, plus the inline suppression
+   escape hatch.
 
    Fixtures are inline source strings written into a fresh temp tree
    whose layout mimics the repo (lib/..., bin/...), because most rules
@@ -31,19 +31,11 @@ let write_file root (rel, content) =
   output_string oc content;
   close_out oc
 
-(* Lint a fixture tree.  [allowlist] is the allowlist file's content;
-   omitted = no allowlist. *)
-let lint ?allowlist files =
+(* Lint a fixture tree. *)
+let lint files =
   let root = fresh_root () in
   List.iter (write_file root) files;
-  let allowlist_file =
-    Option.map
-      (fun content ->
-        write_file root ("allow.txt", content);
-        Filename.concat root "allow.txt")
-      allowlist
-  in
-  Lint.run ?allowlist_file ~root ~paths:[ "lib"; "bin" ] ~rules:Rules.all ()
+  Lint.run ~root ~paths:[ "lib"; "bin" ] ~rules:Rules.all ()
 
 let findings_for rule result =
   List.filter (fun f -> f.Lint.rule = rule) result.Lint.findings
@@ -192,203 +184,7 @@ let test_rng_negative () =
   in
   check_count "designated module and bin/ pass" "rng-discipline" 0 r
 
-(* ---- rule 4: crashpoint-registry (cross-file) ---- *)
-
-let injector_decl = "type point = Commit_force | Page_ship\n"
-
-let fault_plan_decl =
-  "type crashpoints = { commit_force : float; page_ship : float; budget : int }\n"
-
-let uses_both =
-  "let maybe_crashpoint _ _ = ()\n\
-   let exercise t =\n\
-  \  maybe_crashpoint t Injector.Commit_force;\n\
-  \  maybe_crashpoint t Injector.Page_ship\n"
-
-let test_crashpoint_consistent () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", injector_decl);
-        ("lib/fault/fault_plan.ml", fault_plan_decl);
-        ("lib/core/node.ml", uses_both);
-      ]
-  in
-  check_count "consistent registry passes" "crashpoint-registry" 0 r
-
-let test_crashpoint_undeclared_use () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", injector_decl);
-        ("lib/fault/fault_plan.ml", fault_plan_decl);
-        ("lib/core/node.ml", uses_both ^ "let extra t = maybe_crashpoint t Injector.Rollback\n");
-      ]
-  in
-  check_count "undeclared point at a call site flagged" "crashpoint-registry" 1 r
-
-let test_crashpoint_declared_unused () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", "type point = Commit_force | Page_ship | Checkpoint\n");
-        ( "lib/fault/fault_plan.ml",
-          "type crashpoints =\n\
-          \  { commit_force : float; page_ship : float; checkpoint : float; budget : int }\n" );
-        ("lib/core/node.ml", uses_both);
-      ]
-  in
-  check_count "declared-but-unexercised point flagged" "crashpoint-registry" 1 r
-
-let test_crashpoint_missing_field () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", injector_decl);
-        ("lib/fault/fault_plan.ml", "type crashpoints = { commit_force : float; budget : int }\n");
-        ("lib/core/node.ml", uses_both);
-      ]
-  in
-  check_count "point without a plan probability field flagged" "crashpoint-registry" 1 r
-
-let test_crashpoint_orphan_field () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", injector_decl);
-        ( "lib/fault/fault_plan.ml",
-          "type crashpoints =\n\
-          \  { commit_force : float; page_ship : float; rollback : float; budget : int }\n" );
-        ("lib/core/node.ml", uses_both);
-      ]
-  in
-  check_count "plan field without a constructor flagged" "crashpoint-registry" 1 r
-
-(* The recovery crash points are registry entries like any other: a
-   point missing from any ONE of the three sites — the [Injector.point]
-   constructor, the plan's probability field, the [maybe_crashpoint]
-   call site — must be flagged.  One fixture per missing site, plus the
-   consistent baseline. *)
-
-let recovery_injector_decl = "type point = Commit_force | Recovery_redo | Recovery_pre_undo\n"
-
-let recovery_plan_decl =
-  "type crashpoints =\n\
-  \  { commit_force : float; recovery_redo : float; recovery_pre_undo : float; budget : int }\n"
-
-let recovery_uses_all =
-  "let maybe_crashpoint _ _ = ()\n\
-   let exercise t =\n\
-  \  maybe_crashpoint t Injector.Commit_force;\n\
-  \  maybe_crashpoint t Injector.Recovery_redo;\n\
-  \  maybe_crashpoint t Injector.Recovery_pre_undo\n"
-
-let test_crashpoint_recovery_consistent () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", recovery_injector_decl);
-        ("lib/fault/fault_plan.ml", recovery_plan_decl);
-        ("lib/core/recovery.ml", recovery_uses_all);
-      ]
-  in
-  check_count "consistent recovery registry passes" "crashpoint-registry" 0 r
-
-let test_crashpoint_recovery_missing_ctor () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", "type point = Commit_force | Recovery_pre_undo\n");
-        ("lib/fault/fault_plan.ml", recovery_plan_decl);
-        ("lib/core/recovery.ml", recovery_uses_all);
-      ]
-  in
-  (* both the orphan plan field and the undeclared call site point at
-     the dropped constructor *)
-  check_count "recovery point without a constructor flagged" "crashpoint-registry" 2 r
-
-let test_crashpoint_recovery_missing_field () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", recovery_injector_decl);
-        ( "lib/fault/fault_plan.ml",
-          "type crashpoints =\n\
-          \  { commit_force : float; recovery_pre_undo : float; budget : int }\n" );
-        ("lib/core/recovery.ml", recovery_uses_all);
-      ]
-  in
-  check_count "recovery point without a plan probability flagged" "crashpoint-registry" 1 r
-
-let test_crashpoint_recovery_missing_probe () =
-  let r =
-    lint
-      [
-        ("lib/fault/injector.ml", recovery_injector_decl);
-        ("lib/fault/fault_plan.ml", recovery_plan_decl);
-        ( "lib/core/recovery.ml",
-          "let maybe_crashpoint _ _ = ()\n\
-           let exercise t =\n\
-          \  maybe_crashpoint t Injector.Commit_force;\n\
-          \  maybe_crashpoint t Injector.Recovery_pre_undo\n" );
-      ]
-  in
-  check_count "recovery point never probed flagged" "crashpoint-registry" 1 r
-
-let test_crashpoint_skipped_without_registry () =
-  (* Registry modules outside the linted set: the rule stays silent
-     rather than flagging every use as undeclared. *)
-  let r = lint [ ("lib/core/node.ml", uses_both) ] in
-  check_count "no registry in scope, no findings" "crashpoint-registry" 0 r
-
-(* ---- rule 5: event-codec-exhaustive ---- *)
-
-let test_event_codec_positive () =
-  let r =
-    lint
-      [ ("lib/obs/event.ml", "let kind_name = function Log_force -> \"log_force\" | _ -> \"?\"\n") ]
-  in
-  check_count "wildcard in codec flagged" "event-codec-exhaustive" 1 r
-
-let test_event_codec_negative () =
-  let r =
-    lint
-      [
-        ( "lib/obs/event.ml",
-          "let kind_name = function Log_force -> \"log_force\" | Ckpt_begin -> \"ckpt_begin\"\n\
-           let pp_helper = function _ -> ()\n" );
-        ("lib/core/other.ml", "let kind_name = function _ -> \"?\"\n");
-      ]
-  in
-  check_count "exhaustive codec, non-codec fns and other files pass" "event-codec-exhaustive" 0 r
-
-(* The analysis consumers are held to the same rule: every Event.kind
-   must be handled (or explicitly ignored, case by case) by
-   Critical_path's classifier and Audit's dispatcher. *)
-let test_event_codec_consumers_positive () =
-  let r =
-    lint
-      [
-        ( "lib/obs/critical_path.ml",
-          "let classify_kind = function Event.Msg_send -> `Net | _ -> `Other\n" );
-        ("lib/obs/audit.ml", "let dispatch st e = match e.kind with Crash -> on_crash st | _ -> ()\n");
-      ]
-  in
-  check_count "wildcard in analysis consumers flagged" "event-codec-exhaustive" 2 r
-
-let test_event_codec_consumers_negative () =
-  let r =
-    lint
-      [
-        ( "lib/obs/critical_path.ml",
-          "let classify_kind = function Event.Msg_send -> `Net | Event.Crash -> `Other\n\
-           let helper = function Some x -> x | None -> 0\n" );
-        ("lib/obs/audit.ml", "let pp = function _ -> ()\n");
-      ]
-  in
-  check_count "exhaustive consumers and unlisted fns pass" "event-codec-exhaustive" 0 r
-
-(* ---- rule 6: no-poly-compare ---- *)
+(* ---- rule 4: no-poly-compare ---- *)
 
 let test_poly_compare_positive () =
   let r =
@@ -410,24 +206,7 @@ let test_poly_compare_negative () =
   in
   check_count "explicit equal and non-state operands pass" "no-poly-compare" 0 r
 
-(* ---- rule 7: mli-coverage ---- *)
-
-let test_mli_positive () =
-  let r = lint [ ("lib/core/solo.ml", "let x = 1\n") ] in
-  check_count "lib module without .mli flagged" "mli-coverage" 1 r
-
-let test_mli_negative () =
-  let r =
-    lint
-      [
-        ("lib/core/pair.ml", "let x = 1\n");
-        ("lib/core/pair.mli", "val x : int\n");
-        ("bin/tool.ml", "let x = 1\n");
-      ]
-  in
-  check_count "covered module and bin/ pass" "mli-coverage" 0 r
-
-(* ---- rule 8: no-unsafe-obj ---- *)
+(* ---- rule 5: no-unsafe-obj ---- *)
 
 let test_unsafe_obj () =
   let r =
@@ -439,7 +218,7 @@ let test_unsafe_obj () =
   in
   check_count "Obj in lib/ flagged, bin/ exempt" "no-unsafe-obj" 1 r
 
-(* ---- suppression and allowlist ---- *)
+(* ---- inline suppression ---- *)
 
 let test_inline_suppression () =
   let r =
@@ -459,7 +238,7 @@ let test_inline_suppression_wrong_rule () =
     lint
       [
         ( "lib/core/foo.ml",
-          "let commit log = (Log_manager.force log ~upto:3) [@cbl.lint.allow \"mli-coverage\"]\n"
+          "let commit log = (Log_manager.force log ~upto:3) [@cbl.lint.allow \"no-unsafe-obj\"]\n"
         );
       ]
   in
@@ -470,25 +249,16 @@ let test_floating_suppression () =
     lint
       [
         ( "lib/core/foo.ml",
-          "[@@@cbl.lint.allow \"mli-coverage\"]\n\nlet commit log = Log_manager.force log ~upto:3\n"
-        );
+          "[@@@cbl.lint.allow \"no-unsafe-obj\"]\n\n\
+           let commit log = Log_manager.force log ~upto:3\n\
+           let cast x = Obj.magic x\n" );
       ]
   in
-  check_count "floating attribute silences whole file" "mli-coverage" 0 r;
+  check_count "floating attribute silences whole file" "no-unsafe-obj" 0 r;
   check_count "other rules still fire" "ipc-force-sweep" 1 r;
   Alcotest.(check int) "counted as suppressed" 1 r.Lint.suppressed
 
-let test_allowlist () =
-  let r =
-    lint
-      ~allowlist:"# grandfathered\nmli-coverage lib/core/solo.ml\n"
-      [ ("lib/core/solo.ml", "let x = 1\n") ]
-  in
-  check_count "allowlisted finding dropped" "mli-coverage" 0 r;
-  Alcotest.(check int) "counted as allowlisted" 1 r.Lint.allowlisted;
-  Alcotest.(check bool) "run is ok" true (Lint.ok r)
-
-(* ---- rule 9: ipc-elr-pairing (interprocedural) ---- *)
+(* ---- rule 6: ipc-elr-pairing (interprocedural) ---- *)
 
 let test_elr_pairing_positive () =
   let r =
@@ -546,7 +316,7 @@ let test_elr_pairing_outside_lib () =
   let r = lint [ ("bin/tool.ml", "let go locks = Local_locks.release_txn_early locks ~txn:1\n") ] in
   check_count "bin/ out of scope" "ipc-elr-pairing" 0 r
 
-(* ---- rule 10: exn-flow ---- *)
+(* ---- rule 7: exn-flow ---- *)
 
 let test_exn_flow_unreachable_handler () =
   (* A raise no context up the graph can catch. *)
@@ -594,7 +364,7 @@ let test_exn_flow_same_function_handler () =
   in
   check_count "own handler covers" "exn-flow" 0 r
 
-(* ---- rule 11: dead-handler ---- *)
+(* ---- rule 8: dead-handler ---- *)
 
 let test_dead_handler_positive () =
   (* Nothing the guarded body reaches can raise: retry boundary that
@@ -621,7 +391,7 @@ let test_dead_handler_unresolved_conservative () =
     lint [ ("lib/core/a.ml", "let f g = try g () with Block.Would_block _ -> 0\n") ] in
   check_count "unresolvable body stays live" "dead-handler" 0 r
 
-(* ---- rule 12: rng-reachability ---- *)
+(* ---- rule 9: rng-reachability ---- *)
 
 let test_rng_reachability_positive () =
   let r = lint [ ("lib/sim/gen.ml", "let pick rng =\n  Rng.int rng 10\n") ] in
@@ -655,7 +425,7 @@ let test_parse_error_is_finding () =
   Alcotest.(check bool) "run not ok" false (Lint.ok r)
 
 let test_json_report_shape () =
-  let r = lint [ ("lib/core/solo.ml", "let x = 1\n") ] in
+  let r = lint [ ("lib/core/solo.ml", "let x = Obj.magic 1\n") ] in
   let json = Lint.result_to_json ~rules:Rules.all r in
   let member name = Json.member name json in
   Alcotest.(check (option string))
@@ -665,11 +435,11 @@ let test_json_report_shape () =
     "files_scanned" (Some 1)
     (Option.bind (member "files_scanned") Json.to_int_opt);
   (match member "rules" with
-  | Some (Json.List rules) -> Alcotest.(check int) "twelve rules" 12 (List.length rules)
+  | Some (Json.List rules) -> Alcotest.(check int) "nine rules" 9 (List.length rules)
   | _ -> Alcotest.fail "rules member missing");
   (match member "rule_seconds" with
   | Some (Json.Obj timings) ->
-    Alcotest.(check int) "one timing per rule" 12 (List.length timings);
+    Alcotest.(check int) "one timing per rule" 9 (List.length timings);
     Alcotest.(check (list string))
       "timings in registry order"
       (List.map (fun rule -> rule.Lint.id) Rules.all)
@@ -678,7 +448,7 @@ let test_json_report_shape () =
   match member "findings" with
   | Some (Json.List (Json.Obj fields :: _)) ->
     Alcotest.(check (option string))
-      "finding rule" (Some "mli-coverage")
+      "finding rule" (Some "no-unsafe-obj")
       (Option.bind (List.assoc_opt "rule" fields) Json.to_string_opt)
   | _ -> Alcotest.fail "findings member missing"
 
@@ -821,31 +591,8 @@ let suite =
     Alcotest.test_case "swallowed-control-exn: clean idioms pass" `Quick test_swallowed_negative;
     Alcotest.test_case "rng-discipline: violations flagged" `Quick test_rng_positive;
     Alcotest.test_case "rng-discipline: clean idioms pass" `Quick test_rng_negative;
-    Alcotest.test_case "crashpoint: consistent registry" `Quick test_crashpoint_consistent;
-    Alcotest.test_case "crashpoint: undeclared use" `Quick test_crashpoint_undeclared_use;
-    Alcotest.test_case "crashpoint: declared unused" `Quick test_crashpoint_declared_unused;
-    Alcotest.test_case "crashpoint: missing plan field" `Quick test_crashpoint_missing_field;
-    Alcotest.test_case "crashpoint: orphan plan field" `Quick test_crashpoint_orphan_field;
-    Alcotest.test_case "crashpoint: recovery registry consistent" `Quick
-      test_crashpoint_recovery_consistent;
-    Alcotest.test_case "crashpoint: recovery point missing ctor" `Quick
-      test_crashpoint_recovery_missing_ctor;
-    Alcotest.test_case "crashpoint: recovery point missing plan field" `Quick
-      test_crashpoint_recovery_missing_field;
-    Alcotest.test_case "crashpoint: recovery point never probed" `Quick
-      test_crashpoint_recovery_missing_probe;
-    Alcotest.test_case "crashpoint: silent without registry" `Quick
-      test_crashpoint_skipped_without_registry;
-    Alcotest.test_case "event-codec: wildcard flagged" `Quick test_event_codec_positive;
-    Alcotest.test_case "event-codec: exhaustive passes" `Quick test_event_codec_negative;
-    Alcotest.test_case "event-codec: consumer wildcard flagged" `Quick
-      test_event_codec_consumers_positive;
-    Alcotest.test_case "event-codec: exhaustive consumers pass" `Quick
-      test_event_codec_consumers_negative;
     Alcotest.test_case "no-poly-compare: state operands flagged" `Quick test_poly_compare_positive;
     Alcotest.test_case "no-poly-compare: clean idioms pass" `Quick test_poly_compare_negative;
-    Alcotest.test_case "mli-coverage: missing .mli flagged" `Quick test_mli_positive;
-    Alcotest.test_case "mli-coverage: sibling .mli passes" `Quick test_mli_negative;
     Alcotest.test_case "no-unsafe-obj: Obj in lib/ flagged" `Quick test_unsafe_obj;
     Alcotest.test_case "ipc-elr-pairing: bare release flagged" `Quick test_elr_pairing_positive;
     Alcotest.test_case "ipc-elr-pairing: recorded release passes" `Quick
@@ -874,7 +621,6 @@ let suite =
     Alcotest.test_case "suppression: inline attribute" `Quick test_inline_suppression;
     Alcotest.test_case "suppression: wrong rule id inert" `Quick test_inline_suppression_wrong_rule;
     Alcotest.test_case "suppression: floating attribute" `Quick test_floating_suppression;
-    Alcotest.test_case "allowlist: grandfathered entry" `Quick test_allowlist;
     Alcotest.test_case "engine: parse error is a finding" `Quick test_parse_error_is_finding;
     Alcotest.test_case "engine: JSON report shape" `Quick test_json_report_shape;
     Alcotest.test_case "engine: clean tree is ok" `Quick test_clean_tree_ok;

@@ -575,15 +575,14 @@ let test_recovery_summary_phases () =
     {
       Fault_plan.none with
       Fault_plan.crashpoints =
-        {
-          Fault_plan.none.Fault_plan.crashpoints with
-          Fault_plan.recovery_analysis = 0.5;
-          recovery_redo = 0.5;
-          recovery_pre_undo = 0.5;
-          recovery_undo = 0.5;
-          recovery_checkpoint = 0.5;
-          budget = 0;
-        };
+        Fault_plan.crashpoints ~budget:0
+          [
+            (Recovery_analysis, 0.5);
+            (Recovery_redo, 0.5);
+            (Recovery_pre_undo, 0.5);
+            (Recovery_undo, 0.5);
+            (Recovery_checkpoint, 0.5);
+          ];
     }
   in
   check_phases "live" ~faults:(Repro_fault.Injector.create plan)

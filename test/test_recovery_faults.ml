@@ -19,18 +19,10 @@ module Driver = Repro_workload.Driver
 module Stress = Repro_workload.Stress
 
 let recovery_points ?(budget = 0) p =
-  {
-    Fault_plan.commit_force = 0.;
-    checkpoint = 0.;
-    page_ship = 0.;
-    rollback = 0.;
-    recovery_analysis = p;
-    recovery_redo = p;
-    recovery_pre_undo = p;
-    recovery_undo = p;
-    recovery_checkpoint = p;
-    budget;
-  }
+  Fault_plan.crashpoints ~budget
+    (List.filter_map
+       (fun pt -> if Fault_plan.in_restart pt then Some (pt, p) else None)
+       Fault_plan.points)
 
 (* Every node increments every page once, owner 0 committing last: after
    crashing 0 (and optionally 2) the current copies live nowhere and the
