@@ -1,9 +1,8 @@
 module Record = Repro_wal.Record
 module Log_manager = Repro_wal.Log_manager
-module Group_commit = Repro_wal.Group_commit
 module Lsn = Repro_wal.Lsn
 
-let take ?(on_before_master = fun () -> ()) ?gc log env metrics ~dpt ~active ~master =
+let take ?(on_before_master = fun () -> ()) log env metrics ~dpt ~active ~master =
   let module Env = Repro_sim.Env in
   let module Event = Repro_obs.Event in
   let node = metrics.Repro_sim.Metrics.node in
@@ -18,12 +17,12 @@ let take ?(on_before_master = fun () -> ()) ?gc log env metrics ~dpt ~active ~ma
     Log_manager.append log
       { Record.txn = Record.system_txn; prev = begin_lsn; body = Checkpoint_end }
   in
+  (* The force runs the log's after-force hook, which completes any
+     pending group-commit records it made durable — before
+     [on_before_master]'s crash point can fire while durable commits
+     are still marked pending (a retried-but-durable commit would
+     double-apply). *)
   Log_manager.force log ~upto:end_lsn;
-  (* Force-to-device-end invariant: this force just made any pending
-     group-commit records durable.  Sweep them before [on_before_master]
-     — its crash point must not fire while durable commits are still
-     marked pending (a retried-but-durable commit would double-apply). *)
-  Option.iter Group_commit.on_force gc;
   on_before_master ();
   Master.set master begin_lsn;
   metrics.Repro_sim.Metrics.checkpoints_taken <- metrics.Repro_sim.Metrics.checkpoints_taken + 1;

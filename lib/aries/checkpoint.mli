@@ -8,7 +8,6 @@
 
 val take :
   ?on_before_master:(unit -> unit) ->
-  ?gc:Repro_wal.Group_commit.t ->
   Repro_wal.Log_manager.t ->
   Repro_sim.Env.t ->
   Repro_sim.Metrics.t ->
@@ -20,8 +19,8 @@ val take :
     [on_before_master] runs after the checkpoint pair is forced but
     before the master record moves — the fault layer hangs its
     mid-checkpoint crash point there (a crash in that window must
-    recover from the {e previous} master).  [gc] is the log's
-    group-commit batch: the checkpoint force is swept through
-    {!Repro_wal.Group_commit.on_force} {e before} [on_before_master]
-    runs, so pending commits the force covered cannot be lost to the
-    crash point (force-to-device-end invariant). *)
+    recover from the {e previous} master).  The checkpoint force runs
+    the log's after-force hook ({!Repro_wal.Log_manager.set_after_force})
+    {e before} [on_before_master] runs, so pending group commits the
+    force covered are complete and cannot be lost to the crash point
+    (force-to-device-end invariant). *)

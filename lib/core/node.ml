@@ -44,13 +44,10 @@ let wal_force t lsn =
   if not (Lsn.is_nil lsn) then
     match t.scheme with
     | Local_logging | Pca_double_logging ->
-      Log_manager.force t.log ~upto:lsn;
-      (* Any force pushes durability to the device end, so commit
-         records sitting in the group-commit batch just became durable:
-         complete them now rather than letting them be reported pending
-         (a crash can no longer lose them, and a retry would
-         double-apply). *)
-      Group_commit.on_force t.gc
+      (* The force pushes durability to the device end; its
+         after-force hook completes the group-commit records it made
+         durable. *)
+      Log_manager.force t.log ~upto:lsn
     | Global_log { log_node } ->
       let ln = peer t log_node in
       Log_manager.force ln.log ~upto:lsn
@@ -105,8 +102,6 @@ let wipe_volatile t =
   t.recovering_pages <- Page_id.Set.empty;
   Page_id.Tbl.reset t.deferred_pages;
   t.deferred_losers <- [];
-  Page_id.Tbl.reset t.elr_pages;
-  Hashtbl.reset t.elr_by_txn;
   (* The pending group-commit batch is volatile: none of those commits
      happened — recovery will abort them.  [Group_commit.crash] fires
      the loss hook, which drags each lost commit's early-release
@@ -417,8 +412,8 @@ let handle_callback t ~pid ~requested ~for_txn ~for_node =
      node (the owner will hand it onward), where no dependency can be
      recorded — so collapse the violation window instead: flush the
      pending batch, making the early releaser durable before the page
-     leaves.  Free when elr is off (the table is empty). *)
-  if Page_id.Tbl.mem t.elr_pages pid then Group_commit.flush t.gc;
+     leaves.  Free when elr is off (the registry is empty). *)
+  if Local_locks.released_early t.locks pid then Group_commit.flush t.gc;
   let conflicting = Local_locks.conflicts t.locks pid ~except:for_txn ~mode:requested in
   if conflicting <> [] then begin
     Local_locks.set_revoke_pending t.locks pid ~mode:requested ~txn:for_txn ~node:for_node;
@@ -604,9 +599,9 @@ let acquire t ~txn ~pid ~mode =
     (* Controlled lock violation: if this page's lock was surrendered
        early by a committing transaction that is not yet durable, the
        grant just exposed pre-durable state — record the commit
-       dependency.  The table is empty when elr is off, so this is a
-       free lookup on the historical pipeline. *)
-    match Page_id.Tbl.find_opt t.elr_pages pid with
+       dependency.  The registry is empty when elr is off, so this is
+       a free lookup on the historical pipeline. *)
+    match Local_locks.early_releaser t.locks pid with
     | Some releaser when releaser <> txn ->
       if t.on_dep ~dependent:txn ~antecedent:releaser && Env.tracing t.env then
         Env.emit t.env ~node:t.id Event.Commit_dep
@@ -704,10 +699,8 @@ let free_log_space t =
   in
   (* Space below the low-water mark is only reclaimable once durable
      (the device clamps truncation at the forced boundary). *)
-  if low_water > Log_manager.durable_lsn t.log then begin
+  if low_water > Log_manager.durable_lsn t.log then
     Log_manager.force t.log ~upto:(low_water - 1);
-    Group_commit.on_force t.gc
-  end;
   Log_manager.truncate_to t.log low_water
 
 let append_record t record =
@@ -875,8 +868,8 @@ let commit_scheme_work t (txn : Txn.t) lsn =
     (* The paper's entire commit path: one local log force, zero
        messages.  The group-commit batch is always empty here —
        batching commits take the [Committing] branch in [commit]
-       instead — and the force-sweeps-batch invariant is checked
-       interprocedurally (ipc-force-sweep), so no local sweep. *)
+       instead — and the log's after-force hook would sweep it
+       anyway. *)
     Log_manager.force t.log ~upto:lsn
   | Server_logging { server } ->
     (* ARIES/CSA: the transaction's log records travel to the server in
@@ -995,45 +988,16 @@ let observe_lock_hold t (txn : Txn.t) =
     txn.Txn.locks_from <- -1.
   end
 
-(* Register the pages a committing transaction released early: later
-   acquirers of these pages pick up a commit dependency on [txn] (see
-   [acquire]).  Newest releaser wins per page — a chain A -> B -> C
-   stays connected because B recorded its dependency on A before
-   overwriting A's entry. *)
-let elr_record_release t ~txn released =
-  List.iter
-    (fun (pid, _mode) ->
-      Page_id.Tbl.replace t.elr_pages pid txn;
-      match Hashtbl.find_opt t.elr_by_txn txn with
-      | Some pids -> Hashtbl.replace t.elr_by_txn txn (pid :: pids)
-      | None -> Hashtbl.add t.elr_by_txn txn [ pid ])
-    released
-
-(* The releaser reached its terminal state (durable commit, or wiped by
-   a crash): its pages stop breeding dependencies.  The equality check
-   leaves entries alone when a later releaser overwrote them. *)
-let elr_settle t txn =
-  match Hashtbl.find_opt t.elr_by_txn txn with
-  | None -> ()
-  | Some pids ->
-    Hashtbl.remove t.elr_by_txn txn;
-    List.iter
-      (fun pid ->
-        match Page_id.Tbl.find_opt t.elr_pages pid with
-        | Some r when r = txn -> Page_id.Tbl.remove t.elr_pages pid
-        | Some _ | None -> ())
-      pids
-
 (* Tentpole: controlled lock violation.  A committing transaction
    surrenders its txn-level page locks at batch submit instead of
    holding them across the group-commit window; conflicting local work
-   proceeds immediately and records a commit dependency.  The summary
-   event carries the transaction id (the per-page trace comes from the
-   lock-table tracer). *)
+   proceeds immediately and records a commit dependency: the release
+   registers [txn] as each page's early releaser (see [acquire]).  The
+   summary event carries the transaction id (the per-page trace comes
+   from the lock-table tracer). *)
 let early_lock_release t (txn : Txn.t) =
   observe_lock_hold t txn;
   let released = Local_locks.release_txn_early t.locks ~txn:txn.Txn.id in
-  elr_record_release t ~txn:txn.Txn.id released;
   if Env.tracing t.env && released <> [] then
     Env.emit t.env ~node:t.id Event.Lock_early_release
       [ ("txn", Event.Int txn.Txn.id); ("pages", Event.Int (List.length released)) ]
@@ -1055,7 +1019,7 @@ let complete_commit t (txn : Txn.t) ~commit_from =
   Env.observe t.env ~name:"txn_duration" ~node:t.id (durable_at -. txn.Txn.began);
   observe_lock_hold t txn;
   end_of_txn_lock_release t txn.Txn.id;
-  elr_settle t txn.Txn.id;
+  Local_locks.settle_early t.locks ~txn:txn.Txn.id;
   Txn_table.remove t.txns txn.Txn.id;
   t.metrics.Metrics.txn_committed <- t.metrics.txn_committed + 1;
   if Env.tracing t.env then begin
@@ -1214,10 +1178,10 @@ let checkpoint t =
      below makes the commit durable too — analysis never needs it as a
      loser once this checkpoint is the restart point. *)
   ignore
-    (Repro_aries.Checkpoint.take t.log t.env t.metrics ~gc:t.gc ~dpt:(Dpt.snapshot t.dpt)
+    (Repro_aries.Checkpoint.take t.log t.env t.metrics ~dpt:(Dpt.snapshot t.dpt)
        ~active:(Txn_table.snapshot_active t.txns) ~master:t.master
        ~on_before_master:(fun () ->
-         (* [Checkpoint.take ~gc] has already swept the force it took:
+         (* The checkpoint's force has already swept the batch:
             piggybacked pending commits completed BEFORE this crash
             point can fire — their records are durable now, and
             dropping them as "pending" at the crash would let the

@@ -75,19 +75,6 @@ type t = {
          ((txn, blocking node)); the Txn stays registered so a further
          crash's analysis re-finds it, and the rollback resumes when the
          blocker recovers *)
-  elr_pages : int Page_id.Tbl.t;
-      (* early lock release (controlled lock violation): page -> the
-         committing transaction that released its lock on it at
-         batch-submit and is not yet durable.  A later acquire on such a
-         page records a commit dependency on that transaction via
-         [on_dep].  Entries are settled (removed) when the releaser
-         becomes durable or its batch is lost; the newest releaser wins
-         per page — a chain A -> B -> C stays connected transitively
-         because B recorded its dependency on A before overwriting the
-         entry. *)
-  elr_by_txn : (int, Page_id.t list) Hashtbl.t;
-      (* reverse index: releaser -> pages it released early, so settling
-         a releaser visits only its own pages *)
   (* wiring *)
   mutable resolve : int -> t;
   mutable on_dep : dependent:int -> antecedent:int -> bool;
@@ -160,8 +147,6 @@ let create env ~id ~pool_capacity ~log_capacity ~scheme ~retain_cached_locks =
       recovering_pages = Page_id.Set.empty;
       deferred_pages = Page_id.Tbl.create 8;
       deferred_losers = [];
-      elr_pages = Page_id.Tbl.create 16;
-      elr_by_txn = Hashtbl.create 16;
       resolve = (fun _ -> node);
       on_dep = (fun ~dependent:_ ~antecedent:_ -> false);
       pool_capacity;

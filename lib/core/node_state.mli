@@ -72,16 +72,6 @@ type t = {
       (** loser transactions whose rollback is parked on a down peer
           ((txn, blocking node)); the Txn stays registered so a later
           analysis re-finds it *)
-  elr_pages : int Repro_storage.Page_id.Tbl.t;
-      (** early lock release (controlled lock violation): page -> the
-          committing transaction that released its lock on it at batch
-          submit and is not yet durable; later acquirers record a
-          commit dependency via [on_dep].  Newest releaser wins per
-          page; entries settle when the releaser becomes durable or its
-          batch is lost *)
-  elr_by_txn : (int, Repro_storage.Page_id.t list) Hashtbl.t;
-      (** reverse index: releaser -> pages it released early, so
-          settling a releaser visits only its own pages *)
   (* wiring *)
   mutable resolve : int -> t;
   mutable on_dep : dependent:int -> antecedent:int -> bool;

@@ -283,12 +283,10 @@ let fetch_cached_copy ctx n ~cacher:m pid =
   recovery_exchange n ~dst:m.id (fun () ->
       send n ~dst:m.id ~recovery:true ~bytes:Wire.control ();
       let frame = match Buffer_pool.peek m.pool pid with Some f -> f | None -> assert false in
-      if frame.Buffer_pool.dirty && not (Lsn.is_nil frame.Buffer_pool.last_lsn) then begin
+      (* the survivor's force also completes whatever of its own
+         pending group-commit batch it made durable *)
+      if frame.Buffer_pool.dirty && not (Lsn.is_nil frame.Buffer_pool.last_lsn) then
         Log_manager.force m.log ~upto:frame.Buffer_pool.last_lsn;
-        (* the survivor's force may have made its own pending
-           group-commit batch durable *)
-        Repro_wal.Group_commit.on_force m.gc
-      end;
       send m ~dst:n.id ~recovery:true ~bytes:(Wire.page (Env.config ctx.env)) ();
       bump_transfers n;
       (* The cacher keeps its (possibly dirty) copy and therefore also its
@@ -381,11 +379,7 @@ let gather_parked ctx =
                copy that will outlive it at another node: WAL discipline
                demands they are durable first, like any pre-ship force. *)
             List.iter
-              (fun { claimant = m; _ } ->
-                if m.up then begin
-                  Log_manager.force_all m.log;
-                  Repro_wal.Group_commit.on_force m.gc
-                end)
+              (fun { claimant = m; _ } -> if m.up then Log_manager.force_all m.log)
               claims;
             match claims with
             | [] ->
@@ -747,7 +741,6 @@ let checkpoint ctx =
     (fun n ->
       Node.maybe_crashpoint n Fault_plan.Recovery_checkpoint;
       Log_manager.force_all n.log;
-      Repro_wal.Group_commit.on_force n.gc;
       Node.checkpoint n)
     ctx.crashed
 

@@ -13,7 +13,7 @@
      assigned to field [f]) push their calls and raises onto the node,
      call-through-field sites draw an edge to it.  Field names are
      global, so same-named fields of different record types merge —
-     conservative for reachability, never used as report roots. *)
+     conservative for exception flow. *)
 
 type node = {
   id : int;
@@ -30,8 +30,6 @@ type t = {
   in_deg : int array;
   unknown : (string * int) list;  (** qualified name → applied-call count *)
 }
-
-let is_fn n = n.fn <> None
 
 (* Resolution shared by edge construction and the dead-handler rule. *)
 type resolution = Fn_key of (string * string) | External | Unknown of string | Local
@@ -174,8 +172,7 @@ let build (files : Summary.file list) =
             | Some w ->
               let fid = Hashtbl.find field_index w in
               nodes.(fid).field_raises <-
-                (label, s.Summary.s_loc, f.Summary.rel) :: nodes.(fid).field_raises)
-          | _ -> ())
+                (label, s.Summary.s_loc, f.Summary.rel) :: nodes.(fid).field_raises))
         fn.Summary.sites)
     fn_triples;
   let in_deg = Array.make total 0 in

@@ -23,8 +23,6 @@ type t = {
   unknown : (string * int) list;  (** qualified name → applied-call count *)
 }
 
-val is_fn : node -> bool
-
 type resolution = Fn_key of (string * string) | External | Unknown of string | Local
 
 val resolve :

@@ -70,26 +70,15 @@ let ends_with suffix s = String.ends_with ~suffix s
 (* Shared whole-repo analysis (phase 1 + 2), memoized per run          *)
 (* ------------------------------------------------------------------ *)
 
-(* The implementation layers each pairing rule exempts: the modules
-   that ARE the force (and the cost-charging layer below it) cannot
-   pair with the sweep without a dependency cycle — Group_commit wraps
-   Log_manager, not the other way round.  Likewise the lock manager is
-   the one place allowed a bare early release, the RNG module is where
-   draws are implemented, and Block is where the raises are minted. *)
-let analysis_config =
-  {
-    Propagate.force_impl =
-      [ "lib/wal/group_commit.ml"; "lib/wal/log_manager.ml"; "lib/sim/env.ml" ];
-    elr_impl = [ "lib/lock/local_locks.ml" ];
-    rng_impl = [ "lib/util/rng.ml" ];
-    raise_impl = [ "lib/core/block.ml" ];
-    checked = in_lib;
-  }
+(* Block is where the raises are minted: its own raise sites are the
+   protocol's definition, not uses of it. *)
+let analysis_config = { Propagate.raise_impl = [ "lib/core/block.ml" ]; checked = in_lib }
 
 type analysis = { files : Summary.file list; prop : Propagate.t }
 
-(* The five interprocedural rules share one analysis per [Lint.run]:
-   keyed on the physical ctx, which the engine builds fresh each run. *)
+(* The two interprocedural rules share one analysis per [Lint.run]:
+   keyed on the physical ctx, which the engine builds fresh each run.
+   The first of them, exn-flow, is charged its cost. *)
 let memo : (Lint.ctx * analysis) option ref = ref None
 
 let analysis (ctx : Lint.ctx) =
@@ -104,37 +93,7 @@ let analysis (ctx : Lint.ctx) =
     a
 
 (* ------------------------------------------------------------------ *)
-(* Rule 1: ipc-force-sweep (interprocedural force/sweep pairing)       *)
-(* ------------------------------------------------------------------ *)
-
-let report_cov ctx ~rule msg_of =
-  List.iter
-    (fun (c : Propagate.cov_site) ->
-      ctx.Lint.report ~rule ~file:c.Propagate.c_file ~line:c.Propagate.c_loc.Summary.line
-        ~col:c.Propagate.c_loc.Summary.col (msg_of c))
-
-let ipc_force_sweep =
-  {
-    Lint.id = "ipc-force-sweep";
-    doc =
-      "a log force outside the force-implementation layer must have a Group_commit.on_force \
-       sweep reachable in its call neighborhood — in the same function, a callee, or some \
-       caller up the graph (force-to-device-end invariant, interprocedural)";
-    check =
-      (fun ctx ->
-        let a = analysis ctx in
-        report_cov ctx ~rule:"ipc-force-sweep"
-          (fun c ->
-            Printf.sprintf
-              "%s in %s pairs with no reachable Group_commit.on_force sweep on any call \
-               path: pending group-commit records this force made durable would stay \
-               pending and be lost/retried"
-              c.Propagate.c_what c.Propagate.c_fn)
-          (Propagate.violations_force a.prop));
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Rule 2: swallowed-control-exn                                       *)
+(* Rule 1: swallowed-control-exn                                       *)
 (* ------------------------------------------------------------------ *)
 
 let swallowed_control_exn =
@@ -178,7 +137,7 @@ let swallowed_control_exn =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 3: rng-discipline                                              *)
+(* Rule 2: rng-discipline                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* The one module allowed to touch stdlib Random (today it does not
@@ -229,7 +188,7 @@ let rng_discipline =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 4: no-poly-compare                                             *)
+(* Rule 3: no-poly-compare                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Identifier names that, in this codebase, denote mutable protocol
@@ -286,7 +245,7 @@ let no_poly_compare =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 5: no-unsafe-obj                                               *)
+(* Rule 4: no-unsafe-obj                                               *)
 (* ------------------------------------------------------------------ *)
 
 let no_unsafe_obj =
@@ -313,32 +272,7 @@ let no_unsafe_obj =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 6: ipc-elr-pairing (interprocedural ELR release/record)        *)
-(* ------------------------------------------------------------------ *)
-
-let ipc_elr_pairing =
-  {
-    Lint.id = "ipc-elr-pairing";
-    doc =
-      "an early lock release (Local_locks.release_txn_early) outside lib/lock must have an \
-       elr_record_release reachable in its call neighborhood — release and recording may \
-       live in different functions, but a release no caller or callee ever records would \
-       let later acquirers observe pre-durable state with no commit dependency";
-    check =
-      (fun ctx ->
-        let a = analysis ctx in
-        report_cov ctx ~rule:"ipc-elr-pairing"
-          (fun c ->
-            Printf.sprintf
-              "%s in %s pairs with no reachable elr_record_release on any call path: \
-               acquirers of these pages would observe pre-durable state with no commit \
-               dependency recorded"
-              c.Propagate.c_what c.Propagate.c_fn)
-          (Propagate.violations_elr a.prop));
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Rule 7: exn-flow                                                    *)
+(* Rule 5: exn-flow                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let exn_flow =
@@ -365,7 +299,7 @@ let exn_flow =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 8: dead-handler                                                *)
+(* Rule 6: dead-handler                                                *)
 (* ------------------------------------------------------------------ *)
 
 let dead_handler =
@@ -400,41 +334,8 @@ let dead_handler =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 9: rng-reachability                                            *)
-(* ------------------------------------------------------------------ *)
-
-let rng_reachability =
-  {
-    Lint.id = "rng-reachability";
-    doc =
-      "a sim-RNG draw in lib/ must have an Rng.create/Rng.split reachable in its call \
-       neighborhood: a draw on a stream no root ever seeds or splits is invisible to seed \
-       replay and silently breaks bit-identical reruns";
-    check =
-      (fun ctx ->
-        let a = analysis ctx in
-        report_cov ctx ~rule:"rng-reachability"
-          (fun c ->
-            Printf.sprintf
-              "%s in %s is not reachable from any seeded root (no Rng.create/Rng.split in \
-               its call neighborhood): this stream escapes seed replay"
-              c.Propagate.c_what c.Propagate.c_fn)
-          (Propagate.violations_rng a.prop));
-  }
-
-(* ------------------------------------------------------------------ *)
 
 let all =
-  [
-    ipc_force_sweep;
-    swallowed_control_exn;
-    rng_discipline;
-    no_poly_compare;
-    no_unsafe_obj;
-    ipc_elr_pairing;
-    exn_flow;
-    dead_handler;
-    rng_reachability;
-  ]
+  [ swallowed_control_exn; rng_discipline; no_poly_compare; no_unsafe_obj; exn_flow; dead_handler ]
 
 let find id = List.find_opt (fun r -> r.Lint.id = id) all

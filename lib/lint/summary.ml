@@ -2,11 +2,8 @@ open Parsetree
 
 (* Per-function effect summaries over the untyped AST: phase 1 of the
    whole-repo analysis.  Each top-level binding becomes one [fn] whose
-   [sites] record every protocol-relevant effect inside it (raises of
-   the retryable control exceptions, log forces, group-commit sweeps,
-   early lock releases and their recording, RNG seeding and draws,
-   crash points) plus the intra-repo calls phase 2 resolves into graph
-   edges. *)
+   [sites] record the raises of the retryable control exceptions inside
+   it plus the intra-repo calls phase 2 resolves into graph edges. *)
 
 (* ------------------------------------------------------------------ *)
 (* Longident helpers (shared with the per-file rules)                  *)
@@ -58,12 +55,6 @@ type site_kind =
   | Call of { path : string list; applied : bool }
   | Field_call of { field : string }
   | Raise of { label : exn_label }
-  | Force of { name : string }
-  | Sweep
-  | Elr_release
-  | Elr_record
-  | Rng_draw of { name : string }
-  | Rng_seed of { name : string }
 
 type site = {
   kind : site_kind;
@@ -101,20 +92,8 @@ type file = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Effect-primitive classification                                     *)
+(* Raise classification                                                *)
 (* ------------------------------------------------------------------ *)
-
-let force_names = [ "force"; "force_all"; "force_shared" ]
-
-let is_force_ident lid =
-  let name = last_component lid in
-  (parent_module lid = Some "Log_manager" && List.mem name force_names)
-  || String.starts_with ~prefix:"charge_log_force" name
-
-let rng_draw_names =
-  [ "next_int64"; "int"; "int_in_range"; "float"; "bool"; "chance"; "pick"; "shuffle" ]
-
-let rng_seed_names = [ "create"; "split" ]
 
 let loc_of (l : Location.t) =
   let p = l.Location.loc_start in
@@ -226,38 +205,11 @@ let extract_body body =
     (p.Lexing.pos_lnum, p.Lexing.pos_cnum)
   in
   (* Classify one identifier occurrence.  [applied] distinguishes a
-     call head from a bare mention (a value being passed/stored).
-     Effect primitives ALSO record a [Call] site: the implementation
-     function behind e.g. [Group_commit.on_force] must receive graph
-     edges, or it would look like an uncalled root. *)
+     call head from a bare mention (a value being passed/stored). *)
   let classify_ident ~applied ~args txt (loc : Location.t) =
     let name = last_component txt in
     let add_call () = add (Call { path = components txt; applied }) loc in
-    if is_force_ident txt then begin
-      if applied then add (Force { name }) loc;
-      add_call ()
-    end
-    else if name = "on_force" then begin
-      add Sweep loc;
-      add_call ()
-    end
-    else if name = "release_txn_early" then begin
-      add Elr_release loc;
-      add_call ()
-    end
-    else if name = "elr_record_release" then begin
-      add Elr_record loc;
-      add_call ()
-    end
-    else if parent_module txt = Some "Rng" && List.mem name rng_draw_names then begin
-      add (Rng_draw { name }) loc;
-      add_call ()
-    end
-    else if parent_module txt = Some "Rng" && List.mem name rng_seed_names then begin
-      add (Rng_seed { name }) loc;
-      add_call ()
-    end
-    else if applied && name = "block" && parent_module txt = Some "Block" then (
+    if applied && name = "block" && parent_module txt = Some "Block" then (
       match args with
       | (_, reason) :: _ -> add (Raise { label = label_of_reason reason }) loc
       | [] -> add_call ())
@@ -462,12 +414,6 @@ let kind_to_json = function
       ]
   | Field_call { field } -> J.Obj [ ("k", J.Str "field_call"); ("field", J.Str field) ]
   | Raise { label } -> J.Obj [ ("k", J.Str "raise"); ("label", J.Str (label_name label)) ]
-  | Force { name } -> J.Obj [ ("k", J.Str "force"); ("name", J.Str name) ]
-  | Sweep -> J.Obj [ ("k", J.Str "sweep") ]
-  | Elr_release -> J.Obj [ ("k", J.Str "elr_release") ]
-  | Elr_record -> J.Obj [ ("k", J.Str "elr_record") ]
-  | Rng_draw { name } -> J.Obj [ ("k", J.Str "rng_draw"); ("name", J.Str name) ]
-  | Rng_seed { name } -> J.Obj [ ("k", J.Str "rng_seed"); ("name", J.Str name) ]
 
 let site_to_json s =
   J.Obj

@@ -2,11 +2,9 @@
     analysis.
 
     Each top-level binding of every parsed [.ml] becomes one {!fn}
-    recording the protocol-relevant effects inside it: raises and
-    handlers of the retryable control exceptions, log forces and
-    group-commit sweeps, early lock releases and their recording, RNG
-    seeding and draws, crash points, and the intra-repo calls that
-    {!Callgraph} resolves into edges. *)
+    recording the raises and handlers of the retryable control
+    exceptions inside it, and the intra-repo calls that {!Callgraph}
+    resolves into edges. *)
 
 (** {1 Longident helpers (shared with the per-file rules)} *)
 
@@ -34,12 +32,6 @@ type site_kind =
   | Call of { path : string list; applied : bool }
   | Field_call of { field : string }
   | Raise of { label : exn_label }
-  | Force of { name : string }
-  | Sweep  (** a [Group_commit.on_force] mention *)
-  | Elr_release
-  | Elr_record
-  | Rng_draw of { name : string }
-  | Rng_seed of { name : string }
 
 type site = {
   kind : site_kind;

@@ -14,11 +14,27 @@ type t = {
          whole table (the walk was O(cached pages) per commit and
          dominated big-cluster runs).  Entries may be stale after
          [drop_cached]; release treats a missing page as already free. *)
+  early : int Page_id.Tbl.t;
+      (* early-release registry: page -> the newest transaction that
+         released its lock on it early and has not settled.  A chain
+         A -> B -> C stays connected because B picked up its dependency
+         on A before overwriting A's entry. *)
+  early_by_txn : (int, Page_id.t list) Hashtbl.t;
+      (* releaser -> pages it released early, so settling visits only
+         its own pages *)
   mutable tracer : string -> Page_id.t -> unit;
 }
 
 let no_trace _ _ = ()
-let create () = { table = Page_id.Tbl.create 64; by_txn = Hashtbl.create 64; tracer = no_trace }
+let create () =
+  {
+    table = Page_id.Tbl.create 64;
+    by_txn = Hashtbl.create 64;
+    early = Page_id.Tbl.create 16;
+    early_by_txn = Hashtbl.create 16;
+    tracer = no_trace;
+  }
+
 let set_tracer t f = t.tracer <- f
 
 let entry_opt t pid = Page_id.Tbl.find_opt t.table pid
@@ -127,12 +143,13 @@ let release_txn t ~txn =
 (* Early release (controlled lock violation): surrender every txn-level
    lock [txn] holds at batch-submit time, BEFORE its commit record is
    durable — strict 2PL's release-after-terminal discipline weakened to
-   release-after-submit.  Returns the released (page, mode) pairs so the
-   caller can pair the release with commit-dependency registration;
-   without that pairing a later reader of these pages could become
-   durable while this commit is still lost to a crash.  The tracer
-   fires with action ["early_release"] per page, distinct from the
-   terminal ["release"], so the audit layer can tell the two apart. *)
+   release-after-submit.  Each released page is registered under [txn]
+   in the same step, so a later acquirer can pick up a commit
+   dependency on it: without that, a later reader of these pages could
+   become durable while this commit is still lost to a crash.  The
+   tracer fires with action ["early_release"] per page, distinct from
+   the terminal ["release"], so the audit layer can tell the two
+   apart. *)
 let release_txn_early t ~txn =
   let released =
     match Hashtbl.find_opt t.by_txn txn with
@@ -145,13 +162,38 @@ let release_txn_early t ~txn =
           | None -> None)
         pids
   in
-  List.iter (fun (pid, _) -> t.tracer "early_release" pid) released;
+  List.iter
+    (fun (pid, _) ->
+      t.tracer "early_release" pid;
+      Page_id.Tbl.replace t.early pid txn;
+      let prev = Option.value (Hashtbl.find_opt t.early_by_txn txn) ~default:[] in
+      Hashtbl.replace t.early_by_txn txn (pid :: prev))
+    released;
   release_txn t ~txn;
   released
 
+let early_releaser t pid = Page_id.Tbl.find_opt t.early pid
+let released_early t pid = Page_id.Tbl.mem t.early pid
+
+(* The equality check leaves a page alone once a later releaser has
+   overwritten it. *)
+let settle_early t ~txn =
+  match Hashtbl.find_opt t.early_by_txn txn with
+  | None -> ()
+  | Some pids ->
+    Hashtbl.remove t.early_by_txn txn;
+    List.iter
+      (fun pid ->
+        match Page_id.Tbl.find_opt t.early pid with
+        | Some r when r = txn -> Page_id.Tbl.remove t.early pid
+        | Some _ | None -> ())
+      pids
+
 let clear t =
   Page_id.Tbl.reset t.table;
-  Hashtbl.reset t.by_txn
+  Hashtbl.reset t.by_txn;
+  Page_id.Tbl.reset t.early;
+  Hashtbl.reset t.early_by_txn
 
 let check_invariants t =
   Page_id.Tbl.iter

@@ -79,13 +79,28 @@ val release_txn : t -> txn:int -> unit
 val release_txn_early : t -> txn:int -> (Page_id.t * Mode.t) list
 (** Controlled lock violation: release [txn]'s locks at batch-submit
     time, before its commit record is durable.  Returns the released
-    (page, mode) pairs — the caller MUST pair them with
-    commit-dependency registration so later readers/overwriters of
-    those pages cannot report durable while this commit can still be
-    lost.  Fires the tracer with action ["early_release"] per page. *)
+    (page, mode) pairs, and registers [txn] as each page's early
+    releaser ({!early_releaser}) in the same step, so later
+    readers/overwriters of those pages pick up a commit dependency and
+    cannot report durable while this commit can still be lost.  Fires
+    the tracer with action ["early_release"] per page. *)
+
+(** {1 Early-release registry} *)
+
+val early_releaser : t -> Page_id.t -> int option
+(** The newest unsettled transaction that released its lock on the
+    page early. *)
+
+val released_early : t -> Page_id.t -> bool
+(** [early_releaser t pid <> None], without allocating. *)
+
+val settle_early : t -> txn:int -> unit
+(** [txn] reached its terminal state (durable commit): its pages stop
+    breeding dependencies.  A page a later releaser has taken over
+    keeps that releaser. *)
 
 val clear : t -> unit
-(** Node crash. *)
+(** Node crash: wipes the lock table and the early-release registry. *)
 
 val check_invariants : t -> unit
 (** Txn-level locks never exceed the cached mode; no two X holders. *)

@@ -102,7 +102,7 @@ let event_txn (e : Event.t) =
 
 (* Invariant 2 helper: a force to durable boundary [d] covers every
    pending commit record that starts below it (forces always run to the
-   device end, mirroring [Group_commit.on_force]). *)
+   device end, mirroring the group-commit sweep every log force runs). *)
 let complete_covered st ~node ~durable ~time =
   let done_ =
     Hashtbl.fold

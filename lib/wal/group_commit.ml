@@ -17,20 +17,53 @@ type t = {
   mutable on_lost : int list -> unit;
 }
 
+(* Completion runs oldest-submitted first so observers see commits in
+   submission order. *)
+let complete t batch =
+  List.iter (fun p -> t.on_durable ~txn:p.txn ~submitted_at:p.submitted_at) (List.rev batch)
+
+(* The log's after-force hook.  Forces on this node are block-grained
+   (they push the durable boundary to the device end), so an incidental
+   force — WAL before a page ship, a checkpoint — makes every
+   already-appended pending commit record durable as a side effect.
+   Complete those now: the alternative (re-forcing later) would be a
+   free no-op force, but the transactions would be reported pending
+   even though a crash could no longer lose them — and a retry would
+   then double-apply.  The batch's own force finds [pending] already
+   empty. *)
+let sweep t =
+  match t.pending with
+  | [] -> ()
+  | _ ->
+    let durable = Log_manager.durable_lsn t.log in
+    let piggybacked, still = List.partition (fun p -> p.lsn < durable) t.pending in
+    if piggybacked <> [] then begin
+      t.pending <- still;
+      (match still with [] -> t.deadline <- infinity | _ -> ());
+      if Env.tracing t.env then
+        Env.emit t.env ~node:t.node Event.Commit_batch
+          [ ("size", Event.Int (List.length piggybacked)); ("piggyback", Event.Bool true) ];
+      complete t piggybacked
+    end
+
 let create env ~node log =
   let cfg = Env.config env in
-  {
-    env;
-    node;
-    log;
-    window = cfg.Config.group_commit_window_ms *. 1e-3;
-    max_batch = max 1 cfg.Config.group_commit_max_batch;
-    pending = [];
-    deadline = infinity;
-    before_force = (fun () -> ());
-    on_durable = (fun ~txn:_ ~submitted_at:_ -> ());
-    on_lost = (fun _ -> ());
-  }
+  let t =
+    {
+      env;
+      node;
+      log;
+      window = cfg.Config.group_commit_window_ms *. 1e-3;
+      max_batch = max 1 cfg.Config.group_commit_max_batch;
+      pending = [];
+      deadline = infinity;
+      before_force = (fun () -> ());
+      on_durable = (fun ~txn:_ ~submitted_at:_ -> ());
+      on_lost = (fun _ -> ());
+    }
+  in
+  Log_manager.set_after_force log (fun () -> sweep t);
+  t
 
 let set_hooks t ?(on_lost = fun _ -> ()) ~before_force ~on_durable () =
   t.before_force <- before_force;
@@ -41,11 +74,6 @@ let batching t = t.max_batch > 1
 let pending_count t = List.length t.pending
 let is_pending t ~txn = List.exists (fun p -> p.txn = txn) t.pending
 let deadline t = match t.pending with [] -> None | _ -> Some t.deadline
-
-(* Completion runs oldest-submitted first so observers see commits in
-   submission order. *)
-let complete t batch =
-  List.iter (fun p -> t.on_durable ~txn:p.txn ~submitted_at:p.submitted_at) (List.rev batch)
 
 let flush t =
   match t.pending with
@@ -73,28 +101,6 @@ let submit t ~txn ~lsn =
   if List.length t.pending >= t.max_batch then flush t
 
 let tick t ~now = if t.pending <> [] && now >= t.deadline then flush t
-
-let on_force t =
-  (* Forces on this node are block-grained (they push the durable
-     boundary to the device end), so an incidental force — WAL before a
-     page ship, a checkpoint — makes every already-appended pending
-     commit record durable as a side effect.  Complete those now: the
-     alternative (re-forcing later) would be a free no-op force, but
-     the transactions would be reported pending even though a crash
-     could no longer lose them — and a retry would then double-apply. *)
-  match t.pending with
-  | [] -> ()
-  | _ ->
-    let durable = Log_manager.durable_lsn t.log in
-    let piggybacked, still = List.partition (fun p -> p.lsn < durable) t.pending in
-    if piggybacked <> [] then begin
-      t.pending <- still;
-      (match still with [] -> t.deadline <- infinity | _ -> ());
-      if Env.tracing t.env then
-        Env.emit t.env ~node:t.node Event.Commit_batch
-          [ ("size", Event.Int (List.length piggybacked)); ("piggyback", Event.Bool true) ];
-      complete t piggybacked
-    end
 
 (* A crash loses the whole pending batch.  The loss hook fires with the
    dropped txn ids (oldest first) so the dependency layer can drag each

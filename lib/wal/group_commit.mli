@@ -16,8 +16,10 @@
     record is behind the durable boundary — after the batch force, or
     after any *other* force on the node (forces are block-grained and
     push durability to the device end, so WAL-before-ship or checkpoint
-    forces complete pending commits as a free piggyback; see
-    {!on_force}).
+    forces complete pending commits as a free piggyback).  {!create}
+    installs that sweep as the log's after-force hook
+    ({!Log_manager.set_after_force}), so every force on the log runs
+    it: no caller pairs a force with a sweep.
 
     The module lives in [lib/wal] below the transaction layer, so it
     speaks int transaction ids and callbacks, never [Txn.t]. *)
@@ -25,7 +27,9 @@
 type t
 
 val create : Repro_sim.Env.t -> node:int -> Log_manager.t -> t
-(** Reads the batching knobs from the environment's config.
+(** Reads the batching knobs from the environment's config, and takes
+    the log's after-force hook: a later [create] on the same log takes
+    it over.
     [group_commit_max_batch <= 1] disables batching: {!batching} is
     [false] and callers use the classic synchronous force. *)
 
@@ -64,11 +68,6 @@ val tick : t -> now:float -> unit
 val deadline : t -> float option
 (** Simulated time at which the pending batch must flush; [None] when
     nothing is pending. *)
-
-val on_force : t -> unit
-(** Notify that *some* force ran on this node's log.  Completes every
-    pending transaction whose commit record the force covered
-    (piggyback completion).  Call after every force site. *)
 
 val pending_count : t -> int
 val is_pending : t -> txn:int -> bool

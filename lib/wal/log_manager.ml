@@ -3,14 +3,22 @@ module Crc32 = Repro_util.Crc32
 module Env = Repro_sim.Env
 module Log_device = Repro_storage.Log_device
 
-type t = { env : Env.t; metrics : Repro_sim.Metrics.t; device : Log_device.t }
+type t = {
+  env : Env.t;
+  metrics : Repro_sim.Metrics.t;
+  device : Log_device.t;
+  mutable after_force : unit -> unit;
+}
 
 exception Log_full
 
 let header_size = 8
 
-let create env metrics ?capacity () = { env; metrics; device = Log_device.create ?capacity () }
+let create env metrics ?capacity () =
+  { env; metrics; device = Log_device.create ?capacity (); after_force = ignore }
+
 let device t = t.device
+let set_after_force t f = t.after_force <- f
 
 (* A frame stores the low 31 bits of its payload's CRC. *)
 let frame_crc b ~pos ~len = Crc32.bytes b ~pos ~len land 0x7FFF_FFFF
@@ -48,7 +56,8 @@ let force t ~upto =
   if upto >= durable_lsn t then begin
     let moved = Log_device.force t.device ~upto:(end_lsn t) in
     if moved > 0 then Env.charge_log_force t.env t.metrics ~durable:(durable_lsn t) ~bytes:moved ()
-  end
+  end;
+  t.after_force ()
 
 let force_all t = force t ~upto:(end_lsn t - 1)
 
@@ -57,7 +66,8 @@ let force_shared t ~upto ~sharers =
     let moved = Log_device.force t.device ~upto:(end_lsn t) in
     if moved > 0 then
       Env.charge_log_force_shared t.env t.metrics ~durable:(durable_lsn t) ~bytes:moved ~sharers ()
-  end
+  end;
+  t.after_force ()
 
 (* The frame check, in place in the device's bytes: range (and, through
    [Log_device.view], the low-water mark), truncation, CRC, then the

@@ -35,10 +35,17 @@ val append : ?overdraft:bool -> t -> Record.t -> Lsn.t
     [overdraft] bypasses the capacity limit — rollback records must
     always fit (reserved undo space). *)
 
+val set_after_force : t -> (unit -> unit) -> unit
+(** The one hook every force entry point ({!force}, {!force_all},
+    {!force_shared}) runs when it returns, after its charge and event,
+    whether or not bytes moved.  {!Group_commit.create} installs its
+    batch's sweep here, so no force can leave a pending commit it made
+    durable uncompleted.  Default: nothing. *)
+
 val force : t -> upto:Lsn.t -> unit
 (** Makes all records at LSN <= [upto] durable.  Charges one log force
     if any bytes actually move; a no-op (already durable) charges
-    nothing. *)
+    nothing.  Then runs the after-force hook. *)
 
 val force_all : t -> unit
 

@@ -9,6 +9,7 @@ module Undo = Repro_aries.Undo
 module Record = Repro_wal.Record
 module Lsn = Repro_wal.Lsn
 module Log_manager = Repro_wal.Log_manager
+module Group_commit = Repro_wal.Group_commit
 module Page = Repro_storage.Page
 module Page_id = Repro_storage.Page_id
 module Env = Repro_sim.Env
@@ -70,6 +71,27 @@ let test_checkpoint_updates_master () =
   Alcotest.(check int) "counted" 1 metrics.Metrics.checkpoints_taken;
   (* the pair is forced *)
   Alcotest.(check int) "durable" (Log_manager.end_lsn log) (Log_manager.durable_lsn log)
+
+(* The mid-checkpoint crash point must not fire while a commit the
+   checkpoint's force made durable is still marked pending: a retried
+   but durable commit would be applied twice. *)
+let test_checkpoint_completes_pending_commit () =
+  let env = Env.create (Config.with_group_commit Config.instant ~window_ms:10. ~max_batch:8) in
+  let metrics = Metrics.create () in
+  let log = Log_manager.create env metrics () in
+  let gc = Group_commit.create env ~node:0 log in
+  let durable = ref [] in
+  Group_commit.set_hooks gc ~before_force:ignore
+    ~on_durable:(fun ~txn ~submitted_at:_ -> durable := txn :: !durable)
+    ();
+  let lsn = Log_manager.append log { Record.txn = 1; prev = Lsn.nil; body = Commit } in
+  Group_commit.submit gc ~txn:1 ~lsn;
+  let at_master = ref None in
+  ignore
+    (Checkpoint.take log env metrics ~dpt:[] ~active:[] ~master:(Master.create ())
+       ~on_before_master:(fun () -> at_master := Some (!durable, Group_commit.pending_count gc)));
+  Alcotest.(check (option (pair (list int) int)))
+    "member completed, batch empty, before on_before_master" (Some ([ 1 ], 0)) !at_master
 
 (* ---- Analysis ---- *)
 
@@ -209,6 +231,8 @@ let suite =
     ("txn bookkeeping", `Quick, test_txn_bookkeeping);
     ("txn table", `Quick, test_txn_table);
     ("checkpoint updates master", `Quick, test_checkpoint_updates_master);
+    ("checkpoint completes a pending commit before the master moves", `Quick,
+      test_checkpoint_completes_pending_commit);
     ("analysis finds losers and dpt", `Quick, test_analysis_finds_losers_and_dpt);
     ("analysis starts at checkpoint", `Quick, test_analysis_starts_at_checkpoint);
     ("analysis carries checkpoint actives", `Quick, test_analysis_checkpoint_active_txns);

@@ -44,100 +44,7 @@ let count rule result = List.length (findings_for rule result)
 
 let check_count msg rule expected result = Alcotest.(check int) msg expected (count rule result)
 
-(* ---- rule 1: ipc-force-sweep (interprocedural) ---- *)
-
-let test_force_sweep_positive () =
-  let r =
-    lint [ ("lib/core/foo.ml", "let commit log =\n  Log_manager.force log ~upto:3\n") ]
-  in
-  check_count "unswept force flagged" "ipc-force-sweep" 1 r;
-  let f = List.hd (findings_for "ipc-force-sweep" r) in
-  Alcotest.(check string) "file" "lib/core/foo.ml" f.Lint.file;
-  Alcotest.(check int) "line" 2 f.Lint.line
-
-let test_force_sweep_negative () =
-  let r =
-    lint
-      [
-        ( "lib/core/foo.ml",
-          "let commit log gc =\n  Log_manager.force log ~upto:3;\n  Group_commit.on_force gc\n"
-        );
-      ]
-  in
-  check_count "paired force passes" "ipc-force-sweep" 0 r
-
-let test_force_sweep_charge_variant () =
-  (* The cost-charging entry point counts as a force too. *)
-  let r = lint [ ("lib/core/foo.ml", "let commit env = charge_log_force env ~bytes:64\n") ] in
-  check_count "charge_log_force flagged" "ipc-force-sweep" 1 r
-
-let test_force_sweep_impl_layer_exempt () =
-  (* The force implementation itself cannot call the sweep (cycle). *)
-  let r =
-    lint [ ("lib/wal/log_manager.ml", "let force_all t =\n  Log_manager.force t ~upto:9\n") ]
-  in
-  check_count "impl layer exempt" "ipc-force-sweep" 0 r
-
-let test_force_sweep_outside_lib () =
-  let r = lint [ ("bin/tool.ml", "let main log = Log_manager.force log ~upto:3\n") ] in
-  check_count "bin/ not in scope" "ipc-force-sweep" 0 r
-
-let test_force_sweep_callee_covers () =
-  (* Force in one module, sweep in another, paired through a call
-     edge: the per-function rule this one replaced would flag it. *)
-  let r =
-    lint
-      [
-        ("lib/core/a.ml", "let commit log gc =\n  Log_manager.force log ~upto:3;\n  B.sweep gc\n");
-        ("lib/core/b.ml", "let sweep gc = Group_commit.on_force gc\n");
-      ]
-  in
-  check_count "cross-module force/sweep split passes" "ipc-force-sweep" 0 r
-
-let test_force_sweep_split_still_caught () =
-  (* The split without the sweep: interprocedural analysis must not
-     grant a pass just because the force moved into a helper. *)
-  let r =
-    lint
-      [
-        ("lib/core/a.ml", "let commit log =\n  B.force_tail log 3\n");
-        ("lib/core/b.ml", "let force_tail log lsn = Log_manager.force log ~upto:lsn\n");
-      ]
-  in
-  check_count "unswept helper force flagged" "ipc-force-sweep" 1 r;
-  let f = List.hd (findings_for "ipc-force-sweep" r) in
-  Alcotest.(check string) "flagged at the helper's force" "lib/core/b.ml" f.Lint.file
-
-(* The PR 3 bug shape, split across two functions: a helper forces the
-   log, checkpoint runs the mid-checkpoint crash hook with the
-   group-commit batch still pending.  The caller-side sweep fixes it —
-   only the whole-repo analysis can see that pairing. *)
-let test_force_sweep_checkpoint_regression () =
-  let buggy =
-    "let force_tail log lsn = Log_manager.force log ~upto:lsn\n\
-     let take log ~on_before_master =\n\
-    \  let lsn = Log_manager.append log record in\n\
-    \  force_tail log lsn;\n\
-    \  on_before_master ();\n\
-    \  lsn\n"
-  in
-  let fixed =
-    "let force_tail log lsn = Log_manager.force log ~upto:lsn\n\
-     let take log gc ~on_before_master =\n\
-    \  let lsn = Log_manager.append log record in\n\
-    \  force_tail log lsn;\n\
-    \  Option.iter Group_commit.on_force gc;\n\
-    \  on_before_master ();\n\
-    \  lsn\n"
-  in
-  let r = lint [ ("lib/aries/checkpoint.ml", buggy) ] in
-  check_count "reintroduced checkpoint bug caught" "ipc-force-sweep" 1 r;
-  let f = List.hd (findings_for "ipc-force-sweep" r) in
-  Alcotest.(check int) "flagged at the force" 1 f.Lint.line;
-  let r = lint [ ("lib/aries/checkpoint.ml", fixed) ] in
-  check_count "caller-side sweep covers the helper" "ipc-force-sweep" 0 r
-
-(* ---- rule 2: swallowed-control-exn ---- *)
+(* ---- rule 1: swallowed-control-exn ---- *)
 
 let test_swallowed_positive () =
   let r =
@@ -161,7 +68,7 @@ let test_swallowed_negative () =
   in
   check_count "specific / re-raising / guarded / bin all pass" "swallowed-control-exn" 0 r
 
-(* ---- rule 3: rng-discipline ---- *)
+(* ---- rule 2: rng-discipline ---- *)
 
 let test_rng_positive () =
   let r =
@@ -184,7 +91,7 @@ let test_rng_negative () =
   in
   check_count "designated module and bin/ pass" "rng-discipline" 0 r
 
-(* ---- rule 4: no-poly-compare ---- *)
+(* ---- rule 3: no-poly-compare ---- *)
 
 let test_poly_compare_positive () =
   let r =
@@ -206,7 +113,7 @@ let test_poly_compare_negative () =
   in
   check_count "explicit equal and non-state operands pass" "no-poly-compare" 0 r
 
-(* ---- rule 5: no-unsafe-obj ---- *)
+(* ---- rule 4: no-unsafe-obj ---- *)
 
 let test_unsafe_obj () =
   let r =
@@ -223,26 +130,18 @@ let test_unsafe_obj () =
 let test_inline_suppression () =
   let r =
     lint
-      [
-        ( "lib/core/foo.ml",
-          "let commit log = (Log_manager.force log ~upto:3) [@cbl.lint.allow \"ipc-force-sweep\"]\n"
-        );
-      ]
+      [ ("lib/core/foo.ml", "let cast x = (Obj.magic x) [@cbl.lint.allow \"no-unsafe-obj\"]\n") ]
   in
-  check_count "attributed expression silenced" "ipc-force-sweep" 0 r;
+  check_count "attributed expression silenced" "no-unsafe-obj" 0 r;
   Alcotest.(check int) "counted as suppressed" 1 r.Lint.suppressed
 
 let test_inline_suppression_wrong_rule () =
   (* Suppression is per rule id: naming another rule silences nothing. *)
   let r =
     lint
-      [
-        ( "lib/core/foo.ml",
-          "let commit log = (Log_manager.force log ~upto:3) [@cbl.lint.allow \"no-unsafe-obj\"]\n"
-        );
-      ]
+      [ ("lib/core/foo.ml", "let cast x = (Obj.magic x) [@cbl.lint.allow \"rng-discipline\"]\n") ]
   in
-  check_count "mismatched rule id does not silence" "ipc-force-sweep" 1 r
+  check_count "mismatched rule id does not silence" "no-unsafe-obj" 1 r
 
 let test_floating_suppression () =
   let r =
@@ -250,73 +149,15 @@ let test_floating_suppression () =
       [
         ( "lib/core/foo.ml",
           "[@@@cbl.lint.allow \"no-unsafe-obj\"]\n\n\
-           let commit log = Log_manager.force log ~upto:3\n\
+           let pick () = Random.int 10\n\
            let cast x = Obj.magic x\n" );
       ]
   in
   check_count "floating attribute silences whole file" "no-unsafe-obj" 0 r;
-  check_count "other rules still fire" "ipc-force-sweep" 1 r;
+  check_count "other rules still fire" "rng-discipline" 1 r;
   Alcotest.(check int) "counted as suppressed" 1 r.Lint.suppressed
 
-(* ---- rule 6: ipc-elr-pairing (interprocedural) ---- *)
-
-let test_elr_pairing_positive () =
-  let r =
-    lint
-      [
-        ( "lib/core/foo.ml",
-          "let early_release t txn =\n  Local_locks.release_txn_early t.locks ~txn\n" );
-      ]
-  in
-  check_count "bare early release flagged" "ipc-elr-pairing" 1 r;
-  let f = List.hd (findings_for "ipc-elr-pairing" r) in
-  Alcotest.(check string) "file" "lib/core/foo.ml" f.Lint.file;
-  Alcotest.(check int) "line" 2 f.Lint.line
-
-let test_elr_pairing_negative () =
-  let r =
-    lint
-      [
-        ( "lib/core/foo.ml",
-          "let early_release t txn =\n\
-          \  let released = Local_locks.release_txn_early t.locks ~txn in\n\
-          \  elr_record_release t ~txn released\n" );
-      ]
-  in
-  check_count "recorded release passes" "ipc-elr-pairing" 0 r
-
-let test_elr_pairing_callee_records () =
-  (* Release in one module, dependency registration in a helper it
-     calls: the pairing now only has to hold somewhere on the path. *)
-  let r =
-    lint
-      [
-        ( "lib/core/a.ml",
-          "let early t txn =\n\
-          \  let released = Local_locks.release_txn_early t.locks ~txn in\n\
-          \  B.register t txn released\n" );
-        ("lib/core/b.ml", "let register t txn released = elr_record_release t ~txn released\n");
-      ]
-  in
-  check_count "cross-module release/record split passes" "ipc-elr-pairing" 0 r
-
-let test_elr_pairing_impl_layer_exempt () =
-  (* the lock manager implements the release; it cannot pair with the
-     node-level dependency registration without a cycle *)
-  let r =
-    lint
-      [
-        ( "lib/lock/local_locks.ml",
-          "let release_all t ~txn = release_txn_early t ~txn\n" );
-      ]
-  in
-  check_count "impl layer exempt" "ipc-elr-pairing" 0 r
-
-let test_elr_pairing_outside_lib () =
-  let r = lint [ ("bin/tool.ml", "let go locks = Local_locks.release_txn_early locks ~txn:1\n") ] in
-  check_count "bin/ out of scope" "ipc-elr-pairing" 0 r
-
-(* ---- rule 7: exn-flow ---- *)
+(* ---- rule 5: exn-flow ---- *)
 
 let test_exn_flow_unreachable_handler () =
   (* A raise no context up the graph can catch. *)
@@ -364,7 +205,7 @@ let test_exn_flow_same_function_handler () =
   in
   check_count "own handler covers" "exn-flow" 0 r
 
-(* ---- rule 8: dead-handler ---- *)
+(* ---- rule 6: dead-handler ---- *)
 
 let test_dead_handler_positive () =
   (* Nothing the guarded body reaches can raise: retry boundary that
@@ -391,32 +232,6 @@ let test_dead_handler_unresolved_conservative () =
     lint [ ("lib/core/a.ml", "let f g = try g () with Block.Would_block _ -> 0\n") ] in
   check_count "unresolvable body stays live" "dead-handler" 0 r
 
-(* ---- rule 9: rng-reachability ---- *)
-
-let test_rng_reachability_positive () =
-  let r = lint [ ("lib/sim/gen.ml", "let pick rng =\n  Rng.int rng 10\n") ] in
-  check_count "unseeded draw flagged" "rng-reachability" 1 r;
-  let f = List.hd (findings_for "rng-reachability" r) in
-  Alcotest.(check string) "file" "lib/sim/gen.ml" f.Lint.file;
-  Alcotest.(check int) "line" 2 f.Lint.line
-
-let test_rng_reachability_seeded_root () =
-  (* The draw sits in a helper; the root that reaches it derives the
-     stream from the run's seed — cross-module, so only the graph view
-     can connect them. *)
-  let r =
-    lint
-      [
-        ("lib/sim/gen.ml", "let pick rng = Rng.int rng 10\n");
-        ("lib/sim/driver.ml", "let run seed =\n  let rng = Rng.create seed in\n  Gen.pick rng\n");
-      ]
-  in
-  check_count "seeded root covers the draw" "rng-reachability" 0 r
-
-let test_rng_reachability_impl_exempt () =
-  let r = lint [ ("lib/util/rng.ml", "let int t n = Rng.next_int64 t\n") ] in
-  check_count "rng module exempt" "rng-reachability" 0 r
-
 (* ---- engine odds and ends ---- *)
 
 let test_parse_error_is_finding () =
@@ -435,11 +250,11 @@ let test_json_report_shape () =
     "files_scanned" (Some 1)
     (Option.bind (member "files_scanned") Json.to_int_opt);
   (match member "rules" with
-  | Some (Json.List rules) -> Alcotest.(check int) "nine rules" 9 (List.length rules)
+  | Some (Json.List rules) -> Alcotest.(check int) "six rules" 6 (List.length rules)
   | _ -> Alcotest.fail "rules member missing");
   (match member "rule_seconds" with
   | Some (Json.Obj timings) ->
-    Alcotest.(check int) "one timing per rule" 9 (List.length timings);
+    Alcotest.(check int) "one timing per rule" 6 (List.length timings);
     Alcotest.(check (list string))
       "timings in registry order"
       (List.map (fun rule -> rule.Lint.id) Rules.all)
@@ -458,34 +273,28 @@ module Summary = Repro_lint.Summary
 module Callgraph = Repro_lint.Callgraph
 module Propagate = Repro_lint.Propagate
 
-(* A deliberately knotty little repo: cross-module calls, a call cycle
-   no root enters (pseudo-root path), real violations of all three
-   pairing families, and a cross-file handler. *)
+(* A deliberately knotty little repo: cross-module calls, a call cycle,
+   a raise handled in another file, one no handler covers and one
+   handled in its own function. *)
 let order_fixture =
   [
     ( "lib/core/a.ml",
       "let rec ping x = B.pong (x - 1)\n\
-       let commit log gc =\n\
-      \  Log_manager.force log ~upto:3;\n\
-      \  B.sweep gc\n\
-       let entry log gc = commit log gc; C.run (Rng.create 7)\n" );
+       let entry () = C.run ()\n\
+       let lost node = B.probe node\n" );
     ( "lib/core/b.ml",
       "let pong x = A.ping x\n\
-       let sweep gc = Group_commit.on_force gc\n\
-       let lone t = Local_locks.release_txn_early t ~txn:1\n\
-       let probe node = Block.block (Block.Node_down { node })\n" );
+       let probe node = Block.block (Block.Node_down { node })\n\
+       let own node = try Block.block (Block.Net_unreachable { dst = node }) with \
+       Block.Would_block _ -> 0\n" );
     ( "lib/core/c.ml",
-      "let draw rng = Rng.int rng 10\n\
-       let run rng = try B.probe 1 with Block.Would_block _ -> draw rng\n\
-       let stray rng = Rng.float rng\n" );
+      "let run () = try B.probe 1 with Block.Would_block _ -> 0\n\
+       let stray dst = Block.block (Block.Net_unreachable { dst })\n" );
   ]
 
 let analysis_cfg =
   {
-    Propagate.force_impl = [];
-    elr_impl = [];
-    rng_impl = [];
-    raise_impl = [];
+    Propagate.raise_impl = [];
     checked = (fun rel -> String.length rel >= 4 && String.sub rel 0 4 = "lib/");
   }
 
@@ -496,35 +305,30 @@ let order_graph =
      let _, sources, _ = Lint.parse_tree ~root ~paths:[ "lib" ] in
      Callgraph.build (Summary.of_sources sources))
 
-(* Everything the rules read off a [Propagate.t], as comparable data. *)
+(* The raise facts the rules read off a [Propagate.t], as comparable
+   data: the sites escaping each node, the sites some handler covers,
+   and the sites none does. *)
 let projection t =
-  let cov (c : Propagate.cov_site) =
-    Printf.sprintf "%s:%d:%d %s %s" c.Propagate.c_file c.Propagate.c_loc.Summary.line
-      c.Propagate.c_loc.Summary.col c.Propagate.c_fn c.Propagate.c_what
-  in
   let rs (r : Propagate.raise_site) =
     Printf.sprintf "%s:%d:%d %s %s" r.Propagate.r_file r.Propagate.r_loc.Summary.line
       r.Propagate.r_loc.Summary.col r.Propagate.r_fn
       (Summary.label_name r.Propagate.r_label)
   in
-  ( List.sort compare (List.map cov (Propagate.violations_force t)),
-    List.sort compare (List.map cov (Propagate.violations_elr t)),
-    List.sort compare (List.map cov (Propagate.violations_rng t)),
-    List.sort compare (List.map rs (Propagate.unhandled_raises t)),
-    Array.to_list t.Propagate.may_sweep,
-    Array.to_list t.Propagate.may_elr_record,
-    Array.to_list t.Propagate.may_seed,
-    List.sort compare t.Propagate.roots )
+  let unhandled = Propagate.unhandled_raises t in
+  ( Array.to_list (Array.map (fun e -> List.map rs (Propagate.RS.elements e)) t.Propagate.escaping),
+    List.sort compare
+      (List.map rs (List.filter (fun r -> not (List.mem r unhandled)) t.Propagate.raise_sites)),
+    List.sort compare (List.map rs unhandled) )
 
 let test_order_fixture_findings () =
-  (* Sanity-check the fixture actually exercises every family before
-     the property asserts order-independence over it. *)
+  (* Sanity-check the fixture actually exercises every fact before the
+     property asserts order-independence over it. *)
   let t = Propagate.run analysis_cfg (Lazy.force order_graph) in
-  let f, e, g, u, _, _, _, _ = projection t in
-  Alcotest.(check int) "no force violation (paired cross-module)" 0 (List.length f);
-  Alcotest.(check int) "one bare release" 1 (List.length e);
-  Alcotest.(check int) "one unseeded draw (stray)" 1 (List.length g);
-  Alcotest.(check int) "raise handled cross-file" 0 (List.length u)
+  let escaping, handled, unhandled = projection t in
+  Alcotest.(check int) "raises escape probe, its caller lost, and stray" 3
+    (List.length (List.filter (fun e -> e <> []) escaping));
+  Alcotest.(check int) "probe handled cross-file, own handled locally" 2 (List.length handled);
+  Alcotest.(check int) "one raise no handler covers (stray)" 1 (List.length unhandled)
 
 (* The fixpoint is a join over monotone transfer functions, so the
    sweep order must not matter.  Permute it and compare everything. *)
@@ -575,18 +379,6 @@ let test_clean_tree_ok () =
 
 let suite =
   [
-    Alcotest.test_case "ipc-force-sweep: unswept force flagged" `Quick test_force_sweep_positive;
-    Alcotest.test_case "ipc-force-sweep: paired force passes" `Quick test_force_sweep_negative;
-    Alcotest.test_case "ipc-force-sweep: charge variant" `Quick test_force_sweep_charge_variant;
-    Alcotest.test_case "ipc-force-sweep: impl layer exempt" `Quick
-      test_force_sweep_impl_layer_exempt;
-    Alcotest.test_case "ipc-force-sweep: bin/ out of scope" `Quick test_force_sweep_outside_lib;
-    Alcotest.test_case "ipc-force-sweep: cross-module pairing passes" `Quick
-      test_force_sweep_callee_covers;
-    Alcotest.test_case "ipc-force-sweep: split helper still caught" `Quick
-      test_force_sweep_split_still_caught;
-    Alcotest.test_case "ipc-force-sweep: PR3 bug shape across two functions" `Quick
-      test_force_sweep_checkpoint_regression;
     Alcotest.test_case "swallowed-control-exn: catch-alls flagged" `Quick test_swallowed_positive;
     Alcotest.test_case "swallowed-control-exn: clean idioms pass" `Quick test_swallowed_negative;
     Alcotest.test_case "rng-discipline: violations flagged" `Quick test_rng_positive;
@@ -594,14 +386,6 @@ let suite =
     Alcotest.test_case "no-poly-compare: state operands flagged" `Quick test_poly_compare_positive;
     Alcotest.test_case "no-poly-compare: clean idioms pass" `Quick test_poly_compare_negative;
     Alcotest.test_case "no-unsafe-obj: Obj in lib/ flagged" `Quick test_unsafe_obj;
-    Alcotest.test_case "ipc-elr-pairing: bare release flagged" `Quick test_elr_pairing_positive;
-    Alcotest.test_case "ipc-elr-pairing: recorded release passes" `Quick
-      test_elr_pairing_negative;
-    Alcotest.test_case "ipc-elr-pairing: cross-module pairing passes" `Quick
-      test_elr_pairing_callee_records;
-    Alcotest.test_case "ipc-elr-pairing: impl layer exempt" `Quick
-      test_elr_pairing_impl_layer_exempt;
-    Alcotest.test_case "ipc-elr-pairing: bin/ out of scope" `Quick test_elr_pairing_outside_lib;
     Alcotest.test_case "exn-flow: uncatchable raise flagged" `Quick
       test_exn_flow_unreachable_handler;
     Alcotest.test_case "exn-flow: raise in A handled in B" `Quick test_exn_flow_cross_file_handler;
@@ -612,12 +396,6 @@ let suite =
     Alcotest.test_case "dead-handler: cross-module feed is live" `Quick test_dead_handler_negative;
     Alcotest.test_case "dead-handler: unresolved body conservative" `Quick
       test_dead_handler_unresolved_conservative;
-    Alcotest.test_case "rng-reachability: unseeded draw flagged" `Quick
-      test_rng_reachability_positive;
-    Alcotest.test_case "rng-reachability: seeded root covers" `Quick
-      test_rng_reachability_seeded_root;
-    Alcotest.test_case "rng-reachability: rng module exempt" `Quick
-      test_rng_reachability_impl_exempt;
     Alcotest.test_case "suppression: inline attribute" `Quick test_inline_suppression;
     Alcotest.test_case "suppression: wrong rule id inert" `Quick test_inline_suppression_wrong_rule;
     Alcotest.test_case "suppression: floating attribute" `Quick test_floating_suppression;

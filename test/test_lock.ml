@@ -142,6 +142,32 @@ let test_local_revoke_pending () =
   Local_locks.clear_revoke_pending l (pid 0);
   Alcotest.(check bool) "cleared" true (Local_locks.revoke_pending l (pid 0) = None)
 
+(* The early-release registry: a release registers its releaser per
+   page in the same step, the newest releaser wins, settling leaves a
+   page a later releaser took over alone, and a crash wipes it. *)
+let test_local_early_release_registry () =
+  let l = Local_locks.create () in
+  List.iter (fun s -> Local_locks.set_cached_mode l (pid s) Mode.X) [ 0; 1 ];
+  ignore (Local_locks.acquire l ~txn:1 ~pid:(pid 0) ~mode:Mode.X);
+  ignore (Local_locks.acquire l ~txn:1 ~pid:(pid 1) ~mode:Mode.X);
+  Alcotest.(check int) "both released" 2 (List.length (Local_locks.release_txn_early l ~txn:1));
+  Alcotest.(check (option int)) "page 0 recorded" (Some 1) (Local_locks.early_releaser l (pid 0));
+  Alcotest.(check (option int)) "page 1 recorded" (Some 1) (Local_locks.early_releaser l (pid 1));
+  (* T2 acquires page 0 after T1's release and releases it early too *)
+  ignore (Local_locks.acquire l ~txn:2 ~pid:(pid 0) ~mode:Mode.X);
+  ignore (Local_locks.release_txn_early l ~txn:2);
+  Alcotest.(check (option int)) "newest releaser wins" (Some 2)
+    (Local_locks.early_releaser l (pid 0));
+  Local_locks.settle_early l ~txn:1;
+  Alcotest.(check (option int)) "overwritten page keeps T2" (Some 2)
+    (Local_locks.early_releaser l (pid 0));
+  Alcotest.(check bool) "T1's own page settled" false (Local_locks.released_early l (pid 1));
+  Local_locks.clear l;
+  Alcotest.(check bool) "clear wipes the registry" false (Local_locks.released_early l (pid 0));
+  Local_locks.settle_early l ~txn:2;
+  Alcotest.(check (option int)) "settling after clear is a no-op" None
+    (Local_locks.early_releaser l (pid 0))
+
 let test_local_cached_pages_owned_by () =
   let l = Local_locks.create () in
   Local_locks.set_cached_mode l (Page_id.make ~owner:1 ~slot:0) Mode.S;
@@ -163,4 +189,5 @@ let suite =
     ("local acquire requires cover", `Quick, test_local_acquire_requires_cover);
     ("local revoke pending", `Quick, test_local_revoke_pending);
     ("local owned-by filter", `Quick, test_local_cached_pages_owned_by);
+    ("local early-release registry", `Quick, test_local_early_release_registry);
   ]

@@ -3,6 +3,7 @@
 module Lsn = Repro_wal.Lsn
 module Record = Repro_wal.Record
 module Log_manager = Repro_wal.Log_manager
+module Group_commit = Repro_wal.Group_commit
 module Log_device = Repro_storage.Log_device
 module Page = Repro_storage.Page
 module Page_id = Repro_storage.Page_id
@@ -176,6 +177,27 @@ let test_log_manager_force_counts_once () =
   Log_manager.force log ~upto:l1;
   Log_manager.force log ~upto:l1;
   Alcotest.(check int) "idempotent force charges once" 1 m.Metrics.log_forces
+
+(* A force made outside the batch — WAL before a page ship, say — still
+   completes every pending commit it made durable: the batch's sweep is
+   the log's after-force hook, not a call each force site must add. *)
+let test_bare_force_completes_pending_commits () =
+  let env = Env.create (Config.with_group_commit Config.instant ~window_ms:10. ~max_batch:8) in
+  let log = Log_manager.create env (Metrics.create ()) () in
+  let gc = Group_commit.create env ~node:0 log in
+  let durable = ref [] in
+  Group_commit.set_hooks gc ~before_force:ignore
+    ~on_durable:(fun ~txn ~submitted_at:_ -> durable := txn :: !durable)
+    ();
+  let l1 = Log_manager.append log (commit_record 1 Lsn.nil) in
+  Group_commit.submit gc ~txn:1 ~lsn:l1;
+  let l2 = Log_manager.append log (commit_record 2 l1) in
+  Group_commit.submit gc ~txn:2 ~lsn:l2;
+  Alcotest.(check int) "both pending" 2 (Group_commit.pending_count gc);
+  Log_manager.force log ~upto:l1;
+  Alcotest.(check (list int)) "completed in submission order" [ 1; 2 ] (List.rev !durable);
+  Alcotest.(check int) "batch empty" 0 (Group_commit.pending_count gc);
+  Alcotest.(check bool) "no deadline left" true (Group_commit.deadline gc = None)
 
 let test_log_manager_capacity () =
   let log = mk ~capacity:64 () in
@@ -502,6 +524,8 @@ let suite =
     ("log force and crash", `Quick, test_log_manager_force_and_crash);
     ("log force idempotent charge", `Quick, test_log_manager_force_counts_once);
     ("log capacity and overdraft", `Quick, test_log_manager_capacity);
+    ("group commit: a bare force completes pending commits", `Quick,
+      test_bare_force_completes_pending_commits);
     ("log scan charging", `Quick, test_log_manager_scan_counts);
     ("golden: log bytes of every record kind", `Quick, test_log_bytes_golden);
     ("log frame must decode exactly", `Quick, test_log_frame_trailing_bytes);
