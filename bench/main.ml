@@ -45,18 +45,15 @@ let write_json file json =
 
 (* ---- lint timing guard ----
 
-   cbl-lint gates every CI run before the tests, so it must stay cheap
-   even now that it builds a whole-repo call graph.  Three phases are
-   timed separately — parse (compiler-libs over every file), summaries
-   (phase-1 effect extraction), and the full run (parse +
-   summaries + call graph + fixpoint + all rules) — each against its
-   own wall budget; any phase over budget exits 1.  The timings go to
+   cbl-lint gates every CI run before the tests, so it must stay cheap.
+   Two phases are timed separately — parse (compiler-libs over every
+   file) and the full run (parse + all rules) — each against its own
+   wall budget; either phase over budget exits 1.  The timings go to
    BENCH_LINT.json.  Run from the repo root; skipped elsewhere (no
    tree to lint). *)
 
 let lint_budget_seconds = 2.0
 let lint_parse_budget_seconds = 1.0
-let lint_summaries_budget_seconds = 1.0
 
 let bench_lint () =
   if not (Sys.file_exists "lib" && Sys.file_exists "bin") then
@@ -68,10 +65,9 @@ let bench_lint () =
       let r = f () in
       (r, max 1e-6 (Sys.time () -. t0))
     in
-    let (_, sources, _), parse_s =
+    let _, parse_s =
       time (fun () -> Repro_lint.Lint.parse_tree ~root:"." ~paths)
     in
-    let summaries, summaries_s = time (fun () -> Repro_lint.Summary.of_sources sources) in
     let result, full_s =
       time (fun () ->
           Repro_lint.Lint.run ~clock:Sys.time ~root:"." ~paths ~rules:Repro_lint.Rules.all ())
@@ -79,7 +75,6 @@ let bench_lint () =
     let phases =
       [
         ("parse", parse_s, lint_parse_budget_seconds);
-        ("summaries", summaries_s, lint_summaries_budget_seconds);
         ("full", full_s, lint_budget_seconds);
       ]
     in
@@ -90,9 +85,6 @@ let bench_lint () =
         [
           ("id", J.Str "lint_timing");
           ("files_scanned", J.Int result.Repro_lint.Lint.files_scanned);
-          ("functions_summarized", J.Int (List.fold_left
-               (fun acc (f : Repro_lint.Summary.file) -> acc + List.length f.Repro_lint.Summary.fns)
-               0 summaries));
           ("seconds", J.Float full_s);
           ("budget_seconds", J.Float lint_budget_seconds);
           ("ok", J.Bool ok);

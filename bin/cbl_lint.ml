@@ -14,28 +14,20 @@
      --root DIR        repo root the paths are relative to (default .)
      --rules IDS       run only the comma-separated rule ids; unknown
                        ids are an error (exit 2).  "--rules list"
-                       prints the registry and exits
-     --dump-summaries  print the phase-1 effect summaries as JSON and
-                       exit 0 (debug surface)
-     --dump-callgraph  print the resolved call graph as JSON and exit 0
-                       (CI uploads this as an artifact) *)
+                       prints the registry and exits *)
 
 module Lint = Repro_lint.Lint
 module Rules = Repro_lint.Rules
-module Summary = Repro_lint.Summary
-module Callgraph = Repro_lint.Callgraph
 module Json = Repro_obs.Json
 
 let usage () =
   prerr_endline
-    "usage: cbl_lint [--json] [--out FILE] [--root DIR] [--rules IDS] \
-     [--dump-summaries] [--dump-callgraph] [paths...]";
+    "usage: cbl_lint [--json] [--out FILE] [--root DIR] [--rules IDS] [paths...]";
   exit 2
 
 let () =
   let json = ref false and out = ref None in
   let root = ref "." and paths = ref [] and rule_ids = ref None in
-  let dump_summaries = ref false and dump_callgraph = ref false in
   let rec parse = function
     | [] -> ()
     | "--json" :: rest ->
@@ -49,12 +41,6 @@ let () =
       parse rest
     | "--rules" :: ids :: rest ->
       rule_ids := Some ids;
-      parse rest
-    | "--dump-summaries" :: rest ->
-      dump_summaries := true;
-      parse rest
-    | "--dump-callgraph" :: rest ->
-      dump_callgraph := true;
       parse rest
     | ("--out" | "--root" | "--rules") :: [] -> usage ()
     | arg :: _ when String.length arg > 2 && String.sub arg 0 2 = "--" -> usage ()
@@ -84,14 +70,6 @@ let () =
   let paths =
     match List.rev !paths with [] -> [ "lib"; "bin"; "bench"; "test" ] | ps -> ps
   in
-  if !dump_summaries || !dump_callgraph then begin
-    let _, sources, _ = Lint.parse_tree ~root:!root ~paths in
-    let files = Summary.of_sources sources in
-    if !dump_summaries then print_endline (Json.to_string_pretty (Summary.to_json files));
-    if !dump_callgraph then
-      print_endline (Json.to_string_pretty (Callgraph.to_json (Callgraph.build files)));
-    exit 0
-  end;
   let result = Lint.run ~clock:Unix.gettimeofday ~root:!root ~paths ~rules () in
   let report = Json.to_string_pretty (Lint.result_to_json ~rules result) in
   (match !out with

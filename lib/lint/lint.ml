@@ -210,8 +210,8 @@ let compare_finding a b =
       let c = compare a.col b.col in
       if c <> 0 then c else compare a.rule b.rule
 
-(* Phase 1 in isolation: discovery + parsing, no rules.  Exposed so the
-   bench can time the parse and summary phases separately. *)
+(* Discovery + parsing alone, no rules.  Exposed so the bench can time
+   the parse separately from the full run. *)
 let parse_tree ~root ~paths =
   let files = discover ~root paths in
   let sources = ref [] and parse_findings = ref [] in

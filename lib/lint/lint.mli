@@ -53,8 +53,8 @@ type result = {
 
 val parse_tree :
   root:string -> paths:string list -> string list * source list * finding list
-(** Phase 1 alone: [(files, sources, parse_findings)].  The bench uses
-    it to time parsing separately from summary extraction and rules. *)
+(** Parsing alone: [(files, sources, parse_findings)].  The bench uses
+    it to time parsing separately from the full run. *)
 
 val run :
   ?clock:(unit -> float) ->

@@ -6,8 +6,12 @@ open Parsetree
 
 let in_lib rel = String.length rel >= 4 && String.sub rel 0 4 = "lib/"
 
-let components = Summary.components
-let last_component = Summary.last_component
+let rec components = function
+  | Longident.Lident s -> [ s ]
+  | Longident.Ldot (p, s) -> components p @ [ s ]
+  | Longident.Lapply (a, b) -> components a @ components b
+
+let last_component lid = match List.rev (components lid) with s :: _ -> s | [] -> ""
 
 (* Visit every expression of a structure, including nested modules. *)
 let iter_exprs_in_structure f structure =
@@ -65,32 +69,6 @@ let reraises name body =
   !found
 
 let ends_with suffix s = String.ends_with ~suffix s
-
-(* ------------------------------------------------------------------ *)
-(* Shared whole-repo analysis (phase 1 + 2), memoized per run          *)
-(* ------------------------------------------------------------------ *)
-
-(* Block is where the raises are minted: its own raise sites are the
-   protocol's definition, not uses of it. *)
-let analysis_config = { Propagate.raise_impl = [ "lib/core/block.ml" ]; checked = in_lib }
-
-type analysis = { files : Summary.file list; prop : Propagate.t }
-
-(* The two interprocedural rules share one analysis per [Lint.run]:
-   keyed on the physical ctx, which the engine builds fresh each run.
-   The first of them, exn-flow, is charged its cost. *)
-let memo : (Lint.ctx * analysis) option ref = ref None
-
-let analysis (ctx : Lint.ctx) =
-  match !memo with
-  | Some (c, a) when c == ctx -> a
-  | _ ->
-    let files = Summary.of_sources ctx.Lint.sources in
-    let graph = Callgraph.build files in
-    let prop = Propagate.run analysis_config graph in
-    let a = { files; prop } in
-    memo := Some (ctx, a);
-    a
 
 (* ------------------------------------------------------------------ *)
 (* Rule 1: swallowed-control-exn                                       *)
@@ -272,70 +250,7 @@ let no_unsafe_obj =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Rule 5: exn-flow                                                    *)
-(* ------------------------------------------------------------------ *)
 
-let exn_flow =
-  {
-    Lint.id = "exn-flow";
-    doc =
-      "every raise of a retryable control exception (Would_block and its Node_down / \
-       Page_unavailable / Net_unreachable refinements) in lib/ must be able to reach a \
-       matching handler on some call path — a raise no driver/stress/recovery context can \
-       catch would kill the run instead of being retried";
-    check =
-      (fun ctx ->
-        let a = analysis ctx in
-        List.iter
-          (fun (r : Propagate.raise_site) ->
-            ctx.Lint.report ~rule:"exn-flow" ~file:r.Propagate.r_file
-              ~line:r.Propagate.r_loc.Summary.line ~col:r.Propagate.r_loc.Summary.col
-              (Printf.sprintf
-                 "raise of %s in %s can reach no matching Would_block handler on any call \
-                  path: the retry protocol never sees it"
-                 (Summary.label_name r.Propagate.r_label)
-                 r.Propagate.r_fn))
-          (Propagate.unhandled_raises a.prop));
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Rule 6: dead-handler                                                *)
-(* ------------------------------------------------------------------ *)
-
-let dead_handler =
-  {
-    Lint.id = "dead-handler";
-    doc =
-      "a handler that explicitly matches Would_block must be feedable: something its \
-       guarded body reaches (resolved callees, invoked closure fields, direct raises) can \
-       raise a label it matches — an unfeedable handler is dead protocol code or a retry \
-       boundary that drifted away from the raise it used to cover";
-    check =
-      (fun ctx ->
-        let a = analysis ctx in
-        List.iter
-          (fun (f : Summary.file) ->
-            List.iter
-              (fun (fn : Summary.fn) ->
-                List.iter
-                  (fun (h : Summary.handler) ->
-                    if not (Propagate.handler_live a.prop a.files ~rel:f.Summary.rel h) then
-                      ctx.Lint.report ~rule:"dead-handler" ~file:f.Summary.rel
-                        ~line:h.Summary.h_loc.Summary.line ~col:h.Summary.h_loc.Summary.col
-                        (Printf.sprintf
-                           "handler for %s in %s: nothing its guarded body reaches can \
-                            raise a label it matches"
-                           (String.concat "/"
-                              (List.map Summary.label_name h.Summary.h_labels))
-                           fn.Summary.fn_name))
-                  fn.Summary.handlers)
-              f.Summary.fns)
-          a.files);
-  }
-
-(* ------------------------------------------------------------------ *)
-
-let all =
-  [ swallowed_control_exn; rng_discipline; no_poly_compare; no_unsafe_obj; exn_flow; dead_handler ]
+let all = [ swallowed_control_exn; rng_discipline; no_poly_compare; no_unsafe_obj ]
 
 let find id = List.find_opt (fun r -> r.Lint.id = id) all

@@ -2,9 +2,7 @@
 
     Every rule is grounded in a bug class this repo has actually
     shipped and fixed (see CHANGES.md and DESIGN.md "Static protocol
-    checking").  Two of them are interprocedural: they share one
-    whole-repo {!Summary}/{!Callgraph}/{!Propagate} analysis, memoized
-    per run.
+    checking").  Each is a per-file Parsetree walk.
 
     - [swallowed-control-exn] — no catch-all exception handlers in
       [lib/]: they can absorb the [Crash]/[Node_down] control
@@ -16,11 +14,6 @@
       on identifiers naming mutable protocol state (frames, pages,
       descriptors); use the module's explicit [equal].
     - [no-unsafe-obj] — no [Obj.*] in [lib/].
-    - [exn-flow] — every raise of a retryable control exception in
-      [lib/] must be able to reach a matching [Would_block] handler on
-      some call path.
-    - [dead-handler] — an explicit [Would_block] handler must be
-      feedable by something its guarded body reaches.
 
     What the code itself guarantees is left to it, not to a rule: the
     crash points are one variant matched exhaustively
@@ -31,7 +24,10 @@
     sweep ([Log_manager.set_after_force]); every early lock release
     registers its releaser inside [Local_locks.release_txn_early]; and
     a simulated-RNG stream can only come from [Rng.create] or
-    [Rng.split], because [Rng.t] is abstract. *)
+    [Rng.split], because [Rng.t] is abstract.  That a retryable
+    [Would_block] is retried rather than lost is left to the tests
+    that drive the retry paths: the stress sweeps, the recovery-fault
+    seeds and per-handler regression tests. *)
 
 val all : Lint.rule list
 (** In reporting order; ids are unique. *)

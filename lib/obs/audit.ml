@@ -151,7 +151,7 @@ let on_ship st (e : Event.t) =
   | Some prev when psn < prev ->
     flag st ~invariant:"psn-monotonic" ~time:e.Event.time ~node
       (Printf.sprintf "page %s shipped with psn %d after psn %d" page psn prev)
-  | Some _ | None -> Hashtbl.replace st.psn page (max psn (attr_int_d e "psn")));
+  | Some _ | None -> Hashtbl.replace st.psn page psn);
   (* 4: a parked page must not leave its owner *)
   (match Hashtbl.find_opt st.parked page with
   | Some owner when owner = node ->
@@ -322,7 +322,7 @@ let on_release st (e : Event.t) =
     | Some _ | None -> ()
 
 (* One case per Event.kind, no wildcard: a new event kind must make a
-   conscious appearance here (cbl-lint enforces it). *)
+   conscious appearance here (warning 4 is an error in this file). *)
 let dispatch st (e : Event.t) =
   match e.Event.kind with
   | Event.Msg_send -> ()

@@ -52,7 +52,8 @@ type event_class =
   | Unattributed  (** contributes to [other] implicitly *)
 
 (* One case per Event.kind, no wildcard: adding an event kind must not
-   silently fall through attribution (cbl-lint enforces this). *)
+   silently fall through attribution (warning 4 is an error in this
+   file). *)
 let classify_kind : Event.kind -> event_class = function
   | Event.Msg_send -> Charge Network
   | Event.Msg_recv -> Unattributed (* the send already carries the charge *)

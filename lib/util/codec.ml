@@ -26,7 +26,6 @@ let measure f =
   Buffer.length scratch
 
 let u8 e v = Buffer.add_uint8 e (v land 0xFF)
-let u16 e v = Buffer.add_uint16_le e (v land 0xFFFF)
 
 let u32 e v =
   assert (v >= 0);
@@ -34,17 +33,10 @@ let u32 e v =
 
 let i64 e v = Buffer.add_int64_le e v
 let int_as_i64 e v = Buffer.add_int64_le e (Int64.of_int v)
-let bool e b = u8 e (if b then 1 else 0)
 
 let bytes e s =
   u32 e (String.length s);
   Buffer.add_string e s
-
-let opt f e = function
-  | None -> bool e false
-  | Some v ->
-    bool e true;
-    f e v
 
 let list f e xs =
   u32 e (List.length xs);
@@ -83,12 +75,6 @@ let read_u8 d =
   d.cur <- d.cur + 1;
   v
 
-let read_u16 d =
-  need d 2;
-  let v = String.get_uint16_le d.src d.cur in
-  d.cur <- d.cur + 2;
-  v
-
 let read_u32 d =
   need d 4;
   let v = Int32.to_int (String.get_int32_le d.src d.cur) land 0xFFFF_FFFF in
@@ -109,12 +95,6 @@ let read_int_as_i64 d =
   d.cur <- d.cur + 8;
   v
 
-let read_bool d =
-  match read_u8 d with
-  | 0 -> false
-  | 1 -> true
-  | n -> corrupt "bad bool tag %d" n
-
 let read_bytes d =
   let len = read_u32 d in
   need d len;
@@ -129,8 +109,6 @@ let skip d n =
   d.cur <- d.cur + n
 
 let skip_bytes d = skip d (read_u32 d)
-
-let read_opt f d = if read_bool d then Some (f d) else None
 
 let read_list f d =
   let len = read_u32 d in

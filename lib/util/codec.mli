@@ -34,7 +34,6 @@ val measure : (encoder -> unit) -> int
 val u8 : encoder -> int -> unit
 (** Writes the low 8 bits. *)
 
-val u16 : encoder -> int -> unit
 val u32 : encoder -> int -> unit
 (** Writes the low 32 bits; values must be non-negative. *)
 
@@ -43,7 +42,6 @@ val int_as_i64 : encoder -> int -> unit
 val bytes : encoder -> string -> unit
 (** Length-prefixed byte string. *)
 
-val opt : (encoder -> 'a -> unit) -> encoder -> 'a option -> unit
 val list : (encoder -> 'a -> unit) -> encoder -> 'a list -> unit
 
 (** {1 Decoding} *)
@@ -67,13 +65,10 @@ val reframe : decoder -> string -> pos:int -> len:int -> unit
 val remaining : decoder -> int
 
 val read_u8 : decoder -> int
-val read_u16 : decoder -> int
 val read_u32 : decoder -> int
 val read_i64 : decoder -> int64
 val read_int_as_i64 : decoder -> int
-val read_bool : decoder -> bool
 val read_bytes : decoder -> string
-val read_opt : (decoder -> 'a) -> decoder -> 'a option
 val read_list : (decoder -> 'a) -> decoder -> 'a list
 
 (** {2 Skipping}

@@ -47,19 +47,3 @@ let pp_summary ppf s =
   Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p90=%.3f p95=%.3f p99=%.3f max=%.3f"
     s.count s.mean s.stddev s.min s.p50 s.p90 s.p95 s.p99 s.max
 
-type histogram = { lo : float; hi : float; counts : int array; mutable n : int }
-
-let histogram ~lo ~hi ~buckets =
-  assert (buckets > 0 && hi > lo);
-  { lo; hi; counts = Array.make buckets 0; n = 0 }
-
-let record h x =
-  let b = Array.length h.counts in
-  let raw = int_of_float (float_of_int b *. (x -. h.lo) /. (h.hi -. h.lo)) in
-  let idx = if raw < 0 then 0 else if raw >= b then b - 1 else raw in
-  h.counts.(idx) <- h.counts.(idx) + 1;
-  h.n <- h.n + 1
-
-let bucket_counts h = Array.copy h.counts
-let total h = h.n
-

@@ -21,15 +21,3 @@ val summarize : float array -> summary
     zeroed summary. *)
 
 val pp_summary : Format.formatter -> summary -> unit
-
-(** {1 Histograms} *)
-
-type histogram
-(** Fixed-width bucket histogram over [\[lo, hi)]. *)
-
-val histogram : lo:float -> hi:float -> buckets:int -> histogram
-val record : histogram -> float -> unit
-(** Out-of-range samples are clamped into the first / last bucket. *)
-
-val bucket_counts : histogram -> int array
-val total : histogram -> int

@@ -296,6 +296,40 @@ let test_group_commit_crash_loses_whole_batch () =
   ignore (Cluster.pump_group_commit c ~idle:true);
   Cluster.check_invariants c
 
+let test_owner_no_room_forces_shipped_page () =
+  (* Owner 0's two frames hold dirty pages of node 2, which then
+     crashes: neither frame can be evicted (its owner cannot receive
+     the ship).  Node 1 evicts a dirty page of owner 0 and ships it
+     there.  The sender has already dropped its copy, so the owner,
+     with no room to cache it, must force it to its own disk. *)
+  let c = Cluster.create ~pool_capacity:2 ~nodes:3 Config.instant in
+  let p = List.hd (Cluster.allocate_pages c ~owner:0 ~count:1) in
+  let stuck = Cluster.allocate_pages c ~owner:2 ~count:2 in
+  let local = Cluster.allocate_pages c ~owner:1 ~count:2 in
+  let t = Cluster.begin_txn c ~node:0 in
+  List.iter (fun pid -> Cluster.update_delta c ~txn:t ~pid ~off:0 1L) stuck;
+  Cluster.commit c ~txn:t;
+  Cluster.crash c ~node:2;
+  let t = Cluster.begin_txn c ~node:1 in
+  Cluster.update_delta c ~txn:t ~pid:p ~off:0 7L;
+  Cluster.commit c ~txn:t;
+  (* reading two more pages evicts [p], the least recently used *)
+  let t = Cluster.begin_txn c ~node:1 in
+  List.iter (fun pid -> ignore (Cluster.read_cell c ~txn:t ~pid ~off:0)) local;
+  Cluster.commit c ~txn:t;
+  let owner = Cluster.node c 0 in
+  Alcotest.(check int) "the owner's pool is still full of the down node's pages" 2
+    (List.length
+       (List.filter
+          (fun pid -> Option.is_some (Repro_buffer.Buffer_pool.peek owner.Node_state.pool pid))
+          stuck));
+  Alcotest.(check (option int)) "the shipped copy reached the owner's disk" (Some 1)
+    (Repro_storage.Disk.psn_on_disk owner.Node_state.disk p);
+  let t = Cluster.begin_txn c ~node:1 in
+  Alcotest.(check int64) "the committed value reads back" 7L
+    (Cluster.read_cell c ~txn:t ~pid:p ~off:0);
+  Cluster.commit c ~txn:t
+
 let suite =
   [
     ("remote update, zero commit messages", `Quick, test_remote_update_and_zero_commit_messages);
@@ -315,4 +349,5 @@ let suite =
      test_group_commit_window_flushes_partial_batch);
     ("group commit: crash loses the whole batch", `Quick,
      test_group_commit_crash_loses_whole_batch);
+    ("owner with no room forces a shipped page", `Quick, test_owner_no_room_forces_shipped_page);
   ]

@@ -157,81 +157,6 @@ let test_floating_suppression () =
   check_count "other rules still fire" "rng-discipline" 1 r;
   Alcotest.(check int) "counted as suppressed" 1 r.Lint.suppressed
 
-(* ---- rule 5: exn-flow ---- *)
-
-let test_exn_flow_unreachable_handler () =
-  (* A raise no context up the graph can catch. *)
-  let r =
-    lint
-      [ ("lib/core/a.ml", "let probe node =\n  Block.block (Block.Node_down { node })\n") ]
-  in
-  check_count "uncatchable raise flagged" "exn-flow" 1 r;
-  let f = List.hd (findings_for "exn-flow" r) in
-  Alcotest.(check string) "file" "lib/core/a.ml" f.Lint.file;
-  Alcotest.(check int) "line" 2 f.Lint.line
-
-let test_exn_flow_cross_file_handler () =
-  (* Raise in A, handler in B: the per-file view sees neither side. *)
-  let r =
-    lint
-      [
-        ("lib/core/a.ml", "let probe node = Block.block (Block.Node_down { node })\n");
-        ("lib/core/b.ml", "let run () = try A.probe 1 with Block.Would_block _ -> 0\n");
-      ]
-  in
-  check_count "raise in A handled in B passes" "exn-flow" 0 r
-
-let test_exn_flow_refined_label_mismatch () =
-  (* The only handler on the path matches a different refinement, so
-     the raise still escapes every context. *)
-  let r =
-    lint
-      [
-        ("lib/core/a.ml", "let probe dst = Block.block (Block.Net_unreachable { dst })\n");
-        ( "lib/core/b.ml",
-          "let run () = try A.probe 1 with Block.Would_block (Block.Node_down _) -> 0\n" );
-      ]
-  in
-  check_count "refined label not covered flagged" "exn-flow" 1 r
-
-let test_exn_flow_same_function_handler () =
-  let r =
-    lint
-      [
-        ( "lib/core/a.ml",
-          "let probe node =\n\
-          \  try Block.block (Block.Node_down { node }) with Block.Would_block _ -> 0\n" );
-      ]
-  in
-  check_count "own handler covers" "exn-flow" 0 r
-
-(* ---- rule 6: dead-handler ---- *)
-
-let test_dead_handler_positive () =
-  (* Nothing the guarded body reaches can raise: retry boundary that
-     drifted away from the raise it used to cover. *)
-  let r =
-    lint [ ("lib/core/a.ml", "let f () = try 1 with Block.Would_block _ -> 0\n") ] in
-  check_count "unfeedable handler flagged" "dead-handler" 1 r
-
-let test_dead_handler_negative () =
-  (* The guarded body calls (cross-module) code whose escaping raises
-     match the handler. *)
-  let r =
-    lint
-      [
-        ("lib/core/a.ml", "let probe node = Block.block (Block.Node_down { node })\n");
-        ("lib/core/b.ml", "let run () = try A.probe 1 with Block.Would_block _ -> 0\n");
-      ]
-  in
-  check_count "fed handler is live" "dead-handler" 0 r
-
-let test_dead_handler_unresolved_conservative () =
-  (* A closure parameter we cannot see through: conservatively live. *)
-  let r =
-    lint [ ("lib/core/a.ml", "let f g = try g () with Block.Would_block _ -> 0\n") ] in
-  check_count "unresolvable body stays live" "dead-handler" 0 r
-
 (* ---- engine odds and ends ---- *)
 
 let test_parse_error_is_finding () =
@@ -250,11 +175,11 @@ let test_json_report_shape () =
     "files_scanned" (Some 1)
     (Option.bind (member "files_scanned") Json.to_int_opt);
   (match member "rules" with
-  | Some (Json.List rules) -> Alcotest.(check int) "six rules" 6 (List.length rules)
+  | Some (Json.List rules) -> Alcotest.(check int) "four rules" 4 (List.length rules)
   | _ -> Alcotest.fail "rules member missing");
   (match member "rule_seconds" with
   | Some (Json.Obj timings) ->
-    Alcotest.(check int) "one timing per rule" 6 (List.length timings);
+    Alcotest.(check int) "one timing per rule" 4 (List.length timings);
     Alcotest.(check (list string))
       "timings in registry order"
       (List.map (fun rule -> rule.Lint.id) Rules.all)
@@ -266,95 +191,6 @@ let test_json_report_shape () =
       "finding rule" (Some "no-unsafe-obj")
       (Option.bind (List.assoc_opt "rule" fields) Json.to_string_opt)
   | _ -> Alcotest.fail "findings member missing"
-
-(* ---- analysis phases directly: the fixpoint ---- *)
-
-module Summary = Repro_lint.Summary
-module Callgraph = Repro_lint.Callgraph
-module Propagate = Repro_lint.Propagate
-
-(* A deliberately knotty little repo: cross-module calls, a call cycle,
-   a raise handled in another file, one no handler covers and one
-   handled in its own function. *)
-let order_fixture =
-  [
-    ( "lib/core/a.ml",
-      "let rec ping x = B.pong (x - 1)\n\
-       let entry () = C.run ()\n\
-       let lost node = B.probe node\n" );
-    ( "lib/core/b.ml",
-      "let pong x = A.ping x\n\
-       let probe node = Block.block (Block.Node_down { node })\n\
-       let own node = try Block.block (Block.Net_unreachable { dst = node }) with \
-       Block.Would_block _ -> 0\n" );
-    ( "lib/core/c.ml",
-      "let run () = try B.probe 1 with Block.Would_block _ -> 0\n\
-       let stray dst = Block.block (Block.Net_unreachable { dst })\n" );
-  ]
-
-let analysis_cfg =
-  {
-    Propagate.raise_impl = [];
-    checked = (fun rel -> String.length rel >= 4 && String.sub rel 0 4 = "lib/");
-  }
-
-let order_graph =
-  lazy
-    (let root = fresh_root () in
-     List.iter (write_file root) order_fixture;
-     let _, sources, _ = Lint.parse_tree ~root ~paths:[ "lib" ] in
-     Callgraph.build (Summary.of_sources sources))
-
-(* The raise facts the rules read off a [Propagate.t], as comparable
-   data: the sites escaping each node, the sites some handler covers,
-   and the sites none does. *)
-let projection t =
-  let rs (r : Propagate.raise_site) =
-    Printf.sprintf "%s:%d:%d %s %s" r.Propagate.r_file r.Propagate.r_loc.Summary.line
-      r.Propagate.r_loc.Summary.col r.Propagate.r_fn
-      (Summary.label_name r.Propagate.r_label)
-  in
-  let unhandled = Propagate.unhandled_raises t in
-  ( Array.to_list (Array.map (fun e -> List.map rs (Propagate.RS.elements e)) t.Propagate.escaping),
-    List.sort compare
-      (List.map rs (List.filter (fun r -> not (List.mem r unhandled)) t.Propagate.raise_sites)),
-    List.sort compare (List.map rs unhandled) )
-
-let test_order_fixture_findings () =
-  (* Sanity-check the fixture actually exercises every fact before the
-     property asserts order-independence over it. *)
-  let t = Propagate.run analysis_cfg (Lazy.force order_graph) in
-  let escaping, handled, unhandled = projection t in
-  Alcotest.(check int) "raises escape probe, its caller lost, and stray" 3
-    (List.length (List.filter (fun e -> e <> []) escaping));
-  Alcotest.(check int) "probe handled cross-file, own handled locally" 2 (List.length handled);
-  Alcotest.(check int) "one raise no handler covers (stray)" 1 (List.length unhandled)
-
-(* The fixpoint is a join over monotone transfer functions, so the
-   sweep order must not matter.  Permute it and compare everything. *)
-let prop_fixpoint_order_independent =
-  QCheck.Test.make ~count:50 ~name:"propagate: fixpoint independent of sweep order"
-    QCheck.(int_range 1 1_000_000)
-    (fun seed ->
-      let g = Lazy.force order_graph in
-      let n = Array.length g.Callgraph.nodes in
-      (* xorshift-driven Fisher-Yates: deterministic per qcheck seed *)
-      let s = ref seed in
-      let next bound =
-        s := !s lxor (!s lsl 13);
-        s := !s lxor (!s lsr 7);
-        s := !s lxor (!s lsl 17);
-        abs !s mod bound
-      in
-      let perm = Array.init n (fun i -> i) in
-      for i = n - 1 downto 1 do
-        let j = next (i + 1) in
-        let tmp = perm.(i) in
-        perm.(i) <- perm.(j);
-        perm.(j) <- tmp
-      done;
-      projection (Propagate.run ~order:perm analysis_cfg g)
-      = projection (Propagate.run analysis_cfg g))
 
 let test_rule_registry () =
   List.iter
@@ -386,16 +222,6 @@ let suite =
     Alcotest.test_case "no-poly-compare: state operands flagged" `Quick test_poly_compare_positive;
     Alcotest.test_case "no-poly-compare: clean idioms pass" `Quick test_poly_compare_negative;
     Alcotest.test_case "no-unsafe-obj: Obj in lib/ flagged" `Quick test_unsafe_obj;
-    Alcotest.test_case "exn-flow: uncatchable raise flagged" `Quick
-      test_exn_flow_unreachable_handler;
-    Alcotest.test_case "exn-flow: raise in A handled in B" `Quick test_exn_flow_cross_file_handler;
-    Alcotest.test_case "exn-flow: refined label mismatch flagged" `Quick
-      test_exn_flow_refined_label_mismatch;
-    Alcotest.test_case "exn-flow: own handler covers" `Quick test_exn_flow_same_function_handler;
-    Alcotest.test_case "dead-handler: unfeedable handler flagged" `Quick test_dead_handler_positive;
-    Alcotest.test_case "dead-handler: cross-module feed is live" `Quick test_dead_handler_negative;
-    Alcotest.test_case "dead-handler: unresolved body conservative" `Quick
-      test_dead_handler_unresolved_conservative;
     Alcotest.test_case "suppression: inline attribute" `Quick test_inline_suppression;
     Alcotest.test_case "suppression: wrong rule id inert" `Quick test_inline_suppression_wrong_rule;
     Alcotest.test_case "suppression: floating attribute" `Quick test_floating_suppression;
@@ -403,6 +229,4 @@ let suite =
     Alcotest.test_case "engine: JSON report shape" `Quick test_json_report_shape;
     Alcotest.test_case "engine: clean tree is ok" `Quick test_clean_tree_ok;
     Alcotest.test_case "engine: rule registry lookup" `Quick test_rule_registry;
-    Alcotest.test_case "propagate: order fixture findings" `Quick test_order_fixture_findings;
-    QCheck_alcotest.to_alcotest prop_fixpoint_order_independent;
   ]

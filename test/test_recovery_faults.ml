@@ -17,6 +17,8 @@ module Block = Repro_cbl.Block
 module Engine = Repro_workload.Engine
 module Driver = Repro_workload.Driver
 module Stress = Repro_workload.Stress
+module Event = Repro_obs.Event
+module Recorder = Repro_obs.Recorder
 
 let recovery_points ?(budget = 0) p =
   Fault_plan.crashpoints ~budget
@@ -187,6 +189,52 @@ let test_recover_until_up_defer () =
     (read_all cluster pages ~node:3);
   Cluster.check_invariants cluster
 
+let test_loser_parks_on_deferred_peer () =
+  (* §2.4: node 1's loser updated a page owned by node 2.  Both nodes
+     crash; node 1 recovers with node 2 deferred, so undo cannot fetch
+     that page and parks the loser instead of failing the restart.
+     Node 2's recovery then lets node 1 finish the rollback. *)
+  let cluster = Cluster.create ~trace:true ~nodes:3 Config.instant in
+  let remote = List.hd (Cluster.allocate_pages cluster ~owner:2 ~count:1) in
+  let own = List.hd (Cluster.allocate_pages cluster ~owner:1 ~count:1) in
+  let t = Cluster.begin_txn cluster ~node:1 in
+  Cluster.update_delta cluster ~txn:t ~pid:remote ~off:0 5L;
+  Cluster.commit cluster ~txn:t;
+  let loser = Cluster.begin_txn cluster ~node:1 in
+  Cluster.update_delta cluster ~txn:loser ~pid:remote ~off:0 100L;
+  (* a later commit forces the loser's update record to the log *)
+  let t = Cluster.begin_txn cluster ~node:1 in
+  Cluster.update_delta cluster ~txn:t ~pid:own ~off:0 1L;
+  Cluster.commit cluster ~txn:t;
+  Cluster.crash cluster ~node:1;
+  Cluster.crash cluster ~node:2;
+  Cluster.recover cluster ~defer:[ 2 ] ~nodes:[ 1 ];
+  let parked =
+    List.filter
+      (fun e ->
+        e.Event.kind = Event.Recovery_deferred
+        && List.assoc_opt "action" e.Event.attrs = Some (Event.Str "loser-parked"))
+      (Recorder.events (Repro_sim.Env.obs (Cluster.env cluster)))
+  in
+  (match parked with
+  | [ e ] ->
+    Alcotest.(check (option int)) "parked loser" (Some loser)
+      (Option.bind (List.assoc_opt "txn" e.Event.attrs) (function
+        | Event.Int v -> Some v
+        | Event.Float _ | Event.Str _ | Event.Bool _ -> None));
+    Alcotest.(check bool) "blocked on the deferred peer" true
+      (List.assoc_opt "blocker" e.Event.attrs = Some (Event.Int 2))
+  | _ -> Alcotest.failf "expected one loser-parked event, got %d" (List.length parked));
+  let node1 = Cluster.node cluster 1 in
+  Alcotest.(check bool) "the loser stays registered while parked" true
+    (Option.is_some (Repro_tx.Txn_table.find node1.Node_state.txns loser));
+  Cluster.recover cluster ~nodes:[ 2 ];
+  Alcotest.(check bool) "the loser is rolled back" true
+    (Option.is_none (Repro_tx.Txn_table.find node1.Node_state.txns loser));
+  Alcotest.(check (list int64)) "committed state intact" [ 5L; 1L ]
+    (read_all cluster [ remote; own ] ~node:0);
+  Cluster.check_invariants cluster
+
 (* ---- Regression seeds ---- *)
 
 (* Full randomized stress runs under the recovery fault class, exactly
@@ -222,5 +270,6 @@ let suite =
       `Quick,
       test_deferred_pages_complete_on_peer_restart );
     ("recover_until_up defers, then converges", `Quick, test_recover_until_up_defer);
+    ("loser parks on a deferred peer", `Quick, test_loser_parks_on_deferred_peer);
     ("regression seeds (recovery fault class)", `Slow, test_regression_seeds);
   ]
