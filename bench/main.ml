@@ -5,7 +5,7 @@
 
    - Bechamel micro-benchmarks of the hot paths (record codec, log
      append+force, PSN-guarded redo, NodePSNList merge, the commit
-     path, LRU victim choice) and the allocation probe of the record
+     path, LRU victim choice, a per-node lock listing) and the allocation probe of the record
      codec and of the two log scans (full decode, heads only).
    - The lint timing guard: exits 1 when a cbl-lint phase is over its
      wall budget; writes BENCH_LINT.json.
@@ -339,6 +339,22 @@ let micro_tests =
             match Buffer_pool.choose_victim pool with
             | Some victim -> ignore (Buffer_pool.find pool (Page.id victim.Buffer_pool.page))
             | None -> ()));
+    (* lock reconstruction's per-peer listing: one holder's locks in an
+       owner table of 256 pages, each S-locked by 4 of 64 holders; the
+       holder index visits the holder's 16 locks, not the 1,024 *)
+    Test.make ~name:"lock listing (64 holders × 256 pages)"
+      (Staged.stage
+         (let g = Repro_lock.Global_locks.create ~owner:0 in
+          for slot = 0 to 255 do
+            for k = 0 to 3 do
+              Repro_lock.Global_locks.grant g ~node:((slot + (16 * k)) land 63)
+                ~pid:(Page_id.make ~owner:0 ~slot) ~mode:Repro_lock.Mode.S
+            done
+          done;
+          let node = ref 0 in
+          fun () ->
+            node := (!node + 1) land 63;
+            ignore (Repro_lock.Global_locks.locks_held_by_node g ~node:!node)));
     (* a cache hit: lookup plus the move to the MRU end; every operation
        of a cache-resident workload pays it *)
     Test.make ~name:"pool hit (64 frames)"

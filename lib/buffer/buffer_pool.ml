@@ -153,6 +153,12 @@ let remove t pid =
     t.free <- s
 
 let cached_ids t = Page_id.Tbl.fold (fun pid _ acc -> pid :: acc) t.frames []
+
+let cached_ids_owned_by t owner =
+  Page_id.Tbl.fold
+    (fun pid _ acc -> if Page_id.owner pid = owner then pid :: acc else acc)
+    t.frames []
+
 let dirty_frames t = Page_id.Tbl.fold (fun _ f acc -> if f.dirty then f :: acc else acc) t.frames []
 let clear t =
   Page_id.Tbl.reset t.frames;

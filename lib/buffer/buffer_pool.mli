@@ -63,6 +63,11 @@ val choose_victim : t -> frame option
 
 val remove : t -> Page_id.t -> unit
 val cached_ids : t -> Page_id.t list
+
+val cached_ids_owned_by : t -> int -> Page_id.t list
+(** [cached_ids] of one owner node's pages, in the same order, filtered
+    inside the fold. *)
+
 val dirty_frames : t -> frame list
 val clear : t -> unit
 (** Crash: every frame is lost. *)

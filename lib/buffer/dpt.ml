@@ -76,7 +76,8 @@ let entry_with_min_redo_lsn t =
       | Some m -> if Lsn.compare e.redo_lsn m.redo_lsn < 0 then Some e else acc)
 
 let entries t = fold t [] (fun acc e -> e :: acc)
-let entries_owned_by t owner = List.filter (fun e -> Page_id.owner e.pid = owner) (entries t)
+let entries_owned_by t owner =
+  fold t [] (fun acc e -> if Page_id.owner e.pid = owner then e :: acc else acc)
 let size t = Page_id.Tbl.length t.table
 let clear t = Page_id.Tbl.reset t.table
 

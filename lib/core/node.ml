@@ -310,6 +310,12 @@ and make_room t =
                  point mid-ship), the wiped state must not keep running:
                  surface the crash to the caller. *)
               if not t.up then raise e;
+              (* A block raised after the victim left the pool (the
+                 owner fell mid-ship) is no parked victim: the ship did
+                 not complete, and the caller must see it. *)
+              (match Buffer_pool.peek t.pool (Page.id victim.page) with
+              | Some f when f == victim -> ()
+              | Some _ | None -> raise e);
               if !blocked = None then blocked := Some e;
               Buffer_pool.pin victim;
               parked := victim :: !parked)

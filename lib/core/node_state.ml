@@ -139,7 +139,7 @@ let create env ~id ~pool_capacity ~log_capacity ~scheme ~retain_cached_locks =
       up = true;
       pool = Repro_buffer.Buffer_pool.create ~capacity:pool_capacity ();
       locks = Repro_lock.Local_locks.create ();
-      glocks = Repro_lock.Global_locks.create ();
+      glocks = Repro_lock.Global_locks.create ~owner:id;
       dpt = Repro_buffer.Dpt.create ();
       txns = Repro_tx.Txn_table.create ();
       flush_waiters = Page_id.Tbl.create 16;

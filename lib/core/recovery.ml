@@ -337,9 +337,7 @@ let gather_owned ctx =
       List.iter
         (fun m ->
           recovery_exchange m ~dst:n.id @@ fun () ->
-          let cached =
-            List.filter (fun pid -> Page_id.owner pid = n.id) (Buffer_pool.cached_ids m.pool)
-          in
+          let cached = Buffer_pool.cached_ids_owned_by m.pool n.id in
           send m ~dst:n.id ~recovery:true ~bytes:(Wire.listing ~entries:(List.length cached)) ();
           List.iter (fun pid -> push cachers pid m) cached)
         ctx.operational;

@@ -13,7 +13,9 @@ open Repro_storage
 
 type t
 
-val create : unit -> t
+val create : owner:int -> t
+(** The lock table of node [owner]: it holds only pages that node owns
+    ({!grant} rejects any other). *)
 
 val set_tracer : t -> (string -> int -> Page_id.t -> unit) -> unit
 (** Observability hook, fired with an action name (["grant"],
@@ -41,6 +43,12 @@ val holder_mode : t -> node:int -> pid:Page_id.t -> Mode.t option
 val holders : t -> pid:Page_id.t -> (int * Mode.t) list
 val x_holder : t -> pid:Page_id.t -> int option
 
+(** {1 Per-node listings}
+
+    Answered from an index of the pages each holder node holds, kept by
+    {!grant}, {!release} and {!clear}: a listing visits only [node]'s
+    locks, not the whole table.  Their order is unspecified. *)
+
 val locks_held_by_node : t -> node:int -> (Page_id.t * Mode.t) list
 (** Everything a given (possibly crashed) node holds here — sent to it
     during lock reconstruction (§2.3.3). *)
@@ -58,5 +66,6 @@ val clear : t -> unit
 (** Owner crash: its lock table is volatile and is lost. *)
 
 val check_invariants : t -> unit
-(** Test hook: at most one [X] holder per page, and an [X] holder is
-    never accompanied by other holders. *)
+(** Test hook: at most one [X] holder per page, an [X] holder is never
+    accompanied by other holders, every page is the owner's, and the
+    holder index lists exactly the table's locks. *)

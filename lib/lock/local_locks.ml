@@ -8,6 +8,9 @@ type entry = {
 
 type t = {
   table : entry Page_id.Tbl.t;
+  cached_index : Slot_index.t;
+      (* (owner, slot) of every page in [table]: lets
+         [cached_pages_owned_by] visit one owner's pages only *)
   by_txn : (int, Page_id.t list) Hashtbl.t;
       (* pages each transaction has taken a lock on — lets [release_txn]
          visit just the transaction's own pages instead of walking the
@@ -29,6 +32,7 @@ let no_trace _ _ = ()
 let create () =
   {
     table = Page_id.Tbl.create 64;
+    cached_index = Slot_index.create ();
     by_txn = Hashtbl.create 64;
     early = Page_id.Tbl.create 16;
     early_by_txn = Hashtbl.create 16;
@@ -45,6 +49,7 @@ let entry t pid =
   | None ->
     let e = { cached = Mode.S; txns = Hashtbl.create 4; revoke_pending = None } in
     Page_id.Tbl.replace t.table pid e;
+    Slot_index.add t.cached_index ~row:pid.Page_id.owner ~slot:pid.Page_id.slot;
     e
 
 let cached_mode t pid = Option.map (fun e -> e.cached) (entry_opt t pid)
@@ -57,7 +62,10 @@ let set_cached_mode t pid mode =
   e.cached <- (match cached_mode t pid with None -> mode | Some held -> Mode.max held mode)
 
 let drop_cached t pid =
-  if Page_id.Tbl.mem t.table pid then t.tracer "release" pid;
+  if Page_id.Tbl.mem t.table pid then begin
+    t.tracer "release" pid;
+    Slot_index.remove t.cached_index ~row:pid.Page_id.owner ~slot:pid.Page_id.slot
+  end;
   Page_id.Tbl.remove t.table pid
 
 let demote_cached_to_s t pid =
@@ -83,13 +91,14 @@ let clear_revoke_pending t pid =
 
 let cached_pages t = Page_id.Tbl.fold (fun pid e acc -> (pid, e.cached) :: acc) t.table []
 
-(* One fold with the owner filter applied in place — not a filter over
-   [cached_pages], which would materialise the full list first (this
-   runs per crashed-node peer during recovery's claim gathering). *)
+(* Reads [owner]'s row of the index, not the whole table: this runs per
+   operational peer in every restart's lock reconstruction. *)
 let cached_pages_owned_by t owner =
-  Page_id.Tbl.fold
-    (fun pid e acc -> if Page_id.owner pid = owner then (pid, e.cached) :: acc else acc)
-    t.table []
+  Slot_index.fold_row t.cached_index ~row:owner
+    (fun slot acc ->
+      let pid = Page_id.make ~owner ~slot in
+      match entry_opt t pid with Some e -> (pid, e.cached) :: acc | None -> acc)
+    []
 
 type conflict = { holders : int list }
 
@@ -191,6 +200,7 @@ let settle_early t ~txn =
 
 let clear t =
   Page_id.Tbl.reset t.table;
+  Slot_index.clear t.cached_index;
   Hashtbl.reset t.by_txn;
   Page_id.Tbl.reset t.early;
   Hashtbl.reset t.early_by_txn
@@ -198,6 +208,8 @@ let clear t =
 let check_invariants t =
   Page_id.Tbl.iter
     (fun pid e ->
+      if not (Slot_index.mem t.cached_index ~row:pid.Page_id.owner ~slot:pid.Page_id.slot) then
+        invalid_arg (Format.asprintf "cached page %a is not indexed" Page_id.pp pid);
       let xs = Hashtbl.fold (fun _ m acc -> if Mode.equal m Mode.X then acc + 1 else acc) e.txns 0 in
       if xs > 1 then invalid_arg (Format.asprintf "two local X holders on %a" Page_id.pp pid);
       Hashtbl.iter
@@ -207,4 +219,9 @@ let check_invariants t =
               (Format.asprintf "txn lock %a exceeds cached mode %a on %a" Mode.pp m Mode.pp
                  e.cached Page_id.pp pid))
         e.txns)
-    t.table
+    t.table;
+  let indexed = Slot_index.cardinal t.cached_index in
+  if indexed <> Page_id.Tbl.length t.table then
+    invalid_arg
+      (Format.asprintf "owner index has %d entries for %d cached pages" indexed
+         (Page_id.Tbl.length t.table))

@@ -34,6 +34,9 @@ val drop_cached : t -> Page_id.t -> unit
 val demote_cached_to_s : t -> Page_id.t -> unit
 val cached_pages : t -> (Page_id.t * Mode.t) list
 val cached_pages_owned_by : t -> int -> (Page_id.t * Mode.t) list
+(** The cached pages of one owner node, in unspecified order.  Answered
+    from a per-owner index of the table, so it visits only that owner's
+    pages. *)
 
 (** {1 Pending revocations}
 
@@ -103,4 +106,5 @@ val clear : t -> unit
 (** Node crash: wipes the lock table and the early-release registry. *)
 
 val check_invariants : t -> unit
-(** Txn-level locks never exceed the cached mode; no two X holders. *)
+(** Txn-level locks never exceed the cached mode; no two X holders; the
+    per-owner index lists exactly the cached pages. *)

@@ -7,6 +7,15 @@ type span = {
   start : float;
 }
 
+(* The histograms of one metric name: the cluster aggregate and one per
+   node, indexed by node id, so [observe] reaches them without hashing
+   a key. *)
+type family = {
+  name : string;
+  mutable cluster : Log_hist.t option;
+  mutable per_node : Log_hist.t option array;
+}
+
 type t = {
   mutable enabled : bool;
   capacity : int;
@@ -18,7 +27,7 @@ type t = {
   mutable open_spans : span list;  (** innermost first; per-recorder stack *)
   mutable ctx_txn : int;  (** causal context: acting transaction, -1 = none *)
   mutable ctx_span : int;  (** causal context: that transaction's span *)
-  hists : (string * int, Log_hist.t) Hashtbl.t;
+  mutable families : family list;  (** in creation order, newest first *)
 }
 
 let default_capacity = 1 lsl 16
@@ -36,7 +45,7 @@ let create ?(enabled = false) ?(capacity = default_capacity) () =
     open_spans = [];
     ctx_txn = -1;
     ctx_span = -1;
-    hists = Hashtbl.create 16;
+    families = [];
   }
 
 let enabled t = t.enabled
@@ -114,22 +123,62 @@ let span_end t ~time id =
 (* ---- histograms (always on: they never touch the sim clock or the
    Metrics counters, so traced and untraced runs stay identical) ---- *)
 
-let find_hist t ~name ~node = Hashtbl.find_opt t.hists (name, node)
+let rec find_family name = function
+  | [] -> raise Not_found
+  | f :: rest -> if String.equal f.name name then f else find_family name rest
 
-let hist t ~name ~node =
-  match Hashtbl.find_opt t.hists (name, node) with
+let family t name =
+  try find_family name t.families
+  with Not_found ->
+    let f = { name; cluster = None; per_node = [||] } in
+    t.families <- f :: t.families;
+    f
+
+let find_hist t ~name ~node =
+  match find_family name t.families with
+  | exception Not_found -> None
+  | f ->
+    if node = -1 then f.cluster
+    else if node >= 0 && node < Array.length f.per_node then f.per_node.(node)
+    else None
+
+let cluster_hist f =
+  match f.cluster with
   | Some h -> h
   | None ->
     let h = Log_hist.create () in
-    Hashtbl.add t.hists (name, node) h;
+    f.cluster <- Some h;
+    h
+
+let node_hist f node =
+  if node >= Array.length f.per_node then begin
+    let grown = Array.make (max (node + 1) (2 * Array.length f.per_node)) None in
+    Array.blit f.per_node 0 grown 0 (Array.length f.per_node);
+    f.per_node <- grown
+  end;
+  match f.per_node.(node) with
+  | Some h -> h
+  | None ->
+    let h = Log_hist.create () in
+    f.per_node.(node) <- Some h;
     h
 
 let observe t ~name ~node v =
-  Log_hist.record (hist t ~name ~node) v;
-  if node >= 0 then Log_hist.record (hist t ~name ~node:(-1)) v
+  if node < -1 then invalid_arg "Recorder.observe: node must be -1 or a node id";
+  let f = family t name in
+  if node >= 0 then Log_hist.record (node_hist f node) v;
+  Log_hist.record (cluster_hist f) v
 
 let histograms t =
-  Hashtbl.fold (fun (name, node) h acc -> (name, node, h) :: acc) t.hists []
+  List.fold_left
+    (fun acc f ->
+      let acc = match f.cluster with Some h -> (f.name, -1, h) :: acc | None -> acc in
+      let acc = ref acc in
+      Array.iteri
+        (fun node h -> match h with Some h -> acc := (f.name, node, h) :: !acc | None -> ())
+        f.per_node;
+      !acc)
+    [] t.families
   |> List.sort (fun (n1, d1, _) (n2, d2, _) ->
          match String.compare n1 n2 with 0 -> Int.compare d1 d2 | c -> c)
 

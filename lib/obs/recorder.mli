@@ -66,7 +66,8 @@ val current_span : t -> int
 val observe : t -> name:string -> node:int -> float -> unit
 (** Records [v] seconds into the [(name, node)] histogram and, when
     [node >= 0], also into the cluster-wide [(name, -1)] aggregate.
-    Always on, independent of [enabled]. *)
+    [node] is a node id or [-1].  Always on, independent of [enabled];
+    allocates only when a histogram is first used. *)
 
 val find_hist : t -> name:string -> node:int -> Log_hist.t option
 

@@ -330,6 +330,141 @@ let test_owner_no_room_forces_shipped_page () =
     (Cluster.read_cell c ~txn:t ~pid:p ~off:0);
   Cluster.commit c ~txn:t
 
+(* Node 0 evicts a dirty page [p] of owner 1 and ships it there.  The
+   owner's two frames hold dirty pages of node 2, so receiving the copy
+   makes owner 1 evict and ship in turn, and an injected page-ship crash
+   fells owner 1 in the middle of node 0's ship.  The block reaches node
+   0's eviction after [p] has left its pool: node 0's read must block
+   (retry after the owner recovers), not carry on as if [p] had been
+   parked; and [p]'s committed value must survive the owner's restart.
+   The crash point draws for both ships, so the scenario runs under a
+   few plan seeds and asserts that some of them take the path. *)
+let owner_falls_mid_ship seed =
+  let plan =
+    {
+      Repro_fault.Fault_plan.none with
+      seed;
+      crashpoints = Repro_fault.Fault_plan.crashpoints ~budget:1 [ (Page_ship, 0.5) ];
+    }
+  in
+  let faults = Repro_fault.Injector.create plan in
+  Repro_fault.Injector.set_armed faults false;
+  let c = Cluster.create ~faults ~pool_capacity:2 ~nodes:3 Config.instant in
+  let p = List.hd (Cluster.allocate_pages c ~owner:1 ~count:1) in
+  let remote = Cluster.allocate_pages c ~owner:2 ~count:2 in
+  let local = Cluster.allocate_pages c ~owner:0 ~count:2 in
+  let t = Cluster.begin_txn c ~node:0 in
+  Cluster.update_delta c ~txn:t ~pid:p ~off:0 7L;
+  Cluster.commit c ~txn:t;
+  let t = Cluster.begin_txn c ~node:1 in
+  List.iter (fun pid -> Cluster.update_delta c ~txn:t ~pid ~off:0 1L) remote;
+  Cluster.commit c ~txn:t;
+  Repro_fault.Injector.set_armed faults true;
+  (* reading two local pages evicts [p], the least recently used *)
+  let t = Cluster.begin_txn c ~node:0 in
+  let read =
+    match List.iter (fun pid -> ignore (Cluster.read_cell c ~txn:t ~pid ~off:0)) local with
+    | () -> None
+    | exception Block.Would_block reason -> Some reason
+  in
+  Repro_fault.Injector.set_armed faults false;
+  let up n = Repro_cbl.Node.is_up (Cluster.node c n) in
+  if up 1 || not (up 0) then false
+  else begin
+    (match read with
+    | Some (Block.Node_down { node = 1 }) -> ()
+    | Some r ->
+      Alcotest.failf "seed %d: blocked on %a, not on the fallen owner" seed Block.pp_reason r
+    | None -> Alcotest.failf "seed %d: the read went on after its eviction's ship failed" seed);
+    Cluster.abort c ~txn:t;
+    Cluster.recover c ~nodes:[ 1 ];
+    let t = Cluster.begin_txn c ~node:0 in
+    Alcotest.(check int64) "the committed value survives the owner's restart" 7L
+      (Cluster.read_cell c ~txn:t ~pid:p ~off:0);
+    Cluster.commit c ~txn:t;
+    Cluster.check_invariants c;
+    true
+  end
+
+let test_owner_falls_mid_ship_blocks_the_evictor () =
+  let driven = List.length (List.filter owner_falls_mid_ship (List.init 16 (fun i -> i + 1))) in
+  Alcotest.(check bool) "some plan seed fells the owner mid-ship" true (driven > 0)
+
+(* §2.3.3 on a 16-node cluster whose other nodes hold many unrelated
+   S locks on each other's pages.  After node 5 crashes and recovers,
+   every owner has dropped node 5's S locks and kept its X locks (which
+   node 5 caches again), node 5's own lock table is rebuilt from exactly
+   the locks its peers cache on its pages, and no unrelated lock moved. *)
+let test_lock_reconstruction_on_a_busy_cluster () =
+  let module Global_locks = Repro_lock.Global_locks in
+  let module Local_locks = Repro_lock.Local_locks in
+  let module Mode = Repro_lock.Mode in
+  let nodes = 16 and crashed = 5 in
+  let c = Cluster.create ~pool_capacity:64 ~nodes Config.instant in
+  let pages =
+    Array.init nodes (fun owner -> Array.of_list (Cluster.allocate_pages c ~owner ~count:8))
+  in
+  let run node f =
+    let t = Cluster.begin_txn c ~node in
+    f t;
+    Cluster.commit c ~txn:t
+  in
+  let read t pid = ignore (Cluster.read_cell c ~txn:t ~pid ~off:0) in
+  let others = List.filter (( <> ) crashed) (List.init nodes Fun.id) in
+  (* unrelated: every other node reads slots 5..7 of every other owner *)
+  List.iter
+    (fun n ->
+      run n (fun t ->
+          List.iter (fun o -> if o <> n then for s = 5 to 7 do read t pages.(o).(s) done) others))
+    others;
+  let shared = [ 0; 1; 2; 3 ] and exclusive = [ 4; 6; 7 ] in
+  run crashed (fun t ->
+      List.iter (fun o -> read t pages.(o).(0)) shared;
+      List.iter (fun o -> Cluster.update_delta c ~txn:t ~pid:pages.(o).(1) ~off:0 3L) exclusive);
+  (* peers' cached locks on the crashed node's pages *)
+  List.iter (fun n -> run n (fun t -> read t pages.(crashed).(n))) [ 0; 1; 2; 3 ];
+  run 8 (fun t -> Cluster.update_delta c ~txn:t ~pid:pages.(crashed).(4) ~off:0 9L);
+  let glocks n = (Cluster.node c n).Node_state.glocks in
+  let locks n = (Cluster.node c n).Node_state.locks in
+  let sorted l = List.sort (fun (a, _) (b, _) -> Repro_storage.Page_id.compare a b) l in
+  let unrelated () =
+    List.map
+      (fun o ->
+        List.map (fun n -> sorted (Global_locks.locks_held_by_node (glocks o) ~node:n)) others)
+      others
+  in
+  let before = unrelated () in
+  Cluster.crash c ~node:crashed;
+  Cluster.recover c ~nodes:[ crashed ];
+  List.iter
+    (fun o ->
+      Alcotest.(check bool) "the crashed node's S lock is released" true
+        (Global_locks.holder_mode (glocks o) ~node:crashed ~pid:pages.(o).(0) = None))
+    shared;
+  List.iter
+    (fun o ->
+      let pid = pages.(o).(1) in
+      Alcotest.(check bool) "the crashed node's X lock is kept" true
+        (Global_locks.holder_mode (glocks o) ~node:crashed ~pid = Some Mode.X);
+      Alcotest.(check bool) "and cached again at the crashed node" true
+        (Local_locks.cached_mode (locks crashed) pid = Some Mode.X))
+    exclusive;
+  List.iter
+    (fun m ->
+      Alcotest.(check int) "the owner table holds what the peer caches"
+        (List.length (Local_locks.cached_pages_owned_by (locks m) crashed))
+        (List.length (Global_locks.locks_held_by_node (glocks crashed) ~node:m));
+      List.iter
+        (fun (pid, mode) ->
+          Alcotest.(check bool) "rebuilt from the peer's cached lock" true
+            (Global_locks.holder_mode (glocks crashed) ~node:m ~pid = Some mode))
+        (Local_locks.cached_pages_owned_by (locks m) crashed))
+    others;
+  Alcotest.(check int) "the rebuilt table has the five peer locks" 5
+    (List.length (Global_locks.pages (glocks crashed)));
+  Alcotest.(check bool) "no unrelated lock moved" true (unrelated () = before);
+  Cluster.check_invariants c
+
 let suite =
   [
     ("remote update, zero commit messages", `Quick, test_remote_update_and_zero_commit_messages);
@@ -350,4 +485,8 @@ let suite =
     ("group commit: crash loses the whole batch", `Quick,
      test_group_commit_crash_loses_whole_batch);
     ("owner with no room forces a shipped page", `Quick, test_owner_no_room_forces_shipped_page);
+    ("owner falling mid-ship blocks the evictor", `Quick,
+     test_owner_falls_mid_ship_blocks_the_evictor);
+    ("lock reconstruction on a busy 16-node cluster", `Quick,
+     test_lock_reconstruction_on_a_busy_cluster);
   ]

@@ -23,7 +23,7 @@ let test_mode_tables () =
 (* ---- Global_locks (owner side) ---- *)
 
 let test_global_grant_and_conflict () =
-  let g = Global_locks.create () in
+  let g = Global_locks.create ~owner:0 in
   (match Global_locks.request g ~node:1 ~pid:(pid 0) ~mode:Mode.S with
   | Global_locks.Granted -> ()
   | Needs_callback _ -> Alcotest.fail "fresh grant must succeed");
@@ -37,7 +37,7 @@ let test_global_grant_and_conflict () =
   Global_locks.check_invariants g
 
 let test_global_requester_excluded () =
-  let g = Global_locks.create () in
+  let g = Global_locks.create ~owner:0 in
   Global_locks.grant g ~node:1 ~pid:(pid 0) ~mode:Mode.S;
   (* the requester's own S does not block its upgrade *)
   match Global_locks.request g ~node:1 ~pid:(pid 0) ~mode:Mode.X with
@@ -45,14 +45,14 @@ let test_global_requester_excluded () =
   | Needs_callback _ -> Alcotest.fail "own lock must not conflict"
 
 let test_global_covering_grant_is_immediate () =
-  let g = Global_locks.create () in
+  let g = Global_locks.create ~owner:0 in
   Global_locks.grant g ~node:1 ~pid:(pid 0) ~mode:Mode.X;
   match Global_locks.request g ~node:1 ~pid:(pid 0) ~mode:Mode.S with
   | Global_locks.Granted -> ()
   | Needs_callback _ -> Alcotest.fail "X covers S"
 
 let test_global_demote_release () =
-  let g = Global_locks.create () in
+  let g = Global_locks.create ~owner:0 in
   Global_locks.grant g ~node:1 ~pid:(pid 0) ~mode:Mode.X;
   Global_locks.demote_to_s g ~node:1 ~pid:(pid 0);
   Alcotest.(check bool) "demoted" true
@@ -62,7 +62,7 @@ let test_global_demote_release () =
 
 let test_global_crash_lock_rules () =
   (* §2.3.3: shared locks of a crashed node are released, exclusive retained *)
-  let g = Global_locks.create () in
+  let g = Global_locks.create ~owner:0 in
   Global_locks.grant g ~node:9 ~pid:(pid 0) ~mode:Mode.S;
   Global_locks.grant g ~node:9 ~pid:(pid 1) ~mode:Mode.X;
   Global_locks.grant g ~node:9 ~pid:(pid 2) ~mode:Mode.S;
@@ -73,7 +73,7 @@ let test_global_crash_lock_rules () =
   Alcotest.(check int) "held-by listing" 1 (List.length (Global_locks.locks_held_by_node g ~node:9))
 
 let test_global_x_holder () =
-  let g = Global_locks.create () in
+  let g = Global_locks.create ~owner:0 in
   Global_locks.grant g ~node:4 ~pid:(pid 0) ~mode:Mode.X;
   Alcotest.(check (option int)) "x holder" (Some 4) (Global_locks.x_holder g ~pid:(pid 0))
 
@@ -174,6 +174,107 @@ let test_local_cached_pages_owned_by () =
   Local_locks.set_cached_mode l (Page_id.make ~owner:2 ~slot:0) Mode.X;
   Alcotest.(check int) "owned-by filter" 1 (List.length (Local_locks.cached_pages_owned_by l 2))
 
+(* ---- the per-node indexes agree with their tables ---- *)
+
+(* Random operation sequences over a few nodes and slots: after every
+   step, each index-answered listing must equal a brute-force filter of
+   the table it indexes. *)
+
+type op =
+  | Grant of int * int * Mode.t
+  | Release of int * int
+  | Demote of int * int
+  | Release_shared of int
+  | Set_cached of int * int * Mode.t
+  | Revoke_pending of int * int
+  | Drop_cached of int * int
+  | Clear
+
+let nodes = 6
+let slots = 24
+
+let gen_op =
+  QCheck.Gen.(
+    let node = int_bound (nodes - 1) and slot = int_bound (slots - 1) in
+    let mode = oneofl [ Mode.S; Mode.X ] in
+    frequency
+      [
+        (6, map3 (fun n s m -> Grant (n, s, m)) node slot mode);
+        (3, map2 (fun n s -> Release (n, s)) node slot);
+        (2, map2 (fun n s -> Demote (n, s)) node slot);
+        (1, map (fun n -> Release_shared n) node);
+        (6, map3 (fun o s m -> Set_cached (o, s, m)) node slot mode);
+        (2, map2 (fun o s -> Revoke_pending (o, s)) node slot);
+        (3, map2 (fun o s -> Drop_cached (o, s)) node slot);
+        (1, return Clear);
+      ])
+
+let by_page l = List.sort (fun (a, _) (b, _) -> Page_id.compare a b) l
+let pids l = List.sort Page_id.compare l
+
+let global_agrees g =
+  Global_locks.check_invariants g;
+  for node = 0 to nodes - 1 do
+    let brute =
+      List.concat_map
+        (fun pid ->
+          List.filter_map
+            (fun (n, m) -> if n = node then Some (pid, m) else None)
+            (Global_locks.holders g ~pid))
+        (Global_locks.pages g)
+    in
+    if by_page (Global_locks.locks_held_by_node g ~node) <> by_page brute then
+      QCheck.Test.fail_reportf "locks_held_by_node %d disagrees with the table" node;
+    let x = List.filter_map (fun (p, m) -> if Mode.equal m Mode.X then Some p else None) brute in
+    if pids (Global_locks.x_pages_of_node g ~node) <> pids x then
+      QCheck.Test.fail_reportf "x_pages_of_node %d disagrees with the table" node
+  done
+
+let local_agrees l =
+  Local_locks.check_invariants l;
+  for owner = 0 to nodes - 1 do
+    let brute = List.filter (fun (p, _) -> Page_id.owner p = owner) (Local_locks.cached_pages l) in
+    if by_page (Local_locks.cached_pages_owned_by l owner) <> by_page brute then
+      QCheck.Test.fail_reportf "cached_pages_owned_by %d disagrees with the table" owner
+  done
+
+let apply g l = function
+  | Grant (n, s, mode) -> (
+    (* the node layer grants only what [request] allows *)
+    match Global_locks.request g ~node:n ~pid:(pid s) ~mode with
+    | Global_locks.Granted -> Global_locks.grant g ~node:n ~pid:(pid s) ~mode
+    | Needs_callback _ -> ())
+  | Release (n, s) -> Global_locks.release g ~node:n ~pid:(pid s)
+  | Demote (n, s) -> Global_locks.demote_to_s g ~node:n ~pid:(pid s)
+  | Release_shared node ->
+    let shared =
+      List.filter_map
+        (fun (p, m) -> if Mode.equal m Mode.S then Some p else None)
+        (Global_locks.locks_held_by_node g ~node)
+    in
+    if pids (Global_locks.release_all_shared_of_node g ~node) <> pids shared then
+      QCheck.Test.fail_reportf "release_all_shared_of_node %d released the wrong pages" node
+  | Set_cached (o, s, mode) -> Local_locks.set_cached_mode l (Page_id.make ~owner:o ~slot:s) mode
+  | Revoke_pending (o, s) ->
+    Local_locks.set_revoke_pending l (Page_id.make ~owner:o ~slot:s) ~mode:Mode.X ~txn:1 ~node:o
+  | Drop_cached (o, s) -> Local_locks.drop_cached l (Page_id.make ~owner:o ~slot:s)
+  | Clear ->
+    Global_locks.clear g;
+    Local_locks.clear l
+
+let prop_indexes_agree =
+  QCheck.Test.make ~name:"holder and owner indexes agree with their tables" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 300) gen_op))
+    (fun ops ->
+      let g = Global_locks.create ~owner:0 and l = Local_locks.create () in
+      List.iter
+        (fun op ->
+          apply g l op;
+          global_agrees g;
+          local_agrees l)
+        ops;
+      true)
+
 let suite =
   [
     ("mode tables", `Quick, test_mode_tables);
@@ -190,4 +291,5 @@ let suite =
     ("local revoke pending", `Quick, test_local_revoke_pending);
     ("local owned-by filter", `Quick, test_local_cached_pages_owned_by);
     ("local early-release registry", `Quick, test_local_early_release_registry);
+    QCheck_alcotest.to_alcotest prop_indexes_agree;
   ]
