@@ -7,16 +7,13 @@
      append+force, PSN-guarded redo, NodePSNList merge, the commit
      path, LRU victim choice, a per-node lock listing) and the allocation probe of the record
      codec and of the two log scans (full decode, heads only).
-   - The lint timing guard: exits 1 when a cbl-lint phase is over its
-     wall budget; writes BENCH_LINT.json.
    - The tracing overhead: wall cost of an enabled trace.
    - The early-lock-release guard: lock-hold duration, elr off vs on;
      writes BENCH_ELR.json.
 
    Run with:  dune exec bench/main.exe             (micro + tracing)
               dune exec bench/main.exe -- micro    (bechamel only)
-              dune exec bench/main.exe -- json     (lint + tracing + elr)
-              dune exec bench/main.exe -- lint     (lint timing guard only)
+              dune exec bench/main.exe -- json     (tracing + elr)
               dune exec bench/main.exe -- tracing  (tracing overhead)
               dune exec bench/main.exe -- elr      (lock-hold duration, elr off/on) *)
 
@@ -42,71 +39,6 @@ let write_json file json =
   output_string oc (Repro_obs.Json.to_string_pretty json);
   output_char oc '\n';
   close_out oc
-
-(* ---- lint timing guard ----
-
-   cbl-lint gates every CI run before the tests, so it must stay cheap.
-   Two phases are timed separately — parse (compiler-libs over every
-   file) and the full run (parse + all rules) — each against its own
-   wall budget; either phase over budget exits 1.  The timings go to
-   BENCH_LINT.json.  Run from the repo root; skipped elsewhere (no
-   tree to lint). *)
-
-let lint_budget_seconds = 2.0
-let lint_parse_budget_seconds = 1.0
-
-let bench_lint () =
-  if not (Sys.file_exists "lib" && Sys.file_exists "bin") then
-    Format.printf "lint timing: not at the repo root, skipped@."
-  else begin
-    let paths = [ "lib"; "bin"; "bench"; "test" ] in
-    let time f =
-      let t0 = Sys.time () in
-      let r = f () in
-      (r, max 1e-6 (Sys.time () -. t0))
-    in
-    let _, parse_s =
-      time (fun () -> Repro_lint.Lint.parse_tree ~root:"." ~paths)
-    in
-    let result, full_s =
-      time (fun () ->
-          Repro_lint.Lint.run ~clock:Sys.time ~root:"." ~paths ~rules:Repro_lint.Rules.all ())
-    in
-    let phases =
-      [
-        ("parse", parse_s, lint_parse_budget_seconds);
-        ("full", full_s, lint_budget_seconds);
-      ]
-    in
-    let ok = List.for_all (fun (_, s, budget) -> s <= budget) phases in
-    let module J = Repro_obs.Json in
-    let json =
-      J.Obj
-        [
-          ("id", J.Str "lint_timing");
-          ("files_scanned", J.Int result.Repro_lint.Lint.files_scanned);
-          ("seconds", J.Float full_s);
-          ("budget_seconds", J.Float lint_budget_seconds);
-          ("ok", J.Bool ok);
-          ("phase_seconds", J.Obj (List.map (fun (phase, s, _) -> (phase, J.Float s)) phases));
-          ( "rule_seconds",
-            J.Obj
-              (List.map (fun (id, s) -> (id, J.Float s)) result.Repro_lint.Lint.rule_seconds) );
-        ]
-    in
-    write_json "BENCH_LINT.json" json;
-    List.iter
-      (fun (phase, s, budget) ->
-        Format.printf "lint timing: %-9s %.3fs (budget %.1fs, headroom %.1fx)@." phase s budget
-          (budget /. s))
-      phases;
-    Format.printf "lint timing: %d files — wrote BENCH_LINT.json@."
-      result.Repro_lint.Lint.files_scanned;
-    if not ok then begin
-      Format.printf "lint timing over budget: the lint gate would slow every CI run@.";
-      exit 1
-    end
-  end
 
 (* ---- tracing overhead ----
 
@@ -441,10 +373,8 @@ let () =
   match what with
   | "micro" -> run_micro ()
   | "json" ->
-    bench_lint ();
     bench_tracing_overhead ();
     bench_elr ()
-  | "lint" -> bench_lint ()
   | "tracing" -> bench_tracing_overhead ()
   | "elr" -> bench_elr ()
   | _ ->

@@ -44,8 +44,6 @@ else
   echo "== ocamlformat not installed; skipping format check =="
 fi
 
-echo "== cbl-lint (protocol static analysis, gating) =="
-dune exec bin/cbl_lint.exe -- --out LINT_REPORT.json
 
 echo "== dune runtest =="
 dune runtest
@@ -135,7 +133,7 @@ echo "== audit: $SWEEP_RUNS traced recovery-fault runs (--faults recovery) =="
 dune exec bin/cblsim.exe -- audit --stress --runs "$SWEEP_RUNS" --faults recovery \
   --out AUDIT_REPORT_RECOVERY.json
 
-echo "== bench smoke: lint timing, tracing overhead, elr lock-hold =="
+echo "== bench smoke: tracing overhead, elr lock-hold =="
 dune exec bench/main.exe -- json
 
 # Allocation per transaction is deterministic at a fixed seed, so it is

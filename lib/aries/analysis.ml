@@ -24,16 +24,21 @@ let run log ~master =
       | _ -> invalid_arg "Analysis.run: master record does not point at a Checkpoint_begin"
   in
   init_from_checkpoint ();
+  (* Called once per update record after the checkpoint: [find] rather
+     than [find_opt], and a new DPT entry only when [curr_psn] grows,
+     keep a page's repeated updates from allocating. *)
   let on_update lsn txn pid psn_before =
-    (match Page_id.Tbl.find_opt dpt pid with
-    | None ->
+    (match Page_id.Tbl.find dpt pid with
+    | e ->
+      if psn_before + 1 > e.curr_psn then
+        Page_id.Tbl.replace dpt pid { e with curr_psn = psn_before + 1 }
+    | exception Not_found ->
       Page_id.Tbl.replace dpt pid
-        { Record.pid; psn_first = psn_before; curr_psn = psn_before + 1; redo_lsn = lsn }
-    | Some e ->
-      Page_id.Tbl.replace dpt pid { e with curr_psn = max e.curr_psn (psn_before + 1) });
+        { Record.pid; psn_first = psn_before; curr_psn = psn_before + 1; redo_lsn = lsn });
     Hashtbl.replace txns txn lsn;
-    let pages = Option.value (Hashtbl.find_opt txn_pages txn) ~default:Page_id.Set.empty in
-    Hashtbl.replace txn_pages txn (Page_id.Set.add pid pages)
+    match Hashtbl.find txn_pages txn with
+    | pages -> Hashtbl.replace txn_pages txn (Page_id.Set.add pid pages)
+    | exception Not_found -> Hashtbl.replace txn_pages txn (Page_id.Set.singleton pid)
   in
   let scan_from = if Lsn.is_nil ckpt_lsn then Lsn.nil else ckpt_lsn in
   Log_manager.fold_heads log ~from:scan_from ~init:()

@@ -316,7 +316,7 @@ and make_room t =
               (match Buffer_pool.peek t.pool (Page.id victim.page) with
               | Some f when f == victim -> ()
               | Some _ | None -> raise e);
-              if !blocked = None then blocked := Some e;
+              if Option.is_none !blocked then blocked := Some e;
               Buffer_pool.pin victim;
               parked := victim :: !parked)
           | None -> (
@@ -421,7 +421,7 @@ let handle_callback t ~pid ~requested ~for_txn ~for_node =
      leaves.  Free when elr is off (the registry is empty). *)
   if Local_locks.released_early t.locks pid then Group_commit.flush t.gc;
   let conflicting = Local_locks.conflicts t.locks pid ~except:for_txn ~mode:requested in
-  if conflicting <> [] then begin
+  if not (List.is_empty conflicting) then begin
     Local_locks.set_revoke_pending t.locks pid ~mode:requested ~txn:for_txn ~node:for_node;
     Error conflicting
   end
@@ -507,7 +507,7 @@ let owner_grant_lock t ~requester ~txn ~pid ~mode ~need_page =
           | Error blockers -> blockers)
         holders
     in
-    if refusals <> [] then begin
+    if not (List.is_empty refusals) then begin
       (match Page_id.Tbl.find_opt t.reservations pid with
       | Some (rtxn, _) when rtxn <= txn -> ()
       | Some _ | None -> Page_id.Tbl.replace t.reservations pid (txn, requester));
@@ -526,7 +526,7 @@ let acquire t ~txn ~pid ~mode =
   Env.charge_lock_op t.env t.metrics;
   (* Local strict-2PL conflict first: no message can help with that. *)
   let local_conflicts = Local_locks.conflicts t.locks pid ~except:txn ~mode in
-  if local_conflicts <> [] then Block.block (Block.Lock_conflict { blockers = local_conflicts });
+  if not (List.is_empty local_conflicts) then Block.block (Block.Lock_conflict { blockers = local_conflicts });
   (* Fairness: a pending revocation of the cached lock stops new local
      acquisitions that would prolong it (existing holders may finish). *)
   (match Local_locks.revoke_pending t.locks pid with
@@ -726,9 +726,11 @@ let append_record t record =
     match Log_manager.append ~overdraft t.log record with
     | lsn -> lsn
     | exception Log_manager.Log_full ->
-      let before = state () in
+      let bytes, redo, size = state () in
       free_log_space t;
-      if state () = before then begin
+      let bytes', redo', size' = state () in
+      if Option.equal Int.equal bytes bytes' && Option.equal Int.equal redo redo' && size = size'
+      then begin
         (* A committing transaction may be the oldest pinner; flushing
            the pending batch completes it (and unpins its undo chain)
            without blocking anyone. *)
@@ -1004,7 +1006,7 @@ let observe_lock_hold t (txn : Txn.t) =
 let early_lock_release t (txn : Txn.t) =
   observe_lock_hold t txn;
   let released = Local_locks.release_txn_early t.locks ~txn:txn.Txn.id in
-  if Env.tracing t.env && released <> [] then
+  if Env.tracing t.env && not (List.is_empty released) then
     Env.emit t.env ~node:t.id Event.Lock_early_release
       [ ("txn", Event.Int txn.Txn.id); ("pages", Event.Int (List.length released)) ]
 
@@ -1040,7 +1042,7 @@ let complete_commit t (txn : Txn.t) ~commit_from =
    alone. *)
 let finish_commit t ~txn ~submitted_at =
   match Txn_table.find t.txns txn with
-  | Some descr when descr.Txn.state = Txn.Committing ->
+  | Some ({ Txn.state = Txn.Committing; _ } as descr) ->
     complete_commit t descr ~commit_from:submitted_at
   | Some _ | None -> ()
 
@@ -1210,7 +1212,7 @@ let check_invariants t =
      it is flush-responsible for, and it is itself the lock service. *)
   List.iter
     (fun pid ->
-      if Page_id.owner pid <> t.id && Local_locks.cached_mode t.locks pid = None then
+      if Page_id.owner pid <> t.id && Option.is_none (Local_locks.cached_mode t.locks pid) then
         invalid_arg (Format.asprintf "node %d caches %a without a lock" t.id Page_id.pp pid))
     (Buffer_pool.cached_ids t.pool);
   (* A dirty frame always has a DPT entry (it was dirtied locally or

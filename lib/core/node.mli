@@ -69,8 +69,8 @@ val commit : t -> txn:int -> unit
     no page forces — the paper's headline commit path.  Locks release
     locally; node-level cached locks are retained.
 
-    With group commit enabled ({!Repro_sim.Config.group_commit_enabled}
-    and the local-logging scheme), the transaction instead joins the
+    With group commit enabled ([group_commit_max_batch > 1] and the
+    local-logging scheme), the transaction instead joins the
     node's pending batch in state [Committing] and this function
     returns {e before} the commit is durable — completion happens when
     the batch forces (full, window expiry via {!Cluster.pump_group_commit},

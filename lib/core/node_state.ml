@@ -121,7 +121,7 @@ let wire_tracers node =
             ("page", Event.Str (Format.asprintf "%a" Page_id.pp pid));
           ]);
   Repro_buffer.Buffer_pool.set_tracer node.pool (fun action pid ->
-      emit_page (if action = "install" then Event.Cache_install else Event.Cache_evict) action pid)
+      emit_page (if String.equal action "install" then Event.Cache_install else Event.Cache_evict) action pid)
 
 let create env ~id ~pool_capacity ~log_capacity ~scheme ~retain_cached_locks =
   let metrics = Metrics.create ~node:id () in

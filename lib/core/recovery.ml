@@ -304,7 +304,7 @@ let dismiss_uninvolved ~owner uninvolved =
       let m = c.claimant in
       let pid = c.entry.Dpt.pid in
       if m.id <> owner.id then send owner ~dst:m.id ~recovery:true ~bytes:Wire.control ();
-      if Local_locks.cached_mode m.locks pid <> None then
+      if Option.is_some (Local_locks.cached_mode m.locks pid) then
         Dpt.set_redo_lsn m.dpt pid (Log_manager.end_lsn m.log)
       else Dpt.drop m.dpt pid)
     uninvolved
@@ -351,7 +351,7 @@ let gather_owned ctx =
               List.partition (fun c -> c.entry.Dpt.curr_psn > Page.psn base) claims_for_page
             in
             dismiss_uninvolved ~owner:n uninvolved;
-            if involved <> [] then add_job ctx { pid; coordinator = n; base; involved })
+            if not (List.is_empty involved) then add_job ctx { pid; coordinator = n; base; involved })
         claims)
     ctx.crashed
 
@@ -446,7 +446,7 @@ let lock_jobs ctx =
   List.iter
     (fun { pid; coordinator = n; _ } ->
       let owner = peer n (Page_id.owner pid) in
-      if Global_locks.holders owner.glocks ~pid = [] then grant_x n ~owner pid)
+      if List.is_empty (Global_locks.holders owner.glocks ~pid) then grant_x n ~owner pid)
     ctx.jobs
 
 (* ------------------------------------------------------------------ *)
@@ -904,7 +904,7 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
     | phases ->
       let total_seconds = Env.now env -. recovery_from in
       (* per-node samples also land in the (-1) cluster aggregate *)
-      if crashed = [] then Env.observe env ~name:"recovery_duration" ~node:(-1) total_seconds
+      if List.is_empty crashed then Env.observe env ~name:"recovery_duration" ~node:(-1) total_seconds
       else
         List.iter
           (fun n -> Env.observe env ~name:"recovery_duration" ~node:n.id total_seconds)

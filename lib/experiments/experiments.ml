@@ -70,7 +70,7 @@ let expect_increments ~id engine ~node pages want =
   List.iter
     (fun pid ->
       let v = engine.Engine.read_cell ~txn ~pid ~off:0 in
-      if v <> want then
+      if not (Int64.equal v want) then
         invalid_arg (Printf.sprintf "%s: lost updates (found %Ld, want %Ld)" id v want))
     pages;
   engine.Engine.commit ~txn
@@ -142,7 +142,7 @@ let e1 =
             (* clients sit on the owner nodes so the remote-access
                fraction is exactly the knob; server-logging clients
                must not sit on the server (all data is there) *)
-            if scheme = "server-logging" then [ 1; 3 ] else List.map fst built.pages_by_owner
+            if String.equal scheme "server-logging" then [ 1; 3 ] else List.map fst built.pages_by_owner
           in
           let outcome, d, _ =
             measure built.cluster (fun () ->
@@ -165,11 +165,11 @@ let e1 =
       [
         Spec.silent "cbl sends no commit messages and ships no records"
           (List.for_all (fun r ->
-               r.scheme <> "cbl" || (r.d.commit_messages = 0 && r.d.log_records_shipped = 0)));
+               (not (String.equal r.scheme "cbl")) || (r.d.commit_messages = 0 && r.d.log_records_shipped = 0)));
       ]
     ~notes:(fun rows ->
       let cbl_total = Metrics.create () in
-      List.iter (fun r -> if r.scheme = "cbl" then Metrics.merge_into ~dst:cbl_total r.d) rows;
+      List.iter (fun r -> if String.equal r.scheme "cbl" then Metrics.merge_into ~dst:cbl_total r.d) rows;
       [
         "expected shape: cbl's commit msgs and records shipped are 0 at every remote fraction";
         "cbl's log forces above 1/txn are WAL-before-ship forces (page transfers), not commit \
@@ -229,10 +229,10 @@ let e2 =
             rising
               (List.filter_map
                  (fun r ->
-                   if r.scheme = "cbl" then Some (float_of_int r.committed /. r.busy) else None)
+                   if String.equal r.scheme "cbl" then Some (float_of_int r.committed /. r.busy) else None)
                  rows));
         Spec.silent "server-logging's bottleneck is always node 0"
-          (List.for_all (fun r -> r.scheme <> "server-logging" || r.busiest = 0));
+          (List.for_all (fun r -> (not (String.equal r.scheme "server-logging")) || r.busiest = 0));
       ]
     ~notes:(fun _ ->
       [
@@ -249,7 +249,7 @@ type e3_row = { scheme : string; latency : float; commit : Stats.summary }
 
 let e3 =
   let means scheme rows =
-    List.filter_map (fun r -> if r.scheme = scheme then Some r.commit.mean else None) rows
+    List.filter_map (fun r -> if String.equal r.scheme scheme then Some r.commit.mean else None) rows
   in
   Spec.make ~id:"E3"
     ~title:"Commit latency vs one-way network latency (4 updates per txn, remote owner)"
@@ -292,7 +292,7 @@ let e3 =
             | m :: rest -> List.for_all (fun x -> Float.abs (x -. m) < 1e-9) rest);
         Spec.silent "the other schemes' commit latency rises with it"
           (fun rows ->
-            List.for_all (fun r -> r.scheme = "cbl" || rising (means r.scheme rows)) rows);
+            List.for_all (fun r -> String.equal r.scheme "cbl" || rising (means r.scheme rows)) rows);
       ]
     ~notes:(fun _ ->
       [ "expected shape: cbl column constant across net ms; others increase with it" ])
@@ -353,10 +353,14 @@ let e4 =
       [
         Spec.silent "the paper's protocol ships no records"
           (List.for_all (fun r ->
-               r.strategy <> Recovery.Psn_coordinated || r.d.log_records_shipped = 0));
+               match r.strategy with
+               | Recovery.Psn_coordinated -> r.d.log_records_shipped = 0
+               | Recovery.Merged_logs -> true));
         Spec.silent "the merge baseline ships records"
           (List.for_all (fun r ->
-               r.strategy <> Recovery.Merged_logs || r.d.log_records_shipped > 0));
+               match r.strategy with
+               | Recovery.Merged_logs -> r.d.log_records_shipped > 0
+               | Recovery.Psn_coordinated -> true));
       ]
     ~notes:(fun _ ->
       [
@@ -616,7 +620,7 @@ let e9 =
           (fun rows ->
             List.for_all
               (fun on ->
-                let off = List.find (fun r -> (not r.caching) && r.theta = on.theta) rows in
+                let off = List.find (fun r -> (not r.caching) && Float.equal r.theta on.theta) rows in
                 (not on.caching)
                 || (messages on < messages off && local_ratio on > local_ratio off))
               rows);
@@ -659,10 +663,10 @@ let e10 =
     ~claims:
       [
         Spec.silent "cbl writes no page at hand-over"
-          (List.for_all (fun r -> r.scheme <> "cbl" || r.d.page_disk_writes = 0));
+          (List.for_all (fun r -> (not (String.equal r.scheme "cbl")) || r.d.page_disk_writes = 0));
         Spec.silent "the global log writes pages at hand-over"
           (List.for_all (fun r ->
-               r.scheme <> "global-log" || rate r.d.page_disk_writes r.handovers > 0.5));
+               (not (String.equal r.scheme "global-log")) || rate r.d.page_disk_writes r.handovers > 0.5));
       ]
     ~notes:(fun _ ->
       [ "expected shape: cbl ships pages but the disk-write columns stay near zero" ])
@@ -679,7 +683,7 @@ let interleave lists =
   let rec go acc lists =
     let heads = List.filter_map (function x :: _ -> Some x | [] -> None) lists in
     let tails = List.filter_map (function _ :: t -> Some t | [] -> None) lists in
-    if heads = [] then List.rev acc else go (List.rev_append heads acc) tails
+    if List.is_empty heads then List.rev acc else go (List.rev_append heads acc) tails
   in
   go [] lists
 
@@ -1064,7 +1068,7 @@ let e14 =
         Spec.shown "uniform-profile txn/s flat (within 10%) as the cluster grows" (fun rows ->
             let rates =
               List.filter_map
-                (fun r -> if r.at.profile = "uniform" then Some (throughput r.at.outcome) else None)
+                (fun r -> if String.equal r.at.profile "uniform" then Some (throughput r.at.outcome) else None)
                 rows
             in
             List.fold_left min infinity rates >= 0.9 *. List.fold_left max 0. rates);
@@ -1124,7 +1128,7 @@ let e15 =
   (* the gate is judged at the highest MPL, where lock-hold time across
      the batch window hurts the most *)
   let top rows = List.fold_left (fun acc r -> max acc r.clients) 0 rows in
-  let at rows elr = List.find (fun r -> r.clients = top rows && r.elr = elr) rows in
+  let at rows elr = List.find (fun r -> r.clients = top rows && Bool.equal r.elr elr) rows in
   let p95_cut rows =
     1. -. ((at rows true).outcome.latencies.p95 /. (at rows false).outcome.latencies.p95)
   in
@@ -1187,4 +1191,4 @@ let e15 =
 
 let all = [ f1; e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14; e15 ]
 let ids = List.map Spec.id all
-let by_id id = List.find_opt (fun s -> Spec.id s = String.uppercase_ascii id) all
+let by_id id = List.find_opt (fun s -> String.equal (Spec.id s) (String.uppercase_ascii id)) all

@@ -8,8 +8,8 @@ let all_classes = { net = true; disk = true; crashpoints = true; recovery = true
 
 let classes_of_string s =
   let s = String.trim (String.lowercase_ascii s) in
-  if s = "" || s = "none" then Ok no_classes
-  else if s = "all" then Ok all_classes
+  if String.equal s "" || String.equal s "none" then Ok no_classes
+  else if String.equal s "all" then Ok all_classes
   else
     List.fold_left
       (fun acc part ->
@@ -27,7 +27,7 @@ let classes_of_string s =
                  "unknown fault class %S (have: net, disk, crashpoints, recovery, all)" other)))
       (Ok no_classes)
       (List.filter
-         (fun p -> p <> "")
+         (fun p -> not (String.equal p ""))
          (List.map String.trim (String.split_on_char ',' s)))
 
 type net = {
@@ -184,7 +184,7 @@ let generate rng ~classes =
     List.iter
       (fun p ->
         let r, lo, span = draw_range p in
-        if r = restart then probs.(point_index p) <- lo +. Rng.float rng span)
+        if Bool.equal r restart then probs.(point_index p) <- lo +. Rng.float rng span)
       (List.rev points)
   in
   let budget =

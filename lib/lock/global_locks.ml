@@ -50,7 +50,7 @@ let request t ~node ~pid ~mode =
             if n <> node && not (Mode.compatible held mode) then (n, held) :: acc else acc)
           h []
     in
-    if conflicting = [] then Granted else Needs_callback { holders = conflicting }
+    if List.is_empty conflicting then Granted else Needs_callback { holders = conflicting }
 
 let grant t ~node ~pid ~mode =
   if Page_id.owner pid <> t.owner then

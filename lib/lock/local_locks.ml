@@ -72,7 +72,7 @@ let demote_cached_to_s t pid =
   match entry_opt t pid with
   | None -> ()
   | Some e ->
-    if e.cached <> Mode.S then t.tracer "demote" pid;
+    if not (Mode.equal e.cached Mode.S) then t.tracer "demote" pid;
     e.cached <- Mode.S
 
 let set_revoke_pending t pid ~mode ~txn ~node =
@@ -116,7 +116,7 @@ let acquire t ~txn ~pid ~mode =
     invalid_arg "Local_locks.acquire: node-level lock does not cover the request";
   let e = entry t pid in
   let conflicting = conflicting_txns e ~except:txn ~mode in
-  if conflicting <> [] then Error { holders = conflicting }
+  if not (List.is_empty conflicting) then Error { holders = conflicting }
   else begin
     let new_mode =
       match Hashtbl.find_opt e.txns txn with

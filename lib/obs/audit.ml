@@ -203,7 +203,7 @@ let on_crash st (e : Event.t) =
     let queue = ref dead in
     let seen = Hashtbl.create 8 in
     List.iter (fun txn -> Hashtbl.replace seen txn ()) dead;
-    while !queue <> [] do
+    while not (List.is_empty !queue) do
       let txn = List.hd !queue in
       queue := List.tl !queue;
       List.iter
@@ -316,7 +316,7 @@ let on_dep st (e : Event.t) =
    context at the holder's node and never match. *)
 let on_release st (e : Event.t) =
   let txn = e.Event.txn in
-  if txn >= 0 && Event.attr e "holder" = None then
+  if txn >= 0 && Option.is_none (Event.attr e "holder") then
     match Hashtbl.find_opt st.home txn with
     | Some home when home = e.Event.node -> Hashtbl.replace st.terminal txn ()
     | Some _ | None -> ()
@@ -377,7 +377,8 @@ let dispatch st (e : Event.t) =
 
 let run events =
   let truncated =
-    List.exists (fun (e : Event.t) -> e.Event.kind = Event.Trace_dropped) events
+    (* a constant constructor: physical equality is exact *)
+    List.exists (fun (e : Event.t) -> e.Event.kind == Event.Trace_dropped) events
   in
   let st =
     {
@@ -405,7 +406,7 @@ let run events =
     skipped = (if truncated then prefix_checks else []);
   }
 
-let ok (r : report) = r.violations = []
+let ok (r : report) = List.is_empty r.violations
 
 let to_json (r : report) =
   Json.Obj

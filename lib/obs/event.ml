@@ -111,7 +111,7 @@ let all_kinds =
     Fault_dup; Fault_delay; Fault_partition; Fault_torn; Fault_crash; Trace_dropped;
   ]
 
-let kind_of_name s = List.find_opt (fun k -> kind_name k = s) all_kinds
+let kind_of_name s = List.find_opt (fun k -> String.equal (kind_name k) s) all_kinds
 
 let make ~time ~node ?(span = -1) ?(txn = -1) kind attrs = { time; node; span; txn; kind; attrs }
 

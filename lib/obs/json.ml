@@ -31,7 +31,7 @@ let float_repr v =
     (* shortest representation that round-trips *)
     let s = Printf.sprintf "%.17g" v in
     let short = Printf.sprintf "%.12g" v in
-    if float_of_string short = v then short else s
+    if Float.equal (float_of_string short) v then short else s
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
@@ -119,13 +119,13 @@ let skip_ws c =
 
 let expect c ch =
   match peek c with
-  | Some got when got = ch -> c.pos <- c.pos + 1
+  | Some got when Char.equal got ch -> c.pos <- c.pos + 1
   | Some got -> error c (Printf.sprintf "expected %c, found %c" ch got)
   | None -> error c (Printf.sprintf "expected %c, found end of input" ch)
 
 let literal c word value =
   let n = String.length word in
-  if c.pos + n <= String.length c.src && String.sub c.src c.pos n = word then begin
+  if c.pos + n <= String.length c.src && String.equal (String.sub c.src c.pos n) word then begin
     c.pos <- c.pos + n;
     value
   end
@@ -178,7 +178,7 @@ let parse_number c =
     c.pos <- c.pos + 1
   done;
   let s = String.sub c.src start (c.pos - start) in
-  if s = "" then error c "expected number";
+  if String.equal s "" then error c "expected number";
   match int_of_string_opt s with
   | Some i -> Int i
   | None -> (
@@ -195,7 +195,7 @@ let rec parse_value c =
   | Some '[' ->
     c.pos <- c.pos + 1;
     skip_ws c;
-    if peek c = Some ']' then begin
+    if Option.equal Char.equal (peek c) (Some ']') then begin
       c.pos <- c.pos + 1;
       List []
     end
@@ -217,7 +217,7 @@ let rec parse_value c =
   | Some '{' ->
     c.pos <- c.pos + 1;
     skip_ws c;
-    if peek c = Some '}' then begin
+    if Option.equal Char.equal (peek c) (Some '}') then begin
       c.pos <- c.pos + 1;
       Obj []
     end

@@ -54,7 +54,7 @@ let dropped t = t.dropped
 
 let push t e =
   if Array.length t.ring = 0 then t.ring <- Array.make t.capacity None;
-  if t.ring.(t.head) <> None then t.dropped <- t.dropped + 1
+  if Option.is_some t.ring.(t.head) then t.dropped <- t.dropped + 1
   else t.stored <- t.stored + 1;
   t.ring.(t.head) <- Some e;
   t.head <- (t.head + 1) mod t.capacity

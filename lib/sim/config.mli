@@ -54,9 +54,6 @@ val with_page_size : t -> int -> t
 val with_group_commit : t -> window_ms:float -> max_batch:int -> t
 (** Set the group-commit knobs; [max_batch = 1] turns batching off. *)
 
-val group_commit_enabled : t -> bool
-(** [true] iff [group_commit_max_batch > 1]. *)
-
 val with_early_release : t -> bool -> t
 (** Toggle early lock release (controlled lock violation). *)
 

@@ -164,7 +164,7 @@ let pp_with ~show_zeros ppf t =
     (fun (name, get, _) ->
       if show_zeros || get t <> 0 then Format.fprintf ppf "%-30s %d@." name (get t))
     fields;
-  if show_zeros || t.busy_seconds <> 0. then
+  if show_zeros || not (Float.equal t.busy_seconds 0.) then
     Format.fprintf ppf "%-30s %.6f@." "busy_seconds" t.busy_seconds
 
 let to_alist t = List.map (fun (name, get, _) -> (name, get t)) fields

@@ -37,7 +37,7 @@ let multi_remove tbl key v =
   match Hashtbl.find_opt tbl key with
   | Some l ->
     l := List.filter (fun x -> x <> v) !l;
-    if !l = [] then Hashtbl.remove tbl key
+    if List.is_empty !l then Hashtbl.remove tbl key
   | None -> ()
 
 let add t ~dependent ~antecedent =

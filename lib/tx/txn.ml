@@ -32,7 +32,7 @@ let make ~id ~node =
     span = -1;
     locks_from = -1.;
   }
-let is_active t = t.state = Active
+let is_active t = match t.state with Active -> true | Committing | Committed | Aborted -> false
 let record_logged t lsn =
   t.last_lsn <- lsn;
   if Lsn.is_nil t.first_lsn then t.first_lsn <- lsn

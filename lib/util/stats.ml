@@ -25,7 +25,7 @@ let summarize samples =
   if n = 0 then empty_summary
   else begin
     let sorted = Array.copy samples in
-    Array.sort compare sorted;
+    Array.sort Float.compare sorted;
     let sum = Array.fold_left ( +. ) 0. sorted in
     let mean = sum /. float_of_int n in
     let sq = Array.fold_left (fun acc x -> acc +. ((x -. mean) *. (x -. mean))) 0. sorted in

@@ -37,7 +37,7 @@ let sweep t =
   | _ ->
     let durable = Log_manager.durable_lsn t.log in
     let piggybacked, still = List.partition (fun p -> p.lsn < durable) t.pending in
-    if piggybacked <> [] then begin
+    if not (List.is_empty piggybacked) then begin
       t.pending <- still;
       (match still with [] -> t.deadline <- infinity | _ -> ());
       if Env.tracing t.env then
@@ -100,7 +100,7 @@ let submit t ~txn ~lsn =
   t.pending <- { txn; lsn; submitted_at = Env.now t.env } :: t.pending;
   if List.length t.pending >= t.max_batch then flush t
 
-let tick t ~now = if t.pending <> [] && now >= t.deadline then flush t
+let tick t ~now = if (not (List.is_empty t.pending)) && now >= t.deadline then flush t
 
 (* A crash loses the whole pending batch.  The loss hook fires with the
    dropped txn ids (oldest first) so the dependency layer can drag each
@@ -110,4 +110,4 @@ let crash t =
   let lost = List.rev_map (fun p -> p.txn) t.pending in
   t.pending <- [];
   t.deadline <- infinity;
-  if lost <> [] then t.on_lost lost
+  if not (List.is_empty lost) then t.on_lost lost

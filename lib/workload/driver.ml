@@ -62,7 +62,7 @@ let is_running = function
 
 let rec drop_to_mark name = function
   | [] -> []
-  | Mark m :: rest when m = name -> Mark m :: rest
+  | Mark m :: rest when String.equal m name -> Mark m :: rest
   | (Delta _ | Mark _) :: rest -> drop_to_mark name rest
 
 (* Run-queue keys pack (wake round, program index) into one int so heap
@@ -188,8 +188,11 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(mpl = max_i
      volatile state and restarts from scratch. *)
   let crash_reset p =
     match p.state with
-    | Committing txn when engine.Engine.commit_outcome ~txn = `Durable -> finalize_commit p
-    | Active _ | Aborting _ | Committing _ -> reset_prog p
+    | Committing txn -> (
+      match engine.Engine.commit_outcome ~txn with
+      | `Durable -> finalize_commit p
+      | `Pending | `Gone -> reset_prog p)
+    | Active _ | Aborting _ -> reset_prog p
     | Waiting | Committed | Aborted -> ()
   in
   (* Every script homed at one of [nodes] (down, or about to go down)
@@ -308,7 +311,7 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(mpl = max_i
            crash point): the in-flight transaction died with it.
            Restart it once the node is back. *)
         crash_reset p
-      | Active txn, Block.Lock_conflict { blockers } when blockers = [ txn ] ->
+      | Active txn, Block.Lock_conflict { blockers = [ b ] } when b = txn ->
         (* self-blocking (e.g. the transaction's own undo chain pins a
            full log): forced abort and restart *)
         abort_prog p txn
@@ -510,10 +513,13 @@ let verify outcome =
         else
           Some
             (Format.asprintf "%a@@%d: expected %Ld, found %Ld" Page_id.pp pid off expected actual))
-      (List.sort compare outcome.shadow)
+      (List.sort
+         (fun (cell, v) (cell', v') ->
+           match Op.compare_cell cell cell' with 0 -> Int64.compare v v' | c -> c)
+         outcome.shadow)
   in
   engine.Engine.commit ~txn:txn;
-  if errors = [] then Ok () else Error errors
+  if List.is_empty errors then Ok () else Error errors
 
 let pp_outcome ppf o =
   Format.fprintf ppf

@@ -50,7 +50,7 @@ let action_of rng mix pid =
   else Op.Read { pid; off }
 
 let partitioned rng ~pages_by_owner ~clients ~txns_per_client ~mix =
-  if pages_by_owner = [] then invalid_arg "Generators.partitioned: no partitions";
+  if List.is_empty pages_by_owner then invalid_arg "Generators.partitioned: no partitions";
   let owners = Array.of_list pages_by_owner in
   let page_arrays = Array.map (fun (_, pages) -> Array.of_list pages) owners in
   let zipfs =
@@ -73,7 +73,7 @@ let partitioned rng ~pages_by_owner ~clients ~txns_per_client ~mix =
     clients
 
 let hotspot rng ~pages ~clients ~txns_per_client ~mix =
-  if pages = [] then invalid_arg "Generators.hotspot: no pages";
+  if List.is_empty pages then invalid_arg "Generators.hotspot: no pages";
   let page_array = Array.of_list pages in
   let zipf = Zipf.create ~n:(Array.length page_array) ~theta:mix.theta in
   List.concat_map

@@ -31,10 +31,12 @@ let pages_touched s =
     s.actions
   |> List.sort_uniq Page_id.compare
 
+let compare_cell (p, o) (p', o') = match Page_id.compare p p' with 0 -> Int.compare o o' | c -> c
+
 let cells_updated s =
   List.filter_map
     (function
       | Update { pid; off; _ } -> Some (pid, off)
       | Read _ | Write _ | Savepoint _ | Rollback_to _ | Abort_self -> None)
     s.actions
-  |> List.sort_uniq compare
+  |> List.sort_uniq compare_cell

@@ -24,5 +24,9 @@ val pp_script : Format.formatter -> script -> unit
 val pages_touched : script -> Page_id.t list
 (** Distinct pages the script reads or writes. *)
 
+val compare_cell : Page_id.t * int -> Page_id.t * int -> int
+(** Page, then offset: the stdlib's structural order on a cell. *)
+
 val cells_updated : script -> (Page_id.t * int) list
-(** Distinct (page, offset) cells the script updates with deltas. *)
+(** Distinct (page, offset) cells the script updates with deltas, in
+    [compare_cell] order. *)

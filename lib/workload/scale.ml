@@ -83,7 +83,7 @@ let presets =
   ]
 
 let names () = List.map (fun p -> p.name) presets
-let find name = List.find_opt (fun p -> p.name = name) presets
+let find name = List.find_opt (fun p -> String.equal p.name name) presets
 
 let ops_per_txn rng = function
   | Fixed n -> max 1 n
@@ -108,7 +108,7 @@ let cell_offset rng = 8 * Rng.int rng 16
    while pages inside a partition are drawn Zipf([theta]).  Op count per
    transaction follows the profile's [txn_size] distribution. *)
 let scripts rng profile ~pages_by_owner ~clients ~txns_per_client =
-  if pages_by_owner = [] then invalid_arg "Scale.scripts: no partitions";
+  if List.is_empty pages_by_owner then invalid_arg "Scale.scripts: no partitions";
   if clients <= 0 then invalid_arg "Scale.scripts: need at least one client";
   let owners = Array.of_list pages_by_owner in
   let nparts = Array.length owners in

@@ -5,8 +5,18 @@ module Rng = Repro_util.Rng
 module Fault_plan = Repro_fault.Fault_plan
 module Injector = Repro_fault.Injector
 
+(* Stdlib's structural order on [Driver.event]: constructor, then
+   argument.  The fault schedule is sorted with it. *)
+let compare_event a b =
+  let rank = function Driver.Crash _ -> 0 | Driver.Recover _ -> 1 | Driver.Checkpoint _ -> 2 in
+  match (a, b) with
+  | Driver.Crash x, Driver.Crash y | Driver.Checkpoint x, Driver.Checkpoint y -> Int.compare x y
+  | Driver.Recover xs, Driver.Recover ys -> List.compare Int.compare xs ys
+  | _ -> Int.compare (rank a) (rank b)
+
 let run ?(trace = false) ?plan ~classes ~group_commit ~elr seed =
-  let faults_on = Option.is_some plan || classes <> Fault_plan.no_classes in
+  let { Fault_plan.net; disk; crashpoints; recovery } = classes in
+  let faults_on = Option.is_some plan || net || disk || crashpoints || recovery in
   let rng = Rng.create seed in
   (* The plan draws from a split substream so that the legacy draws
      below are untouched; without fault flags nothing here runs and
@@ -97,7 +107,7 @@ let run ?(trace = false) ?plan ~classes ~group_commit ~elr seed =
       end
     end
   done;
-  if !crashed <> [] then events := (!t + 5, Driver.Recover !crashed) :: !events;
+  if not (List.is_empty !crashed) then events := (!t + 5, Driver.Recover !crashed) :: !events;
   (* Fault-injected runs also take checkpoints mid-workload: the
      mid-checkpoint crash point can only fire inside one. *)
   if faults_on then
@@ -106,7 +116,10 @@ let run ?(trace = false) ?plan ~classes ~group_commit ~elr seed =
     done;
   let outcome =
     Driver.run engine
-      ~events:(List.sort compare !events)
+      ~events:
+        (List.sort
+           (fun (t, e) (t', e') -> match Int.compare t t' with 0 -> compare_event e e' | c -> c)
+           !events)
       ~max_rounds:30_000
       ?auto_recover:(if faults_on then Some 6 else None)
       scripts

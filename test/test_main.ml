@@ -20,5 +20,6 @@ let () =
       ("elr", Test_elr.suite);
       ("properties", Test_props.suite);
       ("experiments", Test_experiments.suite);
-      ("lint", Test_lint.suite);
+      ("prelude", Test_prelude.suite);
+      ("lint", Test_handlers.suite);
     ]

@@ -41,12 +41,25 @@ let test_metrics_snapshot_diff_merge () =
   Alcotest.(check int) "snapshot is a copy" 5 snap.Metrics.messages_sent;
   feq "snapshot float is a copy" 1.5 snap.Metrics.busy_seconds
 
+(* [Metrics.fields] is kept by hand; a counter missing from it drops out
+   of [diff], [merge_into] and the JSON silently.  Every slot of the
+   record but [node] (first) and [busy_seconds] (last) must be listed
+   once, and each name must read its own slot. *)
 let test_metrics_alist_is_stable () =
   let m = Metrics.create () in
   let names = List.map fst (Metrics.to_alist m) in
   Alcotest.(check bool) "commit_messages present" true (List.mem "commit_messages" names);
   Alcotest.(check bool) "no duplicates" true
-    (List.length names = List.length (List.sort_uniq compare names))
+    (List.length names = List.length (List.sort_uniq compare names));
+  let slots = Obj.size (Obj.repr m) in
+  Alcotest.(check int) "one name per counter" slots (List.length names + 2);
+  for i = 1 to slots - 2 do
+    Obj.set_field (Obj.repr m) i (Obj.repr i)
+  done;
+  Alcotest.(check (list int))
+    "each counter reads its own slot"
+    (List.init (slots - 2) (fun i -> i + 1))
+    (List.sort compare (List.map snd (Metrics.to_alist m)))
 
 let test_env_charges_advance_clock_and_busy () =
   let env = Env.create Config.default in
