@@ -97,7 +97,7 @@ let workload_term ~txns =
      pages, one client per node, with the optional crash (recovered at
      [recover_at], else 20 rounds later). *)
   let run nodes owners pages txns remote theta seed crash_at recover_at ~trace =
-    let cluster = Cluster.create ~trace ~seed ~nodes Config.default in
+    let cluster = Cluster.create ~trace ~nodes Config.default in
     let owners = if owners = [] then [ 0 ] else owners in
     let pages_by_owner =
       List.map (fun o -> (o, Cluster.allocate_pages cluster ~owner:o ~count:pages)) owners
@@ -621,7 +621,7 @@ let audit_run file stress_mode runs start sc out =
           in
           let obs = Repro_sim.Env.obs (Cluster.env cluster) in
           if (i + 1) mod 50 = 0 then Format.eprintf "...%d runs audited@." (i + 1);
-          (Json.Int seed, Audit.run (Recorder.drain obs)))
+          (Json.Int seed, Audit.run (Recorder.events obs)))
     | None, false -> Fmt.failwith "audit: need a trace FILE or --stress"
   in
   let total_violations =

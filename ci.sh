@@ -1,7 +1,7 @@
 #!/bin/sh
 # Local CI: build, formatting check (when ocamlformat is installed),
-# tests, the stress sweeps, the bench smoke, the allocation gate and
-# the big-cluster scale smoke.
+# tests, the stress sweeps, the trace export-and-audit check, the bench
+# smoke, the allocation gate and the big-cluster scale smoke.
 #
 # Every run sweeps max(200, STRESS_RUNS) randomized seeds through
 # `cblsim stress` (clean, --faults all, --faults recovery, and
@@ -132,6 +132,20 @@ dune exec bin/cblsim.exe -- audit --stress --runs "$SWEEP_RUNS" --faults all \
 echo "== audit: $SWEEP_RUNS traced recovery-fault runs (--faults recovery) =="
 dune exec bin/cblsim.exe -- audit --stress --runs "$SWEEP_RUNS" --faults recovery \
   --out AUDIT_REPORT_RECOVERY.json
+
+# The JSONL export-and-parse path: a traced crash/recovery run written
+# by `cblsim trace`, read back by `cblsim audit FILE`.  Every exported
+# line must parse, and the audit must find no violation.
+echo "== trace export + offline audit: cblsim trace --crash 1@15 -> TRACE_RUN.jsonl =="
+dune exec bin/cblsim.exe -- trace --crash 1@15 > TRACE_RUN.jsonl
+dune exec bin/cblsim.exe -- audit TRACE_RUN.jsonl --out AUDIT_REPORT_TRACE.json
+python3 - TRACE_RUN.jsonl AUDIT_REPORT_TRACE.json <<'EOF'
+import json, sys
+lines = sum(1 for line in open(sys.argv[1]) if line.strip())
+checked = json.load(open(sys.argv[2]))["reports"][0]["report"]["events_checked"]
+if checked != lines:
+    sys.exit(f"cblsim audit parsed {checked} of the {lines} exported events")
+EOF
 
 echo "== bench smoke: tracing overhead, elr lock-hold =="
 dune exec bench/main.exe -- json

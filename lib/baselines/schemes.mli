@@ -17,7 +17,6 @@ type built = {
 }
 
 val cbl :
-  ?seed:int ->
   ?pool_capacity:int ->
   nodes:int ->
   owners:int list ->
@@ -27,7 +26,6 @@ val cbl :
 (** The paper's system (for symmetric comparison runs). *)
 
 val server_logging :
-  ?seed:int ->
   ?pool_capacity:int ->
   nodes:int ->
   pages:int ->
@@ -38,7 +36,6 @@ val server_logging :
     commit. *)
 
 val all :
-  ?seed:int ->
   ?pool_capacity:int ->
   nodes:int ->
   pages_per_owner:int ->

@@ -37,10 +37,10 @@ type t = {
          and the [Commit_dep_wait] event when the gate opens *)
 }
 
-let create ?(trace = false) ?trace_capacity ?(seed = 42) ?faults ?(pool_capacity = 64)
-    ?log_capacity ?scheme ?retain_cached_locks ~nodes config =
+let create ?(trace = false) ?trace_capacity ?seed:_ ?faults ?(pool_capacity = 64) ?log_capacity
+    ?scheme ?retain_cached_locks ~nodes config =
   if nodes <= 0 then invalid_arg "Cluster.create: need at least one node";
-  let env = Env.create ~trace ?trace_capacity ~seed ?faults config in
+  let env = Env.create ~trace ?trace_capacity ?faults config in
   let members =
     Array.init nodes (fun id ->
         Node.create env ~id ~pool_capacity ?log_capacity ?scheme ?retain_cached_locks ())
@@ -321,15 +321,16 @@ let check_invariants t =
             List.iter
               (fun (holder_id, mode) ->
                 let holder = t.members.(holder_id) in
-                if Node.is_up holder && holder_id <> owner.Node_state.id then
-                  match Local_locks.cached_mode holder.Node_state.locks pid with
-                  | Some held when Mode.covers held mode -> ()
-                  | Some _ | None ->
-                    invalid_arg
-                      (Format.asprintf "owner %d records %a holding %a on %a but holder disagrees"
-                         owner.Node_state.id
-                         (fun ppf -> Format.fprintf ppf "node %d") holder_id Mode.pp mode
-                         Page_id.pp pid))
+                if
+                  Node.is_up holder
+                  && holder_id <> owner.Node_state.id
+                  && not (Local_locks.cache_covers holder.Node_state.locks pid mode)
+                then
+                  invalid_arg
+                    (Format.asprintf "owner %d records %a holding %a on %a but holder disagrees"
+                       owner.Node_state.id
+                       (fun ppf -> Format.fprintf ppf "node %d")
+                       holder_id Mode.pp mode Page_id.pp pid))
               (Global_locks.holders owner.Node_state.glocks ~pid))
           (Global_locks.pages owner.Node_state.glocks))
     t.members

@@ -32,7 +32,10 @@ val create :
   t
 (** [pool_capacity] defaults to 64 pages per node; [log_capacity]
     (bytes) defaults to unbounded; [scheme] defaults to the paper's
-    {!Node_state.Local_logging} (baselines: see {!Node_state.scheme}). *)
+    {!Node_state.Local_logging} (baselines: see {!Node_state.scheme}).
+    [seed] selects nothing: the cluster draws no random numbers
+    (workloads and fault plans carry their own seeds).  It is accepted
+    so that existing callers keep compiling. *)
 
 val env : t -> Repro_sim.Env.t
 val node_count : t -> int

@@ -17,7 +17,6 @@ module Txn = Repro_tx.Txn
 module Txn_table = Repro_tx.Txn_table
 module Undo = Repro_aries.Undo
 module Event = Repro_obs.Event
-module Recorder = Repro_obs.Recorder
 
 (* Node_state exports the shared state record; opening it is the
    "shared type definitions" exception to the no-open rule. *)
@@ -110,13 +109,6 @@ let wipe_volatile t =
 
 let crash t =
   t.up <- false;
-  (* The transactions the crash drops, active or committing, will never
-     commit or abort here: end their spans, or they stay open and every
-     later event without a causal context lands in one of them. *)
-  if Env.tracing t.env then
-    List.iter
-      (fun (txn : Txn.t) -> Recorder.span_end (Env.obs t.env) ~time:(Env.now t.env) txn.Txn.span)
-      (Txn_table.live t.txns);
   wipe_volatile t;
   Log_manager.crash ?faults:(Env.faults t.env) t.log;
   if Env.tracing t.env then Env.emit t.env ~node:t.id Event.Crash []
@@ -787,12 +779,7 @@ let begin_txn t ~id =
   check_up t;
   let txn = Txn.make ~id ~node:t.id in
   txn.Txn.began <- Env.now t.env;
-  if Env.tracing t.env then begin
-    let obs = Env.obs t.env in
-    txn.Txn.span <-
-      Recorder.span_begin obs ~time:txn.Txn.began ~node:t.id (Printf.sprintf "txn.%d" id);
-    Env.emit t.env ~node:t.id Event.Txn_begin [ ("txn", Event.Int id) ]
-  end;
+  if Env.tracing t.env then Env.emit t.env ~node:t.id Event.Txn_begin [ ("txn", Event.Int id) ];
   Txn_table.register t.txns txn;
   txn
 
@@ -812,7 +799,7 @@ let active_txn t id =
 
 let read t ~txn ~pid ~off ~len =
   let descr = active_txn t txn in
-  Env.with_txn t.env ~txn ~span:descr.Txn.span @@ fun () ->
+  Env.with_txn t.env ~txn @@ fun () ->
   acquire t ~txn ~pid ~mode:Mode.S;
   if descr.Txn.locks_from < 0. then descr.Txn.locks_from <- Env.now t.env;
   let frame = ensure_cached_page t pid in
@@ -820,7 +807,7 @@ let read t ~txn ~pid ~off ~len =
 
 let read_cell t ~txn ~pid ~off =
   let descr = active_txn t txn in
-  Env.with_txn t.env ~txn ~span:descr.Txn.span @@ fun () ->
+  Env.with_txn t.env ~txn @@ fun () ->
   acquire t ~txn ~pid ~mode:Mode.S;
   if descr.Txn.locks_from < 0. then descr.Txn.locks_from <- Env.now t.env;
   let frame = ensure_cached_page t pid in
@@ -853,7 +840,7 @@ let log_update t (txn : Txn.t) pid (frame : Buffer_pool.frame) op =
 
 let update_bytes t ~txn ~pid ~off s =
   let txn = active_txn t txn in
-  Env.with_txn t.env ~txn:txn.Txn.id ~span:txn.Txn.span @@ fun () ->
+  Env.with_txn t.env ~txn:txn.Txn.id @@ fun () ->
   acquire t ~txn:txn.Txn.id ~pid ~mode:Mode.X;
   if txn.Txn.locks_from < 0. then txn.Txn.locks_from <- Env.now t.env;
   let frame = ensure_cached_page t pid in
@@ -862,7 +849,7 @@ let update_bytes t ~txn ~pid ~off s =
 
 let update_delta t ~txn ~pid ~off delta =
   let txn = active_txn t txn in
-  Env.with_txn t.env ~txn:txn.Txn.id ~span:txn.Txn.span @@ fun () ->
+  Env.with_txn t.env ~txn:txn.Txn.id @@ fun () ->
   acquire t ~txn:txn.Txn.id ~pid ~mode:Mode.X;
   if txn.Txn.locks_from < 0. then txn.Txn.locks_from <- Env.now t.env;
   let frame = ensure_cached_page t pid in
@@ -1019,7 +1006,7 @@ let complete_commit t (txn : Txn.t) ~commit_from =
      whichever operation forced the batch — another transaction's
      commit, an eviction's WAL force — and this transaction's release
      and commit events must not be attributed to that trigger. *)
-  Env.with_txn t.env ~txn:txn.Txn.id ~span:txn.Txn.span @@ fun () ->
+  Env.with_txn t.env ~txn:txn.Txn.id @@ fun () ->
   txn.Txn.state <- Txn.Committed;
   let durable_at = Env.now t.env in
   (* commit request -> durable: the paper's E1 subject *)
@@ -1030,11 +1017,9 @@ let complete_commit t (txn : Txn.t) ~commit_from =
   Local_locks.settle_early t.locks ~txn:txn.Txn.id;
   Txn_table.remove t.txns txn.Txn.id;
   t.metrics.Metrics.txn_committed <- t.metrics.txn_committed + 1;
-  if Env.tracing t.env then begin
+  if Env.tracing t.env then
     Env.emit t.env ~node:t.id Event.Txn_commit
-      [ ("txn", Event.Int txn.Txn.id); ("dur", Event.Float (durable_at -. txn.Txn.began)) ];
-    Recorder.span_end (Env.obs t.env) ~time:durable_at txn.Txn.span
-  end
+      [ ("txn", Event.Int txn.Txn.id); ("dur", Event.Float (durable_at -. txn.Txn.began)) ]
 
 (* Group-commit completion: the batch force (or a piggybacking force)
    just made [txn]'s commit record durable.  Idempotent — a transaction
@@ -1074,7 +1059,7 @@ let create env ~id ~pool_capacity ?log_capacity ?(scheme = Local_logging)
 let commit t ~txn =
   check_up t;
   let txn = active_txn t txn in
-  Env.with_txn t.env ~txn:txn.Txn.id ~span:txn.Txn.span @@ fun () ->
+  Env.with_txn t.env ~txn:txn.Txn.id @@ fun () ->
   let commit_from = Env.now t.env in
   let lsn =
     append_txn_record t { Record.txn = txn.Txn.id; prev = txn.Txn.last_lsn; body = Commit }
@@ -1138,7 +1123,7 @@ let undo_ops t (txn : Txn.t) =
 let abort t ~txn =
   check_up t;
   let txn = active_txn t txn in
-  Env.with_txn t.env ~txn:txn.Txn.id ~span:txn.Txn.span @@ fun () ->
+  Env.with_txn t.env ~txn:txn.Txn.id @@ fun () ->
   let _last = Undo.rollback (undo_ops t txn) ~txn:txn.Txn.id ~from:txn.Txn.last_lsn ~upto:Lsn.nil in
   let lsn =
     append_txn_record t { Record.txn = txn.Txn.id; prev = txn.Txn.last_lsn; body = Abort }
@@ -1149,15 +1134,13 @@ let abort t ~txn =
   end_of_txn_lock_release t txn.Txn.id;
   Txn_table.remove t.txns txn.Txn.id;
   t.metrics.Metrics.txn_aborted <- t.metrics.txn_aborted + 1;
-  if Env.tracing t.env then begin
-    Env.emit t.env ~node:t.id Event.Txn_abort [ ("txn", Event.Int txn.Txn.id) ];
-    Recorder.span_end (Env.obs t.env) ~time:(Env.now t.env) txn.Txn.span
-  end
+  if Env.tracing t.env then
+    Env.emit t.env ~node:t.id Event.Txn_abort [ ("txn", Event.Int txn.Txn.id) ]
 
 let savepoint t ~txn name =
   check_up t;
   let txn = active_txn t txn in
-  Env.with_txn t.env ~txn:txn.Txn.id ~span:txn.Txn.span @@ fun () ->
+  Env.with_txn t.env ~txn:txn.Txn.id @@ fun () ->
   let lsn =
     append_txn_record t { Record.txn = txn.Txn.id; prev = txn.Txn.last_lsn; body = Savepoint name }
   in
@@ -1170,7 +1153,7 @@ let rollback_to t ~txn name =
   match Txn.savepoint_lsn txn name with
   | None -> invalid_arg (Printf.sprintf "Node.rollback_to: unknown savepoint %S" name)
   | Some sp ->
-    Env.with_txn t.env ~txn:txn.Txn.id ~span:txn.Txn.span @@ fun () ->
+    Env.with_txn t.env ~txn:txn.Txn.id @@ fun () ->
     let _last = Undo.rollback (undo_ops t txn) ~txn:txn.Txn.id ~from:txn.Txn.last_lsn ~upto:sp in
     Txn.release_savepoints_after txn sp
 
@@ -1212,7 +1195,7 @@ let check_invariants t =
      it is flush-responsible for, and it is itself the lock service. *)
   List.iter
     (fun pid ->
-      if Page_id.owner pid <> t.id && Option.is_none (Local_locks.cached_mode t.locks pid) then
+      if Page_id.owner pid <> t.id && not (Local_locks.cache_covers t.locks pid Mode.S) then
         invalid_arg (Format.asprintf "node %d caches %a without a lock" t.id Page_id.pp pid))
     (Buffer_pool.cached_ids t.pool);
   (* A dirty frame always has a DPT entry (it was dirtied locally or

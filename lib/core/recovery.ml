@@ -304,7 +304,7 @@ let dismiss_uninvolved ~owner uninvolved =
       let m = c.claimant in
       let pid = c.entry.Dpt.pid in
       if m.id <> owner.id then send owner ~dst:m.id ~recovery:true ~bytes:Wire.control ();
-      if Option.is_some (Local_locks.cached_mode m.locks pid) then
+      if Local_locks.cache_covers m.locks pid Mode.S then
         Dpt.set_redo_lsn m.dpt pid (Log_manager.end_lsn m.log)
       else Dpt.drop m.dpt pid)
     uninvolved
@@ -441,7 +441,7 @@ let gather ctx =
 
 (* Glue after gather — §2.3.3: the crashed node acquires exclusive locks
    for the pages in its DPT that have no lock entry, before processing
-   resumes.  Untimed: its lock events fall outside the gather span. *)
+   resumes.  Untimed: its lock events fall outside the timed gather phase. *)
 let lock_jobs ctx =
   List.iter
     (fun { pid; coordinator = n; _ } ->
@@ -746,10 +746,9 @@ let checkpoint ctx =
 (* The step runner and driver                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* A phase is timed: it records a span, a [recovery.<name>] histogram
-   sample, a Recovery_phase event and a summary entry (E4/E5/E8 report
-   where recovery time goes, not just totals).  Glue between phases is
-   not. *)
+(* A phase is timed: it records a [recovery.<name>] histogram sample,
+   a Recovery_phase event and a summary entry (E4/E5/E8 report where
+   recovery time goes, not just totals).  Glue between phases is not. *)
 type step = Phase of string * (ctx -> unit) | Glue of (ctx -> unit)
 
 let steps ctx strategy =
@@ -773,13 +772,8 @@ let run_step ctx = function
     None
   | Phase (name, f) ->
     let env = ctx.env in
-    let obs = Env.obs env in
     let t0 = Env.now env in
-    let span = Repro_obs.Recorder.span_begin obs ~time:t0 ~node:(-1) ("recovery." ^ name) in
-    (* the span ends even when the step dies at a recovery crash point *)
-    Fun.protect
-      ~finally:(fun () -> Repro_obs.Recorder.span_end obs ~time:(Env.now env) span)
-      (fun () -> f ctx);
+    f ctx;
     let t1 = Env.now env in
     let dt = t1 -. t0 in
     Env.observe env ~name:("recovery." ^ name) ~node:(-1) dt;

@@ -94,8 +94,7 @@ val run :
     consistent.  [strategy] defaults to the paper's {!Psn_coordinated}.
     The returned summary reports where simulated recovery time went;
     the same numbers also land in the environment's [recovery.*]
-    histograms and, when tracing, as [Recovery_phase] events and
-    spans.
+    histograms and, when tracing, as [Recovery_phase] events.
 
     May raise [Would_block (Node_down _)] when a recovery-class crash
     point fires mid-protocol: the attempt is aborted (see

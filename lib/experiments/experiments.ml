@@ -99,7 +99,7 @@ let f1 =
        other node"
     ~quick:[ 6 ] ~full:[ 25 ]
     ~run:(fun ~quick:_ txns ->
-      let built = Schemes.cbl ~seed:11 ~nodes:4 ~owners ~pages_per_owner:24 Config.default in
+      let built = Schemes.cbl ~nodes:4 ~owners ~pages_per_owner:24 Config.default in
       ignore
         (run_partitioned ~seed:11 built ~clients:nodes ~txns
            { Generators.default_mix with remote_fraction = 0.4 });
@@ -150,7 +150,7 @@ let e1 =
                   { Generators.default_mix with remote_fraction = remote })
           in
           { scheme; remote; d; outcome })
-        (Schemes.all ~seed:7 ~nodes:4 ~pages_per_owner:24 Config.default))
+        (Schemes.all ~nodes:4 ~pages_per_owner:24 Config.default))
     ~columns:
       [
         ("scheme", fun r -> r.scheme);
@@ -211,8 +211,8 @@ let e2 =
           { scheme = built.engine.name; clients; committed = outcome.committed; busiest; busy })
         [
           (* fully distributed: every node owns a partition *)
-          Schemes.cbl ~seed:3 ~nodes:clients ~owners:nodes ~pages_per_owner:16 Config.default;
-          Schemes.server_logging ~seed:3 ~nodes:clients ~pages:(16 * clients) Config.default;
+          Schemes.cbl ~nodes:clients ~owners:nodes ~pages_per_owner:16 Config.default;
+          Schemes.server_logging ~nodes:clients ~pages:(16 * clients) Config.default;
         ])
     ~columns:
       [
@@ -274,8 +274,7 @@ let e3 =
           let _warm = measure () in
           let samples = Array.init (if quick then 5 else 20) (fun _ -> measure ()) in
           { scheme = engine.name; latency; commit = Stats.summarize samples })
-        (Schemes.all ~seed:5 ~nodes:4 ~pages_per_owner:16
-           (Config.with_net_latency Config.default latency)))
+        (Schemes.all ~nodes:4 ~pages_per_owner:16 (Config.with_net_latency Config.default latency)))
     ~columns:
       [
         ("scheme", fun r -> r.scheme);
@@ -328,7 +327,7 @@ let e4 =
              partition at crash time.  The paper's protocol then reads node
              1's log only; the merge baseline must pull all four. *)
           let built =
-            Schemes.cbl ~seed:13 ~nodes:4 ~owners:[ 0; 1; 2; 3 ] ~pages_per_owner:24 Config.default
+            Schemes.cbl ~nodes:4 ~owners:[ 0; 1; 2; 3 ] ~pages_per_owner:24 Config.default
           in
           ignore
             (run_partitioned ~events:[ (30, Driver.Checkpoint 1) ] ~seed:13 built
@@ -398,7 +397,7 @@ let e5 =
     ~quick:[ 1; 3 ] ~full:[ 1; 2; 4; 7 ]
     ~run:(fun ~quick:_ k ->
       let built =
-        Schemes.cbl ~seed:17 ~nodes:8 ~owners:[ 0 ] ~pages_per_owner:6
+        Schemes.cbl ~nodes:8 ~owners:[ 0 ] ~pages_per_owner:6
           (Config.with_page_size Config.default 512)
       in
       let pages = List.assoc 0 built.pages_by_owner in
@@ -442,7 +441,7 @@ let e6 =
     ~quick:[ Some 16384; None ] ~full:[ Some 8192; Some 16384; Some 65536; None ]
     ~run:(fun ~quick capacity ->
       let cluster =
-        Cluster.create ~seed:23 ~pool_capacity:8 ?log_capacity:capacity ~nodes:2
+        Cluster.create ~pool_capacity:8 ?log_capacity:capacity ~nodes:2
           (Config.with_page_size Config.default 512)
       in
       let pages = Cluster.allocate_pages cluster ~owner:0 ~count:16 in
@@ -492,9 +491,7 @@ let e7 =
        quiescing — and more frequent checkpoints shorten the restart analysis scan"
     ~quick:[ None; Some 20 ] ~full:[ None; Some 60; Some 30; Some 15 ]
     ~run:(fun ~quick interval ->
-      let built =
-        Schemes.cbl ~seed:29 ~nodes:4 ~owners:[ 0; 2 ] ~pages_per_owner:24 Config.default
-      in
+      let built = Schemes.cbl ~nodes:4 ~owners:[ 0; 2 ] ~pages_per_owner:24 Config.default in
       let events =
         match interval with
         | None -> []
@@ -548,9 +545,7 @@ let e8 =
        the same PSN-ordered protocol recovers every page — still without merging logs"
     ~quick:[ [ 1 ] ] ~full:[ [ 1 ]; [ 0; 1 ]; [ 0; 1; 2 ]; [ 0; 1; 2; 4 ] ]
     ~run:(fun ~quick victims ->
-      let built =
-        Schemes.cbl ~seed:31 ~nodes:6 ~owners:[ 0; 2; 4 ] ~pages_per_owner:16 Config.default
-      in
+      let built = Schemes.cbl ~nodes:6 ~owners:[ 0; 2; 4 ] ~pages_per_owner:16 Config.default in
       let outcome =
         run_partitioned ~verify:false ~seed:31 built ~clients:[ 0; 1; 2; 3; 4; 5 ]
           ~txns:(if quick then 10 else 25)
@@ -594,7 +589,7 @@ let e9 =
        transaction boundaries turns repeat accesses into local operations"
     ~quick:points ~full:points
     ~run:(fun ~quick (caching, theta) ->
-      let cluster = Cluster.create ~seed:37 ~retain_cached_locks:caching ~nodes:4 Config.default in
+      let cluster = Cluster.create ~retain_cached_locks:caching ~nodes:4 Config.default in
       let p0 = Cluster.allocate_pages cluster ~owner:0 ~count:24 in
       let p2 = Cluster.allocate_pages cluster ~owner:2 ~count:24 in
       let scripts =
@@ -651,7 +646,7 @@ let e10 =
           let scripts = Generators.ping_pong ~pages ~nodes:(1, 3) ~rounds in
           let outcome, d, _ = measure built.cluster (fun () -> run_checked built.engine scripts) in
           { scheme = built.engine.name; handovers = 2 * rounds; d; outcome })
-        (Schemes.all ~seed:41 ~nodes:4 ~pages_per_owner:8 Config.default))
+        (Schemes.all ~nodes:4 ~pages_per_owner:8 Config.default))
     ~columns:
       [
         ("scheme", fun r -> r.scheme);
@@ -697,7 +692,7 @@ let group_commit_run ?(trace = false) ~quick (max_batch, window_ms) =
   let config = Config.with_group_commit Config.default ~window_ms ~max_batch in
   (* the ring is sized so a full traced run never overflows: a truncated
      trace would silently weaken E13's attribution *)
-  let cluster = Cluster.create ~trace ~trace_capacity:(1 lsl 20) ~seed:41 ~nodes:1 config in
+  let cluster = Cluster.create ~trace ~trace_capacity:(1 lsl 20) ~nodes:1 config in
   (* fewer pages than the pool holds: after warm-up there are no
      evictions, so the commit force is the only recurring disk
      operation and the batching win is visible in busy time *)
@@ -848,9 +843,7 @@ let e12 =
                 ];
           }
       in
-      let cluster =
-        Cluster.create ~seed:29 ~faults ~nodes:4 (Config.with_page_size Config.default 512)
-      in
+      let cluster = Cluster.create ~faults ~nodes:4 (Config.with_page_size Config.default 512) in
       let pages = Cluster.allocate_pages cluster ~owner:0 ~count:page_count in
       let engine = Engine.of_cluster cluster in
       (* updaters last-to-first-crash order: node 0 updates last, so
@@ -1002,8 +995,7 @@ let scale_point ?(seed = 2026) ?(mpl = 8) ?(pages_per_node = 16) ?(txns_per_clie
   in
   let config = Config.with_page_size Config.default 1024 in
   let built =
-    Schemes.cbl ~seed ~nodes ~owners:(List.init nodes Fun.id) ~pages_per_owner:pages_per_node
-      config
+    Schemes.cbl ~nodes ~owners:(List.init nodes Fun.id) ~pages_per_owner:pages_per_node config
   in
   let rng = Rng.create seed in
   let scripts =
@@ -1100,7 +1092,7 @@ let elr_run ?(quick = false) ~early_release ~clients () =
       (Config.with_group_commit Config.default ~window_ms:10. ~max_batch:8)
       early_release
   in
-  let cluster = Cluster.create ~seed:57 ~nodes:1 config in
+  let cluster = Cluster.create ~nodes:1 config in
   let pages = Cluster.allocate_pages cluster ~owner:0 ~count:hot_pages in
   let engine = Engine.of_cluster cluster in
   let rng = Rng.create 57 in

@@ -3,16 +3,6 @@ module Rng = Repro_util.Rng
 type verdict = { drops : int; delay : float }
 type torn = { keep : int; flip : int option }
 
-type stats = {
-  mutable msgs_dropped : int;
-  mutable msgs_duplicated : int;
-  mutable msgs_delayed : int;
-  mutable partitions_started : int;
-  mutable link_blocks : int;
-  mutable torn_crashes : int;
-  mutable crashes : int;
-}
-
 type t = {
   plan : Fault_plan.t;
   rng : Rng.t;  (* the plan's own stream; never the simulation RNG *)
@@ -20,7 +10,6 @@ type t = {
   mutable suspended : int;  (* nesting depth; recovery wraps itself in it *)
   partitions : (int * int, int) Hashtbl.t;  (* normalized link -> probes left *)
   mutable crash_budget : int;
-  stats : stats;
 }
 
 let create plan =
@@ -31,20 +20,9 @@ let create plan =
     suspended = 0;
     partitions = Hashtbl.create 8;
     crash_budget = Fault_plan.budget plan.Fault_plan.crashpoints;
-    stats =
-      {
-        msgs_dropped = 0;
-        msgs_duplicated = 0;
-        msgs_delayed = 0;
-        partitions_started = 0;
-        link_blocks = 0;
-        torn_crashes = 0;
-        crashes = 0;
-      };
   }
 
 let plan t = t.plan
-let stats t = t.stats
 let active t = t.armed && t.suspended = 0
 let set_armed t armed = t.armed <- armed
 let suspend t = t.suspended <- t.suspended + 1
@@ -62,29 +40,19 @@ let on_message t ~src:_ ~dst:_ =
   else begin
     let net = t.plan.Fault_plan.net in
     let drops =
-      if net.Fault_plan.max_drops > 0 && Rng.chance t.rng net.Fault_plan.drop then begin
-        let n = 1 + Rng.int t.rng net.Fault_plan.max_drops in
-        t.stats.msgs_dropped <- t.stats.msgs_dropped + n;
-        n
-      end
+      if net.Fault_plan.max_drops > 0 && Rng.chance t.rng net.Fault_plan.drop then
+        1 + Rng.int t.rng net.Fault_plan.max_drops
       else 0
     in
     let delay =
-      if net.Fault_plan.max_delay > 0. && Rng.chance t.rng net.Fault_plan.delay then begin
-        t.stats.msgs_delayed <- t.stats.msgs_delayed + 1;
+      if net.Fault_plan.max_delay > 0. && Rng.chance t.rng net.Fault_plan.delay then
         Rng.float t.rng net.Fault_plan.max_delay
-      end
       else 0.
     in
     { drops; delay }
   end
 
-let duplicate t =
-  if active t && Rng.chance t.rng t.plan.Fault_plan.net.Fault_plan.dup then begin
-    t.stats.msgs_duplicated <- t.stats.msgs_duplicated + 1;
-    true
-  end
-  else false
+let duplicate t = active t && Rng.chance t.rng t.plan.Fault_plan.net.Fault_plan.dup
 
 (* Temporary partitions are decided at exchange *entry* points only (a
    blocked probe raises before any state on either side changes), keyed
@@ -100,7 +68,6 @@ let link_up t ~a ~b =
     let key = link_key a b in
     match Hashtbl.find_opt t.partitions key with
     | Some left ->
-      t.stats.link_blocks <- t.stats.link_blocks + 1;
       if left <= 1 then Hashtbl.remove t.partitions key
       else Hashtbl.replace t.partitions key (left - 1);
       false
@@ -108,8 +75,6 @@ let link_up t ~a ~b =
       let net = t.plan.Fault_plan.net in
       if net.Fault_plan.max_partition > 0 && Rng.chance t.rng net.Fault_plan.partition then begin
         Hashtbl.replace t.partitions key (1 + Rng.int t.rng net.Fault_plan.max_partition);
-        t.stats.partitions_started <- t.stats.partitions_started + 1;
-        t.stats.link_blocks <- t.stats.link_blocks + 1;
         false
       end
       else true
@@ -126,15 +91,13 @@ let link_up t ~a ~b =
 let on_crash_tail t ~tail_len ~header ~first_framed =
   if (not (active t)) || tail_len <= 0 then None
   else if not (Rng.chance t.rng t.plan.Fault_plan.disk.Fault_plan.torn) then None
-  else begin
-    t.stats.torn_crashes <- t.stats.torn_crashes + 1;
+  else
     match first_framed with
     | Some framed
       when framed > header && Rng.chance t.rng t.plan.Fault_plan.disk.Fault_plan.corrupt ->
       Some { keep = framed; flip = Some (header + Rng.int t.rng (framed - header)) }
     | Some framed -> Some { keep = 1 + Rng.int t.rng (min tail_len (framed - 1)); flip = None }
     | None -> Some { keep = 1 + Rng.int t.rng tail_len; flip = None }
-  end
 
 let crashpoint t point =
   if (not (active t)) || t.crash_budget <= 0 then false
@@ -146,7 +109,6 @@ let crashpoint t point =
     if p <= 0. then false
     else if Rng.chance t.rng p then begin
       t.crash_budget <- t.crash_budget - 1;
-      t.stats.crashes <- t.stats.crashes + 1;
       true
     end
     else false

@@ -61,17 +61,3 @@ val crashpoint : t -> Fault_plan.point -> bool
 (** [true]: crash the node here.  Bounded by the plan's crash budget.
     A point whose plan probability is zero never consumes randomness,
     so probing new points on old plans leaves their streams intact. *)
-
-(** {1 Counters} *)
-
-type stats = {
-  mutable msgs_dropped : int;
-  mutable msgs_duplicated : int;
-  mutable msgs_delayed : int;
-  mutable partitions_started : int;
-  mutable link_blocks : int;
-  mutable torn_crashes : int;
-  mutable crashes : int;
-}
-
-val stats : t -> stats

@@ -43,10 +43,12 @@ let set_tracer t f = t.tracer <- f
 
 let entry_opt t pid = Page_id.Tbl.find_opt t.table pid
 
+(* [entry], [cache_covers] and [set_cached_mode] run on every acquire:
+   they read the entry without building an option. *)
 let entry t pid =
-  match entry_opt t pid with
-  | Some e -> e
-  | None ->
+  match Page_id.Tbl.find t.table pid with
+  | e -> e
+  | exception Not_found ->
     let e = { cached = Mode.S; txns = Hashtbl.create 4; revoke_pending = None } in
     Page_id.Tbl.replace t.table pid e;
     Slot_index.add t.cached_index ~row:pid.Page_id.owner ~slot:pid.Page_id.slot;
@@ -55,11 +57,14 @@ let entry t pid =
 let cached_mode t pid = Option.map (fun e -> e.cached) (entry_opt t pid)
 
 let cache_covers t pid mode =
-  match cached_mode t pid with None -> false | Some held -> Mode.covers held mode
+  match Page_id.Tbl.find t.table pid with
+  | e -> Mode.covers e.cached mode
+  | exception Not_found -> false
 
 let set_cached_mode t pid mode =
-  let e = entry t pid in
-  e.cached <- (match cached_mode t pid with None -> mode | Some held -> Mode.max held mode)
+  match Page_id.Tbl.find t.table pid with
+  | e -> e.cached <- Mode.max e.cached mode
+  | exception Not_found -> (entry t pid).cached <- mode
 
 let drop_cached t pid =
   if Page_id.Tbl.mem t.table pid then begin

@@ -365,8 +365,6 @@ let dispatch st (e : Event.t) =
   | Event.Recovery_restart -> ()
   | Event.Recovery_deferred -> on_deferred st e
   | Event.Recovery_retry -> ()
-  | Event.Span_begin -> ()
-  | Event.Span_end -> ()
   | Event.Fault_drop -> ()
   | Event.Fault_dup -> ()
   | Event.Fault_delay -> ()

@@ -87,8 +87,6 @@ let classify_kind : Event.kind -> event_class = function
   | Event.Recovery_restart -> Unattributed
   | Event.Recovery_deferred -> Unattributed
   | Event.Recovery_retry -> Unattributed
-  | Event.Span_begin -> Unattributed
-  | Event.Span_end -> Unattributed
   | Event.Fault_drop -> Unattributed
   | Event.Fault_dup -> Unattributed
   | Event.Fault_delay -> Unattributed
@@ -262,9 +260,8 @@ let analyze events =
       | Event.Commit_dep | Event.Commit_dep_wait | Event.Lock_early_release
       | Event.Crash | Event.Recovery_begin | Event.Recovery_end | Event.Recovery_phase
       | Event.Recovery_restart | Event.Recovery_deferred | Event.Recovery_retry
-      | Event.Span_begin | Event.Span_end | Event.Fault_drop | Event.Fault_dup
-      | Event.Fault_delay | Event.Fault_partition | Event.Fault_torn | Event.Fault_crash
-      | Event.Trace_dropped -> ())
+      | Event.Fault_drop | Event.Fault_dup | Event.Fault_delay | Event.Fault_partition
+      | Event.Fault_torn | Event.Fault_crash | Event.Trace_dropped -> ())
     events;
   { txns = List.rev !timelines; truncated = !truncated }
 

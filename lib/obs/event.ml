@@ -38,8 +38,6 @@ type kind =
   | Recovery_restart
   | Recovery_deferred
   | Recovery_retry
-  | Span_begin
-  | Span_end
   | Fault_drop
   | Fault_dup
   | Fault_delay
@@ -51,7 +49,6 @@ type kind =
 type t = {
   time : float;  (** simulated seconds *)
   node : int;  (** -1 = cluster-wide / coordinator *)
-  span : int;  (** enclosing span id, -1 if none *)
   txn : int;  (** causing transaction (trace context), -1 if none *)
   kind : kind;
   attrs : (string * value) list;
@@ -90,8 +87,6 @@ let kind_name = function
   | Recovery_restart -> "recovery.restart"
   | Recovery_deferred -> "recovery.deferred"
   | Recovery_retry -> "recovery.retry"
-  | Span_begin -> "span.begin"
-  | Span_end -> "span.end"
   | Fault_drop -> "fault.drop"
   | Fault_dup -> "fault.dup"
   | Fault_delay -> "fault.delay"
@@ -107,13 +102,13 @@ let all_kinds =
     Lock_release; Lock_acquired; Ckpt_begin; Ckpt_end; Txn_begin; Txn_commit; Txn_abort;
     Commit_submit; Commit_batch; Commit_dep; Commit_dep_wait; Lock_early_release; Crash;
     Recovery_begin; Recovery_end; Recovery_phase; Recovery_restart; Recovery_deferred;
-    Recovery_retry; Span_begin; Span_end; Fault_drop;
-    Fault_dup; Fault_delay; Fault_partition; Fault_torn; Fault_crash; Trace_dropped;
+    Recovery_retry; Fault_drop; Fault_dup; Fault_delay; Fault_partition; Fault_torn; Fault_crash;
+    Trace_dropped;
   ]
 
 let kind_of_name s = List.find_opt (fun k -> String.equal (kind_name k) s) all_kinds
 
-let make ~time ~node ?(span = -1) ?(txn = -1) kind attrs = { time; node; span; txn; kind; attrs }
+let make ~time ~node ?(txn = -1) kind attrs = { time; node; txn; kind; attrs }
 
 let pp_value ppf = function
   | Int i -> Format.pp_print_int ppf i
@@ -138,13 +133,12 @@ let to_json e =
   let base =
     [ ("t", Json.Float e.time); ("node", Json.Int e.node); ("kind", Json.Str (kind_name e.kind)) ]
   in
-  let span = if e.span >= 0 then [ ("span", Json.Int e.span) ] else [] in
   (* the trace context is exported as "ctx", never "txn": several kinds
      already carry a domain attr named "txn" and JSON keys must not
      collide *)
   let ctx = if e.txn >= 0 then [ ("ctx", Json.Int e.txn) ] else [] in
   let attrs = List.map (fun (k, v) -> (k, json_value v)) e.attrs in
-  Json.Obj (base @ span @ ctx @ attrs)
+  Json.Obj (base @ ctx @ attrs)
 
 let value_of_json = function
   | Json.Int i -> Some (Int i)
@@ -153,7 +147,7 @@ let value_of_json = function
   | Json.Bool b -> Some (Bool b)
   | Json.Null | Json.List _ | Json.Obj _ -> None
 
-let header_keys = [ "t"; "node"; "kind"; "span"; "ctx" ]
+let header_keys = [ "t"; "node"; "kind"; "ctx" ]
 
 let of_json j =
   match j with
@@ -162,9 +156,6 @@ let of_json j =
     let node = Option.bind (List.assoc_opt "node" fields) Json.to_int_opt in
     let kind =
       Option.bind (Option.bind (List.assoc_opt "kind" fields) Json.to_string_opt) kind_of_name
-    in
-    let span =
-      Option.value ~default:(-1) (Option.bind (List.assoc_opt "span" fields) Json.to_int_opt)
     in
     let txn =
       Option.value ~default:(-1) (Option.bind (List.assoc_opt "ctx" fields) Json.to_int_opt)
@@ -178,7 +169,7 @@ let of_json j =
             else Option.map (fun v -> (k, v)) (value_of_json v))
           fields
       in
-      Some (make ~time ~node ~span ~txn kind attrs)
+      Some (make ~time ~node ~txn kind attrs)
     | (None, _, _) | (_, None, _) | (_, _, None) -> None)
   | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _ | Json.List _ -> None
 

@@ -1,8 +1,11 @@
 (** Typed trace events.
 
     An event is a point on the simulated timeline: what happened
-    ([kind]), where ([node]), when ([time], simulated seconds), inside
-    which span ([span], [-1] when unscoped), plus free-form [attrs].
+    ([kind]), where ([node]), when ([time], simulated seconds), for
+    which transaction ([txn], [-1] when none), plus free-form [attrs].
+    Transaction and recovery-phase boundaries are events too
+    ([txn.begin] ... [txn.commit]/[txn.abort], [recovery.phase] with its
+    [dur]).
     Attrs are primitive key/value pairs rather than domain types —
     [repro_obs] sits below the simulation layer, so it cannot reference
     [Page_id] and friends; callers stringify. *)
@@ -42,8 +45,6 @@ type kind =
   | Recovery_restart
   | Recovery_deferred
   | Recovery_retry
-  | Span_begin
-  | Span_end
   | Fault_drop
   | Fault_dup
   | Fault_delay
@@ -55,13 +56,12 @@ type kind =
 type t = {
   time : float;
   node : int;
-  span : int;
   txn : int;  (** trace context: id of the causing transaction, -1 if none *)
   kind : kind;
   attrs : (string * value) list;
 }
 
-val make : time:float -> node:int -> ?span:int -> ?txn:int -> kind -> (string * value) list -> t
+val make : time:float -> node:int -> ?txn:int -> kind -> (string * value) list -> t
 
 val kind_name : kind -> string
 (** Stable dotted name, e.g. [Msg_send] -> ["msg.send"]. *)

@@ -1,12 +1,3 @@
-(* An open span: what [span_end] needs to emit its [span.end] event. *)
-type span = {
-  id : int;
-  name : string;
-  node : int;
-  parent : int;  (** -1 = root *)
-  start : float;
-}
-
 (* The histograms of one metric name: the cluster aggregate and one per
    node, indexed by node id, so [observe] reaches them without hashing
    a key. *)
@@ -21,12 +12,8 @@ type t = {
   capacity : int;
   mutable ring : Event.t option array;  (** [[||]] until the first push *)
   mutable head : int;  (** next write slot *)
-  mutable stored : int;  (** events currently in the ring *)
   mutable dropped : int;  (** overwritten by ring wrap-around *)
-  mutable next_span : int;
-  mutable open_spans : span list;  (** innermost first; per-recorder stack *)
   mutable ctx_txn : int;  (** causal context: acting transaction, -1 = none *)
-  mutable ctx_span : int;  (** causal context: that transaction's span *)
   mutable families : family list;  (** in creation order, newest first *)
 }
 
@@ -39,12 +26,8 @@ let create ?(enabled = false) ?(capacity = default_capacity) () =
     capacity;
     ring = [||];
     head = 0;
-    stored = 0;
     dropped = 0;
-    next_span = 0;
-    open_spans = [];
     ctx_txn = -1;
-    ctx_span = -1;
     families = [];
   }
 
@@ -54,70 +37,38 @@ let dropped t = t.dropped
 
 let push t e =
   if Array.length t.ring = 0 then t.ring <- Array.make t.capacity None;
-  if Option.is_some t.ring.(t.head) then t.dropped <- t.dropped + 1
-  else t.stored <- t.stored + 1;
+  if Option.is_some t.ring.(t.head) then t.dropped <- t.dropped + 1;
   t.ring.(t.head) <- Some e;
   t.head <- (t.head + 1) mod t.capacity
 
-let current_span t = match t.open_spans with [] -> -1 | s :: _ -> s.id
-
-(* ---- causal context ----
-
-   A (txn, span) pair dynamically scoped around every operation a
-   transaction performs.  The single [open_spans] stack cannot attribute
-   events of interleaved transactions (innermost-open is whichever txn
-   began last); the explicit context can.  Callers save [context],
-   [set_context], and restore — nesting (a commit completing inside
+(* The causal context: the acting transaction, dynamically scoped
+   around every operation it performs.  Callers save [context],
+   [set_context] and restore, so nesting (a commit completing inside
    another transaction's batch flush) keeps attribution exact. *)
-
-let context t = (t.ctx_txn, t.ctx_span)
-
-let set_context t ~txn ~span =
-  t.ctx_txn <- txn;
-  t.ctx_span <- span
+let context t = t.ctx_txn
+let set_context t ~txn = t.ctx_txn <- txn
 
 let emit t ~time ~node kind attrs =
-  if t.enabled then begin
-    let span = if t.ctx_span >= 0 then t.ctx_span else current_span t in
-    push t (Event.make ~time ~node ~span ~txn:t.ctx_txn kind attrs)
-  end
+  if t.enabled then push t (Event.make ~time ~node ~txn:t.ctx_txn kind attrs)
 
+(* Oldest first: the ring wraps at [head].  An overflowed ring ends with
+   a [trace.dropped] summary, so every reader can tell a suffix from a
+   whole run. *)
 let events t =
-  (* oldest first: the ring wraps at [head] *)
   let out = ref [] in
   let n = Array.length t.ring in
   for i = n - 1 downto 0 do
     let slot = (t.head + i) mod n in
     match t.ring.(slot) with None -> () | Some e -> out := e :: !out
   done;
-  !out
-
-(* ---- spans ---- *)
-
-let span_begin t ~time ~node ?parent name =
-  if not t.enabled then -1
+  if t.dropped = 0 then !out
   else begin
-    let parent = match parent with Some p -> p | None -> current_span t in
-    let id = t.next_span in
-    t.next_span <- id + 1;
-    let s = { id; name; node; parent; start = time } in
-    t.open_spans <- s :: t.open_spans;
-    push t
-      (Event.make ~time ~node ~span:parent Event.Span_begin
-         [ ("id", Event.Int id); ("name", Event.Str name) ]);
-    id
-  end
-
-let span_end t ~time id =
-  if t.enabled && id >= 0 then begin
-    (match List.find_opt (fun s -> s.id = id) t.open_spans with
-    | None -> ()
-    | Some s ->
-      t.open_spans <- List.filter (fun o -> o.id <> id) t.open_spans;
-      push t
-        (Event.make ~time ~node:s.node ~span:s.parent Event.Span_end
-           [ ("id", Event.Int id); ("name", Event.Str s.name);
-             ("dur", Event.Float (time -. s.start)) ]))
+    let last_time = List.fold_left (fun acc (e : Event.t) -> Float.max acc e.Event.time) 0. !out in
+    !out
+    @ [
+        Event.make ~time:last_time ~node:(-1) Event.Trace_dropped
+          [ ("count", Event.Int t.dropped); ("capacity", Event.Int t.capacity) ];
+      ]
   end
 
 (* ---- histograms (always on: they never touch the sim clock or the
@@ -184,28 +135,13 @@ let histograms t =
 
 (* ---- export ---- *)
 
-(* Draining appends a [trace.dropped] summary line when the ring
-   overflowed, so consumers of an exported trace can tell it is a
-   suffix, not the whole run. *)
-let drain t =
-  let evs = events t in
-  if t.dropped = 0 then evs
-  else begin
-    let last_time = List.fold_left (fun acc (e : Event.t) -> Float.max acc e.Event.time) 0. evs in
-    evs
-    @ [
-        Event.make ~time:last_time ~node:(-1) Event.Trace_dropped
-          [ ("count", Event.Int t.dropped); ("capacity", Event.Int t.capacity) ];
-      ]
-  end
-
 let to_jsonl t =
   let buf = Buffer.create 4096 in
   List.iter
     (fun e ->
       Buffer.add_string buf (Json.to_string (Event.to_json e));
       Buffer.add_char buf '\n')
-    (drain t);
+    (events t);
   Buffer.contents buf
 
 let histograms_json t =

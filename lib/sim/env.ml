@@ -5,41 +5,36 @@ type t = {
   config : Config.t;
   clock : Clock.t;
   obs : Recorder.t;
-  rng : Repro_util.Rng.t;
   faults : Repro_fault.Injector.t option;
 }
 
-let create ?(trace = false) ?trace_capacity ?(seed = 42) ?faults config =
+let create ?(trace = false) ?trace_capacity ?faults config =
   {
     config;
     clock = Clock.create ();
     obs = Recorder.create ~enabled:trace ?capacity:trace_capacity ();
-    rng = Repro_util.Rng.create seed;
     faults;
   }
 
 let config t = t.config
 let now t = Clock.now t.clock
 let obs t = t.obs
-let rng t = t.rng
 let faults t = t.faults
 let tracing t = Recorder.enabled t.obs
 
 let emit t ~node kind attrs =
   if Recorder.enabled t.obs then Recorder.emit t.obs ~time:(now t) ~node kind attrs
 
-(* Scope the causal trace context (txn, span) around [f]: every event
-   emitted while [f] runs — on any node — is stamped as caused by
-   [txn].  Contexts nest (save/restore), and the whole mechanism is a
-   single branch when tracing is off. *)
-let with_txn t ~txn ~span f =
+(* Scope the causal trace context around [f]: every event emitted
+   while [f] runs — on any node — is stamped as caused by [txn].
+   Contexts nest (save/restore), and the whole mechanism is a single
+   branch when tracing is off. *)
+let with_txn t ~txn f =
   if not (Recorder.enabled t.obs) then f ()
   else begin
-    let saved_txn, saved_span = Recorder.context t.obs in
-    Recorder.set_context t.obs ~txn ~span;
-    Fun.protect
-      ~finally:(fun () -> Recorder.set_context t.obs ~txn:saved_txn ~span:saved_span)
-      f
+    let saved = Recorder.context t.obs in
+    Recorder.set_context t.obs ~txn;
+    Fun.protect ~finally:(fun () -> Recorder.set_context t.obs ~txn:saved) f
   end
 
 let observe t ~name ~node v = Recorder.observe t.obs ~name ~node v

@@ -1,18 +1,16 @@
 (** The shared simulation environment: one per cluster.
 
-    Bundles the cost model, the simulated clock, the trace and the
-    random source, and exposes the charging primitives that all
-    substrates use.  Each charge advances the clock by the configured
-    cost and bumps the relevant counters in the caller's (per-node)
-    metrics — the only copy; the cluster sums its nodes' records on
-    read. *)
+    Bundles the cost model, the simulated clock and the trace, and
+    exposes the charging primitives that all substrates use.  Each
+    charge advances the clock by the configured cost and bumps the
+    relevant counters in the caller's (per-node) metrics — the only
+    copy; the cluster sums its nodes' records on read. *)
 
 type t
 
 val create :
   ?trace:bool ->
   ?trace_capacity:int ->
-  ?seed:int ->
   ?faults:Repro_fault.Injector.t ->
   Config.t ->
   t
@@ -27,8 +25,6 @@ val now : t -> float
 val obs : t -> Repro_obs.Recorder.t
 (** The typed event recorder: the only trace channel. *)
 
-val rng : t -> Repro_util.Rng.t
-
 val faults : t -> Repro_fault.Injector.t option
 (** The cluster's fault injector, if one is installed. *)
 
@@ -40,8 +36,8 @@ val emit : t -> node:int -> Repro_obs.Event.kind -> (string * Repro_obs.Event.va
 (** Emit a typed event at the current simulated time (no-op when
     tracing is off — but guard attr construction with [tracing]). *)
 
-val with_txn : t -> txn:int -> span:int -> (unit -> 'a) -> 'a
-(** Run [f] with the causal trace context set to [(txn, span)]: every
+val with_txn : t -> txn:int -> (unit -> 'a) -> 'a
+(** Run [f] with the causal trace context set to [txn]: every
     event emitted while it runs — on any node — is stamped as caused by
     [txn].  Contexts nest (saved and restored around [f], exceptions
     included); one branch and no allocation when tracing is off. *)

@@ -13,7 +13,6 @@ type t = {
   mutable logged_bytes : int;
   mutable remote_updated : Repro_storage.Page_id.Set.t;
   mutable began : float;
-  mutable span : int;
   mutable locks_from : float;
 }
 
@@ -29,7 +28,6 @@ let make ~id ~node =
     logged_bytes = 0;
     remote_updated = Repro_storage.Page_id.Set.empty;
     began = 0.;
-    span = -1;
     locks_from = -1.;
   }
 let is_active t = match t.state with Active -> true | Committing | Committed | Aborted -> false

@@ -30,7 +30,6 @@ type t = {
       (** distinct remote pages updated — what the PCA baseline must
           ship at commit *)
   mutable began : float;  (** simulated start time; feeds commit-latency histograms *)
-  mutable span : int;  (** observability span id, [-1] when tracing is off *)
   mutable locks_from : float;
       (** simulated time of the first successful lock acquire, [-1.]
           while none held; feeds the lock-hold-duration histogram that

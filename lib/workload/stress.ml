@@ -58,7 +58,7 @@ let run ?(trace = false) ?plan ~classes ~group_commit ~elr seed =
     (* a large ring keeps the auditor's prefix-dependent checks armed;
        it is allocated on the first recorded event, so untraced runs
        never pay for it *)
-    Cluster.create ~trace ~trace_capacity:(1 lsl 20) ~seed ?faults ~nodes
+    Cluster.create ~trace ~trace_capacity:(1 lsl 20) ?faults ~nodes
       ~pool_capacity:(8 + Rng.int rng 24) config
   in
   let owners = List.init (1 + Rng.int rng (min 3 nodes)) (fun i -> i) in

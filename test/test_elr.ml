@@ -155,7 +155,7 @@ let elr_workload ~trace () =
       (Config.with_group_commit Config.default ~window_ms:10. ~max_batch:4)
       true
   in
-  let cluster = Cluster.create ~trace ~trace_capacity:(1 lsl 18) ~seed:7 ~nodes:2 config in
+  let cluster = Cluster.create ~trace ~trace_capacity:(1 lsl 18) ~nodes:2 config in
   let pages = Cluster.allocate_pages cluster ~owner:0 ~count:8 in
   let engine = Engine.of_cluster cluster in
   let rng = Rng.create 7 in

@@ -118,7 +118,7 @@ let test_plan_json_golden () =
 let run_scenario ?(trace = false) ?(config = Config.instant) ~plan seed =
   let rng = Rng.create seed in
   let faults = Injector.create plan in
-  let cluster = Cluster.create ~trace ~seed ~faults ~nodes:3 ~pool_capacity:12 config in
+  let cluster = Cluster.create ~trace ~faults ~nodes:3 ~pool_capacity:12 config in
   let pages_by_owner =
     List.map (fun o -> (o, Cluster.allocate_pages cluster ~owner:o ~count:6)) [ 0; 1 ]
   in
@@ -181,7 +181,7 @@ let test_unfaulted_rng_untouched () =
   Injector.set_armed disarmed false;
   let run faults =
     let rng = Rng.create 13 in
-    let cluster = Cluster.create ~trace:true ~seed:13 ~faults ~nodes:3 ~pool_capacity:12 Config.instant in
+    let cluster = Cluster.create ~trace:true ~faults ~nodes:3 ~pool_capacity:12 Config.instant in
     let pages_by_owner = [ (0, Cluster.allocate_pages cluster ~owner:0 ~count:6) ] in
     let scripts =
       Generators.partitioned rng ~pages_by_owner ~clients:[ 0; 1; 2 ] ~txns_per_client:5
@@ -208,7 +208,8 @@ let test_torn_crash_unit () =
   for attempt = 0 to 7 do
     let inj = Injector.create { torn_plan with Fault_plan.seed = attempt } in
     let env = Env.create Config.instant in
-    let log = Log_manager.create env (Metrics.create ()) () in
+    let metrics = Metrics.create () in
+    let log = Log_manager.create env metrics () in
     let append () =
       Log_manager.append log { Record.txn = 1; prev = Lsn.nil; body = Record.Commit }
     in
@@ -222,7 +223,7 @@ let test_torn_crash_unit () =
     done;
     Log_manager.crash ~faults:inj log;
     let discarded = Log_manager.seal log in
-    Alcotest.(check bool) "tore the tail" true ((Injector.stats inj).Injector.torn_crashes = 1);
+    Alcotest.(check int) "tore the tail" 1 metrics.Metrics.torn_crashes;
     Alcotest.(check bool) "sealing trims, never grows" true (discarded >= 0);
     Alcotest.(check bool) "durable prefix survives" true
       (Lsn.compare durable (Log_manager.end_lsn log) <= 0);
@@ -337,7 +338,7 @@ let test_every_crashpoint_fires () =
             | Some p when e.Repro_obs.Event.kind = Repro_obs.Event.Fault_crash ->
               Hashtbl.replace fired p ()
             | Some _ | None -> ())
-          (Recorder.drain (Env.obs (Cluster.env cluster))))
+          (Recorder.events (Env.obs (Cluster.env cluster))))
       [ Fault_plan.all_classes; recovery ];
     incr seed
   done;

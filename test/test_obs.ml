@@ -1,5 +1,6 @@
-(* Tests for the observability layer: typed events, spans, log-bucketed
-   histograms, JSON codec, and the traced==untraced metrics invariant. *)
+(* Tests for the observability layer: typed events, the event ring and
+   its truncation marker, log-bucketed histograms, JSON codec, and the
+   traced==untraced metrics invariant. *)
 
 module Json = Repro_obs.Json
 module Event = Repro_obs.Event
@@ -17,50 +18,7 @@ module Experiments = Repro_experiments.Experiments
 
 let feq = Alcotest.(check (float 1e-9))
 
-(* ---- spans ---- *)
-
-let test_span_nesting_and_ordering () =
-  let r = Recorder.create ~enabled:true () in
-  let outer = Recorder.span_begin r ~time:1.0 ~node:0 "txn.1" in
-  Alcotest.(check int) "outer is current" outer (Recorder.current_span r);
-  let inner = Recorder.span_begin r ~time:1.5 ~node:0 "force" in
-  Alcotest.(check int) "inner is current" inner (Recorder.current_span r);
-  (* events emitted while a span is open inherit the innermost span *)
-  Recorder.emit r ~time:1.6 ~node:0 Event.Log_force [ ("bytes", Event.Int 512) ];
-  Recorder.span_end r ~time:2.0 inner;
-  Alcotest.(check int) "outer current again" outer (Recorder.current_span r);
-  Recorder.span_end r ~time:3.0 outer;
-  Alcotest.(check int) "no open span" (-1) (Recorder.current_span r);
-  (* the span.begin / span.end events are the spans' record: a begin
-     carries the id and name and sits in its parent span; an end
-     carries the duration *)
-  let of_kind k = List.filter (fun e -> e.Event.kind = k) (Recorder.events r) in
-  let id e = Event.attr_int e "id" and name e = Event.attr_str e "name" in
-  (match of_kind Event.Span_begin with
-  | [ o; i ] ->
-    Alcotest.(check (option int)) "outer id" (Some outer) (id o);
-    Alcotest.(check (option string)) "outer name" (Some "txn.1") (name o);
-    Alcotest.(check int) "outer is root" (-1) o.Event.span;
-    Alcotest.(check (option int)) "inner id" (Some inner) (id i);
-    Alcotest.(check (option string)) "inner name" (Some "force") (name i);
-    Alcotest.(check int) "inner nests in outer" outer i.Event.span
-  | begins -> Alcotest.failf "expected 2 span.begin events, got %d" (List.length begins));
-  (match of_kind Event.Span_end with
-  | [ i; o ] -> (
-    Alcotest.(check (option int)) "inner ends first" (Some inner) (id i);
-    Alcotest.(check (option int)) "outer ends last" (Some outer) (id o);
-    match (Event.attr_float o "dur", Event.attr_float i "dur") with
-    | Some dof, Some dif ->
-      feq "outer duration" 2.0 dof;
-      feq "inner duration" 0.5 dif
-    | _ -> Alcotest.fail "span durations missing")
-  | ends -> Alcotest.failf "expected 2 span.end events, got %d" (List.length ends));
-  (* the event stream is oldest-first and interleaves begins/ends *)
-  let kinds = List.map (fun e -> Event.kind_name e.Event.kind) (Recorder.events r) in
-  Alcotest.(check (list string))
-    "event order" [ "span.begin"; "span.begin"; "log.force"; "span.end"; "span.end" ] kinds;
-  let forced = List.find (fun e -> e.Event.kind = Event.Log_force) (Recorder.events r) in
-  Alcotest.(check int) "emit inherits innermost span" inner forced.Event.span
+(* ---- the event ring ---- *)
 
 let test_ring_buffer_keeps_newest () =
   let r = Recorder.create ~enabled:true ~capacity:4 () in
@@ -69,7 +27,8 @@ let test_ring_buffer_keeps_newest () =
   done;
   Alcotest.(check int) "dropped oldest" 6 (Recorder.dropped r);
   let times = List.map (fun e -> int_of_float e.Event.time) (Recorder.events r) in
-  Alcotest.(check (list int)) "newest survive, oldest-first" [ 7; 8; 9; 10 ] times
+  (* the last entry is the trace.dropped summary, stamped at the newest time *)
+  Alcotest.(check (list int)) "newest survive, oldest-first" [ 7; 8; 9; 10; 10 ] times
 
 let test_recorder_enabled_late_records () =
   let r = Recorder.create ~capacity:4 () in
@@ -80,16 +39,51 @@ let test_recorder_enabled_late_records () =
     Recorder.emit r ~time:(float_of_int i) ~node:0 Event.Log_append [ ("bytes", Event.Int i) ]
   done;
   let times = List.map (fun e -> int_of_float e.Event.time) (Recorder.events r) in
-  Alcotest.(check (list int)) "records once enabled, oldest first" [ 3; 4; 5; 6 ] times;
+  Alcotest.(check (list int)) "records once enabled, oldest first, then the summary"
+    [ 3; 4; 5; 6; 6 ] times;
   Alcotest.(check int) "dropped" 2 (Recorder.dropped r)
 
 let test_disabled_recorder_is_inert () =
   let r = Recorder.create () in
   Recorder.emit r ~time:1.0 ~node:0 Event.Crash [];
-  let id = Recorder.span_begin r ~time:1.0 ~node:0 "txn.1" in
-  Alcotest.(check int) "span id is -1 when disabled" (-1) id;
-  Recorder.span_end r ~time:2.0 id;
-  Alcotest.(check int) "no events, no span events" 0 (List.length (Recorder.events r))
+  Alcotest.(check int) "no events" 0 (List.length (Recorder.events r))
+
+module Critical_path = Repro_obs.Critical_path
+module Audit = Repro_obs.Audit
+
+(* An overflowed ring ends with a [trace.dropped] summary, and every
+   reader of [Recorder.events] sees it: the critical-path analysis
+   reports truncation and the auditor skips its prefix checks instead
+   of judging a suffix as if it were the whole run. *)
+let test_overflow_reaches_every_reader () =
+  let r = Recorder.create ~enabled:true ~capacity:4 () in
+  Recorder.emit r ~time:1. ~node:0 Event.Txn_begin [ ("txn", Event.Int 3) ];
+  for i = 2 to 7 do
+    Recorder.emit r ~time:(float_of_int i) ~node:0 Event.Log_append [ ("bytes", Event.Int i) ]
+  done;
+  Recorder.emit r ~time:8. ~node:0 Event.Txn_commit [ ("txn", Event.Int 3) ];
+  Alcotest.(check int) "dropped" 4 (Recorder.dropped r);
+  let events = Recorder.events r in
+  (match List.rev events with
+  | last :: _ ->
+    Alcotest.(check string) "ends with the summary" "trace.dropped"
+      (Event.kind_name last.Event.kind);
+    Alcotest.(check (option int)) "summary count" (Some 4) (Event.attr_int last "count")
+  | [] -> Alcotest.fail "no events");
+  Alcotest.(check bool) "critical path: truncated" true
+    (Critical_path.analyze events).Critical_path.truncated;
+  let report = Audit.run events in
+  Alcotest.(check bool) "audit: truncated" true report.Audit.truncated;
+  Alcotest.(check (list string))
+    "audit: prefix checks skipped"
+    [
+      "force-before-ship"; "batch-loss-closure"; "release-after-terminal"; "release-after-submit";
+      "closure-loss";
+    ]
+    report.Audit.skipped;
+  (* the JSONL export carries the same summary line *)
+  let lines = String.split_on_char '\n' (String.trim (Recorder.to_jsonl r)) in
+  Alcotest.(check int) "exported lines" (List.length events) (List.length lines)
 
 (* ---- histograms ---- *)
 
@@ -191,7 +185,7 @@ let test_event_json_and_kind_names () =
       | _ -> Alcotest.failf "kind name round trip failed for %s" (Event.kind_name k))
     Event.all_kinds;
   let e =
-    Event.make ~time:1.25 ~node:2 ~span:7 Event.Page_ship
+    Event.make ~time:1.25 ~node:2 ~txn:7 Event.Page_ship
       [ ("dst", Event.Int 0); ("page", Event.Str "P0.3") ]
   in
   let j = Event.to_json e in
@@ -199,12 +193,14 @@ let test_event_json_and_kind_names () =
   let int_field k = Option.bind (Json.member k j) Json.to_int_opt in
   Alcotest.(check (option string)) "kind" (Some "page.ship") (str_field "kind");
   Alcotest.(check (option int)) "node" (Some 2) (int_field "node");
-  Alcotest.(check (option string)) "attr" (Some "P0.3") (str_field "page")
+  Alcotest.(check (option int)) "context" (Some 7) (int_field "ctx");
+  Alcotest.(check (option string)) "attr" (Some "P0.3") (str_field "page");
+  Alcotest.(check bool) "json round trip" true (Event.of_json j = Some e)
 
 (* ---- the invariant: tracing must not change the simulation ---- *)
 
 let run_workload ?faults ~trace () =
-  let cluster = Cluster.create ~trace ?faults ~seed:5 ~nodes:3 Config.default in
+  let cluster = Cluster.create ~trace ?faults ~nodes:3 Config.default in
   let p0 = Cluster.allocate_pages cluster ~owner:0 ~count:12 in
   let p2 = Cluster.allocate_pages cluster ~owner:2 ~count:12 in
   let engine = Engine.of_cluster cluster in
@@ -261,18 +257,14 @@ let test_group_commit_traced_equals_untraced () =
   let run ~trace = Experiments.group_commit_run ~trace ~quick:false (8, 20.) in
   check_same_run (run ~trace:false) (run ~trace:true)
 
-(* Only recovery's cluster-wide markers (its begin/end/phase events and
-   the phase spans) stand outside any node; every other event of a
-   traced run is located, so [cblsim trace --node] can select it. *)
+(* Only recovery's cluster-wide markers (its begin/end/phase events)
+   stand outside any node; every other event of a traced run is
+   located, so [cblsim trace --node] can select it. *)
 let test_events_carry_a_node () =
   let cluster, _ = run_workload ~trace:true () in
   let cluster_wide (e : Event.t) =
     match e.Event.kind with
     | Event.Recovery_begin | Event.Recovery_end | Event.Recovery_phase -> true
-    | Event.Span_begin | Event.Span_end -> (
-      match Event.attr_str e "name" with
-      | Some name -> String.starts_with ~prefix:"recovery." name
-      | None -> false)
     | _ -> false
   in
   let events = Recorder.events (Repro_sim.Env.obs (Cluster.env cluster)) in
@@ -296,44 +288,41 @@ let test_commit_latency_histograms_always_on () =
 (* ---- the invariant under faults, and the trace auditor ---- *)
 
 module Fault_plan = Repro_fault.Fault_plan
-module Audit = Repro_obs.Audit
 module Stress = Repro_workload.Stress
 
-(* Span ids begun in [events] that no span.end closes. *)
-let unclosed_spans events =
-  let ids kind =
-    List.filter_map
-      (fun (e : Event.t) -> if e.Event.kind = kind then Event.attr_int e "id" else None)
+(* A crash and the recovery that follows it belong to no transaction:
+   the [crash] and [recovery.*] events carry no causal context, whether
+   the driver schedules the crash or a recovery crash point fires. *)
+let test_crash_and_recovery_stamp_no_txn () =
+  (* the crash and recovery events of [events], failing on a stamped one *)
+  let unstamped label events =
+    List.filter
+      (fun (e : Event.t) ->
+        match e.Event.kind with
+        | Event.Crash | Event.Recovery_begin | Event.Recovery_end | Event.Recovery_phase
+        | Event.Recovery_restart ->
+          if e.Event.txn >= 0 then
+            Alcotest.failf "%s: stamped with a transaction: %s" label (Event.render e);
+          true
+        | _ -> false)
       events
   in
-  let ended = ids Event.Span_end in
-  List.filter (fun id -> not (List.mem id ended)) (ids Event.Span_begin)
-
-(* A crash drops its node's in-flight transactions, and a recovery step
-   can die at a recovery crash point: neither may leave a span open. *)
-let test_crash_closes_spans () =
   let cluster, _ = run_workload ~trace:true () in
   let obs = Repro_sim.Env.obs (Cluster.env cluster) in
   Alcotest.(check int) "whole run recorded" 0 (Recorder.dropped obs);
-  let events = Recorder.events obs in
-  let crash = List.find (fun (e : Event.t) -> e.Event.kind = Event.Crash) events in
-  Alcotest.(check bool) "the crash ended a dropped transaction's span" true
-    (List.exists
-       (fun (e : Event.t) ->
-         e.Event.kind = Event.Span_end && e.Event.node = crash.Event.node
-         && e.Event.time = crash.Event.time
-         && String.starts_with ~prefix:"txn." (Option.value (Event.attr_str e "name") ~default:""))
-       events);
-  Alcotest.(check (list int)) "every span closed" [] (unclosed_spans events);
+  Alcotest.(check bool) "driver crash and recovery traced" true
+    (List.length (unstamped "driver crash" (Recorder.events obs)) > 1);
   let classes = Fault_plan.{ no_classes with recovery = true } in
+  let restarts = ref 0 in
   for seed = 0 to 19 do
     let cluster, _, _ = Stress.run ~trace:true ~classes ~group_commit:false ~elr:false seed in
     let events = Recorder.events (Repro_sim.Env.obs (Cluster.env cluster)) in
-    Alcotest.(check (list int))
-      (Printf.sprintf "seed %d (--faults recovery): every span closed" seed)
-      [] (unclosed_spans events)
-  done
-
+    let sys = unstamped (Printf.sprintf "seed %d (--faults recovery)" seed) events in
+    restarts :=
+      !restarts
+      + List.length (List.filter (fun (e : Event.t) -> e.Event.kind = Event.Recovery_restart) sys)
+  done;
+  Alcotest.(check bool) "a recovery crash point fired" true (!restarts > 0)
 
 let seeds = 50
 
@@ -360,7 +349,7 @@ let check_faulted_invariance spec =
     Alcotest.(check int)
       (Printf.sprintf "seed %d (%s): identical commits" seed spec)
       ou.Driver.committed ot.Driver.committed;
-    let report = Audit.run (Recorder.drain (Repro_sim.Env.obs (Cluster.env traced))) in
+    let report = Audit.run (Recorder.events (Repro_sim.Env.obs (Cluster.env traced))) in
     if not (Audit.ok report) then
       Alcotest.failf "seed %d (%s): audit found violations:@.%a" seed spec Audit.pp report
   done
@@ -390,7 +379,7 @@ let check_aggregate_is_node_sum label cluster =
     (Float.abs (g.Metrics.busy_seconds -. busy) <= 1e-9 *. busy)
 
 let scheme_run scheme =
-  let cluster = Cluster.create ~scheme ~seed:7 ~nodes:3 Config.default in
+  let cluster = Cluster.create ~scheme ~nodes:3 Config.default in
   let p0 = Cluster.allocate_pages cluster ~owner:0 ~count:12 in
   let p2 = Cluster.allocate_pages cluster ~owner:2 ~count:12 in
   let rng = Rng.create 7 in
@@ -590,10 +579,11 @@ let test_recovery_summary_phases () =
 
 let suite =
   [
-    Alcotest.test_case "span nesting and ordering" `Quick test_span_nesting_and_ordering;
     Alcotest.test_case "ring buffer keeps newest" `Quick test_ring_buffer_keeps_newest;
     Alcotest.test_case "disabled recorder is inert" `Quick test_disabled_recorder_is_inert;
     Alcotest.test_case "recorder enabled late records" `Quick test_recorder_enabled_late_records;
+    Alcotest.test_case "overflowed ring reaches every reader" `Quick
+      test_overflow_reaches_every_reader;
     Alcotest.test_case "histogram percentiles vs Stats" `Quick
       test_histogram_percentiles_match_stats;
     Alcotest.test_case "histogram edge cases" `Quick test_histogram_edge_cases;
@@ -609,7 +599,8 @@ let suite =
     Alcotest.test_case "latency histograms always on" `Quick
       test_commit_latency_histograms_always_on;
     Alcotest.test_case "recovery summary phases" `Quick test_recovery_summary_phases;
-    Alcotest.test_case "crashes leave no span open" `Quick test_crash_closes_spans;
+    Alcotest.test_case "crash and recovery stamp no transaction" `Quick
+      test_crash_and_recovery_stamp_no_txn;
     Alcotest.test_case "faulted traced == untraced + clean audit (--faults all, 50 seeds)"
       `Slow test_faulted_traced_equals_untraced_all;
     Alcotest.test_case "faulted traced == untraced + clean audit (--faults recovery, 50 seeds)"

@@ -100,7 +100,7 @@ let prop_merge_sorted_and_alternating =
 let strategy_equivalent seed =
   let run strategy =
     let rng = Rng.create seed in
-    let cluster = Cluster.create ~seed ~nodes:3 ~pool_capacity:12 Config.instant in
+    let cluster = Cluster.create ~nodes:3 ~pool_capacity:12 Config.instant in
     let pages = Cluster.allocate_pages cluster ~owner:0 ~count:8 in
     let engine =
       {

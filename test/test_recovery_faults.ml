@@ -49,7 +49,7 @@ let read_all cluster pages ~node =
    recover until converged and return the final cell values. *)
 let run_crash_scenario plan =
   let faults = Injector.create plan in
-  let cluster = Cluster.create ~seed:29 ~faults ~nodes:4 (Config.with_page_size Config.default 512) in
+  let cluster = Cluster.create ~faults ~nodes:4 (Config.with_page_size Config.default 512) in
   let pages = Cluster.allocate_pages cluster ~owner:0 ~count:6 in
   seed_workload cluster pages;
   Cluster.crash cluster ~node:0;
@@ -107,7 +107,7 @@ let test_redo_retry_bit_identical () =
   let faults = Injector.create plan in
   (* the workload itself runs fault-free: only recovery sees the faults *)
   Injector.set_armed faults false;
-  let cluster = Cluster.create ~seed:29 ~faults ~nodes:4 (Config.with_page_size Config.default 512) in
+  let cluster = Cluster.create ~faults ~nodes:4 (Config.with_page_size Config.default 512) in
   let pages = Cluster.allocate_pages cluster ~owner:0 ~count:6 in
   seed_workload cluster pages;
   Cluster.crash cluster ~node:0;
@@ -130,7 +130,7 @@ let test_deferred_pages_complete_on_peer_restart () =
      must park it (blocker = 2) rather than fail.  Parked pages answer
      with the retryable [Page_unavailable]; recovering node 2 completes
      them and the full values surface. *)
-  let cluster = Cluster.create ~seed:31 ~nodes:4 (Config.with_page_size Config.default 512) in
+  let cluster = Cluster.create ~nodes:4 (Config.with_page_size Config.default 512) in
   let pages = Cluster.allocate_pages cluster ~owner:0 ~count:4 in
   seed_workload cluster pages;
   Cluster.crash cluster ~node:0;
@@ -172,7 +172,7 @@ let test_recover_until_up_defer () =
     { Fault_plan.none with Fault_plan.seed = 903; crashpoints = recovery_points ~budget:2 0.3 }
   in
   let cluster =
-    Cluster.create ~seed:29 ~faults:(Injector.create plan) ~nodes:4
+    Cluster.create ~faults:(Injector.create plan) ~nodes:4
       (Config.with_page_size Config.default 512)
   in
   let pages = Cluster.allocate_pages cluster ~owner:0 ~count:6 in

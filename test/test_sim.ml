@@ -99,7 +99,7 @@ let test_env_disk_and_log_charges () =
 
 let test_env_determinism () =
   let run () =
-    let env = Env.create ~seed:9 Config.default in
+    let env = Env.create Config.default in
     let m = Metrics.create () in
     for i = 1 to 10 do
       Env.charge_message env m ~bytes:i ()

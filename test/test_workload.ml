@@ -407,7 +407,7 @@ let test_golden_hotspot_instant () =
   Alcotest.(check (pair int int)) "shadow" (58, 672153263) (shadow_fingerprint o)
 
 let test_golden_partitioned_crash () =
-  let c = Cluster.create ~seed:11 ~nodes:4 Config.default in
+  let c = Cluster.create ~nodes:4 Config.default in
   let pages_by_owner =
     List.map (fun o -> (o, Cluster.allocate_pages c ~owner:o ~count:24)) [ 0; 2 ]
   in
@@ -428,7 +428,7 @@ let test_golden_partitioned_crash () =
   Alcotest.(check (pair int int)) "shadow" (317, 858063208) (shadow_fingerprint o)
 
 let test_golden_mpl_savepoints () =
-  let c = Cluster.create ~seed:7 ~nodes:4 ~pool_capacity:16 Config.instant in
+  let c = Cluster.create ~nodes:4 ~pool_capacity:16 Config.instant in
   let pages_by_owner =
     List.map (fun o -> (o, Cluster.allocate_pages c ~owner:o ~count:12)) [ 0; 1 ]
   in
@@ -458,7 +458,7 @@ let test_golden_mpl_savepoints () =
    in-flight transaction on its node, recovered by [auto_recover]
    before the scheduled [Recover] arrives. *)
 let test_golden_mpl_crash_auto_recover () =
-  let c = Cluster.create ~seed:23 ~nodes:4 Config.default in
+  let c = Cluster.create ~nodes:4 Config.default in
   let pages_by_owner =
     List.map (fun o -> (o, Cluster.allocate_pages c ~owner:o ~count:16)) [ 0; 3 ]
   in
@@ -487,7 +487,7 @@ let interleave lists =
 
 let test_golden_group_commit () =
   let config = Config.with_group_commit Config.default ~window_ms:20. ~max_batch:8 in
-  let c = Cluster.create ~seed:41 ~nodes:1 config in
+  let c = Cluster.create ~nodes:1 config in
   let pages = Cluster.allocate_pages c ~owner:0 ~count:32 in
   let rng = Rng.create 41 in
   let scripts =
