@@ -196,13 +196,6 @@ let demo_cmd =
 
 (* ---- trace ---- *)
 
-(* The transaction an event belongs to: the stamped causal context,
-   falling back to a [txn] attr for marker events emitted outside the
-   context window (txn.begin). *)
-let event_txn (e : Event.t) =
-  if e.Event.txn >= 0 then e.Event.txn
-  else match Event.attr_int e "txn" with Some id -> id | None -> -1
-
 let trace_run run_workload kinds node_filter txn_filter since until limit render flame =
   (match List.filter (fun k -> Event.kind_of_name k = None) kinds with
   | [] -> ()
@@ -219,15 +212,21 @@ let trace_run run_workload kinds node_filter txn_filter since until limit render
          (Repro_obs.Critical_path.analyze (Recorder.events obs)))
   else begin
     let wanted = List.filter_map Event.kind_of_name kinds in
+    (* The [trace.dropped] summary of an overflowed ring is no event of
+       the run: it marks the output as a suffix, so no filter removes
+       it and it stays last. *)
+    let dropped, events =
+      List.partition (fun (e : Event.t) -> e.Event.kind = Event.Trace_dropped) (Recorder.events obs)
+    in
     let selected =
       List.filter
         (fun (e : Event.t) ->
           (wanted = [] || List.mem e.Event.kind wanted)
           && (match node_filter with None -> true | Some n -> e.Event.node = n)
-          && (match txn_filter with None -> true | Some id -> event_txn e = id)
+          && (match txn_filter with None -> true | Some id -> Event.txn_of e = id)
           && (match since with None -> true | Some t -> e.Event.time >= t)
           && match until with None -> true | Some t -> e.Event.time <= t)
-        (Recorder.events obs)
+        events
     in
     let selected =
       if limit <= 0 then selected
@@ -238,7 +237,7 @@ let trace_run run_workload kinds node_filter txn_filter since until limit render
     List.iter
       (fun e ->
         print_endline (if render then Event.render e else Json.to_string (Event.to_json e)))
-      selected;
+      (selected @ dropped);
     if Recorder.dropped obs > 0 then
       Format.eprintf "note: ring buffer dropped %d older events@." (Recorder.dropped obs)
   end

@@ -147,6 +147,17 @@ if checked != lines:
     sys.exit(f"cblsim audit parsed {checked} of the {lines} exported events")
 EOF
 
+# A filtered export of an overflowed ring must still say it is a
+# suffix: the trace.dropped summary survives every filter, last.
+echo "== filtered export keeps the overflow marker: cblsim trace --txns 250 --kind txn.commit =="
+dune exec bin/cblsim.exe -- trace --txns 250 --kind txn.commit 2>/dev/null > TRACE_FILTERED.jsonl
+python3 - TRACE_FILTERED.jsonl <<'EOF'
+import json, sys
+last = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+if last["kind"] != "trace.dropped":
+    sys.exit(f"filtered trace export ends on {last['kind']}, not trace.dropped")
+EOF
+
 echo "== bench smoke: tracing overhead, elr lock-hold =="
 dune exec bench/main.exe -- json
 

@@ -23,7 +23,7 @@ type t = {
   prev : int array;
   next : int array;
   mutable free : int;
-  mutable tracer : string -> Page_id.t -> unit;
+  mutable tracer : Repro_obs.Event.kind -> Page_id.t -> unit;
 }
 
 let no_trace _ _ = ()
@@ -114,7 +114,7 @@ let install t page =
   t.slots.(slot) <- frame;
   link_mru t slot;
   Page_id.Tbl.replace t.frames pid frame;
-  t.tracer "install" pid;
+  t.tracer Repro_obs.Event.Cache_install pid;
   frame
 
 let mark_dirty frame ~lsn =
@@ -144,7 +144,7 @@ let remove t pid =
   match Page_id.Tbl.find_opt t.frames pid with
   | None -> ()
   | Some frame ->
-    t.tracer "evict" pid;
+    t.tracer Repro_obs.Event.Cache_evict pid;
     Page_id.Tbl.remove t.frames pid;
     let s = frame.slot in
     unlink t s;

@@ -28,9 +28,9 @@ type t
 val create : capacity:int -> unit -> t
 (** [capacity] in pages; must be positive. *)
 
-val set_tracer : t -> (string -> Page_id.t -> unit) -> unit
-(** Observability hook, fired with ["install"] / ["evict"] and the page
-    as frames enter and leave the pool.  Default: no-op. *)
+val set_tracer : t -> (Repro_obs.Event.kind -> Page_id.t -> unit) -> unit
+(** Observability hook, fired with [Cache_install] / [Cache_evict] and
+    the page as frames enter and leave the pool.  Default: no-op. *)
 
 val size : t -> int
 val is_full : t -> bool

@@ -3,9 +3,7 @@ module Page_id = Repro_storage.Page_id
 module Mode = Repro_lock.Mode
 module Local_locks = Repro_lock.Local_locks
 module Global_locks = Repro_lock.Global_locks
-module Dep_graph = Repro_tx.Dep_graph
 module Group_commit = Repro_wal.Group_commit
-module Event = Repro_obs.Event
 
 type t = {
   env : Env.t;
@@ -22,19 +20,9 @@ type t = {
          [on_durable] hook BEFORE any completion work, so an injected
          crash during completion cannot lose the verdict.  Read-once by
          [commit_outcome]. *)
-  deps : Dep_graph.t;
-      (* early-lock-release commit dependencies, cluster-wide (txn ids
-         are globally unique).  Edges are added from [Node]'s acquire
-         path via [on_dep], settled when the antecedent becomes durable,
-         and propagated as closure loss when its batch is lost. *)
   lost_commits : (int, unit) Hashtbl.t;
-      (* transactions whose submitted commit was lost — their own batch
-         died, or a lost antecedent dragged them down ([Dep_graph]
-         forward closure).  Read-once by [commit_outcome]: [`Gone]. *)
-  dep_blocked_since : (int, float) Hashtbl.t;
-      (* first time [commit_outcome] found a durable commit still
-         gated on pending antecedents; feeds the dep_wait histogram
-         and the [Commit_dep_wait] event when the gate opens *)
+      (* transactions whose submitted commit was lost with its batch.
+         Read-once by [commit_outcome]: [`Gone]. *)
 }
 
 let create ?(trace = false) ?trace_capacity ?seed:_ ?faults ?(pool_capacity = 64) ?log_capacity
@@ -51,36 +39,19 @@ let create ?(trace = false) ?trace_capacity ?seed:_ ?faults ?(pool_capacity = 64
   in
   Array.iter (fun n -> n.Node_state.resolve <- resolve) members;
   let durable_commits = Hashtbl.create 64 in
-  let deps = Dep_graph.create () in
   let lost_commits = Hashtbl.create 16 in
-  let dep_blocked_since = Hashtbl.create 16 in
   Array.iter
     (fun n ->
-      n.Node_state.on_dep <- (fun ~dependent ~antecedent -> Dep_graph.add deps ~dependent ~antecedent);
       Node.wire_group_commit n
         ~on_lost:(fun lost ->
-          (* The pending batch died with its node.  Every member is
-             gone, and so is the forward dependency closure: anyone who
-             observed a lost member's early-released pages saw state
-             recovery is about to undo. *)
-          List.iter (fun txn -> Hashtbl.replace lost_commits txn ()) lost;
-          List.iter
-            (fun txn ->
-              Hashtbl.replace lost_commits txn ();
-              Hashtbl.remove durable_commits txn;
-              Hashtbl.remove dep_blocked_since txn)
-            (Dep_graph.settle_lost deps lost))
-        ~on_durable:(fun ~txn ~submitted_at:_ ->
-          Hashtbl.replace durable_commits txn ();
-          (* Durable antecedent: its dependents stop waiting.  Same-node
-             LSN order guarantees this hook runs for the antecedent no
-             later than for any dependent, so the gate below opens in
-             submission order. *)
-          Dep_graph.settle_durable deps txn)
+          (* The pending batch died with its node: every member is
+             gone.  So is anyone who observed a member's early-released
+             pages — they all ran on that node. *)
+          List.iter (fun txn -> Hashtbl.replace lost_commits txn ()) lost)
+        ~on_durable:(fun ~txn ~submitted_at:_ -> Hashtbl.replace durable_commits txn ())
         ())
     members;
-  { env; members; next_txn = 0; txn_home = Array.make 64 (-1); durable_commits; deps;
-    lost_commits; dep_blocked_since }
+  { env; members; next_txn = 0; txn_home = Array.make 64 (-1); durable_commits; lost_commits }
 
 let env t = t.env
 let node_count t = Array.length t.members
@@ -138,30 +109,8 @@ let commit_outcome t ~txn =
   end
   else if Node.is_up n && Group_commit.is_pending n.Node_state.gc ~txn then `Pending
   else if Hashtbl.mem t.durable_commits txn then begin
-    match Dep_graph.durable_blocked t.deps txn with
-    | [] ->
-      Hashtbl.remove t.durable_commits txn;
-      (match Hashtbl.find_opt t.dep_blocked_since txn with
-      | Some since ->
-        (* The commit record was durable but the verdict was withheld
-           until every antecedent settled: attribute the wait. *)
-        Hashtbl.remove t.dep_blocked_since txn;
-        let waited = now t -. since in
-        Env.observe t.env ~name:"dep_wait" ~node:(txn_node t txn) waited;
-        if Env.tracing t.env then
-          Env.emit t.env ~node:(txn_node t txn) Event.Commit_dep_wait
-            [ ("txn", Event.Int txn); ("dur", Event.Float waited) ]
-      | None -> ());
-      `Durable
-    | _ :: _ ->
-      (* Durable but gated: an antecedent's commit record is not yet
-         forced, so reporting [`Durable] now could survive a crash the
-         antecedent does not.  (Same-node LSN order makes this
-         unreachable today — the gate is the enforced form of that
-         argument, and the auditor re-proves it per trace.) *)
-      if not (Hashtbl.mem t.dep_blocked_since txn) then
-        Hashtbl.replace t.dep_blocked_since txn (now t);
-      `Pending
+    Hashtbl.remove t.durable_commits txn;
+    `Durable
   end
   else `Gone
 
@@ -280,9 +229,8 @@ let recover_until_up ?(defer = []) t =
   in
   go 0
 
-let commit_antecedents t ~txn = Dep_graph.antecedents_of t.deps txn
-let dep_edge_count t = Dep_graph.edge_count t.deps
-let dep_edges_registered t = Dep_graph.registered_count t.deps
+let dep_edges_registered t =
+  Array.fold_left (fun acc n -> acc + n.Node_state.dep_edges) 0 t.members
 let global_metrics t =
   let sum = Repro_sim.Metrics.create () in
   Array.iter (fun n -> Repro_sim.Metrics.merge_into ~dst:sum n.Node_state.metrics) t.members;

@@ -68,26 +68,21 @@ val commit : t -> txn:int -> unit
 
 val commit_outcome : t -> txn:int -> [ `Pending | `Durable | `Gone ]
 (** Where a submitted commit stands.  [`Pending]: still in the node's
-    batch, not durable — keep pumping; with early lock release on, a
-    durable commit is also held at [`Pending] while a commit dependency
-    on a not-yet-durable antecedent is open (the wait feeds the
-    [dep_wait] histogram).  [`Durable]: the commit record was forced
-    and every antecedent settled; read-once (a second call answers
-    [`Gone]).  [`Gone]: the batch was lost to a crash before its force
-    — or a lost antecedent dragged this transaction down with its
-    dependency closure — the transaction never committed and restart
-    rolls it back. *)
+    batch, not durable — keep pumping.  [`Durable]: the commit record
+    was forced; read-once (a second call answers [`Gone]).  [`Gone]:
+    the batch was lost to a crash before its force; the transaction
+    never committed and restart rolls it back.
 
-val commit_antecedents : t -> txn:int -> int list
-(** Open early-lock-release commit dependencies of [txn] (empty when
-    unconstrained; for tests and invariant checks). *)
-
-val dep_edge_count : t -> int
-(** Live commit-dependency edge count. *)
+    Early lock release needs no gate here.  A commit dependency joins
+    two transactions of one node, so the antecedent's commit record
+    precedes the dependent's in that node's log, and it is durable
+    first: the node checks this at completion.  A dependent of a lost
+    commit ran on the crashed node and is lost with it. *)
 
 val dep_edges_registered : t -> int
-(** Lifetime count of commit-dependency edges ever recorded — how often
-    early release actually exposed pre-durable state. *)
+(** Lifetime count of commit-dependency edges ever recorded, summed
+    over the nodes — how often early release actually exposed
+    pre-durable state.  Crashes do not reset it. *)
 
 val pump_group_commit : t -> idle:bool -> bool
 (** Drive the group-commit timers: flush every batch whose window has

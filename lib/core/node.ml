@@ -103,8 +103,8 @@ let wipe_volatile t =
   t.deferred_losers <- [];
   (* The pending group-commit batch is volatile: none of those commits
      happened — recovery will abort them.  [Group_commit.crash] fires
-     the loss hook, which drags each lost commit's early-release
-     dependency closure down with it. *)
+     the loss hook with the lost members.  Their commit dependents all
+     ran on this node, so they are lost with it too. *)
   Group_commit.crash t.gc
 
 let crash t =
@@ -513,7 +513,8 @@ let owner_grant_lock t ~requester ~txn ~pid ~mode ~need_page =
 
 (* Client side: obtain the transaction-level lock, going to the owner
    only when the node-level cached lock does not cover the request. *)
-let acquire t ~txn ~pid ~mode =
+let acquire t (descr : Txn.t) ~pid ~mode =
+  let txn = descr.Txn.id in
   check_up t;
   Env.charge_lock_op t.env t.metrics;
   (* Local strict-2PL conflict first: no message can help with that. *)
@@ -597,11 +598,17 @@ let acquire t ~txn ~pid ~mode =
     (* Controlled lock violation: if this page's lock was surrendered
        early by a committing transaction that is not yet durable, the
        grant just exposed pre-durable state — record the commit
-       dependency.  The registry is empty when elr is off, so this is
-       a free lookup on the historical pipeline. *)
+       dependency on the acquirer.  Both ends run on this node (the
+       registry is this node's, and [handle_callback] flushes before an
+       early-released page can leave it), so the releaser's commit
+       record precedes the acquirer's in this node's log.  The registry
+       is empty when elr is off, so this is a free lookup on the
+       historical pipeline. *)
     match Local_locks.early_releaser t.locks pid with
-    | Some releaser when releaser <> txn ->
-      if t.on_dep ~dependent:txn ~antecedent:releaser && Env.tracing t.env then
+    | Some releaser when releaser <> txn && not (List.mem releaser descr.Txn.antecedents) ->
+      descr.Txn.antecedents <- releaser :: descr.Txn.antecedents;
+      t.dep_edges <- t.dep_edges + 1;
+      if Env.tracing t.env then
         Env.emit t.env ~node:t.id Event.Commit_dep
           [
             ("txn", Event.Int txn);
@@ -800,7 +807,7 @@ let active_txn t id =
 let read t ~txn ~pid ~off ~len =
   let descr = active_txn t txn in
   Env.with_txn t.env ~txn @@ fun () ->
-  acquire t ~txn ~pid ~mode:Mode.S;
+  acquire t descr ~pid ~mode:Mode.S;
   if descr.Txn.locks_from < 0. then descr.Txn.locks_from <- Env.now t.env;
   let frame = ensure_cached_page t pid in
   Page.read frame.page ~off ~len
@@ -808,7 +815,7 @@ let read t ~txn ~pid ~off ~len =
 let read_cell t ~txn ~pid ~off =
   let descr = active_txn t txn in
   Env.with_txn t.env ~txn @@ fun () ->
-  acquire t ~txn ~pid ~mode:Mode.S;
+  acquire t descr ~pid ~mode:Mode.S;
   if descr.Txn.locks_from < 0. then descr.Txn.locks_from <- Env.now t.env;
   let frame = ensure_cached_page t pid in
   Page.get_cell frame.page ~off
@@ -841,7 +848,7 @@ let log_update t (txn : Txn.t) pid (frame : Buffer_pool.frame) op =
 let update_bytes t ~txn ~pid ~off s =
   let txn = active_txn t txn in
   Env.with_txn t.env ~txn:txn.Txn.id @@ fun () ->
-  acquire t ~txn:txn.Txn.id ~pid ~mode:Mode.X;
+  acquire t txn ~pid ~mode:Mode.X;
   if txn.Txn.locks_from < 0. then txn.Txn.locks_from <- Env.now t.env;
   let frame = ensure_cached_page t pid in
   let before = Page.read frame.page ~off ~len:(String.length s) in
@@ -850,7 +857,7 @@ let update_bytes t ~txn ~pid ~off s =
 let update_delta t ~txn ~pid ~off delta =
   let txn = active_txn t txn in
   Env.with_txn t.env ~txn:txn.Txn.id @@ fun () ->
-  acquire t ~txn:txn.Txn.id ~pid ~mode:Mode.X;
+  acquire t txn ~pid ~mode:Mode.X;
   if txn.Txn.locks_from < 0. then txn.Txn.locks_from <- Env.now t.env;
   let frame = ensure_cached_page t pid in
   log_update t txn pid frame (Record.Delta { off; delta })
@@ -1002,6 +1009,24 @@ let early_lock_release t (txn : Txn.t) =
    requested (= when the transaction joined the batch, under group
    commit), so commit_latency includes the batching wait. *)
 let complete_commit t (txn : Txn.t) ~commit_from =
+  (* A commit dependency is satisfied by log order: the antecedent's
+     commit record precedes this one in the same log, and batches
+     complete in LSN order, so every antecedent has completed by now.
+     An antecedent still [Committing] means completion ran out of
+     order, and reporting this commit durable could outlive a crash
+     the antecedent does not survive. *)
+  (match txn.Txn.antecedents with
+  | [] -> ()
+  | antecedents ->
+    List.iter
+      (fun a ->
+        match Txn_table.find t.txns a with
+        | Some { Txn.state = Txn.Committing; _ } ->
+          invalid_arg
+            (Printf.sprintf "Node %d: T%d completed before its commit antecedent T%d" t.id
+               txn.Txn.id a)
+        | Some _ | None -> ())
+      antecedents);
   (* Re-assert the causal context: a batched completion runs inside
      whichever operation forced the batch — another transaction's
      commit, an eviction's WAL force — and this transaction's release

@@ -88,8 +88,7 @@ val wire_group_commit :
     record became durable — {!Cluster} records durability there, so a
     crash during completion cannot lose the verdict.  [on_lost] fires
     when a crash drops the pending batch, with the lost transactions —
-    {!Cluster} drags their early-release dependency closure down with
-    them (default: no-op). *)
+    {!Cluster} reports them [`Gone] (default: no-op). *)
 
 val abort : t -> txn:int -> unit
 (** Total rollback with CLRs (re-fetching replaced pages from their

@@ -40,6 +40,10 @@ type t = {
   id : int;
   env : Env.t;
   metrics : Metrics.t;
+  mutable dep_edges : int;
+      (* commit dependencies recorded on this node (early lock
+         release).  A lifetime count for reporting: a crash does not
+         reset it. *)
   (* durable state *)
   disk : Repro_storage.Disk.t;
   alloc : Repro_storage.Alloc_map.t;
@@ -77,11 +81,6 @@ type t = {
          blocker recovers *)
   (* wiring *)
   mutable resolve : int -> t;
-  mutable on_dep : dependent:int -> antecedent:int -> bool;
-      (* commit-dependency sink, wired by [Cluster] to the cluster-wide
-         [Dep_graph]; returns whether the edge is new (the node emits
-         the trace event only for fresh edges).  Default for standalone
-         nodes: no graph, nothing fresh. *)
   pool_capacity : int;
   scheme : scheme;
   retain_cached_locks : bool;
@@ -90,38 +89,50 @@ type t = {
          to their owners at end of transaction. *)
 }
 
+(* The [action] attr the lock-table and buffer-pool events carry.  No
+   catch-all: only these six kinds come from the tracer hooks. *)
+let tracer_action : Event.kind -> string = function
+  | Event.Lock_grant -> "grant"
+  | Event.Lock_demote -> "demote"
+  | Event.Lock_release -> "release"
+  | Event.Lock_early_release -> "early_release"
+  | Event.Cache_install -> "install"
+  | Event.Cache_evict -> "evict"
+  | ( Event.Msg_send | Event.Msg_recv | Event.Log_append | Event.Log_force | Event.Page_read
+    | Event.Page_write | Event.Page_ship | Event.Lock_request | Event.Lock_callback
+    | Event.Lock_acquired | Event.Ckpt_begin | Event.Ckpt_end | Event.Txn_begin
+    | Event.Txn_commit | Event.Txn_abort | Event.Commit_submit | Event.Commit_batch
+    | Event.Commit_dep | Event.Crash | Event.Recovery_begin | Event.Recovery_end
+    | Event.Recovery_phase | Event.Recovery_restart | Event.Recovery_deferred
+    | Event.Recovery_retry | Event.Fault_drop | Event.Fault_dup | Event.Fault_delay
+    | Event.Fault_partition | Event.Fault_torn | Event.Fault_crash | Event.Trace_dropped ) as kind
+    ->
+    invalid_arg ("Node_state: no tracer action for " ^ Event.kind_name kind)
+
 (* Route the substrate's observability hooks (lock tables, buffer pool)
    into the typed recorder.  The hooks themselves are unconditional
    function calls; the closures bail on one branch when tracing is
    off. *)
 let wire_tracers node =
   let obs = Env.obs node.env in
-  let emit_page kind action pid =
+  let emit_page kind pid =
     if Recorder.enabled obs then
       Recorder.emit obs ~time:(Env.now node.env) ~node:node.id kind
-        [ ("action", Event.Str action); ("page", Event.Str (Format.asprintf "%a" Page_id.pp pid)) ]
+        [
+          ("action", Event.Str (tracer_action kind));
+          ("page", Event.Str (Format.asprintf "%a" Page_id.pp pid));
+        ]
   in
-  Repro_lock.Local_locks.set_tracer node.locks (fun action pid ->
-      emit_page
-        (match action with
-        | "demote" -> Event.Lock_demote
-        | "early_release" -> Event.Lock_early_release
-        | _ -> Event.Lock_release)
-        action pid);
-  Repro_lock.Global_locks.set_tracer node.glocks (fun action holder pid ->
+  Repro_lock.Local_locks.set_tracer node.locks emit_page;
+  Repro_lock.Global_locks.set_tracer node.glocks (fun kind holder pid ->
       if Recorder.enabled obs then
-        Recorder.emit obs ~time:(Env.now node.env) ~node:node.id
-          (match action with
-          | "grant" -> Event.Lock_grant
-          | "demote" -> Event.Lock_demote
-          | _ -> Event.Lock_release)
+        Recorder.emit obs ~time:(Env.now node.env) ~node:node.id kind
           [
-            ("action", Event.Str action);
+            ("action", Event.Str (tracer_action kind));
             ("holder", Event.Int holder);
             ("page", Event.Str (Format.asprintf "%a" Page_id.pp pid));
           ]);
-  Repro_buffer.Buffer_pool.set_tracer node.pool (fun action pid ->
-      emit_page (if String.equal action "install" then Event.Cache_install else Event.Cache_evict) action pid)
+  Repro_buffer.Buffer_pool.set_tracer node.pool emit_page
 
 let create env ~id ~pool_capacity ~log_capacity ~scheme ~retain_cached_locks =
   let metrics = Metrics.create ~node:id () in
@@ -131,6 +142,7 @@ let create env ~id ~pool_capacity ~log_capacity ~scheme ~retain_cached_locks =
       id;
       env;
       metrics;
+      dep_edges = 0;
       disk = Repro_storage.Disk.create env metrics;
       alloc = Repro_storage.Alloc_map.create ~owner:id;
       log;
@@ -148,7 +160,6 @@ let create env ~id ~pool_capacity ~log_capacity ~scheme ~retain_cached_locks =
       deferred_pages = Page_id.Tbl.create 8;
       deferred_losers = [];
       resolve = (fun _ -> node);
-      on_dep = (fun ~dependent:_ ~antecedent:_ -> false);
       pool_capacity;
       scheme;
       retain_cached_locks;

@@ -41,6 +41,9 @@ type t = {
   metrics : Repro_sim.Metrics.t;
       (** this node's counters — the only copy; the cluster-wide
           figure is summed from the nodes on read *)
+  mutable dep_edges : int;
+      (** commit dependencies recorded on this node (early lock
+          release), lifetime: a crash does not reset it *)
   (* durable state *)
   disk : Repro_storage.Disk.t;
   alloc : Repro_storage.Alloc_map.t;
@@ -74,11 +77,6 @@ type t = {
           analysis re-finds it *)
   (* wiring *)
   mutable resolve : int -> t;
-  mutable on_dep : dependent:int -> antecedent:int -> bool;
-      (** commit-dependency sink, wired by [Cluster] to the
-          cluster-wide dependency graph; returns whether the edge is
-          new (fresh edges emit the [commit.dep] trace event).  Default
-          for standalone nodes: no graph, nothing fresh *)
   pool_capacity : int;
   scheme : scheme;
   retain_cached_locks : bool;

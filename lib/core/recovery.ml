@@ -42,7 +42,7 @@ let grant_x n ~owner pid =
    so the injector stays live for the whole of recovery — the new crash
    points fire, messages drop and links partition mid-protocol — and the
    recovery code must retry, restart or defer its way through.  With all
-   of them at zero (every legacy plan) the injector suspends as before,
+   of them at zero (every legacy plan) the injector is disarmed as before,
    keeping historical seeds bit-identical. *)
 let recovery_faults_on (plan : Fault_plan.t) =
   List.exists
@@ -56,7 +56,7 @@ let recovery_faults_on (plan : Fault_plan.t) =
    the partition's bounded budget, so the loop heals it in practice; if
    the budget outlasts the attempts, surface the retryable
    [Net_unreachable] — the driver re-enters recovery later.  With the
-   injector suspended (legacy plans) the probe short-circuits to [true]
+   injector disarmed (legacy plans) the probe short-circuits to [true]
    without consuming randomness, so this wrapper is free there. *)
 let max_exchange_attempts = 8
 
@@ -851,8 +851,9 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
   | first :: _ ->
     let env = first.env in
     let inj = Env.faults env in
-    (* Without recovery-class faults in the plan, fault injection pauses
-       for the whole of recovery — the legacy model: the protocol runs
+    (* Without recovery-class faults in the plan, the injector is
+       disarmed for the whole of recovery, and its prior arming is
+       restored after — the legacy model: the protocol runs
        over a reliable transport, and historical seeds stay
        bit-identical.  With them, the injector stays live and recovery
        itself is under fire: its named crash points abort the attempt
@@ -862,15 +863,16 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
        outlived the crash would starve the first attempt for no extra
        coverage. *)
     let live = match inj with Some i -> recovery_faults_on (Injector.plan i) | None -> false in
-    (match inj with
-    | Some i ->
-      if not live then Injector.suspend i;
-      Injector.heal_partitions i
-    | None -> ());
-    Fun.protect
-      ~finally:(fun () ->
-        match inj with Some i when not live -> Injector.resume i | Some _ | None -> ())
-    @@ fun () ->
+    let restore =
+      match inj with
+      | Some i ->
+        let was_armed = Injector.armed i in
+        if not live then Injector.set_armed i false;
+        Injector.heal_partitions i;
+        fun () -> Injector.set_armed i was_armed
+      | None -> fun () -> ()
+    in
+    Fun.protect ~finally:restore @@ fun () ->
     let ctx =
       {
         env;

@@ -7,7 +7,6 @@ type t = {
   plan : Fault_plan.t;
   rng : Rng.t;  (* the plan's own stream; never the simulation RNG *)
   mutable armed : bool;
-  mutable suspended : int;  (* nesting depth; recovery wraps itself in it *)
   partitions : (int * int, int) Hashtbl.t;  (* normalized link -> probes left *)
   mutable crash_budget : int;
 }
@@ -17,26 +16,23 @@ let create plan =
     plan;
     rng = Rng.create plan.Fault_plan.seed;
     armed = true;
-    suspended = 0;
     partitions = Hashtbl.create 8;
     crash_budget = Fault_plan.budget plan.Fault_plan.crashpoints;
   }
 
 let plan t = t.plan
-let active t = t.armed && t.suspended = 0
+let armed t = t.armed
 let set_armed t armed = t.armed <- armed
-let suspend t = t.suspended <- t.suspended + 1
-let resume t = t.suspended <- max 0 (t.suspended - 1)
 let heal_partitions t = Hashtbl.reset t.partitions
 let rto t = t.plan.Fault_plan.net.Fault_plan.rto
 
 (* Per-message faults.  Drops model lost attempts that a bounded-retry
    sender pays for (bytes + RTO each) before the retransmission gets
    through — delivery always eventually happens, so protocol exchanges
-   never fail halfway.  Suspended or disarmed, no randomness is
+   never fail halfway.  Disarmed, no randomness is
    consumed at all: an unfaulted run's RNG stream is untouched. *)
 let on_message t ~src:_ ~dst:_ =
-  if not (active t) then { drops = 0; delay = 0. }
+  if not t.armed then { drops = 0; delay = 0. }
   else begin
     let net = t.plan.Fault_plan.net in
     let drops =
@@ -52,7 +48,7 @@ let on_message t ~src:_ ~dst:_ =
     { drops; delay }
   end
 
-let duplicate t = active t && Rng.chance t.rng t.plan.Fault_plan.net.Fault_plan.dup
+let duplicate t = t.armed && Rng.chance t.rng t.plan.Fault_plan.net.Fault_plan.dup
 
 (* Temporary partitions are decided at exchange *entry* points only (a
    blocked probe raises before any state on either side changes), keyed
@@ -63,7 +59,7 @@ let duplicate t = active t && Rng.chance t.rng t.plan.Fault_plan.net.Fault_plan.
 let link_key a b = if a < b then (a, b) else (b, a)
 
 let link_up t ~a ~b =
-  if not (active t) then true
+  if not t.armed then true
   else begin
     let key = link_key a b in
     match Hashtbl.find_opt t.partitions key with
@@ -89,7 +85,7 @@ let link_up t ~a ~b =
    ever exposed — exposing e.g. an unforced Commit record would invent
    durability the node never promised. *)
 let on_crash_tail t ~tail_len ~header ~first_framed =
-  if (not (active t)) || tail_len <= 0 then None
+  if (not t.armed) || tail_len <= 0 then None
   else if not (Rng.chance t.rng t.plan.Fault_plan.disk.Fault_plan.torn) then None
   else
     match first_framed with
@@ -100,7 +96,7 @@ let on_crash_tail t ~tail_len ~header ~first_framed =
     | None -> Some { keep = 1 + Rng.int t.rng tail_len; flip = None }
 
 let crashpoint t point =
-  if (not (active t)) || t.crash_budget <= 0 then false
+  if (not t.armed) || t.crash_budget <= 0 then false
   else begin
     let p = Fault_plan.prob t.plan.Fault_plan.crashpoints point in
     (* Zero-probability points must not consume randomness: recovery

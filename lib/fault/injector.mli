@@ -3,10 +3,10 @@
 
     The injector only *decides*; charging costs, bumping metrics and
     emitting observability events stay with the callers (the injector
-    sits below the simulation layer).  When inactive — disarmed, or
-    suspended, e.g. for the whole of recovery — every query returns the
-    do-nothing answer without consuming randomness, so unfaulted code
-    paths stay bit-identical. *)
+    sits below the simulation layer).  Disarmed — by the oracle, or for
+    the whole of a recovery without recovery-class faults — every query
+    returns the do-nothing answer without consuming randomness, so
+    unfaulted code paths stay bit-identical. *)
 
 type t
 
@@ -15,12 +15,9 @@ val plan : t -> Fault_plan.t
 
 (** {1 Arming} *)
 
+val armed : t -> bool
 val set_armed : t -> bool -> unit
 
-val suspend : t -> unit
-(** Nestable; recovery and the oracle run under suspension. *)
-
-val resume : t -> unit
 val heal_partitions : t -> unit
 
 (** {1 Network} *)

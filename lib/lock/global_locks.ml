@@ -9,7 +9,7 @@ type t = {
   held : Slot_index.t;
       (* (holder, slot) for every lock in [table]: the per-node
          listings below read it instead of folding the whole table *)
-  mutable tracer : string -> int -> Page_id.t -> unit;
+  mutable tracer : Repro_obs.Event.kind -> int -> Page_id.t -> unit;
 }
 
 let no_trace _ _ _ = ()
@@ -62,14 +62,14 @@ let grant t ~node ~pid ~mode =
   in
   Hashtbl.replace h node new_mode;
   Slot_index.add t.held ~row:node ~slot:pid.Page_id.slot;
-  t.tracer "grant" node pid
+  t.tracer Repro_obs.Event.Lock_grant node pid
 
 let release t ~node ~pid =
   match Page_id.Tbl.find_opt t.table pid with
   | None -> ()
   | Some h ->
     if Hashtbl.mem h node then begin
-      t.tracer "release" node pid;
+      t.tracer Repro_obs.Event.Lock_release node pid;
       Slot_index.remove t.held ~row:node ~slot:pid.Page_id.slot
     end;
     Hashtbl.remove h node;
@@ -80,7 +80,7 @@ let demote_to_s t ~node ~pid =
   | None -> ()
   | Some h ->
     if Hashtbl.mem h node then begin
-      t.tracer "demote" node pid;
+      t.tracer Repro_obs.Event.Lock_demote node pid;
       Hashtbl.replace h node Mode.S
     end
 

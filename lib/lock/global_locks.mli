@@ -17,9 +17,9 @@ val create : owner:int -> t
 (** The lock table of node [owner]: it holds only pages that node owns
     ({!grant} rejects any other). *)
 
-val set_tracer : t -> (string -> int -> Page_id.t -> unit) -> unit
-(** Observability hook, fired with an action name (["grant"],
-    ["demote"], ["release"]), the holder node and the page.  Default:
+val set_tracer : t -> (Repro_obs.Event.kind -> int -> Page_id.t -> unit) -> unit
+(** Observability hook, fired with the event kind ([Lock_grant],
+    [Lock_demote], [Lock_release]), the holder node and the page.  Default:
     no-op.  The node layer wires this to the typed event recorder. *)
 
 type decision =

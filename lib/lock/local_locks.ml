@@ -25,7 +25,7 @@ type t = {
   early_by_txn : (int, Page_id.t list) Hashtbl.t;
       (* releaser -> pages it released early, so settling visits only
          its own pages *)
-  mutable tracer : string -> Page_id.t -> unit;
+  mutable tracer : Repro_obs.Event.kind -> Page_id.t -> unit;
 }
 
 let no_trace _ _ = ()
@@ -68,7 +68,7 @@ let set_cached_mode t pid mode =
 
 let drop_cached t pid =
   if Page_id.Tbl.mem t.table pid then begin
-    t.tracer "release" pid;
+    t.tracer Repro_obs.Event.Lock_release pid;
     Slot_index.remove t.cached_index ~row:pid.Page_id.owner ~slot:pid.Page_id.slot
   end;
   Page_id.Tbl.remove t.table pid
@@ -77,7 +77,7 @@ let demote_cached_to_s t pid =
   match entry_opt t pid with
   | None -> ()
   | Some e ->
-    if not (Mode.equal e.cached Mode.S) then t.tracer "demote" pid;
+    if not (Mode.equal e.cached Mode.S) then t.tracer Repro_obs.Event.Lock_demote pid;
     e.cached <- Mode.S
 
 let set_revoke_pending t pid ~mode ~txn ~node =
@@ -161,8 +161,8 @@ let release_txn t ~txn =
    in the same step, so a later acquirer can pick up a commit
    dependency on it: without that, a later reader of these pages could
    become durable while this commit is still lost to a crash.  The
-   tracer fires with action ["early_release"] per page, distinct from
-   the terminal ["release"], so the audit layer can tell the two
+   tracer fires [Lock_early_release] per page, distinct from the
+   terminal [Lock_release], so the audit layer can tell the two
    apart. *)
 let release_txn_early t ~txn =
   let released =
@@ -178,7 +178,7 @@ let release_txn_early t ~txn =
   in
   List.iter
     (fun (pid, _) ->
-      t.tracer "early_release" pid;
+      t.tracer Repro_obs.Event.Lock_early_release pid;
       Page_id.Tbl.replace t.early pid txn;
       let prev = Option.value (Hashtbl.find_opt t.early_by_txn txn) ~default:[] in
       Hashtbl.replace t.early_by_txn txn (pid :: prev))

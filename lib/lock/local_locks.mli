@@ -18,10 +18,11 @@ type t
 
 val create : unit -> t
 
-val set_tracer : t -> (string -> Page_id.t -> unit) -> unit
-(** Observability hook, fired on cached-lock state changes with an
-    action name (["demote"], ["release"], ["early_release"]).  Default:
-    no-op.  The node layer wires this to the typed event recorder. *)
+val set_tracer : t -> (Repro_obs.Event.kind -> Page_id.t -> unit) -> unit
+(** Observability hook, fired on cached-lock state changes with the
+    event kind ([Lock_demote], [Lock_release], [Lock_early_release]).
+    Default: no-op.  The node layer wires this to the typed event
+    recorder. *)
 
 (** {1 Node-level cache} *)
 
@@ -86,7 +87,7 @@ val release_txn_early : t -> txn:int -> (Page_id.t * Mode.t) list
     releaser ({!early_releaser}) in the same step, so later
     readers/overwriters of those pages pick up a commit dependency and
     cannot report durable while this commit can still be lost.  Fires
-    the tracer with action ["early_release"] per page. *)
+    the tracer with [Lock_early_release] per page. *)
 
 (** {1 Early-release registry} *)
 

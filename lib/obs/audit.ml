@@ -42,6 +42,9 @@
       that observed an early releaser's pages ([commit.dep]) must not
       report committed — nor already be durable — once that antecedent
       is lost; loss propagates through the forward dependency closure.
+      The simulator holds this by construction (dependencies stay on
+      one node, whose batches complete in log order); this replay
+      re-proves it for every trace.
 
    A truncated trace (the ring overflowed and a [trace.dropped] summary
    is present) disables the prefix-dependent checks 1, 2, 5, 6 and 7 —
@@ -93,12 +96,6 @@ let flag st ~invariant ~time ~node detail =
 
 let attr_int_d e key = Option.value (Event.attr_int e key) ~default:(-1)
 let attr_str_d e key = Option.value (Event.attr_str e key) ~default:""
-
-(* A transaction's causal footprint: the stamped context, falling back
-   to a [txn] attr for events emitted outside the context window. *)
-let event_txn (e : Event.t) =
-  if e.Event.txn >= 0 then e.Event.txn
-  else match Event.attr_int e "txn" with Some id -> id | None -> -1
 
 (* Invariant 2 helper: a force to durable boundary [d] covers every
    pending commit record that starts below it (forces always run to the
@@ -171,7 +168,7 @@ let on_ship st (e : Event.t) =
 
 let on_submit st (e : Event.t) =
   if st.full then begin
-    let txn = event_txn e in
+    let txn = Event.txn_of e in
     if txn >= 0 then begin
       (* latest submit wins: a blocked commit may legally resubmit *)
       Hashtbl.replace st.pending txn (e.Event.node, attr_int_d e "lsn");
@@ -226,7 +223,7 @@ let on_crash st (e : Event.t) =
   List.iter (Hashtbl.remove st.parked) unparked
 
 let on_commit st (e : Event.t) =
-  let txn = event_txn e in
+  let txn = Event.txn_of e in
   if txn >= 0 then begin
     if st.full then begin
       if Hashtbl.mem st.lost txn then
@@ -247,14 +244,14 @@ let on_commit st (e : Event.t) =
   end
 
 let on_abort st (e : Event.t) =
-  let txn = event_txn e in
+  let txn = Event.txn_of e in
   if txn >= 0 then begin
     Hashtbl.remove st.early_released txn;
     Hashtbl.replace st.terminal txn ()
   end
 
 let on_begin st (e : Event.t) =
-  let txn = event_txn e in
+  let txn = Event.txn_of e in
   if txn >= 0 then Hashtbl.replace st.home txn e.Event.node
 
 let on_deferred st (e : Event.t) =
@@ -300,7 +297,7 @@ let on_early_release st (e : Event.t) =
 
 (* Invariant 7, edge side: record who observed whose pre-durable state.
    An edge on an already-covered antecedent constrains nothing. *)
-let on_dep st (e : Event.t) =
+let on_commit_dep st (e : Event.t) =
   if st.full then
     match (Event.attr_int e "txn", Event.attr_int e "on") with
     | Some dependent, Some antecedent when Hashtbl.mem st.pending antecedent ->
@@ -355,8 +352,7 @@ let dispatch st (e : Event.t) =
   | Event.Txn_abort -> on_abort st e
   | Event.Commit_submit -> on_submit st e
   | Event.Commit_batch -> ()
-  | Event.Commit_dep -> on_dep st e
-  | Event.Commit_dep_wait -> ()
+  | Event.Commit_dep -> on_commit_dep st e
   | Event.Lock_early_release -> on_early_release st e
   | Event.Crash -> on_crash st e
   | Event.Recovery_begin -> ()

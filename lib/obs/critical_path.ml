@@ -13,11 +13,10 @@
      network        message transmission charged to this transaction;
      owner_service  page-device reads/writes performed on its behalf
                     (cache-miss reads, owner-side installs and flushes);
-     dep_wait       early lock release: the commit record was durable
-                    but the verdict was withheld until a commit
-                    dependency's antecedent settled (extends the
-                    timeline past txn.commit — see the M_dep_wait
-                    marker);
+     dep_wait       always 0: a commit dependency joins two
+                    transactions of one node, whose log orders the
+                    antecedent's commit first, so no verdict waits on
+                    it (kept as a reporting column);
      other          the un-attributed remainder (CPU charges, lock-op
                     costs) — never negative.
 
@@ -43,7 +42,6 @@ type marker =
   | M_lock_acquired
   | M_submit
   | M_commit
-  | M_dep_wait
   | M_dropped
 
 type event_class =
@@ -78,7 +76,6 @@ let classify_kind : Event.kind -> event_class = function
   | Event.Commit_submit -> Marker M_submit
   | Event.Commit_batch -> Unattributed
   | Event.Commit_dep -> Unattributed (* edge registration costs nothing *)
-  | Event.Commit_dep_wait -> Marker M_dep_wait
   | Event.Lock_early_release -> Unattributed
   | Event.Crash -> Unattributed
   | Event.Recovery_begin -> Unattributed
@@ -101,7 +98,7 @@ type components = {
   mutable log_force : float;
   mutable network : float;
   mutable owner_service : float;
-  mutable dep_wait : float;
+  dep_wait : float;
   mutable other : float;
 }
 
@@ -110,7 +107,7 @@ type timeline = {
   node : int;
   began : float;
   committed : float;
-  mutable total : float;
+  total : float;
   parts : components;
 }
 
@@ -153,11 +150,6 @@ let analyze events =
   let submit : (int, float) Hashtbl.t = Hashtbl.create 64 in
   (* last log.force per node: (end time, duration, causing txn) *)
   let last_force : (int, float * float * int) Hashtbl.t = Hashtbl.create 8 in
-  (* finalized timelines by txn: a commit.dep_wait event arrives AFTER
-     the txn.commit that closed the timeline (the verdict was withheld
-     until the antecedent settled), so the timeline is re-opened to
-     absorb it *)
-  let finalized : (int, timeline) Hashtbl.t = Hashtbl.create 64 in
   let truncated = ref false in
   let timelines = ref [] in
   let parts_of txn =
@@ -205,15 +197,6 @@ let analyze events =
         | M_submit ->
           (* latest submit wins: a Would_block retry re-submits legally *)
           if txn >= 0 then Hashtbl.replace submit txn e.Event.time
-        | M_dep_wait -> (
-          (* Early lock release withheld this commit's verdict past its
-             txn.commit: extend the finalized timeline so the wait is a
-             visible component and components still sum to total. *)
-          match Hashtbl.find_opt finalized txn with
-          | Some tl ->
-            tl.parts.dep_wait <- tl.parts.dep_wait +. dur;
-            tl.total <- tl.total +. dur
-          | None -> ())
         | M_commit ->
           if txn >= 0 then begin
             (match Hashtbl.find_opt began txn with
@@ -236,12 +219,11 @@ let analyze events =
               let total = e.Event.time -. t0 in
               let attributed =
                 p.lock_wait +. p.batch_wait +. p.log_force +. p.network +. p.owner_service
-                +. p.dep_wait
               in
               p.other <- Float.max 0. (total -. attributed);
-              let tl = { txn; node; began = t0; committed = e.Event.time; total; parts = p } in
-              Hashtbl.replace finalized txn tl;
-              timelines := tl :: !timelines);
+              timelines :=
+                { txn; node; began = t0; committed = e.Event.time; total; parts = p }
+                :: !timelines);
             Hashtbl.remove began txn;
             Hashtbl.remove parts txn;
             Hashtbl.remove submit txn
@@ -257,7 +239,7 @@ let analyze events =
       | Event.Lock_grant | Event.Lock_callback | Event.Lock_demote | Event.Lock_release
       | Event.Lock_acquired | Event.Ckpt_begin | Event.Ckpt_end | Event.Txn_begin
       | Event.Txn_commit | Event.Txn_abort | Event.Commit_submit | Event.Commit_batch
-      | Event.Commit_dep | Event.Commit_dep_wait | Event.Lock_early_release
+      | Event.Commit_dep | Event.Lock_early_release
       | Event.Crash | Event.Recovery_begin | Event.Recovery_end | Event.Recovery_phase
       | Event.Recovery_restart | Event.Recovery_deferred | Event.Recovery_retry
       | Event.Fault_drop | Event.Fault_dup | Event.Fault_delay | Event.Fault_partition

@@ -16,9 +16,12 @@ type components = {
   mutable log_force : float;  (** log-device forces, incl. the shared batch force *)
   mutable network : float;  (** message transmission *)
   mutable owner_service : float;  (** page-device reads/writes on the txn's behalf *)
-  mutable dep_wait : float;
-      (** early lock release: verdict withheld after txn.commit until a
-          commit dependency's antecedent settled *)
+  dep_wait : float;
+      (** always 0.  No commit waits on an early-lock-release
+          dependency: both transactions run on one node, whose log
+          forces the antecedent's commit first.  Kept so reports keep
+          their [dep_wait] column ([critical_path.dep_wait_ms] in the
+          benchmark's per-layer schema). *)
   mutable other : float;  (** remainder (CPU, lock ops); never negative *)
 }
 
@@ -27,9 +30,7 @@ type timeline = {
   node : int;
   began : float;
   committed : float;
-  mutable total : float;
-      (** [committed -. began] plus any post-commit dep_wait; equals the
-          component sum *)
+  total : float;  (** [committed -. began]; equals the component sum *)
   parts : components;
 }
 

@@ -29,7 +29,6 @@ type kind =
   | Commit_submit
   | Commit_batch
   | Commit_dep
-  | Commit_dep_wait
   | Lock_early_release
   | Crash
   | Recovery_begin
@@ -78,7 +77,6 @@ let kind_name = function
   | Commit_submit -> "commit.submit"
   | Commit_batch -> "commit.batch"
   | Commit_dep -> "commit.dep"
-  | Commit_dep_wait -> "commit.dep_wait"
   | Lock_early_release -> "lock.early_release"
   | Crash -> "crash"
   | Recovery_begin -> "recovery.begin"
@@ -100,7 +98,7 @@ let all_kinds =
     Msg_send; Msg_recv; Log_append; Log_force; Page_read; Page_write; Page_ship;
     Cache_install; Cache_evict; Lock_request; Lock_grant; Lock_callback; Lock_demote;
     Lock_release; Lock_acquired; Ckpt_begin; Ckpt_end; Txn_begin; Txn_commit; Txn_abort;
-    Commit_submit; Commit_batch; Commit_dep; Commit_dep_wait; Lock_early_release; Crash;
+    Commit_submit; Commit_batch; Commit_dep; Lock_early_release; Crash;
     Recovery_begin; Recovery_end; Recovery_phase; Recovery_restart; Recovery_deferred;
     Recovery_retry; Fault_drop; Fault_dup; Fault_delay; Fault_partition; Fault_torn; Fault_crash;
     Trace_dropped;
@@ -187,3 +185,7 @@ let attr_float e key =
 
 let attr_str e key =
   match attr e key with Some (Str s) -> Some s | Some (Int _ | Float _ | Bool _) | None -> None
+
+(* The stamped causal context, falling back to a [txn] attr for events
+   emitted outside the context window (txn.begin). *)
+let txn_of e = if e.txn >= 0 then e.txn else Option.value (attr_int e "txn") ~default:(-1)

@@ -36,7 +36,6 @@ type kind =
   | Commit_submit
   | Commit_batch
   | Commit_dep
-  | Commit_dep_wait
   | Lock_early_release
   | Crash
   | Recovery_begin
@@ -89,3 +88,8 @@ val attr_float : t -> string -> float option
 (** Also accepts an [Int] attr (JSON round-trips may widen). *)
 
 val attr_str : t -> string -> string option
+
+val txn_of : t -> int
+(** The transaction an event belongs to: its trace context, falling
+    back to a [txn] attr for events emitted outside the context window
+    ([txn.begin]); [-1] when neither is present. *)

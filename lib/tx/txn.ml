@@ -14,6 +14,7 @@ type t = {
   mutable remote_updated : Repro_storage.Page_id.Set.t;
   mutable began : float;
   mutable locks_from : float;
+  mutable antecedents : int list;
 }
 
 let make ~id ~node =
@@ -29,6 +30,7 @@ let make ~id ~node =
     remote_updated = Repro_storage.Page_id.Set.empty;
     began = 0.;
     locks_from = -1.;
+    antecedents = [];
   }
 let is_active t = match t.state with Active -> true | Committing | Committed | Aborted -> false
 let record_logged t lsn =

@@ -34,6 +34,10 @@ type t = {
       (** simulated time of the first successful lock acquire, [-1.]
           while none held; feeds the lock-hold-duration histogram that
           the early-lock-release bench compares on/off *)
+  mutable antecedents : int list;
+      (** early lock release: the committing transactions of this node
+          whose early-released pages this transaction acquired, newest
+          first, each listed once *)
 }
 
 val make : id:int -> node:int -> t

@@ -103,9 +103,9 @@ let submit t ~txn ~lsn =
 let tick t ~now = if (not (List.is_empty t.pending)) && now >= t.deadline then flush t
 
 (* A crash loses the whole pending batch.  The loss hook fires with the
-   dropped txn ids (oldest first) so the dependency layer can drag each
-   one's closure down with it; it runs after the batch is cleared so a
-   re-entrant flush cannot resurrect members. *)
+   dropped txn ids (oldest first) so the caller can report each one
+   lost; it runs after the batch is cleared so a re-entrant flush cannot
+   resurrect members. *)
 let crash t =
   let lost = List.rev_map (fun p -> p.txn) t.pending in
   t.pending <- [];

@@ -49,8 +49,7 @@ val set_hooks :
     [submitted_at] is the simulated time the transaction entered the
     batch (for commit-latency accounting).  [on_lost] fires from
     {!crash} with the dropped pending transaction ids (oldest first),
-    after the batch is cleared — the early-lock-release dependency
-    layer uses it to drag each lost commit's dependency closure down. *)
+    after the batch is cleared. *)
 
 val batching : t -> bool
 (** Whether group commit is on ([max_batch > 1]). *)

@@ -1,8 +1,8 @@
-(* Early lock release (controlled lock violation): the commit-dependency
-   graph, release-at-submit behaviour on a cluster, closure loss when a
-   batch dies, and the traced==untraced invariant with elr on. *)
+(* Early lock release (controlled lock violation): release-at-submit
+   behaviour on a cluster, closure loss when a batch dies, the
+   traced==untraced invariant with elr on, and node-local commit
+   dependencies under fault-injected stress. *)
 
-module Dep_graph = Repro_tx.Dep_graph
 module Cluster = Repro_cbl.Cluster
 module Config = Repro_sim.Config
 module Metrics = Repro_sim.Metrics
@@ -14,51 +14,8 @@ module Rng = Repro_util.Rng
 module Event = Repro_obs.Event
 module Recorder = Repro_obs.Recorder
 module Audit = Repro_obs.Audit
-
-let sorted = List.sort compare
-
-(* ---- dependency graph units ---- *)
-
-let test_dep_chain () =
-  let g = Dep_graph.create () in
-  (* B observed A's pre-durable state, C observed B's *)
-  Alcotest.(check bool) "B->A fresh" true (Dep_graph.add g ~dependent:2 ~antecedent:1);
-  Alcotest.(check bool) "C->B fresh" true (Dep_graph.add g ~dependent:3 ~antecedent:2);
-  Alcotest.(check (list int)) "B blocked on A" [ 1 ] (Dep_graph.durable_blocked g 2);
-  Alcotest.(check (list int)) "C blocked on B" [ 2 ] (Dep_graph.durable_blocked g 3);
-  Alcotest.(check (list int)) "A unconstrained" [] (Dep_graph.durable_blocked g 1);
-  (* A forces: B frees; C still waits on B; then B forces *)
-  Dep_graph.settle_durable g 1;
-  Alcotest.(check (list int)) "B freed" [] (Dep_graph.durable_blocked g 2);
-  Alcotest.(check (list int)) "C still blocked" [ 2 ] (Dep_graph.durable_blocked g 3);
-  Dep_graph.settle_durable g 2;
-  Alcotest.(check (list int)) "C freed" [] (Dep_graph.durable_blocked g 3);
-  Alcotest.(check int) "no live edges" 0 (Dep_graph.edge_count g);
-  Alcotest.(check int) "two edges ever registered" 2 (Dep_graph.registered_count g)
-
-let test_dep_dedup_and_self () =
-  let g = Dep_graph.create () in
-  Alcotest.(check bool) "first is fresh" true (Dep_graph.add g ~dependent:2 ~antecedent:1);
-  Alcotest.(check bool) "repeat is not" false (Dep_graph.add g ~dependent:2 ~antecedent:1);
-  Alcotest.(check bool) "self-edge ignored" false (Dep_graph.add g ~dependent:1 ~antecedent:1);
-  Alcotest.(check int) "one live edge" 1 (Dep_graph.edge_count g);
-  Alcotest.(check int) "one registered" 1 (Dep_graph.registered_count g)
-
-let test_dep_diamond_loss_closure () =
-  let g = Dep_graph.create () in
-  (* diamond: B and C depend on A; D depends on both B and C *)
-  ignore (Dep_graph.add g ~dependent:2 ~antecedent:1);
-  ignore (Dep_graph.add g ~dependent:3 ~antecedent:1);
-  ignore (Dep_graph.add g ~dependent:4 ~antecedent:2);
-  ignore (Dep_graph.add g ~dependent:4 ~antecedent:3);
-  (* losing A dooms everything downstream, each member once *)
-  let closure = Dep_graph.settle_lost g [ 1 ] in
-  Alcotest.(check (list int)) "whole diamond dragged" [ 2; 3; 4 ] (sorted closure);
-  Alcotest.(check int) "graph scrubbed" 0 (Dep_graph.edge_count g);
-  (* a disjoint chain is untouched by an unrelated loss *)
-  ignore (Dep_graph.add g ~dependent:11 ~antecedent:10);
-  Alcotest.(check (list int)) "unrelated loss drags nothing" [] (Dep_graph.settle_lost g [ 99 ]);
-  Alcotest.(check (list int)) "chain intact" [ 10 ] (Dep_graph.durable_blocked g 11)
+module Fault_plan = Repro_fault.Fault_plan
+module Stress = Repro_workload.Stress
 
 (* ---- cluster behaviour ---- *)
 
@@ -72,13 +29,23 @@ let mk_elr ?(early_release = true) ?(trace = false) ~window_ms ~max_batch () =
   let pages = Cluster.allocate_pages c ~owner:0 ~count:8 in
   (c, pages)
 
+(* The (dependent, antecedent) pair of every traced [commit.dep]. *)
+let dep_events c =
+  List.filter_map
+    (fun (e : Event.t) ->
+      match (e.Event.kind, Event.attr_int e "txn", Event.attr_int e "on") with
+      | Event.Commit_dep, Some dependent, Some antecedent -> Some (dependent, antecedent)
+      | _ -> None)
+    (Recorder.events (Repro_sim.Env.obs (Cluster.env c)))
+
 (* The point of the whole feature: a committing transaction no longer
    blocks the next writer for the duration of the batch window. *)
 let test_release_at_submit_unblocks_next_writer () =
-  let c, pages = mk_elr ~window_ms:50. ~max_batch:8 () in
-  let p = List.hd pages in
+  let c, pages = mk_elr ~trace:true ~window_ms:50. ~max_batch:8 () in
+  let p = List.nth pages 0 and q = List.nth pages 1 in
   let t0 = Cluster.begin_txn c ~node:0 in
   Cluster.update_delta c ~txn:t0 ~pid:p ~off:0 5L;
+  Cluster.update_delta c ~txn:t0 ~pid:q ~off:0 1L;
   Cluster.commit c ~txn:t0;
   Alcotest.(check bool) "t0 pending in its batch" true
     (Cluster.commit_outcome c ~txn:t0 = `Pending);
@@ -86,8 +53,12 @@ let test_release_at_submit_unblocks_next_writer () =
      batch forces; with elr it proceeds under a commit dependency *)
   let t1 = Cluster.begin_txn c ~node:0 in
   Cluster.update_delta c ~txn:t1 ~pid:p ~off:0 2L;
-  Alcotest.(check (list int)) "t1 depends on t0" [ t0 ] (Cluster.commit_antecedents c ~txn:t1);
+  Alcotest.(check (list (pair int int))) "t1 depends on t0" [ (t1, t0) ] (dep_events c);
   Alcotest.(check int) "one dependency registered" 1 (Cluster.dep_edges_registered c);
+  (* a second page released by the same antecedent adds no edge *)
+  Cluster.update_delta c ~txn:t1 ~pid:q ~off:0 1L;
+  Alcotest.(check (list (pair int int))) "still one commit.dep" [ (t1, t0) ] (dep_events c);
+  Alcotest.(check int) "still one dependency" 1 (Cluster.dep_edges_registered c);
   Cluster.commit c ~txn:t1;
   ignore (Cluster.pump_group_commit c ~idle:true);
   Alcotest.(check bool) "t0 durable" true (Cluster.commit_outcome c ~txn:t0 = `Durable);
@@ -116,7 +87,7 @@ let test_strict_2pl_still_blocks_without_elr () =
 (* PR 3's whole-batch-loss invariant generalised: a dependent that rode
    the doomed batch is dragged down with its antecedent. *)
 let test_lost_batch_drags_dependents () =
-  let c, pages = mk_elr ~window_ms:50. ~max_batch:8 () in
+  let c, pages = mk_elr ~trace:true ~window_ms:50. ~max_batch:8 () in
   let p0 = List.nth pages 0 and p1 = List.nth pages 1 in
   (* a durable prefix recovery must preserve *)
   let t = Cluster.begin_txn c ~node:0 in
@@ -131,14 +102,14 @@ let test_lost_batch_drags_dependents () =
   let t1 = Cluster.begin_txn c ~node:0 in
   Cluster.update_delta c ~txn:t1 ~pid:p0 ~off:8 1L;
   Cluster.update_delta c ~txn:t1 ~pid:p1 ~off:0 2L;
-  Alcotest.(check (list int)) "t1 depends on t0" [ t0 ] (Cluster.commit_antecedents c ~txn:t1);
+  Alcotest.(check (list (pair int int))) "t1 depends on t0" [ (t1, t0) ] (dep_events c);
   Cluster.commit c ~txn:t1;
   (* the batch never forces: both the antecedent and its dependent die *)
   Cluster.crash c ~node:0;
   Cluster.recover c ~nodes:[ 0 ];
   Alcotest.(check bool) "t0 gone" true (Cluster.commit_outcome c ~txn:t0 = `Gone);
   Alcotest.(check bool) "t1 gone (dragged)" true (Cluster.commit_outcome c ~txn:t1 = `Gone);
-  Alcotest.(check int) "graph drained" 0 (Cluster.dep_edge_count c);
+  Alcotest.(check int) "a crash keeps the edge count" 1 (Cluster.dep_edges_registered c);
   let r = Cluster.begin_txn c ~node:0 in
   Alcotest.(check int64) "durable prefix survives" 7L (Cluster.read_cell c ~txn:r ~pid:p0 ~off:0);
   Alcotest.(check int64) "antecedent's update lost" 0L (Cluster.read_cell c ~txn:r ~pid:p0 ~off:8);
@@ -197,14 +168,46 @@ let test_elr_traced_equals_untraced () =
   if not (Audit.ok report) then
     Alcotest.failf "audit rejected the elr trace: %s" (Format.asprintf "%a" Audit.pp report)
 
+(* Dependencies never leave their node: under every fault class, with
+   group commit and elr, each [commit.dep] joins two transactions that
+   began on the node that recorded it. *)
+let test_deps_stay_on_their_node () =
+  let classes = Fault_plan.all_classes in
+  let deps = ref 0 in
+  for seed = 0 to 49 do
+    let cluster, _, _ = Stress.run ~trace:true ~classes ~group_commit:true ~elr:true seed in
+    let obs = Repro_sim.Env.obs (Cluster.env cluster) in
+    Alcotest.(check int) (Printf.sprintf "seed %d: whole run recorded" seed) 0 (Recorder.dropped obs);
+    let events = Recorder.events obs in
+    let began = Hashtbl.create 256 in
+    List.iter
+      (fun (e : Event.t) ->
+        match (e.Event.kind, Event.attr_int e "txn") with
+        | Event.Txn_begin, Some txn -> Hashtbl.replace began txn e.Event.node
+        | _ -> ())
+      events;
+    List.iter
+      (fun (e : Event.t) ->
+        match (e.Event.kind, Event.attr_int e "txn", Event.attr_int e "on") with
+        | Event.Commit_dep, Some dependent, Some antecedent ->
+          incr deps;
+          List.iter
+            (fun (role, txn) ->
+              if Hashtbl.find_opt began txn <> Some e.Event.node then
+                Alcotest.failf "seed %d: %s T%d of a commit.dep at node %d began elsewhere: %s"
+                  seed role txn e.Event.node (Event.render e))
+            [ ("dependent", dependent); ("antecedent", antecedent) ]
+        | _ -> ())
+      events
+  done;
+  Alcotest.(check bool) "commit dependencies were recorded" true (!deps > 0)
+
 let suite =
   [
-    ("dep graph: chain settles in order", `Quick, test_dep_chain);
-    ("dep graph: dedup and self-edges", `Quick, test_dep_dedup_and_self);
-    ("dep graph: loss drags the diamond", `Quick, test_dep_diamond_loss_closure);
     ("elr: release at submit unblocks next writer", `Quick,
      test_release_at_submit_unblocks_next_writer);
     ("elr off: committing holder still blocks", `Quick, test_strict_2pl_still_blocks_without_elr);
     ("elr: lost batch drags dependents", `Quick, test_lost_batch_drags_dependents);
     ("elr: traced == untraced, audit clean", `Quick, test_elr_traced_equals_untraced);
+    ("elr: dependencies stay on their node", `Quick, test_deps_stay_on_their_node);
   ]
