@@ -93,11 +93,29 @@ let workload_term ~txns =
   let recover_at =
     Arg.(value & opt (some int) None & info [ "recover" ] ~docv:"ROUND" ~doc:"Recovery round.")
   in
+  let group_commit =
+    Arg.(
+      value & flag
+      & info [ "group-commit" ]
+          ~doc:"Batch commits: one shared log force per batch (10 ms window, at most 8 commits).")
+  in
+  let elr =
+    Arg.(
+      value & flag
+      & info [ "elr" ]
+          ~doc:
+            "Early lock release: a committing transaction's locks go when it joins its batch.  \
+             Only effective with $(b,--group-commit).")
+  in
   (* A fresh CBL cluster runs a partitioned workload over the owners'
      pages, one client per node, with the optional crash (recovered at
      [recover_at], else 20 rounds later). *)
-  let run nodes owners pages txns remote theta seed crash_at recover_at ~trace =
-    let cluster = Cluster.create ~trace ~nodes Config.default in
+  let run nodes owners pages txns remote theta seed crash_at recover_at group_commit elr ~trace =
+    let config =
+      if group_commit then Config.with_group_commit Config.default ~window_ms:10. ~max_batch:8
+      else Config.default
+    in
+    let cluster = Cluster.create ~trace ~nodes (Config.with_early_release config elr) in
     let owners = if owners = [] then [ 0 ] else owners in
     let pages_by_owner =
       List.map (fun o -> (o, Cluster.allocate_pages cluster ~owner:o ~count:pages)) owners
@@ -120,7 +138,9 @@ let workload_term ~txns =
     in
     (cluster, Driver.run engine ~events scripts)
   in
-  Term.(const run $ nodes $ owners $ pages $ txns $ remote $ theta $ seed $ crash_at $ recover_at)
+  Term.(
+    const run $ nodes $ owners $ pages $ txns $ remote $ theta $ seed $ crash_at $ recover_at
+    $ group_commit $ elr)
 
 let demo run_workload json =
   let cluster, outcome = run_workload ~trace:false in
@@ -130,7 +150,7 @@ let demo run_workload json =
     let out =
       Json.Obj
         [
-          ("config", Config.to_json Config.default);
+          ("config", Config.to_json (Repro_sim.Env.config (Cluster.env cluster)));
           ( "outcome",
             Json.Obj
               [

@@ -147,6 +147,27 @@ if checked != lines:
     sys.exit(f"cblsim audit parsed {checked} of the {lines} exported events")
 EOF
 
+# The same path for an early-lock-release run: its commit.dep and
+# lock.early_release events must reach the JSONL and parse back, and the
+# audit (release-after-submit discipline, commit antecedents) must find
+# no violation.
+echo "== elr trace export + offline audit: cblsim trace --group-commit --elr -> TRACE_ELR.jsonl =="
+dune exec bin/cblsim.exe -- trace --group-commit --elr > TRACE_ELR.jsonl
+dune exec bin/cblsim.exe -- audit TRACE_ELR.jsonl --out AUDIT_REPORT_TRACE_ELR.json
+python3 - TRACE_ELR.jsonl AUDIT_REPORT_TRACE_ELR.json <<'EOF'
+import json, sys
+kinds = [json.loads(line)["kind"] for line in open(sys.argv[1]) if line.strip()]
+report = json.load(open(sys.argv[2]))
+checked = report["reports"][0]["report"]["events_checked"]
+if checked != len(kinds):
+    sys.exit(f"cblsim audit parsed {checked} of the {len(kinds)} exported events")
+if report["total_violations"] != 0:
+    sys.exit(f"cblsim audit found {report['total_violations']} violation(s)")
+for kind in ("commit.dep", "lock.early_release"):
+    if kind not in kinds:
+        sys.exit(f"the early-lock-release trace holds no {kind} event")
+EOF
+
 # A filtered export of an overflowed ring must still say it is a
 # suffix: the trace.dropped summary survives every filter, last.
 echo "== filtered export keeps the overflow marker: cblsim trace --txns 250 --kind txn.commit =="

@@ -6,19 +6,17 @@
     superset because pages may have been flushed after their last logged
     update — harmless, since redo is PSN-guarded.
 
-    The scan charges the recovery counters; its record count is the
-    "log records scanned" column of experiments E4/E8. *)
+    The scan reads only record heads ({!Repro_wal.Log_manager.fold_heads})
+    and keeps nothing recovery does not read: a loser's pages come from
+    its undo chain, not from this pass.  It charges the recovery
+    counters; its record count is the "log records scanned" column of
+    experiments E4/E8. *)
 
 type result = {
   dpt : Repro_wal.Record.dpt_entry list;
   losers : Repro_wal.Record.active_txn list;
       (** transactions with no commit/abort record; [last_lsn] is the
           head of each undo chain *)
-  loser_pages : Repro_storage.Page_id.Set.t;
-      (** pages updated by loser transactions.  Under strict 2PL the
-          node held an X lock on each of these at crash time; restart
-          re-establishes those locks before undo (§2.3.3). *)
-  checkpoint_lsn : Repro_wal.Lsn.t;  (** where the scan started; [nil] = log start *)
 }
 
 val run : Repro_wal.Log_manager.t -> master:Master.t -> result

@@ -7,12 +7,15 @@ type run = { node : int; psn : int; lsn : Lsn.t }
 type listing = { runs : run list; records : (Lsn.t * int) list }
 
 let build log ~node ~pages ~start =
-  let last_txn : int Page_id.Tbl.t = Page_id.Tbl.create 8 in
-  let acc : run list Page_id.Tbl.t = Page_id.Tbl.create 8 in
-  let recs : (Lsn.t * int) list Page_id.Tbl.t = Page_id.Tbl.create 8 in
   (* [pages] in [Page_id.compare] order, binary-searched by the scanned
-     owner and slot, so a record of an unlisted page allocates nothing *)
+     owner and slot, so a record of an unlisted page allocates nothing;
+     the per-page state is indexed by that position.  A page's
+     [last_txn] is meaningful once its [runs] is non-empty. *)
   let listed = Array.of_list (Page_id.Set.elements pages) in
+  let n = Array.length listed in
+  let last_txn = Array.make n 0 in
+  let runs : run list array = Array.make n [] in
+  let recs : (Lsn.t * int) list array = Array.make n [] in
   let rec find owner slot lo hi =
     if lo >= hi then -1
     else
@@ -25,30 +28,25 @@ let build log ~node ~pages ~start =
     (fun () lsn ~txn ~kind ~owner ~slot ~psn_before ->
       match kind with
       | Update | Clr ->
-        let i = find owner slot 0 (Array.length listed) in
+        let i = find owner slot 0 n in
         if i >= 0 then begin
-          let pid = listed.(i) in
-          let new_run =
-            match Page_id.Tbl.find_opt last_txn pid with
-            | Some prev -> prev <> txn
-            | None -> true
-          in
+          let new_run = match runs.(i) with [] -> true | _ :: _ -> last_txn.(i) <> txn in
           if new_run then begin
-            Page_id.Tbl.replace last_txn pid txn;
-            let runs = Option.value (Page_id.Tbl.find_opt acc pid) ~default:[] in
-            Page_id.Tbl.replace acc pid ({ node; psn = psn_before; lsn } :: runs)
+            last_txn.(i) <- txn;
+            runs.(i) <- { node; psn = psn_before; lsn } :: runs.(i)
           end;
-          let cur = Option.value (Page_id.Tbl.find_opt recs pid) ~default:[] in
-          Page_id.Tbl.replace recs pid ((lsn, psn_before) :: cur)
+          recs.(i) <- (lsn, psn_before) :: recs.(i)
         end
       | Commit | Abort | Savepoint | Checkpoint_begin | Checkpoint_end -> ());
-  Page_id.Tbl.fold
-    (fun pid runs map ->
-      let records =
-        List.rev (Option.value (Page_id.Tbl.find_opt recs pid) ~default:[])
-      in
-      Page_id.Map.add pid { runs = List.rev runs; records } map)
-    acc Page_id.Map.empty
+  let map = ref Page_id.Map.empty in
+  Array.iteri
+    (fun i pid ->
+      match runs.(i) with
+      | [] -> ()
+      | _ :: _ ->
+        map := Page_id.Map.add pid { runs = List.rev runs.(i); records = List.rev recs.(i) } !map)
+    listed;
+  !map
 
 let merge per_node =
   let all = List.concat per_node in

@@ -494,15 +494,10 @@ let redo_round ctx m job page (run : Node_psn_list.run) ~bound ~records =
         && match bound with Some b -> psn_before < b | None -> true
       in
       if in_round then begin
-        let record = Log_manager.read m.log lsn in
+        let op = Log_manager.read_op m.log lsn ~pid:job.pid ~psn_before in
         m.metrics.Metrics.recovery_log_records_scanned <-
           m.metrics.recovery_log_records_scanned + 1;
-        match record.Record.body with
-        | Update { pid; psn_before = p; op } | Clr { pid; psn_before = p; op; _ } ->
-          assert (Page_id.equal pid job.pid && p = psn_before);
-          apply_record ctx m page ~psn_before ~op
-        | Commit | Abort | Savepoint _ | Checkpoint_begin _ | Checkpoint_end ->
-          invalid_arg "recovery: remembered location does not hold an update record"
+        apply_record ctx m page ~psn_before ~op
       end)
     records
 

@@ -1,9 +1,14 @@
 module Recorder = Repro_obs.Recorder
 module Event = Repro_obs.Event
 
+(* The simulated clock, one per cluster.  A float-only record stores its
+   field unboxed, so advancing it allocates nothing; the same field in
+   [t], a mixed record, would box a fresh float on every write. *)
+type clock = { mutable now : float }
+
 type t = {
   config : Config.t;
-  clock : Clock.t;
+  clock : clock;
   obs : Recorder.t;
   faults : Repro_fault.Injector.t option;
 }
@@ -11,13 +16,13 @@ type t = {
 let create ?(trace = false) ?trace_capacity ?faults config =
   {
     config;
-    clock = Clock.create ();
+    clock = { now = 0. };
     obs = Recorder.create ~enabled:trace ?capacity:trace_capacity ();
     faults;
   }
 
 let config t = t.config
-let now t = Clock.now t.clock
+let now t = t.clock.now
 let obs t = t.obs
 let faults t = t.faults
 let tracing t = Recorder.enabled t.obs
@@ -48,7 +53,7 @@ let busy (m : Metrics.t) dt = m.busy_seconds <- m.busy_seconds +. dt
 
 let charge_message t m ?(commit_path = false) ?(recovery = false) ~bytes () =
   let dt = message_cost t ~bytes in
-  Clock.advance t.clock dt;
+  t.clock.now <- t.clock.now +. dt;
   busy m dt;
   m.Metrics.messages_sent <- m.messages_sent + 1;
   m.message_bytes <- m.message_bytes + bytes;
@@ -57,7 +62,7 @@ let charge_message t m ?(commit_path = false) ?(recovery = false) ~bytes () =
 
 let charge_page_read t m =
   let dt = t.config.disk_seek +. (t.config.disk_per_byte *. float_of_int t.config.page_size) in
-  Clock.advance t.clock dt;
+  t.clock.now <- t.clock.now +. dt;
   busy m dt;
   m.Metrics.page_disk_reads <- m.page_disk_reads + 1;
   if Recorder.enabled t.obs then
@@ -66,7 +71,7 @@ let charge_page_read t m =
 
 let charge_page_write t m ?(commit_path = false) () =
   let dt = t.config.disk_seek +. (t.config.disk_per_byte *. float_of_int t.config.page_size) in
-  Clock.advance t.clock dt;
+  t.clock.now <- t.clock.now +. dt;
   busy m dt;
   m.Metrics.page_disk_writes <- m.page_disk_writes + 1;
   if commit_path then m.commit_page_writes <- m.commit_page_writes + 1;
@@ -75,7 +80,7 @@ let charge_page_write t m ?(commit_path = false) () =
       (("dur", Event.Float dt) :: (if commit_path then [ ("commit", Event.Bool true) ] else []))
 
 let charge_log_append t m ~bytes =
-  Clock.advance t.clock t.config.cpu_per_log_record;
+  t.clock.now <- t.clock.now +. t.config.cpu_per_log_record;
   busy m t.config.cpu_per_log_record;
   m.Metrics.log_appends <- m.log_appends + 1;
   m.log_bytes <- m.log_bytes + bytes;
@@ -87,7 +92,7 @@ let charge_log_append t m ~bytes =
    auditor replays it to check WAL force-before-ship ordering. *)
 let charge_log_force t m ?durable ~bytes () =
   let dt = log_force_cost t ~bytes in
-  Clock.advance t.clock dt;
+  t.clock.now <- t.clock.now +. dt;
   busy m dt;
   m.Metrics.log_forces <- m.log_forces + 1;
   if Recorder.enabled t.obs then
@@ -97,7 +102,7 @@ let charge_log_force t m ?durable ~bytes () =
 
 let charge_log_force_shared t m ?durable ~bytes ~sharers () =
   let dt = log_force_cost t ~bytes in
-  Clock.advance t.clock dt;
+  t.clock.now <- t.clock.now +. dt;
   busy m dt;
   m.Metrics.log_forces <- m.log_forces + 1;
   m.commit_batches <- m.commit_batches + 1;
@@ -109,16 +114,19 @@ let charge_log_force_shared t m ?durable ~bytes ~sharers () =
 
 let charge_log_scan_record t m ~bytes =
   let dt = t.config.cpu_per_log_record +. (t.config.disk_per_byte *. float_of_int bytes) in
-  Clock.advance t.clock dt;
+  t.clock.now <- t.clock.now +. dt;
   busy m dt;
   m.Metrics.recovery_log_records_scanned <- m.recovery_log_records_scanned + 1
 
 let charge_lock_op t m =
-  Clock.advance t.clock t.config.cpu_per_lock_op;
+  t.clock.now <- t.clock.now +. t.config.cpu_per_lock_op;
   busy m t.config.cpu_per_lock_op
 
-let charge_cpu t dt = Clock.advance t.clock dt
+let charge_cpu t dt =
+  assert (dt >= 0.);
+  t.clock.now <- t.clock.now +. dt
 
 let charge_cpu_for t m dt =
-  Clock.advance t.clock dt;
+  assert (dt >= 0.);
+  t.clock.now <- t.clock.now +. dt;
   busy m dt

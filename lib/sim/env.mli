@@ -4,7 +4,12 @@
     exposes the charging primitives that all substrates use.  Each
     charge advances the clock by the configured cost and bumps the
     relevant counters in the caller's (per-node) metrics — the only
-    copy; the cluster sums its nodes' records on read. *)
+    copy; the cluster sums its nodes' records on read.
+
+    The simulated clock lives here: a float in simulated seconds, one
+    per cluster, advanced only by the charges below and sampled by the
+    measurement harness.  Protocol code never reads it — the paper's
+    algorithms require no synchronised time. *)
 
 type t
 
@@ -21,7 +26,10 @@ val create :
     truncated. *)
 
 val config : t -> Config.t
+
 val now : t -> float
+(** The simulated time, in seconds since [create]. *)
+
 val obs : t -> Repro_obs.Recorder.t
 (** The typed event recorder: the only trace channel. *)
 
@@ -77,7 +85,7 @@ val charge_log_scan_record : t -> Metrics.t -> bytes:int -> unit
 
 val charge_lock_op : t -> Metrics.t -> unit
 val charge_cpu : t -> float -> unit
-(** Raw CPU time, for costs with no dedicated counter. *)
+(** Raw CPU time [dt >= 0], for costs with no dedicated counter. *)
 
 val charge_cpu_for : t -> Metrics.t -> float -> unit
-(** Raw CPU time attributed to a node's busy-time accounting. *)
+(** Raw CPU time [dt >= 0] attributed to a node's busy-time accounting. *)

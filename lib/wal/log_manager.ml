@@ -2,6 +2,7 @@ module Codec = Repro_util.Codec
 module Crc32 = Repro_util.Crc32
 module Env = Repro_sim.Env
 module Log_device = Repro_storage.Log_device
+module Page_id = Repro_storage.Page_id
 
 type t = {
   env : Env.t;
@@ -101,6 +102,48 @@ let read t lsn =
   Env.charge_cpu t.env (Env.config t.env).Repro_sim.Config.cpu_per_log_record;
   Record.decode d
 
+(* The head fields of the payload at [pos] of [b], read in place at
+   their fixed offsets: the kind, and whether it names a page. *)
+let kind_at b pos = Record.kind_of_tag (Bytes.get_uint8 b (pos + Record.tag_offset))
+
+let is_page : Record.Kind.t -> bool = function
+  | Update | Clr -> true
+  | Commit | Abort | Savepoint | Checkpoint_begin | Checkpoint_end -> false
+
+(* [read_op]'s decoder, shared by every log: reframed over [""] after
+   each read, so it keeps no log's bytes alive between reads.  Once the
+   frame check passes, the in-place reads and the op's decode cannot
+   fail. *)
+let op_decoder = Codec.decoder ""
+let release d = Codec.reframe d "" ~pos:0 ~len:0
+
+let read_op t lsn ~pid ~psn_before =
+  let d = op_decoder in
+  match check_frame t d lsn with
+  | exception (Codec.Corrupt _ as e) ->
+    release d;
+    raise e
+  | size ->
+    Env.charge_cpu t.env (Env.config t.env).Repro_sim.Config.cpu_per_log_record;
+    let pos = lsn + header_size in
+    let b = Log_device.view t.device ~pos ~len:(size - header_size) in
+    if
+      not
+        (is_page (kind_at b pos)
+        && u32_at b (pos + Record.owner_offset) = pid.Page_id.owner
+        && u32_at b (pos + Record.slot_offset) = pid.slot
+        && int_at b (pos + Record.psn_before_offset) = psn_before)
+    then begin
+      release d;
+      invalid_arg
+        (Printf.sprintf "Log_manager.read_op: no update of page %s with PSN %d at LSN %d"
+           (Page_id.to_string pid) psn_before lsn)
+    end;
+    Codec.skip d Record.op_offset;
+    let op = Record.decode_op d in
+    release d;
+    op
+
 let next_lsn t lsn = lsn + check_frame t (Codec.decoder "") lsn
 
 (* The forward scan under [fold], [fold_heads] and [seal]: one decoder
@@ -130,12 +173,8 @@ let fold_heads t ?upto ~from ~init f =
   scan t ?upto ~from ~init (fun acc lsn size _ ->
       let pos = lsn + header_size in
       let b = Log_device.view t.device ~pos ~len:(size - header_size) in
-      let kind = Record.kind_of_tag (Bytes.get_uint8 b (pos + Record.tag_offset)) in
-      let page =
-        match kind with
-        | Update | Clr -> true
-        | Commit | Abort | Savepoint | Checkpoint_begin | Checkpoint_end -> false
-      in
+      let kind = kind_at b pos in
+      let page = is_page kind in
       f acc lsn ~txn:(int_at b (pos + Record.txn_offset)) ~kind
         ~owner:(if page then u32_at b (pos + Record.owner_offset) else 0)
         ~slot:(if page then u32_at b (pos + Record.slot_offset) else 0)

@@ -12,8 +12,8 @@
     lengths and bounds) that fills its payload exactly.  A frame that
     fails raises [Codec.Corrupt], which a scan treats as end-of-log
     (torn tail).  {!read} and {!fold} then decode the record;
-    {!fold_heads} reads only its head fields; {!next_lsn} and {!seal}
-    need the check alone. *)
+    {!fold_heads} reads only its head fields; {!read_op} only its
+    operation; {!next_lsn} and {!seal} need the check alone. *)
 
 type t
 
@@ -61,6 +61,15 @@ val read : t -> Lsn.t -> Record.t
 (** Random access by exact LSN — the undo path follows [prev]/[undo_next]
     chains with this.  Charges per-record CPU, not a recovery-scan
     count. *)
+
+val read_op : t -> Lsn.t -> pid:Repro_storage.Page_id.t -> psn_before:int -> Record.update_op
+(** Redo's read of a remembered location: the operation of the [Update]
+    or [Clr] at the LSN, and nothing else of the record.  It runs the
+    full frame check and charges exactly what {!read} charges, then
+    checks the record's kind, page and [psn_before] in place and
+    decodes only its [update_op].
+    @raise Invalid_argument when the record is not an [Update] or [Clr]
+    of [pid] with that [psn_before]. *)
 
 val next_lsn : t -> Lsn.t -> Lsn.t
 (** LSN immediately after the record at the given LSN. *)

@@ -214,3 +214,4 @@ let tag_offset = 16
 let owner_offset = 17
 let slot_offset = 21
 let psn_before_offset = 25
+let op_offset = 33

@@ -88,10 +88,11 @@ val skip : Repro_util.Codec.decoder -> unit
 
     A payload starts [txn : i64 | prev : i64 | tag : u8], and an
     [Update] or [Clr] goes on [owner : u32 | slot : u32 | psn_before :
-    i64] (the page id, then the PSN).  These head fields sit at the
-    fixed payload offsets below, so a scan that only filters on them
-    reads them in place instead of decoding the record
-    ({!Log_manager.fold_heads}). *)
+    i64] (the page id, then the PSN), then its [update_op].  These
+    fields sit at the fixed payload offsets below, so a scan that only
+    filters on the head reads it in place instead of decoding the record
+    ({!Log_manager.fold_heads}), and redo decodes only the operation
+    ({!Log_manager.read_op}). *)
 
 module Kind : sig
   type t = Update | Clr | Commit | Abort | Savepoint | Checkpoint_begin | Checkpoint_end
@@ -107,3 +108,10 @@ val tag_offset : int
 val owner_offset : int
 val slot_offset : int
 val psn_before_offset : int
+
+val op_offset : int
+(** Where an [Update]'s or [Clr]'s [update_op] starts. *)
+
+val decode_op : Repro_util.Codec.decoder -> update_op
+(** Reads one [update_op] at the decoder's cursor.
+    @raise Repro_util.Codec.Corrupt on malformed input. *)

@@ -113,9 +113,10 @@ let test_analysis_finds_losers_and_dpt () =
   Alcotest.(check int) "psn_first from first record" 3 e1.Record.psn_first;
   Alcotest.(check int) "curr tracks last" 5 e1.Record.curr_psn;
   Alcotest.(check int) "redo lsn" l3 e1.Record.redo_lsn;
-  Alcotest.(check bool) "loser pages" true
-    (Page_id.Set.mem (pid 1) r.Analysis.loser_pages
-    && not (Page_id.Set.mem (pid 0) r.Analysis.loser_pages))
+  let e0 = List.find (fun (e : Record.dpt_entry) -> Page_id.equal e.pid (pid 0)) r.Analysis.dpt in
+  Alcotest.(check (pair int int)) "a winner's page is listed too" (0, 1)
+    (e0.Record.psn_first, e0.Record.curr_psn);
+  Alcotest.(check int) "its redo lsn" l1 e0.Record.redo_lsn
 
 let test_analysis_starts_at_checkpoint () =
   let env, metrics, log = mk () in
@@ -154,6 +155,54 @@ let test_redo_psn_exact () =
   Alcotest.(check int) "psn advanced" 6 (Page.psn page);
   Alcotest.(check int64) "effect" 10L (Page.get_cell page ~off:0);
   Alcotest.(check bool) "idempotent" true (Redo.apply page ~psn_before:5 ~op = Redo.Already_applied)
+
+(* Redo's read of a remembered location decodes only the op, after
+   checking in place that the record is the expected page's update.  The
+   check is not an [assert]: it raises in every build. *)
+let test_read_op_checks_location () =
+  let env = Env.create Config.default in
+  let metrics = Metrics.create () in
+  let log = Log_manager.create env metrics () in
+  let op = Record.Delta { off = 8; delta = 3L } in
+  let physical = Record.Physical { off = 0; before = "ab"; after = "cd" } in
+  let l1 =
+    Log_manager.append log
+      { Record.txn = 1; prev = Lsn.nil; body = Update { pid = pid 1; psn_before = 4; op } }
+  in
+  let l2 =
+    Log_manager.append log
+      {
+        Record.txn = 1;
+        prev = l1;
+        body = Clr { pid = pid 2; psn_before = 7; op = physical; undo_next = Lsn.nil };
+      }
+  in
+  let l3 = Log_manager.append log { Record.txn = 1; prev = l2; body = Commit } in
+  let advance f =
+    let t0 = Env.now env in
+    ignore (f ());
+    Env.now env -. t0
+  in
+  let cost = Config.default.Config.cpu_per_log_record in
+  Alcotest.(check bool) "reads cost time" true (cost > 0.);
+  Alcotest.(check (float 1e-12)) "read's charge" cost (advance (fun () -> Log_manager.read log l1));
+  Alcotest.(check (float 1e-12)) "read_op charges the same" cost
+    (advance (fun () -> Log_manager.read_op log l1 ~pid:(pid 1) ~psn_before:4));
+  Alcotest.(check bool) "an update's op" true
+    (Log_manager.read_op log l1 ~pid:(pid 1) ~psn_before:4 = op);
+  Alcotest.(check bool) "a CLR's op" true
+    (Log_manager.read_op log l2 ~pid:(pid 2) ~psn_before:7 = physical);
+  Alcotest.(check int) "no scan counted" 0 metrics.Metrics.recovery_log_records_scanned;
+  let rejects what lsn ~pid ~psn_before =
+    match Log_manager.read_op log lsn ~pid ~psn_before with
+    | _ -> Alcotest.failf "read_op accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "another page's update" l1 ~pid:(pid 2) ~psn_before:4;
+  rejects "another owner's page" l1 ~pid:(Page_id.make ~owner:1 ~slot:1) ~psn_before:4;
+  rejects "a different psn_before" l1 ~pid:(pid 1) ~psn_before:5;
+  rejects "a CLR of another page" l2 ~pid:(pid 1) ~psn_before:7;
+  rejects "a commit" l3 ~pid:(pid 1) ~psn_before:4
 
 (* ---- Undo ---- *)
 
@@ -237,6 +286,7 @@ let suite =
     ("analysis starts at checkpoint", `Quick, test_analysis_starts_at_checkpoint);
     ("analysis carries checkpoint actives", `Quick, test_analysis_checkpoint_active_txns);
     ("redo is PSN-exact", `Quick, test_redo_psn_exact);
+    ("redo read checks the remembered location", `Quick, test_read_op_checks_location);
     ("undo total and partial", `Quick, test_undo_total_and_partial);
     ("undo rejects foreign chain", `Quick, test_undo_rejects_foreign_chain);
   ]

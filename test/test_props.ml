@@ -94,6 +94,100 @@ let prop_merge_sorted_and_alternating =
       in
       ok merged)
 
+(* NodePSNList construction against a brute-force reference: a random
+   log of updates, CLRs, commits and savepoints by several transactions
+   over several pages, a random set of listed pages and a random scan
+   start.  Per listed page, the runs must split exactly where the
+   transaction changes, the remembered records must be every record of
+   the page in log order, and no unlisted page may appear. *)
+module Node_psn_list = Repro_cbl.Node_psn_list
+
+type gen_record = Gen_update | Gen_clr | Gen_commit | Gen_savepoint
+
+let gen_build_case =
+  QCheck.Gen.(
+    let* records =
+      list_size (int_range 1 40)
+        (let* kind = frequency [ (5, return Gen_update); (2, return Gen_clr);
+                                 (1, return Gen_commit); (1, return Gen_savepoint) ] in
+         let* txn = int_range 1 3 in
+         let* owner = int_bound 1 in
+         let* slot = int_bound 2 in
+         return (kind, txn, Page_id.make ~owner ~slot))
+    in
+    let* listed = list_size (int_bound 6) (pair (int_bound 1) (int_bound 2)) in
+    let* start = int_bound (List.length records) in
+    return (records, listed, start))
+
+let build_matches_reference (records, listed, start_index) =
+  let env = Repro_sim.Env.create Config.instant in
+  let log = Repro_wal.Log_manager.create env (Repro_sim.Metrics.create ()) () in
+  let logged =
+    List.mapi
+      (fun i (kind, txn, pid) ->
+        let op = Record.Delta { off = 0; delta = 1L } in
+        let body =
+          match kind with
+          | Gen_update -> Record.Update { pid; psn_before = i; op }
+          | Gen_clr -> Record.Clr { pid; psn_before = i; op; undo_next = Repro_wal.Lsn.nil }
+          | Gen_commit -> Record.Commit
+          | Gen_savepoint -> Record.Savepoint "sp"
+        in
+        let r = { Record.txn; prev = Repro_wal.Lsn.nil; body } in
+        (Repro_wal.Log_manager.append log r, r))
+      records
+  in
+  let start =
+    match List.nth_opt logged start_index with Some (lsn, _) -> lsn | None -> Repro_wal.Lsn.nil
+  in
+  let pages =
+    Page_id.Set.of_list (List.map (fun (owner, slot) -> Page_id.make ~owner ~slot) listed)
+  in
+  let node = 3 in
+  let got = Node_psn_list.build log ~node ~pages ~start in
+  let reference pid =
+    let mine =
+      List.filter_map
+        (fun (lsn, r) ->
+          match (Record.page_of r, Record.psn_before_of r) with
+          | Some p, Some psn when lsn >= start && Page_id.equal p pid -> Some (lsn, r.Record.txn, psn)
+          | _ -> None)
+        logged
+    in
+    let rec runs prev = function
+      | [] -> []
+      | (lsn, txn, psn) :: rest ->
+        if prev = Some txn then runs prev rest
+        else { Node_psn_list.node; psn; lsn } :: runs (Some txn) rest
+    in
+    (runs None mine, List.map (fun (lsn, _, psn) -> (lsn, psn)) mine)
+  in
+  Page_id.Map.iter
+    (fun pid _ ->
+      if not (Page_id.Set.mem pid pages) then
+        QCheck.Test.fail_reportf "unlisted page %s is in the listing" (Page_id.to_string pid))
+    got;
+  Page_id.Set.iter
+    (fun pid ->
+      let runs, records = reference pid in
+      let listing =
+        Option.value (Page_id.Map.find_opt pid got) ~default:{ Node_psn_list.runs = []; records = [] }
+      in
+      if listing.Node_psn_list.records <> records then
+        QCheck.Test.fail_reportf "page %s: records are not every record of the page in log order"
+          (Page_id.to_string pid);
+      if listing.Node_psn_list.runs <> runs then
+        QCheck.Test.fail_reportf "page %s: runs do not split exactly where the transaction changes"
+          (Page_id.to_string pid);
+      if records = [] && Page_id.Map.mem pid got then
+        QCheck.Test.fail_reportf "page %s has no record but is listed" (Page_id.to_string pid))
+    pages;
+  true
+
+let prop_build_matches_reference =
+  QCheck.Test.make ~name:"NodePSNList build matches a brute-force reference" ~count:500
+    (QCheck.make gen_build_case) build_matches_reference
+
 (* The two recovery strategies are observationally equivalent: running
    the same seeded workload + crash and reading every allocated cell
    back must give identical values. *)
@@ -142,5 +236,6 @@ let suite =
     qcheck prop_durability_under_crashes;
     qcheck prop_invert_roundtrip;
     qcheck prop_merge_sorted_and_alternating;
+    qcheck prop_build_matches_reference;
     qcheck prop_strategy_equivalence;
   ]

@@ -1,7 +1,6 @@
 (* Tests for the simulation substrate: clock, config, metrics, and the
    charging discipline of Env. *)
 
-module Clock = Repro_sim.Clock
 module Config = Repro_sim.Config
 module Metrics = Repro_sim.Metrics
 module Env = Repro_sim.Env
@@ -9,13 +8,14 @@ module Env = Repro_sim.Env
 let feq = Alcotest.(check (float 1e-12))
 
 let test_clock () =
-  let c = Clock.create () in
-  feq "starts at zero" 0. (Clock.now c);
-  Clock.advance c 1.5;
-  Clock.advance c 0.25;
-  feq "advances" 1.75 (Clock.now c);
-  Clock.reset c;
-  feq "resets" 0. (Clock.now c)
+  let env = Env.create Config.default in
+  let m = Metrics.create () in
+  feq "starts at zero" 0. (Env.now env);
+  Env.charge_cpu env 1.5;
+  Env.charge_cpu_for env m 0.25;
+  feq "advances" 1.75 (Env.now env);
+  feq "only charge_cpu_for is busy time" 0.25 m.Metrics.busy_seconds;
+  feq "a new env starts at zero" 0. (Env.now (Env.create Config.default))
 
 let test_config_builders () =
   let c = Config.with_net_latency Config.default 0.5 in
