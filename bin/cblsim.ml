@@ -4,9 +4,9 @@
      cblsim experiment [IDS...] [--quick] [--json]   regenerate experiment tables
      cblsim demo [options] [--json]                  run a workload, print metrics
      cblsim trace [options]                          run traced, dump events as JSONL
-     cblsim stress [--runs N] [--start S]            randomized crash/verify runs
+     cblsim stress [--runs N] [--start S]            randomized crash/verify/audit runs
      cblsim scale [--nodes N,...] [--profile P]      big-cluster scale sweep -> BENCH_SCALE.json
-     cblsim audit [FILE | --stress ...]              check protocol invariants on traces *)
+     cblsim audit FILE                               check protocol invariants on a trace *)
 
 module Cluster = Repro_cbl.Cluster
 module Engine = Repro_workload.Engine
@@ -21,6 +21,7 @@ module Rng = Repro_util.Rng
 module Json = Repro_obs.Json
 module Event = Repro_obs.Event
 module Recorder = Repro_obs.Recorder
+module Audit = Repro_obs.Audit
 open Cmdliner
 
 (* ---- experiment ---- *)
@@ -337,8 +338,8 @@ let write_plan file plan =
   output_char oc '\n';
   close_out oc
 
-(* The scenario knobs shared by [stress] and [audit --stress]: the same
-   flags give the same schedule for the same seed in both. *)
+(* The scenario knobs of [stress]: the same flags give the same schedule
+   for the same seed. *)
 type scenario = { classes : Fault_plan.classes; group_commit : bool; elr : bool }
 
 let scenario_term =
@@ -366,7 +367,7 @@ let scenario_term =
              writes on crash), $(b,crashpoints) (crashes at named protocol points) and \
              $(b,recovery) (crashes, drops and partitions during recovery itself: named \
              crash points after analysis, mid-redo, before undo, mid-undo and at the \
-             end-of-restart checkpoint — recovery must restart or defer its way through); \
+             end-of-restart checkpoint — recovery must restart its way through); \
              $(b,all) enables everything.")
   in
   let group_commit =
@@ -386,8 +387,8 @@ let scenario_term =
             "Randomize early lock release per seed (~3/4 of the runs set the bit, drawn from \
              a dedicated substream).  Only effective on runs where $(b,--group-commit) drew a \
              batching window — early release gates on group commit — so pair the two flags.  \
-             $(b,cblsim audit) then also polices the weakened discipline \
-             (release-after-submit, closure-loss).")
+             The audit then also polices the weakened discipline (release-after-submit, \
+             closure-loss).")
   in
   Term.(
     const (fun classes group_commit elr -> { classes; group_commit; elr })
@@ -410,6 +411,9 @@ let run_digest cluster (o : Driver.outcome) =
     (Metrics.to_alist (Cluster.global_metrics cluster));
   Buffer.contents b
 
+(* Every run is traced (tracing changes no metric or clock reading) and
+   its event stream replayed through the protocol auditor: a seed fails
+   on a wrong outcome or on any violated invariant. *)
 let stress runs start sc plan_file dump_plan =
   let plan = Option.map read_plan plan_file in
   let last_plan = ref None in
@@ -418,15 +422,18 @@ let stress runs start sc plan_file dump_plan =
   let fingerprint = ref (Digest.string "") in
   for seed = start to start + runs - 1 do
     let cluster, outcome, plan =
-      Stress.run ?plan ~classes:sc.classes ~group_commit:sc.group_commit ~elr:sc.elr seed
+      Stress.run ~trace:true ?plan ~classes:sc.classes ~group_commit:sc.group_commit ~elr:sc.elr
+        seed
     in
     fingerprint := Digest.string (!fingerprint ^ run_digest cluster outcome);
-    (match (outcome.Driver.stuck, Driver.verify outcome) with
-    | 0, Ok () -> ()
-    | stuck, result ->
+    let audit = Audit.run (Recorder.events (Repro_sim.Env.obs (Cluster.env cluster))) in
+    (match (outcome.Driver.stuck, Driver.verify outcome, Audit.ok audit) with
+    | 0, Ok (), true -> ()
+    | stuck, result, audited ->
       incr failures;
       Format.printf "seed %d: FAILED (stuck=%d%s)@." seed stuck
-        (match result with Ok () -> "" | Error e -> "; " ^ List.hd e));
+        (match result with Ok () -> "" | Error e -> "; " ^ List.hd e);
+      if not audited then Format.printf "%a" Audit.pp audit);
     if plan <> None then begin
       last_plan := plan;
       Metrics.merge_into ~dst:fault_totals (Cluster.global_metrics cluster)
@@ -446,7 +453,7 @@ let stress runs start sc plan_file dump_plan =
       fault_totals.Metrics.torn_crashes fault_totals.Metrics.torn_bytes_discarded
       fault_totals.Metrics.injected_crashes;
   Format.printf "stress fingerprint: %s@." (Digest.to_hex !fingerprint);
-  if !failures = 0 then Format.printf "stress: %d randomized runs verified@." runs
+  if !failures = 0 then Format.printf "stress: %d randomized runs verified and audited@." runs
   else begin
     Format.printf "stress: %d FAILURES@." !failures;
     exit 1
@@ -475,8 +482,9 @@ let stress_cmd =
   Cmd.v
     (Cmd.info "stress"
        ~doc:
-         "Randomized crash-schedule runs with the durability oracle, optionally under \
-          deterministic fault injection")
+         "Randomized crash-schedule runs, traced, with the durability oracle and the protocol \
+          auditor, optionally under deterministic fault injection; non-zero exit on any \
+          failure or violation")
     Term.(const stress $ runs $ start $ scenario_term $ plan_json $ dump_plan)
 
 (* ---- scale ---- *)
@@ -599,8 +607,6 @@ let scale_cmd =
 
 (* ---- audit ---- *)
 
-module Audit = Repro_obs.Audit
-
 let read_jsonl_events file =
   let ic = open_in file in
   let n = in_channel_length ic in
@@ -623,81 +629,36 @@ let read_jsonl_events file =
   if !bad > 0 then Format.eprintf "note: %s: %d unparsable line(s) skipped@." file !bad;
   events
 
-let audit_run file stress_mode runs start sc out =
-  let reports =
-    match (file, stress_mode) with
-    | Some f, _ ->
-      (* offline: audit a recorded JSONL trace (cblsim trace > t.jsonl) *)
-      [ (Json.Str f, Audit.run (read_jsonl_events f)) ]
-    | None, true ->
-      (* replay: re-run stress schedules traced and audit each run's
-         stream *)
-      List.init runs (fun i ->
-          let seed = start + i in
-          let cluster, _outcome, _plan =
-            Stress.run ~trace:true ~classes:sc.classes ~group_commit:sc.group_commit
-              ~elr:sc.elr seed
-          in
-          let obs = Repro_sim.Env.obs (Cluster.env cluster) in
-          if (i + 1) mod 50 = 0 then Format.eprintf "...%d runs audited@." (i + 1);
-          (Json.Int seed, Audit.run (Recorder.events obs)))
-    | None, false -> Fmt.failwith "audit: need a trace FILE or --stress"
-  in
-  let total_violations =
-    List.fold_left (fun acc (_, r) -> acc + List.length r.Audit.violations) 0 reports
-  in
-  let report_json =
-    Json.Obj
-      [
-        ("runs", Json.Int (List.length reports));
-        ("total_violations", Json.Int total_violations);
-        ("ok", Json.Bool (total_violations = 0));
-        ( "reports",
-          Json.List
-            (List.map
-               (fun (key, r) -> Json.Obj [ ("run", key); ("report", Audit.to_json r) ])
-               reports) );
-      ]
-  in
+(* Audit a recorded JSONL trace (cblsim trace > t.jsonl).  The JSON
+   report keeps its one-run list shape. *)
+let audit_run file out =
+  let r = Audit.run (read_jsonl_events file) in
   (match out with
   | Some f ->
     let oc = open_out f in
-    output_string oc (Json.to_string_pretty report_json);
+    output_string oc
+      (Json.to_string_pretty
+         (Json.Obj
+            [
+              ("runs", Json.Int 1);
+              ("total_violations", Json.Int (List.length r.Audit.violations));
+              ("ok", Json.Bool (Audit.ok r));
+              ( "reports",
+                Json.List [ Json.Obj [ ("run", Json.Str file); ("report", Audit.to_json r) ] ] );
+            ]));
     output_char oc '\n';
     close_out oc
   | None -> ());
-  List.iter
-    (fun (key, r) ->
-      if not (Audit.ok r) then begin
-        Format.printf "run %s:@." (Json.to_string key);
-        Format.printf "%a" Audit.pp r
-      end)
-    reports;
-  if total_violations = 0 then
-    Format.printf "audit: OK — %d run(s), 0 violations@." (List.length reports)
-  else begin
-    Format.printf "audit: %d violation(s) across %d run(s)@." total_violations
-      (List.length reports);
-    exit 1
-  end
+  Format.printf "%a" Audit.pp r;
+  if not (Audit.ok r) then exit 1
 
 let audit_cmd =
   let file =
     Arg.(
-      value
+      required
       & pos 0 (some string) None
       & info [] ~docv:"FILE" ~doc:"JSONL trace to audit (as dumped by $(b,cblsim trace)).")
   in
-  let stress_mode =
-    Arg.(
-      value & flag
-      & info [ "stress" ]
-          ~doc:
-            "Instead of a trace file, re-run the randomized stress schedules with tracing on \
-             and audit each run's event stream.")
-  in
-  let runs = Arg.(value & opt int 100 & info [ "runs" ] ~doc:"Stress runs to audit.") in
-  let start = Arg.(value & opt int 0 & info [ "start" ] ~doc:"First stress seed.") in
   let out =
     Arg.(
       value
@@ -707,12 +668,11 @@ let audit_cmd =
   Cmd.v
     (Cmd.info "audit"
        ~doc:
-         "Replay recorded event streams through the protocol auditor (WAL ordering, \
-          group-commit batch-loss closure, PSN monotonicity, deferred-page fencing, strict \
-          2PL release discipline — weakened to release-after-submit plus closure-loss when \
-          early lock release is on); non-zero exit on any violation")
-    Term.(
-      const audit_run $ file $ stress_mode $ runs $ start $ scenario_term $ out)
+         "Replay a recorded event stream through the protocol auditor (WAL ordering, \
+          group-commit batch-loss closure, PSN monotonicity, strict 2PL release discipline — \
+          weakened to release-after-submit plus closure-loss when early lock release is on); \
+          non-zero exit on any violation.  $(b,cblsim stress) audits every run it sweeps.")
+    Term.(const audit_run $ file $ out)
 
 let () =
   let doc = "client-based logging for high performance distributed architectures (ICDE'96)" in

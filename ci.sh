@@ -5,9 +5,8 @@
 #
 # Every run sweeps max(200, STRESS_RUNS) randomized seeds through
 # `cblsim stress` (clean, --faults all, --faults recovery, and
-# --faults all with group commit and with early lock release) and the
-# traced `cblsim audit --stress` (--faults all, --faults recovery and
-# early lock release): about 15 s in all on a 2-vCPU machine.
+# --faults all with group commit and with early lock release), each
+# run traced and audited: about 13 s in all on a 2-vCPU machine.
 #
 #   STRESS_RUNS=N ./ci.sh    sweeps N seeds instead, when N > 200.
 set -eu
@@ -94,12 +93,11 @@ diff -u EXPERIMENT_RECORDED.txt EXPERIMENT_RUN.txt || {
 # requested sweep size: the clean schedule, every fault class at once
 # (alone, with group commit, with early lock release), and crashes at
 # the recovery crash points with network faults during the recovery
-# exchanges, so the restart/deferral paths always get real coverage.
-# The protocol auditor replays the same schedules traced and checks
-# each run's event stream against the protocol invariants (WAL
-# ordering, batch-loss closure, PSN lineage, deferred fence, 2PL
-# release discipline, weakened to release-after-submit under early
-# lock release).
+# exchanges, so the restart paths always get real coverage.  Every
+# run is traced, and the protocol auditor checks its event stream
+# against the protocol invariants (WAL ordering, batch-loss closure,
+# PSN lineage, 2PL release discipline, weakened to release-after-submit
+# under early lock release); a violation fails the leg.
 SWEEP_RUNS="$STRESS_RUNS"
 [ "$SWEEP_RUNS" -lt 200 ] && SWEEP_RUNS=200
 # stress_leg LEG FLAGS...: one sweep.  At the default 200 runs its
@@ -108,7 +106,7 @@ SWEEP_RUNS="$STRESS_RUNS"
 stress_leg() {
   leg=$1
   shift
-  echo "== stress: $SWEEP_RUNS runs ($leg) =="
+  echo "== stress: $SWEEP_RUNS traced, audited runs ($leg) =="
   dune exec bin/cblsim.exe -- stress --runs "$SWEEP_RUNS" "$@" > STRESS_RUN.txt || {
     cat STRESS_RUN.txt
     exit 1
@@ -123,15 +121,6 @@ stress_leg all --faults all
 stress_leg all+group-commit --faults all --group-commit
 stress_leg all+group-commit+elr --faults all --group-commit --elr
 stress_leg recovery --faults recovery
-echo "== audit: $SWEEP_RUNS traced fault-injected runs (--faults all) =="
-dune exec bin/cblsim.exe -- audit --stress --runs "$SWEEP_RUNS" --faults all \
-  --out AUDIT_REPORT.json
-echo "== audit: $SWEEP_RUNS traced early-lock-release runs (--faults all --group-commit --elr) =="
-dune exec bin/cblsim.exe -- audit --stress --runs "$SWEEP_RUNS" --faults all \
-  --group-commit --elr --out AUDIT_REPORT_ELR.json
-echo "== audit: $SWEEP_RUNS traced recovery-fault runs (--faults recovery) =="
-dune exec bin/cblsim.exe -- audit --stress --runs "$SWEEP_RUNS" --faults recovery \
-  --out AUDIT_REPORT_RECOVERY.json
 
 # The JSONL export-and-parse path: a traced crash/recovery run written
 # by `cblsim trace`, read back by `cblsim audit FILE`.  Every exported

@@ -22,7 +22,7 @@ let pp_reason ppf = function
   | Page_recovering pid ->
     Format.fprintf ppf "page %a is being recovered" Repro_storage.Page_id.pp pid
   | Page_unavailable { pid; blocker } ->
-    Format.fprintf ppf "page %a has deferred recovery blocked on down node %d"
-      Repro_storage.Page_id.pp pid blocker
+    Format.fprintf ppf "page %a is unavailable until node %d recovers" Repro_storage.Page_id.pp
+      pid blocker
   | Net_unreachable { src; dst } ->
     Format.fprintf ppf "node %d cannot reach node %d (partition)" src dst

@@ -17,8 +17,11 @@ type reason =
   | Page_recovering of Repro_storage.Page_id.t
       (** access stopped until the owner finishes recovering the page *)
   | Page_unavailable of { pid : Repro_storage.Page_id.t; blocker : int }
-      (** the page's recovery is deferred until [blocker] comes back;
-          retry after the blocker recovers *)
+      (** raised by nothing: every down node recovers in one batch, so
+          no page waits on a peer left down.  Kept only for the
+          benchmark's per-reason table ([page_unavailable_share]), which
+          matches every reason; it goes with the next benchmark change,
+          like the [dep_wait] column. *)
   | Net_unreachable of { src : int; dst : int }
       (** an injected partition blocks the link; retry heals it *)
 

@@ -159,72 +159,37 @@ let checkpoint t ~node:node_id = Node.checkpoint (node t node_id)
 
 let crash t ~node:node_id = Node.crash (node t node_id)
 
-let recover_timed ?strategy ?(defer = []) t ~nodes:ids =
+let recover_timed ?strategy t ~nodes:ids =
   (match List.find_opt (fun id -> List.length (List.filter (( = ) id) ids) > 1) ids with
   | Some id ->
     invalid_arg (Printf.sprintf "Cluster.recover: node %d listed more than once to recover" id)
   | None -> ());
   let crashed = List.map (node t) ids in
-  let crashed_ids = List.map Node.id crashed in
-  (match List.filter (fun id -> List.mem id crashed_ids) defer with
-  | [] -> ()
-  | both ->
-    invalid_arg
-      (Printf.sprintf "Cluster.recover: node(s) %s listed both to recover and to defer"
-         (String.concat ", " (List.map string_of_int both))));
-  List.iter
-    (fun id ->
-      if Node.is_up (node t id) then
-        invalid_arg
-          (Printf.sprintf "Cluster.recover: node %d is up, there is nothing to defer" id))
-    defer;
+  let listed n = List.mem (Node.id n) ids in
   (* Recovery treats every node outside the crashed set as a live
-     source of page bases, DPT claims and log records.  A node that is
-     down but neither being recovered nor explicitly deferred would
-     silently contribute a stale disk base and none of its log records
-     — a redo gap waiting to happen.  Distinguish the caller who
-     {e forgot} a down node (error, naming the culprits) from one who
-     {e intentionally} deferred it ([defer], legal: its pages are
-     skipped and redo parks on it instead). *)
-  (match
-     List.filter
-       (fun n ->
-         (not (Node.is_up n))
-         && (not (List.mem (Node.id n) crashed_ids))
-         && not (List.mem (Node.id n) defer))
-       (nodes t)
-   with
+     source of page bases, DPT claims and log records.  A down node left
+     out would silently contribute a stale disk base and none of its log
+     records — a redo gap waiting to happen — so name it instead. *)
+  (match List.filter (fun n -> (not (Node.is_up n)) && not (listed n)) (nodes t) with
   | [] -> ()
   | forgotten ->
     invalid_arg
-      (Printf.sprintf
-         "Cluster.recover: node(s) %s are down but in neither the crashed nor the defer list; \
-          recover all down nodes together or defer them explicitly"
+      (Printf.sprintf "Cluster.recover: node(s) %s are down; recover all down nodes together"
          (String.concat ", " (List.map (fun n -> string_of_int (Node.id n)) forgotten))));
-  let deferred = List.map (node t) defer in
-  let operational =
-    List.filter
-      (fun n ->
-        Node.is_up n
-        && (not (List.mem (Node.id n) crashed_ids))
-        && not (List.mem (Node.id n) defer))
-      (nodes t)
-  in
-  Recovery.run ?strategy ~deferred ~crashed ~operational ()
+  let operational = List.filter (fun n -> Node.is_up n && not (listed n)) (nodes t) in
+  Recovery.run ?strategy ~crashed ~operational ()
 
-let recover ?strategy ?defer t ~nodes = ignore (recover_timed ?strategy ?defer t ~nodes)
+let recover ?strategy t ~nodes = ignore (recover_timed ?strategy t ~nodes)
 
-let recover_until_up ?(defer = []) t =
+let recover_until_up t =
   let rec go attempts =
-    match
-      List.filter (fun n -> (not (Node.is_up n)) && not (List.mem (Node.id n) defer)) (nodes t)
-    with
+    match List.filter (fun n -> not (Node.is_up n)) (nodes t) with
     | [] -> ()
     | down ->
       if attempts >= 100 then
         Fmt.failwith "Cluster.recover_until_up: node(s) %s still down after 100 attempts"
           (String.concat ", " (List.map (fun n -> string_of_int (Node.id n)) down));
-      (try recover t ~defer ~nodes:(List.map Node.id down) with Block.Would_block _ -> ());
+      (try recover t ~nodes:(List.map Node.id down) with Block.Would_block _ -> ());
       go (attempts + 1)
   in
   go 0

@@ -102,32 +102,27 @@ val crash : t -> node:int -> unit
 (** The node's in-flight transactions are lost with its volatile state
     (they are losers; restart will roll them back). *)
 
-val recover : ?strategy:Recovery.strategy -> ?defer:int list -> t -> nodes:int list -> unit
+val recover : ?strategy:Recovery.strategy -> t -> nodes:int list -> unit
 (** §2.3 for a single node, §2.4 for several.  [strategy] defaults to
     the paper's PSN-coordinated protocol; [Merged_logs] is the E4
     baseline.
 
-    Every down node must appear in exactly one of [nodes] (recover it
-    now) or [defer] (leave it down {e intentionally}: its own pages are
-    skipped, and any redo that needs its log records parks on it —
-    deferred recovery — instead of erroring).  A down node in neither
-    list is a caller mistake and raises [Invalid_argument] naming the
-    offending node(s); so does listing a node in both, listing it twice
-    in [nodes] (it would be analysed, and its losers rolled back,
-    twice), or deferring a node that is up. *)
+    [nodes] must be every down node, each once: a down node left out
+    raises [Invalid_argument] naming it, and so does a node listed twice
+    (it would be analysed, and its losers rolled back, twice). *)
 
-val recover_until_up : ?defer:int list -> t -> unit
-(** Recovers every down node not in [defer] (default none), together,
-    and re-enters until none is left.  An attempt aborted by a crash at
-    a recovery crash point leaves its nodes down — and can fell an
-    operational node mid-completion — so each attempt covers the whole
-    current down set; the aborting [Block.Would_block] is swallowed.
+val recover_until_up : t -> unit
+(** Recovers every down node, together, and re-enters until none is
+    left.  An attempt aborted by a crash at a recovery crash point
+    leaves its nodes down — and can fell an operational node — so each
+    attempt covers the whole current down set; the aborting
+    [Block.Would_block] is swallowed.
     The injector's crash and partition budgets bound the retries.
     @raise Failure naming the nodes still down after 100 attempts, so a
     livelock fails loudly. *)
 
 val recover_timed :
-  ?strategy:Recovery.strategy -> ?defer:int list -> t -> nodes:int list -> Recovery.summary
+  ?strategy:Recovery.strategy -> t -> nodes:int list -> Recovery.summary
 (** Like {!recover}, additionally returning the per-phase timing
     breakdown (E4/E5/E8 reporting). *)
 

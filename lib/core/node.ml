@@ -99,8 +99,6 @@ let wipe_volatile t =
   Page_id.Tbl.reset t.flush_waiters;
   Page_id.Tbl.reset t.reservations;
   t.recovering_pages <- Page_id.Set.empty;
-  Page_id.Tbl.reset t.deferred_pages;
-  t.deferred_losers <- [];
   (* The pending group-commit batch is volatile: none of those commits
      happened — recovery will abort them.  [Group_commit.crash] fires
      the loss hook with the lost members.  Their commit dependents all
@@ -345,26 +343,14 @@ let install_page t page = install_or_merge t page
 (* Page fetching (data shipping, §2.2)                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A page parked by deferred recovery must not be served from the
-   owner's (stale) base: its latest committed state can only be rebuilt
-   once the blocking peer's log is back.  Retryable, like a lock wait. *)
-let check_not_deferred owner pid =
-  match Page_id.Tbl.find_opt owner.deferred_pages pid with
-  | Some blocker -> Block.block (Block.Page_unavailable { pid; blocker })
-  | None -> ()
-
 let fetch_page_from_owner t pid =
   let owner_id = Page_id.owner pid in
-  if owner_id = t.id then begin
-    check_not_deferred t pid;
-    install_page t (owner_latest_copy t pid)
-  end
+  if owner_id = t.id then install_page t (owner_latest_copy t pid)
   else begin
     let owner = peer t owner_id in
     if not owner.up then Block.block (Block.Node_down { node = owner_id });
     ensure_link t ~dst:owner_id;
     if Page_id.Set.mem pid owner.recovering_pages then Block.block (Block.Page_recovering pid);
-    check_not_deferred owner pid;
     send t ~dst:owner_id ~bytes:Wire.control ();
     let page = owner_latest_copy owner pid in
     send owner ~dst:t.id ~bytes:(Wire.page (Env.config t.env)) ();
@@ -461,7 +447,6 @@ let handle_callback t ~pid ~requested ~for_txn ~for_node =
 let owner_grant_lock t ~requester ~txn ~pid ~mode ~need_page =
   check_up t;
   if Page_id.Set.mem pid t.recovering_pages then Block.block (Block.Page_recovering pid);
-  check_not_deferred t pid;
   (match Page_id.Tbl.find_opt t.reservations pid with
   | Some (rtxn, rnode) when rtxn <> txn ->
     if txn_active_at t ~txn:rtxn ~node:rnode then begin
@@ -625,10 +610,6 @@ let acquire t (descr : Txn.t) ~pid ~mode =
 let owner_flush_page t pid =
   assert (Page_id.owner pid = t.id);
   check_up t;
-  (* Flushing a deferred page would ack waiters against a base that is
-     missing the parked peer's updates, wrongly retiring their DPT
-     entries — the very claims the deferred redo still needs. *)
-  check_not_deferred t pid;
   match Buffer_pool.peek t.pool pid with
   | Some frame ->
     if frame.dirty then begin

@@ -69,16 +69,6 @@ type t = {
          fresh cache-hit acquisitions *)
   mutable recovering_pages : Page_id.Set.t;
       (* owned pages whose recovery is in progress; requests are stopped *)
-  deferred_pages : int Page_id.Tbl.t;
-      (* owner role: owned pages whose recovery is parked on a down peer
-         (pid -> blocking node).  The regranted locks are retained;
-         access raises a retryable [Page_unavailable] until the blocker
-         recovers and the parked redo completes. *)
-  mutable deferred_losers : (int * int) list;
-      (* loser transactions whose rollback is parked on a down peer
-         ((txn, blocking node)); the Txn stays registered so a further
-         crash's analysis re-finds it, and the rollback resumes when the
-         blocker recovers *)
   (* wiring *)
   mutable resolve : int -> t;
   pool_capacity : int;
@@ -103,9 +93,9 @@ let tracer_action : Event.kind -> string = function
     | Event.Lock_acquired | Event.Ckpt_begin | Event.Ckpt_end | Event.Txn_begin
     | Event.Txn_commit | Event.Txn_abort | Event.Commit_submit | Event.Commit_batch
     | Event.Commit_dep | Event.Crash | Event.Recovery_begin | Event.Recovery_end
-    | Event.Recovery_phase | Event.Recovery_restart | Event.Recovery_deferred
-    | Event.Recovery_retry | Event.Fault_drop | Event.Fault_dup | Event.Fault_delay
-    | Event.Fault_partition | Event.Fault_torn | Event.Fault_crash | Event.Trace_dropped ) as kind
+    | Event.Recovery_phase | Event.Recovery_restart | Event.Recovery_retry | Event.Fault_drop
+    | Event.Fault_dup | Event.Fault_delay | Event.Fault_partition | Event.Fault_torn
+    | Event.Fault_crash | Event.Trace_dropped ) as kind
     ->
     invalid_arg ("Node_state: no tracer action for " ^ Event.kind_name kind)
 
@@ -157,8 +147,6 @@ let create env ~id ~pool_capacity ~log_capacity ~scheme ~retain_cached_locks =
       flush_waiters = Page_id.Tbl.create 16;
       reservations = Page_id.Tbl.create 16;
       recovering_pages = Page_id.Set.empty;
-      deferred_pages = Page_id.Tbl.create 8;
-      deferred_losers = [];
       resolve = (fun _ -> node);
       pool_capacity;
       scheme;

@@ -67,14 +67,6 @@ type t = {
           requester of a contested page *)
   mutable recovering_pages : Repro_storage.Page_id.Set.t;
       (** owned pages whose recovery is in progress; requests are stopped *)
-  deferred_pages : int Repro_storage.Page_id.Tbl.t;
-      (** owner role: owned pages whose recovery is parked on a down
-          peer (pid -> blocking node); access raises a retryable
-          [Page_unavailable] until the blocker recovers *)
-  mutable deferred_losers : (int * int) list;
-      (** loser transactions whose rollback is parked on a down peer
-          ((txn, blocking node)); the Txn stays registered so a later
-          analysis re-finds it *)
   (* wiring *)
   mutable resolve : int -> t;
   pool_capacity : int;

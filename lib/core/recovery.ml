@@ -41,7 +41,7 @@ let grant_x n ~owner pid =
 (* Does the plan give recovery's own crash points any probability?  If
    so the injector stays live for the whole of recovery — the new crash
    points fire, messages drop and links partition mid-protocol — and the
-   recovery code must retry, restart or defer its way through.  With all
+   recovery code must retry or restart its way through.  With all
    of them at zero (every legacy plan) the injector is disarmed as before,
    keeping historical seeds bit-identical. *)
 let recovery_faults_on (plan : Fault_plan.t) =
@@ -82,41 +82,6 @@ let recovery_exchange src ~dst f =
     go 0
   end
 
-(* Raised by a redo round that meets a record whose PSN is ahead of the
-   page: some node's updates between the base and this record are
-   missing from the participant set.  With a deferred (down,
-   not-yet-recovering) peer to attribute the gap to, the page's recovery
-   parks; without one it is a protocol bug and the caller re-raises as
-   [Invalid_argument]. *)
-exception Redo_gap of { node : int; psn : int; page_psn : int }
-
-(* Attribute a redo gap to a down peer: prefer a deferred node that
-   holds a retained lock on the page (its uncompensated updates are the
-   missing PSNs), fall back to any deferred node. *)
-let pick_blocker ~deferred ~owner ~pid =
-  let is_deferred id = List.exists (fun (d : Node_state.t) -> d.id = id) deferred in
-  let holders = Global_locks.holders owner.glocks ~pid in
-  match List.find_opt (fun (holder, _) -> is_deferred holder) holders with
-  | Some (holder, _) -> Some holder
-  | None -> ( match deferred with d :: _ -> Some d.id | [] -> None)
-
-let emit_deferred owner ~pid action attrs =
-  Env.emit owner.env ~node:owner.id Repro_obs.Event.Recovery_deferred
-    (("action", Repro_obs.Event.Str action)
-    :: ("page", Repro_obs.Event.Str (Format.asprintf "%a" Page_id.pp pid))
-    :: attrs)
-
-let park_deferred ~owner ~pid ~blocker =
-  Page_id.Tbl.replace owner.deferred_pages pid blocker;
-  owner.metrics.Metrics.recovery_deferred_pages <- owner.metrics.recovery_deferred_pages + 1;
-  emit_deferred owner ~pid "parked" [ ("blocker", Repro_obs.Event.Int blocker) ]
-
-let unpark_deferred ~owner ~pid =
-  Page_id.Tbl.remove owner.deferred_pages pid;
-  owner.metrics.Metrics.recovery_deferred_completed <-
-    owner.metrics.recovery_deferred_completed + 1;
-  emit_deferred owner ~pid "completed" []
-
 (* ------------------------------------------------------------------ *)
 (* The recovery context                                                *)
 (* ------------------------------------------------------------------ *)
@@ -137,13 +102,11 @@ type ctx = {
   env : Env.t;
   crashed : Node_state.t list;
   operational : Node_state.t list;
-  deferred : Node_state.t list;
   crashed_ids : int list;
   live : bool;  (** recovery-class faults armed: see [recovery_faults_on] *)
   mutable losers_by_node : (Node_state.t * Record.active_txn list) list;  (** analysis *)
   mutable jobs : job list;  (** gather: one per page, in insertion order once it returns *)
   mutable job_pages : Page_id.Set.t;  (** gather: the pages of [jobs] *)
-  mutable completions : (Node_state.t * Page_id.t) list;  (** gather: parked pages to complete *)
   mutable replay : job -> Page.t -> unit;  (** psn_lists / merge_pull: apply a job's records *)
   mutable redo_applied : int;  (** redo: applied records, for [probe] *)
 }
@@ -161,12 +124,17 @@ let probe ctx m =
   if ctx.redo_applied mod redo_crash_interval = 0 then
     Node.maybe_crashpoint m Fault_plan.Recovery_redo
 
-(* Apply one of [m]'s records to [page], PSN-guarded: a record ahead of
-   the page is a gap in the participant set. *)
+(* Apply one of [m]'s records to [page], PSN-guarded.  A record ahead of
+   the page is a gap: some node's updates between the base and this
+   record are missing from the participant set.  Every down node is in
+   the batch, so the set was wrong — a protocol bug, never skipped. *)
 let apply_record ctx m page ~psn_before ~op =
   match Redo.apply page ~psn_before ~op with
   | Redo.Applied | Redo.Already_applied -> probe ctx m
-  | Redo.Not_yet -> raise (Redo_gap { node = m.id; psn = psn_before; page_psn = Page.psn page })
+  | Redo.Not_yet ->
+    invalid_arg
+      (Format.asprintf "recovery: node %d met record psn=%d ahead of page %a psn=%d" m.id
+         psn_before Page_id.pp (Page.id page) (Page.psn page))
 
 (* ------------------------------------------------------------------ *)
 (* Step: analysis (§2.3.1/§2.4)                                        *)
@@ -355,48 +323,6 @@ let gather_owned ctx =
         claims)
     ctx.crashed
 
-(* Category (c): pages an earlier recovery parked on a peer that is in
-   THIS batch — the blocker's log is finally readable, so the full redo
-   can run.  Unlike category (b), the claims span every participating
-   node: operational claimants kept their DPT entries precisely because
-   the parked page never advanced past their updates.  Gathered before
-   category (b) so the first-job-wins rule keeps the completion job (the
-   (b) job would only replay the crashed nodes' share). *)
-let gather_parked ctx =
-  List.iter
-    (fun owner ->
-      let parked =
-        Page_id.Tbl.fold (fun pid blocker acc -> (pid, blocker) :: acc) owner.deferred_pages []
-      in
-      List.iter
-        (fun (pid, blocker) ->
-          if List.mem blocker ctx.crashed_ids then begin
-            let base = Node.owner_latest_copy owner pid in
-            let claims = claims_above ~base (ctx.crashed @ ctx.operational) pid in
-            (* An operational claimant's records become part of a page
-               copy that will outlive it at another node: WAL discipline
-               demands they are durable first, like any pre-ship force. *)
-            List.iter
-              (fun { claimant = m; _ } -> if m.up then Log_manager.force_all m.log)
-              claims;
-            match claims with
-            | [] ->
-              (* every claim died with the blocker's torn tail: the base
-                 already is the latest surviving state *)
-              unpark_deferred ~owner ~pid
-            | _ :: _ ->
-              (* The owner coordinates and hosts the rebuilt copy: it
-                 kept the X grant from the attempt that parked the page,
-                 and every record feeding the copy is durable (a crashed
-                 node's log is all-durable after its tear; operational
-                 claimants were just forced), so the confinement rule
-                 for unforced effects is not in play. *)
-              ctx.completions <- (owner, pid) :: ctx.completions;
-              add_job ctx { pid; coordinator = owner; base; involved = claims }
-          end)
-        parked)
-    ctx.operational
-
 (* Category (b): pages of an *operational* owner that a crashed node had
    exclusively locked at crash time (§2.3.1 case b). *)
 let gather_locked ctx =
@@ -406,14 +332,7 @@ let gather_locked ctx =
         (fun (e : Dpt.entry) ->
           let pid = e.Dpt.pid in
           let owner_id = Page_id.owner pid in
-          if List.exists (fun (d : Node_state.t) -> d.id = owner_id) ctx.deferred then
-            (* the owner itself is down and not in this batch: its pages
-               cannot be rebuilt without its base copy.  The claim (and
-               the retained lock) survive untouched; the owner's own
-               recovery will collect them as ordinary category-(a)
-               work.  Access meanwhile blocks on [Node_down]. *)
-            ()
-          else if owner_id <> n.id && not (List.mem owner_id ctx.crashed_ids) then begin
+          if owner_id <> n.id && not (List.mem owner_id ctx.crashed_ids) then begin
             (* The base is the owner's most recent surviving copy; the
                crashed node repeats history from its own log on top of
                it whenever its CurrPSN is ahead (this includes the
@@ -435,7 +354,6 @@ let gather_locked ctx =
 
 let gather ctx =
   gather_owned ctx;
-  gather_parked ctx;
   gather_locked ctx;
   ctx.jobs <- List.rev ctx.jobs
 
@@ -608,49 +526,23 @@ let settle_claims job page =
     others;
   if not at_owner then Node.register_flush_waiter owner job.pid ~waiter:coordinator.id
 
-(* A redo gap at [gap_node] while recovering [job]: park the page on a
-   down peer when one exists to attribute the missing PSNs to, otherwise
-   the participant set was wrong and recovery must not limp on. *)
-let gap_or_defer job ~deferred ~gap_node ~psn ~page_psn =
-  let owner = job_owner job in
-  match pick_blocker ~deferred ~owner ~pid:job.pid with
-  | Some blocker -> park_deferred ~owner ~pid:job.pid ~blocker
-  | None ->
-    invalid_arg
-      (Format.asprintf "recovery: node %d met record psn=%d ahead of page %a psn=%d" gap_node
-         psn Page_id.pp job.pid page_psn)
-
 let redo ctx =
   List.iter
     (fun job ->
       let page = Page.copy job.base in
-      match ctx.replay job page with
-      | () ->
-        bump_redone job.coordinator;
-        settle_claims job page
-      | exception Redo_gap { node = gap_node; psn; page_psn } ->
-        (* the partially rebuilt copy is discarded; no claim settles, so a
-           later completion run re-derives the full participant set *)
-        gap_or_defer job ~deferred:ctx.deferred ~gap_node ~psn ~page_psn)
+      ctx.replay job page;
+      bump_redone job.coordinator;
+      settle_claims job page)
     ctx.jobs
 
-(* Glue after redo: the recovered pages open up, completion jobs that
-   made it through redo retire their parked entries (a job that hit a
-   fresh gap already re-parked the page with a new — still-down,
-   not-in-this-batch — blocker and must stay), and normal processing can
-   resume. *)
+(* Glue after redo: the recovered pages open up and normal processing
+   can resume. *)
 let end_redo ctx =
   List.iter
     (fun job ->
       let owner = job_owner job in
       owner.recovering_pages <- Page_id.Set.remove job.pid owner.recovering_pages)
     ctx.jobs;
-  List.iter
-    (fun (owner, pid) ->
-      match Page_id.Tbl.find_opt owner.deferred_pages pid with
-      | Some b when List.mem b ctx.crashed_ids -> unpark_deferred ~owner ~pid
-      | Some _ | None -> ())
-    ctx.completions;
   List.iter (fun n -> Node.maybe_crashpoint n Fault_plan.Recovery_pre_undo) ctx.crashed;
   List.iter (fun n -> n.up <- true) ctx.crashed
 
@@ -658,39 +550,22 @@ let end_redo ctx =
 (* Step: undo of loser transactions                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Roll one (registered) loser back to completion, starting from its
-   current [last_lsn] so a parked rollback resumes at its last CLR.  A
-   rollback that blocks on a DOWN peer — the page it must compensate is
-   deferred, or its owner is dead — is parked: the Txn stays registered
-   (its undo chain keeps pinning the log, and a further crash's analysis
-   re-finds it) and resumes when the blocker recovers.  Any other block
-   propagates: it is either this node's own injected crash (the whole
-   run restarts) or a transient fault a later attempt retries through. *)
+(* Roll one loser back to completion with CLRs from its own log.  Every
+   down node is in the batch and up by now, so a block here is a fresh
+   crash — this node's injected one or a peer's — or a transient fault:
+   it propagates, [abandon] withdraws the batch's early publication, and
+   the driver re-enters with the grown down set. *)
 let rollback_loser n txn =
-  match
-    let _last =
-      Undo.rollback (Node.undo_ops n txn) ~txn:txn.Txn.id ~from:txn.Txn.last_lsn ~upto:Lsn.nil
-    in
-    let lsn =
-      Node.append_record n { Record.txn = txn.Txn.id; prev = txn.Txn.last_lsn; body = Abort }
-    in
-    Txn.record_logged txn lsn;
-    txn.Txn.state <- Txn.Aborted;
-    Txn_table.remove n.txns txn.Txn.id;
-    n.metrics.Metrics.txn_aborted <- n.metrics.txn_aborted + 1
-  with
-  | () -> ()
-  | exception (Block.Would_block reason as e) -> (
-    match reason with
-    | (Block.Page_unavailable { blocker = b; _ } | Block.Node_down { node = b }) when b <> n.id ->
-      n.deferred_losers <- (txn.Txn.id, b) :: n.deferred_losers;
-      Env.emit n.env ~node:n.id Repro_obs.Event.Recovery_deferred
-        [
-          ("action", Repro_obs.Event.Str "loser-parked");
-          ("txn", Repro_obs.Event.Int txn.Txn.id);
-          ("blocker", Repro_obs.Event.Int b);
-        ]
-    | _ -> raise e)
+  let _last =
+    Undo.rollback (Node.undo_ops n txn) ~txn:txn.Txn.id ~from:txn.Txn.last_lsn ~upto:Lsn.nil
+  in
+  let lsn =
+    Node.append_record n { Record.txn = txn.Txn.id; prev = txn.Txn.last_lsn; body = Abort }
+  in
+  Txn.record_logged txn lsn;
+  txn.Txn.state <- Txn.Aborted;
+  Txn_table.remove n.txns txn.Txn.id;
+  n.metrics.Metrics.txn_aborted <- n.metrics.txn_aborted + 1
 
 let undo ctx =
   List.iter
@@ -703,22 +578,7 @@ let undo ctx =
           Txn_table.register n.txns txn;
           rollback_loser n txn)
         losers)
-    ctx.losers_by_node;
-  (* survivors whose loser rollback parked on one of the nodes we just
-     recovered can finish it now *)
-  List.iter
-    (fun n ->
-      let resumable, still_parked =
-        List.partition (fun (_, b) -> List.mem b ctx.crashed_ids) n.deferred_losers
-      in
-      n.deferred_losers <- still_parked;
-      List.iter
-        (fun (txn_id, _) ->
-          match Txn_table.find n.txns txn_id with
-          | None -> () (* this node crashed since; its own analysis re-found the loser *)
-          | Some txn -> rollback_loser n txn)
-        resumable)
-    ctx.operational
+    ctx.losers_by_node
 
 (* ------------------------------------------------------------------ *)
 (* Step: end-of-restart checkpoint (live-fault mode only)              *)
@@ -813,7 +673,7 @@ let summary_to_json s =
       ("total_seconds", Json.Float s.total_seconds);
     ]
 
-let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () =
+let run ?(strategy = Psn_coordinated) ~crashed ~operational () =
   List.iter
     (fun n ->
       match n.scheme with
@@ -822,16 +682,13 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
         invalid_arg
           "Recovery.run: crash recovery is implemented for the paper's local-logging scheme; \
            the baselines are normal-processing comparators")
-    (crashed @ operational @ deferred);
+    (crashed @ operational);
   List.iter
     (fun n -> if n.up then invalid_arg "Recovery.run: node in crashed list is up")
     crashed;
   List.iter
     (fun n -> if not n.up then invalid_arg "Recovery.run: node in operational list is down")
     operational;
-  List.iter
-    (fun n -> if n.up then invalid_arg "Recovery.run: node in deferred list is up")
-    deferred;
   (* Restartability: a previous attempt may have died partway through —
      discard whatever partial volatile state it left in the still-down
      nodes (recovered pages, reconstructed locks, re-registered losers)
@@ -873,13 +730,11 @@ let run ?(strategy = Psn_coordinated) ?(deferred = []) ~crashed ~operational () 
         env;
         crashed;
         operational;
-        deferred;
         crashed_ids = List.map (fun n -> n.id) crashed;
         live;
         losers_by_node = [];
         jobs = [];
         job_pages = Page_id.Set.empty;
-        completions = [];
         replay = (fun _ _ -> invalid_arg "Recovery.run: redo before psn_lists or merge_pull");
         redo_applied = 0;
       }

@@ -13,9 +13,8 @@
     + [gather] (§2.3.1/§2.4, §2.3.2): one job per page that may need
       recovery: (a) a crashed owner's pages, from every node's cache
       listing and DPT entries (a page alive in an operational cache is
-      fetched instead); (c) pages an earlier recovery parked on a node
-      of this batch; (b) operational owners' pages a crashed node held
-      X-locked.  A node is involved iff its DPT entry's CurrPSN exceeds
+      fetched instead); (b) operational owners' pages a crashed node
+      held X-locked.  A node is involved iff its DPT entry's CurrPSN exceeds
       the base (most recent surviving) version's PSN; others drop or
       refresh their entries.  Job pages are then X-locked.
     + [psn_lists] then [redo] (§2.3.4, {!Psn_coordinated}): involved
@@ -42,18 +41,13 @@
     that page's redo completed, so nothing partial is durable — and
     re-entering {!run} with the newly-crashed node added to [crashed]
     resets all volatile recovery state, reruns every step from durable
-    state and converges to the same durable outcome.  Peer exchanges retry through injected drops and
-    partitions with bounded exponential backoff.
+    state and converges to the same durable outcome.  Peer exchanges
+    retry through injected drops and partitions with bounded exponential
+    backoff.
 
-    {b Deferred recovery.}  When a page's redo needs log records of a
-    node that is down and {e not} in this batch (a PSN gap during
-    redo), the page is parked in its owner's deferred set: the
-    regranted locks are retained, access raises a retryable
-    [Page_unavailable], and the parked redo completes automatically in
-    the first {!run} whose [crashed] list contains the blocking node.
-    Loser rollbacks blocked the same way park in [deferred_losers] and
-    resume then too.  Pages owned by a [deferred] node are left to that
-    node's own later recovery. *)
+    Every down node is in the batch, so a redo record ahead of its page
+    (a PSN gap) means the participant set is wrong: it raises
+    [Invalid_argument], never skips the record. *)
 
 type strategy =
   | Psn_coordinated
@@ -79,19 +73,15 @@ val summary_to_json : summary -> Repro_obs.Json.t
 
 val run :
   ?strategy:strategy ->
-  ?deferred:Node_state.t list ->
   crashed:Node_state.t list ->
   operational:Node_state.t list ->
   unit ->
   summary
-(** Recovers all [crashed] nodes (they must be down); [operational] are
-    the surviving peers (must be up); [deferred] (default empty) names
-    down nodes {e intentionally excluded} from this batch — their own
-    pages are skipped and any redo that needs their log records parks
-    on them instead of erroring.  On return every crashed node is up,
-    its committed updates are restored, its losers rolled back (or
-    parked on a [deferred] node), and lock tables cluster-wide are
-    consistent.  [strategy] defaults to the paper's {!Psn_coordinated}.
+(** Recovers all [crashed] nodes (they must be down, and together they
+    must be every down node); [operational] are the surviving peers
+    (must be up).  On return every crashed node is up, its committed
+    updates are restored, its losers rolled back, and lock tables
+    cluster-wide are consistent.  [strategy] defaults to the paper's {!Psn_coordinated}.
     The returned summary reports where simulated recovery time went;
     the same numbers also land in the environment's [recovery.*]
     histograms and, when tracing, as [Recovery_phase] events.

@@ -23,22 +23,17 @@
       a page; a regression means two divergent histories under the same
       PSNs (the double-lineage bug class).
 
-   4. deferred-fence — deferred recovery: a page parked waiting for a
-      down peer's log is served by its owner (lock grants, ships) only
-      after the deferred redo completed or the owner itself crashed
-      (wiping the parked state for the next recovery to rebuild).
-
-   5. release-after-terminal — strict 2PL: once a transaction reached
+   4. release-after-terminal — strict 2PL: once a transaction reached
       its terminal lock release (or its commit/abort event), no further
       lock activity or log append may carry its causal context.
 
-   6. release-after-submit — early lock release (controlled lock
-      violation) weakens 5 for committing transactions: a
+   5. release-after-submit — early lock release (controlled lock
+      violation) weakens 4 for committing transactions: a
       [lock.early_release] is legal only between the commit-record
       submit and the covering force, and the releaser may do no further
       lock or log work afterwards.
 
-   7. closure-loss — PR 3's whole-batch loss generalised: a transaction
+   6. closure-loss — PR 3's whole-batch loss generalised: a transaction
       that observed an early releaser's pages ([commit.dep]) must not
       report committed — nor already be durable — once that antecedent
       is lost; loss propagates through the forward dependency closure.
@@ -47,7 +42,7 @@
       re-proves it for every trace.
 
    A truncated trace (the ring overflowed and a [trace.dropped] summary
-   is present) disables the prefix-dependent checks 1, 2, 5, 6 and 7 —
+   is present) disables the prefix-dependent checks 1, 2, 4, 5 and 6 —
    replaying them from a suffix would fabricate violations — and the
    report says so. *)
 
@@ -80,7 +75,6 @@ type state = {
   completed : (int, unit) Hashtbl.t;  (* txn -> covering force seen *)
   lost : (int, unit) Hashtbl.t;  (* txn -> its batch died in a crash *)
   psn : (string, int) Hashtbl.t;  (* page -> highest shipped PSN *)
-  parked : (string, int) Hashtbl.t;  (* page -> owner node it is parked at *)
   home : (int, int) Hashtbl.t;  (* txn -> node it runs on *)
   terminal : (int, unit) Hashtbl.t;  (* txn -> saw terminal release / commit / abort *)
   early_released : (int, unit) Hashtbl.t;
@@ -111,7 +105,7 @@ let complete_covered st ~node ~durable ~time =
       Hashtbl.remove st.pending txn;
       Hashtbl.replace st.completed txn ())
     done_;
-  (* 7: a commit may only become durable after (or together with) every
+  (* 6: a commit may only become durable after (or together with) every
      antecedent it depends on — the whole batch completed above before
      this check, so same-force antecedents pass.  Satisfied edges are
      settled so a later crash cannot drag dependents of a durable
@@ -149,12 +143,6 @@ let on_ship st (e : Event.t) =
     flag st ~invariant:"psn-monotonic" ~time:e.Event.time ~node
       (Printf.sprintf "page %s shipped with psn %d after psn %d" page psn prev)
   | Some _ | None -> Hashtbl.replace st.psn page psn);
-  (* 4: a parked page must not leave its owner *)
-  (match Hashtbl.find_opt st.parked page with
-  | Some owner when owner = node ->
-    flag st ~invariant:"deferred-fence" ~time:e.Event.time ~node
-      (Printf.sprintf "owner shipped parked page %s before its deferred redo completed" page)
-  | Some _ | None -> ());
   (* 1: WAL *)
   if st.full then
     match Event.attr_int e "lsn" with
@@ -192,7 +180,7 @@ let on_crash st (e : Event.t) =
            activity must not read as work after an early release *)
         Hashtbl.remove st.early_released txn)
       dead;
-    (* 7: loss propagates through the forward dependency closure — any
+    (* 6: loss propagates through the forward dependency closure — any
        transaction that observed a dead member's early-released pages
        is dragged down, transitively.  One already durable is the
        violation the gate in [Cluster.commit_outcome] exists to
@@ -215,12 +203,7 @@ let on_crash st (e : Event.t) =
           end)
         (Option.value (Hashtbl.find_opt st.deps_fwd txn) ~default:[])
     done
-  end;
-  (* parked state is volatile: the next recovery attempt re-parks *)
-  let unparked =
-    Hashtbl.fold (fun page owner acc -> if owner = node then page :: acc else acc) st.parked []
-  in
-  List.iter (Hashtbl.remove st.parked) unparked
+  end
 
 let on_commit st (e : Event.t) =
   let txn = Event.txn_of e in
@@ -254,13 +237,7 @@ let on_begin st (e : Event.t) =
   let txn = Event.txn_of e in
   if txn >= 0 then Hashtbl.replace st.home txn e.Event.node
 
-let on_deferred st (e : Event.t) =
-  match attr_str_d e "action" with
-  | "parked" -> Hashtbl.replace st.parked (attr_str_d e "page") e.Event.node
-  | "completed" -> Hashtbl.remove st.parked (attr_str_d e "page")
-  | _ -> () (* "loser-parked" and future actions fence nothing *)
-
-(* Invariant 5, lock-activity side: a transaction past its terminal
+(* Invariant 4, lock-activity side: a transaction past its terminal
    point must not request/acquire locks or append log records. *)
 let check_terminal st what (e : Event.t) =
   if st.full then begin
@@ -270,14 +247,14 @@ let check_terminal st what (e : Event.t) =
         flag st ~invariant:"release-after-terminal" ~time:e.Event.time ~node:e.Event.node
           (Printf.sprintf "T%d performed %s after its terminal lock release" txn what)
       else if Hashtbl.mem st.early_released txn then
-        (* 6: the weakened discipline still forbids work after the
+        (* 5: the weakened discipline still forbids work after the
            early release — the transaction sits in its batch, nothing
            more *)
         flag st ~invariant:"release-after-submit" ~time:e.Event.time ~node:e.Event.node
           (Printf.sprintf "T%d performed %s after releasing its locks early" txn what)
   end
 
-(* Invariant 6, release side: the early-release summary event (it
+(* Invariant 5, release side: the early-release summary event (it
    carries a [txn] attr; the per-page trace from the lock table does
    not) is legal only while the releaser's submitted commit record is
    still awaiting its covering force. *)
@@ -295,7 +272,7 @@ let on_early_release st (e : Event.t) =
              "T%d released its locks early without a submitted, uncovered commit record" txn)
       else Hashtbl.replace st.early_released txn ()
 
-(* Invariant 7, edge side: record who observed whose pre-durable state.
+(* Invariant 6, edge side: record who observed whose pre-durable state.
    An edge on an already-covered antecedent constrains nothing. *)
 let on_commit_dep st (e : Event.t) =
   if st.full then
@@ -306,7 +283,7 @@ let on_commit_dep st (e : Event.t) =
       push st.deps_rev dependent antecedent
     | _ -> ()
 
-(* Invariant 5, release side: the terminal release is a node-level
+(* Invariant 4, release side: the terminal release is a node-level
    cached-lock drop (no [holder] attr — owner-table releases carry one)
    at the transaction's own node, emitted by its end-of-transaction
    release sweep.  Callback-path drops run under the *requester's*
@@ -332,15 +309,7 @@ let dispatch st (e : Event.t) =
   | Event.Cache_install -> ()
   | Event.Cache_evict -> ()
   | Event.Lock_request -> check_terminal st "a lock request" e
-  | Event.Lock_grant -> (
-    (* 4: a parked page must not be granted at its owner *)
-    let page = attr_str_d e "page" in
-    match Hashtbl.find_opt st.parked page with
-    | Some owner when owner = e.Event.node ->
-      flag st ~invariant:"deferred-fence" ~time:e.Event.time ~node:e.Event.node
-        (Printf.sprintf "owner granted a lock on parked page %s before its deferred redo completed"
-           page)
-    | Some _ | None -> ())
+  | Event.Lock_grant -> ()
   | Event.Lock_callback -> ()
   | Event.Lock_demote -> ()
   | Event.Lock_release -> on_release st e
@@ -359,7 +328,6 @@ let dispatch st (e : Event.t) =
   | Event.Recovery_end -> ()
   | Event.Recovery_phase -> ()
   | Event.Recovery_restart -> ()
-  | Event.Recovery_deferred -> on_deferred st e
   | Event.Recovery_retry -> ()
   | Event.Fault_drop -> ()
   | Event.Fault_dup -> ()
@@ -383,7 +351,6 @@ let run events =
       completed = Hashtbl.create 256;
       lost = Hashtbl.create 16;
       psn = Hashtbl.create 256;
-      parked = Hashtbl.create 16;
       home = Hashtbl.create 256;
       terminal = Hashtbl.create 256;
       early_released = Hashtbl.create 64;

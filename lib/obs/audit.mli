@@ -9,8 +9,6 @@
     - [batch-loss-closure] — group commit: commits are reported only
       after a covering force, and never out of a crash-lost batch;
     - [psn-monotonic] — shipped PSNs never regress for a page;
-    - [deferred-fence] — a parked deferred page is not granted or
-      shipped by its owner before the deferred redo completes;
     - [release-after-terminal] — strict 2PL: no lock activity or log
       append carries a transaction's context past its terminal release;
     - [release-after-submit] — early lock release weakens the above for

@@ -46,6 +46,9 @@ type marker =
 
 type event_class =
   | Charge of component  (** the event's [dur] attr feeds this component *)
+  | Force
+      (** a log force: its [dur] feeds log_force, and it is its node's
+          latest force, the one that covers a batched commit *)
   | Marker of marker  (** structural: drives the fold's state machine *)
   | Unattributed  (** contributes to [other] implicitly *)
 
@@ -56,7 +59,7 @@ let classify_kind : Event.kind -> event_class = function
   | Event.Msg_send -> Charge Network
   | Event.Msg_recv -> Unattributed (* the send already carries the charge *)
   | Event.Log_append -> Unattributed (* CPU cost; lands in [other] *)
-  | Event.Log_force -> Charge Log_force_time
+  | Event.Log_force -> Force
   | Event.Page_read -> Charge Owner_service
   | Event.Page_write -> Charge Owner_service
   | Event.Page_ship -> Unattributed (* its message is a separate Msg_send *)
@@ -82,7 +85,6 @@ let classify_kind : Event.kind -> event_class = function
   | Event.Recovery_end -> Unattributed
   | Event.Recovery_phase -> Unattributed
   | Event.Recovery_restart -> Unattributed
-  | Event.Recovery_deferred -> Unattributed
   | Event.Recovery_retry -> Unattributed
   | Event.Fault_drop -> Unattributed
   | Event.Fault_dup -> Unattributed
@@ -175,8 +177,14 @@ let analyze events =
   List.iter
     (fun (e : Event.t) ->
       let dur = Option.value (Event.attr_float e "dur") ~default:0. in
-      (match classify_kind e.Event.kind with
+      match classify_kind e.Event.kind with
       | Charge comp -> if e.Event.txn >= 0 then add_charge e.Event.txn comp dur
+      | Force ->
+        if e.Event.txn >= 0 then add_charge e.Event.txn Log_force_time dur;
+        (* Covering-force bookkeeping is independent of attribution: the
+           force that makes a batch durable usually runs under some
+           OTHER transaction's context (or none, on a timer flush). *)
+        Hashtbl.replace last_force e.Event.node (e.Event.time, dur, e.Event.txn)
       | Marker m -> (
         let txn = event_txn e in
         match m with
@@ -228,22 +236,7 @@ let analyze events =
             Hashtbl.remove parts txn;
             Hashtbl.remove submit txn
           end)
-      | Unattributed -> ());
-      (* Covering-force bookkeeping is independent of attribution: the
-         force that makes a batch durable usually runs under some OTHER
-         transaction's context (or none, on a timer flush). *)
-      match e.Event.kind with
-      | Event.Log_force -> Hashtbl.replace last_force e.Event.node (e.Event.time, dur, e.Event.txn)
-      | Event.Msg_send | Event.Msg_recv | Event.Log_append | Event.Page_read | Event.Page_write
-      | Event.Page_ship | Event.Cache_install | Event.Cache_evict | Event.Lock_request
-      | Event.Lock_grant | Event.Lock_callback | Event.Lock_demote | Event.Lock_release
-      | Event.Lock_acquired | Event.Ckpt_begin | Event.Ckpt_end | Event.Txn_begin
-      | Event.Txn_commit | Event.Txn_abort | Event.Commit_submit | Event.Commit_batch
-      | Event.Commit_dep | Event.Lock_early_release
-      | Event.Crash | Event.Recovery_begin | Event.Recovery_end | Event.Recovery_phase
-      | Event.Recovery_restart | Event.Recovery_deferred | Event.Recovery_retry
-      | Event.Fault_drop | Event.Fault_dup | Event.Fault_delay | Event.Fault_partition
-      | Event.Fault_torn | Event.Fault_crash | Event.Trace_dropped -> ())
+      | Unattributed -> ())
     events;
   { txns = List.rev !timelines; truncated = !truncated }
 

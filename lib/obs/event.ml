@@ -35,7 +35,6 @@ type kind =
   | Recovery_end
   | Recovery_phase
   | Recovery_restart
-  | Recovery_deferred
   | Recovery_retry
   | Fault_drop
   | Fault_dup
@@ -83,7 +82,6 @@ let kind_name = function
   | Recovery_end -> "recovery.end"
   | Recovery_phase -> "recovery.phase"
   | Recovery_restart -> "recovery.restart"
-  | Recovery_deferred -> "recovery.deferred"
   | Recovery_retry -> "recovery.retry"
   | Fault_drop -> "fault.drop"
   | Fault_dup -> "fault.dup"
@@ -99,9 +97,8 @@ let all_kinds =
     Cache_install; Cache_evict; Lock_request; Lock_grant; Lock_callback; Lock_demote;
     Lock_release; Lock_acquired; Ckpt_begin; Ckpt_end; Txn_begin; Txn_commit; Txn_abort;
     Commit_submit; Commit_batch; Commit_dep; Lock_early_release; Crash;
-    Recovery_begin; Recovery_end; Recovery_phase; Recovery_restart; Recovery_deferred;
-    Recovery_retry; Fault_drop; Fault_dup; Fault_delay; Fault_partition; Fault_torn; Fault_crash;
-    Trace_dropped;
+    Recovery_begin; Recovery_end; Recovery_phase; Recovery_restart; Recovery_retry; Fault_drop;
+    Fault_dup; Fault_delay; Fault_partition; Fault_torn; Fault_crash; Trace_dropped;
   ]
 
 let kind_of_name s = List.find_opt (fun k -> String.equal (kind_name k) s) all_kinds

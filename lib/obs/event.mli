@@ -42,7 +42,6 @@ type kind =
   | Recovery_end
   | Recovery_phase
   | Recovery_restart
-  | Recovery_deferred
   | Recovery_retry
   | Fault_drop
   | Fault_dup

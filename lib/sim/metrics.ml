@@ -25,8 +25,6 @@ type t = {
   mutable recovery_messages : int;
   mutable recovery_page_transfers : int;
   mutable recovery_restarts : int;
-  mutable recovery_deferred_pages : int;
-  mutable recovery_deferred_completed : int;
   mutable recovery_retries : int;
   mutable checkpoints_taken : int;
   mutable log_space_stalls : int;
@@ -69,8 +67,6 @@ let create ?(node = -1) () =
     recovery_messages = 0;
     recovery_page_transfers = 0;
     recovery_restarts = 0;
-    recovery_deferred_pages = 0;
-    recovery_deferred_completed = 0;
     recovery_retries = 0;
     checkpoints_taken = 0;
     log_space_stalls = 0;
@@ -124,12 +120,6 @@ let fields =
       (fun t -> t.recovery_page_transfers),
       fun t v -> t.recovery_page_transfers <- v );
     ("recovery_restarts", (fun t -> t.recovery_restarts), fun t v -> t.recovery_restarts <- v);
-    ( "recovery_deferred_pages",
-      (fun t -> t.recovery_deferred_pages),
-      fun t v -> t.recovery_deferred_pages <- v );
-    ( "recovery_deferred_completed",
-      (fun t -> t.recovery_deferred_completed),
-      fun t v -> t.recovery_deferred_completed <- v );
     ("recovery_retries", (fun t -> t.recovery_retries), fun t v -> t.recovery_retries <- v);
     ("checkpoints_taken", (fun t -> t.checkpoints_taken), fun t v -> t.checkpoints_taken <- v);
     ("log_space_stalls", (fun t -> t.log_space_stalls), fun t v -> t.log_space_stalls <- v);

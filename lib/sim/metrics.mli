@@ -39,8 +39,6 @@ type t = {
   mutable recovery_messages : int;
   mutable recovery_page_transfers : int;
   mutable recovery_restarts : int;  (** recovery runs aborted by a nested crash and re-entered *)
-  mutable recovery_deferred_pages : int;  (** pages parked awaiting a down peer *)
-  mutable recovery_deferred_completed : int;  (** parked pages finished after the peer returned *)
   mutable recovery_retries : int;  (** recovery exchanges retried after a drop/partition *)
   mutable checkpoints_taken : int;
   mutable log_space_stalls : int;  (** times a txn waited for log space (E6) *)

@@ -321,9 +321,9 @@ let run (engine : Engine.t) ?(events = []) ?(max_rounds = 100_000) ?(mpl = max_i
           | Block.Page_recovering _ | Block.Net_unreachable _ | Block.Page_unavailable _ ) ) ->
         (* Net_unreachable heals by retrying: every probe drains the
            partition's budget, so sitting out the cooldown and retrying
-           is the bounded-retry loop.  Page_unavailable (deferred
-           recovery parked the page on a down peer) heals the same way:
-           the blocker's own recovery completes the parked redo. *)
+           is the bounded-retry loop.  Nothing raises Page_unavailable
+           (see Block); its arm stays while the benchmark's per-reason
+           table still names it. *)
         ())
   in
   (* Process one runnable program: the same branch ladder the legacy

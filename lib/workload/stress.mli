@@ -9,10 +9,9 @@
     a fault plan, mid-workload checkpoints and driver auto-recovery.
     After the driver finishes, every down node is recovered
     ({!Repro_cbl.Cluster.recover_until_up}) and the cluster's
-    invariants are checked.  [cblsim stress] verifies the outcomes,
-    [cblsim audit --stress] replays the traced runs through the
-    protocol auditor, and the regression tests pin seeds that once
-    exposed bugs. *)
+    invariants are checked.  [cblsim stress] verifies the outcomes
+    and replays each traced run through the protocol auditor, and the
+    regression tests pin seeds that once exposed bugs. *)
 
 val run :
   ?trace:bool ->

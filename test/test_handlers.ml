@@ -1,6 +1,6 @@
 (* swallowed-control-exn: no exception handler under lib/ may catch
    every exception.  Blocking, crashes and full logs travel as
-   exceptions (Block.Would_block, Log_full, Redo_gap), and a catch-all
+   exceptions (Block.Would_block, Log_full), and a catch-all
    would also absorb the Failure or Invalid_argument of a broken
    invariant; the eviction chain once swallowed a crash this way.  The
    stress and audit sweeps cannot see such a handler: on a correct tree

@@ -483,26 +483,6 @@ let test_audit_psn_monotonic () =
       ev ~t:2. ~node:1 Event.Page_ship [ ("page", Event.Str "P0.1"); ("psn", Event.Int 5) ];
     ]
 
-let test_audit_deferred_fence () =
-  (* a parked page is granted (and shipped) by its owner before the
-     deferred redo completed *)
-  let parked = ev ~t:1. Event.Recovery_deferred
-      [ ("action", Event.Str "parked"); ("page", Event.Str "P0.2"); ("blocker", Event.Int 2) ]
-  in
-  audit_flags "deferred-fence" [ parked; ev ~t:2. Event.Lock_grant [ ("page", Event.Str "P0.2") ] ];
-  audit_flags "deferred-fence"
-    [ parked; ev ~t:2. Event.Page_ship [ ("page", Event.Str "P0.2"); ("psn", Event.Int 1) ] ];
-  (* completion lifts the fence *)
-  audit_clean
-    [
-      parked;
-      ev ~t:2. Event.Recovery_deferred
-        [ ("action", Event.Str "completed"); ("page", Event.Str "P0.2") ];
-      ev ~t:3. Event.Lock_grant [ ("page", Event.Str "P0.2") ];
-    ];
-  (* so does the owner's own crash: parked state is volatile *)
-  audit_clean [ parked; ev ~t:2. Event.Crash []; ev ~t:3. Event.Lock_grant [ ("page", Event.Str "P0.2") ] ]
-
 let test_audit_release_after_terminal () =
   (* T3's terminal release at its home node, then more lock activity
      under its context: strict 2PL broken *)
@@ -609,7 +589,6 @@ let suite =
     Alcotest.test_case "audit flags force-before-ship" `Quick test_audit_force_before_ship;
     Alcotest.test_case "audit flags batch-loss-closure" `Quick test_audit_batch_loss_closure;
     Alcotest.test_case "audit flags psn-monotonic" `Quick test_audit_psn_monotonic;
-    Alcotest.test_case "audit flags deferred-fence" `Quick test_audit_deferred_fence;
     Alcotest.test_case "audit flags release-after-terminal" `Quick
       test_audit_release_after_terminal;
   ]

@@ -1,6 +1,6 @@
-(* Recovery under fire: crashes at the five recovery crash points,
-   partitions across the recovery exchanges, and deferred-page parking
-   when a required peer stays down.  The scenarios mirror E12's shape
+(* Recovery under fire: crashes at the five recovery crash points and
+   partitions across the recovery exchanges, and every down node
+   recovering in one batch.  The scenarios mirror E12's shape
    (every node increments every page, the owner last, so its crash
    leaves no live cached copy and real multi-node redo must run) and
    assert convergence against a fault-free control run of the same
@@ -123,78 +123,12 @@ let test_redo_retry_bit_identical () =
   Cluster.check_invariants cluster;
   Alcotest.(check (list int64)) "bit-identical to the fault-free recovery" control faulted
 
-let test_deferred_pages_complete_on_peer_restart () =
-  (* No injector: the defer path alone.  Node 2's committed increments
-     sit between node 1's and node 0's in every page's PSN order, so
-     recovering node 0 without node 2 meets a redo gap on every page and
-     must park it (blocker = 2) rather than fail.  Parked pages answer
-     with the retryable [Page_unavailable]; recovering node 2 completes
-     them and the full values surface. *)
-  let cluster = Cluster.create ~nodes:4 (Config.with_page_size Config.default 512) in
-  let pages = Cluster.allocate_pages cluster ~owner:0 ~count:4 in
-  seed_workload cluster pages;
-  Cluster.crash cluster ~node:0;
-  Cluster.crash cluster ~node:2;
-  let before = Metrics.snapshot (Cluster.global_metrics cluster) in
-  Cluster.recover cluster ~defer:[ 2 ] ~nodes:[ 0 ];
-  let owner = Cluster.node cluster 0 in
-  let parked = Page_id.Tbl.length owner.Node_state.deferred_pages in
-  Alcotest.(check int) "every page parked on the deferred peer" (List.length pages) parked;
-  let d = Metrics.diff ~after:(Cluster.global_metrics cluster) ~before in
-  Alcotest.(check int) "parked metric counts them" (List.length pages)
-    d.Metrics.recovery_deferred_pages;
-  (* access to a parked page surfaces the retryable block, naming the
-     node whose recovery will clear it *)
-  let engine = Engine.of_cluster cluster in
-  let txn = engine.Engine.begin_txn ~node:1 in
-  (match engine.Engine.read_cell ~txn ~pid:(List.hd pages) ~off:0 with
-  | _ -> Alcotest.fail "expected Page_unavailable on a parked page"
-  | exception Block.Would_block (Block.Page_unavailable { blocker; _ }) ->
-    Alcotest.(check int) "blocked on the deferred peer" 2 blocker);
-  Cluster.abort cluster ~txn;
-  (* the deferred peer returns: its recovery completes the parked pages *)
-  Cluster.recover cluster ~nodes:[ 2 ];
-  Alcotest.(check int) "parked set drained" 0 (Page_id.Tbl.length owner.Node_state.deferred_pages);
-  let d = Metrics.diff ~after:(Cluster.global_metrics cluster) ~before in
-  Alcotest.(check int) "completions counted" (List.length pages)
-    d.Metrics.recovery_deferred_completed;
-  Alcotest.(check (list int64)) "every increment surfaced"
-    (List.map (fun _ -> 4L) pages)
-    (read_all cluster pages ~node:1);
-  Cluster.check_invariants cluster
-
-let test_recover_until_up_defer () =
-  (* E12's shape under hot recovery crash points: with node 2 deferred,
-     re-entry brings up every other down node and leaves 2 down (its
-     pages' redo parks on it); a second call with nothing deferred
-     brings 2 up and completes the parked pages. *)
-  let plan =
-    { Fault_plan.none with Fault_plan.seed = 903; crashpoints = recovery_points ~budget:2 0.3 }
-  in
-  let cluster =
-    Cluster.create ~faults:(Injector.create plan) ~nodes:4
-      (Config.with_page_size Config.default 512)
-  in
-  let pages = Cluster.allocate_pages cluster ~owner:0 ~count:6 in
-  seed_workload cluster pages;
-  Cluster.crash cluster ~node:0;
-  Cluster.crash cluster ~node:2;
-  let up () = List.init 4 (fun n -> Repro_cbl.Node.is_up (Cluster.node cluster n)) in
-  Cluster.recover_until_up ~defer:[ 2 ] cluster;
-  Alcotest.(check (list bool)) "all up but the deferred node" [ true; true; false; true ] (up ());
-  Cluster.recover_until_up cluster;
-  Alcotest.(check (list bool)) "all up" [ true; true; true; true ] (up ());
-  Alcotest.(check (list int64)) "every increment surfaced"
-    (List.map (fun _ -> 4L) pages)
-    (read_all cluster pages ~node:3);
-  Cluster.check_invariants cluster
-
-let test_loser_parks_on_deferred_peer () =
-  (* §2.4: node 1's loser updated a page owned by node 2.  Both nodes
-     crash; node 1 recovers with node 2 deferred, so undo cannot fetch
-     that page and parks the loser instead of failing the restart.
-     Node 2's recovery then lets node 1 finish the rollback. *)
-  let cluster = Cluster.create ~trace:true ~nodes:3 Config.instant in
+let test_loser_on_co_recovered_peer () =
+  (* §2.4: node 1's loser updated a page owned by node 2, and both
+     crash.  Recovering node 1 alone is refused — node 2's log and base
+     would be missing from the batch — so both recover together, and
+     node 1's undo fetches the page from the co-recovered owner. *)
+  let cluster = Cluster.create ~nodes:3 Config.instant in
   let remote = List.hd (Cluster.allocate_pages cluster ~owner:2 ~count:1) in
   let own = List.hd (Cluster.allocate_pages cluster ~owner:1 ~count:1) in
   let t = Cluster.begin_txn cluster ~node:1 in
@@ -208,29 +142,14 @@ let test_loser_parks_on_deferred_peer () =
   Cluster.commit cluster ~txn:t;
   Cluster.crash cluster ~node:1;
   Cluster.crash cluster ~node:2;
-  Cluster.recover cluster ~defer:[ 2 ] ~nodes:[ 1 ];
-  let parked =
-    List.filter
-      (fun e ->
-        e.Event.kind = Event.Recovery_deferred
-        && List.assoc_opt "action" e.Event.attrs = Some (Event.Str "loser-parked"))
-      (Recorder.events (Repro_sim.Env.obs (Cluster.env cluster)))
-  in
-  (match parked with
-  | [ e ] ->
-    Alcotest.(check (option int)) "parked loser" (Some loser)
-      (Option.bind (List.assoc_opt "txn" e.Event.attrs) (function
-        | Event.Int v -> Some v
-        | Event.Float _ | Event.Str _ | Event.Bool _ -> None));
-    Alcotest.(check bool) "blocked on the deferred peer" true
-      (List.assoc_opt "blocker" e.Event.attrs = Some (Event.Int 2))
-  | _ -> Alcotest.failf "expected one loser-parked event, got %d" (List.length parked));
+  Alcotest.check_raises "a down node left out is rejected"
+    (Invalid_argument "Cluster.recover: node(s) 2 are down; recover all down nodes together")
+    (fun () -> Cluster.recover cluster ~nodes:[ 1 ]);
+  Cluster.recover cluster ~nodes:[ 1; 2 ];
   let node1 = Cluster.node cluster 1 in
-  Alcotest.(check bool) "the loser stays registered while parked" true
-    (Option.is_some (Repro_tx.Txn_table.find node1.Node_state.txns loser));
-  Cluster.recover cluster ~nodes:[ 2 ];
   Alcotest.(check bool) "the loser is rolled back" true
     (Option.is_none (Repro_tx.Txn_table.find node1.Node_state.txns loser));
+  Alcotest.(check int) "one abort" 1 (Cluster.node_metrics cluster 1).Metrics.txn_aborted;
   Alcotest.(check (list int64)) "committed state intact" [ 5L; 1L ]
     (read_all cluster [ remote; own ] ~node:0);
   Cluster.check_invariants cluster
@@ -266,10 +185,6 @@ let suite =
   [
     ("double crash during recovery converges", `Quick, test_double_crash_during_recovery);
     ("redo retries are bit-identical to fault-free", `Quick, test_redo_retry_bit_identical);
-    ( "deferred pages complete on peer restart",
-      `Quick,
-      test_deferred_pages_complete_on_peer_restart );
-    ("recover_until_up defers, then converges", `Quick, test_recover_until_up_defer);
-    ("loser parks on a deferred peer", `Quick, test_loser_parks_on_deferred_peer);
+    ("loser on a co-recovered peer's page", `Quick, test_loser_on_co_recovered_peer);
     ("regression seeds (recovery fault class)", `Slow, test_regression_seeds);
   ]
