@@ -6,13 +6,27 @@ type t = {
   mutable durable : int;
   mutable low_water : int;
   mutable suspect : int option;
+  mutable verified_lo : int;
+  mutable verified_hi : int;
+      (* [verified_lo, verified_hi): every frame wholly inside passed the
+         log manager's full check since its bytes last changed; empty
+         when [verified_lo = verified_hi], and [verified_hi <= len] *)
   capacity : int option;
 }
 
 exception Log_full
 
 let create ?capacity () =
-  { buf = Bytes.create 4096; len = 0; durable = 0; low_water = 0; suspect = None; capacity }
+  {
+    buf = Bytes.create 4096;
+    len = 0;
+    durable = 0;
+    low_water = 0;
+    suspect = None;
+    verified_lo = 0;
+    verified_hi = 0;
+    capacity;
+  }
 
 let end_offset t = t.len
 let durable_offset t = t.durable
@@ -51,14 +65,34 @@ let view t ~pos ~len =
     invalid_arg (Printf.sprintf "Log_device.read: offset %d below low water %d" pos t.low_water);
   if pos < 0 || len < 0 || pos + len > end_offset t then
     invalid_arg (Printf.sprintf "Log_device.read: [%d,%d) beyond end %d" pos (pos + len) (end_offset t));
-  t.buf
+  Bytes.unsafe_to_string t.buf
 
-let read t ~pos ~len = Bytes.sub_string (view t ~pos ~len) pos len
+let read t ~pos ~len = String.sub (view t ~pos ~len) pos len
+
+let verified t ~pos ~len = pos >= t.verified_lo && pos + len <= t.verified_hi
+
+let extend_verified t ~lo ~hi =
+  if lo < hi then
+    if hi > end_offset t then
+      invalid_arg (Printf.sprintf "Log_device.extend_verified: %d beyond end %d" hi (end_offset t))
+    else if lo <= t.verified_hi && t.verified_lo <= hi then begin
+      t.verified_lo <- min lo t.verified_lo;
+      t.verified_hi <- max hi t.verified_hi
+    end
+    else begin
+      t.verified_lo <- lo;
+      t.verified_hi <- hi
+    end
+
+(* Every byte at and past [off] may change: the range keeps only what
+   lies below it. *)
+let lower_verified t off = if off < t.verified_hi then t.verified_hi <- max t.verified_lo off
 
 let truncate_to t off =
   if off > t.low_water then t.low_water <- min off t.durable
 
 let crash ?(keep_tail = 0) t =
+  lower_verified t t.durable;
   let tail = end_offset t - t.durable in
   let kept_tail = min (max 0 keep_tail) tail in
   t.len <- t.durable + kept_tail;
@@ -74,6 +108,7 @@ let crash ?(keep_tail = 0) t =
 let scribble t ~pos =
   if pos < 0 || pos >= end_offset t then
     invalid_arg (Printf.sprintf "Log_device.scribble: offset %d beyond end %d" pos (end_offset t));
+  lower_verified t pos;
   Bytes.set t.buf pos (Char.chr (Char.code (Bytes.get t.buf pos) lxor 0xFF))
 
 let trim_end t off =
@@ -81,6 +116,7 @@ let trim_end t off =
     invalid_arg
       (Printf.sprintf "Log_device.trim_end: offset %d outside [%d,%d]" off t.low_water
          (end_offset t));
+  lower_verified t off;
   t.len <- off;
   t.durable <- min t.durable off
 

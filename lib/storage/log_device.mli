@@ -15,7 +15,19 @@
     The device stores raw bytes in one growable buffer; record framing
     and checksums are the {!Repro_wal.Log_manager}'s business.  Crashes,
     torn-tail trims and scribbles cut or flip bytes in place, never
-    copying the retained history. *)
+    copying the retained history.
+
+    {b The verified range.}  The device also keeps one range
+    [[lo, hi)] of offsets in which every frame lying wholly inside has
+    passed the log manager's full frame check since its bytes last
+    changed ({!extend_verified}, {!verified}).  The device owns it
+    because only the device changes log bytes, and only through
+    {!crash}, {!scribble} and {!trim_end}: each lowers [hi] to the first
+    byte it may have changed or dropped — the old durable boundary, the
+    scribbled byte, the cut.  {!append} need not: it writes only at
+    [end_offset], and [hi <= end_offset] always holds, since every
+    mutator that moves [end_offset] down lowers [hi] with it.  {!view}
+    hands out the bytes as a [string], so no caller can write them. *)
 
 type t
 
@@ -42,14 +54,27 @@ val read : t -> pos:int -> len:int -> string
     reading beyond [end_offset] or below 0 raises [Invalid_argument].
     Reading below [low_water] also raises: those bytes were reclaimed. *)
 
-val view : t -> pos:int -> len:int -> Bytes.t
+val view : t -> pos:int -> len:int -> string
 (** [view t ~pos ~len] checks the range exactly as {!read} does, then
     returns the device's backing store without copying: the requested
-    bytes are [b[pos, pos+len)] of the result (logical offsets are
+    bytes are [s[pos, pos+len)] of the result (logical offsets are
     indexes).  The result aliases the device — it is only valid until
-    the next {!append}, {!crash}, {!scribble} or {!trim_end}, and the
-    caller must not write to it.  The log manager checksums and decodes
-    frames in place through it. *)
+    the next {!append}, {!crash}, {!scribble} or {!trim_end} — and is
+    read-only.  The log manager checksums and decodes frames in place
+    through it. *)
+
+val verified : t -> pos:int -> len:int -> bool
+(** Whether [[pos, pos+len)] lies inside the verified range: a frame
+    there has passed the full check and its bytes have not changed
+    since. *)
+
+val extend_verified : t -> lo:int -> hi:int -> unit
+(** [extend_verified t ~lo ~hi] records that the frames from [lo] up to
+    [hi], one after another, all passed the full check just now.  The
+    range becomes the union of the two when they overlap or touch, and
+    [[lo, hi)] alone when they do not; an empty [[lo, hi)] changes
+    nothing.  Raises [Invalid_argument] when a non-empty [[lo, hi)]
+    ends past [end_offset t]. *)
 
 val end_offset : t -> int
 (** Offset one past the last appended byte: the next record's LSN. *)
@@ -74,16 +99,19 @@ val crash : ?keep_tail:int -> t -> unit
     crash as if the device had partially written them, the old durable
     boundary is remembered as the {!suspect} point, and [durable]
     advances over the surviving bytes (they {e are} on disk — they are
-    just not trustworthy). *)
+    just not trustworthy).  Lowers the verified range to the old durable
+    boundary. *)
 
 val scribble : t -> pos:int -> unit
 (** Flip the bits of the byte at [pos] — models a corrupt sector inside
-    a torn write.  Recovery must detect it via checksums. *)
+    a torn write.  Recovery must detect it via checksums, so the
+    verified range is lowered to [pos]. *)
 
 val trim_end : t -> int -> unit
 (** [trim_end t off] discards everything at and beyond [off] — the
     recovery seal uses it to cut a torn tail back to the last whole
-    record.  [off] must be within [low_water, end_offset]. *)
+    record.  [off] must be within [low_water, end_offset].  Lowers the
+    verified range to [off]. *)
 
 val suspect : t -> int option
 (** The offset from which bytes may be torn (set by

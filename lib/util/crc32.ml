@@ -20,16 +20,16 @@ let table =
   done;
   t
 
-let u32 b i = Int32.to_int (Bytes.get_int32_le b i) land 0xFFFF_FFFF
+let u32 s i = Int32.to_int (String.get_int32_le s i) land 0xFFFF_FFFF
 
-let update crc b ~pos ~len =
-  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Crc32.update";
+let update_sub crc s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Crc32.update";
   let c = ref (crc land 0xFFFF_FFFF lxor 0xFFFF_FFFF) in
   let i = ref pos in
   let stop = pos + len in
   while !i + 8 <= stop do
-    let lo = u32 b !i lxor !c in
-    let hi = u32 b (!i + 4) in
+    let lo = u32 s !i lxor !c in
+    let hi = u32 s (!i + 4) in
     c :=
       table.(0x700 + (lo land 0xFF))
       lxor table.(0x600 + ((lo lsr 8) land 0xFF))
@@ -42,10 +42,12 @@ let update crc b ~pos ~len =
     i := !i + 8
   done;
   while !i < stop do
-    c := table.((!c lxor Char.code (Bytes.get b !i)) land 0xFF) lxor (!c lsr 8);
+    c := table.((!c lxor Char.code (String.get s !i)) land 0xFF) lxor (!c lsr 8);
     incr i
   done;
   !c lxor 0xFFFF_FFFF
 
+let update crc b ~pos ~len = update_sub crc (Bytes.unsafe_to_string b) ~pos ~len
 let bytes b ~pos ~len = update 0 b ~pos ~len
-let string s = bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
+let sub s ~pos ~len = update_sub 0 s ~pos ~len
+let string s = sub s ~pos:0 ~len:(String.length s)

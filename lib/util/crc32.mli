@@ -17,5 +17,8 @@ val update : int -> Bytes.t -> pos:int -> len:int -> int
 val bytes : Bytes.t -> pos:int -> len:int -> int
 (** [bytes b ~pos ~len] computes the CRC of the slice [b[pos, pos+len)]. *)
 
+val sub : string -> pos:int -> len:int -> int
+(** [sub s ~pos ~len] computes the CRC of the slice [s[pos, pos+len)]. *)
+
 val string : string -> int
 (** CRC of a whole string. *)

@@ -22,9 +22,9 @@ let device t = t.device
 let set_after_force t f = t.after_force <- f
 
 (* A frame stores the low 31 bits of its payload's CRC. *)
-let frame_crc b ~pos ~len = Crc32.bytes b ~pos ~len land 0x7FFF_FFFF
-let u32_at b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFF_FFFF
-let int_at b pos = Int64.to_int (Bytes.get_int64_le b pos)
+let frame_crc b ~pos ~len = Crc32.sub b ~pos ~len land 0x7FFF_FFFF
+let u32_at b pos = Int32.to_int (String.get_int32_le b pos) land 0xFFFF_FFFF
+let int_at b pos = Int64.to_int (String.get_int64_le b pos)
 
 (* One scratch pass builds the whole frame: a placeholder header, then
    the payload; the header is patched in place once the payload's length
@@ -38,7 +38,8 @@ let append ?overdraft t record =
   in
   let len = Bytes.length framed - header_size in
   Bytes.set_int32_le framed 0 (Int32.of_int len);
-  Bytes.set_int32_le framed 4 (Int32.of_int (frame_crc framed ~pos:header_size ~len));
+  Bytes.set_int32_le framed 4
+    (Int32.of_int (frame_crc (Bytes.unsafe_to_string framed) ~pos:header_size ~len));
   let lsn =
     try Log_device.append ?overdraft t.device (Bytes.unsafe_to_string framed)
     with Log_device.Log_full -> raise Log_full
@@ -71,9 +72,10 @@ let force_shared t ~upto ~sharers =
   t.after_force ()
 
 (* The frame check, in place in the device's bytes: range (and, through
-   [Log_device.view], the low-water mark), truncation, CRC, then the
-   record's structure, which must fill the payload exactly.  It
-   allocates nothing: on success [d] is reframed over the payload,
+   [Log_device.view], the low-water mark) and truncation always; then,
+   unless the frame lies wholly inside the device's verified range, the
+   CRC and the record's structure, which must fill the payload exactly.
+   It allocates nothing: on success [d] is reframed over the payload,
    cursor at its start, and the result is the framed size. *)
 let check_frame t d lsn =
   let stop = end_lsn t in
@@ -81,19 +83,19 @@ let check_frame t d lsn =
     raise (Codec.Corrupt (Printf.sprintf "frame header out of range at %d" lsn));
   let header = Log_device.view t.device ~pos:lsn ~len:header_size in
   let len = u32_at header lsn in
-  let crc = u32_at header (lsn + 4) in
   let pos = lsn + header_size in
   if pos + len > stop then raise (Codec.Corrupt (Printf.sprintf "truncated frame at %d" lsn));
   let src = Log_device.view t.device ~pos ~len in
-  if frame_crc src ~pos ~len <> crc then
-    raise (Codec.Corrupt (Printf.sprintf "CRC mismatch at %d" lsn));
-  let src = Bytes.unsafe_to_string src in
   Codec.reframe d src ~pos ~len;
-  Record.skip d;
-  if Codec.remaining d > 0 then
-    raise
-      (Codec.Corrupt (Printf.sprintf "%d trailing bytes in frame at %d" (Codec.remaining d) lsn));
-  Codec.reframe d src ~pos ~len;
+  if not (Log_device.verified t.device ~pos:lsn ~len:(header_size + len)) then begin
+    if frame_crc src ~pos ~len <> u32_at header (lsn + 4) then
+      raise (Codec.Corrupt (Printf.sprintf "CRC mismatch at %d" lsn));
+    Record.skip d;
+    if Codec.remaining d > 0 then
+      raise
+        (Codec.Corrupt (Printf.sprintf "%d trailing bytes in frame at %d" (Codec.remaining d) lsn));
+    Codec.reframe d src ~pos ~len
+  end;
   header_size + len
 
 let read t lsn =
@@ -104,7 +106,7 @@ let read t lsn =
 
 (* The head fields of the payload at [pos] of [b], read in place at
    their fixed offsets: the kind, and whether it names a page. *)
-let kind_at b pos = Record.kind_of_tag (Bytes.get_uint8 b (pos + Record.tag_offset))
+let kind_at b pos = Record.kind_of_tag (String.get_uint8 b (pos + Record.tag_offset))
 
 let is_page : Record.Kind.t -> bool = function
   | Update | Clr -> true
@@ -148,19 +150,27 @@ let next_lsn t lsn = lsn + check_frame t (Codec.decoder "") lsn
 
 (* The forward scan under [fold], [fold_heads] and [seal]: one decoder
    for the whole scan; [visit acc lsn size d] sees each checked frame's
-   framed size and payload. *)
+   framed size and payload.  The frames it passed, one after another
+   from [start], join the device's verified range. *)
 let scan t ?upto ~from ~init visit =
   let stop = match upto with Some u -> u | None -> end_lsn t in
   let start = if Lsn.is_nil from then low_water t else from in
   let d = Codec.decoder "" in
   let rec go acc lsn =
-    if lsn >= stop then acc
-    else
-      match check_frame t d lsn with
-      | size ->
-        Env.charge_log_scan_record t.env t.metrics ~bytes:size;
-        go (visit acc lsn size d) (lsn + size)
-      | exception Codec.Corrupt _ -> acc (* torn tail: treat as end of log *)
+    (* size 0 ends the run: at [stop], or at a frame that fails its
+       check (a torn tail, treated as the end of the log) *)
+    let size =
+      if lsn >= stop then 0
+      else match check_frame t d lsn with size -> size | exception Codec.Corrupt _ -> 0
+    in
+    if size = 0 then begin
+      Log_device.extend_verified t.device ~lo:start ~hi:lsn;
+      acc
+    end
+    else begin
+      Env.charge_log_scan_record t.env t.metrics ~bytes:size;
+      go (visit acc lsn size d) (lsn + size)
+    end
   in
   go init start
 

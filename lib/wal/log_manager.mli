@@ -7,13 +7,24 @@
     forward scans.
 
     Every read path runs one frame check, in place in the device's bytes
-    and without allocating: the frame must lie in the live region, be
-    whole, match its CRC, and hold a record ({!Record.skip}: tags,
-    lengths and bounds) that fills its payload exactly.  A frame that
-    fails raises [Codec.Corrupt], which a scan treats as end-of-log
-    (torn tail).  {!read} and {!fold} then decode the record;
-    {!fold_heads} reads only its head fields; {!read_op} only its
-    operation; {!next_lsn} and {!seal} need the check alone. *)
+    and without allocating: the frame must lie in the live region and be
+    whole; unless it lies wholly inside the device's verified range
+    ({!Repro_storage.Log_device.verified}), it must also match its CRC
+    and hold a record ({!Record.skip}: tags, lengths and bounds) that
+    fills its payload exactly.  A frame that fails raises
+    [Codec.Corrupt], which a scan treats as end-of-log (torn tail).
+    {!read} and {!fold} then decode the record; {!fold_heads} reads only
+    its head fields; {!read_op} only its operation; {!next_lsn} and
+    {!seal} need the check alone.
+
+    A forward scan ({!fold}, {!fold_heads}, {!seal}) adds the run of
+    frames it passed to the verified range, so a later pass over the
+    same bytes — the next recovery pass, redo's re-read of a remembered
+    location, a rollback's {!read} — skips the CRC and the structural
+    check; the random reads only consult the range.  That is sound
+    because the device lowers the range whenever it changes a byte
+    under it, and because the LSNs read are frame starts: an LSN comes
+    from {!append} or a scan, never from inside a frame. *)
 
 type t
 
@@ -65,9 +76,9 @@ val read : t -> Lsn.t -> Record.t
 val read_op : t -> Lsn.t -> pid:Repro_storage.Page_id.t -> psn_before:int -> Record.update_op
 (** Redo's read of a remembered location: the operation of the [Update]
     or [Clr] at the LSN, and nothing else of the record.  It runs the
-    full frame check and charges exactly what {!read} charges, then
-    checks the record's kind, page and [psn_before] in place and
-    decodes only its [update_op].
+    frame check and charges exactly what {!read} charges, then checks
+    the record's kind, page and [psn_before] in place and decodes only
+    its [update_op].
     @raise Invalid_argument when the record is not an [Update] or [Clr]
     of [pid] with that [psn_before]. *)
 
@@ -78,8 +89,8 @@ val fold : t -> ?upto:Lsn.t -> from:Lsn.t -> init:'a -> ('a -> Lsn.t -> Record.t
 (** Forward scan that decodes every record.  [from = Lsn.nil] starts at
     the low-water mark.  Each record charges a recovery-scan cost and
     bumps [recovery_log_records_scanned].  Stops before [upto]
-    (exclusive) or at the end of the log.  The callback must not append
-    to the log it scans. *)
+    (exclusive) or at the end of the log.  The callback must not change
+    the log it scans. *)
 
 val fold_heads :
   t ->
@@ -99,10 +110,10 @@ val fold_heads :
     callback gets its transaction and kind and, for an [Update] or
     [Clr], the page's [owner] and [slot] and the record's [psn_before]
     (0 for other kinds), read in place at fixed payload offsets
-    ({!Record.txn_offset} and so on).  Every frame gets the full frame
-    check, and the scan charges exactly what {!fold} charges, but it
-    decodes no record and allocates nothing per frame.  The callback
-    must not append to the log it scans. *)
+    ({!Record.txn_offset} and so on).  Every frame gets the frame check
+    of {!fold}, and the scan charges exactly what {!fold} charges, but
+    it decodes no record and allocates nothing per frame.  The callback
+    must not change the log it scans. *)
 
 (** {1 Positions and space} *)
 

@@ -369,6 +369,47 @@ let test_log_device_stale_bytes_unreadable () =
        false
      with Invalid_argument _ -> true)
 
+(* The verified range: a scan's run merges with the range it touches
+   and replaces one it does not; crash, scribble and trim_end lower it
+   to the first byte they may change. *)
+let test_log_device_verified_range () =
+  let d = Log_device.create () in
+  ignore (Log_device.append d (String.make 100 'x'));
+  let verified pos len = Log_device.verified d ~pos ~len in
+  Alcotest.(check bool) "nothing verified at first" false (verified 0 10);
+  Log_device.extend_verified d ~lo:0 ~hi:40;
+  Alcotest.(check bool) "inside" true (verified 0 40);
+  Alcotest.(check bool) "straddling the end" false (verified 30 20);
+  Log_device.extend_verified d ~lo:40 ~hi:60;
+  Alcotest.(check bool) "a touching run merges" true (verified 0 60);
+  Log_device.extend_verified d ~lo:80 ~hi:90;
+  Alcotest.(check bool) "a disjoint run replaces the range" false (verified 0 10);
+  Alcotest.(check bool) "with itself" true (verified 80 10);
+  Log_device.extend_verified d ~lo:0 ~hi:80;
+  Alcotest.(check bool) "merged again" true (verified 0 90);
+  Log_device.extend_verified d ~lo:50 ~hi:50;
+  Alcotest.(check bool) "an empty run changes nothing" true (verified 0 90);
+  Log_device.scribble d ~pos:70;
+  Alcotest.(check bool) "below a scribble" true (verified 60 10);
+  Alcotest.(check bool) "over a scribble" false (verified 65 10);
+  Log_device.trim_end d 50;
+  Alcotest.(check bool) "below a cut" true (verified 0 50);
+  Alcotest.(check bool) "over a cut" false (verified 40 20);
+  ignore (Log_device.force d ~upto:30);
+  Log_device.crash d;
+  Alcotest.(check bool) "below the durable boundary" true (verified 0 30);
+  Alcotest.(check bool) "over the dropped tail" false (verified 20 20);
+  ignore (Log_device.append d (String.make 30 'y'));
+  Alcotest.(check bool) "appended bytes are not verified" false (verified 30 10);
+  Log_device.extend_verified d ~lo:40 ~hi:60;
+  Log_device.scribble d ~pos:20;
+  Alcotest.(check bool) "a scribble below the range empties it" false (verified 40 10);
+  Alcotest.(check bool) "a run past the end is refused" true
+    (try
+       Log_device.extend_verified d ~lo:50 ~hi:61;
+       false
+     with Invalid_argument _ -> true)
+
 let suite =
   [
     ("page_id order/equality", `Quick, test_page_id_order_and_equality);
@@ -395,4 +436,5 @@ let suite =
     ("log device trim_end then append", `Quick, test_log_device_trim_end_then_append);
     ("log device crash keeps k tail bytes", `Quick, test_log_device_crash_keep_tail);
     ("log device stale bytes unreadable", `Quick, test_log_device_stale_bytes_unreadable);
+    ("log device verified range", `Quick, test_log_device_verified_range);
   ]

@@ -339,6 +339,119 @@ let test_log_scribbled_payload () =
   let seen = Log_manager.fold log ~from:Lsn.nil ~init:[] (fun acc lsn _ -> lsn :: acc) in
   Alcotest.(check (list int)) "fold stops exactly there" [ List.hd lsns ] seen
 
+(* ---- Damage after verification ---- *)
+
+let update_record i =
+  {
+    Record.txn = i;
+    prev = Lsn.nil;
+    body = Update { pid = pid i; psn_before = i; op = Delta { off = 0; delta = 1L } };
+  }
+
+let append_updates log ids = List.map (fun i -> Log_manager.append log (update_record i)) ids
+
+(* A full scan: it verifies every frame it passes. *)
+let scanned log =
+  List.rev (Log_manager.fold log ~from:Lsn.nil ~init:[] (fun acc lsn _ -> lsn :: acc))
+
+let raises_corrupt f = match f () with _ -> false | exception Codec.Corrupt _ -> true
+
+(* The frame at [List.nth lsns i] (record [update_record i]) is damaged:
+   every random read raises, and both scans stop just before it. *)
+let check_damaged log lsns i =
+  let lsn = List.nth lsns i in
+  Alcotest.(check bool) "read raises Corrupt" true
+    (raises_corrupt (fun () -> ignore (Log_manager.read log lsn)));
+  Alcotest.(check bool) "read_op raises Corrupt" true
+    (raises_corrupt (fun () -> ignore (Log_manager.read_op log lsn ~pid:(pid i) ~psn_before:i)));
+  Alcotest.(check bool) "next_lsn raises Corrupt" true
+    (raises_corrupt (fun () -> ignore (Log_manager.next_lsn log lsn)));
+  let before = List.filteri (fun j _ -> j < i) lsns in
+  Alcotest.(check (list int)) "fold stops before the damaged frame" before (scanned log);
+  let heads =
+    Log_manager.fold_heads log ~from:Lsn.nil ~init:[]
+      (fun acc lsn ~txn:_ ~kind:_ ~owner:_ ~slot:_ ~psn_before:_ -> lsn :: acc)
+  in
+  Alcotest.(check (list int)) "fold_heads stops before the damaged frame" before (List.rev heads)
+
+(* [frame] with one byte of its record's transaction id flipped: the
+   structure still holds, so only the CRC tells the damage. *)
+let flip_txn_byte frame =
+  let b = Bytes.of_string frame in
+  let pos = header_size + Record.txn_offset in
+  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xFF));
+  Bytes.to_string b
+
+let test_log_verified_then_scribbled () =
+  let log = mk () in
+  let lsns = append_updates log [ 0; 1; 2; 3 ] in
+  Alcotest.(check (list int)) "the full scan passes every frame" lsns (scanned log);
+  Log_device.scribble (Log_manager.device log)
+    ~pos:(List.nth lsns 2 + header_size + Record.txn_offset);
+  check_damaged log lsns 2
+
+(* A cut inside a verified frame, then the cut bytes written back with
+   one flipped: the frame is whole again, and still caught. *)
+let test_log_verified_then_cut () =
+  let log = mk () in
+  let lsns = append_updates log [ 0; 1; 2; 3 ] in
+  let dev = Log_manager.device log in
+  let l2 = List.nth lsns 2 in
+  let frame = Log_device.read dev ~pos:l2 ~len:(List.nth lsns 3 - l2) in
+  ignore (scanned log);
+  let cut = header_size + Record.txn_offset in
+  Log_device.trim_end dev (l2 + cut);
+  check_damaged log (List.filteri (fun j _ -> j <= 2) lsns) 2;
+  let bad = flip_txn_byte frame in
+  ignore (Log_device.append dev (String.sub bad cut (String.length bad - cut)));
+  check_damaged log lsns 2
+
+(* A crash drops a verified unforced tail; bytes appended at the old
+   offsets are checked afresh. *)
+let test_log_verified_then_crashed () =
+  let log = mk () in
+  let forced = append_updates log [ 0; 1 ] in
+  Log_manager.force_all log;
+  let unforced = append_updates log [ 2; 3 ] in
+  let lsns = forced @ unforced in
+  let dev = Log_manager.device log in
+  let l2 = List.nth lsns 2 in
+  Alcotest.(check (list int)) "the full scan passes the unforced tail" lsns (scanned log);
+  let tail = Log_device.read dev ~pos:l2 ~len:(Log_manager.end_lsn log - l2) in
+  Log_manager.crash log;
+  Alcotest.(check int) "the tail is gone" l2 (Log_manager.end_lsn log);
+  ignore (Log_device.append dev (flip_txn_byte tail));
+  check_damaged log lsns 2
+
+(* A rollback has read the unforced tail after a full scan verified it;
+   a torn crash keeps part of that tail, and [seal] still trims it back
+   to the old durable boundary. *)
+let test_log_verified_tail_torn () =
+  let plan =
+    {
+      Repro_fault.Fault_plan.none with
+      disk = { Repro_fault.Fault_plan.torn = 1.0; corrupt = 0.5 };
+    }
+  in
+  for seed = 0 to 7 do
+    let env = Env.create Config.instant in
+    let m = Metrics.create () in
+    let log = Log_manager.create env m () in
+    ignore (append_updates log [ 0; 1 ]);
+    Log_manager.force_all log;
+    let durable = Log_manager.end_lsn log in
+    let unforced = append_updates log [ 2; 3 ] in
+    ignore (scanned log);
+    List.iter (fun lsn -> ignore (Log_manager.read log lsn)) (List.rev unforced);
+    let inj = Repro_fault.Injector.create { plan with Repro_fault.Fault_plan.seed } in
+    Log_manager.crash ~faults:inj log;
+    Alcotest.(check int) "the crash tore the tail" 1 m.Metrics.torn_crashes;
+    let torn_end = Log_manager.end_lsn log in
+    Alcotest.(check int) "seal discards every torn byte" (torn_end - durable)
+      (Log_manager.seal log);
+    Alcotest.(check int) "back at the old durable boundary" durable (Log_manager.end_lsn log)
+  done
+
 (* ---- Heads-only scan vs full decode ---- *)
 
 let gen_string = QCheck.Gen.(string_size (int_bound 12))
@@ -399,17 +512,19 @@ let gen_any_record =
 
 type damage = Intact | Scribble of int | Cut of int
 
-(* A log and the damage done to it: a scribbled byte or a cut tail, at
-   the drawn position modulo the log's length. *)
+(* A log, the damage done to it (a scribbled byte or a cut tail, at the
+   drawn position modulo the log's length), and whether a full scan
+   verified every frame before the damage. *)
 let gen_damaged_log =
   QCheck.Gen.(
-    pair (list_size (int_range 1 24) gen_any_record)
+    triple (list_size (int_range 1 24) gen_any_record)
       (frequency
          [
            (1, return Intact);
            (2, map (fun x -> Scribble x) (int_bound 1_000_000));
            (2, map (fun x -> Cut x) (int_bound 1_000_000));
-         ]))
+         ])
+      bool)
 
 let kind_of_body : Record.body -> Record.Kind.t = function
   | Update _ -> Update
@@ -423,12 +538,19 @@ let kind_of_body : Record.body -> Record.Kind.t = function
 (* Builds the log on its own clock and metrics, damages it, scans it,
    and returns the LSNs appended, how many frames precede the damage,
    the scan's result, the records-scanned count and the simulated clock
-   after the scan. *)
-let scan_damaged (records, damage) scan =
+   after the scan.  Before the damage one full scan runs over the intact
+   bytes: over the log itself when [verified], which verifies every
+   frame, and otherwise over an identical twin log, which charges the
+   same and leaves the log fresh. *)
+let scan_damaged (records, damage, verified) scan =
   let env = Env.create Config.default in
   let m = Metrics.create () in
+  let twin = Log_manager.create env m () in
+  List.iter (fun r -> ignore (Log_manager.append twin r)) records;
   let log = Log_manager.create env m () in
   let lsns = List.map (Log_manager.append log) records in
+  Log_manager.fold_heads (if verified then log else twin) ~from:Lsn.nil ~init:()
+    (fun () _ ~txn:_ ~kind:_ ~owner:_ ~slot:_ ~psn_before:_ -> ());
   let dev = Log_manager.device log in
   let size = Log_manager.end_lsn log in
   (* the frames that end at or before the damaged byte *)
@@ -446,42 +568,49 @@ let scan_damaged (records, damage) scan =
   let seen = scan log in
   (lsns, intact, seen, m.Metrics.recovery_log_records_scanned, Env.now env)
 
-let print_damaged (records, damage) =
-  Printf.sprintf "%s damage=%s"
+let print_damaged (records, damage, verified) =
+  Printf.sprintf "%s damage=%s verified=%b"
     (String.concat "; " (List.map (Format.asprintf "%a" Record.pp) records))
     (match damage with
     | Intact -> "none"
     | Scribble x -> Printf.sprintf "scribble %d" x
     | Cut x -> Printf.sprintf "cut %d" x)
+    verified
+
+let fold_scan log =
+  Log_manager.fold log ~from:Lsn.nil ~init:[] (fun acc lsn (r : Record.t) ->
+      let owner, slot = match Record.page_of r with Some p -> (p.owner, p.slot) | None -> (0, 0) in
+      let psn = Option.value (Record.psn_before_of r) ~default:0 in
+      (lsn, r.txn, kind_of_body r.body, owner, slot, psn) :: acc)
+
+let heads_scan log =
+  Log_manager.fold_heads log ~from:Lsn.nil ~init:[]
+    (fun acc lsn ~txn ~kind ~owner ~slot ~psn_before ->
+      (lsn, txn, kind, owner, slot, psn_before) :: acc)
 
 (* Both scans see the same (lsn, txn, kind, page, psn) sequence, stop at
    the first damaged frame (or the end of an intact log), and charge the
-   same records-scanned count and simulated time. *)
+   same records-scanned count and simulated time; on a log verified
+   before the damage, they see and charge exactly what they do on a
+   fresh log. *)
 let prop_fold_heads_matches_fold =
   QCheck.Test.make ~name:"log: fold_heads agrees with fold on damaged logs" ~count:500
     (QCheck.make ~print:print_damaged gen_damaged_log)
-    (fun input ->
-      let lsns, intact, full, full_scanned, full_clock =
-        scan_damaged input (fun log ->
-            Log_manager.fold log ~from:Lsn.nil ~init:[] (fun acc lsn (r : Record.t) ->
-                let owner, slot =
-                  match Record.page_of r with Some p -> (p.owner, p.slot) | None -> (0, 0)
-                in
-                let psn = Option.value (Record.psn_before_of r) ~default:0 in
-                (lsn, r.txn, kind_of_body r.body, owner, slot, psn) :: acc))
+    (fun ((records, damage, _) as input) ->
+      let lsns, intact, fresh, fresh_scanned, fresh_clock =
+        scan_damaged (records, damage, false) fold_scan
       in
-      let _, _, heads, heads_scanned, heads_clock =
-        scan_damaged input (fun log ->
-            Log_manager.fold_heads log ~from:Lsn.nil ~init:[]
-              (fun acc lsn ~txn ~kind ~owner ~slot ~psn_before ->
-                (lsn, txn, kind, owner, slot, psn_before) :: acc))
-      in
-      full = heads
-      && List.rev_map (fun (lsn, _, _, _, _, _) -> lsn) full
+      let _, _, full, full_scanned, full_clock = scan_damaged input fold_scan in
+      let _, _, heads, heads_scanned, heads_clock = scan_damaged input heads_scan in
+      let prescanned = List.length records in
+      full = fresh && heads = fresh
+      && List.rev_map (fun (lsn, _, _, _, _, _) -> lsn) fresh
          = List.filteri (fun i _ -> i < intact) lsns
-      && full_scanned = intact
-      && heads_scanned = intact
-      && Float.equal full_clock heads_clock)
+      && fresh_scanned = prescanned + intact
+      && full_scanned = fresh_scanned
+      && heads_scanned = fresh_scanned
+      && Float.equal full_clock fresh_clock
+      && Float.equal heads_clock fresh_clock)
 
 (* Random damage to one encoded record: bytes overwritten with values
    that hit tags and length fields, and the tail cut or extended. *)
@@ -530,6 +659,14 @@ let suite =
     ("golden: log bytes of every record kind", `Quick, test_log_bytes_golden);
     ("log frame must decode exactly", `Quick, test_log_frame_trailing_bytes);
     ("log scribbled payload stops the scan", `Quick, test_log_scribbled_payload);
+    ("log: a verified frame scribbled is caught on every path", `Quick,
+      test_log_verified_then_scribbled);
+    ("log: a verified frame cut and rewritten is caught on every path", `Quick,
+      test_log_verified_then_cut);
+    ("log: bytes appended over a crashed verified tail are checked", `Quick,
+      test_log_verified_then_crashed);
+    ("log: seal trims a torn tail that was verified and read", `Quick,
+      test_log_verified_tail_torn);
     qcheck prop_fold_heads_matches_fold;
     qcheck prop_skip_matches_decode;
   ]
