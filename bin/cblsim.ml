@@ -233,12 +233,6 @@ let trace_run run_workload kinds node_filter txn_filter since until limit render
          (Repro_obs.Critical_path.analyze (Recorder.events obs)))
   else begin
     let wanted = List.filter_map Event.kind_of_name kinds in
-    (* The [trace.dropped] summary of an overflowed ring is no event of
-       the run: it marks the output as a suffix, so no filter removes
-       it and it stays last. *)
-    let dropped, events =
-      List.partition (fun (e : Event.t) -> e.Event.kind = Event.Trace_dropped) (Recorder.events obs)
-    in
     let selected =
       List.filter
         (fun (e : Event.t) ->
@@ -247,7 +241,7 @@ let trace_run run_workload kinds node_filter txn_filter since until limit render
           && (match txn_filter with None -> true | Some id -> Event.txn_of e = id)
           && (match since with None -> true | Some t -> e.Event.time >= t)
           && match until with None -> true | Some t -> e.Event.time <= t)
-        events
+        (Recorder.events obs)
     in
     let selected =
       if limit <= 0 then selected
@@ -258,9 +252,7 @@ let trace_run run_workload kinds node_filter txn_filter since until limit render
     List.iter
       (fun e ->
         print_endline (if render then Event.render e else Json.to_string (Event.to_json e)))
-      (selected @ dropped);
-    if Recorder.dropped obs > 0 then
-      Format.eprintf "note: ring buffer dropped %d older events@." (Recorder.dropped obs)
+      selected
   end
 
 let trace_cmd =
@@ -607,27 +599,37 @@ let scale_cmd =
 
 (* ---- audit ---- *)
 
+(* Why a parsed JSON line is no event: the reason [cblsim audit] names. *)
+let not_an_event = function
+  | Json.Obj fields -> (
+    match List.assoc_opt "kind" fields with
+    | Some (Json.Str kind) when Event.kind_of_name kind = None -> "unknown kind " ^ kind
+    | _ -> "not an event: t, node or kind missing or mistyped")
+  | _ -> "not an event: not a JSON object"
+
+(* Every non-blank line must be one event: a line that does not parse
+   would leave a gap in the run, so it stops the audit (exit 1) with its
+   line number and the reason. *)
 let read_jsonl_events file =
   let ic = open_in file in
   let n = in_channel_length ic in
   let s = really_input_string ic n in
   close_in ic;
-  let bad = ref 0 in
-  let events =
-    List.filter_map
-      (fun line ->
-        let line = String.trim line in
-        if line = "" then None
-        else
-          match Event.of_json (Json.of_string line) with
-          | Some e -> Some e
-          | None | (exception Json.Parse_error _) ->
-            incr bad;
-            None)
-      (String.split_on_char '\n' s)
+  let refuse lineno reason =
+    Format.eprintf "%s:%d: %s@." file lineno reason;
+    exit 1
   in
-  if !bad > 0 then Format.eprintf "note: %s: %d unparsable line(s) skipped@." file !bad;
-  events
+  List.concat
+    (List.mapi
+       (fun i line ->
+         let line = String.trim line in
+         if line = "" then []
+         else
+           match Json.of_string line with
+           | exception Json.Parse_error msg -> refuse (i + 1) ("bad JSON: " ^ msg)
+           | j -> (
+             match Event.of_json j with Some e -> [ e ] | None -> refuse (i + 1) (not_an_event j)))
+       (String.split_on_char '\n' s))
 
 (* Audit a recorded JSONL trace (cblsim trace > t.jsonl).  The JSON
    report keeps its one-run list shape. *)

@@ -157,16 +157,19 @@ for kind in ("commit.dep", "lock.early_release"):
         sys.exit(f"the early-lock-release trace holds no {kind} event")
 EOF
 
-# A filtered export of an overflowed ring must still say it is a
-# suffix: the trace.dropped summary survives every filter, last.
-echo "== filtered export keeps the overflow marker: cblsim trace --txns 250 --kind txn.commit =="
-dune exec bin/cblsim.exe -- trace --txns 250 --kind txn.commit 2>/dev/null > TRACE_FILTERED.jsonl
-python3 - TRACE_FILTERED.jsonl <<'EOF'
-import json, sys
-last = json.loads(open(sys.argv[1]).read().splitlines()[-1])
-if last["kind"] != "trace.dropped":
-    sys.exit(f"filtered trace export ends on {last['kind']}, not trace.dropped")
-EOF
+# A trace with a line the auditor cannot parse is not a whole run, so
+# `cblsim audit` refuses it (exit 1) and names the line.  The bogus line
+# names an unknown event kind.
+echo "== offline audit refuses an unparsable line: TRACE_BOGUS.jsonl =="
+{ head -n 3 TRACE_RUN.jsonl; echo '{"t":1.0,"node":-1,"kind":"trace.dropped","count":5}'; } \
+  > TRACE_BOGUS.jsonl
+status=0
+dune exec bin/cblsim.exe -- audit TRACE_BOGUS.jsonl 2> AUDIT_BOGUS.txt > /dev/null || status=$?
+if [ "$status" -ne 1 ] || ! grep -q '^TRACE_BOGUS.jsonl:4: unknown kind' AUDIT_BOGUS.txt; then
+  cat AUDIT_BOGUS.txt
+  echo "cblsim audit exited $status on a trace with a bogus line 4; expected exit 1 naming it" >&2
+  exit 1
+fi
 
 echo "== bench smoke: tracing overhead, elr lock-hold =="
 dune exec bench/main.exe -- json

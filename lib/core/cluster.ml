@@ -25,10 +25,10 @@ type t = {
          Read-once by [commit_outcome]: [`Gone]. *)
 }
 
-let create ?(trace = false) ?trace_capacity ?seed:_ ?faults ?(pool_capacity = 64) ?log_capacity
+let create ?(trace = false) ?trace_capacity:_ ?seed:_ ?faults ?(pool_capacity = 64) ?log_capacity
     ?scheme ?retain_cached_locks ~nodes config =
   if nodes <= 0 then invalid_arg "Cluster.create: need at least one node";
-  let env = Env.create ~trace ?trace_capacity ?faults config in
+  let env = Env.create ~trace ?faults config in
   let members =
     Array.init nodes (fun id ->
         Node.create env ~id ~pool_capacity ?log_capacity ?scheme ?retain_cached_locks ())

@@ -35,7 +35,10 @@ val create :
     {!Node_state.Local_logging} (baselines: see {!Node_state.scheme}).
     [seed] selects nothing: the cluster draws no random numbers
     (workloads and fault plans carry their own seeds).  It is accepted
-    so that existing callers keep compiling. *)
+    so that existing callers keep compiling.  [trace] records every
+    event of the run.  [trace_capacity] selects nothing either: the
+    recorder keeps every event, with no bound.  The benchmark still
+    passes it; it goes with the next change to the benchmark. *)
 
 val env : t -> Repro_sim.Env.t
 val node_count : t -> int

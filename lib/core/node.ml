@@ -236,7 +236,7 @@ and ship_to_owner t ~owner ?(commit_path = false) ~lsn page =
     Env.emit t.env ~node:t.id Event.Page_ship
       [
         ("dst", Event.Int owner.id);
-        ("page", Event.Str (Format.asprintf "%a" Page_id.pp (Page.id page)));
+        ("page", Event.Str (Page_id.to_string (Page.id page)));
         ("psn", Event.Int (Page.psn page));
         ("lsn", Event.Int lsn);
       ];
@@ -470,8 +470,8 @@ let owner_grant_lock t ~requester ~txn ~pid ~mode ~need_page =
               [
                 ("holder", Event.Int holder_id);
                 ("requester", Event.Int requester);
-                ("page", Event.Str (Format.asprintf "%a" Page_id.pp pid));
-                ("mode", Event.Str (Format.asprintf "%a" Mode.pp mode));
+                ("page", Event.Str (Page_id.to_string pid));
+                ("mode", Event.Str (Mode.to_string mode));
               ];
           send t ~dst:holder_id ~bytes:Wire.control ();
           match handle_callback holder ~pid ~requested:mode ~for_txn:txn ~for_node:requester with
@@ -534,8 +534,8 @@ let acquire t (descr : Txn.t) ~pid ~mode =
       Env.emit t.env ~node:t.id Event.Lock_request
         [
           ("txn", Event.Int txn);
-          ("page", Event.Str (Format.asprintf "%a" Page_id.pp pid));
-          ("mode", Event.Str (Format.asprintf "%a" Mode.pp mode));
+          ("page", Event.Str (Page_id.to_string pid));
+          ("mode", Event.Str (Mode.to_string mode));
           ("owner", Event.Int owner_id);
         ];
     let page =
@@ -573,8 +573,8 @@ let acquire t (descr : Txn.t) ~pid ~mode =
       Env.emit t.env ~node:t.id Event.Lock_acquired
         [
           ("txn", Event.Int txn);
-          ("page", Event.Str (Format.asprintf "%a" Page_id.pp pid));
-          ("mode", Event.Str (Format.asprintf "%a" Mode.pp mode));
+          ("page", Event.Str (Page_id.to_string pid));
+          ("mode", Event.Str (Mode.to_string mode));
           ("wait", Event.Float wait);
         ]
   end;
@@ -598,7 +598,7 @@ let acquire t (descr : Txn.t) ~pid ~mode =
           [
             ("txn", Event.Int txn);
             ("on", Event.Int releaser);
-            ("page", Event.Str (Format.asprintf "%a" Page_id.pp pid));
+            ("page", Event.Str (Page_id.to_string pid));
           ]
     | Some _ | None -> ())
   | Error { Local_locks.holders } -> Block.block (Block.Lock_conflict { blockers = holders })

@@ -95,7 +95,7 @@ let tracer_action : Event.kind -> string = function
     | Event.Commit_dep | Event.Crash | Event.Recovery_begin | Event.Recovery_end
     | Event.Recovery_phase | Event.Recovery_restart | Event.Recovery_retry | Event.Fault_drop
     | Event.Fault_dup | Event.Fault_delay | Event.Fault_partition | Event.Fault_torn
-    | Event.Fault_crash | Event.Trace_dropped ) as kind
+    | Event.Fault_crash ) as kind
     ->
     invalid_arg ("Node_state: no tracer action for " ^ Event.kind_name kind)
 
@@ -110,7 +110,7 @@ let wire_tracers node =
       Recorder.emit obs ~time:(Env.now node.env) ~node:node.id kind
         [
           ("action", Event.Str (tracer_action kind));
-          ("page", Event.Str (Format.asprintf "%a" Page_id.pp pid));
+          ("page", Event.Str (Page_id.to_string pid));
         ]
   in
   Repro_lock.Local_locks.set_tracer node.locks emit_page;
@@ -120,7 +120,7 @@ let wire_tracers node =
           [
             ("action", Event.Str (tracer_action kind));
             ("holder", Event.Int holder);
-            ("page", Event.Str (Format.asprintf "%a" Page_id.pp pid));
+            ("page", Event.Str (Page_id.to_string pid));
           ]);
   Repro_buffer.Buffer_pool.set_tracer node.pool emit_page
 

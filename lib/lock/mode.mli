@@ -16,3 +16,4 @@ val max : t -> t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+val to_string : t -> string

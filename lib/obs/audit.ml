@@ -41,35 +41,18 @@
       one node, whose batches complete in log order); this replay
       re-proves it for every trace.
 
-   A truncated trace (the ring overflowed and a [trace.dropped] summary
-   is present) disables the prefix-dependent checks 1, 2, 4, 5 and 6 —
-   replaying them from a suffix would fabricate violations — and the
-   report says so. *)
+   The recorder keeps every event, so the stream is always a whole run
+   and every check runs. *)
 
 (* Fragile matches (warning 4) are errors: see Event. *)
 [@@@warning "+4"]
 
 type violation = { invariant : string; time : float; node : int; detail : string }
 
-type report = {
-  violations : violation list;
-  events_checked : int;
-  truncated : bool;
-  skipped : string list;  (** invariants disabled by truncation *)
-}
-
-let prefix_checks =
-  [
-    "force-before-ship";
-    "batch-loss-closure";
-    "release-after-terminal";
-    "release-after-submit";
-    "closure-loss";
-  ]
+type report = { violations : violation list; events_checked : int }
 
 type state = {
   mutable violations : violation list;  (* newest first *)
-  full : bool;  (* complete trace: prefix-dependent checks enabled *)
   durable : (int, int) Hashtbl.t;  (* node -> durable log boundary *)
   pending : (int, int * int) Hashtbl.t;  (* txn -> (node, commit lsn) *)
   completed : (int, unit) Hashtbl.t;  (* txn -> covering force seen *)
@@ -131,7 +114,7 @@ let on_force st (e : Event.t) =
   | None -> ()
   | Some d ->
     Hashtbl.replace st.durable e.Event.node d;
-    if st.full then complete_covered st ~node:e.Event.node ~durable:d ~time:e.Event.time
+    complete_covered st ~node:e.Event.node ~durable:d ~time:e.Event.time
 
 let on_ship st (e : Event.t) =
   let page = attr_str_d e "page" in
@@ -144,84 +127,76 @@ let on_ship st (e : Event.t) =
       (Printf.sprintf "page %s shipped with psn %d after psn %d" page psn prev)
   | Some _ | None -> Hashtbl.replace st.psn page psn);
   (* 1: WAL *)
-  if st.full then
-    match Event.attr_int e "lsn" with
-    | Some lsn when lsn >= 0 ->
-      let durable = Option.value (Hashtbl.find_opt st.durable node) ~default:(-1) in
-      if lsn >= durable then
-        flag st ~invariant:"force-before-ship" ~time:e.Event.time ~node
-          (Printf.sprintf "page %s shipped with last lsn %d but node durable boundary is %d" page
-             lsn durable)
-    | Some _ | None -> ()
+  match Event.attr_int e "lsn" with
+  | Some lsn when lsn >= 0 ->
+    let durable = Option.value (Hashtbl.find_opt st.durable node) ~default:(-1) in
+    if lsn >= durable then
+      flag st ~invariant:"force-before-ship" ~time:e.Event.time ~node
+        (Printf.sprintf "page %s shipped with last lsn %d but node durable boundary is %d" page lsn
+           durable)
+  | Some _ | None -> ()
 
 let on_submit st (e : Event.t) =
-  if st.full then begin
-    let txn = Event.txn_of e in
-    if txn >= 0 then begin
-      (* latest submit wins: a blocked commit may legally resubmit *)
-      Hashtbl.replace st.pending txn (e.Event.node, attr_int_d e "lsn");
-      Hashtbl.remove st.lost txn;
-      Hashtbl.remove st.completed txn
-    end
+  let txn = Event.txn_of e in
+  if txn >= 0 then begin
+    (* latest submit wins: a blocked commit may legally resubmit *)
+    Hashtbl.replace st.pending txn (e.Event.node, attr_int_d e "lsn");
+    Hashtbl.remove st.lost txn;
+    Hashtbl.remove st.completed txn
   end
 
 let on_crash st (e : Event.t) =
   let node = e.Event.node in
-  if st.full then begin
-    (* whole-batch loss: everything still pending on this node died *)
-    let dead =
-      Hashtbl.fold (fun txn (n, _) acc -> if n = node then txn :: acc else acc) st.pending []
-    in
+  (* whole-batch loss: everything still pending on this node died *)
+  let dead =
+    Hashtbl.fold (fun txn (n, _) acc -> if n = node then txn :: acc else acc) st.pending []
+  in
+  List.iter
+    (fun txn ->
+      Hashtbl.remove st.pending txn;
+      Hashtbl.replace st.lost txn ();
+      (* recovery legally rolls the loser back; its post-crash log
+         activity must not read as work after an early release *)
+      Hashtbl.remove st.early_released txn)
+    dead;
+  (* 6: loss propagates through the forward dependency closure — any
+     transaction that observed a dead member's early-released pages is
+     dragged down, transitively.  One already durable is the violation
+     the gate in [Cluster.commit_outcome] exists to prevent. *)
+  let queue = ref dead in
+  let seen = Hashtbl.create 8 in
+  List.iter (fun txn -> Hashtbl.replace seen txn ()) dead;
+  while not (List.is_empty !queue) do
+    let txn = List.hd !queue in
+    queue := List.tl !queue;
     List.iter
-      (fun txn ->
-        Hashtbl.remove st.pending txn;
-        Hashtbl.replace st.lost txn ();
-        (* recovery legally rolls the loser back; its post-crash log
-           activity must not read as work after an early release *)
-        Hashtbl.remove st.early_released txn)
-      dead;
-    (* 6: loss propagates through the forward dependency closure — any
-       transaction that observed a dead member's early-released pages
-       is dragged down, transitively.  One already durable is the
-       violation the gate in [Cluster.commit_outcome] exists to
-       prevent. *)
-    let queue = ref dead in
-    let seen = Hashtbl.create 8 in
-    List.iter (fun txn -> Hashtbl.replace seen txn ()) dead;
-    while not (List.is_empty !queue) do
-      let txn = List.hd !queue in
-      queue := List.tl !queue;
-      List.iter
-        (fun d ->
-          if not (Hashtbl.mem seen d) then begin
-            Hashtbl.replace seen d ();
-            Hashtbl.replace st.dragged d ();
-            if Hashtbl.mem st.completed d then
-              flag st ~invariant:"closure-loss" ~time:e.Event.time ~node
-                (Printf.sprintf "T%d was already durable when its antecedent T%d was lost" d txn);
-            queue := d :: !queue
-          end)
-        (Option.value (Hashtbl.find_opt st.deps_fwd txn) ~default:[])
-    done
-  end
+      (fun d ->
+        if not (Hashtbl.mem seen d) then begin
+          Hashtbl.replace seen d ();
+          Hashtbl.replace st.dragged d ();
+          if Hashtbl.mem st.completed d then
+            flag st ~invariant:"closure-loss" ~time:e.Event.time ~node
+              (Printf.sprintf "T%d was already durable when its antecedent T%d was lost" d txn);
+          queue := d :: !queue
+        end)
+      (Option.value (Hashtbl.find_opt st.deps_fwd txn) ~default:[])
+  done
 
 let on_commit st (e : Event.t) =
   let txn = Event.txn_of e in
   if txn >= 0 then begin
-    if st.full then begin
-      if Hashtbl.mem st.lost txn then
-        flag st ~invariant:"batch-loss-closure" ~time:e.Event.time ~node:e.Event.node
-          (Printf.sprintf "T%d reported committed after its batch was lost to a crash" txn)
-      else if Hashtbl.mem st.pending txn then
-        flag st ~invariant:"batch-loss-closure" ~time:e.Event.time ~node:e.Event.node
-          (Printf.sprintf "T%d reported committed before a force covered its commit record" txn)
-      else if not (Hashtbl.mem st.completed txn) then
-        flag st ~invariant:"batch-loss-closure" ~time:e.Event.time ~node:e.Event.node
-          (Printf.sprintf "T%d reported committed without a submitted commit record" txn);
-      if Hashtbl.mem st.dragged txn then
-        flag st ~invariant:"closure-loss" ~time:e.Event.time ~node:e.Event.node
-          (Printf.sprintf "T%d reported committed after a lost antecedent dragged it down" txn)
-    end;
+    if Hashtbl.mem st.lost txn then
+      flag st ~invariant:"batch-loss-closure" ~time:e.Event.time ~node:e.Event.node
+        (Printf.sprintf "T%d reported committed after its batch was lost to a crash" txn)
+    else if Hashtbl.mem st.pending txn then
+      flag st ~invariant:"batch-loss-closure" ~time:e.Event.time ~node:e.Event.node
+        (Printf.sprintf "T%d reported committed before a force covered its commit record" txn)
+    else if not (Hashtbl.mem st.completed txn) then
+      flag st ~invariant:"batch-loss-closure" ~time:e.Event.time ~node:e.Event.node
+        (Printf.sprintf "T%d reported committed without a submitted commit record" txn);
+    if Hashtbl.mem st.dragged txn then
+      flag st ~invariant:"closure-loss" ~time:e.Event.time ~node:e.Event.node
+        (Printf.sprintf "T%d reported committed after a lost antecedent dragged it down" txn);
     Hashtbl.remove st.early_released txn;
     Hashtbl.replace st.terminal txn ()
   end
@@ -240,48 +215,43 @@ let on_begin st (e : Event.t) =
 (* Invariant 4, lock-activity side: a transaction past its terminal
    point must not request/acquire locks or append log records. *)
 let check_terminal st what (e : Event.t) =
-  if st.full then begin
-    let txn = e.Event.txn in
-    if txn >= 0 then
-      if Hashtbl.mem st.terminal txn then
-        flag st ~invariant:"release-after-terminal" ~time:e.Event.time ~node:e.Event.node
-          (Printf.sprintf "T%d performed %s after its terminal lock release" txn what)
-      else if Hashtbl.mem st.early_released txn then
-        (* 5: the weakened discipline still forbids work after the
-           early release — the transaction sits in its batch, nothing
-           more *)
-        flag st ~invariant:"release-after-submit" ~time:e.Event.time ~node:e.Event.node
-          (Printf.sprintf "T%d performed %s after releasing its locks early" txn what)
-  end
+  let txn = e.Event.txn in
+  if txn >= 0 then
+    if Hashtbl.mem st.terminal txn then
+      flag st ~invariant:"release-after-terminal" ~time:e.Event.time ~node:e.Event.node
+        (Printf.sprintf "T%d performed %s after its terminal lock release" txn what)
+    else if Hashtbl.mem st.early_released txn then
+      (* 5: the weakened discipline still forbids work after the early
+         release — the transaction sits in its batch, nothing more *)
+      flag st ~invariant:"release-after-submit" ~time:e.Event.time ~node:e.Event.node
+        (Printf.sprintf "T%d performed %s after releasing its locks early" txn what)
 
 (* Invariant 5, release side: the early-release summary event (it
    carries a [txn] attr; the per-page trace from the lock table does
    not) is legal only while the releaser's submitted commit record is
    still awaiting its covering force. *)
 let on_early_release st (e : Event.t) =
-  if st.full then
-    match Event.attr_int e "txn" with
-    | None -> ()
-    | Some txn ->
-      if Hashtbl.mem st.terminal txn then
-        flag st ~invariant:"release-after-terminal" ~time:e.Event.time ~node:e.Event.node
-          (Printf.sprintf "T%d released locks early after its terminal point" txn)
-      else if not (Hashtbl.mem st.pending txn) then
-        flag st ~invariant:"release-after-submit" ~time:e.Event.time ~node:e.Event.node
-          (Printf.sprintf
-             "T%d released its locks early without a submitted, uncovered commit record" txn)
-      else Hashtbl.replace st.early_released txn ()
+  match Event.attr_int e "txn" with
+  | None -> ()
+  | Some txn ->
+    if Hashtbl.mem st.terminal txn then
+      flag st ~invariant:"release-after-terminal" ~time:e.Event.time ~node:e.Event.node
+        (Printf.sprintf "T%d released locks early after its terminal point" txn)
+    else if not (Hashtbl.mem st.pending txn) then
+      flag st ~invariant:"release-after-submit" ~time:e.Event.time ~node:e.Event.node
+        (Printf.sprintf "T%d released its locks early without a submitted, uncovered commit record"
+           txn)
+    else Hashtbl.replace st.early_released txn ()
 
 (* Invariant 6, edge side: record who observed whose pre-durable state.
    An edge on an already-covered antecedent constrains nothing. *)
 let on_commit_dep st (e : Event.t) =
-  if st.full then
-    match (Event.attr_int e "txn", Event.attr_int e "on") with
-    | Some dependent, Some antecedent when Hashtbl.mem st.pending antecedent ->
-      let push tbl k v = Hashtbl.replace tbl k (v :: Option.value (Hashtbl.find_opt tbl k) ~default:[]) in
-      push st.deps_fwd antecedent dependent;
-      push st.deps_rev dependent antecedent
-    | _ -> ()
+  match (Event.attr_int e "txn", Event.attr_int e "on") with
+  | Some dependent, Some antecedent when Hashtbl.mem st.pending antecedent ->
+    let push tbl k v = Hashtbl.replace tbl k (v :: Option.value (Hashtbl.find_opt tbl k) ~default:[]) in
+    push st.deps_fwd antecedent dependent;
+    push st.deps_rev dependent antecedent
+  | _ -> ()
 
 (* Invariant 4, release side: the terminal release is a node-level
    cached-lock drop (no [holder] attr — owner-table releases carry one)
@@ -335,17 +305,11 @@ let dispatch st (e : Event.t) =
   | Event.Fault_partition -> ()
   | Event.Fault_torn -> ()
   | Event.Fault_crash -> ()
-  | Event.Trace_dropped -> ()
 
 let run events =
-  let truncated =
-    (* a constant constructor: physical equality is exact *)
-    List.exists (fun (e : Event.t) -> e.Event.kind == Event.Trace_dropped) events
-  in
   let st =
     {
       violations = [];
-      full = not truncated;
       durable = Hashtbl.create 8;
       pending = Hashtbl.create 64;
       completed = Hashtbl.create 256;
@@ -360,12 +324,7 @@ let run events =
     }
   in
   List.iter (dispatch st) events;
-  {
-    violations = List.rev st.violations;
-    events_checked = List.length events;
-    truncated;
-    skipped = (if truncated then prefix_checks else []);
-  }
+  { violations = List.rev st.violations; events_checked = List.length events }
 
 let ok (r : report) = List.is_empty r.violations
 
@@ -374,8 +333,6 @@ let to_json (r : report) =
     [
       ("ok", Json.Bool (ok r));
       ("events_checked", Json.Int r.events_checked);
-      ("truncated", Json.Bool r.truncated);
-      ("skipped", Json.List (List.map (fun s -> Json.Str s) r.skipped));
       ( "violations",
         Json.List
           (List.map
@@ -391,9 +348,7 @@ let to_json (r : report) =
     ]
 
 let pp ppf (r : report) =
-  if ok r then
-    Format.fprintf ppf "audit: OK (%d events%s)@." r.events_checked
-      (if r.truncated then ", truncated — prefix checks skipped" else "")
+  if ok r then Format.fprintf ppf "audit: OK (%d events)@." r.events_checked
   else begin
     Format.fprintf ppf "audit: %d violation(s) in %d events@." (List.length r.violations)
       r.events_checked;

@@ -21,16 +21,14 @@
       dependency closure.
 
     Traces are assumed to come from the paper's [Local_logging] scheme.
-    Truncated traces (ring overflow) disable the prefix-dependent
-    checks and the report records which. *)
+    The recorder keeps every event, so a trace is a whole run and every
+    check always runs. *)
 
 type violation = { invariant : string; time : float; node : int; detail : string }
 
 type report = {
   violations : violation list;  (** in event order *)
   events_checked : int;
-  truncated : bool;
-  skipped : string list;  (** invariants disabled by truncation *)
 }
 
 val run : Event.t list -> report

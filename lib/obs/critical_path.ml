@@ -36,13 +36,7 @@
    batch_wait come only from markers. *)
 type component = Log_force_time | Network | Owner_service
 
-type marker =
-  | M_begin
-  | M_lock_request
-  | M_lock_acquired
-  | M_submit
-  | M_commit
-  | M_dropped
+type marker = M_begin | M_lock_request | M_lock_acquired | M_submit | M_commit
 
 type event_class =
   | Charge of component  (** the event's [dur] attr feeds this component *)
@@ -92,7 +86,6 @@ let classify_kind : Event.kind -> event_class = function
   | Event.Fault_partition -> Unattributed
   | Event.Fault_torn -> Unattributed
   | Event.Fault_crash -> Unattributed
-  | Event.Trace_dropped -> Marker M_dropped
 
 type components = {
   mutable lock_wait : float;
@@ -113,7 +106,7 @@ type timeline = {
   parts : components;
 }
 
-type t = { txns : timeline list; truncated : bool }
+type t = { txns : timeline list }
 
 let component_names =
   [ "lock_wait"; "batch_wait"; "log_force"; "network"; "owner_service"; "dep_wait"; "other" ]
@@ -152,7 +145,6 @@ let analyze events =
   let submit : (int, float) Hashtbl.t = Hashtbl.create 64 in
   (* last log.force per node: (end time, duration, causing txn) *)
   let last_force : (int, float * float * int) Hashtbl.t = Hashtbl.create 8 in
-  let truncated = ref false in
   let timelines = ref [] in
   let parts_of txn =
     match Hashtbl.find_opt parts txn with
@@ -188,7 +180,6 @@ let analyze events =
       | Marker m -> (
         let txn = event_txn e in
         match m with
-        | M_dropped -> truncated := true
         | M_begin -> if txn >= 0 then Hashtbl.replace began txn (e.Event.time, e.Event.node)
         | M_lock_request ->
           if txn >= 0 && not (Hashtbl.mem window txn) then Hashtbl.replace window txn (ref 0.)
@@ -208,7 +199,7 @@ let analyze events =
         | M_commit ->
           if txn >= 0 then begin
             (match Hashtbl.find_opt began txn with
-            | None -> () (* txn.begin lost to ring overflow: not attributable *)
+            | None -> () (* no txn.begin in the stream: not attributable *)
             | Some (t0, node) ->
               let p = parts_of txn in
               (* The covering force: the last log.force on this node
@@ -238,7 +229,7 @@ let analyze events =
           end)
       | Unattributed -> ())
     events;
-  { txns = List.rev !timelines; truncated = !truncated }
+  { txns = List.rev !timelines }
 
 let component_hists t =
   let hists = List.map (fun name -> (name, Log_hist.create ())) component_names in

@@ -34,9 +34,7 @@ type timeline = {
   parts : components;
 }
 
-type t = { txns : timeline list; truncated : bool }
-(** [truncated]: the stream carried a [trace.dropped] summary — some
-    transactions may be missing their prefix and were skipped. *)
+type t = { txns : timeline list }
 
 val analyze : Event.t list -> t
 (** Events must be in emission (time) order, as [Recorder.events] and

@@ -42,7 +42,6 @@ type kind =
   | Fault_partition
   | Fault_torn
   | Fault_crash
-  | Trace_dropped
 
 type t = {
   time : float;  (** simulated seconds *)
@@ -89,7 +88,6 @@ let kind_name = function
   | Fault_partition -> "fault.partition"
   | Fault_torn -> "fault.torn"
   | Fault_crash -> "fault.crash"
-  | Trace_dropped -> "trace.dropped"
 
 let all_kinds =
   [
@@ -98,7 +96,7 @@ let all_kinds =
     Lock_release; Lock_acquired; Ckpt_begin; Ckpt_end; Txn_begin; Txn_commit; Txn_abort;
     Commit_submit; Commit_batch; Commit_dep; Lock_early_release; Crash;
     Recovery_begin; Recovery_end; Recovery_phase; Recovery_restart; Recovery_retry; Fault_drop;
-    Fault_dup; Fault_delay; Fault_partition; Fault_torn; Fault_crash; Trace_dropped;
+    Fault_dup; Fault_delay; Fault_partition; Fault_torn; Fault_crash;
   ]
 
 let kind_of_name s = List.find_opt (fun k -> String.equal (kind_name k) s) all_kinds

@@ -49,7 +49,6 @@ type kind =
   | Fault_partition
   | Fault_torn
   | Fault_crash
-  | Trace_dropped
 
 type t = {
   time : float;

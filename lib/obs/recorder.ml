@@ -9,37 +9,14 @@ type family = {
 
 type t = {
   mutable enabled : bool;
-  capacity : int;
-  mutable ring : Event.t option array;  (** [[||]] until the first push *)
-  mutable head : int;  (** next write slot *)
-  mutable dropped : int;  (** overwritten by ring wrap-around *)
+  mutable rev_events : Event.t list;  (** every recorded event, newest first *)
   mutable ctx_txn : int;  (** causal context: acting transaction, -1 = none *)
   mutable families : family list;  (** in creation order, newest first *)
 }
 
-let default_capacity = 1 lsl 16
-
-let create ?(enabled = false) ?(capacity = default_capacity) () =
-  if capacity <= 0 then invalid_arg "Recorder.create: capacity must be positive";
-  {
-    enabled;
-    capacity;
-    ring = [||];
-    head = 0;
-    dropped = 0;
-    ctx_txn = -1;
-    families = [];
-  }
-
+let create ?(enabled = false) () = { enabled; rev_events = []; ctx_txn = -1; families = [] }
 let enabled t = t.enabled
 let set_enabled t on = t.enabled <- on
-let dropped t = t.dropped
-
-let push t e =
-  if Array.length t.ring = 0 then t.ring <- Array.make t.capacity None;
-  if Option.is_some t.ring.(t.head) then t.dropped <- t.dropped + 1;
-  t.ring.(t.head) <- Some e;
-  t.head <- (t.head + 1) mod t.capacity
 
 (* The causal context: the acting transaction, dynamically scoped
    around every operation it performs.  Callers save [context],
@@ -49,27 +26,9 @@ let context t = t.ctx_txn
 let set_context t ~txn = t.ctx_txn <- txn
 
 let emit t ~time ~node kind attrs =
-  if t.enabled then push t (Event.make ~time ~node ~txn:t.ctx_txn kind attrs)
+  if t.enabled then t.rev_events <- Event.make ~time ~node ~txn:t.ctx_txn kind attrs :: t.rev_events
 
-(* Oldest first: the ring wraps at [head].  An overflowed ring ends with
-   a [trace.dropped] summary, so every reader can tell a suffix from a
-   whole run. *)
-let events t =
-  let out = ref [] in
-  let n = Array.length t.ring in
-  for i = n - 1 downto 0 do
-    let slot = (t.head + i) mod n in
-    match t.ring.(slot) with None -> () | Some e -> out := e :: !out
-  done;
-  if t.dropped = 0 then !out
-  else begin
-    let last_time = List.fold_left (fun acc (e : Event.t) -> Float.max acc e.Event.time) 0. !out in
-    !out
-    @ [
-        Event.make ~time:last_time ~node:(-1) Event.Trace_dropped
-          [ ("count", Event.Int t.dropped); ("capacity", Event.Int t.capacity) ];
-      ]
-  end
+let events t = List.rev t.rev_events
 
 (* ---- histograms (always on: they never touch the sim clock or the
    Metrics counters, so traced and untraced runs stay identical) ---- *)

@@ -1,5 +1,5 @@
-(** Event recorder: a bounded ring of typed events and per-(metric,
-    node) latency histograms.
+(** Event recorder: every typed event of a run, and per-(metric, node)
+    latency histograms.
 
     Event emission is gated on [enabled] and costs one branch when
     off — callers must still avoid formatting attrs eagerly on hot
@@ -10,10 +10,10 @@
 
 type t
 
-val create : ?enabled:bool -> ?capacity:int -> unit -> t
-(** [capacity] (default 65536) bounds the event ring; older events are
-    overwritten and counted in [dropped].  The ring is allocated on the
-    first recorded event, so a recorder that never records costs none. *)
+val create : ?enabled:bool -> unit -> t
+(** The recorder keeps every event it records, with no bound: its memory
+    grows with the run.  One that never records allocates no event
+    store. *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
@@ -36,12 +36,7 @@ val context : t -> int
 val set_context : t -> txn:int -> unit
 
 val events : t -> Event.t list
-(** Oldest first.  At most [capacity] recorded events, followed by a
-    synthetic [Trace_dropped] summary (count and capacity) when the
-    ring overflowed, so every reader can tell a suffix from a whole
-    run; see [dropped]. *)
-
-val dropped : t -> int
+(** Every recorded event, oldest first: always a whole run. *)
 
 (** {2 Histograms} *)
 

@@ -13,13 +13,8 @@ type t = {
   faults : Repro_fault.Injector.t option;
 }
 
-let create ?(trace = false) ?trace_capacity ?faults config =
-  {
-    config;
-    clock = { now = 0. };
-    obs = Recorder.create ~enabled:trace ?capacity:trace_capacity ();
-    faults;
-  }
+let create ?(trace = false) ?faults config =
+  { config; clock = { now = 0. }; obs = Recorder.create ~enabled:trace (); faults }
 
 let config t = t.config
 let now t = t.clock.now

@@ -15,15 +15,13 @@ type t
 
 val create :
   ?trace:bool ->
-  ?trace_capacity:int ->
   ?faults:Repro_fault.Injector.t ->
   Config.t ->
   t
 (** [faults] installs a deterministic fault injector; every message,
     crash and protocol crash point consults it.  Absent, no fault code
-    runs at all.  [trace_capacity] sizes the event ring (default
-    65536); audit runs raise it so long faulted traces are not
-    truncated. *)
+    runs at all.  [trace] records every event of the run: the
+    recorder keeps them all, so its memory grows with the run. *)
 
 val config : t -> Config.t
 

@@ -8,8 +8,8 @@ let compare a b =
 
 let equal a b = a.owner = b.owner && a.slot = b.slot
 let hash t = (t.owner * 1000003) lxor t.slot
-let pp ppf t = Format.fprintf ppf "P%d.%d" t.owner t.slot
-let to_string t = Format.asprintf "%a" pp t
+let to_string t = "P" ^ string_of_int t.owner ^ "." ^ string_of_int t.slot
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let encode e t =
   Repro_util.Codec.u32 e t.owner;

@@ -54,13 +54,7 @@ let run ?(trace = false) ?plan ~classes ~group_commit ~elr seed =
     else config
   in
   let nodes = 2 + Rng.int rng 4 in
-  let cluster =
-    (* a large ring keeps the auditor's prefix-dependent checks armed;
-       it is allocated on the first recorded event, so untraced runs
-       never pay for it *)
-    Cluster.create ~trace ~trace_capacity:(1 lsl 20) ?faults ~nodes
-      ~pool_capacity:(8 + Rng.int rng 24) config
-  in
+  let cluster = Cluster.create ~trace ?faults ~nodes ~pool_capacity:(8 + Rng.int rng 24) config in
   let owners = List.init (1 + Rng.int rng (min 3 nodes)) (fun i -> i) in
   let pages_by_owner =
     List.map

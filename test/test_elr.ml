@@ -126,7 +126,7 @@ let elr_workload ~trace () =
       (Config.with_group_commit Config.default ~window_ms:10. ~max_batch:4)
       true
   in
-  let cluster = Cluster.create ~trace ~trace_capacity:(1 lsl 18) ~nodes:2 config in
+  let cluster = Cluster.create ~trace ~nodes:2 config in
   let pages = Cluster.allocate_pages cluster ~owner:0 ~count:8 in
   let engine = Engine.of_cluster cluster in
   let rng = Rng.create 7 in
@@ -170,18 +170,19 @@ let test_elr_traced_equals_untraced () =
 
 (* Dependencies never leave their node: under every fault class, with
    group commit and elr, each [commit.dep] joins two transactions that
-   began on the node that recorded it. *)
+   began on the node that recorded it.  The same sweep fires every event
+   kind: a kind that no seed emits is a mechanism nothing exercises. *)
 let test_deps_stay_on_their_node () =
   let classes = Fault_plan.all_classes in
   let deps = ref 0 in
+  let fired = Hashtbl.create 64 in
   for seed = 0 to 49 do
     let cluster, _, _ = Stress.run ~trace:true ~classes ~group_commit:true ~elr:true seed in
-    let obs = Repro_sim.Env.obs (Cluster.env cluster) in
-    Alcotest.(check int) (Printf.sprintf "seed %d: whole run recorded" seed) 0 (Recorder.dropped obs);
-    let events = Recorder.events obs in
+    let events = Recorder.events (Repro_sim.Env.obs (Cluster.env cluster)) in
     let began = Hashtbl.create 256 in
     List.iter
       (fun (e : Event.t) ->
+        Hashtbl.replace fired (Event.kind_name e.Event.kind) ();
         match (e.Event.kind, Event.attr_int e "txn") with
         | Event.Txn_begin, Some txn -> Hashtbl.replace began txn e.Event.node
         | _ -> ())
@@ -200,7 +201,11 @@ let test_deps_stay_on_their_node () =
         | _ -> ())
       events
   done;
-  Alcotest.(check bool) "commit dependencies were recorded" true (!deps > 0)
+  Alcotest.(check bool) "commit dependencies were recorded" true (!deps > 0);
+  Alcotest.(check (list string))
+    "every event kind fired"
+    (List.sort String.compare (List.map Event.kind_name Event.all_kinds))
+    (List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) fired []))
 
 let suite =
   [

@@ -1,5 +1,5 @@
-(* Tests for the observability layer: typed events, the event ring and
-   its truncation marker, log-bucketed histograms, JSON codec, and the
+(* Tests for the observability layer: typed events, the recorder that
+   keeps every one, log-bucketed histograms, JSON codec, and the
    traced==untraced metrics invariant. *)
 
 module Json = Repro_obs.Json
@@ -18,20 +18,28 @@ module Experiments = Repro_experiments.Experiments
 
 let feq = Alcotest.(check (float 1e-9))
 
-(* ---- the event ring ---- *)
+(* ---- the recorder ---- *)
 
-let test_ring_buffer_keeps_newest () =
-  let r = Recorder.create ~enabled:true ~capacity:4 () in
-  for i = 1 to 10 do
+(* A long run: every event comes back, oldest first, and nothing else
+   does — no summary is appended. *)
+let test_recorder_keeps_every_event () =
+  let r = Recorder.create ~enabled:true () in
+  let n = 70_000 in
+  for i = 1 to n do
     Recorder.emit r ~time:(float_of_int i) ~node:0 Event.Log_append [ ("bytes", Event.Int i) ]
   done;
-  Alcotest.(check int) "dropped oldest" 6 (Recorder.dropped r);
-  let times = List.map (fun e -> int_of_float e.Event.time) (Recorder.events r) in
-  (* the last entry is the trace.dropped summary, stamped at the newest time *)
-  Alcotest.(check (list int)) "newest survive, oldest-first" [ 7; 8; 9; 10; 10 ] times
+  let events = Recorder.events r in
+  Alcotest.(check int) "every event kept" n (List.length events);
+  List.iteri
+    (fun i (e : Event.t) ->
+      if not (e.Event.kind = Event.Log_append && Event.attr_int e "bytes" = Some (i + 1)) then
+        Alcotest.failf "event %d is not the append emitted %d-th: %s" i (i + 1) (Event.render e))
+    events;
+  let lines = String.split_on_char '\n' (String.trim (Recorder.to_jsonl r)) in
+  Alcotest.(check int) "exported lines" n (List.length lines)
 
 let test_recorder_enabled_late_records () =
-  let r = Recorder.create ~capacity:4 () in
+  let r = Recorder.create () in
   Recorder.emit r ~time:0. ~node:0 Event.Crash [];
   Alcotest.(check int) "nothing while disabled" 0 (List.length (Recorder.events r));
   Recorder.set_enabled r true;
@@ -39,9 +47,7 @@ let test_recorder_enabled_late_records () =
     Recorder.emit r ~time:(float_of_int i) ~node:0 Event.Log_append [ ("bytes", Event.Int i) ]
   done;
   let times = List.map (fun e -> int_of_float e.Event.time) (Recorder.events r) in
-  Alcotest.(check (list int)) "records once enabled, oldest first, then the summary"
-    [ 3; 4; 5; 6; 6 ] times;
-  Alcotest.(check int) "dropped" 2 (Recorder.dropped r)
+  Alcotest.(check (list int)) "records once enabled, oldest first" [ 1; 2; 3; 4; 5; 6 ] times
 
 let test_disabled_recorder_is_inert () =
   let r = Recorder.create () in
@@ -50,40 +56,6 @@ let test_disabled_recorder_is_inert () =
 
 module Critical_path = Repro_obs.Critical_path
 module Audit = Repro_obs.Audit
-
-(* An overflowed ring ends with a [trace.dropped] summary, and every
-   reader of [Recorder.events] sees it: the critical-path analysis
-   reports truncation and the auditor skips its prefix checks instead
-   of judging a suffix as if it were the whole run. *)
-let test_overflow_reaches_every_reader () =
-  let r = Recorder.create ~enabled:true ~capacity:4 () in
-  Recorder.emit r ~time:1. ~node:0 Event.Txn_begin [ ("txn", Event.Int 3) ];
-  for i = 2 to 7 do
-    Recorder.emit r ~time:(float_of_int i) ~node:0 Event.Log_append [ ("bytes", Event.Int i) ]
-  done;
-  Recorder.emit r ~time:8. ~node:0 Event.Txn_commit [ ("txn", Event.Int 3) ];
-  Alcotest.(check int) "dropped" 4 (Recorder.dropped r);
-  let events = Recorder.events r in
-  (match List.rev events with
-  | last :: _ ->
-    Alcotest.(check string) "ends with the summary" "trace.dropped"
-      (Event.kind_name last.Event.kind);
-    Alcotest.(check (option int)) "summary count" (Some 4) (Event.attr_int last "count")
-  | [] -> Alcotest.fail "no events");
-  Alcotest.(check bool) "critical path: truncated" true
-    (Critical_path.analyze events).Critical_path.truncated;
-  let report = Audit.run events in
-  Alcotest.(check bool) "audit: truncated" true report.Audit.truncated;
-  Alcotest.(check (list string))
-    "audit: prefix checks skipped"
-    [
-      "force-before-ship"; "batch-loss-closure"; "release-after-terminal"; "release-after-submit";
-      "closure-loss";
-    ]
-    report.Audit.skipped;
-  (* the JSONL export carries the same summary line *)
-  let lines = String.split_on_char '\n' (String.trim (Recorder.to_jsonl r)) in
-  Alcotest.(check int) "exported lines" (List.length events) (List.length lines)
 
 (* ---- histograms ---- *)
 
@@ -309,7 +281,6 @@ let test_crash_and_recovery_stamp_no_txn () =
   in
   let cluster, _ = run_workload ~trace:true () in
   let obs = Repro_sim.Env.obs (Cluster.env cluster) in
-  Alcotest.(check int) "whole run recorded" 0 (Recorder.dropped obs);
   Alcotest.(check bool) "driver crash and recovery traced" true
     (List.length (unstamped "driver crash" (Recorder.events obs)) > 1);
   let classes = Fault_plan.{ no_classes with recovery = true } in
@@ -442,12 +413,7 @@ let test_audit_force_before_ship () =
       ev ~t:1. Event.Log_force [ ("durable", Event.Int 10) ];
       ev ~t:2. Event.Page_ship
         [ ("page", Event.Str "P0.1"); ("psn", Event.Int 3); ("lsn", Event.Int 7) ];
-    ];
-  (* a truncated trace must skip the check instead of fabricating it *)
-  let truncated = corrupt @ [ ev ~t:3. Event.Trace_dropped [ ("count", Event.Int 5) ] ] in
-  let r = Audit.run truncated in
-  Alcotest.(check bool) "truncated trace skips prefix checks" true (Audit.ok r);
-  Alcotest.(check bool) "skip recorded" true (List.mem "force-before-ship" r.Audit.skipped)
+    ]
 
 let test_audit_batch_loss_closure () =
   (* the batch dies with the node, yet T7 still reports committed *)
@@ -559,11 +525,9 @@ let test_recovery_summary_phases () =
 
 let suite =
   [
-    Alcotest.test_case "ring buffer keeps newest" `Quick test_ring_buffer_keeps_newest;
+    Alcotest.test_case "recorder keeps every event" `Quick test_recorder_keeps_every_event;
     Alcotest.test_case "disabled recorder is inert" `Quick test_disabled_recorder_is_inert;
     Alcotest.test_case "recorder enabled late records" `Quick test_recorder_enabled_late_records;
-    Alcotest.test_case "overflowed ring reaches every reader" `Quick
-      test_overflow_reaches_every_reader;
     Alcotest.test_case "histogram percentiles vs Stats" `Quick
       test_histogram_percentiles_match_stats;
     Alcotest.test_case "histogram edge cases" `Quick test_histogram_edge_cases;
